@@ -34,6 +34,6 @@ from .model import (
 from .privacy import ClipState, DpConfig, add_noise, clip, update_bound
 from .residual import KeyCache, ResidualPacket, partition_residuals, route_residuals
 from .tensors import CongruenceError, ParamSet, Tensor, axpy, cosine, dot, flatten, l2_norm
-from .topology import FederationTree, NodeSpec, levels, validate
+from .topology import FederationTree, NodeSpec, validate
 
 __version__ = "0.1.0"

@@ -37,7 +37,6 @@ class ExperimentPlan:
     config_path: str | None = None
     rounds: int | None = None
     seed: int = 0
-    workers: int = 1
     out: str | None = None
     overrides: dict[str, object] = field(default_factory=dict)
 
@@ -63,7 +62,7 @@ def resolve_plan(plan: ExperimentPlan) -> ResolvedExperiment:
         raise ValueError("either --preset or --config is required")
     if plan.overrides:
         config = apply_overrides(config, plan.overrides)
-    return resolve(config, seed=plan.seed, rounds=plan.rounds, workers=plan.workers)
+    return resolve(config, seed=plan.seed, rounds=plan.rounds)
 
 
 def execute(plan: ExperimentPlan, exp: ResolvedExperiment | None = None) -> tuple[ResolvedExperiment, RunResult]:
@@ -94,7 +93,6 @@ def write_outputs(out_dir: Path, exp: ResolvedExperiment, plan: ExperimentPlan,
         "experiment_id": experiment_id,
         "method": plan.method,
         "seed": plan.seed,
-        "workers": plan.workers,
         "config": exp.config,
         "sequential_steps": result.seq_steps,
         "content_hash": content_hash(exp.config, exp.shards),
@@ -227,7 +225,7 @@ def cmd_ablate(args) -> int:
     for seed in seeds:
         pair = []
         for tag, config in (("on", base_config), ("off", toggled_config)):
-            exp = resolve(config, seed=seed, rounds=args.rounds, workers=args.workers)
+            exp = resolve(config, seed=seed, rounds=args.rounds)
             plan = _plan_from_args(args, method=method, seed=seed)
             start = time.perf_counter()
             _, result = execute(plan, exp=exp)
@@ -272,7 +270,6 @@ def _plan_from_args(args, method: str | None = None, seed: int | None = None) ->
         config_path=args.config,
         rounds=args.rounds,
         seed=seed if seed is not None else seeds[0],
-        workers=args.workers,
         out=args.out,
         overrides=dict(args.override or []),
     )
@@ -284,7 +281,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", action="append", choices=METHODS, default=None)
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--seed", action="append", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--override", action="append", type=_parse_override, metavar="KEY=VALUE")
 

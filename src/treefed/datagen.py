@@ -10,7 +10,6 @@ are Markov chains, the optimal achievable perplexity is computable exactly
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -173,17 +172,6 @@ class MixtureSpec:
     def total_budget(self) -> int:
         return sum(c.token_budget for c in self.components)
 
-    def to_json(self) -> dict:
-        return {"components": [
-            {"source_id": c.source_id, "weight": c.weight, "token_budget": c.token_budget}
-            for c in self.components
-        ]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MixtureSpec":
-        return cls([MixtureComponent(c["source_id"], c["weight"], c["token_budget"])
-                    for c in obj["components"]])
-
 
 @dataclass
 class Shard:
@@ -319,28 +307,3 @@ def load_text_shard(path: str | Path, vocab_map: dict[int, int] | None = None) -
 def detokenize(tokens: np.ndarray, vocab_map: dict[int, int]) -> bytes:
     inverse = {v: k for k, v in vocab_map.items()}
     return bytes(inverse[int(t)] for t in tokens)
-
-
-def save_shard(shard: Shard, stem: str | Path) -> None:
-    stem = Path(stem)
-    manifest = {"provenance": shard.provenance.to_json(), "splits": {}}
-    payload = bytearray()
-    offset = 0
-    for name in ("train", "val", "test"):
-        arr = getattr(shard, name).astype("<u2")
-        manifest["splits"][name] = {"offset": offset, "count": int(arr.size)}
-        payload.extend(arr.tobytes())
-        offset += arr.nbytes
-    stem.with_suffix(".json").write_text(json.dumps(manifest, indent=1) + "\n")
-    stem.with_suffix(".tokens").write_bytes(bytes(payload))
-
-
-def load_shard(stem: str | Path) -> Shard:
-    stem = Path(stem)
-    manifest = json.loads(stem.with_suffix(".json").read_text())
-    payload = stem.with_suffix(".tokens").read_bytes()
-    splits = {}
-    for name, meta in manifest["splits"].items():
-        arr = np.frombuffer(payload, dtype="<u2", count=meta["count"], offset=meta["offset"])
-        splits[name] = arr.astype(np.int64)
-    return Shard(provenance=MixtureSpec.from_json(manifest["provenance"]), **splits)

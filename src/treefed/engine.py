@@ -5,12 +5,11 @@ One round walks the tree level by level (top-down): a node adopts its
 parent's freshly trained backbone, merges keys by attention with the parent
 and any routed-in residual packets, routes its pending residuals toward its
 children, then trains locally. Every level is one *stage*; nodes on a level
-are logically simultaneous and may run in worker threads (results are
-reduced in node-id order, so worker count never changes the bytes). After
-the last stage the tree is aggregated bottom-up: pseudo-gradient averaging
-with server momentum for backbones, per-layer attention for keys, and
-dissimilarity-based residual selection, with DP sanitization applied to
-flagged children's backbone deltas on the way.
+are logically simultaneous and run in node-id order. After the last stage
+the tree is aggregated bottom-up: pseudo-gradient averaging with server
+momentum for backbones, per-layer attention for keys, and dissimilarity-based
+residual selection, with DP sanitization applied to flagged children's
+backbone deltas on the way.
 
 A stage consumes one sequential step when at least one of its nodes trains;
 baselines are budgeted in the same units.
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -80,7 +78,6 @@ class EngineConfig:
     dp: DpConfig | None = None
     rounds: int = 1
     seed: int = 0
-    workers: int = 1
 
     def trainer_for(self, node) -> TrainerConfig:
         return node.trainer if node.trainer is not None else self.trainer
@@ -150,6 +147,26 @@ def evaluate_round(
     return rows, summary
 
 
+def _dp_sanitize(delta: ParamSet, nid: int, round_k: int, cs: ClipState,
+                 dp: DpConfig, seed: int, dp_log: list[dict]) -> ParamSet:
+    """Clip a DP client's pseudo-gradient to its server's current bound,
+    record the pre-clip norm for the next bound, add Gaussian noise from the
+    client's (round, noise) stream, and log one dp.csv row. It stays in this
+    module so `clip` and `add_noise` are looked up in engine's namespace,
+    where the benchmark trace wraps them."""
+    clipped, pre_norm = clip(delta, cs.bound)
+    cs.record(pre_norm)
+    noise_std = dp.sigma if dp.absolute_noise else dp.sigma * cs.bound
+    delta = add_noise(
+        clipped, dp.sigma, cs.bound, rng_for(seed, nid, round_k, _NOISE_TAG), dp.absolute_noise,
+    )
+    dp_log.append({
+        "round": round_k, "node": nid, "pre_clip_norm": pre_norm,
+        "bound": cs.bound, "noise_std": noise_std,
+    })
+    return delta
+
+
 def fit(
     tree: FederationTree,
     shards: dict[int, Shard],
@@ -187,85 +204,61 @@ def fit(
     result = RunResult(method=method, rows=[])
     seq_counter = 0
 
-    def run_stage_node(nid: int, round_k: int, global_step: int):
-        """One node's stage work. Returns (train_row, attention_rows,
-        residual_events) so the caller can append logs in node-id order,
-        keeping output bytes independent of worker scheduling."""
-        node = tree.nodes[nid]
-        st = state[nid]
-        attn_rows: list[dict] = []
-        res_events: list[dict] = []
-        # adopt parent backbone; merge keys with parent and routed-in packets
-        if node.parent is not None:
-            parent_st = state[node.parent]
-            st.backbone = parent_st.backbone.copy()
-            if len(st.keys):
-                packets = st.d_agg
-                st.keys, weight_log = merge_with_parent(
-                    st.keys, parent_st.keys, packets, cfg.attention
-                )
-                origins = ["self", "parent"] + [
-                    str(p.origin)
-                    for p in sorted(packets, key=lambda p: (p.origin, p.created_round))
-                ]
-                for layer, w in weight_log.items():
-                    for origin, weight in zip(origins, w):
-                        attn_rows.append({
-                            "node": nid, "round": round_k, "stage": "merge",
-                            "layer": layer, "candidate": origin, "weight": float(weight),
-                        })
-            st.d_agg = []
-        # route pending residuals toward children
-        if node.children and st.d_route:
-            routed = route_residuals(
-                st.d_route, st.cache, node.children, cfg.attention, tree,
-                round_k, max_age, router=nid,
-            )
-            for cid, pkts in routed.for_aggregation.items():
-                state[cid].d_agg.extend(pkts)
-            for cid, pkts in routed.to_forward.items():
-                state[cid].d_route.extend(pkts)
-            st.d_route = routed.held
-            res_events.extend(routed.events)
-        # local training
-        train_row = None
-        if node.trains_locally and nid in shards:
-            trainer = cfg.trainer_for(node)
-            if trainer.local_steps > 0:
-                full = part.assemble(st.backbone, st.keys)
-                out = local_train(
-                    full, shards[nid].train, trainer,
-                    rng_for(cfg.seed, nid, round_k, _TRAIN_TAG), global_step,
-                )
-                st.backbone, st.keys = part.split(out.params)
-                with np.errstate(over="ignore"):
-                    train_row = MetricRow(
-                        method, nid, round_k, 0, "train",
-                        out.mean_loss, float(np.exp(out.mean_loss)),
-                    )
-        return train_row, attn_rows, res_events
-
     for round_k in range(cfg.rounds):
         for stage_idx, level in enumerate(stages):
-            trains = [
-                nid for nid in level
-                if tree.nodes[nid].trains_locally and nid in shards
-                and cfg.trainer_for(tree.nodes[nid]).local_steps > 0
-            ]
             global_step = seq_counter * cfg.trainer.local_steps
-            if cfg.workers > 1 and len(level) > 1:
-                with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                    outputs = list(pool.map(
-                        lambda nid: run_stage_node(nid, round_k, global_step), level
-                    ))
-            else:
-                outputs = [run_stage_node(nid, round_k, global_step) for nid in level]
-            for train_row, attn_rows, res_events in outputs:
-                if train_row is not None:
-                    result.rows.append(train_row._replace(stage=stage_idx))
-                result.attention_log.extend(attn_rows)
-                result.residual_log.extend(res_events)
-            if trains:
+            trained = False
+            for nid in level:
+                node = tree.nodes[nid]
+                st = state[nid]
+                # adopt parent backbone; merge keys with parent and routed-in packets
+                if node.parent is not None:
+                    parent_st = state[node.parent]
+                    st.backbone = parent_st.backbone.copy()
+                    if len(st.keys):
+                        packets = st.d_agg
+                        st.keys, weight_log = merge_with_parent(
+                            st.keys, parent_st.keys, packets, cfg.attention
+                        )
+                        origins = ["self", "parent"] + [
+                            str(p.origin)
+                            for p in sorted(packets, key=lambda p: (p.origin, p.created_round))
+                        ]
+                        for layer, w in weight_log.items():
+                            for origin, weight in zip(origins, w):
+                                result.attention_log.append({
+                                    "node": nid, "round": round_k, "stage": "merge",
+                                    "layer": layer, "candidate": origin, "weight": float(weight),
+                                })
+                    st.d_agg = []
+                # route pending residuals toward children
+                if node.children and st.d_route:
+                    routed = route_residuals(
+                        st.d_route, st.cache, node.children, cfg.attention, tree,
+                        round_k, max_age, router=nid,
+                    )
+                    for cid, pkts in routed.for_aggregation.items():
+                        state[cid].d_agg.extend(pkts)
+                    for cid, pkts in routed.to_forward.items():
+                        state[cid].d_route.extend(pkts)
+                    st.d_route = routed.held
+                    result.residual_log.extend(routed.events)
+                # local training
+                trainer = cfg.trainer_for(node)
+                if node.trains_locally and nid in shards and trainer.local_steps > 0:
+                    trained = True
+                    full = part.assemble(st.backbone, st.keys)
+                    out = local_train(
+                        full, shards[nid].train, trainer,
+                        rng_for(cfg.seed, nid, round_k, _TRAIN_TAG), global_step,
+                    )
+                    st.backbone, st.keys = part.split(out.params)
+                    with np.errstate(over="ignore"):
+                        result.rows.append(MetricRow(
+                            method, nid, round_k, stage_idx, "train",
+                            out.mean_loss, float(np.exp(out.mean_loss)),
+                        ))
+            if trained:
                 seq_counter += 1
             params_now = {
                 nid: part.assemble(state[nid].backbone, state[nid].keys)
@@ -286,18 +279,9 @@ def fit(
                 for cid in children:
                     delta = axpy(-1.0, st.backbone, state[cid].backbone, role="pseudo_gradient")
                     if dp and cid in dp.enabled_nodes:
-                        cs = clip_states[nid]
-                        clipped, pre_norm = clip(delta, cs.bound)
-                        cs.record(pre_norm)
-                        noise_std = dp.sigma if dp.absolute_noise else dp.sigma * cs.bound
-                        delta = add_noise(
-                            clipped, dp.sigma, cs.bound,
-                            rng_for(cfg.seed, cid, round_k, _NOISE_TAG), dp.absolute_noise,
+                        delta = _dp_sanitize(
+                            delta, cid, round_k, clip_states[nid], dp, cfg.seed, result.dp_log
                         )
-                        result.dp_log.append({
-                            "round": round_k, "node": cid, "pre_clip_norm": pre_norm,
-                            "bound": cs.bound, "noise_std": noise_std,
-                        })
                     deltas.append(delta)
                 delta_mean = average_pseudograds(deltas)
                 st.backbone, st.opt = server_opt(st.backbone, delta_mean, st.opt)
@@ -357,23 +341,14 @@ def run_flat_fl(
     cs = ClipState(bound=dp.initial_bound) if dp and dp.enabled_nodes else None
     result = RunResult(method=method, rows=[])
 
-    def train_leaf(nid: int, round_k: int):
-        out = local_train(
-            server, shards[nid].train, cfg.trainer,
-            rng_for(cfg.seed, nid, round_k, _TRAIN_TAG),
-            round_k * cfg.trainer.local_steps,
-        )
-        return nid, out
-
     for round_k in range(rounds):
-        if cfg.workers > 1 and len(leaf_ids) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                outs = dict(pool.map(lambda nid: train_leaf(nid, round_k), leaf_ids))
-        else:
-            outs = dict(train_leaf(nid, round_k) for nid in leaf_ids)
         deltas = []
         for nid in leaf_ids:
-            out = outs[nid]
+            out = local_train(
+                server, shards[nid].train, cfg.trainer,
+                rng_for(cfg.seed, nid, round_k, _TRAIN_TAG),
+                round_k * cfg.trainer.local_steps,
+            )
             with np.errstate(over="ignore"):
                 result.rows.append(MetricRow(
                     method, nid, round_k, 0, "train",
@@ -381,17 +356,7 @@ def run_flat_fl(
                 ))
             delta = axpy(-1.0, server, out.params, role="pseudo_gradient")
             if dp and nid in dp.enabled_nodes:
-                clipped, pre_norm = clip(delta, cs.bound)
-                cs.record(pre_norm)
-                noise_std = dp.sigma if dp.absolute_noise else dp.sigma * cs.bound
-                delta = add_noise(
-                    clipped, dp.sigma, cs.bound,
-                    rng_for(cfg.seed, nid, round_k, _NOISE_TAG), dp.absolute_noise,
-                )
-                result.dp_log.append({
-                    "round": round_k, "node": nid, "pre_clip_norm": pre_norm,
-                    "bound": cs.bound, "noise_std": noise_std,
-                })
+                delta = _dp_sanitize(delta, nid, round_k, cs, dp, cfg.seed, result.dp_log)
             deltas.append(delta)
         server, opt = server_opt(server, average_pseudograds(deltas), opt)
         if cs is not None:

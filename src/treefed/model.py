@@ -15,15 +15,12 @@ Parameter order (canonical, shared by every instance of a config):
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .aggregation import ScheduleConfig, lr_at
-from .tensors import ParamSet, Tensor, load_manifest, load_paramset, save_paramset
-
-PARAM_COUNT_FORMULA = "V*d + (n*d*d + d) + H*(2*e*d*d + e*d + d) + (d*V + V)"
+from .tensors import ParamSet, Tensor
 
 
 @dataclass
@@ -355,20 +352,3 @@ def evaluate_perplexity(params: ParamSet, tokens: np.ndarray, chunk: int = 8192)
     """exp(mean token NLL); may overflow to inf for diverged models."""
     with np.errstate(over="ignore"):
         return float(np.exp(mean_nll(params, tokens, chunk)))
-
-
-def save_checkpoint(params: ParamSet, cfg: ModelConfig, stem: str | Path) -> None:
-    save_paramset(
-        params,
-        stem,
-        extra={
-            "model_config": asdict(cfg),
-            "param_count": param_count(cfg),
-            "param_count_formula": PARAM_COUNT_FORMULA,
-        },
-    )
-
-
-def load_checkpoint(stem: str | Path) -> tuple[ParamSet, ModelConfig]:
-    manifest = load_manifest(stem)
-    return load_paramset(stem), ModelConfig(**manifest["model_config"])

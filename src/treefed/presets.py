@@ -10,7 +10,6 @@ are builders for the shipped scenarios:
   iid          the same tree with every node sampling one shared source
   dp-cc-wk     fig2 with DP on the first sibling leaf pair
   dp-pbc-pba   fig2 with DP on the second sibling leaf pair
-  text         byte-level ingestion of a local file, split across leaves
 """
 
 from __future__ import annotations
@@ -250,8 +249,7 @@ def _build_text_shards(tree: FederationTree, data: dict):
     return shards, {}, len(vocab)
 
 
-def resolve(config: dict, seed: int, rounds: int | None = None,
-            workers: int = 1) -> ResolvedExperiment:
+def resolve(config: dict, seed: int, rounds: int | None = None) -> ResolvedExperiment:
     """Instantiate tree, data, and engine config for one experiment run."""
     cfg = copy.deepcopy(config)
     if rounds is not None:
@@ -307,12 +305,10 @@ def resolve(config: dict, seed: int, rounds: int | None = None,
         dp=dp,
         rounds=cfg["rounds"],
         seed=seed,
-        workers=workers,
     )
     resolved_cfg = copy.deepcopy(cfg)
     resolved_cfg["schedule"] = sched
     resolved_cfg["seed"] = seed
-    resolved_cfg["workers"] = workers
     return ResolvedExperiment(
         name=cfg.get("name", "custom"),
         config=resolved_cfg,

@@ -9,8 +9,6 @@ misconfigured backbone/key partition fails fast.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -163,42 +161,3 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
         return 0.0
     c = dot(a, b) / (na * nb)
     return float(min(1.0, max(-1.0, c)))
-
-
-# Serialization: a JSON manifest (name, shape, byte offset per tensor) next to
-# a raw little-endian float32 payload. Round trips are bit-exact.
-
-def save_paramset(p: ParamSet, stem: str | Path, extra: dict | None = None) -> None:
-    stem = Path(stem)
-    manifest = {"role": p.role, "tensors": []}
-    if extra:
-        manifest.update(extra)
-    offset = 0
-    payload = bytearray()
-    for t in p:
-        raw = t.data.astype("<f4", copy=False).tobytes(order="C")
-        manifest["tensors"].append(
-            {"name": t.name, "shape": list(t.shape), "offset": offset}
-        )
-        payload.extend(raw)
-        offset += len(raw)
-    stem.with_suffix(".json").write_text(json.dumps(manifest, indent=1) + "\n")
-    stem.with_suffix(".bin").write_bytes(bytes(payload))
-
-
-def load_paramset(stem: str | Path) -> ParamSet:
-    stem = Path(stem)
-    manifest = json.loads(stem.with_suffix(".json").read_text())
-    payload = stem.with_suffix(".bin").read_bytes()
-    tensors = []
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(payload, dtype="<f4", count=count, offset=start)
-        tensors.append(Tensor(entry["name"], arr.reshape(shape).copy()))
-    return ParamSet(tensors, manifest["role"])
-
-
-def load_manifest(stem: str | Path) -> dict:
-    return json.loads(Path(stem).with_suffix(".json").read_text())

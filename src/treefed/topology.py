@@ -21,7 +21,6 @@ class NodeSpec:
     parent: int | None
     children: list[int] = field(default_factory=list)
     dataset: str = ""
-    dp_enabled: bool = False
     residual_ceiling: int = 0
     trains_locally: bool = True
     trainer: TrainerConfig | None = None  # None: use the experiment default
@@ -36,12 +35,10 @@ class FederationTree:
         cls,
         children: dict[int, list[int]],
         datasets: dict[int, str] | None = None,
-        dp_nodes: set[int] | None = None,
         trains_locally: dict[int, bool] | None = None,
         residual_ceilings: dict[int, int] | None = None,
     ) -> "FederationTree":
         datasets = datasets or {}
-        dp_nodes = dp_nodes or set()
         trains_locally = trains_locally or {}
         residual_ceilings = residual_ceilings or {}
         all_children = {c for cs in children.values() for c in cs}
@@ -54,7 +51,6 @@ class FederationTree:
                 parent=parent,
                 children=sorted(children.get(nid, [])),
                 dataset=datasets.get(nid, str(nid)),
-                dp_enabled=nid in dp_nodes,
                 residual_ceiling=residual_ceilings.get(nid, 0),
                 trains_locally=trains_locally.get(nid, True),
             )
@@ -165,13 +161,6 @@ def validate(tree: FederationTree) -> list[str]:
     return violations
 
 
-def levels(tree: FederationTree) -> list[list[int]]:
-    bad = validate(tree)
-    if bad:
-        raise ValueError("invalid tree: " + "; ".join(bad))
-    return tree.levels()
-
-
 # --- serialization ---------------------------------------------------------
 
 def tree_to_json(tree: FederationTree) -> dict:
@@ -183,7 +172,6 @@ def tree_to_json(tree: FederationTree) -> dict:
             "parent": n.parent,
             "children": list(n.children),
             "dataset": n.dataset,
-            "dp_enabled": n.dp_enabled,
             "residual_ceiling": n.residual_ceiling,
             "trains_locally": n.trains_locally,
         }
@@ -199,9 +187,18 @@ def tree_to_json(tree: FederationTree) -> dict:
     return {"nodes": nodes}
 
 
+_NODE_KEYS = ("id", "parent", "children", "dataset", "residual_ceiling",
+              "trains_locally", "trainer")
+
+
 def tree_from_json(obj: dict) -> FederationTree:
     nodes = {}
     for entry in obj["nodes"]:
+        for key in entry:
+            if key not in _NODE_KEYS:
+                hint = ("list DP clients in dp.enabled_nodes instead" if key == "dp_enabled"
+                        else f"expected one of {list(_NODE_KEYS)}")
+                raise ValueError(f"tree node {entry.get('id')}: unknown key {key!r}; {hint}")
         trainer = None
         if "trainer" in entry:
             trainer = TrainerConfig(**entry["trainer"])
@@ -210,7 +207,6 @@ def tree_from_json(obj: dict) -> FederationTree:
             parent=entry["parent"],
             children=list(entry["children"]),
             dataset=entry.get("dataset", ""),
-            dp_enabled=entry.get("dp_enabled", False),
             residual_ceiling=entry.get("residual_ceiling", 0),
             trains_locally=entry.get("trains_locally", True),
             trainer=trainer,

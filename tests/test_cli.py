@@ -84,6 +84,21 @@ class TestRun:
         rc = main(["run", "--config", str(tiny_config), "--rounds", "0"])
         assert rc != 0
 
+    def test_tree_node_dp_flag_rejected(self, tiny_config, capsys):
+        cfg = json.loads(tiny_config.read_text())
+        cfg["tree"]["nodes"][3]["dp_enabled"] = True
+        tiny_config.write_text(json.dumps(cfg))
+        rc = main(["run", "--config", str(tiny_config)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "tree node 3: unknown key 'dp_enabled'" in err
+        assert "dp.enabled_nodes" in err
+
+    def test_workers_flag_refused(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--workers", "2"])
+        assert exc.value.code == 2
+
 
 class TestCompare:
     def test_identical_plans_ratio_one(self, tiny_config, tmp_path, capsys):

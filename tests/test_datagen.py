@@ -11,13 +11,11 @@ from treefed.datagen import (
     cross_entropy_rate,
     detokenize,
     entropy_rate,
-    load_shard,
     load_text_shard,
     make_clustered_sources,
     markov_perplexity,
     sample_shard,
     sample_tokens,
-    save_shard,
     stationary_distribution,
 )
 from treefed.topology import FederationTree
@@ -248,17 +246,3 @@ class TestTextShard:
         vocab = build_byte_vocab(b"abc")
         with pytest.raises(ValueError, match="overflow"):
             load_text_shard(p, vocab)
-
-
-class TestShardSerialization:
-    def test_roundtrip(self, tmp_path):
-        sources = {s.id: s for s in make_clustered_sources(1, 1, 0.0, 8, seed=23)}
-        spec = MixtureSpec.from_budgets([("c0s0", 500)])
-        shard = sample_shard(spec, sources, seed=9, node_id=1, train_tokens=500,
-                             val_tokens=50, test_tokens=50)
-        save_shard(shard, tmp_path / "shard")
-        loaded = load_shard(tmp_path / "shard")
-        np.testing.assert_array_equal(shard.train, loaded.train)
-        np.testing.assert_array_equal(shard.val, loaded.val)
-        np.testing.assert_array_equal(shard.test, loaded.test)
-        assert loaded.provenance.components[0].source_id == "c0s0"

@@ -20,6 +20,7 @@ from treefed.engine import (
     trailing_best,
 )
 from treefed.model import ModelConfig, TrainerConfig, init_model, local_train
+from treefed.privacy import DpConfig
 from treefed.tensors import ParamSet, Tensor
 from treefed.topology import FederationTree
 
@@ -60,7 +61,7 @@ def shards_for(tree, seed=0, budget=1200, divergence=0.8, vocab=8):
 
 
 def cfg_for(tree, shards, rounds=3, seed=0, key_blocks=1, eta=0.2, mu=0.9,
-            workers=1, trainer=None):
+            trainer=None, dp=None):
     return EngineConfig(
         model=small_model(key_blocks),
         trainer=trainer or small_trainer(),
@@ -70,7 +71,7 @@ def cfg_for(tree, shards, rounds=3, seed=0, key_blocks=1, eta=0.2, mu=0.9,
         nu=1,
         rounds=rounds,
         seed=seed,
-        workers=workers,
+        dp=dp,
     )
 
 
@@ -114,6 +115,23 @@ class TestFedAvgOracle:
         cfg = cfg_for(tree, shards, rounds=4, key_blocks=0, eta=1.0, mu=0.0)
         via_fit = fit(tree, shards, cfg)
         via_flat = run_flat_fl(tree.leaves(), shards, cfg, rounds=4)
+        for a, b in zip(via_fit.final_models[0], via_flat.final_models[1]):
+            assert a.data.tobytes() == b.data.tobytes(), a.name
+
+    def test_flat_fl_matches_fit_on_depth1_with_dp(self):
+        # both runners sanitize DP clients' deltas through the same step, so
+        # on a depth-1 tree they log the same rows and land on the same bytes
+        tree = depth1_tree(4, root_trains=False)
+        shards, _ = shards_for(tree)
+        dp = DpConfig(sigma=0.5, initial_bound=1.0, enabled_nodes={1, 2})
+        cfg = cfg_for(tree, shards, rounds=4, key_blocks=0, eta=1.0, mu=0.0, dp=dp)
+        via_fit = fit(tree, shards, cfg)
+        via_flat = run_flat_fl(tree.leaves(), shards, cfg, rounds=4)
+        assert len(via_fit.dp_log) == 8
+        assert via_fit.dp_log == via_flat.dp_log
+        train_fit = [(r.node, r.round, r.loss) for r in via_fit.rows if r.split == "train"]
+        train_flat = [(r.node, r.round, r.loss) for r in via_flat.rows if r.split == "train"]
+        assert train_fit == train_flat
         for a, b in zip(via_fit.final_models[0], via_flat.final_models[1]):
             assert a.data.tobytes() == b.data.tobytes(), a.name
 
@@ -176,18 +194,6 @@ class TestFitBasics:
         parent_post = part_backbones[1]
         for name in part.backbone_names:
             assert child_entry[name].tobytes() == parent_post[name].tobytes(), name
-
-    def test_single_vs_multi_worker_identical(self):
-        tree = fig2_tree()
-        shards, _ = shards_for(tree)
-        a = fit(tree, shards, cfg_for(tree, shards, rounds=2, workers=1))
-        b = fit(tree, shards, cfg_for(tree, shards, rounds=2, workers=4))
-        assert a.rows == b.rows
-        for nid in a.final_models:
-            for x, y in zip(a.final_models[nid], b.final_models[nid]):
-                assert x.data.tobytes() == y.data.tobytes()
-        assert a.attention_log == b.attention_log
-        assert a.residual_log == b.residual_log
 
     def test_rerun_bit_identical(self):
         tree = fig2_tree()

@@ -10,8 +10,6 @@ from treefed.tensors import (
     dot,
     flatten,
     l2_norm,
-    load_paramset,
-    save_paramset,
 )
 
 
@@ -137,21 +135,3 @@ class TestNormsAndSimilarity:
         p = ps(("a", rng.normal(size=64).astype(np.float32)),
                ("b", rng.normal(size=32).astype(np.float32)))
         assert l2_norm(p) == l2_norm(p.copy())
-
-
-class TestSerialization:
-    def test_bit_exact_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        p = ParamSet(
-            [
-                Tensor("m", rng.normal(size=(3, 4)).astype(np.float32)),
-                Tensor("v", rng.normal(size=7).astype(np.float32)),
-            ],
-            role="keys",
-        )
-        save_paramset(p, tmp_path / "ckpt")
-        q = load_paramset(tmp_path / "ckpt")
-        assert q.role == "keys"
-        assert q.signature() == p.signature()
-        for a, b in zip(p, q):
-            assert a.data.tobytes() == b.data.tobytes()

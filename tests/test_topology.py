@@ -3,7 +3,6 @@ import pytest
 from treefed.topology import (
     FederationTree,
     NodeSpec,
-    levels,
     load_tree,
     save_tree,
     tree_from_json,
@@ -69,11 +68,14 @@ class TestValidate:
 
 class TestLevels:
     def test_fig2_stages(self):
-        assert levels(fig2_tree()) == [[0], [1, 2], [3, 4, 5, 6]]
+        tree = fig2_tree()
+        assert validate(tree) == []
+        assert tree.levels() == [[0], [1, 2], [3, 4, 5, 6]]
 
     def test_depth_one(self):
         tree = FederationTree.from_children_map({0: [1, 2, 3]})
-        assert levels(tree) == [[0], [1, 2, 3]]
+        assert validate(tree) == []
+        assert tree.levels() == [[0], [1, 2, 3]]
         assert tree.depth() == 1
 
     def test_levels_sorted_regardless_of_config_order(self):
@@ -81,12 +83,13 @@ class TestLevels:
         for nid, spec in sorted(fig2_tree().nodes.items(), reverse=True):
             nodes[nid] = spec
         scrambled = FederationTree(nodes)
-        assert levels(scrambled) == [[0], [1, 2], [3, 4, 5, 6]]
+        assert validate(scrambled) == []
+        assert scrambled.levels() == [[0], [1, 2], [3, 4, 5, 6]]
 
     def test_levels_partition_ids_exactly_once(self):
         tree = fig2_tree()
         assert validate(tree) == []
-        flat = [nid for level in levels(tree) for nid in level]
+        flat = [nid for level in tree.levels() for nid in level]
         assert sorted(flat) == sorted(tree.nodes)
         assert len(flat) == len(set(flat))
 
@@ -95,8 +98,7 @@ class TestLevels:
             0: NodeSpec(id=0, parent=None, children=[]),
             1: NodeSpec(id=1, parent=None, children=[]),
         }
-        with pytest.raises(ValueError):
-            levels(FederationTree(nodes))
+        assert any("root uniqueness" in v for v in validate(FederationTree(nodes)))
 
 
 class TestQueries:
@@ -120,7 +122,7 @@ class TestQueries:
 class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
         tree = fig2_tree()
-        tree.nodes[3].dp_enabled = True
+        tree.nodes[3].residual_ceiling = 1
         tree.nodes[4].trains_locally = False
         save_tree(tree, tmp_path / "tree.json")
         loaded = load_tree(tmp_path / "tree.json")
@@ -134,3 +136,9 @@ class TestSerialization:
         again = tree_from_json(tree_to_json(tree))
         assert again.nodes[5].residual_ceiling == 2
         assert again.nodes[1].children == [3, 4]
+
+    def test_unknown_node_key_rejected(self):
+        obj = tree_to_json(fig2_tree())
+        obj["nodes"][2]["residual_celing"] = 0
+        with pytest.raises(ValueError, match="tree node 2: unknown key 'residual_celing'"):
+            tree_from_json(obj)
