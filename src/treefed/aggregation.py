@@ -122,6 +122,18 @@ def attend_layer(
     return Tensor(query.name, acc.astype(np.float32)), weights
 
 
+def _attend_layers(own_keys: ParamSet, candidates: dict[str, list[Tensor]],
+                   cfg: AttentionConfig) -> tuple[ParamSet, dict[str, np.ndarray]]:
+    """attend_layer for each layer of own_keys, as query, over the tensors in
+    candidates[layer]; each candidate serves as its own key and value."""
+    buf, weight_log = np.empty(own_keys.layout.size, dtype=np.float32), {}
+    for layer in own_keys:
+        merged, weight_log[layer.name] = attend_layer(
+            layer, [(t, t) for t in candidates[layer.name]], cfg)
+        buf[own_keys.layout.slices[layer.name]] = merged.data.ravel()
+    return ParamSet.from_buffer(own_keys.layout, buf, "keys"), weight_log
+
+
 def aggregate_child_keys(
     own_keys: ParamSet,
     child_keys: Sequence[ParamSet],
@@ -135,18 +147,8 @@ def aggregate_child_keys(
     """
     for ck in child_keys:
         own_keys.require_congruent(ck)
-    out, weight_log = [], {}
-    for layer in own_keys:
-        candidates: list[tuple[Tensor, Tensor]] = []
-        if cfg.include_self:
-            candidates.append((layer, layer))
-        for ck in child_keys:
-            t = ck[layer.name]
-            candidates.append((t, t))
-        merged, w = attend_layer(layer, candidates, cfg)
-        out.append(merged)
-        weight_log[layer.name] = w
-    return ParamSet(out, "keys"), weight_log
+    sets = ([own_keys] if cfg.include_self else []) + list(child_keys)
+    return _attend_layers(own_keys, {n: [ps[n] for ps in sets] for n in own_keys.names()}, cfg)
 
 
 def merge_with_parent(
@@ -158,20 +160,12 @@ def merge_with_parent(
     """Entry aggregation for a non-root node: per layer, attend over
     [own, parent, incoming residual packets sorted by origin id]."""
     own_keys.require_congruent(parent_keys)
-    by_layer: dict[str, list] = {}
-    for pkt in residuals_for_agg:
-        if pkt.layer not in own_keys:
+    candidates = {n: [own_keys[n], parent_keys[n]] for n in own_keys.names()}
+    for pkt in sorted(residuals_for_agg, key=lambda p: (p.origin, p.created_round)):
+        if pkt.layer not in candidates:
             raise KeyError(f"residual packet targets unknown layer {pkt.layer!r}")
-        by_layer.setdefault(pkt.layer, []).append(pkt)
-    out, weight_log = [], {}
-    for layer in own_keys:
-        candidates = [(layer, layer), (parent_keys[layer.name], parent_keys[layer.name])]
-        for pkt in sorted(by_layer.get(layer.name, []), key=lambda p: (p.origin, p.created_round)):
-            candidates.append((pkt.tensor, pkt.tensor))
-        merged, w = attend_layer(layer, candidates, cfg)
-        out.append(merged)
-        weight_log[layer.name] = w
-    return ParamSet(out, "keys"), weight_log
+        candidates[pkt.layer].append(pkt.tensor)
+    return _attend_layers(own_keys, candidates, cfg)
 
 
 def average_pseudograds(deltas: Sequence[ParamSet]) -> ParamSet:
@@ -181,14 +175,11 @@ def average_pseudograds(deltas: Sequence[ParamSet]) -> ParamSet:
     first = deltas[0]
     for d in deltas[1:]:
         first.require_congruent(d)
-    n = len(deltas)
-    out = []
-    for i, t in enumerate(first):
-        acc = t.data.astype(np.float64).copy()
-        for d in deltas[1:]:
-            acc += d.tensors()[i].data.astype(np.float64)
-        out.append(Tensor(t.name, (acc / n).astype(np.float32)))
-    return ParamSet(out, "pseudo_gradient")
+    acc = first.buf.astype(np.float64)
+    for d in deltas[1:]:
+        acc += d.buf
+    acc /= len(deltas)
+    return ParamSet.from_buffer(first.layout, acc.astype(np.float32), "pseudo_gradient")
 
 
 def server_opt(

@@ -291,17 +291,18 @@ def load_text_shard(path: str | Path, vocab_map: dict[int, int] | None = None) -
         tokens = np.array([vocab_map[b] for b in data], dtype=np.int64)
     except KeyError as exc:
         raise ValueError(f"byte {exc.args[0]} not in vocab map (vocab overflow)") from exc
+    return split_stream(tokens, f"text:{Path(path).name}")
+
+
+def split_stream(tokens: np.ndarray, source_id: str) -> Shard:
+    """Fixed 90/5/5 positional train/val/test split of one token stream."""
     n = len(tokens)
     n_train, n_val = int(n * 0.9), int(n * 0.05)
     if n_train < 1 or n_val < 1 or n - n_train - n_val < 1:
-        raise ValueError("file too small for a 90/5/5 split")
-    spec = MixtureSpec([MixtureComponent(f"text:{Path(path).name}", 1.0, n)])
-    return Shard(
-        train=tokens[:n_train],
-        val=tokens[n_train : n_train + n_val],
-        test=tokens[n_train + n_val :],
-        provenance=spec,
-    )
+        raise ValueError(f"{source_id} is too small for a 90/5/5 split")
+    return Shard(train=tokens[:n_train], val=tokens[n_train : n_train + n_val],
+                 test=tokens[n_train + n_val :],
+                 provenance=MixtureSpec.from_budgets([(source_id, n)]))
 
 
 def detokenize(tokens: np.ndarray, vocab_map: dict[int, int]) -> bytes:

@@ -121,6 +121,19 @@ class _NodeState:
     upstream_inbox: list[ResidualPacket] = field(default_factory=list)
 
 
+def _row(method: str, nid: int, round_k: int, stage: int, split: str, nll: float) -> MetricRow:
+    with np.errstate(over="ignore"):
+        return MetricRow(method, nid, round_k, stage, split, nll, float(np.exp(nll)))
+
+
+def _log_attention(log: list[dict], nid: int, round_k: int, stage: str,
+                   weight_log: dict[str, np.ndarray], origins: list[str]) -> None:
+    for layer, w in weight_log.items():
+        for origin, weight in zip(origins, w):
+            log.append({"node": nid, "round": round_k, "stage": stage,
+                        "layer": layer, "candidate": origin, "weight": float(weight)})
+
+
 def evaluate_round(
     method: str,
     params_by_node: dict[int, ParamSet],
@@ -136,9 +149,7 @@ def evaluate_round(
             continue
         for split in splits:
             nll = mean_nll(params_by_node[nid], getattr(shards[nid], split))
-            with np.errstate(over="ignore"):
-                ppl = float(np.exp(nll))
-            rows.append(MetricRow(method, nid, round_k, stage, split, nll, ppl))
+            rows.append(_row(method, nid, round_k, stage, split, nll))
     summary = {}
     for split in splits:
         vals = [r.perplexity for r in rows if r.split == split]
@@ -224,12 +235,8 @@ def fit(
                             str(p.origin)
                             for p in sorted(packets, key=lambda p: (p.origin, p.created_round))
                         ]
-                        for layer, w in weight_log.items():
-                            for origin, weight in zip(origins, w):
-                                result.attention_log.append({
-                                    "node": nid, "round": round_k, "stage": "merge",
-                                    "layer": layer, "candidate": origin, "weight": float(weight),
-                                })
+                        _log_attention(result.attention_log, nid, round_k, "merge",
+                                       weight_log, origins)
                     st.d_agg = []
                 # route pending residuals toward children
                 if node.children and st.d_route:
@@ -253,11 +260,8 @@ def fit(
                         rng_for(cfg.seed, nid, round_k, _TRAIN_TAG), global_step,
                     )
                     st.backbone, st.keys = part.split(out.params)
-                    with np.errstate(over="ignore"):
-                        result.rows.append(MetricRow(
-                            method, nid, round_k, stage_idx, "train",
-                            out.mean_loss, float(np.exp(out.mean_loss)),
-                        ))
+                    result.rows.append(
+                        _row(method, nid, round_k, stage_idx, "train", out.mean_loss))
             if trained:
                 seq_counter += 1
             params_now = {
@@ -292,12 +296,8 @@ def fit(
                     origins = (["self"] if cfg.attention.include_self else []) + [
                         str(cid) for cid in children
                     ]
-                    for layer, w in weight_log.items():
-                        for origin, weight in zip(origins, w):
-                            result.attention_log.append({
-                                "node": nid, "round": round_k, "stage": "children",
-                                "layer": layer, "candidate": origin, "weight": float(weight),
-                            })
+                    _log_attention(result.attention_log, nid, round_k, "children",
+                                   weight_log, origins)
                     new_packets = partition_residuals(
                         st.keys, [(cid, state[cid].keys) for cid in children],
                         cfg.nu, cfg.attention, round_k, ceilings, cfg.residual_threshold,
@@ -349,11 +349,7 @@ def run_flat_fl(
                 rng_for(cfg.seed, nid, round_k, _TRAIN_TAG),
                 round_k * cfg.trainer.local_steps,
             )
-            with np.errstate(over="ignore"):
-                result.rows.append(MetricRow(
-                    method, nid, round_k, 0, "train",
-                    out.mean_loss, float(np.exp(out.mean_loss)),
-                ))
+            result.rows.append(_row(method, nid, round_k, 0, "train", out.mean_loss))
             delta = axpy(-1.0, server, out.params, role="pseudo_gradient")
             if dp and nid in dp.enabled_nodes:
                 delta = _dp_sanitize(delta, nid, round_k, cs, dp, cfg.seed, result.dp_log)
@@ -369,6 +365,26 @@ def run_flat_fl(
     return result
 
 
+def _train_alone(result: RunResult, tokens: np.ndarray, stream: int, row_node: int,
+                 eval_ids: list[int], shards: dict[int, Shard], cfg: EngineConfig,
+                 budget_steps: int) -> ParamSet:
+    """Train one fresh model on `tokens`, one local_train call per round from
+    the (seed, stream) RNG, evaluating it as every node in eval_ids."""
+    params = init_model(cfg.model, cfg.seed)
+    for round_k in range(budget_steps):
+        out = local_train(
+            params, tokens, cfg.trainer,
+            rng_for(cfg.seed, stream, round_k, _TRAIN_TAG),
+            round_k * cfg.trainer.local_steps,
+        )
+        params = out.params
+        result.rows.append(_row(result.method, row_node, round_k, 0, "train", out.mean_loss))
+        rows, _ = evaluate_round(
+            result.method, {nid: params for nid in eval_ids}, shards, round_k, 0)
+        result.rows.extend(rows)
+    return params
+
+
 def run_local(
     leaf_ids: list[int],
     shards: dict[int, Shard],
@@ -377,25 +393,10 @@ def run_local(
     method: str = "local",
 ) -> RunResult:
     """Independent per-leaf training at the same sequential-step budget."""
-    result = RunResult(method=method, rows=[])
+    result = RunResult(method=method, rows=[], seq_steps=budget_steps)
     for nid in sorted(leaf_ids):
-        params = init_model(cfg.model, cfg.seed)
-        for round_k in range(budget_steps):
-            out = local_train(
-                params, shards[nid].train, cfg.trainer,
-                rng_for(cfg.seed, nid, round_k, _TRAIN_TAG),
-                round_k * cfg.trainer.local_steps,
-            )
-            params = out.params
-            with np.errstate(over="ignore"):
-                result.rows.append(MetricRow(
-                    method, nid, round_k, 0, "train",
-                    out.mean_loss, float(np.exp(out.mean_loss)),
-                ))
-            rows, _ = evaluate_round(method, {nid: params}, shards, round_k, 0)
-            result.rows.extend(rows)
-        result.final_models[nid] = params
-    result.seq_steps = budget_steps
+        result.final_models[nid] = _train_alone(
+            result, shards[nid].train, nid, nid, [nid], shards, cfg, budget_steps)
     return result
 
 
@@ -409,25 +410,8 @@ def run_centralized(
     """One model on the union of all leaf training streams."""
     leaf_ids = sorted(leaf_ids)
     pooled = np.concatenate([shards[nid].train for nid in leaf_ids])
-    params = init_model(cfg.model, cfg.seed)
-    result = RunResult(method=method, rows=[])
-    for round_k in range(budget_steps):
-        out = local_train(
-            params, pooled, cfg.trainer,
-            rng_for(cfg.seed, _CENTRAL_NODE, round_k, _TRAIN_TAG),
-            round_k * cfg.trainer.local_steps,
-        )
-        params = out.params
-        with np.errstate(over="ignore"):
-            result.rows.append(MetricRow(
-                method, 0, round_k, 0, "train",
-                out.mean_loss, float(np.exp(out.mean_loss)),
-            ))
-        rows, _ = evaluate_round(
-            method, {nid: params for nid in leaf_ids}, shards, round_k, 0
-        )
-        result.rows.extend(rows)
-    result.seq_steps = budget_steps
+    result = RunResult(method=method, rows=[], seq_steps=budget_steps)
+    params = _train_alone(result, pooled, _CENTRAL_NODE, 0, leaf_ids, shards, cfg, budget_steps)
     result.final_models = {nid: params for nid in leaf_ids}
     return result
 

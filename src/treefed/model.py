@@ -16,11 +16,12 @@ Parameter order (canonical, shared by every instance of a config):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .aggregation import ScheduleConfig, lr_at
-from .tensors import ParamSet, Tensor
+from .tensors import Layout, ParamSet, regroup
 
 
 @dataclass
@@ -72,67 +73,42 @@ def init_model(cfg: ModelConfig, seed: int) -> ParamSet:
     bit-identical ParamSet.
     """
     rng = np.random.default_rng(seed)
-    tensors = []
-    for name, shape in param_shapes(cfg):
-        if name.endswith(".b"):
-            data = np.zeros(shape, dtype=np.float32)
-        else:
-            fan_in = cfg.embed_dim if name == "embed" else shape[0]
+    layout = Layout.of(param_shapes(cfg))
+    buf = np.zeros(layout.size, dtype=np.float32)
+    for name, view in layout.views(buf).items():
+        if not name.endswith(".b"):
+            fan_in = cfg.embed_dim if name == "embed" else view.shape[0]
             bound = 1.0 / np.sqrt(fan_in)
-            data = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-        tensors.append(Tensor(name, data))
-    return ParamSet(tensors, "backbone")
+            view[...] = rng.uniform(-bound, bound, size=view.shape)
+    return ParamSet.from_buffer(layout, buf, "backbone")
 
 
 @dataclass
 class Partition:
-    """Backbone/key split of a model's parameter names."""
+    """Backbone/key split of a model's parameter names, plus the full
+    model's layout that `assemble` rebuilds."""
 
     backbone_names: list[str]
     key_names: list[str]
+    layout: Layout
 
     @classmethod
     def for_config(cls, cfg: ModelConfig) -> "Partition":
-        all_names = [name for name, _ in param_shapes(cfg)]
+        layout = Layout.of(param_shapes(cfg))
         key_blocks = range(cfg.num_blocks - cfg.key_block_count, cfg.num_blocks)
         prefixes = tuple(f"block{h}." for h in key_blocks)
-        key_names = [n for n in all_names if n.startswith(prefixes)] if prefixes else []
+        key_names = [n for n in layout.names if n.startswith(prefixes)]
         if cfg.include_head_in_keys:
             key_names += ["head.w", "head.b"]
-        backbone = [n for n in all_names if n not in set(key_names)]
-        part = cls(backbone_names=backbone, key_names=key_names)
-        part.check_complete(all_names)
-        return part
-
-    def check_complete(self, all_names: list[str]) -> None:
-        union = set(self.backbone_names) | set(self.key_names)
-        if set(self.backbone_names) & set(self.key_names) or union != set(all_names):
-            raise ValueError("partition must cover every parameter exactly once")
+        backbone = [n for n in layout.names if n not in key_names]
+        return cls(backbone_names=backbone, key_names=key_names, layout=layout)
 
     def split(self, params: ParamSet) -> tuple[ParamSet, ParamSet]:
-        return (params.subset(self.backbone_names, "backbone"),
-                params.subset(self.key_names, "keys"))
+        return (regroup(self.layout.sub(self.backbone_names), [params], "backbone"),
+                regroup(self.layout.sub(self.key_names), [params], "keys"))
 
     def assemble(self, backbone: ParamSet, keys: ParamSet) -> ParamSet:
-        pool = {t.name: t for t in backbone}
-        pool.update({t.name: t for t in keys})
-        order = self._canonical_order()
-        return ParamSet((pool[n].copy() for n in order), "backbone")
-
-    def _canonical_order(self) -> list[str]:
-        combined = set(self.backbone_names) | set(self.key_names)
-
-        def sort_key(name: str):
-            if name == "embed":
-                return (0, 0)
-            if name.startswith("in_proj"):
-                return (1, 0 if name.endswith(".w") else 1)
-            if name.startswith("block"):
-                idx = int(name.split(".")[0][5:])
-                sub = {"fc1.w": 0, "fc1.b": 1, "fc2.w": 2, "fc2.b": 3}[name.split(".", 1)[1]]
-                return (2, idx * 4 + sub)
-            return (3, 0 if name == "head.w" else 1)
-        return sorted(combined, key=sort_key)
+        return regroup(self.layout, [backbone, keys], "backbone")
 
 
 @dataclass
@@ -153,45 +129,33 @@ class TrainerConfig:
             raise ValueError("bad local_steps/batch_size")
 
 
-def _arrays(params: ParamSet, dtype) -> dict[str, np.ndarray]:
-    return {t.name: t.data.astype(dtype) for t in params}
+def _weights(params: ParamSet, wide: bool) -> dict[str, np.ndarray]:
+    """Views of the float32 buffer, or of one float64 copy in wide mode."""
+    if wide:
+        return params.layout.views(params.buf.astype(np.float64))
+    return params.arrays()
 
 
 def _dims(params: ParamSet) -> tuple[int, int, int]:
     """(vocab, embed_dim, context_len) recovered from parameter shapes."""
-    V, d = params["embed"].shape
-    n = params["in_proj.w"].shape[0] // d
+    V, d = params.layout.shapes["embed"]
+    n = params.layout.shapes["in_proj.w"][0] // d
     return V, d, n
 
 
 def _num_blocks(params: ParamSet) -> int:
-    return sum(1 for name in params.names() if name.endswith(".fc1.w"))
+    return sum(1 for name in params.layout.names if name.endswith(".fc1.w"))
 
 
-class _ForwardCache:
-    __slots__ = ("params", "ids", "x", "blocks", "h_final", "probs", "targets", "wide")
-
-    def __init__(self, params, ids, x, blocks, h_final, probs, targets, wide):
-        self.params = params
-        self.ids = ids
-        self.x = x
-        self.blocks = blocks
-        self.h_final = h_final
-        self.probs = probs
-        self.targets = targets
-        self.wide = wide
-
-
-def _run_blocks(w, h, num_blocks, keep):
-    blocks = []
-    for i in range(num_blocks):
-        a = h @ w[f"block{i}.fc1.w"] + w[f"block{i}.fc1.b"]
-        u = np.tanh(a)
-        r = u @ w[f"block{i}.fc2.w"] + w[f"block{i}.fc2.b"]
-        if keep:
-            blocks.append((h, u))
-        h = h + r
-    return h, blocks
+class _ForwardCache(NamedTuple):
+    params: ParamSet
+    ids: np.ndarray
+    x: np.ndarray
+    blocks: list[tuple[np.ndarray, np.ndarray]]  # (block input, tanh output)
+    h_final: np.ndarray
+    probs: np.ndarray
+    targets: np.ndarray
+    wide: bool
 
 
 def forward_loss(params: ParamSet, batch: np.ndarray, wide: bool = False):
@@ -206,14 +170,17 @@ def forward_loss(params: ParamSet, batch: np.ndarray, wide: bool = False):
         raise ValueError(f"batch must have {n + 1} columns, got {batch.shape}")
     if batch.min() < 0 or batch.max() >= V:
         raise ValueError("token id out of range")
-    dtype = np.float64 if wide else np.float32
-    w = _arrays(params, dtype)
+    w = _weights(params, wide)
     ids, targets = batch[:, :n], batch[:, n]
     B = batch.shape[0]
     x = w["embed"][ids].reshape(B, n * d)
     h = x @ w["in_proj.w"] + w["in_proj.b"]
-    h_final, blocks = _run_blocks(w, h, _num_blocks(params), keep=True)
-    logits = h_final @ w["head.w"] + w["head.b"]
+    blocks = []
+    for i in range(_num_blocks(params)):
+        u = np.tanh(h @ w[f"block{i}.fc1.w"] + w[f"block{i}.fc1.b"])
+        blocks.append((h, u))
+        h = h + (u @ w[f"block{i}.fc2.w"] + w[f"block{i}.fc2.b"])
+    logits = h @ w["head.w"] + w["head.b"]
     z = logits.astype(np.float64)
     z -= z.max(axis=1, keepdims=True)
     ez = np.exp(z)
@@ -221,49 +188,46 @@ def forward_loss(params: ParamSet, batch: np.ndarray, wide: bool = False):
     probs = ez / denom[:, None]
     nll = np.log(denom) - z[np.arange(B), targets]
     loss = float(nll.mean())
-    cache = _ForwardCache(params, ids, x, blocks, h_final, probs, targets, wide)
-    return loss, cache
+    return loss, _ForwardCache(params, ids, x, blocks, h, probs, targets, wide)
 
 
 def backward(params: ParamSet, cache: _ForwardCache) -> ParamSet:
-    """Exact gradients of the mean cross-entropy w.r.t. every parameter."""
+    """Exact gradients of the mean cross-entropy w.r.t. every parameter,
+    written into one float32 buffer laid out like `params`."""
     if cache.params is not params:
         raise ValueError("stale cache: params do not match the forward pass")
     dtype = np.float64 if cache.wide else np.float32
-    w = _arrays(params, dtype)
+    w = _weights(params, cache.wide)
     B = cache.ids.shape[0]
     V, d, n = _dims(params)
-    grads: dict[str, np.ndarray] = {}
+    buf = np.empty(params.layout.size, dtype=np.float32)
+    grads = params.layout.views(buf)
 
     dlogits = cache.probs.astype(dtype)
     dlogits[np.arange(B), cache.targets] -= 1
     dlogits /= B
-    grads["head.w"] = cache.h_final.T @ dlogits
-    grads["head.b"] = dlogits.sum(axis=0)
+    grads["head.w"][...] = cache.h_final.T @ dlogits
+    grads["head.b"][...] = dlogits.sum(axis=0)
     dh = dlogits @ w["head.w"].T
 
     for i in reversed(range(len(cache.blocks))):
         h_in, u = cache.blocks[i]
-        dr = dh
-        grads[f"block{i}.fc2.w"] = u.T @ dr
-        grads[f"block{i}.fc2.b"] = dr.sum(axis=0)
-        du = dr @ w[f"block{i}.fc2.w"].T
+        grads[f"block{i}.fc2.w"][...] = u.T @ dh
+        grads[f"block{i}.fc2.b"][...] = dh.sum(axis=0)
+        du = dh @ w[f"block{i}.fc2.w"].T
         da = du * (1.0 - u * u)
-        grads[f"block{i}.fc1.w"] = h_in.T @ da
-        grads[f"block{i}.fc1.b"] = da.sum(axis=0)
+        grads[f"block{i}.fc1.w"][...] = h_in.T @ da
+        grads[f"block{i}.fc1.b"][...] = da.sum(axis=0)
         dh = dh + da @ w[f"block{i}.fc1.w"].T
 
-    grads["in_proj.w"] = cache.x.T @ dh
-    grads["in_proj.b"] = dh.sum(axis=0)
+    grads["in_proj.w"][...] = cache.x.T @ dh
+    grads["in_proj.b"][...] = dh.sum(axis=0)
     dx = (dh @ w["in_proj.w"].T).reshape(B, n, d)
     de = np.zeros((V, d), dtype=dtype)
     np.add.at(de, cache.ids.reshape(-1), dx.reshape(-1, d))
-    grads["embed"] = de
+    grads["embed"][...] = de
 
-    return ParamSet(
-        (Tensor(t.name, grads[t.name].astype(np.float32)) for t in params),
-        "pseudo_gradient",
-    )
+    return ParamSet.from_buffer(params.layout, buf, "pseudo_gradient")
 
 
 @dataclass
@@ -277,7 +241,7 @@ def sample_batch(tokens: np.ndarray, n: int, batch_size: int, rng) -> np.ndarray
     if len(tokens) < n + 1:
         raise ValueError("shard too short for one context window")
     starts = rng.integers(0, len(tokens) - n, size=batch_size)
-    return np.stack([tokens[s : s + n + 1] for s in starts])
+    return tokens[starts[:, None] + np.arange(n + 1)]
 
 
 def local_train(
@@ -291,7 +255,9 @@ def local_train(
 
     The LR schedule is evaluated at global_step + i so schedules stay
     synchronized across nodes that share a sequential-step position.
-    Optimizer state is fresh per call (one federated round).
+    Optimizer state is fresh per call (one federated round). Parameters,
+    gradients and the float64 Adam moments are each one flat vector, so an
+    update is a few element-wise vector ops.
     """
     tokens = np.asarray(tokens)
     if tokens.size == 0:
@@ -302,33 +268,34 @@ def local_train(
     if trainer.local_steps == 0:
         return TrainResult(params, 0, float("nan"))
     rng = np.random.default_rng(rng_seed)
-    work = {t.name: t.data.astype(np.float32).copy() for t in params}
-    names = params.names()
-    m = {k: np.zeros(v.shape, dtype=np.float64) for k, v in work.items()}
-    v2 = {k: np.zeros(v.shape, dtype=np.float64) for k, v in work.items()}
-    eps = 1e-8
+    layout = params.layout
+    work = params.buf.copy()
+    m, v2 = np.zeros(layout.size), np.zeros(layout.size)  # float64 Adam moments
+    gd, tmp = np.empty(layout.size), np.empty(layout.size)  # float64 scratch
+    b1, b2, eps = trainer.beta1, trainer.beta2, 1e-8
     losses = []
-    current = ParamSet((Tensor(k, work[k]) for k in names), "backbone")
+    current = ParamSet.from_buffer(layout, work, "backbone")
     for i in range(trainer.local_steps):
         lr = lr_at(global_step + i, trainer.schedule)
         batch = sample_batch(tokens, n, trainer.batch_size, rng)
         loss, cache = forward_loss(current, batch)
         losses.append(loss)
-        grads = backward(current, cache)
+        grad = backward(current, cache).buf
         if trainer.optimizer == "sgd":
-            for g in grads:
-                work[g.name] = work[g.name] - np.float32(lr) * g.data
+            work -= np.float32(lr) * grad
         else:
-            t = i + 1
-            c1 = 1.0 - trainer.beta1 ** t
-            c2 = 1.0 - trainer.beta2 ** t
-            for g in grads:
-                gd = g.data.astype(np.float64)
-                m[g.name] = trainer.beta1 * m[g.name] + (1 - trainer.beta1) * gd
-                v2[g.name] = trainer.beta2 * v2[g.name] + (1 - trainer.beta2) * gd * gd
-                step = lr * (m[g.name] / c1) / (np.sqrt(v2[g.name] / c2) + eps)
-                work[g.name] = (work[g.name].astype(np.float64) - step).astype(np.float32)
-        current = ParamSet((Tensor(k, work[k]) for k in names), "backbone")
+            # work - lr*(m/c1)/(sqrt(v2/c2)+eps), op for op, in the scratch
+            # vectors: full-size float64 temporaries cost more than the math
+            c1, c2 = 1.0 - b1 ** (i + 1), 1.0 - b2 ** (i + 1)
+            np.copyto(gd, grad)
+            m *= b1
+            m += np.multiply(gd, 1 - b1, out=tmp)
+            v2 *= b2
+            v2 += np.multiply(np.multiply(gd, 1 - b2, out=tmp), gd, out=tmp)
+            den = np.add(np.sqrt(np.divide(v2, c2, out=gd), out=gd), eps, out=gd)
+            step = np.divide(np.multiply(np.divide(m, c1, out=tmp), lr, out=tmp), den, out=tmp)
+            work[...] = np.subtract(work, step, out=tmp)
+        current = ParamSet.from_buffer(layout, work, "backbone")
     return TrainResult(current, trainer.local_steps, float(np.mean(losses)))
 
 
@@ -339,13 +306,12 @@ def mean_nll(params: ParamSet, tokens: np.ndarray, chunk: int = 8192) -> float:
     if len(tokens) < n + 1:
         raise ValueError("empty or too-short evaluation shard")
     windows = np.lib.stride_tricks.sliding_window_view(tokens, n + 1)
-    total, count = 0.0, 0
+    total = 0.0
     for start in range(0, len(windows), chunk):
         part = np.ascontiguousarray(windows[start : start + chunk])
         loss, _ = forward_loss(params, part)
         total += loss * len(part)
-        count += len(part)
-    return total / count
+    return total / len(windows)
 
 
 def evaluate_perplexity(params: ParamSet, tokens: np.ndarray, chunk: int = 8192) -> float:

@@ -29,6 +29,7 @@ from .datagen import (
     build_byte_vocab,
     build_hierarchy_dataset,
     make_clustered_sources,
+    split_stream,
 )
 from .engine import EngineConfig
 from .model import ModelConfig, TrainerConfig
@@ -226,15 +227,7 @@ def _build_text_shards(tree: FederationTree, data: dict):
         raise ValueError("file too small to split across leaves")
     shards = {}
     for i, leaf in enumerate(leaves):
-        piece = tokens[i * chunk : (i + 1) * chunk]
-        n_train, n_val = int(len(piece) * 0.9), int(len(piece) * 0.05)
-        spec = MixtureSpec.from_budgets([(f"text:{path.name}#{i}", len(piece))])
-        shards[leaf] = Shard(
-            train=piece[:n_train],
-            val=piece[n_train : n_train + n_val],
-            test=piece[n_train + n_val :],
-            provenance=spec,
-        )
+        shards[leaf] = split_stream(tokens[i * chunk : (i + 1) * chunk], f"text:{path.name}#{i}")
     # internal nodes evaluate on the concatenation of their leaves' splits
     for nid in sorted(tree.nodes):
         if tree.is_leaf(nid):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import ParamSet, Tensor, l2_norm, scale
+from .tensors import ParamSet, l2_norm
 
 
 @dataclass
@@ -44,23 +44,21 @@ def clip(delta: ParamSet, bound: float) -> tuple[ParamSet, float]:
         raise ValueError("bound must be positive")
     norm = l2_norm(delta)
     factor = 1.0 if norm <= bound else bound / norm
-    return scale(factor, delta), norm
+    return ParamSet.from_buffer(delta.layout, np.float32(factor) * delta.buf, delta.role), norm
 
 
 def add_noise(delta: ParamSet, sigma: float, bound: float, rng,
               absolute: bool = False) -> ParamSet:
     """i.i.d. Gaussian noise per coordinate, std sigma*bound (or just sigma
-    in absolute mode). sigma=0 is the identity."""
+    in absolute mode), drawn in one call over the whole buffer (the same
+    values as one draw per tensor in layout order). sigma=0 is the identity."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0:
         return delta
     std = sigma if absolute else sigma * bound
-    noised = []
-    for t in delta:
-        noise = rng.normal(0.0, std, size=t.shape)
-        noised.append(Tensor(t.name, t.data + noise.astype(np.float32)))
-    return ParamSet(noised, delta.role)
+    noise = rng.normal(0.0, std, size=delta.layout.size)
+    return ParamSet.from_buffer(delta.layout, delta.buf + noise.astype(np.float32), delta.role)
 
 
 def update_bound(state: ClipState) -> float:

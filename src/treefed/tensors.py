@@ -1,15 +1,30 @@
-"""Dense named tensors and parameter sets.
+"""Named tensors and parameter sets backed by one flat float32 buffer.
 
-Storage is float32; every reduction (dot, norms, weighted sums) accumulates
-in float64, walking entries in insertion order so results are bit-reproducible
-across runs. Binary operations require *congruence*: identical (name, shape)
-sequences. A name mismatch is an error even when shapes agree, so that a
-misconfigured backbone/key partition fails fast.
+A ParamSet is one contiguous float32 buffer plus a Layout: the immutable
+(name, shape, slice) table of its entries, in insertion order. Layouts are
+interned, so every set with the same (name, shape) sequence, in particular
+every set derived from one model configuration, shares one Layout object.
+Binary operations require *congruence*, which is therefore a layout identity
+test. A name mismatch is an error even when shapes agree, so that a
+misconfigured backbone/key partition fails fast. `ps[name]` and iteration
+yield Tensor views: writing through `ps[name].data` writes the set's buffer.
+
+Values must stay finite. A standalone Tensor is checked when it is built; a
+ParamSet is checked once per buffer when it is built, and the error names
+the first non-finite entry in layout order.
+
+Element-wise operations (axpy, and the scaling in privacy.clip) run over the
+whole buffer in float32. Every reduction accumulates in float64 in a fixed
+order, so results are bit-reproducible across runs: `dot` and `cosine` take
+one float64 dot over their two vectors; `l2_norm` adds one float64 partial
+dot per tensor, in layout order (a single dot over the flat buffer rounds
+differently).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import math
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,14 +40,20 @@ class Tensor:
 
     __slots__ = ("name", "data")
 
-    def __init__(self, name: str, data: np.ndarray | Iterable[float], shape=None):
+    def __init__(self, name: str, data: np.ndarray | Iterable[float]):
         arr = np.asarray(data, dtype=np.float32)
-        if shape is not None:
-            arr = arr.reshape(shape)
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"tensor {name!r} contains non-finite values")
         self.name = name
         self.data = arr
+
+    @classmethod
+    def view(cls, name: str, data: np.ndarray) -> "Tensor":
+        """A Tensor over `data` itself: no copy, no check (the owning
+        ParamSet checked its buffer)."""
+        t = cls.__new__(cls)
+        t.name, t.data = name, data
+        return t
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -54,52 +75,106 @@ def flatten(t: Tensor) -> np.ndarray:
     return np.ravel(t.data, order="C").copy()
 
 
+class Layout:
+    """Immutable (name, shape, slice) table of a flat buffer, in order.
+
+    Build layouts with `Layout.of`, which interns them: equal (name, shape)
+    sequences give the same object.
+    """
+
+    __slots__ = ("signature", "names", "shapes", "slices", "size")
+    _interned: dict[tuple, "Layout"] = {}
+
+    @classmethod
+    def of(cls, signature: Iterable[tuple[str, Iterable[int]]]) -> "Layout":
+        sig = tuple((name, tuple(map(int, shape))) for name, shape in signature)
+        if sig not in cls._interned:
+            cls._interned[sig] = cls(sig)
+        return cls._interned[sig]
+
+    def __init__(self, signature: tuple[tuple[str, tuple[int, ...]], ...]):
+        self.slices: dict[str, slice] = {}
+        offset = 0
+        for name, shape in signature:
+            if name in self.slices:
+                raise ValueError(f"duplicate tensor name {name!r}")
+            self.slices[name] = slice(offset, offset + math.prod(shape))
+            offset += math.prod(shape)
+        self.signature, self.names, self.shapes = signature, tuple(self.slices), dict(signature)
+        self.size = offset
+
+    def sub(self, names: Iterable[str]) -> "Layout":
+        """The layout of the named entries alone, in the given order."""
+        return Layout.of((n, self.shapes[n]) for n in names)
+
+    def views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
+        """Name -> shaped view of `buf`, in layout order."""
+        return {name: buf[self.slices[name]].reshape(shape) for name, shape in self.signature}
+
+
 class ParamSet:
-    """Ordered collection of uniquely named tensors with a role tag.
+    """Uniquely named tensors with a role tag, stored in one float32 buffer.
 
     Iteration order is insertion order and is identical across all sets
     derived from the same model configuration, which fixes the reduction
     order of every aggregate operation downstream.
     """
 
-    __slots__ = ("_entries", "role")
+    __slots__ = ("layout", "buf", "role", "_arrays")
 
     def __init__(self, tensors: Iterable[Tensor] = (), role: str = "backbone"):
+        tensors = list(tensors)
+        layout = Layout.of((t.name, t.shape) for t in tensors)
+        buf = np.empty(layout.size, dtype=np.float32)
+        for t in tensors:
+            buf[layout.slices[t.name]] = t.data.ravel()
+        self._adopt(layout, buf, role)
+
+    @classmethod
+    def from_buffer(cls, layout: Layout, buf: np.ndarray, role: str) -> "ParamSet":
+        """A set over `buf` itself (no copy), laid out by `layout`."""
+        ps = cls.__new__(cls)
+        ps._adopt(layout, buf, role)
+        return ps
+
+    def _adopt(self, layout: Layout, buf: np.ndarray, role: str) -> None:
         if role not in ROLES:
             raise ValueError(f"unknown role {role!r}; expected one of {ROLES}")
-        self._entries: dict[str, Tensor] = {}
-        self.role = role
-        for t in tensors:
-            if t.name in self._entries:
-                raise ValueError(f"duplicate tensor name {t.name!r}")
-            self._entries[t.name] = t
+        if buf.dtype != np.float32 or buf.shape != (layout.size,):
+            raise ValueError(f"buffer {buf.dtype}{buf.shape} does not fit a "
+                             f"float32 layout of {layout.size} values")
+        finite = np.isfinite(buf)
+        if not finite.all():
+            bad = next(n for n, s in layout.slices.items() if not finite[s].all())
+            raise ValueError(f"tensor {bad!r} contains non-finite values")
+        self.layout, self.buf, self.role, self._arrays = layout, buf, role, None
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Name -> shaped view of the buffer (built once per set)."""
+        if self._arrays is None:
+            self._arrays = self.layout.views(self.buf)
+        return self._arrays
 
     def names(self) -> list[str]:
-        return list(self._entries.keys())
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._entries.values())
+        return list(self.layout.names)
 
     def signature(self) -> list[tuple[str, tuple[int, ...]]]:
-        return [(t.name, t.shape) for t in self._entries.values()]
+        return list(self.layout.signature)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.layout.names)
 
     def __iter__(self) -> Iterator[Tensor]:
-        return iter(self._entries.values())
+        return (Tensor.view(name, a) for name, a in self.arrays().items())
 
     def __contains__(self, name: str) -> bool:
-        return name in self._entries
+        return name in self.layout.slices
 
     def __getitem__(self, name: str) -> Tensor:
-        return self._entries[name]
-
-    def num_values(self) -> int:
-        return sum(t.size for t in self._entries.values())
+        return Tensor.view(name, self.arrays()[name])
 
     def congruent(self, other: "ParamSet") -> bool:
-        return self.signature() == other.signature()
+        return self.layout is other.layout
 
     def require_congruent(self, other: "ParamSet") -> None:
         if not self.congruent(other):
@@ -108,33 +183,31 @@ class ParamSet:
             )
 
     def copy(self, role: str | None = None) -> "ParamSet":
-        return ParamSet((t.copy() for t in self), role or self.role)
+        return ParamSet.from_buffer(self.layout, self.buf.copy(), role or self.role)
 
     def zeros_like(self, role: str | None = None) -> "ParamSet":
-        return ParamSet(
-            (Tensor(t.name, np.zeros(t.shape, dtype=np.float32)) for t in self),
-            role or self.role,
-        )
-
-    def subset(self, names: Iterable[str], role: str | None = None) -> "ParamSet":
-        return ParamSet((self._entries[n].copy() for n in names), role or self.role)
+        return ParamSet.from_buffer(self.layout, np.zeros_like(self.buf), role or self.role)
 
     def __repr__(self) -> str:
         return f"ParamSet(role={self.role!r}, tensors={self.names()})"
 
 
+def regroup(layout: Layout, parts: Sequence[ParamSet], role: str) -> ParamSet:
+    """A new set laid out by `layout`, each entry copied (one slice copy) from
+    the first of `parts` that holds it with the same name and shape."""
+    buf = np.empty(layout.size, dtype=np.float32)
+    for name, s in layout.slices.items():
+        src = next((p for p in parts if p.layout.shapes.get(name) == layout.shapes[name]), None)
+        if src is None:
+            raise CongruenceError(f"no set holds {name!r} with shape {layout.shapes[name]}")
+        buf[s] = src.buf[src.layout.slices[name]]
+    return ParamSet.from_buffer(layout, buf, role)
+
+
 def axpy(a: float, x: ParamSet, y: ParamSet, role: str | None = None) -> ParamSet:
     """Elementwise a*x + y over congruent sets. Returns a new ParamSet."""
     x.require_congruent(y)
-    out = []
-    for tx, ty in zip(x, y):
-        v = np.float32(a) * tx.data + ty.data
-        out.append(Tensor(tx.name, v))
-    return ParamSet(out, role or y.role)
-
-
-def scale(a: float, x: ParamSet, role: str | None = None) -> ParamSet:
-    return ParamSet((Tensor(t.name, np.float32(a) * t.data) for t in x), role or x.role)
+    return ParamSet.from_buffer(x.layout, np.float32(a) * x.buf + y.buf, role or y.role)
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -145,10 +218,11 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def l2_norm(p: ParamSet) -> float:
-    """L2 norm over the concatenation of all entries, float64 accumulation."""
+    """L2 norm over all entries: float64 partial sums per tensor, added in
+    layout order."""
     acc = 0.0
-    for t in p:
-        v = t.data.ravel().astype(np.float64)
+    for s in p.layout.slices.values():
+        v = p.buf[s].astype(np.float64)
         acc += float(np.dot(v, v))
     return float(np.sqrt(acc))
 

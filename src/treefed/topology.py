@@ -8,9 +8,7 @@ highest ancestor a node's residual packets may climb to (default: the root).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .model import TrainerConfig
 
@@ -213,10 +211,3 @@ def tree_from_json(obj: dict) -> FederationTree:
         )
     return FederationTree(nodes)
 
-
-def save_tree(tree: FederationTree, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(tree_to_json(tree), indent=1, sort_keys=True) + "\n")
-
-
-def load_tree(path: str | Path) -> FederationTree:
-    return tree_from_json(json.loads(Path(path).read_text()))

@@ -2,11 +2,16 @@
 
 These deliberately re-derive results with the plainest possible float64
 code so they never share a code path with the implementation they check.
+The exception is `reference_local_train`: it keeps the per-tensor optimizer
+loop that the flat-buffer `local_train` replaced, on top of the model's own
+forward and backward passes, so the two loops can be compared byte for byte.
 """
 
 import numpy as np
 
-from treefed.tensors import ParamSet
+from treefed.aggregation import lr_at
+from treefed.model import backward, forward_loss
+from treefed.tensors import ParamSet, Tensor
 
 
 def oracle_loss(params: ParamSet, batch: np.ndarray,
@@ -41,3 +46,41 @@ def fd_gradient(params: ParamSet, batch: np.ndarray, name: str, idx: int,
     up = oracle_loss(params, batch, {name: plus})
     down = oracle_loss(params, batch, {name: minus})
     return (up - down) / (2 * step)
+
+
+def reference_local_train(params: ParamSet, tokens: np.ndarray, trainer,
+                          rng_seed, global_step: int) -> tuple[ParamSet, float]:
+    """The per-tensor local_train loop: one Tensor per parameter and per
+    gradient at every step, batches stacked window by window. Returns
+    (params, mean_loss)."""
+    _, d = params["embed"].shape
+    n = params["in_proj.w"].shape[0] // d
+    rng = np.random.default_rng(rng_seed)
+    work = {t.name: t.data.astype(np.float32).copy() for t in params}
+    names = params.names()
+    m = {k: np.zeros(v.shape, dtype=np.float64) for k, v in work.items()}
+    v2 = {k: np.zeros(v.shape, dtype=np.float64) for k, v in work.items()}
+    losses = []
+    current = ParamSet((Tensor(k, work[k]) for k in names), "backbone")
+    for i in range(trainer.local_steps):
+        lr = lr_at(global_step + i, trainer.schedule)
+        starts = rng.integers(0, len(tokens) - n, size=trainer.batch_size)
+        batch = np.stack([tokens[s : s + n + 1] for s in starts])
+        loss, cache = forward_loss(current, batch)
+        losses.append(loss)
+        grads = backward(current, cache)
+        if trainer.optimizer == "sgd":
+            for g in grads:
+                work[g.name] = work[g.name] - np.float32(lr) * g.data
+        else:
+            t = i + 1
+            c1 = 1.0 - trainer.beta1 ** t
+            c2 = 1.0 - trainer.beta2 ** t
+            for g in grads:
+                gd = g.data.astype(np.float64)
+                m[g.name] = trainer.beta1 * m[g.name] + (1 - trainer.beta1) * gd
+                v2[g.name] = trainer.beta2 * v2[g.name] + (1 - trainer.beta2) * gd * gd
+                step = lr * (m[g.name] / c1) / (np.sqrt(v2[g.name] / c2) + 1e-8)
+                work[g.name] = (work[g.name].astype(np.float64) - step).astype(np.float32)
+        current = ParamSet((Tensor(k, work[k]) for k in names), "backbone")
+    return current, float(np.mean(losses))

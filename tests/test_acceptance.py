@@ -5,7 +5,6 @@ Experiment-backed criteria use the shipped presets at seeds 1, 2, 3 and reuse
 runs across criteria through a module-level cache.
 """
 
-import json
 import math
 import os
 import subprocess
@@ -13,7 +12,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import treefed
 from treefed.aggregation import (
@@ -26,7 +24,7 @@ from treefed.aggregation import (
 )
 from treefed.cli import ExperimentPlan, execute, final_leaf_mean, main
 from treefed.datagen import entropy_rate, make_clustered_sources, markov_perplexity, sample_tokens
-from treefed.engine import rng_for, trailing_best
+from treefed.engine import trailing_best
 from treefed.model import ModelConfig, backward, forward_loss, init_model, param_count
 from treefed.presets import apply_overrides, preset_config, resolve
 from treefed.privacy import ClipState, clip, update_bound
@@ -34,7 +32,7 @@ from treefed.residual import KeyCache, ResidualPacket, route_residuals
 from treefed.tensors import ParamSet, Tensor, l2_norm, flatten
 from treefed.topology import FederationTree
 
-from oracles import fd_gradient, oracle_loss
+from oracles import fd_gradient
 
 SEEDS = (1, 2, 3)
 _cache: dict = {}

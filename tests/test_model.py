@@ -17,7 +17,7 @@ from treefed.model import (
 )
 from treefed.tensors import ParamSet, Tensor
 
-from oracles import fd_gradient, oracle_loss
+from oracles import fd_gradient, oracle_loss, reference_local_train
 
 TINY = ModelConfig(vocab_size=8, embed_dim=4, num_blocks=2, expansion_ratio=2,
                    key_block_count=1, context_len=2)
@@ -228,6 +228,35 @@ class TestLocalTrain:
         with pytest.raises(ValueError):
             local_train(params, np.array([], dtype=np.int64), self.trainer(1),
                         rng_seed=0, global_step=0)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_byte_identical_to_per_tensor_loop(self, optimizer):
+        cfg = ModelConfig(vocab_size=12, embed_dim=6, num_blocks=3, expansion_ratio=2,
+                          context_len=3, include_head_in_keys=True)
+        tokens = np.random.default_rng(5).integers(0, 12, size=400)
+        sched = ScheduleConfig(alpha=0.2, eta_max=0.05, total_steps=30)
+        trainer = TrainerConfig(optimizer=optimizer, local_steps=12, batch_size=8,
+                                schedule=sched)
+        params = init_model(cfg, 3)
+        got = local_train(params, tokens, trainer, rng_seed=11, global_step=4)
+        want, want_loss = reference_local_train(params, tokens, trainer, 11, 4)
+        assert got.params.names() == want.names()
+        for x, y in zip(got.params, want):
+            assert x.data.tobytes() == y.data.tobytes(), x.name
+        assert np.float64(got.mean_loss).tobytes() == np.float64(want_loss).tobytes()
+
+    def test_divergence_still_raises(self):
+        # sgd at eta_max=50 overflows within ten steps; the flat loop must
+        # raise exactly as the per-tensor loop does
+        trainer = TrainerConfig(optimizer="sgd", local_steps=10, batch_size=8,
+                                schedule=ScheduleConfig(alpha=0.1, eta_max=50.0,
+                                                        total_steps=10))
+        tokens = np.arange(256) % TINY.vocab_size
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                reference_local_train(init_model(TINY, 0), tokens, trainer, 0, 0)
+            with pytest.raises(ValueError, match="tensor 'embed' contains non-finite"):
+                local_train(init_model(TINY, 0), tokens, trainer, rng_seed=0, global_step=0)
 
     def test_deterministic_given_seed(self):
         params = init_model(TINY, 0)

@@ -1,10 +1,10 @@
+import json
+
 import pytest
 
 from treefed.topology import (
     FederationTree,
     NodeSpec,
-    load_tree,
-    save_tree,
     tree_from_json,
     tree_to_json,
     validate,
@@ -120,15 +120,14 @@ class TestQueries:
 
 
 class TestSerialization:
-    def test_roundtrip_bit_exact(self, tmp_path):
+    def test_roundtrip_bit_exact(self):
         tree = fig2_tree()
         tree.nodes[3].residual_ceiling = 1
         tree.nodes[4].trains_locally = False
-        save_tree(tree, tmp_path / "tree.json")
-        loaded = load_tree(tmp_path / "tree.json")
+        text = json.dumps(tree_to_json(tree), indent=1, sort_keys=True)
+        loaded = tree_from_json(json.loads(text))
         assert tree_to_json(loaded) == tree_to_json(tree)
-        save_tree(loaded, tmp_path / "tree2.json")
-        assert (tmp_path / "tree.json").read_bytes() == (tmp_path / "tree2.json").read_bytes()
+        assert json.dumps(tree_to_json(loaded), indent=1, sort_keys=True) == text
 
     def test_json_roundtrip_preserves_fields(self):
         tree = fig2_tree()
