@@ -1,5 +1,12 @@
 """treefed: deterministic simulator for hierarchical federated LM training."""
 
+import os
+
+# The model's matrices are far too small for a second BLAS thread to pay
+# for itself. OpenBLAS reads this when numpy loads, so it takes effect only
+# when treefed is imported first; a value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .aggregation import (
     AttentionConfig,
     ScheduleConfig,
@@ -25,6 +32,7 @@ from .model import (
     ModelConfig,
     Partition,
     TrainerConfig,
+    TrainJob,
     backward,
     evaluate_perplexity,
     forward_loss,
@@ -33,7 +41,7 @@ from .model import (
 )
 from .privacy import ClipState, DpConfig, add_noise, clip, update_bound
 from .residual import KeyCache, ResidualPacket, partition_residuals, route_residuals
-from .tensors import CongruenceError, ParamSet, Tensor, axpy, cosine, dot, flatten, l2_norm
+from .tensors import CongruenceError, ParamSet, ParamStack, Tensor, axpy, cosine, dot, flatten, l2_norm
 from .topology import FederationTree, NodeSpec, validate
 
 __version__ = "0.1.0"

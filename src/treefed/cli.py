@@ -53,16 +53,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def resolve_plan(plan: ExperimentPlan) -> ResolvedExperiment:
+def plan_config(plan: ExperimentPlan) -> dict:
+    """The plan's config: its --config file, else its preset, with its
+    overrides applied."""
     if plan.config_path:
         config = load_config(plan.config_path)
     elif plan.preset:
         config = preset_config(plan.preset)
     else:
         raise ValueError("either --preset or --config is required")
-    if plan.overrides:
-        config = apply_overrides(config, plan.overrides)
-    return resolve(config, seed=plan.seed, rounds=plan.rounds)
+    return apply_overrides(config, plan.overrides) if plan.overrides else config
+
+
+def resolve_plan(plan: ExperimentPlan) -> ResolvedExperiment:
+    return resolve(plan_config(plan), seed=plan.seed, rounds=plan.rounds)
 
 
 def execute(plan: ExperimentPlan, exp: ResolvedExperiment | None = None) -> tuple[ResolvedExperiment, RunResult]:
@@ -207,18 +211,9 @@ def _toggle(axis: str, config: dict) -> dict:
 
 
 def cmd_ablate(args) -> int:
-    if args.axis not in _AXES:
-        print(f"unknown axis {args.axis!r}; expected one of {_AXES}", file=sys.stderr)
-        return 1
     seeds = args.seed or [0]
     method = (args.method or ["worldlm"])[0]
-    base_plan = _plan_from_args(args, method=method, seed=seeds[0])
-    if base_plan.config_path:
-        base_config = load_config(base_plan.config_path)
-    else:
-        base_config = preset_config(base_plan.preset)
-    if base_plan.overrides:
-        base_config = apply_overrides(base_config, base_plan.overrides)
+    base_config = plan_config(_plan_from_args(args, method=method, seed=seeds[0]))
     toggled_config = _toggle(args.axis, base_config)
 
     deltas = []

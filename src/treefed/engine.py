@@ -5,22 +5,27 @@ One round walks the tree level by level (top-down): a node adopts its
 parent's freshly trained backbone, merges keys by attention with the parent
 and any routed-in residual packets, routes its pending residuals toward its
 children, then trains locally. Every level is one *stage*; nodes on a level
-are logically simultaneous and run in node-id order. After the last stage
+are logically simultaneous. A stage first adopts, merges and routes for each
+node in node-id order, then trains the level's nodes together: nodes that
+share a trainer and a schedule position are stacked into one local_train
+call (up to model.stack_width nodes). After the last stage
 the tree is aggregated bottom-up: pseudo-gradient averaging with server
 momentum for backbones, per-layer attention for keys, and dissimilarity-based
 residual selection, with DP sanitization applied to flagged children's
 backbone deltas on the way.
 
 A stage consumes one sequential step when at least one of its nodes trains;
-baselines are budgeted in the same units.
+baselines are budgeted in the same units. Every runner stacks its same-shape
+trainings the same way, so the baselines train their leaves together too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,9 +42,12 @@ from .model import (
     ModelConfig,
     Partition,
     TrainerConfig,
+    TrainJob,
+    TrainResult,
     init_model,
     local_train,
     mean_nll,
+    stack_width,
 )
 from .privacy import ClipState, DpConfig, add_noise, clip, update_bound
 from .residual import KeyCache, ResidualPacket, partition_residuals, route_residuals, split_by_ceiling
@@ -119,6 +127,17 @@ class _NodeState:
     d_agg: list[ResidualPacket] = field(default_factory=list)
     d_route: list[ResidualPacket] = field(default_factory=list)
     upstream_inbox: list[ResidualPacket] = field(default_factory=list)
+    full: tuple | None = None  # (weak ref to backbone, weak ref to keys, assembled model)
+
+    def model(self, part: Partition) -> ParamSet:
+        """The assembled model, rebuilt only when the backbone or keys object
+        changed, so an unchanged node hands evaluate_round the same object.
+        Weak references notice a replaced object without keeping it alive."""
+        if (self.full is None or self.full[0]() is not self.backbone
+                or self.full[1]() is not self.keys):
+            self.full = (weakref.ref(self.backbone), weakref.ref(self.keys),
+                         part.assemble(self.backbone, self.keys))
+        return self.full[2]
 
 
 def _row(method: str, nid: int, round_k: int, stage: int, split: str, nll: float) -> MetricRow:
@@ -141,21 +160,50 @@ def evaluate_round(
     round_k: int,
     stage: int,
     splits=("val", "test"),
+    memo: dict[int, tuple[ParamSet, dict[str, float]]] | None = None,
 ) -> tuple[list[MetricRow], dict[str, tuple[float, float]]]:
-    """Per-node perplexity on each node's own splits plus mean/std summaries."""
+    """Per-node perplexity on each node's own splits plus mean/std summaries.
+
+    `memo` maps a node to the params object it last scored and the NLL per
+    split. A node whose params are that very object is not scored again. The
+    memo holds a reference to the object, so its id cannot be reused.
+    """
     rows = []
     for nid in sorted(params_by_node):
         if nid not in shards:
             continue
+        params = params_by_node[nid]
+        nlls = memo[nid][1] if memo and nid in memo and memo[nid][0] is params else {}
         for split in splits:
-            nll = mean_nll(params_by_node[nid], getattr(shards[nid], split))
-            rows.append(_row(method, nid, round_k, stage, split, nll))
+            if split not in nlls:
+                nlls[split] = mean_nll(params, getattr(shards[nid], split))
+            rows.append(_row(method, nid, round_k, stage, split, nlls[split]))
+        if memo is not None:
+            memo[nid] = (params, nlls)
     summary = {}
     for split in splits:
         vals = [r.perplexity for r in rows if r.split == split]
         if vals:
             summary[split] = (float(np.mean(vals)), float(np.std(vals)))
     return rows, summary
+
+
+def _train_stacked(entries: list[tuple[int, TrainerConfig, int]],
+                   make_job: Callable[[int], TrainJob]) -> Iterator[tuple[int, TrainResult]]:
+    """Train (key, trainer, global step) entries, stacking entries that share
+    a trainer and a global step into one local_train call of at most
+    stack_width jobs, in the entries' order. A group's jobs are built by
+    make_job(key) just before it trains, and its (key, result) pairs are
+    yielded as soon as it is done, so a caller that consumes them at once
+    holds one group's models at a time."""
+    while entries:
+        _, trainer, step = entries[0]
+        keys = [key for key, t, s in entries if t == trainer and s == step]
+        first = make_job(keys[0])
+        keys = keys[:stack_width(first.params.layout)]
+        jobs = [first] + [make_job(key) for key in keys[1:]]
+        yield from zip(keys, local_train(jobs, trainer, step))
+        entries = [e for e in entries if e[0] not in keys]
 
 
 def _dp_sanitize(delta: ParamSet, nid: int, round_k: int, cs: ClipState,
@@ -214,11 +262,11 @@ def fit(
     ceilings = {nid: tree.nodes[nid].residual_ceiling for nid in tree.nodes}
     result = RunResult(method=method, rows=[])
     seq_counter = 0
+    scored: dict[int, tuple[ParamSet, dict[str, float]]] = {}
 
     for round_k in range(cfg.rounds):
         for stage_idx, level in enumerate(stages):
-            global_step = seq_counter * cfg.trainer.local_steps
-            trained = False
+            trainees = []
             for nid in level:
                 node = tree.nodes[nid]
                 st = state[nid]
@@ -250,25 +298,23 @@ def fit(
                         state[cid].d_route.extend(pkts)
                     st.d_route = routed.held
                     result.residual_log.extend(routed.events)
-                # local training
                 trainer = cfg.trainer_for(node)
                 if node.trains_locally and nid in shards and trainer.local_steps > 0:
-                    trained = True
-                    full = part.assemble(st.backbone, st.keys)
-                    out = local_train(
-                        full, shards[nid].train, trainer,
-                        rng_for(cfg.seed, nid, round_k, _TRAIN_TAG), global_step,
-                    )
-                    st.backbone, st.keys = part.split(out.params)
-                    result.rows.append(
-                        _row(method, nid, round_k, stage_idx, "train", out.mean_loss))
-            if trained:
+                    trainees.append((nid, trainer, seq_counter * trainer.local_steps))
+            # local training, stacked across the level
+            outs = _train_stacked(trainees, lambda nid: TrainJob(
+                part.assemble(state[nid].backbone, state[nid].keys), shards[nid].train,
+                rng_for(cfg.seed, nid, round_k, _TRAIN_TAG)))
+            losses = {}
+            for nid, out in outs:
+                state[nid].backbone, state[nid].keys = part.split(out.params)
+                losses[nid] = out.mean_loss
+            for nid in sorted(losses):
+                result.rows.append(_row(method, nid, round_k, stage_idx, "train", losses[nid]))
+            if losses:
                 seq_counter += 1
-            params_now = {
-                nid: part.assemble(state[nid].backbone, state[nid].keys)
-                for nid in sorted(tree.nodes)
-            }
-            rows, _ = evaluate_round(method, params_now, shards, round_k, stage_idx)
+            params_now = {nid: state[nid].model(part) for nid in sorted(tree.nodes)}
+            rows, _ = evaluate_round(method, params_now, shards, round_k, stage_idx, memo=scored)
             result.rows.extend(rows)
 
         # bottom-up aggregation
@@ -316,10 +362,7 @@ def fit(
             update_bound(cs)
 
     result.seq_steps = seq_counter
-    result.final_models = {
-        nid: part.assemble(state[nid].backbone, state[nid].keys)
-        for nid in sorted(tree.nodes)
-    }
+    result.final_models = {nid: state[nid].model(part) for nid in sorted(tree.nodes)}
     return result
 
 
@@ -342,13 +385,13 @@ def run_flat_fl(
     result = RunResult(method=method, rows=[])
 
     for round_k in range(rounds):
+        outs = dict(_train_stacked(
+            [(nid, cfg.trainer, round_k * cfg.trainer.local_steps) for nid in leaf_ids],
+            lambda nid: TrainJob(server, shards[nid].train,
+                                 rng_for(cfg.seed, nid, round_k, _TRAIN_TAG))))
         deltas = []
         for nid in leaf_ids:
-            out = local_train(
-                server, shards[nid].train, cfg.trainer,
-                rng_for(cfg.seed, nid, round_k, _TRAIN_TAG),
-                round_k * cfg.trainer.local_steps,
-            )
+            out = outs[nid]
             result.rows.append(_row(method, nid, round_k, 0, "train", out.mean_loss))
             delta = axpy(-1.0, server, out.params, role="pseudo_gradient")
             if dp and nid in dp.enabled_nodes:
@@ -365,23 +408,31 @@ def run_flat_fl(
     return result
 
 
-def _train_alone(result: RunResult, tokens: np.ndarray, stream: int, row_node: int,
-                 eval_ids: list[int], shards: dict[int, Shard], cfg: EngineConfig,
-                 budget_steps: int) -> ParamSet:
-    """Train one fresh model on `tokens`, one local_train call per round from
-    the (seed, stream) RNG, evaluating it as every node in eval_ids."""
-    params = init_model(cfg.model, cfg.seed)
+def _train_apart(result: RunResult, models: dict[int, tuple[np.ndarray, int, list[int]]],
+                 shards: dict[int, Shard], cfg: EngineConfig, budget_steps: int) -> dict[int, ParamSet]:
+    """Train one fresh model per entry of `models`, row node -> (tokens, RNG
+    stream, eval ids), for budget_steps rounds, stacking the models' local
+    training in every round. Each model is evaluated as every node in its eval
+    ids. Rows are buffered per model and written model by model, each in
+    round order."""
+    base = init_model(cfg.model, cfg.seed)
+    params = dict.fromkeys(models, base)
+    owner = {eid: key for key, (_, _, eval_ids) in models.items() for eid in eval_ids}
+    rows: dict[int, list[MetricRow]] = {key: [] for key in models}
     for round_k in range(budget_steps):
-        out = local_train(
-            params, tokens, cfg.trainer,
-            rng_for(cfg.seed, stream, round_k, _TRAIN_TAG),
-            round_k * cfg.trainer.local_steps,
-        )
-        params = out.params
-        result.rows.append(_row(result.method, row_node, round_k, 0, "train", out.mean_loss))
-        rows, _ = evaluate_round(
-            result.method, {nid: params for nid in eval_ids}, shards, round_k, 0)
-        result.rows.extend(rows)
+        outs = _train_stacked(
+            [(key, cfg.trainer, round_k * cfg.trainer.local_steps) for key in models],
+            lambda key: TrainJob(params[key], models[key][0],
+                                 rng_for(cfg.seed, models[key][1], round_k, _TRAIN_TAG)))
+        for key, out in outs:
+            params[key] = out.params
+            rows[key].append(_row(result.method, key, round_k, 0, "train", out.mean_loss))
+        evaluated, _ = evaluate_round(
+            result.method, {eid: params[key] for eid, key in owner.items()}, shards, round_k, 0)
+        for row in evaluated:
+            rows[owner[row.node]].append(row)
+    for key in models:
+        result.rows.extend(rows[key])
     return params
 
 
@@ -394,9 +445,8 @@ def run_local(
 ) -> RunResult:
     """Independent per-leaf training at the same sequential-step budget."""
     result = RunResult(method=method, rows=[], seq_steps=budget_steps)
-    for nid in sorted(leaf_ids):
-        result.final_models[nid] = _train_alone(
-            result, shards[nid].train, nid, nid, [nid], shards, cfg, budget_steps)
+    models = {nid: (shards[nid].train, nid, [nid]) for nid in sorted(leaf_ids)}
+    result.final_models = _train_apart(result, models, shards, cfg, budget_steps)
     return result
 
 
@@ -411,7 +461,8 @@ def run_centralized(
     leaf_ids = sorted(leaf_ids)
     pooled = np.concatenate([shards[nid].train for nid in leaf_ids])
     result = RunResult(method=method, rows=[], seq_steps=budget_steps)
-    params = _train_alone(result, pooled, _CENTRAL_NODE, 0, leaf_ids, shards, cfg, budget_steps)
+    models = {0: (pooled, _CENTRAL_NODE, leaf_ids)}
+    params = _train_apart(result, models, shards, cfg, budget_steps)[0]
     result.final_models = {nid: params for nid in leaf_ids}
     return result
 

@@ -7,6 +7,11 @@ stack of residual tanh MLP blocks, and read out by a linear head. The final
 backbone. Gradients are derived by hand so training is exact, fast, and
 checkable against finite differences in the float64 shadow mode.
 
+The forward pass, the backward pass and local_train carry a leading node
+axis: N models of one layout, stacked as a ParamStack, train as one (N, B,
+...) computation whose rows never mix, so each node's bytes are those of
+training it alone. A ParamSet is the N = 1 case.
+
 Parameter order (canonical, shared by every instance of a config):
     embed, in_proj.w, in_proj.b,
     block{h}.fc1.w, block{h}.fc1.b, block{h}.fc2.w, block{h}.fc2.b  (h = 0..H-1),
@@ -16,12 +21,12 @@ Parameter order (canonical, shared by every instance of a config):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .aggregation import ScheduleConfig, lr_at
-from .tensors import Layout, ParamSet, regroup
+from .tensors import Layout, ParamSet, ParamStack, check_finite, regroup
 
 
 @dataclass
@@ -129,26 +134,46 @@ class TrainerConfig:
             raise ValueError("bad local_steps/batch_size")
 
 
-def _weights(params: ParamSet, wide: bool) -> dict[str, np.ndarray]:
-    """Views of the float32 buffer, or of one float64 copy in wide mode."""
-    if wide:
-        return params.layout.views(params.buf.astype(np.float64))
-    return params.arrays()
+# One training step holds about this many bytes per parameter per node:
+# float32 parameters and gradient, float64 Adam moments and two float64
+# scratch vectors.
+_STEP_BYTES_PER_PARAM = 40
+# A stacked step pays only while it is bound by per-call overhead, so a
+# local_train call stacks nodes until their step state reaches this size.
+STACK_BYTES = 2 << 20
 
 
-def _dims(params: ParamSet) -> tuple[int, int, int]:
+def stack_width(layout: Layout) -> int:
+    """How many nodes of this layout one local_train call may stack."""
+    return max(1, STACK_BYTES // (_STEP_BYTES_PER_PARAM * layout.size))
+
+
+def _as_stack(params: ParamSet | ParamStack) -> ParamStack:
+    """A ParamSet as the N = 1 stack; a ParamStack as itself."""
+    if isinstance(params, ParamSet):
+        return ParamStack(params.layout, params.buf[None])
+    return params
+
+
+def _dims(layout: Layout) -> tuple[int, int, int]:
     """(vocab, embed_dim, context_len) recovered from parameter shapes."""
-    V, d = params.layout.shapes["embed"]
-    n = params.layout.shapes["in_proj.w"][0] // d
+    V, d = layout.shapes["embed"]
+    n = layout.shapes["in_proj.w"][0] // d
     return V, d, n
 
 
-def _num_blocks(params: ParamSet) -> int:
-    return sum(1 for name in params.layout.names if name.endswith(".fc1.w"))
+def _num_blocks(layout: Layout) -> int:
+    return sum(1 for name in layout.names if name.endswith(".fc1.w"))
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Each node's matrix transposed."""
+    return a.transpose(0, 2, 1)
 
 
 class _ForwardCache(NamedTuple):
-    params: ParamSet
+    params: ParamSet | ParamStack
+    w: dict[str, np.ndarray]  # the weight views the forward pass used
     ids: np.ndarray
     x: np.ndarray
     blocks: list[tuple[np.ndarray, np.ndarray]]  # (block input, tanh output)
@@ -158,76 +183,93 @@ class _ForwardCache(NamedTuple):
     wide: bool
 
 
-def forward_loss(params: ParamSet, batch: np.ndarray, wide: bool = False):
-    """Mean next-token cross-entropy (nats) over a (B, n+1) token matrix.
+def forward_loss(params: ParamSet | ParamStack, batch: np.ndarray, wide: bool = False):
+    """Mean next-token cross-entropy (nats) of each node's token windows.
 
-    The first n columns are inputs, the last column is the target. Returns
+    A ParamStack of N models takes an (N, B, n+1) batch and gives an (N,)
+    array of losses; a ParamSet takes a (B, n+1) batch and gives a float, as
+    the N = 1 stack. The first n columns are inputs, the last column is the
+    target. Every node's windows meet only its own row of weights. Returns
     (loss, cache); the cache feeds backward().
     """
-    V, d, n = _dims(params)
-    batch = np.asarray(batch)
-    if batch.ndim != 2 or batch.shape[1] != n + 1:
-        raise ValueError(f"batch must have {n + 1} columns, got {batch.shape}")
+    stack, batch = _as_stack(params), np.asarray(batch)
+    if isinstance(params, ParamSet):
+        batch = batch[None]
+    N = stack.buf.shape[0]
+    V, d, n = _dims(stack.layout)
+    if batch.ndim != 3 or batch.shape[0] != N or batch.shape[2] != n + 1:
+        raise ValueError(f"batch must be {N} node(s) x B windows x {n + 1} columns, "
+                         f"got {batch.shape}")
     if batch.min() < 0 or batch.max() >= V:
         raise ValueError("token id out of range")
-    w = _weights(params, wide)
-    ids, targets = batch[:, :n], batch[:, n]
-    B = batch.shape[0]
-    x = w["embed"][ids].reshape(B, n * d)
-    h = x @ w["in_proj.w"] + w["in_proj.b"]
+    # (N, ...) views of the float32 rows, or of one float64 copy in wide mode
+    w = stack.layout.views(stack.buf.astype(np.float64)) if wide else stack.arrays()
+    ids, targets = batch[..., :n], batch[..., n]
+    B = batch.shape[1]
+    x = w["embed"][np.arange(N)[:, None, None], ids].reshape(N, B, n * d)
+    h = x @ w["in_proj.w"] + w["in_proj.b"][:, None]
     blocks = []
-    for i in range(_num_blocks(params)):
-        u = np.tanh(h @ w[f"block{i}.fc1.w"] + w[f"block{i}.fc1.b"])
+    for i in range(_num_blocks(stack.layout)):
+        u = np.tanh(h @ w[f"block{i}.fc1.w"] + w[f"block{i}.fc1.b"][:, None])
         blocks.append((h, u))
-        h = h + (u @ w[f"block{i}.fc2.w"] + w[f"block{i}.fc2.b"])
-    logits = h @ w["head.w"] + w["head.b"]
+        h = h + (u @ w[f"block{i}.fc2.w"] + w[f"block{i}.fc2.b"][:, None])
+    logits = h @ w["head.w"] + w["head.b"][:, None]
     z = logits.astype(np.float64)
-    z -= z.max(axis=1, keepdims=True)
+    z -= z.max(axis=2, keepdims=True)
     ez = np.exp(z)
-    denom = ez.sum(axis=1)
-    probs = ez / denom[:, None]
-    nll = np.log(denom) - z[np.arange(B), targets]
-    loss = float(nll.mean())
-    return loss, _ForwardCache(params, ids, x, blocks, h, probs, targets, wide)
+    denom = ez.sum(axis=2)
+    probs = ez / denom[..., None]
+    nll = np.log(denom) - z[np.arange(N)[:, None], np.arange(B), targets]
+    loss = nll.mean(axis=1)
+    if isinstance(params, ParamSet):
+        loss = float(loss[0])
+    return loss, _ForwardCache(params, w, ids, x, blocks, h, probs, targets, wide)
 
 
-def backward(params: ParamSet, cache: _ForwardCache) -> ParamSet:
-    """Exact gradients of the mean cross-entropy w.r.t. every parameter,
-    written into one float32 buffer laid out like `params`."""
+def backward(params: ParamSet | ParamStack, cache: _ForwardCache) -> ParamSet | ParamStack:
+    """Exact gradients of each node's mean cross-entropy w.r.t. its
+    parameters, written into one float32 buffer laid out like `params`."""
     if cache.params is not params:
         raise ValueError("stale cache: params do not match the forward pass")
+    stack, w = _as_stack(params), cache.w
     dtype = np.float64 if cache.wide else np.float32
-    w = _weights(params, cache.wide)
-    B = cache.ids.shape[0]
-    V, d, n = _dims(params)
-    buf = np.empty(params.layout.size, dtype=np.float32)
-    grads = params.layout.views(buf)
+    N, B = cache.ids.shape[:2]
+    V, d, n = _dims(stack.layout)
+    buf = np.empty(stack.buf.shape, dtype=np.float32)
+    grads = stack.layout.views(buf)
 
     dlogits = cache.probs.astype(dtype)
-    dlogits[np.arange(B), cache.targets] -= 1
+    dlogits[np.arange(N)[:, None], np.arange(B), cache.targets] -= 1
     dlogits /= B
-    grads["head.w"][...] = cache.h_final.T @ dlogits
-    grads["head.b"][...] = dlogits.sum(axis=0)
-    dh = dlogits @ w["head.w"].T
+    grads["head.w"][...] = _t(cache.h_final) @ dlogits
+    grads["head.b"][...] = dlogits.sum(axis=1)
+    dh = dlogits @ _t(w["head.w"])
 
     for i in reversed(range(len(cache.blocks))):
         h_in, u = cache.blocks[i]
-        grads[f"block{i}.fc2.w"][...] = u.T @ dh
-        grads[f"block{i}.fc2.b"][...] = dh.sum(axis=0)
-        du = dh @ w[f"block{i}.fc2.w"].T
+        grads[f"block{i}.fc2.w"][...] = _t(u) @ dh
+        grads[f"block{i}.fc2.b"][...] = dh.sum(axis=1)
+        du = dh @ _t(w[f"block{i}.fc2.w"])
         da = du * (1.0 - u * u)
-        grads[f"block{i}.fc1.w"][...] = h_in.T @ da
-        grads[f"block{i}.fc1.b"][...] = da.sum(axis=0)
-        dh = dh + da @ w[f"block{i}.fc1.w"].T
+        grads[f"block{i}.fc1.w"][...] = _t(h_in) @ da
+        grads[f"block{i}.fc1.b"][...] = da.sum(axis=1)
+        dh = dh + da @ _t(w[f"block{i}.fc1.w"])
 
-    grads["in_proj.w"][...] = cache.x.T @ dh
-    grads["in_proj.b"][...] = dh.sum(axis=0)
-    dx = (dh @ w["in_proj.w"].T).reshape(B, n, d)
-    de = np.zeros((V, d), dtype=dtype)
-    np.add.at(de, cache.ids.reshape(-1), dx.reshape(-1, d))
-    grads["embed"][...] = de
+    grads["in_proj.w"][...] = _t(cache.x) @ dh
+    grads["in_proj.b"][...] = dh.sum(axis=1)
+    dx = dh @ _t(w["in_proj.w"])
+    # one flat table of N * V * d entries: entry c of node k's token t is
+    # k * V * d + t * d + c, so every entry still adds its windows' terms in
+    # batch order; np.add.at is several times faster on 1-D operands
+    rows = cache.ids.reshape(N, B * n) + V * np.arange(N)[:, None]
+    de = np.zeros(N * V * d, dtype=dtype)
+    np.add.at(de, (rows[..., None] * d + np.arange(d)).reshape(-1), dx.reshape(-1))
+    grads["embed"][...] = de.reshape(N, V, d)
 
-    return ParamSet.from_buffer(params.layout, buf, "pseudo_gradient")
+    if isinstance(params, ParamSet):
+        return ParamSet.from_buffer(params.layout, buf[0], "pseudo_gradient")
+    check_finite(stack.layout, buf)
+    return ParamStack(stack.layout, buf)
 
 
 @dataclass
@@ -235,6 +277,14 @@ class TrainResult:
     params: ParamSet
     steps_taken: int
     mean_loss: float
+
+
+class TrainJob(NamedTuple):
+    """One node's part of a local_train call."""
+
+    params: ParamSet
+    tokens: np.ndarray
+    rng_seed: object  # anything np.random.default_rng accepts
 
 
 def sample_batch(tokens: np.ndarray, n: int, batch_size: int, rng) -> np.ndarray:
@@ -245,47 +295,57 @@ def sample_batch(tokens: np.ndarray, n: int, batch_size: int, rng) -> np.ndarray
 
 
 def local_train(
-    params: ParamSet,
-    tokens: np.ndarray,
+    jobs: Sequence[TrainJob],
     trainer: TrainerConfig,
-    rng_seed,
     global_step: int,
-) -> TrainResult:
-    """Run local_steps optimizer steps on windows sampled from `tokens`.
+) -> list[TrainResult]:
+    """Run local_steps optimizer steps for every job together.
+
+    The jobs' parameters share one layout and are stacked as the rows of one
+    (N, P) array. Each step draws every job's batch from its own RNG and
+    token stream, then runs one forward pass, one backward pass and one
+    optimizer update over the whole stack. Rows never mix, so every job ends
+    bit for bit where training it alone ends; one job is the N = 1 stack.
 
     The LR schedule is evaluated at global_step + i so schedules stay
     synchronized across nodes that share a sequential-step position.
     Optimizer state is fresh per call (one federated round). Parameters,
-    gradients and the float64 Adam moments are each one flat vector, so an
-    update is a few element-wise vector ops.
+    gradients and the float64 Adam moments are each one (N, P) array, so an
+    update is a few element-wise array ops. Returns one result per job.
     """
-    tokens = np.asarray(tokens)
-    if tokens.size == 0:
-        raise ValueError("empty shard")
-    _, _, n = _dims(params)
-    if len(tokens) < n + 1:
-        raise ValueError("shard too short for one context window")
+    jobs = [TrainJob(*job) for job in jobs]
+    if not jobs:
+        raise ValueError("local_train needs at least one job")
+    layout = jobs[0].params.layout
+    for job in jobs[1:]:
+        jobs[0].params.require_congruent(job.params)
+    _, _, n = _dims(layout)
+    streams = [np.asarray(job.tokens) for job in jobs]
+    for tokens in streams:
+        if tokens.size == 0:
+            raise ValueError("empty shard")
+        if len(tokens) < n + 1:
+            raise ValueError("shard too short for one context window")
     if trainer.local_steps == 0:
-        return TrainResult(params, 0, float("nan"))
-    rng = np.random.default_rng(rng_seed)
-    layout = params.layout
-    work = params.buf.copy()
-    m, v2 = np.zeros(layout.size), np.zeros(layout.size)  # float64 Adam moments
-    gd, tmp = np.empty(layout.size), np.empty(layout.size)  # float64 scratch
+        return [TrainResult(job.params, 0, float("nan")) for job in jobs]
+    rngs = [np.random.default_rng(job.rng_seed) for job in jobs]
+    work = np.stack([job.params.buf for job in jobs])
+    m, v2 = np.zeros(work.shape), np.zeros(work.shape)  # float64 Adam moments
+    gd, tmp = np.empty(work.shape), np.empty(work.shape)  # float64 scratch
     b1, b2, eps = trainer.beta1, trainer.beta2, 1e-8
-    losses = []
-    current = ParamSet.from_buffer(layout, work, "backbone")
+    losses = np.empty((len(jobs), trainer.local_steps))
+    current = ParamStack(layout, work)
     for i in range(trainer.local_steps):
         lr = lr_at(global_step + i, trainer.schedule)
-        batch = sample_batch(tokens, n, trainer.batch_size, rng)
-        loss, cache = forward_loss(current, batch)
-        losses.append(loss)
+        batch = np.stack([sample_batch(tokens, n, trainer.batch_size, rng)
+                          for tokens, rng in zip(streams, rngs)])
+        losses[:, i], cache = forward_loss(current, batch)
         grad = backward(current, cache).buf
         if trainer.optimizer == "sgd":
             work -= np.float32(lr) * grad
         else:
             # work - lr*(m/c1)/(sqrt(v2/c2)+eps), op for op, in the scratch
-            # vectors: full-size float64 temporaries cost more than the math
+            # arrays: full-size float64 temporaries cost more than the math
             c1, c2 = 1.0 - b1 ** (i + 1), 1.0 - b2 ** (i + 1)
             np.copyto(gd, grad)
             m *= b1
@@ -295,14 +355,16 @@ def local_train(
             den = np.add(np.sqrt(np.divide(v2, c2, out=gd), out=gd), eps, out=gd)
             step = np.divide(np.multiply(np.divide(m, c1, out=tmp), lr, out=tmp), den, out=tmp)
             work[...] = np.subtract(work, step, out=tmp)
-        current = ParamSet.from_buffer(layout, work, "backbone")
-    return TrainResult(current, trainer.local_steps, float(np.mean(losses)))
+        check_finite(layout, work)
+    return [TrainResult(ParamSet.from_buffer(layout, row, "backbone"), trainer.local_steps,
+                        float(np.mean(row_losses)))
+            for row, row_losses in zip(work, losses)]
 
 
 def mean_nll(params: ParamSet, tokens: np.ndarray, chunk: int = 8192) -> float:
     """Mean token NLL (nats) over all stride-1 windows of the token stream."""
     tokens = np.asarray(tokens)
-    _, _, n = _dims(params)
+    _, _, n = _dims(params.layout)
     if len(tokens) < n + 1:
         raise ValueError("empty or too-short evaluation shard")
     windows = np.lib.stride_tricks.sliding_window_view(tokens, n + 1)

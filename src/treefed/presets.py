@@ -15,6 +15,7 @@ are builders for the shipped scenarios:
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -278,6 +279,9 @@ def resolve(config: dict, seed: int, rounds: int | None = None) -> ResolvedExper
         sched["total_steps"] = max(1, cfg["rounds"] * trainable_stages * trainer_d["local_steps"])
     schedule = ScheduleConfig(**sched)
     trainer = TrainerConfig(schedule=schedule, **trainer_d)
+    for node in tree.nodes.values():
+        if node.trainer is not None:  # tree JSON carries no schedule: use the experiment's
+            node.trainer = dataclasses.replace(node.trainer, schedule=schedule)
     attention = AttentionConfig(**cfg["attention"])
     dp = None
     if cfg.get("dp"):

@@ -9,9 +9,14 @@ test. A name mismatch is an error even when shapes agree, so that a
 misconfigured backbone/key partition fails fast. `ps[name]` and iteration
 yield Tensor views: writing through `ps[name].data` writes the set's buffer.
 
+A ParamStack holds N sets of one layout as the rows of an (N, size) array,
+the form in which same-shape nodes train together.
+
 Values must stay finite. A standalone Tensor is checked when it is built; a
 ParamSet is checked once per buffer when it is built, and the error names
-the first non-finite entry in layout order.
+the first non-finite entry in layout order. A ParamStack is not checked when
+it is built: `check_finite` checks it, with the same message, where it is
+trained.
 
 Element-wise operations (axpy, and the scaling in privacy.clip) run over the
 whole buffer in float32. Every reduction accumulates in float64 in a fixed
@@ -108,8 +113,20 @@ class Layout:
         return Layout.of((n, self.shapes[n]) for n in names)
 
     def views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
-        """Name -> shaped view of `buf`, in layout order."""
-        return {name: buf[self.slices[name]].reshape(shape) for name, shape in self.signature}
+        """Name -> shaped view of `buf`, in layout order. Leading axes of
+        `buf` (one per stacked set) lead every view."""
+        lead = buf.shape[:-1]
+        return {name: buf[..., self.slices[name]].reshape(lead + shape)
+                for name, shape in self.signature}
+
+
+def check_finite(layout: Layout, buf: np.ndarray) -> None:
+    """Raise naming the first entry, in layout order, that holds a
+    non-finite value in any row of `buf`."""
+    finite = np.isfinite(buf)
+    if not finite.all():
+        bad = next(n for n, s in layout.slices.items() if not finite[..., s].all())
+        raise ValueError(f"tensor {bad!r} contains non-finite values")
 
 
 class ParamSet:
@@ -120,7 +137,7 @@ class ParamSet:
     order of every aggregate operation downstream.
     """
 
-    __slots__ = ("layout", "buf", "role", "_arrays")
+    __slots__ = ("layout", "buf", "role", "_arrays", "__weakref__")
 
     def __init__(self, tensors: Iterable[Tensor] = (), role: str = "backbone"):
         tensors = list(tensors)
@@ -143,10 +160,7 @@ class ParamSet:
         if buf.dtype != np.float32 or buf.shape != (layout.size,):
             raise ValueError(f"buffer {buf.dtype}{buf.shape} does not fit a "
                              f"float32 layout of {layout.size} values")
-        finite = np.isfinite(buf)
-        if not finite.all():
-            bad = next(n for n, s in layout.slices.items() if not finite[s].all())
-            raise ValueError(f"tensor {bad!r} contains non-finite values")
+        check_finite(layout, buf)
         self.layout, self.buf, self.role, self._arrays = layout, buf, role, None
 
     def arrays(self) -> dict[str, np.ndarray]:
@@ -190,6 +204,22 @@ class ParamSet:
 
     def __repr__(self) -> str:
         return f"ParamSet(role={self.role!r}, tensors={self.names()})"
+
+
+class ParamStack:
+    """N sets of one layout stacked as the rows of an (N, size) float32
+    array, which model.local_train trains as one. Row k is set k's buffer."""
+
+    __slots__ = ("layout", "buf", "_arrays")
+
+    def __init__(self, layout: Layout, buf: np.ndarray):
+        self.layout, self.buf, self._arrays = layout, buf, None
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Name -> (N, ...) view of the rows (built once per stack)."""
+        if self._arrays is None:
+            self._arrays = self.layout.views(self.buf)
+        return self._arrays
 
 
 def regroup(layout: Layout, parts: Sequence[ParamSet], role: str) -> ParamSet:

@@ -199,6 +199,9 @@ def tree_from_json(obj: dict) -> FederationTree:
                 raise ValueError(f"tree node {entry.get('id')}: unknown key {key!r}; {hint}")
         trainer = None
         if "trainer" in entry:
+            if "schedule" in entry["trainer"]:
+                raise ValueError(f"tree node {entry['id']}: a node trainer takes no schedule; "
+                                 "every node follows the experiment's")
             trainer = TrainerConfig(**entry["trainer"])
         nodes[entry["id"]] = NodeSpec(
             id=entry["id"],

@@ -1,10 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from treefed.cli import main
 from treefed.presets import preset_config
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture()
@@ -98,6 +104,24 @@ class TestRun:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--workers", "2"])
         assert exc.value.code == 2
+
+
+class TestBlasPin:
+    def run_import(self, env_value):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        if env_value is not None:
+            env["OPENBLAS_NUM_THREADS"] = env_value
+        code = "import os, treefed; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        return out.stdout.strip()
+
+    def test_import_pins_one_thread(self):
+        assert self.run_import(None) == "1"
+
+    def test_user_value_wins(self):
+        assert self.run_import("2") == "2"
 
 
 class TestCompare:

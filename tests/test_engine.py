@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import treefed.engine as engine_mod
+import treefed.model as model_mod
 from treefed.aggregation import AttentionConfig, ScheduleConfig
+from treefed.cli import ExperimentPlan, execute, resolve_plan, write_outputs
 from treefed.datagen import (
     MixtureSpec,
     build_hierarchy_dataset,
@@ -84,9 +86,8 @@ def reference_fedavg(leaf_ids, shards, cfg, rounds):
         locals_ = []
         for nid in sorted(leaf_ids):
             ps = ParamSet((Tensor(n, server[n]) for n in names), "backbone")
-            out = local_train(ps, shards[nid].train, cfg.trainer,
-                              rng_for(cfg.seed, nid, k, 2),
-                              k * cfg.trainer.local_steps)
+            [out] = local_train([(ps, shards[nid].train, rng_for(cfg.seed, nid, k, 2))],
+                                cfg.trainer, k * cfg.trainer.local_steps)
             locals_.append({t.name: t.data for t in out.params})
         for n in names:
             deltas = [np.float32(-1.0) * server[n] + loc[n] for loc in locals_]
@@ -177,15 +178,16 @@ class TestFitBasics:
         seen = []
         orig = engine_mod.local_train
 
-        def spy(params, tokens, trainer, rng_seed, global_step):
-            out = orig(params, tokens, trainer, rng_seed, global_step)
-            seen.append({t.name: t.data.copy() for t in params})
-            part_backbones[len(seen) - 1] = {t.name: t.data.copy() for t in out.params}
-            return out
+        def spy(jobs, trainer, global_step):
+            outs = orig(jobs, trainer, global_step)
+            for (params, _, _), out in zip(jobs, outs):
+                seen.append({t.name: t.data.copy() for t in params})
+                part_backbones[len(seen) - 1] = {t.name: t.data.copy() for t in out.params}
+            return outs
 
         monkeypatch.setattr(engine_mod, "local_train", spy)
         fit(tree, shards, cfg)
-        # call order per round: node 0, then 1, 2, then 3..6; child 3's entry
+        # job order per round: node 0, then 1, 2, then 3..6; child 3's entry
         # params (seen[3]) must carry node 1's post-train backbone (seen[1]'s
         # output) on all backbone tensors
         from treefed.model import Partition
@@ -211,9 +213,9 @@ class TestBaselines:
         res = run_local([1], shards, cfg, budget_steps=3)
         params = init_model(cfg.model, cfg.seed)
         for k in range(3):
-            params = local_train(params, shards[1].train, cfg.trainer,
-                                 rng_for(cfg.seed, 1, k, 2),
-                                 k * cfg.trainer.local_steps).params
+            [out] = local_train([(params, shards[1].train, rng_for(cfg.seed, 1, k, 2))],
+                                cfg.trainer, k * cfg.trainer.local_steps)
+            params = out.params
         for a, b in zip(res.final_models[1], params):
             assert a.data.tobytes() == b.data.tobytes()
 
@@ -275,9 +277,9 @@ class TestFlatSingleLeaf:
         flat = run_flat_fl([1], shards, cfg, rounds=3)
         params = init_model(cfg.model, cfg.seed)
         for k in range(3):
-            params = local_train(params, shards[1].train, cfg.trainer,
-                                 rng_for(cfg.seed, 1, k, 2),
-                                 k * cfg.trainer.local_steps).params
+            [out] = local_train([(params, shards[1].train, rng_for(cfg.seed, 1, k, 2))],
+                                cfg.trainer, k * cfg.trainer.local_steps)
+            params = out.params
         for a, b in zip(flat.final_models[1], params):
             np.testing.assert_allclose(a.data, b.data, rtol=1e-5, atol=1e-6)
 
@@ -376,3 +378,97 @@ class TestTrailingBest:
         series = [30, 25, 22, 20, 19, 18.5, 18.4, 18.4, 18.3]
         tb = trailing_best(series)
         assert all(b <= a for a, b in zip(tb, tb[1:]))
+
+
+class TestStacking:
+    def spy_sizes(self, monkeypatch):
+        calls = []
+        orig = engine_mod.local_train
+
+        def spy(jobs, trainer, global_step):
+            calls.append((len(jobs), trainer.local_steps, global_step))
+            return orig(jobs, trainer, global_step)
+
+        monkeypatch.setattr(engine_mod, "local_train", spy)
+        return calls
+
+    def test_every_runner_stacks_its_same_shape_nodes(self, monkeypatch):
+        tree = fig2_tree()
+        shards, _ = shards_for(tree)
+        cfg = cfg_for(tree, shards, rounds=2)
+        calls = self.spy_sizes(monkeypatch)
+        fit(tree, shards, cfg)
+        assert [size for size, _, _ in calls] == [1, 2, 4] * 2
+        for runner in (run_flat_fl, run_local):
+            calls.clear()
+            runner(tree.leaves(), shards, cfg, 2)
+            assert [size for size, _, _ in calls] == [4, 4]
+
+    def test_node_trainer_sets_its_own_global_step(self, monkeypatch):
+        # a node with its own trainer trains in a group of its own, at its
+        # own schedule position: sequential steps x its own local_steps
+        tree = depth1_tree(4)
+        tree.nodes[1].trainer = small_trainer(steps=2)
+        shards, _ = shards_for(tree)
+        cfg = cfg_for(tree, shards, rounds=3)
+        calls = self.spy_sizes(monkeypatch)
+        fit(tree, shards, cfg)
+        assert calls == [(1, 2, 0), (3, 4, 0), (1, 2, 2), (3, 4, 4), (1, 2, 4), (3, 4, 8)]
+
+    @pytest.mark.parametrize("method", ["worldlm", "flat_fl", "local", "centralized"])
+    def test_groups_of_one_write_identical_outputs(self, monkeypatch, tmp_path, method):
+        # the equally strict arm for batching: with the stack budget at zero
+        # every node trains in its own local_train call, and every output
+        # file must keep its bytes
+        plan = ExperimentPlan(method=method, preset="fig2", rounds=2, seed=1)
+        exp = resolve_plan(plan)
+        files = ("metrics.csv", "attention.csv", "residuals.csv", "dp.csv")
+
+        def outputs(tag):
+            _, result = execute(plan, exp=exp)
+            write_outputs(tmp_path / tag, exp, plan, result, elapsed=0.0)
+            return {name: (tmp_path / tag / name).read_bytes() for name in files}
+
+        calls = self.spy_sizes(monkeypatch)
+        stacked = outputs("stacked")
+        assert method == "centralized" or max(size for size, _, _ in calls) == 4
+        monkeypatch.setattr(model_mod, "STACK_BYTES", 0)
+        calls.clear()
+        assert outputs("alone") == stacked
+        assert {size for size, _, _ in calls} == {1}
+
+
+class TestEvaluationMemo:
+    def test_memo_changes_no_row(self, monkeypatch):
+        tree = fig2_tree()
+        shards, _ = shards_for(tree)
+        memoized = fit(tree, shards, cfg_for(tree, shards, rounds=2))
+        orig = engine_mod.evaluate_round
+        monkeypatch.setattr(engine_mod, "evaluate_round",
+                            lambda *args, memo=None, **kwargs: orig(*args, **kwargs))
+        assert fit(tree, shards, cfg_for(tree, shards, rounds=2)).rows == memoized.rows
+
+    def test_only_changed_nodes_are_rescored(self, monkeypatch):
+        # round 0 scores all 7 nodes after stage 0, then the 2 mids, then
+        # the 4 leaves; later rounds rescore the root and the aggregated mids
+        # after stage 0, not the leaves: 2 splits x (13 + 9) nodes
+        tree = fig2_tree()
+        shards, _ = shards_for(tree)
+        calls = []
+        orig = engine_mod.mean_nll
+        monkeypatch.setattr(engine_mod, "mean_nll",
+                            lambda params, tokens: calls.append(1) or orig(params, tokens))
+        fit(tree, shards, cfg_for(tree, shards, rounds=2))
+        assert len(calls) == 2 * (13 + 9)
+
+    def test_memo_matches_object_not_bytes(self):
+        tree = depth1_tree(1)
+        shards, _ = shards_for(tree)
+        params = init_model(small_model(), 0)
+        memo = {}
+        first, _ = evaluate_round("m", {1: params}, shards, 0, 0, memo=memo)
+        assert memo[1][0] is params
+        again, _ = evaluate_round("m", {1: params}, shards, 0, 1, memo=memo)
+        copy, _ = evaluate_round("m", {1: params.copy()}, shards, 0, 1, memo=memo)
+        assert [r.loss for r in again] == [r.loss for r in first] == [r.loss for r in copy]
+        assert memo[1][0] is not params

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treefed.aggregation import ScheduleConfig, lr_at
 from treefed.model import (
@@ -14,8 +16,9 @@ from treefed.model import (
     param_count,
     param_shapes,
     sample_batch,
+    stack_width,
 )
-from treefed.tensors import ParamSet, Tensor
+from treefed.tensors import CongruenceError, Layout, ParamSet, ParamStack, Tensor
 
 from oracles import fd_gradient, oracle_loss, reference_local_train
 
@@ -177,16 +180,16 @@ class TestLocalTrain:
 
     def test_zero_steps_unchanged(self):
         params = init_model(TINY, 0)
-        out = local_train(params, alternating_tokens() % TINY.vocab_size,
-                          self.trainer(0), rng_seed=0, global_step=0)
+        [out] = local_train([(params, alternating_tokens() % TINY.vocab_size, 0)],
+                            self.trainer(0), global_step=0)
         assert out.params is params
         assert out.steps_taken == 0
 
     def test_learns_alternating_corpus(self):
         cfg = ModelConfig(vocab_size=2, embed_dim=4, num_blocks=1, context_len=2)
         params = init_model(cfg, 0)
-        out = local_train(params, alternating_tokens(), self.trainer(200),
-                          rng_seed=1, global_step=0)
+        [out] = local_train([(params, alternating_tokens(), 1)], self.trainer(200),
+                            global_step=0)
         final_loss, _ = forward_loss(out.params, sample_batch(
             alternating_tokens(), 2, 64, np.random.default_rng(2)))
         assert final_loss < 0.05
@@ -199,7 +202,7 @@ class TestLocalTrain:
                                 schedule=ScheduleConfig(alpha=0.2, eta_max=0.01,
                                                         total_steps=10))
         params = init_model(cfg, 6)
-        got = local_train(params, tokens, trainer, rng_seed=42, global_step=2)
+        [got] = local_train([(params, tokens, 42)], trainer, global_step=2)
 
         rng = np.random.default_rng(42)
         work = {t.name: t.data.astype(np.float32).copy() for t in params}
@@ -226,8 +229,8 @@ class TestLocalTrain:
     def test_empty_shard_errors(self):
         params = init_model(TINY, 0)
         with pytest.raises(ValueError):
-            local_train(params, np.array([], dtype=np.int64), self.trainer(1),
-                        rng_seed=0, global_step=0)
+            local_train([(params, np.array([], dtype=np.int64), 0)], self.trainer(1),
+                        global_step=0)
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_byte_identical_to_per_tensor_loop(self, optimizer):
@@ -238,7 +241,7 @@ class TestLocalTrain:
         trainer = TrainerConfig(optimizer=optimizer, local_steps=12, batch_size=8,
                                 schedule=sched)
         params = init_model(cfg, 3)
-        got = local_train(params, tokens, trainer, rng_seed=11, global_step=4)
+        [got] = local_train([(params, tokens, 11)], trainer, global_step=4)
         want, want_loss = reference_local_train(params, tokens, trainer, 11, 4)
         assert got.params.names() == want.names()
         for x, y in zip(got.params, want):
@@ -256,15 +259,72 @@ class TestLocalTrain:
             with pytest.raises(ValueError, match="non-finite"):
                 reference_local_train(init_model(TINY, 0), tokens, trainer, 0, 0)
             with pytest.raises(ValueError, match="tensor 'embed' contains non-finite"):
-                local_train(init_model(TINY, 0), tokens, trainer, rng_seed=0, global_step=0)
+                local_train([(init_model(TINY, 0), tokens, 0)], trainer, global_step=0)
 
     def test_deterministic_given_seed(self):
         params = init_model(TINY, 0)
         tokens = np.arange(256) % TINY.vocab_size
-        a = local_train(params, tokens, self.trainer(5), rng_seed=9, global_step=0)
-        b = local_train(params, tokens, self.trainer(5), rng_seed=9, global_step=0)
+        [a] = local_train([(params, tokens, 9)], self.trainer(5), global_step=0)
+        [b] = local_train([(params, tokens, 9)], self.trainer(5), global_step=0)
         for x, y in zip(a.params, b.params):
             np.testing.assert_array_equal(x.data, y.data)
+
+
+class TestStackedTraining:
+    """local_train stacks its jobs as rows of one array; no row may see
+    another, so each job must end byte for byte where training it alone,
+    and where the per-tensor reference loop, ends."""
+
+    CFG = ModelConfig(vocab_size=9, embed_dim=5, num_blocks=2, expansion_ratio=2,
+                      context_len=2, include_head_in_keys=True)
+
+    @settings(max_examples=25, deadline=None)
+    @given(optimizer=st.sampled_from(["adam", "sgd"]),
+           jobs=st.lists(st.tuples(st.integers(0, 2**16), st.integers(20, 300),
+                                   st.integers(0, 2**16)), min_size=1, max_size=5),
+           steps=st.integers(1, 6), global_step=st.integers(0, 20))
+    def test_each_job_equals_training_it_alone(self, optimizer, jobs, steps, global_step):
+        trainer = TrainerConfig(optimizer=optimizer, local_steps=steps, batch_size=6,
+                                schedule=ScheduleConfig(alpha=0.2, eta_max=0.05,
+                                                        total_steps=30))
+        group = [(init_model(self.CFG, init_seed),
+                  np.random.default_rng(init_seed + 1).integers(0, 9, size=length), rng_seed)
+                 for init_seed, length, rng_seed in jobs]
+        stacked = local_train(group, trainer, global_step)
+        assert len(stacked) == len(group)
+        for job, got in zip(group, stacked):
+            [alone] = local_train([job], trainer, global_step)
+            params, tokens, rng_seed = job
+            want, want_loss = reference_local_train(params, tokens, trainer, rng_seed,
+                                                    global_step)
+            assert got.params.buf.tobytes() == alone.params.buf.tobytes() == want.buf.tobytes()
+            assert (np.float64(got.mean_loss).tobytes() == np.float64(alone.mean_loss).tobytes()
+                    == np.float64(want_loss).tobytes())
+            assert got.steps_taken == steps
+
+    def test_stack_forward_equals_each_row(self):
+        sets = [init_model(TINY, k) for k in range(3)]
+        batch = np.random.default_rng(0).integers(0, TINY.vocab_size, size=(3, 5, 3))
+        losses, _ = forward_loss(ParamStack(sets[0].layout, np.stack([p.buf for p in sets])),
+                                 batch)
+        for params, rows, loss in zip(sets, batch, losses):
+            assert np.float64(loss).tobytes() == np.float64(forward_loss(params, rows)[0]).tobytes()
+
+    def test_jobs_must_share_a_layout(self):
+        other = ModelConfig(vocab_size=8, embed_dim=4, num_blocks=3, context_len=2)
+        tokens = np.arange(64) % 8
+        with pytest.raises(CongruenceError):
+            local_train([(init_model(TINY, 0), tokens, 0), (init_model(other, 0), tokens, 1)],
+                        TestLocalTrain().trainer(1), global_step=0)
+        with pytest.raises(ValueError, match="at least one job"):
+            local_train([], TestLocalTrain().trainer(1), global_step=0)
+
+    def test_width_follows_the_step_memory_budget(self):
+        # about 2 MiB of step state at 40 B per parameter per node: the fig2
+        # model (7,968 parameters) stacks 6 nodes, one of 37,568 trains alone
+        assert stack_width(Layout.of([("w", (7968,))])) == 6
+        assert stack_width(Layout.of([("w", (37568,))])) == 1
+        assert stack_width(Layout.of([("w", (10**7,))])) == 1
 
 
 class TestEvaluatePerplexity:
@@ -278,8 +338,8 @@ class TestEvaluatePerplexity:
         cfg = ModelConfig(vocab_size=2, embed_dim=4, num_blocks=1, context_len=2)
         sched = ScheduleConfig(alpha=0.1, eta_max=0.05, total_steps=200)
         trainer = TrainerConfig(local_steps=200, batch_size=8, schedule=sched)
-        out = local_train(init_model(cfg, 0), alternating_tokens(), trainer,
-                          rng_seed=3, global_step=0)
+        [out] = local_train([(init_model(cfg, 0), alternating_tokens(), 3)], trainer,
+                            global_step=0)
         assert evaluate_perplexity(out.params, alternating_tokens(128)) < 1.06
 
     def test_empty_shard_errors(self):

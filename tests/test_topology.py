@@ -141,3 +141,24 @@ class TestSerialization:
         obj["nodes"][2]["residual_celing"] = 0
         with pytest.raises(ValueError, match="tree node 2: unknown key 'residual_celing'"):
             tree_from_json(obj)
+
+
+class TestNodeTrainerOverride:
+    def test_override_gets_the_experiment_schedule(self):
+        # a node trainer from tree JSON used to keep the default schedule
+        # (eta_max 8e-4 over 3000 steps) instead of the experiment's
+        from treefed.presets import preset_config, resolve
+
+        cfg = preset_config("fig2")
+        cfg["tree"]["nodes"][3]["trainer"] = {"local_steps": 48}
+        exp = resolve(cfg, seed=1)
+        trainer = exp.tree.nodes[3].trainer
+        assert trainer.local_steps == 48
+        assert trainer.schedule == exp.engine.trainer.schedule
+        assert (trainer.schedule.eta_max, trainer.schedule.total_steps) == (0.03, 3456)
+
+    def test_node_schedule_rejected(self):
+        obj = tree_to_json(fig2_tree())
+        obj["nodes"][3]["trainer"] = {"local_steps": 4, "schedule": {"eta_max": 1.0}}
+        with pytest.raises(ValueError, match="tree node 3: a node trainer takes no schedule"):
+            tree_from_json(obj)
