@@ -35,6 +35,10 @@ class AttentionConfig:
             raise ValueError("temperature must be finite and positive")
 
 
+# layer name -> (candidate labels, attention weights), in candidate order
+WeightLog = dict[str, tuple[list[str], np.ndarray]]
+
+
 @dataclass
 class ScheduleConfig:
     """Warmup-cosine schedule: linear 0 -> eta_max over ceil(alpha*T) steps,
@@ -122,33 +126,35 @@ def attend_layer(
     return Tensor(query.name, acc.astype(np.float32)), weights
 
 
-def _attend_layers(own_keys: ParamSet, candidates: dict[str, list[Tensor]],
-                   cfg: AttentionConfig) -> tuple[ParamSet, dict[str, np.ndarray]]:
-    """attend_layer for each layer of own_keys, as query, over the tensors in
-    candidates[layer]; each candidate serves as its own key and value."""
+def _attend_layers(own_keys: ParamSet, candidates: dict[str, list[tuple[str, Tensor]]],
+                   cfg: AttentionConfig) -> tuple[ParamSet, WeightLog]:
+    """attend_layer for each layer of own_keys, as query, over the (label,
+    tensor) pairs in candidates[layer]; each candidate serves as its own key
+    and value."""
     buf, weight_log = np.empty(own_keys.layout.size, dtype=np.float32), {}
     for layer in own_keys:
-        merged, weight_log[layer.name] = attend_layer(
-            layer, [(t, t) for t in candidates[layer.name]], cfg)
+        labels = [label for label, _ in candidates[layer.name]]
+        merged, weights = attend_layer(layer, [(t, t) for _, t in candidates[layer.name]], cfg)
         buf[own_keys.layout.slices[layer.name]] = merged.data.ravel()
+        weight_log[layer.name] = (labels, weights)
     return ParamSet.from_buffer(own_keys.layout, buf, "keys"), weight_log
 
 
 def aggregate_child_keys(
     own_keys: ParamSet,
-    child_keys: Sequence[ParamSet],
+    child_keys: Sequence[tuple[int, ParamSet]],
     cfg: AttentionConfig,
-) -> tuple[ParamSet, dict[str, np.ndarray]]:
-    """Per-layer attention with the node's own post-training layer as query.
-
-    `child_keys` must be sorted by child id by the caller; each candidate
-    serves as its own key and value. With include_self the own layer is
-    candidate 0.
-    """
-    for ck in child_keys:
+) -> tuple[ParamSet, WeightLog]:
+    """Per-layer attention with the node's own post-training layer as query
+    over its children's (id, keys) in id order, each candidate labelled with
+    its child id and serving as its own key and value. With include_self the
+    own layer is candidate 0, labelled "self"."""
+    for _, ck in child_keys:
         own_keys.require_congruent(ck)
-    sets = ([own_keys] if cfg.include_self else []) + list(child_keys)
-    return _attend_layers(own_keys, {n: [ps[n] for ps in sets] for n in own_keys.names()}, cfg)
+    sets = ([("self", own_keys)] if cfg.include_self else []) + [
+        (str(cid), ck) for cid, ck in sorted(child_keys, key=lambda c: c[0])]
+    return _attend_layers(
+        own_keys, {n: [(label, ps[n]) for label, ps in sets] for n in own_keys.names()}, cfg)
 
 
 def merge_with_parent(
@@ -156,15 +162,17 @@ def merge_with_parent(
     parent_keys: ParamSet,
     residuals_for_agg: Sequence["ResidualPacket"],
     cfg: AttentionConfig,
-) -> tuple[ParamSet, dict[str, np.ndarray]]:
+) -> tuple[ParamSet, WeightLog]:
     """Entry aggregation for a non-root node: per layer, attend over
-    [own, parent, incoming residual packets sorted by origin id]."""
+    ["self", "parent", that layer's incoming residual packets sorted by
+    (origin, created round), each labelled with its origin]."""
     own_keys.require_congruent(parent_keys)
-    candidates = {n: [own_keys[n], parent_keys[n]] for n in own_keys.names()}
+    candidates = {n: [("self", own_keys[n]), ("parent", parent_keys[n])]
+                  for n in own_keys.names()}
     for pkt in sorted(residuals_for_agg, key=lambda p: (p.origin, p.created_round)):
         if pkt.layer not in candidates:
             raise KeyError(f"residual packet targets unknown layer {pkt.layer!r}")
-        candidates[pkt.layer].append(pkt.tensor)
+        candidates[pkt.layer].append((str(pkt.origin), pkt.tensor))
     return _attend_layers(own_keys, candidates, cfg)
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
@@ -32,6 +31,7 @@ import numpy as np
 from .aggregation import (
     AttentionConfig,
     ServerOptState,
+    WeightLog,
     aggregate_child_keys,
     average_pseudograds,
     merge_with_parent,
@@ -120,24 +120,12 @@ class RunResult:
 
 @dataclass
 class _NodeState:
-    backbone: ParamSet
-    keys: ParamSet
+    model: ParamSet  # replaced, never written, whenever the node changes
     opt: ServerOptState | None = None
     cache: KeyCache = field(default_factory=KeyCache)
     d_agg: list[ResidualPacket] = field(default_factory=list)
     d_route: list[ResidualPacket] = field(default_factory=list)
     upstream_inbox: list[ResidualPacket] = field(default_factory=list)
-    full: tuple | None = None  # (weak ref to backbone, weak ref to keys, assembled model)
-
-    def model(self, part: Partition) -> ParamSet:
-        """The assembled model, rebuilt only when the backbone or keys object
-        changed, so an unchanged node hands evaluate_round the same object.
-        Weak references notice a replaced object without keeping it alive."""
-        if (self.full is None or self.full[0]() is not self.backbone
-                or self.full[1]() is not self.keys):
-            self.full = (weakref.ref(self.backbone), weakref.ref(self.keys),
-                         part.assemble(self.backbone, self.keys))
-        return self.full[2]
 
 
 def _row(method: str, nid: int, round_k: int, stage: int, split: str, nll: float) -> MetricRow:
@@ -146,11 +134,11 @@ def _row(method: str, nid: int, round_k: int, stage: int, split: str, nll: float
 
 
 def _log_attention(log: list[dict], nid: int, round_k: int, stage: str,
-                   weight_log: dict[str, np.ndarray], origins: list[str]) -> None:
-    for layer, w in weight_log.items():
-        for origin, weight in zip(origins, w):
+                   weight_log: WeightLog) -> None:
+    for layer, (labels, weights) in weight_log.items():
+        for label, weight in zip(labels, weights, strict=True):
             log.append({"node": nid, "round": round_k, "stage": stage,
-                        "layer": layer, "candidate": origin, "weight": float(weight)})
+                        "layer": layer, "candidate": label, "weight": float(weight)})
 
 
 def evaluate_round(
@@ -206,24 +194,34 @@ def _train_stacked(entries: list[tuple[int, TrainerConfig, int]],
         entries = [e for e in entries if e[0] not in keys]
 
 
-def _dp_sanitize(delta: ParamSet, nid: int, round_k: int, cs: ClipState,
-                 dp: DpConfig, seed: int, dp_log: list[dict]) -> ParamSet:
-    """Clip a DP client's pseudo-gradient to its server's current bound,
-    record the pre-clip norm for the next bound, add Gaussian noise from the
-    client's (round, noise) stream, and log one dp.csv row. It stays in this
-    module so `clip` and `add_noise` are looked up in engine's namespace,
-    where the benchmark trace wraps them."""
-    clipped, pre_norm = clip(delta, cs.bound)
-    cs.record(pre_norm)
-    noise_std = dp.sigma if dp.absolute_noise else dp.sigma * cs.bound
-    delta = add_noise(
-        clipped, dp.sigma, cs.bound, rng_for(seed, nid, round_k, _NOISE_TAG), dp.absolute_noise,
-    )
-    dp_log.append({
-        "round": round_k, "node": nid, "pre_clip_norm": pre_norm,
-        "bound": cs.bound, "noise_std": noise_std,
-    })
-    return delta
+def server_step(server: ParamSet, clients: list[tuple[int, ParamSet]], opt: ServerOptState,
+                cfg: EngineConfig, round_k: int, cs: ClipState | None,
+                dp_log: list[dict]) -> tuple[ParamSet, ServerOptState]:
+    """One server round over its clients' (id, trained parameters), in the
+    given order. Each client's pseudo-gradient is its parameters minus the
+    server's. A DP client's is clipped to the server's current bound `cs`,
+    its pre-clip norm is recorded for the next bound, Gaussian noise from
+    the client's (round, noise) stream is added, and one dp.csv row is
+    logged. The mean pseudo-gradient then takes a server momentum step, and
+    `cs` moves to the next round's bound. Every operation is looked up in
+    this module's namespace, where the benchmark trace wraps it."""
+    dp, deltas = cfg.dp, []
+    for cid, params in clients:
+        delta = axpy(-1.0, server, params, role="pseudo_gradient")
+        if dp and cid in dp.enabled_nodes:
+            clipped, pre_norm = clip(delta, cs.bound)
+            cs.record(pre_norm)
+            delta = add_noise(clipped, dp.sigma, cs.bound,
+                              rng_for(cfg.seed, cid, round_k, _NOISE_TAG), dp.absolute_noise)
+            dp_log.append({
+                "round": round_k, "node": cid, "pre_clip_norm": pre_norm, "bound": cs.bound,
+                "noise_std": dp.sigma if dp.absolute_noise else dp.sigma * cs.bound,
+            })
+        deltas.append(delta)
+    server, opt = server_opt(server, average_pseudograds(deltas), opt)
+    if cs is not None:
+        update_bound(cs)
+    return server, opt
 
 
 def fit(
@@ -242,13 +240,9 @@ def fit(
     max_age = max(2, 2 * depth)
 
     base = init_model(cfg.model, cfg.seed)
-    state: dict[int, _NodeState] = {}
-    for nid in tree.nodes:
-        backbone, keys = part.split(base)
-        opt = None
-        if tree.nodes[nid].children:
-            opt = ServerOptState.init_like(backbone, cfg.server_eta, cfg.server_mu)
-        state[nid] = _NodeState(backbone=backbone, keys=keys, opt=opt)
+    server_zero = ServerOptState.init_like(part.split(base)[0], cfg.server_eta, cfg.server_mu)
+    state = {nid: _NodeState(model=base, opt=server_zero if tree.nodes[nid].children else None)
+             for nid in tree.nodes}
 
     dp = cfg.dp
     clip_states: dict[int, ClipState] = {}
@@ -272,19 +266,13 @@ def fit(
                 st = state[nid]
                 # adopt parent backbone; merge keys with parent and routed-in packets
                 if node.parent is not None:
-                    parent_st = state[node.parent]
-                    st.backbone = parent_st.backbone.copy()
-                    if len(st.keys):
-                        packets = st.d_agg
-                        st.keys, weight_log = merge_with_parent(
-                            st.keys, parent_st.keys, packets, cfg.attention
-                        )
-                        origins = ["self", "parent"] + [
-                            str(p.origin)
-                            for p in sorted(packets, key=lambda p: (p.origin, p.created_round))
-                        ]
-                        _log_attention(result.attention_log, nid, round_k, "merge",
-                                       weight_log, origins)
+                    backbone, parent_keys = part.split(state[node.parent].model)
+                    keys = part.keys(st.model)
+                    if len(keys):
+                        keys, weight_log = merge_with_parent(keys, parent_keys, st.d_agg,
+                                                             cfg.attention)
+                        _log_attention(result.attention_log, nid, round_k, "merge", weight_log)
+                    st.model = part.assemble(backbone, keys)
                     st.d_agg = []
                 # route pending residuals toward children
                 if node.children and st.d_route:
@@ -303,17 +291,16 @@ def fit(
                     trainees.append((nid, trainer, seq_counter * trainer.local_steps))
             # local training, stacked across the level
             outs = _train_stacked(trainees, lambda nid: TrainJob(
-                part.assemble(state[nid].backbone, state[nid].keys), shards[nid].train,
-                rng_for(cfg.seed, nid, round_k, _TRAIN_TAG)))
+                state[nid].model, shards[nid].train, rng_for(cfg.seed, nid, round_k, _TRAIN_TAG)))
             losses = {}
             for nid, out in outs:
-                state[nid].backbone, state[nid].keys = part.split(out.params)
+                state[nid].model = out.params
                 losses[nid] = out.mean_loss
             for nid in sorted(losses):
                 result.rows.append(_row(method, nid, round_k, stage_idx, "train", losses[nid]))
             if losses:
                 seq_counter += 1
-            params_now = {nid: state[nid].model(part) for nid in sorted(tree.nodes)}
+            params_now = {nid: state[nid].model for nid in sorted(tree.nodes)}
             rows, _ = evaluate_round(method, params_now, shards, round_k, stage_idx, memo=scored)
             result.rows.extend(rows)
 
@@ -325,44 +312,32 @@ def fit(
                     continue
                 st = state[nid]
                 children = sorted(node.children)
-                deltas = []
-                for cid in children:
-                    delta = axpy(-1.0, st.backbone, state[cid].backbone, role="pseudo_gradient")
-                    if dp and cid in dp.enabled_nodes:
-                        delta = _dp_sanitize(
-                            delta, cid, round_k, clip_states[nid], dp, cfg.seed, result.dp_log
-                        )
-                    deltas.append(delta)
-                delta_mean = average_pseudograds(deltas)
-                st.backbone, st.opt = server_opt(st.backbone, delta_mean, st.opt)
-
-                if len(st.keys):
-                    child_keys = [state[cid].keys for cid in children]
-                    st.keys, weight_log = aggregate_child_keys(st.keys, child_keys, cfg.attention)
-                    origins = (["self"] if cfg.attention.include_self else []) + [
-                        str(cid) for cid in children
-                    ]
-                    _log_attention(result.attention_log, nid, round_k, "children",
-                                   weight_log, origins)
+                backbone, keys = part.split(st.model)
+                splits = {cid: part.split(state[cid].model) for cid in children}
+                backbone, st.opt = server_step(
+                    backbone, [(cid, splits[cid][0]) for cid in children], st.opt, cfg, round_k,
+                    clip_states.get(nid), result.dp_log)
+                child_keys = [(cid, splits[cid][1]) for cid in children]
+                if len(keys):
+                    keys, weight_log = aggregate_child_keys(keys, child_keys, cfg.attention)
+                    _log_attention(result.attention_log, nid, round_k, "children", weight_log)
                     new_packets = partition_residuals(
-                        st.keys, [(cid, state[cid].keys) for cid in children],
-                        cfg.nu, cfg.attention, round_k, ceilings, cfg.residual_threshold,
+                        keys, child_keys, cfg.nu, cfg.attention, round_k, ceilings,
+                        cfg.residual_threshold,
                     )
                 else:
                     new_packets = []
+                st.model = part.assemble(backbone, keys)
                 collected = new_packets + st.upstream_inbox
                 st.upstream_inbox = []
                 upstream, local = split_by_ceiling(collected, nid, tree)
                 st.d_route.extend(local)
                 if node.parent is not None:
                     state[node.parent].upstream_inbox.extend(upstream)
-                st.cache.update({cid: state[cid].keys for cid in children}, round_k)
-
-        for cs in clip_states.values():
-            update_bound(cs)
+                st.cache.update(dict(child_keys), round_k)
 
     result.seq_steps = seq_counter
-    result.final_models = {nid: state[nid].model(part) for nid in sorted(tree.nodes)}
+    result.final_models = {nid: state[nid].model for nid in sorted(tree.nodes)}
     return result
 
 
@@ -389,17 +364,10 @@ def run_flat_fl(
             [(nid, cfg.trainer, round_k * cfg.trainer.local_steps) for nid in leaf_ids],
             lambda nid: TrainJob(server, shards[nid].train,
                                  rng_for(cfg.seed, nid, round_k, _TRAIN_TAG))))
-        deltas = []
         for nid in leaf_ids:
-            out = outs[nid]
-            result.rows.append(_row(method, nid, round_k, 0, "train", out.mean_loss))
-            delta = axpy(-1.0, server, out.params, role="pseudo_gradient")
-            if dp and nid in dp.enabled_nodes:
-                delta = _dp_sanitize(delta, nid, round_k, cs, dp, cfg.seed, result.dp_log)
-            deltas.append(delta)
-        server, opt = server_opt(server, average_pseudograds(deltas), opt)
-        if cs is not None:
-            update_bound(cs)
+            result.rows.append(_row(method, nid, round_k, 0, "train", outs[nid].mean_loss))
+        server, opt = server_step(server, [(nid, outs[nid].params) for nid in leaf_ids], opt,
+                                  cfg, round_k, cs, result.dp_log)
         rows, _ = evaluate_round(method, {nid: server for nid in leaf_ids}, shards, round_k, 0)
         result.rows.extend(rows)
 

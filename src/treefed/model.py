@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .aggregation import ScheduleConfig, lr_at
-from .tensors import Layout, ParamSet, ParamStack, check_finite, regroup
+from .tensors import Layout, ParamSet, ParamStack, check_finite
 
 
 @dataclass
@@ -90,12 +90,17 @@ def init_model(cfg: ModelConfig, seed: int) -> ParamSet:
 
 @dataclass
 class Partition:
-    """Backbone/key split of a model's parameter names, plus the full
-    model's layout that `assemble` rebuilds."""
+    """Backbone/key split of a model's layout. The key layers (the last
+    key_block_count blocks, plus the head with include_head_in_keys) are one
+    contiguous range of it: a model's keys are a view of its buffer and its
+    backbone is the rest, in layout order."""
 
     backbone_names: list[str]
     key_names: list[str]
     layout: Layout
+    backbone_layout: Layout
+    key_layout: Layout
+    key_range: slice
 
     @classmethod
     def for_config(cls, cfg: ModelConfig) -> "Partition":
@@ -106,14 +111,26 @@ class Partition:
         if cfg.include_head_in_keys:
             key_names += ["head.w", "head.b"]
         backbone = [n for n in layout.names if n not in key_names]
-        return cls(backbone_names=backbone, key_names=key_names, layout=layout)
+        key_layout = layout.sub(key_names)
+        start = layout.slices[key_names[0]].start if key_names else layout.size
+        return cls(backbone, key_names, layout, layout.sub(backbone), key_layout,
+                   slice(start, start + key_layout.size))
+
+    def keys(self, params: ParamSet) -> ParamSet:
+        """A model's key layers: a view of its buffer."""
+        return ParamSet.from_buffer(self.key_layout, params.buf[self.key_range], "keys")
 
     def split(self, params: ParamSet) -> tuple[ParamSet, ParamSet]:
-        return (regroup(self.layout.sub(self.backbone_names), [params], "backbone"),
-                regroup(self.layout.sub(self.key_names), [params], "keys"))
+        """(a copy of the backbone, a view of the keys) of a model."""
+        r = self.key_range
+        backbone = np.concatenate([params.buf[:r.start], params.buf[r.stop:]])
+        return ParamSet.from_buffer(self.backbone_layout, backbone, "backbone"), self.keys(params)
 
     def assemble(self, backbone: ParamSet, keys: ParamSet) -> ParamSet:
-        return regroup(self.layout, [backbone, keys], "backbone")
+        start = self.key_range.start
+        return ParamSet.from_buffer(
+            self.layout, np.concatenate([backbone.buf[:start], keys.buf, backbone.buf[start:]]),
+            "backbone")
 
 
 @dataclass
@@ -329,9 +346,13 @@ def local_train(
     if trainer.local_steps == 0:
         return [TrainResult(job.params, 0, float("nan")) for job in jobs]
     rngs = [np.random.default_rng(job.rng_seed) for job in jobs]
+    # the scratch is allocated before `work`, whose rows outlive this call as
+    # the trained models, so the freed scratch sits below them in the heap
+    # and the next call reuses it instead of faulting in fresh pages
+    shape = (len(jobs), layout.size)
+    m, v2 = np.zeros(shape), np.zeros(shape)  # float64 Adam moments
+    gd, tmp = np.empty(shape), np.empty(shape)  # float64 scratch
     work = np.stack([job.params.buf for job in jobs])
-    m, v2 = np.zeros(work.shape), np.zeros(work.shape)  # float64 Adam moments
-    gd, tmp = np.empty(work.shape), np.empty(work.shape)  # float64 scratch
     b1, b2, eps = trainer.beta1, trainer.beta2, 1e-8
     losses = np.empty((len(jobs), trainer.local_steps))
     current = ParamStack(layout, work)

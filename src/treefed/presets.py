@@ -35,7 +35,8 @@ from .datagen import (
 from .engine import EngineConfig
 from .model import ModelConfig, TrainerConfig
 from .privacy import DpConfig
-from .topology import FederationTree, tree_from_json, tree_to_json, validate
+from .topology import (TRAINER_KEYS, FederationTree, reject_unknown_keys, tree_from_json,
+                       tree_to_json, validate)
 
 # Fig. 2-style tree: root 0, two mid servers, two leaves each.
 _FIG2_CHILDREN = {0: [1, 2], 1: [3, 4], 2: [5, 6]}
@@ -190,6 +191,39 @@ class ResolvedExperiment:
         return self.engine.rounds * self.stages_per_round
 
 
+def _fields(cls, *skip: str) -> list[str]:
+    return [f.name for f in dataclasses.fields(cls) if f.name not in skip]
+
+
+_TOP_KEYS = ("name", "tree", "data", "model", "trainer", "schedule", "attention", "server",
+             "residual", "dp", "rounds", "seed")  # a manifest's config also carries its seed
+_CLUSTERED_KEYS = ("kind", "vocab_size", "num_clusters", "sources_per_cluster", "divergence",
+                   "concentration", "intra_jitter", "leaf_sources", "leaf_budgets",
+                   "val_tokens", "test_tokens", "internal_budget_scale")
+_DATA_KEYS = {"clustered": _CLUSTERED_KEYS, "iid": _CLUSTERED_KEYS, "text": ("kind", "path")}
+_SECTION_KEYS = {
+    "model": _fields(ModelConfig),
+    "trainer": TRAINER_KEYS,
+    "schedule": _fields(ScheduleConfig),
+    "attention": _fields(AttentionConfig),
+    "server": ["eta", "mu"],
+    "residual": ["nu", "threshold"],
+    "dp": _fields(DpConfig),
+}
+
+
+def _check_keys(cfg: dict) -> None:
+    """Reject a key that the config, or a section of it, does not take."""
+    reject_unknown_keys("config", cfg, _TOP_KEYS)
+    for section, accepted in _SECTION_KEYS.items():
+        if isinstance(cfg.get(section), dict):
+            reject_unknown_keys(f"config {section}", cfg[section], accepted)
+    kind = cfg["data"]["kind"]
+    if kind not in _DATA_KEYS:
+        raise ValueError(f"unknown data kind {kind!r}")
+    reject_unknown_keys(f"config data ({kind})", cfg["data"], _DATA_KEYS[kind])
+
+
 def _build_clustered_shards(tree: FederationTree, data: dict, seed: int):
     sources = make_clustered_sources(
         num_clusters=data["num_clusters"],
@@ -250,38 +284,43 @@ def resolve(config: dict, seed: int, rounds: int | None = None) -> ResolvedExper
         cfg["rounds"] = rounds
     if cfg["rounds"] < 1:
         raise ValueError("rounds must be >= 1")
-    tree = tree_from_json(cfg["tree"])
+    _check_keys(cfg)
+    trainer = TrainerConfig(**cfg["trainer"])  # its schedule is set below
+    tree = tree_from_json(cfg["tree"], trainer)
     bad = validate(tree)
     if bad:
         raise ValueError("invalid tree: " + "; ".join(bad))
 
     data = cfg["data"]
-    if data["kind"] in ("clustered", "iid"):
-        shards, sources = _build_clustered_shards(tree, data, seed)
-    elif data["kind"] == "text":
+    if data["kind"] == "text":
         shards, sources, text_vocab = _build_text_shards(tree, data)
         if cfg["model"]["vocab_size"] < text_vocab:
             raise ValueError(
                 f"model vocab {cfg['model']['vocab_size']} < text vocab {text_vocab}"
             )
     else:
-        raise ValueError(f"unknown data kind {data['kind']!r}")
+        shards, sources = _build_clustered_shards(tree, data, seed)
 
     model = ModelConfig(**cfg["model"])
     sched = dict(cfg["schedule"])
-    trainer_d = dict(cfg["trainer"])
     levels = tree.levels()
     trainable_stages = 0
     for level in levels:
         if any(tree.nodes[nid].trains_locally and nid in shards for nid in level):
             trainable_stages += 1
-    if sched.get("total_steps") is None:
-        sched["total_steps"] = max(1, cfg["rounds"] * trainable_stages * trainer_d["local_steps"])
-    schedule = ScheduleConfig(**sched)
-    trainer = TrainerConfig(schedule=schedule, **trainer_d)
+
+    def scheduled(t: TrainerConfig) -> TrainerConfig:
+        """`t` on the experiment's schedule; a null total_steps spans every
+        step `t` takes: rounds x trainable stages x its local_steps."""
+        total = sched.get("total_steps")
+        if total is None:
+            total = max(1, cfg["rounds"] * trainable_stages * t.local_steps)
+        return dataclasses.replace(t, schedule=ScheduleConfig(**{**sched, "total_steps": total}))
+
+    trainer = scheduled(trainer)
     for node in tree.nodes.values():
-        if node.trainer is not None:  # tree JSON carries no schedule: use the experiment's
-            node.trainer = dataclasses.replace(node.trainer, schedule=schedule)
+        if node.trainer is not None:
+            node.trainer = scheduled(node.trainer)
     attention = AttentionConfig(**cfg["attention"])
     dp = None
     if cfg.get("dp"):
@@ -304,7 +343,7 @@ def resolve(config: dict, seed: int, rounds: int | None = None) -> ResolvedExper
         seed=seed,
     )
     resolved_cfg = copy.deepcopy(cfg)
-    resolved_cfg["schedule"] = sched
+    resolved_cfg["schedule"] = {**sched, "total_steps": trainer.schedule.total_steps}
     resolved_cfg["seed"] = seed
     return ResolvedExperiment(
         name=cfg.get("name", "custom"),

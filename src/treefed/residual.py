@@ -36,7 +36,7 @@ class KeyCache:
         return not self.keys
 
     def update(self, child_keys: dict[int, ParamSet], round_k: int) -> None:
-        self.keys = {cid: ps.copy() for cid, ps in child_keys.items()}
+        self.keys = dict(child_keys)
         self.round_stamp = round_k
 
 
@@ -74,7 +74,7 @@ def partition_residuals(
             packets.append(ResidualPacket(
                 origin=cid,
                 layer=layer.name,
-                tensor=tensor.copy(),
+                tensor=tensor,
                 created_round=round_k,
                 ceiling=ceilings.get(cid, 0),
             ))

@@ -18,6 +18,11 @@ the first non-finite entry in layout order. A ParamStack is not checked when
 it is built: `check_finite` checks it, with the same message, where it is
 trained.
 
+No code writes into a ParamSet's buffer once the set is built, so a set's
+values never change: sets may share memory (one set may be a view of another
+set's buffer, and many holders may share one set) and no holder needs a
+defensive copy.
+
 Element-wise operations (axpy, and the scaling in privacy.clip) run over the
 whole buffer in float32. Every reduction accumulates in float64 in a fixed
 order, so results are bit-reproducible across runs: `dot` and `cosine` take
@@ -29,7 +34,7 @@ differently).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -137,7 +142,7 @@ class ParamSet:
     order of every aggregate operation downstream.
     """
 
-    __slots__ = ("layout", "buf", "role", "_arrays", "__weakref__")
+    __slots__ = ("layout", "buf", "role", "_arrays")
 
     def __init__(self, tensors: Iterable[Tensor] = (), role: str = "backbone"):
         tensors = list(tensors)
@@ -220,18 +225,6 @@ class ParamStack:
         if self._arrays is None:
             self._arrays = self.layout.views(self.buf)
         return self._arrays
-
-
-def regroup(layout: Layout, parts: Sequence[ParamSet], role: str) -> ParamSet:
-    """A new set laid out by `layout`, each entry copied (one slice copy) from
-    the first of `parts` that holds it with the same name and shape."""
-    buf = np.empty(layout.size, dtype=np.float32)
-    for name, s in layout.slices.items():
-        src = next((p for p in parts if p.layout.shapes.get(name) == layout.shapes[name]), None)
-        if src is None:
-            raise CongruenceError(f"no set holds {name!r} with shape {layout.shapes[name]}")
-        buf[s] = src.buf[src.layout.slices[name]]
-    return ParamSet.from_buffer(layout, buf, role)
 
 
 def axpy(a: float, x: ParamSet, y: ParamSet, role: str | None = None) -> ParamSet:

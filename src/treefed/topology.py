@@ -8,7 +8,9 @@ highest ancestor a node's residual packets may climb to (default: the root).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import difflib
+from dataclasses import dataclass, field, fields, replace
+from typing import Iterable
 
 from .model import TrainerConfig
 
@@ -185,24 +187,41 @@ def tree_to_json(tree: FederationTree) -> dict:
     return {"nodes": nodes}
 
 
+def reject_unknown_keys(where: str, given: Iterable[str], accepted: Iterable[str]) -> None:
+    """Raise ValueError naming the first key in `given` that is not in
+    `accepted`, with the closest accepted key as a suggestion."""
+    accepted = list(accepted)
+    for key in given:
+        if key not in accepted:
+            close = difflib.get_close_matches(key, accepted, n=1)
+            hint = f"did you mean {close[0]!r}?" if close else f"expected one of {accepted}"
+            raise ValueError(f"{where}: unknown key {key!r}; {hint}")
+
+
 _NODE_KEYS = ("id", "parent", "children", "dataset", "residual_ceiling",
               "trains_locally", "trainer")
+TRAINER_KEYS = [f.name for f in fields(TrainerConfig) if f.name != "schedule"]
 
 
-def tree_from_json(obj: dict) -> FederationTree:
+def tree_from_json(obj: dict, trainer: TrainerConfig | None = None) -> FederationTree:
+    """The tree a JSON object describes. A node's trainer block is laid over
+    `trainer` (default: TrainerConfig's defaults), so unset keys keep its
+    values."""
+    reject_unknown_keys("tree", obj, ["nodes"])
     nodes = {}
     for entry in obj["nodes"]:
-        for key in entry:
-            if key not in _NODE_KEYS:
-                hint = ("list DP clients in dp.enabled_nodes instead" if key == "dp_enabled"
-                        else f"expected one of {list(_NODE_KEYS)}")
-                raise ValueError(f"tree node {entry.get('id')}: unknown key {key!r}; {hint}")
-        trainer = None
+        where = f"tree node {entry.get('id')}"
+        if "dp_enabled" in entry:
+            raise ValueError(f"{where}: unknown key 'dp_enabled'; "
+                             "list DP clients in dp.enabled_nodes instead")
+        reject_unknown_keys(where, entry, _NODE_KEYS)
+        node_trainer = None
         if "trainer" in entry:
             if "schedule" in entry["trainer"]:
-                raise ValueError(f"tree node {entry['id']}: a node trainer takes no schedule; "
+                raise ValueError(f"{where}: a node trainer takes no schedule; "
                                  "every node follows the experiment's")
-            trainer = TrainerConfig(**entry["trainer"])
+            reject_unknown_keys(f"{where} trainer", entry["trainer"], TRAINER_KEYS)
+            node_trainer = replace(trainer or TrainerConfig(), **entry["trainer"])
         nodes[entry["id"]] = NodeSpec(
             id=entry["id"],
             parent=entry["parent"],
@@ -210,7 +229,7 @@ def tree_from_json(obj: dict) -> FederationTree:
             dataset=entry.get("dataset", ""),
             residual_ceiling=entry.get("residual_ceiling", 0),
             trains_locally=entry.get("trains_locally", True),
-            trainer=trainer,
+            trainer=node_trainer,
         )
     return FederationTree(nodes)
 

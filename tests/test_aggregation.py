@@ -98,7 +98,8 @@ class TestAttendLayer:
 class TestAggregateChildKeys:
     def test_identical_children_idempotent(self):
         own = keyset([("a", [1.0, 2.0]), ("b", [3.0, 4.0])])
-        out, _ = aggregate_child_keys(own, [own.copy(), own.copy()], AttentionConfig())
+        out, _ = aggregate_child_keys(own, [(1, own.copy()), (2, own.copy())],
+                                      AttentionConfig())
         for tensor in out:
             np.testing.assert_allclose(tensor.data, own[tensor.name].data, rtol=1e-6)
 
@@ -107,8 +108,8 @@ class TestAggregateChildKeys:
         c1 = keyset([("a", [0.0, 1.0])])
         c2 = keyset([("a", [0.0, -1.0])])
         cfg = AttentionConfig(include_self=False)
-        out, w = aggregate_child_keys(own, [c1, c2], cfg)
-        np.testing.assert_allclose(w["a"], 0.5)
+        out, w = aggregate_child_keys(own, [(1, c1), (2, c2)], cfg)
+        np.testing.assert_allclose(w["a"][1], 0.5)
         np.testing.assert_allclose(out["a"].data, [0.0, 0.0], atol=1e-7)
 
     def test_matches_bruteforce_softmax_oracle(self):
@@ -117,7 +118,8 @@ class TestAggregateChildKeys:
         children = [keyset([("a", rng.normal(size=6)), ("b", rng.normal(size=4))])
                     for _ in range(3)]
         tau = 0.7
-        out, _ = aggregate_child_keys(own, children, AttentionConfig(temperature=tau))
+        out, _ = aggregate_child_keys(own, list(enumerate(children, 1)),
+                                      AttentionConfig(temperature=tau))
         for layer in ("a", "b"):
             q = own[layer].data.astype(np.float64)
             cands = [q] + [c[layer].data.astype(np.float64) for c in children]
@@ -142,7 +144,7 @@ class TestMergeWithParent:
         parent = keyset([("a", [0.0, 1.0])])
         out, w = merge_with_parent(own, parent, [], AttentionConfig())
         e = math.e
-        np.testing.assert_allclose(w["a"], [e / (e + 1), 1 / (e + 1)], rtol=1e-12)
+        np.testing.assert_allclose(w["a"][1], [e / (e + 1), 1 / (e + 1)], rtol=1e-12)
         np.testing.assert_allclose(out["a"].data, [e / (e + 1), 1 / (e + 1)], rtol=1e-6)
 
     def test_packet_equal_to_own_outweighs_parent(self):
@@ -151,8 +153,9 @@ class TestMergeWithParent:
         pkt = ResidualPacket(origin=5, layer="a", tensor=t("a", [1.0, 0.0]),
                              created_round=0, ceiling=0)
         _, w = merge_with_parent(own, parent, [pkt], AttentionConfig())
-        own_direction = w["a"][0] + w["a"][2]  # self + identical packet
-        assert own_direction >= 2 * w["a"][1]
+        _, weights = w["a"]
+        own_direction = weights[0] + weights[2]  # self + identical packet
+        assert own_direction >= 2 * weights[1]
 
     def test_unknown_layer_packet_errors(self):
         own = keyset([("a", [1.0])])

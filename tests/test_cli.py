@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from treefed.cli import main
-from treefed.presets import preset_config
+from treefed.presets import PRESETS, preset_config, resolve
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture()
@@ -219,6 +220,30 @@ class TestTextDataset:
         p.write_text(json.dumps(cfg))
         rc = main(["run", "--config", str(p), "--seed", "1"])
         assert rc != 0
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("override, message", [
+        ("trainer.local_step=2", "config trainer: unknown key 'local_step'; "
+                                 "did you mean 'local_steps'?"),
+        ("schedul.eta_max=2", "config: unknown key 'schedul'; did you mean 'schedule'?"),
+    ])
+    def test_typo_exits_1_naming_the_key(self, override, message, capsys):
+        rc = main(["run", "--preset", "fig2", "--rounds", "1", "--override", override])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
+    def test_shipped_configs_and_a_manifest_resolve(self, tiny_config, tmp_path):
+        configs = [preset_config(name) for name in PRESETS]
+        configs += [json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))]
+        assert len(configs) == len(PRESETS) + 3
+        for cfg in configs:
+            resolve(cfg, seed=1, rounds=1)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tiny_config), "--seed", "1", "--out", str(out)]) == 0
+        manifest = json.loads((out / "tiny__worldlm__seed1" / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 1
+        resolve(manifest["config"], seed=1)
 
 
 class TestExportPreset:

@@ -322,6 +322,27 @@ class TestResidualFlow:
             assert e["router"] in tree.nodes
 
 
+class TestAttentionLog:
+    def test_merge_candidates_are_that_layers_packets(self):
+        # a merge row names what its own layer attended over: self, parent,
+        # and the packets of that layer that landed at the node that round,
+        # in (origin, created round) order
+        _, result = execute(ExperimentPlan(method="worldlm", preset="fig2", rounds=2, seed=1))
+        landed = {}
+        for e in result.residual_log:
+            if e["action"] == "aggregate":
+                landed.setdefault((e["landed_at"], e["round"], e["layer"]), []).append(
+                    (e["origin"], e["created_round"]))
+        merged = {}
+        for r in result.attention_log:
+            if r["stage"] == "merge":
+                merged.setdefault((r["node"], r["round"], r["layer"]), []).append(r["candidate"])
+        assert len(merged) == 48 and landed
+        for group, candidates in merged.items():
+            packets = sorted(landed.get(group, []))
+            assert candidates == ["self", "parent"] + [str(o) for o, _ in packets], group
+
+
 class TestResidualCeiling:
     def test_packets_never_climb_past_their_ceiling(self):
         # leaves 3 and 4 cap their residuals at mid node 1: the root must

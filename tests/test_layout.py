@@ -87,6 +87,15 @@ def test_split_then_assemble_is_byte_identical(cfg, seed):
     assert sorted(names) == sorted(params.names()) and len(set(names)) == len(names)
     backbone, keys = part.split(params)
     assert backbone.names() == part.backbone_names and keys.names() == part.key_names
+    # the keys are one contiguous run of the layout, and split views them in place
+    at = [params.layout.names.index(n) for n in part.key_names]
+    if at:
+        assert at == list(range(at[0], at[0] + len(at)))
+        assert np.shares_memory(keys.buf, params.buf)
+    # the backbone is every other entry, in layout order
+    rest = [n for n in params.names() if n not in part.key_names]
+    assert backbone.names() == rest
+    assert backbone.buf.tobytes() == b"".join(params[n].data.tobytes() for n in rest)
     for t in backbone:
         assert t.data.tobytes() == params[t.name].data.tobytes()
     for t in keys:

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
+from treefed.aggregation import lr_at
+from treefed.presets import preset_config, resolve
 from treefed.topology import (
     FederationTree,
     NodeSpec,
@@ -146,16 +149,35 @@ class TestSerialization:
 class TestNodeTrainerOverride:
     def test_override_gets_the_experiment_schedule(self):
         # a node trainer from tree JSON used to keep the default schedule
-        # (eta_max 8e-4 over 3000 steps) instead of the experiment's
-        from treefed.presets import preset_config, resolve
-
+        # (eta_max 8e-4 over 3000 steps) instead of the experiment's. With a
+        # null total_steps the schedule spans the node's own steps (12 rounds
+        # x 3 stages x 48), so it reaches its floor at the node's last step
         cfg = preset_config("fig2")
         cfg["tree"]["nodes"][3]["trainer"] = {"local_steps": 48}
         exp = resolve(cfg, seed=1)
-        trainer = exp.tree.nodes[3].trainer
-        assert trainer.local_steps == 48
-        assert trainer.schedule == exp.engine.trainer.schedule
-        assert (trainer.schedule.eta_max, trainer.schedule.total_steps) == (0.03, 3456)
+        sched = exp.tree.nodes[3].trainer.schedule
+        assert sched == dataclasses.replace(exp.engine.trainer.schedule, total_steps=1728)
+        assert (sched.eta_max, exp.engine.trainer.schedule.total_steps) == (0.03, 3456)
+        assert lr_at(1727, sched) == pytest.approx(sched.alpha * sched.eta_max, rel=1e-4)
+        cfg["schedule"]["total_steps"] = 1000
+        assert resolve(cfg, seed=1).tree.nodes[3].trainer.schedule.total_steps == 1000
+
+    def test_override_inherits_the_experiment_trainer(self):
+        # keys a node trainer leaves unset take the experiment's trainer
+        # block (batch_size 32 in fig2), not TrainerConfig's defaults (16)
+        cfg = preset_config("fig2")
+        cfg["tree"]["nodes"][3]["trainer"] = {"local_steps": 48}
+        exp = resolve(cfg, seed=1)
+        trainer, base = exp.tree.nodes[3].trainer, exp.engine.trainer
+        assert (trainer.local_steps, trainer.batch_size) == (48, 32)
+        assert dataclasses.replace(trainer, local_steps=96, schedule=base.schedule) == base
+
+    def test_node_trainer_key_typo_rejected(self):
+        obj = tree_to_json(fig2_tree())
+        obj["nodes"][3]["trainer"] = {"local_step": 4}
+        with pytest.raises(ValueError, match="tree node 3 trainer: unknown key 'local_step'; "
+                                             "did you mean 'local_steps'"):
+            tree_from_json(obj)
 
     def test_node_schedule_rejected(self):
         obj = tree_to_json(fig2_tree())
