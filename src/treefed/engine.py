@@ -266,13 +266,15 @@ def fit(
                 st = state[nid]
                 # adopt parent backbone; merge keys with parent and routed-in packets
                 if node.parent is not None:
-                    backbone, parent_keys = part.split(state[node.parent].model)
+                    parent = state[node.parent].model
                     keys = part.keys(st.model)
                     if len(keys):
-                        keys, weight_log = merge_with_parent(keys, parent_keys, st.d_agg,
+                        keys, weight_log = merge_with_parent(keys, part.keys(parent), st.d_agg,
                                                              cfg.attention)
                         _log_attention(result.attention_log, nid, round_k, "merge", weight_log)
-                    st.model = part.assemble(backbone, keys)
+                        st.model = part.assemble(parent, keys)
+                    else:
+                        st.model = parent
                     st.d_agg = []
                 # route pending residuals toward children
                 if node.children and st.d_route:

@@ -126,10 +126,13 @@ class Partition:
         backbone = np.concatenate([params.buf[:r.start], params.buf[r.stop:]])
         return ParamSet.from_buffer(self.backbone_layout, backbone, "backbone"), self.keys(params)
 
-    def assemble(self, backbone: ParamSet, keys: ParamSet) -> ParamSet:
-        start = self.key_range.start
+    def assemble(self, base: ParamSet, keys: ParamSet) -> ParamSet:
+        """The model of `keys` and the backbone of `base`: a backbone set, or
+        a whole model whose key layers `keys` replace."""
+        r = self.key_range
+        rest = r.stop if base.layout is self.layout else r.start
         return ParamSet.from_buffer(
-            self.layout, np.concatenate([backbone.buf[:start], keys.buf, backbone.buf[start:]]),
+            self.layout, np.concatenate([base.buf[:r.start], keys.buf, base.buf[rest:]]),
             "backbone")
 
 

@@ -342,8 +342,9 @@ def resolve(config: dict, seed: int, rounds: int | None = None) -> ResolvedExper
         rounds=cfg["rounds"],
         seed=seed,
     )
+    # a null total_steps stays null: with the recorded rounds and tree it
+    # derives every node's total again, which one number could not record
     resolved_cfg = copy.deepcopy(cfg)
-    resolved_cfg["schedule"] = {**sched, "total_steps": trainer.schedule.total_steps}
     resolved_cfg["seed"] = seed
     return ResolvedExperiment(
         name=cfg.get("name", "custom"),

@@ -7,7 +7,7 @@ every set derived from one model configuration, shares one Layout object.
 Binary operations require *congruence*, which is therefore a layout identity
 test. A name mismatch is an error even when shapes agree, so that a
 misconfigured backbone/key partition fails fast. `ps[name]` and iteration
-yield Tensor views: writing through `ps[name].data` writes the set's buffer.
+yield Tensor views of the set's buffer.
 
 A ParamStack holds N sets of one layout as the rows of an (N, size) array,
 the form in which same-shape nodes train together.
@@ -21,7 +21,9 @@ trained.
 No code writes into a ParamSet's buffer once the set is built, so a set's
 values never change: sets may share memory (one set may be a view of another
 set's buffer, and many holders may share one set) and no holder needs a
-defensive copy.
+defensive copy. Building a set makes its buffer array read-only, so a write
+into a built set raises; when that array is a view of a larger one (as
+model.local_train's trained rows are), the larger array stays writable.
 
 Element-wise operations (axpy, and the scaling in privacy.clip) run over the
 whole buffer in float32. Every reduction accumulates in float64 in a fixed
@@ -166,6 +168,7 @@ class ParamSet:
             raise ValueError(f"buffer {buf.dtype}{buf.shape} does not fit a "
                              f"float32 layout of {layout.size} values")
         check_finite(layout, buf)
+        buf.flags.writeable = False
         self.layout, self.buf, self.role, self._arrays = layout, buf, role, None
 
     def arrays(self) -> dict[str, np.ndarray]:

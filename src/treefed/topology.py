@@ -203,10 +203,9 @@ _NODE_KEYS = ("id", "parent", "children", "dataset", "residual_ceiling",
 TRAINER_KEYS = [f.name for f in fields(TrainerConfig) if f.name != "schedule"]
 
 
-def tree_from_json(obj: dict, trainer: TrainerConfig | None = None) -> FederationTree:
+def tree_from_json(obj: dict, trainer: TrainerConfig) -> FederationTree:
     """The tree a JSON object describes. A node's trainer block is laid over
-    `trainer` (default: TrainerConfig's defaults), so unset keys keep its
-    values."""
+    `trainer`, the experiment's, so unset keys keep its values."""
     reject_unknown_keys("tree", obj, ["nodes"])
     nodes = {}
     for entry in obj["nodes"]:
@@ -221,7 +220,7 @@ def tree_from_json(obj: dict, trainer: TrainerConfig | None = None) -> Federatio
                 raise ValueError(f"{where}: a node trainer takes no schedule; "
                                  "every node follows the experiment's")
             reject_unknown_keys(f"{where} trainer", entry["trainer"], TRAINER_KEYS)
-            node_trainer = replace(trainer or TrainerConfig(), **entry["trainer"])
+            node_trainer = replace(trainer, **entry["trainer"])
         nodes[entry["id"]] = NodeSpec(
             id=entry["id"],
             parent=entry["parent"],

@@ -245,6 +245,33 @@ class TestConfigKeys:
         assert manifest["config"]["seed"] == 1
         resolve(manifest["config"], seed=1)
 
+    def test_manifest_reproduces_node_trainer_overrides(self, tiny_config, tmp_path):
+        # node 3 trains 2 steps a stage against the experiment's 3, so with a
+        # null total_steps its schedule is its own; the manifest's config
+        # must give it the same trainer and the rerun the same outputs
+        cfg = json.loads(tiny_config.read_text())
+        cfg["tree"]["nodes"][3]["trainer"] = {"local_steps": 2}
+        first = tmp_path / "first.json"
+        first.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(first), "--seed", "1",
+                     "--out", str(tmp_path / "a")]) == 0
+        manifest = json.loads((tmp_path / "a" / "tiny__worldlm__seed1" / "manifest.json")
+                              .read_text())
+        again = tmp_path / "again.json"
+        again.write_text(json.dumps(manifest["config"]))
+        assert main(["run", "--config", str(again), "--seed", "1",
+                     "--out", str(tmp_path / "b")]) == 0
+        original, rerun = resolve(cfg, seed=1), resolve(manifest["config"], seed=1)
+        # rounds x trainable stages x local_steps
+        assert original.tree.nodes[3].trainer.schedule.total_steps == 2 * 3 * 2
+        assert original.engine.trainer.schedule.total_steps == 2 * 3 * 3
+        assert rerun.engine.trainer == original.engine.trainer
+        for nid, node in original.tree.nodes.items():
+            assert rerun.tree.nodes[nid].trainer == node.trainer, nid
+        for name in ("metrics.csv", "manifest.json", "attention.csv", "residuals.csv"):
+            assert ((tmp_path / "a" / "tiny__worldlm__seed1" / name).read_bytes()
+                    == (tmp_path / "b" / "tiny__worldlm__seed1" / name).read_bytes()), name
+
 
 class TestExportPreset:
     def test_prints_json(self, capsys):

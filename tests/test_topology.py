@@ -4,6 +4,7 @@ import json
 import pytest
 
 from treefed.aggregation import lr_at
+from treefed.model import TrainerConfig
 from treefed.presets import preset_config, resolve
 from treefed.topology import (
     FederationTree,
@@ -128,14 +129,14 @@ class TestSerialization:
         tree.nodes[3].residual_ceiling = 1
         tree.nodes[4].trains_locally = False
         text = json.dumps(tree_to_json(tree), indent=1, sort_keys=True)
-        loaded = tree_from_json(json.loads(text))
+        loaded = tree_from_json(json.loads(text), TrainerConfig())
         assert tree_to_json(loaded) == tree_to_json(tree)
         assert json.dumps(tree_to_json(loaded), indent=1, sort_keys=True) == text
 
     def test_json_roundtrip_preserves_fields(self):
         tree = fig2_tree()
         tree.nodes[5].residual_ceiling = 2
-        again = tree_from_json(tree_to_json(tree))
+        again = tree_from_json(tree_to_json(tree), TrainerConfig())
         assert again.nodes[5].residual_ceiling == 2
         assert again.nodes[1].children == [3, 4]
 
@@ -143,7 +144,7 @@ class TestSerialization:
         obj = tree_to_json(fig2_tree())
         obj["nodes"][2]["residual_celing"] = 0
         with pytest.raises(ValueError, match="tree node 2: unknown key 'residual_celing'"):
-            tree_from_json(obj)
+            tree_from_json(obj, TrainerConfig())
 
 
 class TestNodeTrainerOverride:
@@ -177,10 +178,10 @@ class TestNodeTrainerOverride:
         obj["nodes"][3]["trainer"] = {"local_step": 4}
         with pytest.raises(ValueError, match="tree node 3 trainer: unknown key 'local_step'; "
                                              "did you mean 'local_steps'"):
-            tree_from_json(obj)
+            tree_from_json(obj, TrainerConfig())
 
     def test_node_schedule_rejected(self):
         obj = tree_to_json(fig2_tree())
         obj["nodes"][3]["trainer"] = {"local_steps": 4, "schedule": {"eta_max": 1.0}}
         with pytest.raises(ValueError, match="tree node 3: a node trainer takes no schedule"):
-            tree_from_json(obj)
+            tree_from_json(obj, TrainerConfig())
