@@ -1,10 +1,14 @@
 """Aggregation mechanics: per-layer attention over keys, pseudo-gradient
 server optimization with momentum, and the shared warmup-cosine LR schedule.
 
-Attention operates on one named layer tensor at a time: scores are
-similarities between the flattened query layer and each candidate key,
-divided by a temperature, then softmax-normalized (computed in float64 with
-max-subtraction). The output is the weight-averaged value stack.
+A node's key layers are one contiguous range of its parameters. Attention
+casts each key set to float64 once per call, and each layer is a contiguous
+1-D slice of that copy (`key_layers`). Attention works on one layer at a
+time: scores are similarities between the query's slice and each
+candidate's (`similarity`), divided by a temperature, then softmax-normalized
+in float64 with max-subtraction. Each candidate serves as its own key and
+value: the merged layer is the weighted sum of the candidates' slices, added
+in candidate order.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .tensors import CongruenceError, ParamSet, Tensor, axpy, cosine, dot, flatten
+from .tensors import CongruenceError, Layout, ParamSet, axpy
 
 if TYPE_CHECKING:
     from .residual import ResidualPacket
@@ -83,61 +87,70 @@ class ServerOptState:
 
     @classmethod
     def init_like(cls, backbone: ParamSet, eta: float = 0.2, mu: float = 0.9):
-        return cls(momentum=backbone.zeros_like("pseudo_gradient"), eta=eta, mu=mu)
+        return cls(momentum=backbone.zeros_like(), eta=eta, mu=mu)
 
 
-def similarity_score(a: np.ndarray, b: np.ndarray, cfg: AttentionConfig) -> float:
-    if cfg.similarity == "cosine":
-        return cosine(a, b)
-    return dot(a, b)
+def key_layers(keys: ParamSet) -> dict[str, np.ndarray]:
+    """Each layer of a key set as a contiguous 1-D slice of one float64 copy
+    of its buffer, in layout order."""
+    vec = keys.buf.astype(np.float64)
+    return {name: vec[s] for name, s in keys.layout.slices.items()}
 
 
-def attend_layer(
-    query: Tensor,
-    candidates: Sequence[tuple[Tensor, Tensor]],
-    cfg: AttentionConfig,
-) -> tuple[Tensor, np.ndarray]:
-    """Softmax-weighted combination of candidate values, scored against the
-    query. Candidates must already be in canonical order; weights are
-    returned for logging."""
+def vector_norm(v: np.ndarray) -> float:
+    """L2 norm of a float64 vector, from one float64 dot."""
+    return float(np.sqrt(np.dot(v, v)))
+
+
+def similarity(q: np.ndarray, q_norm: float, k: np.ndarray, k_norm: float,
+               cfg: AttentionConfig) -> float:
+    """Score of float64 vector k against q, given both norms: their dot, or
+    for cosine the dot over the norms' product clamped to [-1, 1], with 0
+    when either norm is 0."""
+    d = float(np.dot(q, k))
+    if cfg.similarity == "dot":
+        return d
+    if q_norm == 0.0 or k_norm == 0.0:
+        return 0.0
+    return min(1.0, max(-1.0, d / (q_norm * k_norm)))
+
+
+def attend_layer(query: np.ndarray, candidates: Sequence[np.ndarray],
+                 cfg: AttentionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax-weighted sum of candidate vectors, each scored against the
+    query and serving as its own key and value, in the given (canonical)
+    order. Returns the float64 sum and the weights (for logging)."""
     if not candidates:
         raise ValueError("attend_layer requires at least one candidate")
-    q = flatten(query)
-    for k, v in candidates:
-        if k.shape != query.shape or v.shape != query.shape:
-            raise CongruenceError(
-                f"candidate shape mismatch for layer {query.name!r}: "
-                f"{k.shape}/{v.shape} vs {query.shape}"
-            )
-    m = len(candidates)
+    q = np.asarray(query, dtype=np.float64)
+    cands = [np.asarray(c, dtype=np.float64) for c in candidates]
+    if any(c.shape != q.shape for c in cands):
+        raise CongruenceError(f"candidate shapes {[c.shape for c in cands]} vs query {q.shape}")
     if cfg.uniform:
-        weights = np.full(m, 1.0 / m, dtype=np.float64)
+        weights = np.full(len(cands), 1.0 / len(cands))
     else:
-        scores = np.array(
-            [similarity_score(q, flatten(k), cfg) / cfg.temperature for k, _ in candidates],
-            dtype=np.float64,
-        )
-        scores -= scores.max()
-        e = np.exp(scores)
+        q_norm = vector_norm(q)
+        scores = np.array([similarity(q, q_norm, c, vector_norm(c), cfg) / cfg.temperature
+                           for c in cands])
+        e = np.exp(scores - scores.max())
         weights = e / e.sum()
-    acc = np.zeros(query.shape, dtype=np.float64)
-    for w, (_, v) in zip(weights, candidates):
-        acc += w * v.data.astype(np.float64)
-    return Tensor(query.name, acc.astype(np.float32)), weights
+    acc = np.zeros(q.shape)
+    for w, c in zip(weights, cands):
+        acc += w * c
+    return acc, weights
 
 
-def _attend_layers(own_keys: ParamSet, candidates: dict[str, list[tuple[str, Tensor]]],
+def _attend_layers(layout: Layout, own: dict[str, np.ndarray],
+                   candidates: dict[str, list[tuple[str, np.ndarray]]],
                    cfg: AttentionConfig) -> tuple[ParamSet, WeightLog]:
-    """attend_layer for each layer of own_keys, as query, over the (label,
-    tensor) pairs in candidates[layer]; each candidate serves as its own key
-    and value."""
-    buf, weight_log = np.empty(own_keys.layout.size, dtype=np.float32), {}
-    for layer in own_keys:
-        labels = [label for label, _ in candidates[layer.name]]
-        merged, weights = attend_layer(layer, [(t, t) for _, t in candidates[layer.name]], cfg)
-        buf[own_keys.layout.slices[layer.name]] = merged.data.ravel()
-        weight_log[layer.name] = (labels, weights)
-    return ParamSet.from_buffer(own_keys.layout, buf, "keys"), weight_log
+    """attend_layer for each layer of `own` (key_layers of a set laid out by
+    `layout`) as query, over the (label, vector) pairs in candidates[layer]."""
+    buf, weight_log = np.empty(layout.size, dtype=np.float32), {}
+    for name, q in own.items():
+        labels = [label for label, _ in candidates[name]]
+        buf[layout.slices[name]], weights = attend_layer(q, [v for _, v in candidates[name]], cfg)
+        weight_log[name] = (labels, weights)
+    return ParamSet.from_buffer(layout, buf), weight_log
 
 
 def aggregate_child_keys(
@@ -147,14 +160,16 @@ def aggregate_child_keys(
 ) -> tuple[ParamSet, WeightLog]:
     """Per-layer attention with the node's own post-training layer as query
     over its children's (id, keys) in id order, each candidate labelled with
-    its child id and serving as its own key and value. With include_self the
-    own layer is candidate 0, labelled "self"."""
+    its child id. With include_self the own layer is candidate 0, labelled
+    "self"."""
     for _, ck in child_keys:
         own_keys.require_congruent(ck)
-    sets = ([("self", own_keys)] if cfg.include_self else []) + [
-        (str(cid), ck) for cid, ck in sorted(child_keys, key=lambda c: c[0])]
+    own = key_layers(own_keys)
+    sets = ([("self", own)] if cfg.include_self else []) + [
+        (str(cid), key_layers(ck)) for cid, ck in sorted(child_keys, key=lambda c: c[0])]
     return _attend_layers(
-        own_keys, {n: [(label, ps[n]) for label, ps in sets] for n in own_keys.names()}, cfg)
+        own_keys.layout, own, {n: [(label, layers[n]) for label, layers in sets] for n in own},
+        cfg)
 
 
 def merge_with_parent(
@@ -167,13 +182,13 @@ def merge_with_parent(
     ["self", "parent", that layer's incoming residual packets sorted by
     (origin, created round), each labelled with its origin]."""
     own_keys.require_congruent(parent_keys)
-    candidates = {n: [("self", own_keys[n]), ("parent", parent_keys[n])]
-                  for n in own_keys.names()}
+    own, parent = key_layers(own_keys), key_layers(parent_keys)
+    candidates = {n: [("self", own[n]), ("parent", parent[n])] for n in own}
     for pkt in sorted(residuals_for_agg, key=lambda p: (p.origin, p.created_round)):
         if pkt.layer not in candidates:
             raise KeyError(f"residual packet targets unknown layer {pkt.layer!r}")
-        candidates[pkt.layer].append((str(pkt.origin), pkt.tensor))
-    return _attend_layers(own_keys, candidates, cfg)
+        candidates[pkt.layer].append((str(pkt.origin), pkt.values))
+    return _attend_layers(own_keys.layout, own, candidates, cfg)
 
 
 def average_pseudograds(deltas: Sequence[ParamSet]) -> ParamSet:
@@ -187,7 +202,7 @@ def average_pseudograds(deltas: Sequence[ParamSet]) -> ParamSet:
     for d in deltas[1:]:
         acc += d.buf
     acc /= len(deltas)
-    return ParamSet.from_buffer(first.layout, acc.astype(np.float32), "pseudo_gradient")
+    return ParamSet.from_buffer(first.layout, acc.astype(np.float32))
 
 
 def server_opt(
@@ -198,6 +213,6 @@ def server_opt(
     With mu=0, eta=1 this reduces exactly to FedAvg.
     """
     backbone.require_congruent(delta_mean)
-    m_new = axpy(state.mu, state.momentum, delta_mean, role="pseudo_gradient")
-    b_new = axpy(state.eta, m_new, backbone, role="backbone")
+    m_new = axpy(state.mu, state.momentum, delta_mean)
+    b_new = axpy(state.eta, m_new, backbone)
     return b_new, ServerOptState(momentum=m_new, eta=state.eta, mu=state.mu)

@@ -207,7 +207,7 @@ def server_step(server: ParamSet, clients: list[tuple[int, ParamSet]], opt: Serv
     this module's namespace, where the benchmark trace wraps it."""
     dp, deltas = cfg.dp, []
     for cid, params in clients:
-        delta = axpy(-1.0, server, params, role="pseudo_gradient")
+        delta = axpy(-1.0, server, params)
         if dp and cid in dp.enabled_nodes:
             clipped, pre_norm = clip(delta, cs.bound)
             cs.record(pre_norm)
@@ -336,7 +336,7 @@ def fit(
                 st.d_route.extend(local)
                 if node.parent is not None:
                     state[node.parent].upstream_inbox.extend(upstream)
-                st.cache.update(dict(child_keys), round_k)
+                st.cache.update(dict(child_keys))
 
     result.seq_steps = seq_counter
     result.final_models = {nid: state[nid].model for nid in sorted(tree.nodes)}

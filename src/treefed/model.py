@@ -85,7 +85,7 @@ def init_model(cfg: ModelConfig, seed: int) -> ParamSet:
             fan_in = cfg.embed_dim if name == "embed" else view.shape[0]
             bound = 1.0 / np.sqrt(fan_in)
             view[...] = rng.uniform(-bound, bound, size=view.shape)
-    return ParamSet.from_buffer(layout, buf, "backbone")
+    return ParamSet.from_buffer(layout, buf)
 
 
 @dataclass
@@ -118,13 +118,13 @@ class Partition:
 
     def keys(self, params: ParamSet) -> ParamSet:
         """A model's key layers: a view of its buffer."""
-        return ParamSet.from_buffer(self.key_layout, params.buf[self.key_range], "keys")
+        return ParamSet.from_buffer(self.key_layout, params.buf[self.key_range])
 
     def split(self, params: ParamSet) -> tuple[ParamSet, ParamSet]:
         """(a copy of the backbone, a view of the keys) of a model."""
         r = self.key_range
         backbone = np.concatenate([params.buf[:r.start], params.buf[r.stop:]])
-        return ParamSet.from_buffer(self.backbone_layout, backbone, "backbone"), self.keys(params)
+        return ParamSet.from_buffer(self.backbone_layout, backbone), self.keys(params)
 
     def assemble(self, base: ParamSet, keys: ParamSet) -> ParamSet:
         """The model of `keys` and the backbone of `base`: a backbone set, or
@@ -132,8 +132,7 @@ class Partition:
         r = self.key_range
         rest = r.stop if base.layout is self.layout else r.start
         return ParamSet.from_buffer(
-            self.layout, np.concatenate([base.buf[:r.start], keys.buf, base.buf[rest:]]),
-            "backbone")
+            self.layout, np.concatenate([base.buf[:r.start], keys.buf, base.buf[rest:]]))
 
 
 @dataclass
@@ -287,7 +286,7 @@ def backward(params: ParamSet | ParamStack, cache: _ForwardCache) -> ParamSet | 
     grads["embed"][...] = de.reshape(N, V, d)
 
     if isinstance(params, ParamSet):
-        return ParamSet.from_buffer(params.layout, buf[0], "pseudo_gradient")
+        return ParamSet.from_buffer(params.layout, buf[0])
     check_finite(stack.layout, buf)
     return ParamStack(stack.layout, buf)
 
@@ -380,7 +379,7 @@ def local_train(
             step = np.divide(np.multiply(np.divide(m, c1, out=tmp), lr, out=tmp), den, out=tmp)
             work[...] = np.subtract(work, step, out=tmp)
         check_finite(layout, work)
-    return [TrainResult(ParamSet.from_buffer(layout, row, "backbone"), trainer.local_steps,
+    return [TrainResult(ParamSet.from_buffer(layout, row), trainer.local_steps,
                         float(np.mean(row_losses)))
             for row, row_losses in zip(work, losses)]
 

@@ -213,11 +213,15 @@ _SECTION_KEYS = {
 
 
 def _check_keys(cfg: dict) -> None:
-    """Reject a key that the config, or a section of it, does not take."""
+    """Reject a section that is not an object, and a key that the config,
+    or a section of it, does not take."""
     reject_unknown_keys("config", cfg, _TOP_KEYS)
-    for section, accepted in _SECTION_KEYS.items():
-        if isinstance(cfg.get(section), dict):
-            reject_unknown_keys(f"config {section}", cfg[section], accepted)
+    for section in ("tree", "data", *_SECTION_KEYS):
+        value = cfg.get(section)  # only dp may be null
+        if not isinstance(value, dict) and (value is not None or section != "dp"):
+            raise ValueError(f"config {section}: expected an object, got {value!r}")
+        if section in _SECTION_KEYS and value is not None:
+            reject_unknown_keys(f"config {section}", value, _SECTION_KEYS[section])
     kind = cfg["data"]["kind"]
     if kind not in _DATA_KEYS:
         raise ValueError(f"unknown data kind {kind!r}")

@@ -44,7 +44,7 @@ def clip(delta: ParamSet, bound: float) -> tuple[ParamSet, float]:
         raise ValueError("bound must be positive")
     norm = l2_norm(delta)
     factor = 1.0 if norm <= bound else bound / norm
-    return ParamSet.from_buffer(delta.layout, np.float32(factor) * delta.buf, delta.role), norm
+    return ParamSet.from_buffer(delta.layout, np.float32(factor) * delta.buf), norm
 
 
 def add_noise(delta: ParamSet, sigma: float, bound: float, rng,
@@ -58,7 +58,7 @@ def add_noise(delta: ParamSet, sigma: float, bound: float, rng,
         return delta
     std = sigma if absolute else sigma * bound
     noise = rng.normal(0.0, std, size=delta.layout.size)
-    return ParamSet.from_buffer(delta.layout, delta.buf + noise.astype(np.float32), delta.role)
+    return ParamSet.from_buffer(delta.layout, delta.buf + noise.astype(np.float32))
 
 
 def update_bound(state: ClipState) -> float:

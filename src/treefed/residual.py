@@ -5,14 +5,18 @@ A parent ships the child key layers that look least like its own
 the way down forward each packet to the child whose cached previous-round key
 is most similar, never back into the packet's own subtree. Packets aggregate
 once they reach a leaf, diffusing into that sub-federation at its next merge.
+Layers are scored as float64 slices of key ranges, as in aggregation. Packets
+and the cache keep views of the key ranges; the cache also keeps layer norms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .aggregation import AttentionConfig, similarity_score
-from .tensors import ParamSet, Tensor, flatten
+import numpy as np
+
+from .aggregation import AttentionConfig, key_layers, similarity, vector_norm
+from .tensors import ParamSet
 from .topology import FederationTree
 
 
@@ -20,24 +24,27 @@ from .topology import FederationTree
 class ResidualPacket:
     origin: int  # node whose key layer this is
     layer: str
-    tensor: Tensor
+    # the layer's values: a read-only 1-D view of the origin's keys
+    values: np.ndarray = field(compare=False, repr=False)
     created_round: int
     ceiling: int  # highest ancestor id this packet may climb to
 
 
 @dataclass
 class KeyCache:
-    """Children's keys from the previous round, for routing decisions."""
+    """Children's keys from the previous round, for routing decisions:
+    child id -> layer name -> (a view of the layer in the child's key range,
+    the layer's norm)."""
 
-    keys: dict[int, ParamSet] = field(default_factory=dict)
-    round_stamp: int = -1
+    keys: dict[int, dict[str, tuple[np.ndarray, float]]] = field(default_factory=dict)
 
     def is_empty(self) -> bool:
         return not self.keys
 
-    def update(self, child_keys: dict[int, ParamSet], round_k: int) -> None:
-        self.keys = dict(child_keys)
-        self.round_stamp = round_k
+    def update(self, child_keys: dict[int, ParamSet]) -> None:
+        self.keys = {cid: {name: (ks.buf[ks.layout.slices[name]], vector_norm(v))
+                           for name, v in key_layers(ks).items()}
+                     for cid, ks in child_keys.items()}
 
 
 def partition_residuals(
@@ -60,24 +67,16 @@ def partition_residuals(
         return []
     for _, ck in child_keys:
         own_post_agg_keys.require_congruent(ck)
+    children = {cid: (ck, key_layers(ck)) for cid, ck in child_keys}
     packets = []
-    for layer in own_post_agg_keys:
-        q = flatten(layer)
-        scored = []
-        for cid, ck in sorted(child_keys, key=lambda t: t[0]):
-            sim = similarity_score(q, flatten(ck[layer.name]), cfg)
-            scored.append((sim, cid, ck[layer.name]))
-        scored.sort(key=lambda t: (t[0], t[1]))
-        for sim, cid, tensor in scored[:nu]:
-            if sim >= threshold:
-                continue
-            packets.append(ResidualPacket(
-                origin=cid,
-                layer=layer.name,
-                tensor=tensor,
-                created_round=round_k,
-                ceiling=ceilings.get(cid, 0),
-            ))
+    for name, q in key_layers(own_post_agg_keys).items():
+        q_norm = vector_norm(q)
+        scored = sorted((similarity(q, q_norm, layers[name], vector_norm(layers[name]), cfg), cid)
+                        for cid, (_, layers) in children.items())
+        s = own_post_agg_keys.layout.slices[name]
+        packets += [ResidualPacket(origin=cid, layer=name, values=children[cid][0].buf[s],
+                                   created_round=round_k, ceiling=ceilings.get(cid, 0))
+                    for sim, cid in scored[:nu] if sim < threshold]
     return packets
 
 
@@ -115,6 +114,8 @@ def route_residuals(
             result.held.append(pkt)
             result.events.append(_event(round_k, router, pkt, "held:empty-cache", None, None))
             continue
+        q = np.asarray(pkt.values, dtype=np.float64)
+        q_norm = vector_norm(q)
         best_id, best_sim = None, None
         for cid in sorted(children):
             if tree.in_subtree(cid, pkt.origin):
@@ -124,7 +125,8 @@ def route_residuals(
                 continue
             if pkt.layer not in cached:
                 raise KeyError(f"packet layer {pkt.layer!r} unknown to cached child {cid}")
-            sim = similarity_score(flatten(pkt.tensor), flatten(cached[pkt.layer]), cfg)
+            k, k_norm = cached[pkt.layer]
+            sim = similarity(q, q_norm, k.astype(np.float64), k_norm, cfg)
             if best_sim is None or sim > best_sim:
                 best_id, best_sim = cid, sim
         if best_id is None:

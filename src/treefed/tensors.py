@@ -1,4 +1,4 @@
-"""Named tensors and parameter sets backed by one flat float32 buffer.
+"""Parameter sets backed by one flat float32 buffer, and Tensor views of them.
 
 A ParamSet is one contiguous float32 buffer plus a Layout: the immutable
 (name, shape, slice) table of its entries, in insertion order. Layouts are
@@ -7,16 +7,16 @@ every set derived from one model configuration, shares one Layout object.
 Binary operations require *congruence*, which is therefore a layout identity
 test. A name mismatch is an error even when shapes agree, so that a
 misconfigured backbone/key partition fails fast. `ps[name]` and iteration
-yield Tensor views of the set's buffer.
+yield Tensor views: a name plus a shaped view of the set's buffer. An entry's
+slice of the buffer holds its values in row-major order.
 
 A ParamStack holds N sets of one layout as the rows of an (N, size) array,
 the form in which same-shape nodes train together.
 
-Values must stay finite. A standalone Tensor is checked when it is built; a
-ParamSet is checked once per buffer when it is built, and the error names
-the first non-finite entry in layout order. A ParamStack is not checked when
-it is built: `check_finite` checks it, with the same message, where it is
-trained.
+Values must stay finite. A ParamSet is checked once per buffer when it is
+built, and the error names the first non-finite entry in layout order. A
+ParamStack is not checked when it is built: `check_finite` checks it, with
+the same message, where it is trained.
 
 No code writes into a ParamSet's buffer once the set is built, so a set's
 values never change: sets may share memory (one set may be a view of another
@@ -27,10 +27,9 @@ model.local_train's trained rows are), the larger array stays writable.
 
 Element-wise operations (axpy, and the scaling in privacy.clip) run over the
 whole buffer in float32. Every reduction accumulates in float64 in a fixed
-order, so results are bit-reproducible across runs: `dot` and `cosine` take
-one float64 dot over their two vectors; `l2_norm` adds one float64 partial
-dot per tensor, in layout order (a single dot over the flat buffer rounds
-differently).
+order, so results are bit-reproducible across runs: `l2_norm` adds one
+float64 partial dot per tensor, in layout order (a single dot over the flat
+buffer rounds differently).
 """
 
 from __future__ import annotations
@@ -40,29 +39,25 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-ROLES = ("backbone", "keys", "pseudo_gradient", "residual")
-
 
 class CongruenceError(ValueError):
-    """Two ParamSets (or tensors) disagree in names or shapes."""
+    """Two ParamSets (or vectors) disagree in names or shapes."""
 
 
 class Tensor:
-    """A named dense float32 array. Values must stay finite."""
+    """A named float32 array: the view of one ParamSet entry, or an entry
+    to build a ParamSet from (which checks its values)."""
 
     __slots__ = ("name", "data")
 
     def __init__(self, name: str, data: np.ndarray | Iterable[float]):
-        arr = np.asarray(data, dtype=np.float32)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"tensor {name!r} contains non-finite values")
         self.name = name
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float32)
 
     @classmethod
     def view(cls, name: str, data: np.ndarray) -> "Tensor":
-        """A Tensor over `data` itself: no copy, no check (the owning
-        ParamSet checked its buffer)."""
+        """A Tensor over `data` itself, the view `ps[name]` yields: no
+        conversion, no copy."""
         t = cls.__new__(cls)
         t.name, t.data = name, data
         return t
@@ -74,17 +69,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return int(self.data.size)
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.name, self.data.copy())
-
-    def __repr__(self) -> str:
-        return f"Tensor({self.name!r}, shape={self.shape})"
-
-
-def flatten(t: Tensor) -> np.ndarray:
-    """Row-major flat copy of a tensor's values."""
-    return np.ravel(t.data, order="C").copy()
 
 
 class Layout:
@@ -137,39 +121,37 @@ def check_finite(layout: Layout, buf: np.ndarray) -> None:
 
 
 class ParamSet:
-    """Uniquely named tensors with a role tag, stored in one float32 buffer.
+    """Uniquely named tensors stored in one float32 buffer.
 
     Iteration order is insertion order and is identical across all sets
     derived from the same model configuration, which fixes the reduction
     order of every aggregate operation downstream.
     """
 
-    __slots__ = ("layout", "buf", "role", "_arrays")
+    __slots__ = ("layout", "buf", "_arrays")
 
-    def __init__(self, tensors: Iterable[Tensor] = (), role: str = "backbone"):
+    def __init__(self, tensors: Iterable[Tensor] = ()):
         tensors = list(tensors)
         layout = Layout.of((t.name, t.shape) for t in tensors)
         buf = np.empty(layout.size, dtype=np.float32)
         for t in tensors:
             buf[layout.slices[t.name]] = t.data.ravel()
-        self._adopt(layout, buf, role)
+        self._adopt(layout, buf)
 
     @classmethod
-    def from_buffer(cls, layout: Layout, buf: np.ndarray, role: str) -> "ParamSet":
+    def from_buffer(cls, layout: Layout, buf: np.ndarray) -> "ParamSet":
         """A set over `buf` itself (no copy), laid out by `layout`."""
         ps = cls.__new__(cls)
-        ps._adopt(layout, buf, role)
+        ps._adopt(layout, buf)
         return ps
 
-    def _adopt(self, layout: Layout, buf: np.ndarray, role: str) -> None:
-        if role not in ROLES:
-            raise ValueError(f"unknown role {role!r}; expected one of {ROLES}")
+    def _adopt(self, layout: Layout, buf: np.ndarray) -> None:
         if buf.dtype != np.float32 or buf.shape != (layout.size,):
             raise ValueError(f"buffer {buf.dtype}{buf.shape} does not fit a "
                              f"float32 layout of {layout.size} values")
         check_finite(layout, buf)
         buf.flags.writeable = False
-        self.layout, self.buf, self.role, self._arrays = layout, buf, role, None
+        self.layout, self.buf, self._arrays = layout, buf, None
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Name -> shaped view of the buffer (built once per set)."""
@@ -204,14 +186,14 @@ class ParamSet:
                 f"param sets not congruent: {self.signature()} vs {other.signature()}"
             )
 
-    def copy(self, role: str | None = None) -> "ParamSet":
-        return ParamSet.from_buffer(self.layout, self.buf.copy(), role or self.role)
+    def copy(self) -> "ParamSet":
+        return ParamSet.from_buffer(self.layout, self.buf.copy())
 
-    def zeros_like(self, role: str | None = None) -> "ParamSet":
-        return ParamSet.from_buffer(self.layout, np.zeros_like(self.buf), role or self.role)
+    def zeros_like(self) -> "ParamSet":
+        return ParamSet.from_buffer(self.layout, np.zeros_like(self.buf))
 
     def __repr__(self) -> str:
-        return f"ParamSet(role={self.role!r}, tensors={self.names()})"
+        return f"ParamSet(tensors={self.names()})"
 
 
 class ParamStack:
@@ -230,17 +212,10 @@ class ParamStack:
         return self._arrays
 
 
-def axpy(a: float, x: ParamSet, y: ParamSet, role: str | None = None) -> ParamSet:
+def axpy(a: float, x: ParamSet, y: ParamSet) -> ParamSet:
     """Elementwise a*x + y over congruent sets. Returns a new ParamSet."""
     x.require_congruent(y)
-    return ParamSet.from_buffer(x.layout, np.float32(a) * x.buf + y.buf, role or y.role)
-
-
-def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product accumulated in float64."""
-    if a.shape != b.shape:
-        raise CongruenceError(f"vector shapes differ: {a.shape} vs {b.shape}")
-    return float(np.dot(a.astype(np.float64), b.astype(np.float64)))
+    return ParamSet.from_buffer(x.layout, np.float32(a) * x.buf + y.buf)
 
 
 def l2_norm(p: ParamSet) -> float:
@@ -252,12 +227,3 @@ def l2_norm(p: ParamSet) -> float:
         acc += float(np.dot(v, v))
     return float(np.sqrt(acc))
 
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; zero vectors map to 0 instead of NaN."""
-    na = np.sqrt(dot(a, a))
-    nb = np.sqrt(dot(b, b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    c = dot(a, b) / (na * nb)
-    return float(min(1.0, max(-1.0, c)))

@@ -207,8 +207,12 @@ def tree_from_json(obj: dict, trainer: TrainerConfig) -> FederationTree:
     """The tree a JSON object describes. A node's trainer block is laid over
     `trainer`, the experiment's, so unset keys keep its values."""
     reject_unknown_keys("tree", obj, ["nodes"])
+    if not isinstance(obj.get("nodes"), list):
+        raise ValueError(f"tree nodes: expected a list, got {obj.get('nodes')!r}")
     nodes = {}
     for entry in obj["nodes"]:
+        if not isinstance(entry, dict):
+            raise ValueError(f"tree nodes: expected an object per node, got {entry!r}")
         where = f"tree node {entry.get('id')}"
         if "dp_enabled" in entry:
             raise ValueError(f"{where}: unknown key 'dp_enabled'; "
@@ -216,6 +220,8 @@ def tree_from_json(obj: dict, trainer: TrainerConfig) -> FederationTree:
         reject_unknown_keys(where, entry, _NODE_KEYS)
         node_trainer = None
         if "trainer" in entry:
+            if not isinstance(entry["trainer"], dict):
+                raise ValueError(f"{where} trainer: expected an object, got {entry['trainer']!r}")
             if "schedule" in entry["trainer"]:
                 raise ValueError(f"{where}: a node trainer takes no schedule; "
                                  "every node follows the experiment's")

@@ -61,7 +61,7 @@ def reference_local_train(params: ParamSet, tokens: np.ndarray, trainer,
     m = {k: np.zeros(v.shape, dtype=np.float64) for k, v in work.items()}
     v2 = {k: np.zeros(v.shape, dtype=np.float64) for k, v in work.items()}
     losses = []
-    current = ParamSet((Tensor(k, work[k]) for k in names), "backbone")
+    current = ParamSet(Tensor(k, work[k]) for k in names)
     for i in range(trainer.local_steps):
         lr = lr_at(global_step + i, trainer.schedule)
         starts = rng.integers(0, len(tokens) - n, size=trainer.batch_size)
@@ -82,5 +82,5 @@ def reference_local_train(params: ParamSet, tokens: np.ndarray, trainer,
                 v2[g.name] = trainer.beta2 * v2[g.name] + (1 - trainer.beta2) * gd * gd
                 step = lr * (m[g.name] / c1) / (np.sqrt(v2[g.name] / c2) + 1e-8)
                 work[g.name] = (work[g.name].astype(np.float64) - step).astype(np.float32)
-        current = ParamSet((Tensor(k, work[k]) for k in names), "backbone")
+        current = ParamSet(Tensor(k, work[k]) for k in names)
     return current, float(np.mean(losses))

@@ -29,7 +29,7 @@ from treefed.model import ModelConfig, backward, forward_loss, init_model, param
 from treefed.presets import apply_overrides, preset_config, resolve
 from treefed.privacy import ClipState, clip, update_bound
 from treefed.residual import KeyCache, ResidualPacket, route_residuals
-from treefed.tensors import ParamSet, Tensor, l2_norm, flatten
+from treefed.tensors import ParamSet, Tensor, l2_norm
 from treefed.topology import FederationTree
 
 from oracles import fd_gradient
@@ -68,9 +68,8 @@ class TestCriterion1UnitInvariants:
         worst = 0.0
         for _ in range(10_000):
             m = int(rng.integers(1, 5))
-            q = Tensor("k", rng.normal(size=6).astype(np.float32))
-            cands = [(Tensor("k", rng.normal(size=6).astype(np.float32)),) * 2
-                     for _ in range(m)]
+            q = rng.normal(size=6).astype(np.float32)
+            cands = [rng.normal(size=6).astype(np.float32) for _ in range(m)]
             _, w = attend_layer(q, cands, cfg)
             worst = max(worst, abs(float(w.sum()) - 1.0))
             assert (w >= 0).all()
@@ -79,8 +78,7 @@ class TestCriterion1UnitInvariants:
         for _ in range(1000):
             delta = ParamSet(
                 [Tensor("a", rng.normal(scale=rng.uniform(0.1, 5),
-                                        size=16).astype(np.float32))],
-                "pseudo_gradient")
+                                        size=16).astype(np.float32))])
             bound = float(rng.uniform(0.05, 2.0))
             out, _ = clip(delta, bound)
             assert l2_norm(out) <= bound * (1 + 1e-6)
@@ -88,9 +86,8 @@ class TestCriterion1UnitInvariants:
         assert update_bound(ClipState(bound=1.0, norms=[0.5, 1.0, 2.0])) == 1.0
         assert update_bound(ClipState(bound=1.0, norms=[1.0, 3.0])) == 2.0
 
-        b = ParamSet([Tensor("a", np.array([1.0, 2.0], dtype=np.float32))], "backbone")
-        d = ParamSet([Tensor("a", np.array([0.25, -0.5], dtype=np.float32))],
-                     "pseudo_gradient")
+        b = ParamSet([Tensor("a", np.array([1.0, 2.0], dtype=np.float32))])
+        d = ParamSet([Tensor("a", np.array([0.25, -0.5], dtype=np.float32))])
         out, _ = server_opt(b, d, ServerOptState.init_like(b, eta=1.0, mu=0.0))
         assert out["a"].data.tobytes() == np.array([1.25, 1.5], dtype=np.float32).tobytes()
 
@@ -236,23 +233,23 @@ class TestCriterion8RoutingCorrectness:
         trials = 1000
         for _ in range(trials):
             cached = {
-                cid: ParamSet([Tensor("a", rng.normal(size=8).astype(np.float32))],
-                              "keys")
+                cid: ParamSet([Tensor("a", rng.normal(size=8).astype(np.float32))])
                 for cid in (1, 2, 3)
             }
-            cache = KeyCache(keys=cached, round_stamp=0)
+            cache = KeyCache()
+            cache.update(cached)
             origin = int(rng.choice([4, 5, 6, 7]))
             pkt = ResidualPacket(origin=origin, layer="a",
-                                 tensor=Tensor("a", rng.normal(size=8).astype(np.float32)),
+                                 values=rng.normal(size=8).astype(np.float32),
                                  created_round=0, ceiling=0)
             out = route_residuals([pkt], cache, [1, 2, 3], cfg, tree,
                                   round_k=1, max_age=8)
-            q = flatten(pkt.tensor).astype(np.float64)
+            q = pkt.values.astype(np.float64)
             best, best_sim = None, -np.inf
             for cid in (1, 2, 3):
                 if tree.in_subtree(cid, origin):
                     continue
-                k = flatten(cached[cid]["a"]).astype(np.float64)
+                k = cached[cid]["a"].data.ravel().astype(np.float64)
                 sim = float(q @ k / (np.linalg.norm(q) * np.linalg.norm(k)))
                 if sim > best_sim:
                     best, best_sim = cid, sim

@@ -22,58 +22,58 @@ def t(name, values):
     return Tensor(name, np.array(values, dtype=np.float32))
 
 
-def keyset(name_vals, role="keys"):
-    return ParamSet((t(n, v) for n, v in name_vals), role)
+def v(values):
+    return np.array(values, dtype=np.float32)
+
+
+def keyset(name_vals):
+    return ParamSet(t(n, vals) for n, vals in name_vals)
 
 
 class TestAttendLayer:
     def test_identical_candidates_uniform_weights(self):
-        q = t("k", [1.0, 2.0])
-        cands = [(q, q)] * 4
+        q = v([1.0, 2.0])
+        cands = [q] * 4
         out, w = attend_layer(q, cands, AttentionConfig())
         np.testing.assert_allclose(w, 0.25)
-        np.testing.assert_allclose(out.data, q.data, rtol=1e-6)
+        np.testing.assert_allclose(out, q, rtol=1e-6)
 
     def test_hand_computed_two_candidate_softmax(self):
         # cosine sims 1 and 0 at tau=1: weights e/(e+1), 1/(e+1)
-        q = t("k", [1.0, 0.0])
-        cands = [(t("k", [1.0, 0.0]), t("k", [1.0, 0.0])),
-                 (t("k", [0.0, 1.0]), t("k", [0.0, 1.0]))]
+        q = v([1.0, 0.0])
+        cands = [v([1.0, 0.0]), v([0.0, 1.0])]
         out, w = attend_layer(q, cands, AttentionConfig(temperature=1.0))
         e = math.e
         np.testing.assert_allclose(w, [e / (e + 1), 1 / (e + 1)], rtol=1e-12)
-        np.testing.assert_allclose(out.data, [e / (e + 1), 1 / (e + 1)], rtol=1e-6)
+        np.testing.assert_allclose(out, [e / (e + 1), 1 / (e + 1)], rtol=1e-6)
 
     def test_high_temperature_approaches_uniform(self):
-        q = t("k", [1.0, 0.0])
-        cands = [(t("k", [1.0, 0.0]), t("k", [1.0, 0.0])),
-                 (t("k", [0.0, 1.0]), t("k", [0.0, 1.0]))]
+        q = v([1.0, 0.0])
+        cands = [v([1.0, 0.0]), v([0.0, 1.0])]
         _, w = attend_layer(q, cands, AttentionConfig(temperature=1e9))
         np.testing.assert_allclose(w, 0.5, atol=1e-9)
 
     def test_low_temperature_concentrates_on_nearest(self):
-        q = t("k", [1.0, 0.0])
-        cands = [(t("k", [1.0, 0.1]), t("k", [1.0, 0.0])),
-                 (t("k", [0.0, 1.0]), t("k", [0.0, 1.0]))]
+        q = v([1.0, 0.0])
+        cands = [v([1.0, 0.1]), v([0.0, 1.0])]
         _, w = attend_layer(q, cands, AttentionConfig(temperature=1e-3))
         assert w[0] > 1 - 1e-9
 
     def test_empty_candidates_error(self):
         with pytest.raises(ValueError):
-            attend_layer(t("k", [1.0]), [], AttentionConfig())
+            attend_layer(v([1.0]), [], AttentionConfig())
 
     def test_shape_mismatch_error(self):
         with pytest.raises(CongruenceError):
-            attend_layer(t("k", [1.0, 2.0]), [(t("k", [1.0]), t("k", [1.0]))],
-                         AttentionConfig())
+            attend_layer(v([1.0, 2.0]), [v([1.0])], AttentionConfig())
 
     def test_weights_sum_to_one_randomized(self):
         rng = np.random.default_rng(0)
         cfg = AttentionConfig(temperature=0.7)
         for _ in range(500):
             m = int(rng.integers(1, 6))
-            q = t("k", rng.normal(size=8))
-            cands = [(t("k", rng.normal(size=8)),) * 2 for _ in range(m)]
+            q = v(rng.normal(size=8))
+            cands = [v(rng.normal(size=8)) for _ in range(m)]
             _, w = attend_layer(q, cands, cfg)
             assert abs(w.sum() - 1.0) <= 1e-9
             assert (w >= 0).all()
@@ -81,16 +81,16 @@ class TestAttendLayer:
     def test_argmax_invariant_to_temperature(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            q = t("k", rng.normal(size=6))
-            cands = [(t("k", rng.normal(size=6)),) * 2 for _ in range(4)]
+            q = v(rng.normal(size=6))
+            cands = [v(rng.normal(size=6)) for _ in range(4)]
             _, w1 = attend_layer(q, cands, AttentionConfig(temperature=1.0))
             _, w2 = attend_layer(q, cands, AttentionConfig(temperature=0.1))
             assert int(np.argmax(w1)) == int(np.argmax(w2))
 
     def test_uniform_mode_ignores_scores(self):
         rng = np.random.default_rng(2)
-        q = t("k", rng.normal(size=4))
-        cands = [(t("k", rng.normal(size=4)),) * 2 for _ in range(3)]
+        q = v(rng.normal(size=4))
+        cands = [v(rng.normal(size=4)) for _ in range(3)]
         _, w = attend_layer(q, cands, AttentionConfig(uniform=True))
         np.testing.assert_allclose(w, 1 / 3)
 
@@ -150,7 +150,7 @@ class TestMergeWithParent:
     def test_packet_equal_to_own_outweighs_parent(self):
         own = keyset([("a", [1.0, 0.0])])
         parent = keyset([("a", [0.0, 1.0])])
-        pkt = ResidualPacket(origin=5, layer="a", tensor=t("a", [1.0, 0.0]),
+        pkt = ResidualPacket(origin=5, layer="a", values=v([1.0, 0.0]),
                              created_round=0, ceiling=0)
         _, w = merge_with_parent(own, parent, [pkt], AttentionConfig())
         _, weights = w["a"]
@@ -159,7 +159,7 @@ class TestMergeWithParent:
 
     def test_unknown_layer_packet_errors(self):
         own = keyset([("a", [1.0])])
-        pkt = ResidualPacket(origin=5, layer="zz", tensor=t("zz", [1.0]),
+        pkt = ResidualPacket(origin=5, layer="zz", values=v([1.0]),
                              created_round=0, ceiling=0)
         with pytest.raises(KeyError):
             merge_with_parent(own, own.copy(), [pkt], AttentionConfig())
@@ -167,19 +167,18 @@ class TestMergeWithParent:
 
 class TestAveragePseudograds:
     def test_single_delta_identity(self):
-        d = keyset([("a", [1.0, -1.0])], role="pseudo_gradient")
+        d = keyset([("a", [1.0, -1.0])])
         out = average_pseudograds([d])
         np.testing.assert_array_equal(out["a"].data, d["a"].data)
 
     def test_hand_mean(self):
-        a = keyset([("a", [2.0])], role="pseudo_gradient")
-        b = keyset([("a", [4.0])], role="pseudo_gradient")
+        a = keyset([("a", [2.0])])
+        b = keyset([("a", [4.0])])
         np.testing.assert_array_equal(average_pseudograds([a, b])["a"].data, [3.0])
 
     def test_matches_wide_precision_oracle(self):
         rng = np.random.default_rng(4)
-        deltas = [keyset([("a", rng.normal(size=32))], role="pseudo_gradient")
-                  for _ in range(5)]
+        deltas = [keyset([("a", rng.normal(size=32))]) for _ in range(5)]
         out = average_pseudograds(deltas)
         oracle = np.mean([d["a"].data.astype(np.float64) for d in deltas], axis=0)
         np.testing.assert_allclose(out["a"].data, oracle, rtol=1e-7)
@@ -191,16 +190,16 @@ class TestAveragePseudograds:
 
 class TestServerOpt:
     def test_fedavg_reduction(self):
-        b = keyset([("a", [1.0, 2.0])], role="backbone")
-        d = keyset([("a", [0.5, -0.5])], role="pseudo_gradient")
+        b = keyset([("a", [1.0, 2.0])])
+        d = keyset([("a", [0.5, -0.5])])
         state = ServerOptState.init_like(b, eta=1.0, mu=0.0)
         out, _ = server_opt(b, d, state)
         np.testing.assert_array_equal(out["a"].data, [1.5, 1.5])
 
     def test_momentum_hand_recurrence(self):
         # eta=0.2, mu=0.9, delta=[1] twice from m=0: steps +0.2 then +0.38
-        b = keyset([("a", [0.0])], role="backbone")
-        d = keyset([("a", [1.0])], role="pseudo_gradient")
+        b = keyset([("a", [0.0])])
+        d = keyset([("a", [1.0])])
         state = ServerOptState.init_like(b, eta=0.2, mu=0.9)
         b1, state = server_opt(b, d, state)
         assert b1["a"].data[0] == pytest.approx(0.2, rel=1e-6)
@@ -209,9 +208,9 @@ class TestServerOpt:
         assert state.momentum["a"].data[0] == pytest.approx(1.9, rel=1e-6)
 
     def test_zero_delta_contracts_to_fixed_point(self):
-        b = keyset([("a", [0.0])], role="backbone")
-        d = keyset([("a", [1.0])], role="pseudo_gradient")
-        zero = keyset([("a", [0.0])], role="pseudo_gradient")
+        b = keyset([("a", [0.0])])
+        d = keyset([("a", [1.0])])
+        zero = keyset([("a", [0.0])])
         state = ServerOptState.init_like(b, eta=0.2, mu=0.9)
         b, state = server_opt(b, d, state)  # prime the momentum
         prev = None
@@ -270,11 +269,11 @@ class TestLrSchedule:
 class TestOrderInvariance:
     def test_permuted_candidates_close_and_canonical_exact(self):
         rng = np.random.default_rng(5)
-        q = t("k", rng.normal(size=8))
-        cands = [(t("k", rng.normal(size=8)),) * 2 for _ in range(4)]
+        q = v(rng.normal(size=8))
+        cands = [v(rng.normal(size=8)) for _ in range(4)]
         out1, _ = attend_layer(q, cands, AttentionConfig())
         out2, _ = attend_layer(q, cands[::-1], AttentionConfig())
-        np.testing.assert_allclose(out1.data, out2.data, rtol=1e-6)
+        np.testing.assert_allclose(out1, out2, rtol=1e-6)
         # identical order gives bit-identical output
         out3, _ = attend_layer(q, cands, AttentionConfig())
-        np.testing.assert_array_equal(out1.data, out3.data)
+        np.testing.assert_array_equal(out1, out3)

@@ -10,15 +10,22 @@ import pytest
 
 import treefed.engine
 import treefed.tensors
+from treefed.model import init_model
+from treefed.presets import preset_config, resolve
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def traced_hooks():
+def tracing_module():
+    """bench/tracing.py, loaded without install(): nothing is patched."""
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.PATCHES
+    return tracing
+
+
+def traced_hooks():
+    return tracing_module().PATCHES
 
 
 @pytest.mark.parametrize("module, path, span", traced_hooks())
@@ -34,3 +41,16 @@ def test_tensor_count_and_round_clock_hooks_exist():
     # untraced runs into rounds at evaluate_round
     assert isinstance(treefed.tensors.Tensor, type)
     assert callable(treefed.engine.evaluate_round)
+
+
+def test_mean_nll_counter_reads_the_parameter_views():
+    # the trace reads ps["embed"].shape, ps["in_proj.w"].shape and iterates
+    # the set's views by .name and .data, as every mean_nll call does
+    exp = resolve(preset_config("fig2"), seed=1, rounds=1)
+    params = init_model(exp.engine.model, 1)
+    tokens = exp.shards[exp.leaf_ids[0]].val
+    tracer = tracing_module().Tracer()
+    tracer._after_mean_nll((params, tokens), None)
+    tracer._after_mean_nll((params, tokens), None)
+    assert tracer.counts["model.eval_windows"] == 2 * (len(tokens) - exp.engine.model.context_len)
+    assert tracer.counts["engine.eval_repeats"] == 1

@@ -233,6 +233,16 @@ class TestConfigKeys:
         assert rc == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, message", [
+        ("tree.nodes=5", "tree nodes: expected a list, got 5"),
+        ("model=3", "config model: expected an object, got 3"),
+        ("trainer=3", "config trainer: expected an object, got 3"),
+    ])
+    def test_non_object_section_exits_1_naming_the_key(self, override, message, capsys):
+        rc = main(["run", "--preset", "fig2", "--rounds", "1", "--override", override])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     def test_shipped_configs_and_a_manifest_resolve(self, tiny_config, tmp_path):
         configs = [preset_config(name) for name in PRESETS]
         configs += [json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))]

@@ -85,7 +85,7 @@ def reference_fedavg(leaf_ids, shards, cfg, rounds):
     for k in range(rounds):
         locals_ = []
         for nid in sorted(leaf_ids):
-            ps = ParamSet((Tensor(n, server[n]) for n in names), "backbone")
+            ps = ParamSet(Tensor(n, server[n]) for n in names)
             [out] = local_train([(ps, shards[nid].train, rng_for(cfg.seed, nid, k, 2))],
                                 cfg.trainer, k * cfg.trainer.local_steps)
             locals_.append({t.name: t.data for t in out.params})

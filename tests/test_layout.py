@@ -42,7 +42,7 @@ def congruent_sets(draw, count):
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
     return [
         ParamSet([Tensor(f"t{i}", np.asarray(scale * rng.standard_normal(s), np.float32))
-                  for i, s in enumerate(shapes)], "pseudo_gradient")
+                  for i, s in enumerate(shapes)])
         for _ in range(count)
     ]
 

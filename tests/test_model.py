@@ -32,8 +32,8 @@ def zero_head(params: ParamSet) -> ParamSet:
         if t.name in ("head.w", "head.b"):
             out.append(Tensor(t.name, np.zeros(t.shape, dtype=np.float32)))
         else:
-            out.append(t.copy())
-    return ParamSet(out, params.role)
+            out.append(t)
+    return ParamSet(out)
 
 
 class TestInit:
@@ -212,7 +212,7 @@ class TestLocalTrain:
             lr = lr_at(2 + t - 1, trainer.schedule)
             batch = np.stack([tokens[s : s + 3] for s in
                               rng.integers(0, len(tokens) - 2, size=4)])
-            current = ParamSet((Tensor(k, work[k]) for k in work), "backbone")
+            current = ParamSet(Tensor(k, work[k]) for k in work)
             _, cache = forward_loss(current, batch)
             grads = backward(current, cache)
             for g in grads:

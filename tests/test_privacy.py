@@ -6,8 +6,7 @@ from treefed.tensors import ParamSet, Tensor, l2_norm
 
 
 def ps(values):
-    return ParamSet([Tensor("a", np.array(values, dtype=np.float32))],
-                    "pseudo_gradient")
+    return ParamSet([Tensor("a", np.array(values, dtype=np.float32))])
 
 
 class TestClip:
@@ -45,23 +44,20 @@ class TestAddNoise:
 
     def test_noise_std_is_sigma_times_bound(self):
         n = 1_000_000
-        delta = ParamSet([Tensor("a", np.zeros(n, dtype=np.float32))],
-                         "pseudo_gradient")
+        delta = ParamSet([Tensor("a", np.zeros(n, dtype=np.float32))])
         out = add_noise(delta, 0.5, 1.0, np.random.default_rng(123))
         std = float(out["a"].data.std())
         assert 0.498 <= std <= 0.502
 
     def test_noise_scales_with_bound(self):
         n = 200_000
-        delta = ParamSet([Tensor("a", np.zeros(n, dtype=np.float32))],
-                         "pseudo_gradient")
+        delta = ParamSet([Tensor("a", np.zeros(n, dtype=np.float32))])
         out = add_noise(delta, 0.5, 4.0, np.random.default_rng(7))
         assert out["a"].data.std() == pytest.approx(2.0, rel=0.02)
 
     def test_absolute_mode_ignores_bound(self):
         n = 200_000
-        delta = ParamSet([Tensor("a", np.zeros(n, dtype=np.float32))],
-                         "pseudo_gradient")
+        delta = ParamSet([Tensor("a", np.zeros(n, dtype=np.float32))])
         out = add_noise(delta, 0.5, 4.0, np.random.default_rng(7), absolute=True)
         assert out["a"].data.std() == pytest.approx(0.5, rel=0.02)
 

@@ -1,0 +1,160 @@
+"""Property tests for the core invariants: attention weights form a
+distribution, routing respects origin subtrees and ceilings, clipping
+respects its bound, and validate accepts exactly the well-formed trees."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treefed.aggregation import AttentionConfig, aggregate_child_keys, merge_with_parent
+from treefed.privacy import clip
+from treefed.residual import KeyCache, ResidualPacket, route_residuals, split_by_ceiling
+from treefed.tensors import ParamSet, Tensor, l2_norm
+from treefed.topology import FederationTree, NodeSpec, validate
+
+PROPS = settings(max_examples=60, deadline=None)
+
+
+def vectors(size):
+    """Float32 vectors of one size: zero, or normal at a drawn scale."""
+    return st.tuples(st.booleans(), st.integers(0, 2**32 - 1),
+                     st.sampled_from([1e-3, 1.0, 1e3])).map(
+        lambda z: np.zeros(size, np.float32) if z[0] else
+        (z[2] * np.random.default_rng(z[1]).standard_normal(size)).astype(np.float32))
+
+
+@st.composite
+def key_sets(draw, sizes, count):
+    """`count` congruent key sets with one layer per entry of `sizes`."""
+    return [ParamSet(Tensor(f"k{i}", draw(vectors(n))) for i, n in enumerate(sizes))
+            for _ in range(count)]
+
+
+attention_configs = st.builds(
+    AttentionConfig, similarity=st.sampled_from(["cosine", "dot"]),
+    temperature=st.sampled_from([0.05, 1.0, 20.0]), include_self=st.booleans(),
+    uniform=st.booleans())
+
+
+def assert_distributions(weight_log):
+    for labels, weights in weight_log.values():
+        assert len(labels) == len(weights)
+        assert (weights >= 0).all()
+        assert abs(float(weights.sum()) - 1.0) <= 1e-9
+
+
+@PROPS
+@given(data=st.data(), cfg=attention_configs,
+       sizes=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       children=st.integers(1, 4))
+def test_attention_weights_are_a_distribution(data, cfg, sizes, children):
+    own, parent, *kids = data.draw(key_sets(sizes, children + 2))
+    _, log = aggregate_child_keys(own, list(enumerate(kids, 1)), cfg)
+    assert_distributions(log)
+    layers = data.draw(st.lists(st.integers(0, len(sizes) - 1), max_size=4))
+    packets = [ResidualPacket(origin=10 + i, layer=f"k{layer}",
+                              values=data.draw(vectors(sizes[layer])),
+                              created_round=0, ceiling=0)
+               for i, layer in enumerate(layers)]
+    _, log = merge_with_parent(own, parent, packets, cfg)
+    assert_distributions(log)
+    assert sum(len(labels) for labels, _ in log.values()) == 2 * len(sizes) + len(packets)
+
+
+@st.composite
+def trees(draw, max_nodes=12):
+    """A well-formed tree drawn as a parent array: node i > 0 hangs below a
+    node with a smaller id."""
+    n = draw(st.integers(2, max_nodes))
+    parents = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    return FederationTree.from_children_map(
+        {i: [j for j in range(n) if parents[j] == i] for i in range(n)})
+
+
+@PROPS
+@given(data=st.data(), tree=trees(), similarity=st.sampled_from(["cosine", "dot"]))
+def test_routing_never_lands_in_the_origin_subtree(data, tree, similarity):
+    router = data.draw(st.sampled_from([n for n in tree.nodes if not tree.is_leaf(n)]))
+    children = tree.nodes[router].children
+    cached = data.draw(st.lists(st.sampled_from(children), unique=True))
+    cache = KeyCache()
+    cache.update({cid: ParamSet([Tensor("a", data.draw(vectors(3)))]) for cid in cached})
+    packets = [ResidualPacket(origin=origin, layer="a", values=data.draw(vectors(3)),
+                              created_round=data.draw(st.integers(0, 3)), ceiling=0)
+               for origin in data.draw(st.lists(st.sampled_from(list(tree.nodes)),
+                                                max_size=6))]
+    out = route_residuals(packets, cache, children, AttentionConfig(similarity=similarity),
+                          tree, round_k=3, max_age=2)
+    landed = 0
+    for cid in children:
+        for pkt in out.for_aggregation[cid] + out.to_forward[cid]:
+            assert cid in cached and not tree.in_subtree(cid, pkt.origin)
+            landed += 1
+        assert not out.for_aggregation[cid] or tree.is_leaf(cid)
+        assert not out.to_forward[cid] or not tree.is_leaf(cid)
+    assert landed + len(out.held) + len(out.dropped) == len(packets)
+
+
+@PROPS
+@given(data=st.data(), tree=trees())
+def test_split_by_ceiling_never_climbs_above_the_ceiling(data, tree):
+    origin = data.draw(st.sampled_from([n for n in tree.nodes if n != 0]))
+    ceiling = data.draw(st.sampled_from(tree.path_to_root(origin)))
+    pkt = ResidualPacket(origin=origin, layer="a", values=np.zeros(1, np.float32),
+                         created_round=0, ceiling=ceiling)
+    node = start = tree.nodes[origin].parent  # where its parent selects it
+    while True:
+        up, stay = split_by_ceiling([pkt], node, tree)
+        assert len(up) + len(stay) == 1
+        if not up:
+            break
+        node = tree.nodes[node].parent
+        assert node is not None and tree.in_subtree(ceiling, node)
+    assert node == (ceiling if tree.in_subtree(ceiling, start) else start)
+
+
+@PROPS
+@given(scale=st.floats(-6, 6), bound=st.floats(-6, 6), size=st.integers(1, 64),
+       seed=st.integers(0, 2**32 - 1))
+def test_clipped_norm_within_bound(scale, bound, size, seed):
+    values = 10.0 ** scale * np.random.default_rng(seed).standard_normal(size)
+    out, _ = clip(ParamSet([Tensor("a", values.astype(np.float32))]), 10.0 ** bound)
+    assert l2_norm(out) <= 10.0 ** bound * (1 + 1e-6)
+
+
+@st.composite
+def parent_arrays(draw):
+    """Tree-shaped parent arrays over ids 0..n-1 (node i > 0 below a smaller
+    id) with up to two entries overwritten by anything, which makes
+    self-loops, cycles, extra or missing roots and unknown parents."""
+    n = draw(st.integers(1, 8))
+    parents = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    for _ in range(draw(st.integers(0, 2))):
+        parents[draw(st.integers(0, n - 1))] = draw(st.none() | st.integers(0, n + 1))
+    return parents
+
+
+def well_formed(parents):
+    """One root, node 0; every parent a known id; every chain ends at 0."""
+    n = len(parents)
+    if [i for i, p in enumerate(parents) if p is None] != [0]:
+        return False
+    if any(p is not None and not 0 <= p < n for p in parents):
+        return False
+    for i in range(n):
+        seen = set()
+        while parents[i] is not None:
+            if i in seen:
+                return False
+            seen.add(i)
+            i = parents[i]
+    return True
+
+
+@PROPS
+@given(parent_arrays())
+def test_validate_accepts_exactly_the_well_formed_trees(parents):
+    tree = FederationTree({i: NodeSpec(id=i, parent=p,
+                                       children=[j for j, q in enumerate(parents) if q == i])
+                           for i, p in enumerate(parents)})
+    assert (validate(tree) == []) == well_formed(parents)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treefed.aggregation import AttentionConfig, similarity_score
+from treefed.aggregation import AttentionConfig, similarity, vector_norm
 from treefed.residual import (
     KeyCache,
     ResidualPacket,
@@ -9,7 +9,7 @@ from treefed.residual import (
     route_residuals,
     split_by_ceiling,
 )
-from treefed.tensors import ParamSet, Tensor, flatten
+from treefed.tensors import ParamSet, Tensor
 from treefed.topology import FederationTree
 
 FIG2 = {0: [1, 2], 1: [3, 4], 2: [5, 6]}
@@ -19,8 +19,18 @@ def t(name, values):
     return Tensor(name, np.array(values, dtype=np.float32))
 
 
+def v(values):
+    return np.array(values, dtype=np.float32)
+
+
 def keys(vec, name="a"):
-    return ParamSet([t(name, vec)], "keys")
+    return ParamSet([t(name, vec)])
+
+
+def cache_of(child_keys):
+    cache = KeyCache()
+    cache.update(child_keys)
+    return cache
 
 
 def tree():
@@ -76,9 +86,9 @@ class TestPartitionResiduals:
                                 AttentionConfig(), 0, {})
 
     def test_per_layer_selection(self):
-        own = ParamSet([t("a", [1.0, 0.0]), t("b", [0.0, 1.0])], "keys")
-        c3 = ParamSet([t("a", [1.0, 0.0]), t("b", [1.0, 0.0])], "keys")
-        c4 = ParamSet([t("a", [0.0, 1.0]), t("b", [0.0, 1.0])], "keys")
+        own = ParamSet([t("a", [1.0, 0.0]), t("b", [0.0, 1.0])])
+        c3 = ParamSet([t("a", [1.0, 0.0]), t("b", [1.0, 0.0])])
+        c4 = ParamSet([t("a", [0.0, 1.0]), t("b", [0.0, 1.0])])
         pkts = partition_residuals(own, [(3, c3), (4, c4)], nu=1,
                                    cfg=AttentionConfig(), round_k=0,
                                    ceilings={3: 0, 4: 0})
@@ -86,23 +96,21 @@ class TestPartitionResiduals:
         assert chosen == {"a": 4, "b": 3}
 
 
-def cache_for(children_vecs, round_k=0):
-    return KeyCache(keys={cid: keys(v) for cid, v in children_vecs.items()},
-                    round_stamp=round_k)
+def cache_for(children_vecs):
+    return cache_of({cid: keys(vec) for cid, vec in children_vecs.items()})
 
 
 class TestRouteResiduals:
     def test_argmax_similarity_routing(self):
         tr = tree()
         cache = cache_for({1: [0.2, 1.0], 2: [1.0, 0.05]})
-        pkt = ResidualPacket(origin=3, layer="a", tensor=t("a", [1.0, 0.0]),
+        pkt = ResidualPacket(origin=3, layer="a", values=v([1.0, 0.0]),
                              created_round=0, ceiling=0)
         # origin 3 lives under child 1, so only child 2 is eligible anyway;
         # use an origin outside both subtrees via a third child
         tr2 = FederationTree.from_children_map({0: [1, 2, 7], 1: [3, 4], 2: [5, 6]})
-        cache2 = KeyCache(keys={1: keys([0.2, 1.0]), 2: keys([1.0, 0.05])},
-                          round_stamp=0)
-        pkt2 = ResidualPacket(origin=7, layer="a", tensor=t("a", [1.0, 0.0]),
+        cache2 = cache_of({1: keys([0.2, 1.0]), 2: keys([1.0, 0.05])})
+        pkt2 = ResidualPacket(origin=7, layer="a", values=v([1.0, 0.0]),
                               created_round=0, ceiling=0)
         out = route_residuals([pkt2], cache2, [1, 2], AttentionConfig(), tr2,
                               round_k=1, max_age=4)
@@ -111,7 +119,7 @@ class TestRouteResiduals:
 
     def test_empty_cache_buffers(self):
         tr = tree()
-        pkt = ResidualPacket(origin=5, layer="a", tensor=t("a", [1.0, 0.0]),
+        pkt = ResidualPacket(origin=5, layer="a", values=v([1.0, 0.0]),
                              created_round=0, ceiling=0)
         out = route_residuals([pkt], KeyCache(), [1, 2], AttentionConfig(), tr,
                               round_k=0, max_age=4)
@@ -124,7 +132,7 @@ class TestRouteResiduals:
         # packet from node 3 (inside child 1's subtree); child 1 has the best
         # cached similarity but must be skipped
         cache = cache_for({1: [1.0, 0.0], 2: [0.3, 1.0]})
-        pkt = ResidualPacket(origin=3, layer="a", tensor=t("a", [1.0, 0.0]),
+        pkt = ResidualPacket(origin=3, layer="a", values=v([1.0, 0.0]),
                              created_round=0, ceiling=0)
         out = route_residuals([pkt], cache, [1, 2], AttentionConfig(), tr,
                               round_k=1, max_age=4)
@@ -133,9 +141,8 @@ class TestRouteResiduals:
     def test_leaf_target_lands_in_aggregation(self):
         tr = tree()
         # mid node 2 routes among its leaf children 5, 6
-        cache = KeyCache(keys={5: keys([1.0, 0.0]), 6: keys([0.0, 1.0])},
-                         round_stamp=0)
-        pkt = ResidualPacket(origin=4, layer="a", tensor=t("a", [0.9, 0.1]),
+        cache = cache_of({5: keys([1.0, 0.0]), 6: keys([0.0, 1.0])})
+        pkt = ResidualPacket(origin=4, layer="a", values=v([0.9, 0.1]),
                              created_round=0, ceiling=0)
         out = route_residuals([pkt], cache, [5, 6], AttentionConfig(), tr,
                               round_k=1, max_age=4)
@@ -143,8 +150,8 @@ class TestRouteResiduals:
 
     def test_no_eligible_child_drops(self):
         tr = FederationTree.from_children_map({0: [1], 1: [2, 3]})
-        cache = KeyCache(keys={1: keys([1.0, 0.0])}, round_stamp=0)
-        pkt = ResidualPacket(origin=2, layer="a", tensor=t("a", [1.0, 0.0]),
+        cache = cache_of({1: keys([1.0, 0.0])})
+        pkt = ResidualPacket(origin=2, layer="a", values=v([1.0, 0.0]),
                              created_round=0, ceiling=0)
         out = route_residuals([pkt], cache, [1], AttentionConfig(), tr,
                               round_k=1, max_age=4)
@@ -153,7 +160,7 @@ class TestRouteResiduals:
     def test_ttl_expiry_drops(self):
         tr = tree()
         cache = cache_for({1: [1.0, 0.0], 2: [0.0, 1.0]})
-        pkt = ResidualPacket(origin=5, layer="a", tensor=t("a", [1.0, 0.0]),
+        pkt = ResidualPacket(origin=5, layer="a", values=v([1.0, 0.0]),
                              created_round=0, ceiling=0)
         out = route_residuals([pkt], cache, [1, 2], AttentionConfig(), tr,
                               round_k=9, max_age=4)
@@ -162,7 +169,7 @@ class TestRouteResiduals:
     def test_unknown_layer_errors(self):
         tr = tree()
         cache = cache_for({1: [1.0, 0.0], 2: [0.0, 1.0]})
-        pkt = ResidualPacket(origin=5, layer="zz", tensor=t("zz", [1.0, 0.0]),
+        pkt = ResidualPacket(origin=5, layer="zz", values=v([1.0, 0.0]),
                              created_round=0, ceiling=0)
         with pytest.raises(KeyError):
             route_residuals([pkt], cache, [1, 2], AttentionConfig(), tr,
@@ -175,10 +182,10 @@ class TestRouteResiduals:
         cfg = AttentionConfig()
         for _ in range(1000):
             cached = {cid: keys(rng.normal(size=6)) for cid in (1, 2, 3)}
-            cache = KeyCache(keys=cached, round_stamp=0)
+            cache = cache_of(cached)
             origin = int(rng.choice([4, 5, 6, 7]))
             pkt = ResidualPacket(origin=origin, layer="a",
-                                 tensor=t("a", rng.normal(size=6)),
+                                 values=v(rng.normal(size=6)),
                                  created_round=0, ceiling=0)
             out = route_residuals([pkt], cache, [1, 2, 3], cfg, tr,
                                   round_k=1, max_age=8)
@@ -187,8 +194,9 @@ class TestRouteResiduals:
             for cid in (1, 2, 3):
                 if tr.in_subtree(cid, origin):
                     continue
-                sim = similarity_score(flatten(pkt.tensor),
-                                       flatten(cached[cid]["a"]), cfg)
+                q = pkt.values.astype(np.float64)
+                k = cached[cid]["a"].data.astype(np.float64)
+                sim = similarity(q, vector_norm(q), k, vector_norm(k), cfg)
                 if sim > best_sim:
                     best, best_sim = cid, sim
             landed = [cid for cid in (1, 2, 3)
@@ -199,7 +207,7 @@ class TestRouteResiduals:
 class TestSplitByCeiling:
     def test_climbs_while_ceiling_above(self):
         tr = tree()
-        pkt = ResidualPacket(origin=3, layer="a", tensor=t("a", [1.0]),
+        pkt = ResidualPacket(origin=3, layer="a", values=v([1.0]),
                              created_round=0, ceiling=0)
         up, stay = split_by_ceiling([pkt], 1, tr)  # at node 1, ceiling 0 above
         assert up == [pkt] and stay == []
@@ -208,7 +216,7 @@ class TestSplitByCeiling:
 
     def test_ceiling_at_mid_level(self):
         tr = tree()
-        pkt = ResidualPacket(origin=3, layer="a", tensor=t("a", [1.0]),
+        pkt = ResidualPacket(origin=3, layer="a", values=v([1.0]),
                              created_round=0, ceiling=1)
         up, stay = split_by_ceiling([pkt], 1, tr)
         assert up == [] and stay == [pkt]
@@ -218,7 +226,6 @@ class TestKeyCache:
     def test_update_stamps_round(self):
         c = KeyCache()
         assert c.is_empty()
-        c.update({3: keys([1.0])}, round_k=4)
+        c.update({3: keys([1.0])})
         assert not c.is_empty()
-        assert c.round_stamp == 4
         assert 3 in c.keys

@@ -1,28 +1,30 @@
 import numpy as np
 import pytest
 
-from treefed.tensors import (
-    CongruenceError,
-    ParamSet,
-    Tensor,
-    axpy,
-    cosine,
-    dot,
-    flatten,
-    l2_norm,
-)
+from treefed.aggregation import AttentionConfig, similarity, vector_norm
+from treefed.tensors import CongruenceError, ParamSet, Tensor, axpy, l2_norm
 
 
-def ps(*pairs, role="backbone"):
-    return ParamSet((Tensor(n, np.array(v, dtype=np.float32)) for n, v in pairs), role)
+def ps(*pairs):
+    return ParamSet(Tensor(n, np.array(v, dtype=np.float32)) for n, v in pairs)
+
+
+def cosine(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return similarity(a, vector_norm(a), b, vector_norm(b), AttentionConfig())
+
+
+def entry_slice(p, name):
+    """An entry's values as they lie in the set's flat buffer."""
+    return p.buf[p.layout.slices[name]]
 
 
 class TestTensor:
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Tensor("t", np.array([1.0, np.nan], dtype=np.float32))
-        with pytest.raises(ValueError):
-            Tensor("t", np.array([np.inf], dtype=np.float32))
+        with pytest.raises(ValueError, match="'t'"):
+            ps(("s", [1.0]), ("t", [1.0, np.nan]))
+        with pytest.raises(ValueError, match="'t'"):
+            ps(("t", [np.inf]))
 
     def test_shape_and_size(self):
         t = Tensor("t", np.zeros((2, 3), dtype=np.float32))
@@ -46,10 +48,6 @@ class TestParamSet:
     def test_insertion_order_preserved(self):
         p = ps(("b", [1.0]), ("a", [2.0]))
         assert p.names() == ["b", "a"]
-
-    def test_unknown_role_rejected(self):
-        with pytest.raises(ValueError):
-            ParamSet([], role="bogus")
 
 
 class TestAxpy:
@@ -86,17 +84,18 @@ class TestAxpy:
 
 
 class TestFlatten:
+    # key layers are scored as 1-D slices of the buffer: row-major values
     def test_row_major(self):
-        t = Tensor("t", np.array([[1, 2], [3, 4]], dtype=np.float32))
-        np.testing.assert_array_equal(flatten(t), [1, 2, 3, 4])
+        p = ps(("s", [9.0]), ("t", [[1, 2], [3, 4]]))
+        np.testing.assert_array_equal(entry_slice(p, "t"), [1, 2, 3, 4])
 
     def test_single(self):
-        np.testing.assert_array_equal(flatten(Tensor("t", np.array([7.0]))), [7.0])
+        np.testing.assert_array_equal(entry_slice(ps(("t", [7.0])), "t"), [7.0])
 
     def test_index_arithmetic_oracle(self):
         rng = np.random.default_rng(1)
         data = rng.normal(size=(2, 3)).astype(np.float32)
-        flat = flatten(Tensor("t", data))
+        flat = entry_slice(ps(("s", [0.0]), ("t", data)), "t")
         assert len(flat) == 6
         for i in range(2):
             for j in range(3):
@@ -125,10 +124,6 @@ class TestNormsAndSimilarity:
             alpha = float(rng.uniform(0.1, 10.0))
             assert cosine(a, b) == pytest.approx(cosine(b, a), rel=1e-12)
             assert cosine(alpha * a, b) == pytest.approx(cosine(a, b), rel=1e-6)
-
-    def test_dot_shape_mismatch(self):
-        with pytest.raises(CongruenceError):
-            dot(np.zeros(2), np.zeros(3))
 
     def test_reduction_is_reproducible(self):
         rng = np.random.default_rng(3)
