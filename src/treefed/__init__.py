@@ -24,10 +24,10 @@ from .datagen import (
     Shard,
     build_hierarchy_dataset,
     entropy_rate,
-    load_text_shard,
     make_clustered_sources,
 )
-from .engine import EngineConfig, RunResult, fit, run_centralized, run_flat_fl, run_local
+from .engine import (EngineConfig, ResidualConfig, RunResult, ServerConfig, fit, run_centralized,
+                     run_flat_fl, run_local)
 from .model import (
     ModelConfig,
     Partition,

@@ -46,11 +46,12 @@ WeightLog = dict[str, tuple[list[str], np.ndarray]]
 @dataclass
 class ScheduleConfig:
     """Warmup-cosine schedule: linear 0 -> eta_max over ceil(alpha*T) steps,
-    cosine decay to alpha*eta_max at step T, clamped beyond."""
+    cosine decay to alpha*eta_max at step T, clamped beyond. T is null only
+    in a config's schedule, until presets.resolve sets it for each trainer."""
 
     alpha: float = 0.01
     eta_max: float = 8e-4
-    total_steps: int = 3000
+    total_steps: int | None = 3000
     shape: str = "warmup_cosine"
 
     def __post_init__(self):
@@ -58,7 +59,7 @@ class ScheduleConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if self.eta_max <= 0:
             raise ValueError("eta_max must be positive")
-        if self.total_steps < 1:
+        if self.total_steps is not None and self.total_steps < 1:
             raise ValueError("total_steps must be positive")
         if self.shape != "warmup_cosine":
             raise ValueError(f"unknown schedule shape {self.shape!r}")

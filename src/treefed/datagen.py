@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -280,20 +279,6 @@ def build_byte_vocab(data: bytes) -> dict[int, int]:
     return {b: i for i, b in enumerate(sorted(set(data)))}
 
 
-def load_text_shard(path: str | Path, vocab_map: dict[int, int] | None = None) -> Shard:
-    """Byte-level ingestion with a fixed 90/5/5 positional split."""
-    data = Path(path).read_bytes()
-    if not data:
-        raise ValueError(f"empty file: {path}")
-    if vocab_map is None:
-        vocab_map = {i: i for i in range(256)}
-    try:
-        tokens = np.array([vocab_map[b] for b in data], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"byte {exc.args[0]} not in vocab map (vocab overflow)") from exc
-    return split_stream(tokens, f"text:{Path(path).name}")
-
-
 def split_stream(tokens: np.ndarray, source_id: str) -> Shard:
     """Fixed 90/5/5 positional train/val/test split of one token stream."""
     n = len(tokens)
@@ -304,7 +289,3 @@ def split_stream(tokens: np.ndarray, source_id: str) -> Shard:
                  test=tokens[n_train + n_val :],
                  provenance=MixtureSpec.from_budgets([(source_id, n)]))
 
-
-def detokenize(tokens: np.ndarray, vocab_map: dict[int, int]) -> bytes:
-    inverse = {v: k for k, v in vocab_map.items()}
-    return bytes(inverse[int(t)] for t in tokens)

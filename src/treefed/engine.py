@@ -75,20 +75,42 @@ class MetricRow(NamedTuple):
 
 
 @dataclass
+class ServerConfig:
+    """Every server's pseudo-gradient optimizer: step size and momentum."""
+
+    eta: float = 0.2
+    mu: float = 0.9
+
+
+@dataclass
+class ResidualConfig:
+    """Per key layer, at most nu child layers below threshold similarity."""
+
+    nu: int = 1
+    threshold: float = 0.999
+
+
+@dataclass
 class EngineConfig:
     model: ModelConfig
     trainer: TrainerConfig
     attention: AttentionConfig = field(default_factory=AttentionConfig)
-    server_eta: float = 0.2
-    server_mu: float = 0.9
-    nu: int = 1
-    residual_threshold: float = 0.999
+    server: ServerConfig = field(default_factory=ServerConfig)
+    residual: ResidualConfig = field(default_factory=ResidualConfig)
     dp: DpConfig | None = None
     rounds: int = 1
     seed: int = 0
 
-    def trainer_for(self, node) -> TrainerConfig:
-        return node.trainer if node.trainer is not None else self.trainer
+
+def stage_trainees(tree: FederationTree, level: list[int], shards: dict[int, Shard],
+                   trainer: TrainerConfig) -> list[tuple[int, TrainerConfig]]:
+    """The (node, trainer) pairs that train in a level's stage: nodes that
+    train locally, hold a shard and take local steps under their trainer
+    (their own, else `trainer`, the experiment's). A stage with any takes
+    one sequential step."""
+    trainers = {nid: tree.nodes[nid].trainer or trainer for nid in level}
+    return [(nid, t) for nid, t in trainers.items()
+            if tree.nodes[nid].trains_locally and nid in shards and t.local_steps > 0]
 
 
 @dataclass
@@ -240,7 +262,7 @@ def fit(
     max_age = max(2, 2 * depth)
 
     base = init_model(cfg.model, cfg.seed)
-    server_zero = ServerOptState.init_like(part.split(base)[0], cfg.server_eta, cfg.server_mu)
+    server_zero = ServerOptState.init_like(part.split(base)[0], cfg.server.eta, cfg.server.mu)
     state = {nid: _NodeState(model=base, opt=server_zero if tree.nodes[nid].children else None)
              for nid in tree.nodes}
 
@@ -260,7 +282,6 @@ def fit(
 
     for round_k in range(cfg.rounds):
         for stage_idx, level in enumerate(stages):
-            trainees = []
             for nid in level:
                 node = tree.nodes[nid]
                 st = state[nid]
@@ -288,10 +309,9 @@ def fit(
                         state[cid].d_route.extend(pkts)
                     st.d_route = routed.held
                     result.residual_log.extend(routed.events)
-                trainer = cfg.trainer_for(node)
-                if node.trains_locally and nid in shards and trainer.local_steps > 0:
-                    trainees.append((nid, trainer, seq_counter * trainer.local_steps))
             # local training, stacked across the level
+            trainees = [(nid, trainer, seq_counter * trainer.local_steps)
+                        for nid, trainer in stage_trainees(tree, level, shards, cfg.trainer)]
             outs = _train_stacked(trainees, lambda nid: TrainJob(
                 state[nid].model, shards[nid].train, rng_for(cfg.seed, nid, round_k, _TRAIN_TAG)))
             losses = {}
@@ -324,8 +344,8 @@ def fit(
                     keys, weight_log = aggregate_child_keys(keys, child_keys, cfg.attention)
                     _log_attention(result.attention_log, nid, round_k, "children", weight_log)
                     new_packets = partition_residuals(
-                        keys, child_keys, cfg.nu, cfg.attention, round_k, ceilings,
-                        cfg.residual_threshold,
+                        keys, child_keys, cfg.residual.nu, cfg.attention, round_k, ceilings,
+                        cfg.residual.threshold,
                     )
                 else:
                     new_packets = []
@@ -356,7 +376,7 @@ def run_flat_fl(
     if not leaf_ids:
         raise ValueError("flat FL needs at least one leaf")
     server = init_model(cfg.model, cfg.seed)
-    opt = ServerOptState.init_like(server, cfg.server_eta, cfg.server_mu)
+    opt = ServerOptState.init_like(server, cfg.server.eta, cfg.server.mu)
     dp = cfg.dp
     cs = ClipState(bound=dp.initial_bound) if dp and dp.enabled_nodes else None
     result = RunResult(method=method, rows=[])

@@ -1,7 +1,9 @@
-"""Named experiment presets and config resolution.
+"""Named experiment presets, the config format and config resolution.
 
-A config is a plain JSON-able dict (schema documented in the README); presets
-are builders for the shipped scenarios:
+A config is a plain JSON-able dict (schema documented in the README). Each
+of its sections, and its top level, has a dataclass that is its only schema;
+from_json parses a section against it. resolve parses every section before
+it samples any data. Presets are builders for the shipped scenarios:
 
   fig2         three-level, seven-node tree over two quantity-skewed source
                clusters (one big + one small leaf per cluster)
@@ -16,7 +18,9 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import difflib
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,11 +36,155 @@ from .datagen import (
     make_clustered_sources,
     split_stream,
 )
-from .engine import EngineConfig
+from .engine import EngineConfig, ResidualConfig, ServerConfig, stage_trainees
 from .model import ModelConfig, TrainerConfig
 from .privacy import DpConfig
-from .topology import (TRAINER_KEYS, FederationTree, reject_unknown_keys, tree_from_json,
-                       tree_to_json, validate)
+from .topology import FederationTree, NodeSpec, validate
+
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               list: "a list", frozenset: "a list", dict: "an object"}
+
+
+def _mismatch(value, tp, path: str) -> tuple[str, str, object] | None:
+    """(path, expected JSON type, value) of the first part of `value` that
+    annotation `tp` does not take, or None. An int counts as a float, a bool
+    as neither, and a list stands for a list or frozenset."""
+    args = typing.get_args(tp)
+    if type(None) in args:  # tp is X | None
+        if value is None:
+            return None
+        [tp] = [a for a in args if a is not type(None)]
+        args = typing.get_args(tp)
+    kind = typing.get_origin(tp) or tp
+    json_type = {frozenset: list, float: (int, float)}.get(kind, kind)
+    if not isinstance(value, json_type) or isinstance(value, bool) and kind is not bool:
+        return path, _JSON_TYPES[kind], value
+    items = value.items() if kind is dict else enumerate(value) if json_type is list else ()
+    for key, item in items if args else ():
+        bad = _mismatch(item, args[-1], f"{path}.{key}")
+        if bad:
+            return bad
+    return None
+
+
+def from_json(cls, obj, where: str, base=None):
+    """cls(**obj), or replace(base, **obj), for a JSON object whose keys are
+    the dataclass's fields, except dataclass-typed ones (sections of their
+    own). Raises a ValueError starting with `where` for a non-object, an
+    unknown key, a value of a JSON type the field's annotation does not
+    take, a missing field without a default, or a value cls rejects."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected an object, got {obj!r}")
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if not any(
+        map(dataclasses.is_dataclass, (hints[f.name], *typing.get_args(hints[f.name]))))]
+    keys = [f.name for f in fields]
+    for key, value in obj.items():
+        if key not in keys:
+            close = difflib.get_close_matches(key, keys, n=1)
+            hint = f"did you mean {close[0]!r}?" if close else f"expected one of {keys}"
+            raise ValueError(f"{where}: unknown key {key!r}; {hint}")
+        bad = _mismatch(value, hints[key], key)
+        if bad:
+            raise ValueError(f"{where} {bad[0]}: expected {bad[1]}, got {bad[2]!r}")
+    for f in fields:
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if base is None and required and f.name not in obj:
+            raise ValueError(f"{where}: missing key {f.name!r}")
+    try:
+        return cls(**obj) if base is None else dataclasses.replace(base, **obj)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+@dataclass(kw_only=True)
+class _Sections:
+    """A config's top level; resolve parses each section on its own."""
+
+    name: str = "custom"
+    tree: dict
+    data: dict
+    model: dict
+    trainer: dict
+    schedule: dict
+    attention: dict
+    server: dict
+    residual: dict
+    dp: dict | None = None
+    rounds: int
+    seed: int | None = None  # a manifest's config also carries its seed
+
+
+@dataclass(kw_only=True)
+class ClusteredData:
+    """Clustered Markov sources (kind "clustered" or "iid") for the leaves."""
+
+    kind: str
+    vocab_size: int
+    num_clusters: int
+    sources_per_cluster: int
+    divergence: float
+    concentration: float = 0.3
+    intra_jitter: float = 0.25
+    leaf_sources: dict[str, str]
+    leaf_budgets: dict[str, int]
+    val_tokens: int = 1024
+    test_tokens: int = 2048
+    internal_budget_scale: float = 1.0
+
+
+@dataclass
+class TextData:
+    """A byte-level text file, split evenly across the leaves."""
+
+    kind: str
+    path: str
+
+
+_DATA_KINDS = {"clustered": ClusteredData, "iid": ClusteredData, "text": TextData}
+
+
+@dataclass
+class _TreeJson:
+    nodes: list
+
+
+def tree_from_json(obj, trainer: TrainerConfig) -> FederationTree:
+    """The tree a JSON object describes. A node's trainer block is laid over
+    `trainer`, the experiment's, so unset keys keep its values."""
+    nodes = {}
+    for entry in from_json(_TreeJson, obj, "tree").nodes:
+        if not isinstance(entry, dict):
+            raise ValueError(f"tree nodes: expected an object per node, got {entry!r}")
+        where = f"tree node {entry.get('id')}"
+        if "dp_enabled" in entry:
+            raise ValueError(f"{where}: unknown key 'dp_enabled'; "
+                             "list DP clients in dp.enabled_nodes instead")
+        node = from_json(NodeSpec, {k: v for k, v in entry.items() if k != "trainer"}, where)
+        if "trainer" in entry:
+            if isinstance(entry["trainer"], dict) and "schedule" in entry["trainer"]:
+                raise ValueError(f"{where}: a node trainer takes no schedule; "
+                                 "every node follows the experiment's")
+            node.trainer = from_json(TrainerConfig, entry["trainer"], f"{where} trainer",
+                                     base=trainer)
+        nodes[node.id] = node
+    return FederationTree(nodes)
+
+
+def tree_to_json(tree: FederationTree) -> dict:
+    """The JSON object of a tree. A node trainer is written without its
+    schedule, which is the experiment's, and a node without one has no
+    trainer key."""
+    nodes = []
+    for nid in sorted(tree.nodes):
+        entry = dataclasses.asdict(tree.nodes[nid])
+        if entry["trainer"] is None:
+            del entry["trainer"]
+        else:
+            del entry["trainer"]["schedule"]
+        nodes.append(entry)
+    return {"nodes": nodes}
+
 
 # Fig. 2-style tree: root 0, two mid servers, two leaves each.
 _FIG2_CHILDREN = {0: [1, 2], 1: [3, 4], 2: [5, 6]}
@@ -93,10 +241,6 @@ def _base_config() -> dict:
     }
 
 
-def _fig2() -> dict:
-    return _base_config()
-
-
 def _fig2_swapped() -> dict:
     cfg = _base_config()
     cfg["name"] = "fig2-swapped"
@@ -140,7 +284,7 @@ def _dp(pair: tuple[int, int], name: str) -> dict:
 
 
 PRESETS = {
-    "fig2": _fig2,
+    "fig2": _base_config,
     "fig2-swapped": _fig2_swapped,
     "iid": _iid,
     "dp-cc-wk": lambda: _dp((3, 4), "dp-cc-wk"),
@@ -191,70 +335,22 @@ class ResolvedExperiment:
         return self.engine.rounds * self.stages_per_round
 
 
-def _fields(cls, *skip: str) -> list[str]:
-    return [f.name for f in dataclasses.fields(cls) if f.name not in skip]
-
-
-_TOP_KEYS = ("name", "tree", "data", "model", "trainer", "schedule", "attention", "server",
-             "residual", "dp", "rounds", "seed")  # a manifest's config also carries its seed
-_CLUSTERED_KEYS = ("kind", "vocab_size", "num_clusters", "sources_per_cluster", "divergence",
-                   "concentration", "intra_jitter", "leaf_sources", "leaf_budgets",
-                   "val_tokens", "test_tokens", "internal_budget_scale")
-_DATA_KEYS = {"clustered": _CLUSTERED_KEYS, "iid": _CLUSTERED_KEYS, "text": ("kind", "path")}
-_SECTION_KEYS = {
-    "model": _fields(ModelConfig),
-    "trainer": TRAINER_KEYS,
-    "schedule": _fields(ScheduleConfig),
-    "attention": _fields(AttentionConfig),
-    "server": ["eta", "mu"],
-    "residual": ["nu", "threshold"],
-    "dp": _fields(DpConfig),
-}
-
-
-def _check_keys(cfg: dict) -> None:
-    """Reject a section that is not an object, and a key that the config,
-    or a section of it, does not take."""
-    reject_unknown_keys("config", cfg, _TOP_KEYS)
-    for section in ("tree", "data", *_SECTION_KEYS):
-        value = cfg.get(section)  # only dp may be null
-        if not isinstance(value, dict) and (value is not None or section != "dp"):
-            raise ValueError(f"config {section}: expected an object, got {value!r}")
-        if section in _SECTION_KEYS and value is not None:
-            reject_unknown_keys(f"config {section}", value, _SECTION_KEYS[section])
-    kind = cfg["data"]["kind"]
-    if kind not in _DATA_KEYS:
-        raise ValueError(f"unknown data kind {kind!r}")
-    reject_unknown_keys(f"config data ({kind})", cfg["data"], _DATA_KEYS[kind])
-
-
-def _build_clustered_shards(tree: FederationTree, data: dict, seed: int):
-    sources = make_clustered_sources(
-        num_clusters=data["num_clusters"],
-        sources_per_cluster=data["sources_per_cluster"],
-        divergence=data["divergence"],
-        vocab_size=data["vocab_size"],
-        seed=seed,
-        concentration=data.get("concentration", 0.3),
-        intra_jitter=data.get("intra_jitter", 0.25),
-    )
+def _build_clustered_shards(tree: FederationTree, data: ClusteredData, seed: int):
+    sources = make_clustered_sources(data.num_clusters, data.sources_per_cluster,
+                                     data.divergence, data.vocab_size, seed,
+                                     data.concentration, data.intra_jitter)
     by_id = {s.id: s for s in sources}
     assignment = {}
-    for leaf_str, source_id in data["leaf_sources"].items():
-        leaf = int(leaf_str)
-        budget = data["leaf_budgets"][leaf_str]
-        assignment[leaf] = MixtureSpec.from_budgets([(source_id, budget)])
-    shards = build_hierarchy_dataset(
-        tree, assignment, by_id, seed,
-        val_tokens=data.get("val_tokens", 1024),
-        test_tokens=data.get("test_tokens", 2048),
-        internal_budget_scale=data.get("internal_budget_scale", 1.0),
-    )
+    for leaf_str, source_id in data.leaf_sources.items():
+        budget = data.leaf_budgets[leaf_str]
+        assignment[int(leaf_str)] = MixtureSpec.from_budgets([(source_id, budget)])
+    shards = build_hierarchy_dataset(tree, assignment, by_id, seed, data.val_tokens,
+                                     data.test_tokens, data.internal_budget_scale)
     return shards, by_id
 
 
-def _build_text_shards(tree: FederationTree, data: dict):
-    path = Path(data["path"])
+def _build_text_shards(tree: FederationTree, data: TextData):
+    path = Path(data.path)
     raw = path.read_bytes()
     if not raw:
         raise ValueError(f"empty file: {path}")
@@ -282,77 +378,66 @@ def _build_text_shards(tree: FederationTree, data: dict):
 
 
 def resolve(config: dict, seed: int, rounds: int | None = None) -> ResolvedExperiment:
-    """Instantiate tree, data, and engine config for one experiment run."""
+    """Instantiate tree, data, and engine config for one experiment run.
+    Every section is parsed before any data is sampled."""
     cfg = copy.deepcopy(config)
-    if rounds is not None:
+    if rounds is not None and isinstance(cfg, dict):  # a non-object fails in from_json
         cfg["rounds"] = rounds
-    if cfg["rounds"] < 1:
+    top = from_json(_Sections, cfg, "config")
+    if top.rounds < 1:
         raise ValueError("rounds must be >= 1")
-    _check_keys(cfg)
-    trainer = TrainerConfig(**cfg["trainer"])  # its schedule is set below
-    tree = tree_from_json(cfg["tree"], trainer)
+    model = from_json(ModelConfig, top.model, "config model")
+    trainer = from_json(TrainerConfig, top.trainer, "config trainer")  # its schedule is set below
+    schedule = from_json(ScheduleConfig, top.schedule, "config schedule")
+    attention = from_json(AttentionConfig, top.attention, "config attention")
+    server = from_json(ServerConfig, top.server, "config server")
+    residual = from_json(ResidualConfig, top.residual, "config residual")
+    dp = None if top.dp is None else from_json(DpConfig, top.dp, "config dp")
+    kind = top.data.get("kind")
+    if not isinstance(kind, str) or kind not in _DATA_KINDS:
+        raise ValueError(f"config data kind: expected one of {list(_DATA_KINDS)}, got {kind!r}")
+    data = from_json(_DATA_KINDS[kind], top.data, "config data")
+    tree = tree_from_json(top.tree, trainer)
     bad = validate(tree)
     if bad:
         raise ValueError("invalid tree: " + "; ".join(bad))
 
-    data = cfg["data"]
-    if data["kind"] == "text":
+    if isinstance(data, TextData):
         shards, sources, text_vocab = _build_text_shards(tree, data)
-        if cfg["model"]["vocab_size"] < text_vocab:
-            raise ValueError(
-                f"model vocab {cfg['model']['vocab_size']} < text vocab {text_vocab}"
-            )
+        if model.vocab_size < text_vocab:
+            raise ValueError(f"model vocab {model.vocab_size} < text vocab {text_vocab}")
     else:
         shards, sources = _build_clustered_shards(tree, data, seed)
 
-    model = ModelConfig(**cfg["model"])
-    sched = dict(cfg["schedule"])
-    levels = tree.levels()
-    trainable_stages = 0
-    for level in levels:
-        if any(tree.nodes[nid].trains_locally and nid in shards for nid in level):
-            trainable_stages += 1
+    trainable_stages = sum(1 for level in tree.levels()
+                           if stage_trainees(tree, level, shards, trainer))
 
     def scheduled(t: TrainerConfig) -> TrainerConfig:
         """`t` on the experiment's schedule; a null total_steps spans every
         step `t` takes: rounds x trainable stages x its local_steps."""
-        total = sched.get("total_steps")
+        total = schedule.total_steps
         if total is None:
-            total = max(1, cfg["rounds"] * trainable_stages * t.local_steps)
-        return dataclasses.replace(t, schedule=ScheduleConfig(**{**sched, "total_steps": total}))
+            total = max(1, top.rounds * trainable_stages * t.local_steps)
+        return dataclasses.replace(t, schedule=dataclasses.replace(schedule, total_steps=total))
 
-    trainer = scheduled(trainer)
     for node in tree.nodes.values():
         if node.trainer is not None:
             node.trainer = scheduled(node.trainer)
-    attention = AttentionConfig(**cfg["attention"])
-    dp = None
-    if cfg.get("dp"):
-        dp = DpConfig(
-            sigma=cfg["dp"]["sigma"],
-            initial_bound=cfg["dp"]["initial_bound"],
-            enabled_nodes=frozenset(cfg["dp"]["enabled_nodes"]),
-            absolute_noise=cfg["dp"].get("absolute_noise", False),
-        )
     engine = EngineConfig(
         model=model,
-        trainer=trainer,
+        trainer=scheduled(trainer),
         attention=attention,
-        server_eta=cfg["server"]["eta"],
-        server_mu=cfg["server"]["mu"],
-        nu=cfg["residual"]["nu"],
-        residual_threshold=cfg["residual"]["threshold"],
+        server=server,
+        residual=residual,
         dp=dp,
-        rounds=cfg["rounds"],
+        rounds=top.rounds,
         seed=seed,
     )
     # a null total_steps stays null: with the recorded rounds and tree it
     # derives every node's total again, which one number could not record
-    resolved_cfg = copy.deepcopy(cfg)
-    resolved_cfg["seed"] = seed
     return ResolvedExperiment(
-        name=cfg.get("name", "custom"),
-        config=resolved_cfg,
+        name=top.name,
+        config={**copy.deepcopy(cfg), "seed": seed},
         tree=tree,
         shards=shards,
         sources=sources,

@@ -13,9 +13,9 @@ from .tensors import ParamSet, l2_norm
 
 @dataclass
 class DpConfig:
-    sigma: float = 0.5
-    initial_bound: float = 1.0
-    enabled_nodes: frozenset[int] = frozenset()
+    sigma: float
+    initial_bound: float
+    enabled_nodes: frozenset[int]
     absolute_noise: bool = False  # std = sigma instead of sigma * bound
 
     def __post_init__(self):

@@ -1,16 +1,17 @@
-"""Federation-of-federations trees: declarative specs plus validation.
+"""Federation-of-federations trees: node records, structure queries and
+validation.
 
 A tree is a map of node ids to NodeSpec records. The root has id 0 and no
 parent. Node ids are dense integers assigned in BFS order by the builders,
 which fixes reduction order everywhere downstream. residual_ceiling names the
 highest ancestor a node's residual packets may climb to (default: the root).
+A tree's JSON form is read and written by presets, which owns the config
+format.
 """
 
 from __future__ import annotations
 
-import difflib
-from dataclasses import dataclass, field, fields, replace
-from typing import Iterable
+from dataclasses import dataclass, field
 
 from .model import TrainerConfig
 
@@ -31,16 +32,7 @@ class FederationTree:
         self.nodes = dict(sorted(nodes.items()))
 
     @classmethod
-    def from_children_map(
-        cls,
-        children: dict[int, list[int]],
-        datasets: dict[int, str] | None = None,
-        trains_locally: dict[int, bool] | None = None,
-        residual_ceilings: dict[int, int] | None = None,
-    ) -> "FederationTree":
-        datasets = datasets or {}
-        trains_locally = trains_locally or {}
-        residual_ceilings = residual_ceilings or {}
+    def from_children_map(cls, children: dict[int, list[int]]) -> "FederationTree":
         all_children = {c for cs in children.values() for c in cs}
         ids = set(children) | all_children
         nodes = {}
@@ -50,9 +42,7 @@ class FederationTree:
                 id=nid,
                 parent=parent,
                 children=sorted(children.get(nid, [])),
-                dataset=datasets.get(nid, str(nid)),
-                residual_ceiling=residual_ceilings.get(nid, 0),
-                trains_locally=trains_locally.get(nid, True),
+                dataset=str(nid),
             )
         return cls(nodes)
 
@@ -159,82 +149,3 @@ def validate(tree: FederationTree) -> list[str]:
             if ceiling != nid and (ceiling not in tree.nodes or not tree.is_ancestor(ceiling, nid)):
                 violations.append(f"node {nid}: residual_ceiling {ceiling} is not an ancestor")
     return violations
-
-
-# --- serialization ---------------------------------------------------------
-
-def tree_to_json(tree: FederationTree) -> dict:
-    nodes = []
-    for nid in sorted(tree.nodes):
-        n = tree.nodes[nid]
-        entry = {
-            "id": n.id,
-            "parent": n.parent,
-            "children": list(n.children),
-            "dataset": n.dataset,
-            "residual_ceiling": n.residual_ceiling,
-            "trains_locally": n.trains_locally,
-        }
-        if n.trainer is not None:
-            entry["trainer"] = {
-                "optimizer": n.trainer.optimizer,
-                "beta1": n.trainer.beta1,
-                "beta2": n.trainer.beta2,
-                "local_steps": n.trainer.local_steps,
-                "batch_size": n.trainer.batch_size,
-            }
-        nodes.append(entry)
-    return {"nodes": nodes}
-
-
-def reject_unknown_keys(where: str, given: Iterable[str], accepted: Iterable[str]) -> None:
-    """Raise ValueError naming the first key in `given` that is not in
-    `accepted`, with the closest accepted key as a suggestion."""
-    accepted = list(accepted)
-    for key in given:
-        if key not in accepted:
-            close = difflib.get_close_matches(key, accepted, n=1)
-            hint = f"did you mean {close[0]!r}?" if close else f"expected one of {accepted}"
-            raise ValueError(f"{where}: unknown key {key!r}; {hint}")
-
-
-_NODE_KEYS = ("id", "parent", "children", "dataset", "residual_ceiling",
-              "trains_locally", "trainer")
-TRAINER_KEYS = [f.name for f in fields(TrainerConfig) if f.name != "schedule"]
-
-
-def tree_from_json(obj: dict, trainer: TrainerConfig) -> FederationTree:
-    """The tree a JSON object describes. A node's trainer block is laid over
-    `trainer`, the experiment's, so unset keys keep its values."""
-    reject_unknown_keys("tree", obj, ["nodes"])
-    if not isinstance(obj.get("nodes"), list):
-        raise ValueError(f"tree nodes: expected a list, got {obj.get('nodes')!r}")
-    nodes = {}
-    for entry in obj["nodes"]:
-        if not isinstance(entry, dict):
-            raise ValueError(f"tree nodes: expected an object per node, got {entry!r}")
-        where = f"tree node {entry.get('id')}"
-        if "dp_enabled" in entry:
-            raise ValueError(f"{where}: unknown key 'dp_enabled'; "
-                             "list DP clients in dp.enabled_nodes instead")
-        reject_unknown_keys(where, entry, _NODE_KEYS)
-        node_trainer = None
-        if "trainer" in entry:
-            if not isinstance(entry["trainer"], dict):
-                raise ValueError(f"{where} trainer: expected an object, got {entry['trainer']!r}")
-            if "schedule" in entry["trainer"]:
-                raise ValueError(f"{where}: a node trainer takes no schedule; "
-                                 "every node follows the experiment's")
-            reject_unknown_keys(f"{where} trainer", entry["trainer"], TRAINER_KEYS)
-            node_trainer = replace(trainer, **entry["trainer"])
-        nodes[entry["id"]] = NodeSpec(
-            id=entry["id"],
-            parent=entry["parent"],
-            children=list(entry["children"]),
-            dataset=entry.get("dataset", ""),
-            residual_ceiling=entry.get("residual_ceiling", 0),
-            trains_locally=entry.get("trains_locally", True),
-            trainer=node_trainer,
-        )
-    return FederationTree(nodes)
-

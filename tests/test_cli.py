@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from treefed import presets
 from treefed.cli import main
 from treefed.presets import PRESETS, preset_config, resolve
 
@@ -243,6 +244,30 @@ class TestConfigKeys:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize("override, message", [
+        ("attention.temperature=abc",
+         "config attention temperature: expected a number, got 'abc'"),
+        ("residual.nu=abc", "config residual nu: expected an integer, got 'abc'"),
+        ("trainer.local_steps=true", "config trainer local_steps: expected an integer, got True"),
+        ("data.val_tokens=abc", "config data val_tokens: expected an integer, got 'abc'"),
+        ("data.leaf_budgets.3=abc", "config data leaf_budgets.3: expected an integer, got 'abc'"),
+        ("model={}", "config model: missing key 'vocab_size'"),
+        ("rounds=abc", "config rounds: expected an integer, got 'abc'"),
+        ("dp.enabled_nodes=5", "config dp enabled_nodes: expected a list, got 5"),
+        ("dp.sigma=null", "config dp sigma: expected a number, got None"),
+        ("server.eta=abc", "config server eta: expected a number, got 'abc'"),
+        ("model.embed_dim=1.5", "config model embed_dim: expected an integer, got 1.5"),
+    ])
+    def test_wrong_value_exits_1_naming_the_key_before_sampling(self, override, message,
+                                                                 capsys, monkeypatch):
+        def sample(*args, **kwargs):
+            raise AssertionError("data sampled before the config was checked")
+
+        monkeypatch.setattr(presets, "build_hierarchy_dataset", sample)
+        rc = main(["run", "--preset", "fig2", "--override", override])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     def test_shipped_configs_and_a_manifest_resolve(self, tiny_config, tmp_path):
         configs = [preset_config(name) for name in PRESETS]
         configs += [json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))]
@@ -295,3 +320,8 @@ class TestExportPreset:
         rc = main(["export-preset", "zzz"])
         assert rc != 0
         assert "zzz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_config_is_the_exported_preset(self, path, capsys):
+        assert main(["export-preset", path.stem]) == 0
+        assert capsys.readouterr().out == path.read_text()

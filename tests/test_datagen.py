@@ -6,18 +6,17 @@ from treefed.datagen import (
     MixtureComponent,
     MixtureSpec,
     Shard,
-    build_byte_vocab,
     build_hierarchy_dataset,
     cross_entropy_rate,
-    detokenize,
     entropy_rate,
-    load_text_shard,
     make_clustered_sources,
     markov_perplexity,
     sample_shard,
     sample_tokens,
+    split_stream,
     stationary_distribution,
 )
+from treefed.presets import preset_config, resolve
 from treefed.topology import FederationTree
 
 
@@ -222,27 +221,11 @@ class TestTextShard:
     def test_empty_file_errors(self, tmp_path):
         p = tmp_path / "empty.txt"
         p.write_bytes(b"")
+        cfg = preset_config("fig2")
+        cfg["data"] = {"kind": "text", "path": str(p)}
         with pytest.raises(ValueError, match="empty"):
-            load_text_shard(p)
+            resolve(cfg, seed=1)
 
-    def test_90_5_5_split(self, tmp_path):
-        p = tmp_path / "hundred.txt"
-        p.write_bytes(bytes(range(50)) * 2)
-        shard = load_text_shard(p)
+    def test_90_5_5_split(self):
+        shard = split_stream(np.arange(100), "text:hundred.txt")
         assert (len(shard.train), len(shard.val), len(shard.test)) == (90, 5, 5)
-
-    def test_roundtrip_detokenization(self, tmp_path):
-        data = b"the quick brown fox jumps over the lazy dog" * 3
-        p = tmp_path / "t.txt"
-        p.write_bytes(data)
-        vocab = build_byte_vocab(data)
-        shard = load_text_shard(p, vocab)
-        rebuilt = detokenize(np.concatenate([shard.train, shard.val, shard.test]), vocab)
-        assert rebuilt == data
-
-    def test_vocab_overflow(self, tmp_path):
-        p = tmp_path / "t.txt"
-        p.write_bytes(b"abcz" * 30)
-        vocab = build_byte_vocab(b"abc")
-        with pytest.raises(ValueError, match="overflow"):
-            load_text_shard(p, vocab)

@@ -13,6 +13,8 @@ from treefed.datagen import (
 )
 from treefed.engine import (
     EngineConfig,
+    ResidualConfig,
+    ServerConfig,
     evaluate_round,
     fit,
     rng_for,
@@ -68,9 +70,8 @@ def cfg_for(tree, shards, rounds=3, seed=0, key_blocks=1, eta=0.2, mu=0.9,
         model=small_model(key_blocks),
         trainer=trainer or small_trainer(),
         attention=AttentionConfig(),
-        server_eta=eta,
-        server_mu=mu,
-        nu=1,
+        server=ServerConfig(eta=eta, mu=mu),
+        residual=ResidualConfig(nu=1),
         rounds=rounds,
         seed=seed,
         dp=dp,

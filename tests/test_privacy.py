@@ -106,6 +106,6 @@ class TestDpOffEquivalence:
 class TestDpConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            DpConfig(sigma=-0.1)
+            DpConfig(sigma=-0.1, initial_bound=1.0, enabled_nodes=frozenset())
         with pytest.raises(ValueError):
-            DpConfig(initial_bound=0.0)
+            DpConfig(sigma=0.5, initial_bound=0.0, enabled_nodes=frozenset())

@@ -1,12 +1,19 @@
 """Property tests for the core invariants: attention weights form a
 distribution, routing respects origin subtrees and ceilings, clipping
-respects its bound, and validate accepts exactly the well-formed trees."""
+respects its bound, validate accepts exactly the well-formed trees, and
+resolve rejects a config value of the wrong JSON type before sampling."""
+
+import re
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treefed import presets
 from treefed.aggregation import AttentionConfig, aggregate_child_keys, merge_with_parent
+from treefed.presets import preset_config, resolve
 from treefed.privacy import clip
 from treefed.residual import KeyCache, ResidualPacket, route_residuals, split_by_ceiling
 from treefed.tensors import ParamSet, Tensor, l2_norm
@@ -158,3 +165,60 @@ def test_validate_accepts_exactly_the_well_formed_trees(parents):
                                        children=[j for j, q in enumerate(parents) if q == i])
                            for i, p in enumerate(parents)})
     assert (validate(tree) == []) == well_formed(parents)
+
+
+def wrong_values(value):
+    """Values of another JSON type than `value`'s: a string for a number, a
+    bool for an int, a non-integral float for an int, null and a list for
+    a scalar. A field that is null may be, so it gets none."""
+    if value is None:
+        return []
+    if isinstance(value, bool):
+        return [None, "abc", 1, [value]]
+    if isinstance(value, int):
+        return ["abc", True, 1.5, None, [value]]
+    if isinstance(value, float):
+        return ["abc", True, None, [value]]
+    if isinstance(value, str):
+        return [None, 1, [value]]
+    return [None, "abc", 1] + ([[1]] if isinstance(value, dict) else [])
+
+
+def wrong_type_cases():
+    """(preset, path to a section, the section's name in messages, key,
+    wrong value) for every field of fig2's top level, model, trainer,
+    schedule, attention, server, residual, data and tree nodes, and of
+    dp-cc-wk's dp section."""
+    fig2 = preset_config("fig2")
+    sections = [("fig2", (), "config"), ("dp-cc-wk", ("dp",), "config dp")]
+    sections += [("fig2", (name,), f"config {name}") for name in
+                 ("model", "trainer", "schedule", "attention", "server", "residual", "data")]
+    sections += [("fig2", ("tree", "nodes", i), "tree node")
+                 for i in range(len(fig2["tree"]["nodes"]))]
+    cases = []
+    for preset, path, label in sections:
+        section = preset_config(preset)
+        for part in path:
+            section = section[part]
+        for key, value in section.items():
+            for wrong in wrong_values(value):
+                if (label, key, wrong) != ("tree node", "parent", None):  # the root's is null
+                    cases.append((preset, path, label, key, wrong))
+    return cases
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(wrong_type_cases()))
+def test_wrong_json_type_rejected_naming_section_and_key(case):
+    preset, path, label, key, wrong = case
+    cfg = preset_config(preset)
+    section = cfg
+    for part in path:
+        section = section[part]
+    section[key] = wrong
+    sample = AssertionError("data sampled before the config was checked")
+    with mock.patch.object(presets, "build_hierarchy_dataset", side_effect=sample):
+        with pytest.raises(ValueError) as exc:
+            resolve(cfg, seed=1)
+    message = str(exc.value)
+    assert message.startswith(label) and re.search(rf"\b{key}\b", message), message

@@ -4,15 +4,10 @@ import json
 import pytest
 
 from treefed.aggregation import lr_at
+from treefed.engine import fit
 from treefed.model import TrainerConfig
-from treefed.presets import preset_config, resolve
-from treefed.topology import (
-    FederationTree,
-    NodeSpec,
-    tree_from_json,
-    tree_to_json,
-    validate,
-)
+from treefed.presets import preset_config, resolve, tree_from_json, tree_to_json
+from treefed.topology import FederationTree, NodeSpec, validate
 
 FIG2 = {0: [1, 2], 1: [3, 4], 2: [5, 6]}
 
@@ -172,6 +167,17 @@ class TestNodeTrainerOverride:
         trainer, base = exp.tree.nodes[3].trainer, exp.engine.trainer
         assert (trainer.local_steps, trainer.batch_size) == (48, 32)
         assert dataclasses.replace(trainer, local_steps=96, schedule=base.schedule) == base
+
+    def test_stage_without_a_local_step_takes_no_step(self):
+        # the root takes no local step, so a round has two training stages:
+        # the run, the baselines' budget and the null-total_steps schedule
+        # all count those two
+        cfg = preset_config("fig2")
+        cfg["tree"]["nodes"][0]["trainer"] = {"local_steps": 0}
+        exp = resolve(cfg, seed=1, rounds=2)
+        result = fit(exp.tree, exp.shards, exp.engine)
+        assert result.seq_steps == exp.total_stages == 4
+        assert exp.engine.trainer.schedule.total_steps == result.seq_steps * 96
 
     def test_node_trainer_key_typo_rejected(self):
         obj = tree_to_json(fig2_tree())
