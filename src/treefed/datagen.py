@@ -74,6 +74,11 @@ def cross_entropy_rate(p: MarkovSource, q: MarkovSource) -> float:
     return float(pi @ ce)
 
 
+def clustered_source_ids(num_clusters: int, sources_per_cluster: int) -> list[str]:
+    """The ids of make_clustered_sources' sources, in the order it builds them."""
+    return [f"c{c}s{s}" for c in range(num_clusters) for s in range(sources_per_cluster)]
+
+
 def make_clustered_sources(
     num_clusters: int,
     sources_per_cluster: int,
@@ -104,13 +109,14 @@ def make_clustered_sources(
 
     global_mat = draw()
     out = []
+    ids = iter(clustered_source_ids(num_clusters, sources_per_cluster))
     kappa = divergence * intra_jitter
     for c in range(num_clusters):
         cluster_mat = renorm((1.0 - divergence) * global_mat + divergence * draw())
-        for s in range(sources_per_cluster):
+        for _ in range(sources_per_cluster):
             T = renorm((1.0 - kappa) * cluster_mat + kappa * draw())
             out.append(MarkovSource(
-                id=f"c{c}s{s}",
+                id=next(ids),
                 transition=T,
                 initial=stationary_distribution(T),
             ))
@@ -187,9 +193,14 @@ class Shard:
             setattr(self, name, arr)
 
     def digest(self) -> str:
+        """SHA-256 of the three splits, each token as a little-endian uint16."""
         h = hashlib.sha256()
         for name in ("train", "val", "test"):
-            h.update(getattr(self, name).astype("<u2").tobytes())
+            tokens = getattr(self, name)
+            if tokens.min() < 0 or tokens.max() > 0xFFFF:
+                raise ValueError(f"{name} split: token ids must lie in [0, 65535] "
+                                 "to be digested")
+            h.update(tokens.astype("<u2").tobytes())
         return h.hexdigest()
 
 

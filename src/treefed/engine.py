@@ -89,6 +89,10 @@ class ResidualConfig:
     nu: int = 1
     threshold: float = 0.999
 
+    def __post_init__(self):
+        if self.nu < 0:
+            raise ValueError("nu must be >= 0")
+
 
 @dataclass
 class EngineConfig:

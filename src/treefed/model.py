@@ -202,6 +202,27 @@ class _ForwardCache(NamedTuple):
     wide: bool
 
 
+def _trunk(w: dict[str, np.ndarray], layout: Layout, ids: np.ndarray, blocks=None):
+    """The network on each node's (N, B, n) context ids, from the weight
+    views `w`: embedding, in_proj, blocks, head. Returns (x, h, z, ez, denom):
+    the concatenated embeddings, the final hidden states, the float64 logits
+    shifted by their row maxima, their exps and each row's sum of exps.
+    Appends each block's (input, tanh output) to `blocks` when given."""
+    N, B, _ = ids.shape
+    x = w["embed"][np.arange(N)[:, None, None], ids].reshape(N, B, -1)
+    h = x @ w["in_proj.w"] + w["in_proj.b"][:, None]
+    for i in range(_num_blocks(layout)):
+        u = np.tanh(h @ w[f"block{i}.fc1.w"] + w[f"block{i}.fc1.b"][:, None])
+        if blocks is not None:
+            blocks.append((h, u))
+        h = h + (u @ w[f"block{i}.fc2.w"] + w[f"block{i}.fc2.b"][:, None])
+    logits = h @ w["head.w"] + w["head.b"][:, None]
+    z = logits.astype(np.float64)
+    z -= z.max(axis=2, keepdims=True)
+    ez = np.exp(z)
+    return x, h, z, ez, ez.sum(axis=2)
+
+
 def forward_loss(params: ParamSet | ParamStack, batch: np.ndarray, wide: bool = False):
     """Mean next-token cross-entropy (nats) of each node's token windows.
 
@@ -215,7 +236,7 @@ def forward_loss(params: ParamSet | ParamStack, batch: np.ndarray, wide: bool = 
     if isinstance(params, ParamSet):
         batch = batch[None]
     N = stack.buf.shape[0]
-    V, d, n = _dims(stack.layout)
+    V, _, n = _dims(stack.layout)
     if batch.ndim != 3 or batch.shape[0] != N or batch.shape[2] != n + 1:
         raise ValueError(f"batch must be {N} node(s) x B windows x {n + 1} columns, "
                          f"got {batch.shape}")
@@ -225,18 +246,8 @@ def forward_loss(params: ParamSet | ParamStack, batch: np.ndarray, wide: bool = 
     w = stack.layout.views(stack.buf.astype(np.float64)) if wide else stack.arrays()
     ids, targets = batch[..., :n], batch[..., n]
     B = batch.shape[1]
-    x = w["embed"][np.arange(N)[:, None, None], ids].reshape(N, B, n * d)
-    h = x @ w["in_proj.w"] + w["in_proj.b"][:, None]
     blocks = []
-    for i in range(_num_blocks(stack.layout)):
-        u = np.tanh(h @ w[f"block{i}.fc1.w"] + w[f"block{i}.fc1.b"][:, None])
-        blocks.append((h, u))
-        h = h + (u @ w[f"block{i}.fc2.w"] + w[f"block{i}.fc2.b"][:, None])
-    logits = h @ w["head.w"] + w["head.b"][:, None]
-    z = logits.astype(np.float64)
-    z -= z.max(axis=2, keepdims=True)
-    ez = np.exp(z)
-    denom = ez.sum(axis=2)
+    x, h, z, ez, denom = _trunk(w, stack.layout, ids, blocks)
     probs = ez / denom[..., None]
     nll = np.log(denom) - z[np.arange(N)[:, None], np.arange(B), targets]
     loss = nll.mean(axis=1)
@@ -385,18 +396,46 @@ def local_train(
 
 
 def mean_nll(params: ParamSet, tokens: np.ndarray, chunk: int = 8192) -> float:
-    """Mean token NLL (nats) over all stride-1 windows of the token stream."""
+    """Mean token NLL (nats) over all stride-1 windows of the token stream.
+
+    The model reads only a window's n context tokens, so each distinct
+    context runs through the network once, at most `chunk` contexts a pass,
+    and every window takes its NLL from its context's row. The NLLs are then
+    averaged `chunk` windows at a time and the means weighted by their
+    window counts, so the result is byte-identical to scoring the stream
+    with forward_loss, `chunk` windows a call.
+    """
     tokens = np.asarray(tokens)
-    _, _, n = _dims(params.layout)
+    V, _, n = _dims(params.layout)
     if len(tokens) < n + 1:
         raise ValueError("empty or too-short evaluation shard")
+    if tokens.min() < 0 or tokens.max() >= V:
+        raise ValueError("token id out of range")
     windows = np.lib.stride_tricks.sliding_window_view(tokens, n + 1)
+    # sorted by context, a window opens a run of equal contexts when it
+    # differs from the one before; lexsort compares the token ids as they
+    # are, so no vocab size or context length can overflow it
+    order = np.lexsort(windows[:, :n].T)
+    contexts, targets = windows[order, :n], windows[order, n]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (contexts[1:] != contexts[:-1]).any(axis=1)
+    rank = np.cumsum(first) - 1  # each sorted window's distinct context
+    distinct, w = contexts[first], _as_stack(params).arrays()
+    nll = np.empty(len(order))
+    for lo in range(0, len(distinct), chunk):
+        ids = distinct[lo : lo + chunk]
+        # one row would take BLAS's matrix-vector kernel, which rounds
+        # differently from the matrix-matrix one a batch of windows takes
+        _, _, z, _, denom = _trunk(w, params.layout, np.concatenate([ids, ids])[None]
+                                   if len(ids) == 1 else ids[None])
+        a, b = np.searchsorted(rank, [lo, lo + chunk])
+        row = rank[a:b] - lo
+        nll[order[a:b]] = np.log(denom[0])[row] - z[0, row, targets[a:b]]
     total = 0.0
-    for start in range(0, len(windows), chunk):
-        part = np.ascontiguousarray(windows[start : start + chunk])
-        loss, _ = forward_loss(params, part)
-        total += loss * len(part)
-    return total / len(windows)
+    for start in range(0, len(nll), chunk):
+        part = nll[start : start + chunk]
+        total += float(part.mean()) * len(part)
+    return total / len(nll)
 
 
 def evaluate_perplexity(params: ParamSet, tokens: np.ndarray, chunk: int = 8192) -> float:

@@ -33,6 +33,7 @@ from .datagen import (
     Shard,
     build_byte_vocab,
     build_hierarchy_dataset,
+    clustered_source_ids,
     make_clustered_sources,
     split_stream,
 )
@@ -335,6 +336,34 @@ class ResolvedExperiment:
         return self.engine.rounds * self.stages_per_round
 
 
+def _check_node_references(tree: FederationTree, data, dp: DpConfig | None) -> None:
+    """Reject DP clients and leaf maps that name nodes or sources the
+    experiment does not have, before any data is sampled."""
+    for nid in sorted(dp.enabled_nodes) if dp else ():
+        if nid not in tree.nodes:
+            raise ValueError(f"config dp enabled_nodes: node {nid} is not in the tree")
+        if tree.nodes[nid].parent is None:
+            raise ValueError(f"config dp enabled_nodes: node {nid} is the root, "
+                             "which has no server to be a client of")
+    if not isinstance(data, ClusteredData):
+        return
+    leaves = [str(leaf) for leaf in tree.leaves()]
+    for name in ("leaf_sources", "leaf_budgets"):
+        keys = getattr(data, name)
+        for key in keys:
+            if key not in leaves:
+                raise ValueError(f"config data {name}: {key!r} is not a leaf of the tree; "
+                                 f"its leaves are {leaves}")
+        for leaf in leaves:
+            if leaf not in keys:
+                raise ValueError(f"config data {name}: missing leaf {leaf!r}")
+    sources = clustered_source_ids(data.num_clusters, data.sources_per_cluster)
+    for leaf, source in data.leaf_sources.items():
+        if source not in sources:
+            raise ValueError(f"config data leaf_sources.{leaf}: unknown source {source!r}; "
+                             f"expected one of {sources}")
+
+
 def _build_clustered_shards(tree: FederationTree, data: ClusteredData, seed: int):
     sources = make_clustered_sources(data.num_clusters, data.sources_per_cluster,
                                      data.divergence, data.vocab_size, seed,
@@ -401,6 +430,7 @@ def resolve(config: dict, seed: int, rounds: int | None = None) -> ResolvedExper
     bad = validate(tree)
     if bad:
         raise ValueError("invalid tree: " + "; ".join(bad))
+    _check_node_references(tree, data, dp)
 
     if isinstance(data, TextData):
         shards, sources, text_vocab = _build_text_shards(tree, data)

@@ -2,9 +2,11 @@
 
 These deliberately re-derive results with the plainest possible float64
 code so they never share a code path with the implementation they check.
-The exception is `reference_local_train`: it keeps the per-tensor optimizer
-loop that the flat-buffer `local_train` replaced, on top of the model's own
-forward and backward passes, so the two loops can be compared byte for byte.
+The exceptions are `reference_local_train` and `reference_mean_nll`. The
+first keeps the per-tensor optimizer loop that the flat-buffer `local_train`
+replaced, the second the per-window scoring loop that the distinct-context
+`mean_nll` replaced. Both run on the model's own forward pass, so each pair
+of loops can be compared byte for byte.
 """
 
 import numpy as np
@@ -84,3 +86,17 @@ def reference_local_train(params: ParamSet, tokens: np.ndarray, trainer,
                 work[g.name] = (work[g.name].astype(np.float64) - step).astype(np.float32)
         current = ParamSet(Tensor(k, work[k]) for k in names)
     return current, float(np.mean(losses))
+
+
+def reference_mean_nll(params: ParamSet, tokens: np.ndarray, chunk: int = 8192) -> float:
+    """The per-window mean_nll loop: forward_loss on every `chunk` stride-1
+    windows in turn, the chunk means weighted by their window counts."""
+    _, d = params["embed"].shape
+    n = params["in_proj.w"].shape[0] // d
+    windows = np.lib.stride_tricks.sliding_window_view(np.asarray(tokens), n + 1)
+    total = 0.0
+    for start in range(0, len(windows), chunk):
+        part = np.ascontiguousarray(windows[start : start + chunk])
+        loss, _ = forward_loss(params, part)
+        total += loss * len(part)
+    return total / len(windows)

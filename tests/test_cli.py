@@ -268,6 +268,27 @@ class TestConfigKeys:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize("preset, override, message", [
+        ("fig2", "residual.nu=-1", "config residual: nu must be >= 0"),
+        ("dp-cc-wk", "dp.enabled_nodes=[9]", "config dp enabled_nodes: node 9 is not in the tree"),
+        ("dp-cc-wk", "dp.enabled_nodes=[0]",
+         "config dp enabled_nodes: node 0 is the root, which has no server to be a client of"),
+        ("dp-cc-wk", 'data.leaf_sources.3="c9s9"', "config data leaf_sources.3: unknown source "
+         "'c9s9'; expected one of ['c0s0', 'c0s1', 'c1s0', 'c1s1']"),
+        ("dp-cc-wk", 'data.leaf_budgets={"3":100}', "config data leaf_budgets: missing leaf '4'"),
+        ("dp-cc-wk", 'data.leaf_sources.1="c0s0"', "config data leaf_sources: '1' is not a leaf "
+         "of the tree; its leaves are ['3', '4', '5', '6']"),
+    ])
+    def test_wrong_reference_exits_1_naming_it_before_sampling(self, preset, override, message,
+                                                                capsys, monkeypatch):
+        def sample(*args, **kwargs):
+            raise AssertionError("data sampled before the config was checked")
+
+        monkeypatch.setattr(presets, "build_hierarchy_dataset", sample)
+        rc = main(["run", "--preset", preset, "--rounds", "1", "--override", override])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     def test_shipped_configs_and_a_manifest_resolve(self, tiny_config, tmp_path):
         configs = [preset_config(name) for name in PRESETS]
         configs += [json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))]

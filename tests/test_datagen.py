@@ -7,6 +7,7 @@ from treefed.datagen import (
     MixtureSpec,
     Shard,
     build_hierarchy_dataset,
+    clustered_source_ids,
     cross_entropy_rate,
     entropy_rate,
     make_clustered_sources,
@@ -59,6 +60,10 @@ class TestClusteredSources:
         for s in make_clustered_sources(3, 2, 0.7, 10, seed=2):
             np.testing.assert_allclose(s.transition.sum(axis=1), 1.0, atol=1e-9)
             assert (s.transition >= 0).all()
+
+    def test_ids_are_the_built_sources(self):
+        built = make_clustered_sources(2, 3, 0.5, 4, seed=0)
+        assert clustered_source_ids(2, 3) == [s.id for s in built]
 
     def test_determinism(self):
         a = make_clustered_sources(2, 2, 0.5, 8, seed=3)
@@ -153,6 +158,19 @@ class TestShards:
         with pytest.raises(ValueError):
             Shard(train=np.array([1]), val=np.array([], dtype=np.int64),
                   test=np.array([1]), provenance=MixtureSpec.from_budgets([("a", 1)]))
+
+    def test_digest_refuses_ids_a_uint16_cannot_hold(self):
+        # astype("<u2") would wrap 65536 to 0 and -1 to 65535 silently
+        spec = MixtureSpec.from_budgets([("a", 1)])
+        edges = Shard(train=np.array([0, 65535]), val=np.array([1]), test=np.array([2]),
+                      provenance=spec)
+        assert len(edges.digest()) == 64
+        refusal = r"test split: token ids must lie in \[0, 65535\]"
+        for bad in (65536, -1):
+            shard = Shard(train=np.array([1]), val=np.array([1]), test=np.array([0, bad]),
+                          provenance=spec)
+            with pytest.raises(ValueError, match=refusal):
+                shard.digest()
 
 
 class TestHierarchyDataset:

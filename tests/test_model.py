@@ -13,6 +13,7 @@ from treefed.model import (
     forward_loss,
     init_model,
     local_train,
+    mean_nll,
     param_count,
     param_shapes,
     sample_batch,
@@ -20,7 +21,7 @@ from treefed.model import (
 )
 from treefed.tensors import CongruenceError, Layout, ParamSet, ParamStack, Tensor
 
-from oracles import fd_gradient, oracle_loss, reference_local_train
+from oracles import fd_gradient, oracle_loss, reference_local_train, reference_mean_nll
 
 TINY = ModelConfig(vocab_size=8, embed_dim=4, num_blocks=2, expansion_ratio=2,
                    key_block_count=1, context_len=2)
@@ -345,3 +346,50 @@ class TestEvaluatePerplexity:
     def test_empty_shard_errors(self):
         with pytest.raises(ValueError):
             evaluate_perplexity(init_model(TINY, 0), np.array([0, 1]))
+
+
+class TestMeanNll:
+    """mean_nll scores each distinct context once; reference_mean_nll runs
+    forward_loss on every chunk of windows. Both take BLAS's matrix-matrix
+    kernel, which gives a row the same bits in any batch of two or more
+    rows. A one-row batch, or an embed_dim of 1 (one-column products), takes
+    the matrix-vector kernel instead, which rounds differently and depends
+    on the batch: there the loop's figure is not a function of the windows
+    alone, and the two agree only to rounding."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(vocab=st.integers(2, 64), context=st.integers(1, 4), embed=st.integers(2, 8),
+           blocks=st.integers(1, 2), ratio=st.integers(1, 4), chunk=st.integers(2, 6),
+           data=st.data())
+    def test_equals_the_per_window_loop_byte_for_byte(self, vocab, context, embed, blocks,
+                                                      ratio, chunk, data):
+        cfg = ModelConfig(vocab_size=vocab, embed_dim=embed, num_blocks=blocks,
+                          expansion_ratio=ratio, key_block_count=0, context_len=context)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        layout = init_model(cfg, 0).layout
+        scale = data.draw(st.sampled_from([0.1, 1.0, 3.0]), label="scale")
+        params = ParamSet.from_buffer(
+            layout, (scale * rng.standard_normal(layout.size)).astype(np.float32))
+        windows = data.draw(st.integers(1, 4 * chunk + 1), label="windows")
+        # a small alphabet repeats contexts, a full one rarely does
+        alphabet = data.draw(st.integers(1, vocab), label="alphabet")
+        tokens = rng.integers(0, alphabet, size=windows + context)
+        got, want = mean_nll(params, tokens, chunk), reference_mean_nll(params, tokens, chunk)
+        if windows % chunk == 1:  # the loop scores its last window alone
+            assert got == pytest.approx(want, rel=1e-5, abs=1e-4)
+        else:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_contexts_beyond_int64_codes(self):
+        # 70,000 ** 4 exceeds 2 ** 63: contexts are compared column by
+        # column, never packed into one integer
+        cfg = ModelConfig(vocab_size=70_000, embed_dim=2, num_blocks=1, context_len=4)
+        params = init_model(cfg, 0)
+        tokens = np.array([69_999, 1, 69_999, 1, 69_999, 1, 0, 69_999, 1, 69_999, 1, 69_999])
+        assert (np.float64(mean_nll(params, tokens, 4)).tobytes()
+                == np.float64(reference_mean_nll(params, tokens, 4)).tobytes())
+
+    def test_token_out_of_range_rejected(self):
+        for bad in (TINY.vocab_size, -1):
+            with pytest.raises(ValueError, match="token id out of range"):
+                mean_nll(init_model(TINY, 0), np.array([0, 1, bad, 2]))
