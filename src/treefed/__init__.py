@@ -10,7 +10,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .aggregation import (
     AttentionConfig,
     ScheduleConfig,
-    ServerOptState,
+    ServerConfig,
     aggregate_child_keys,
     attend_layer,
     average_pseudograds,
@@ -26,8 +26,7 @@ from .datagen import (
     entropy_rate,
     make_clustered_sources,
 )
-from .engine import (EngineConfig, ResidualConfig, RunResult, ServerConfig, fit, run_centralized,
-                     run_flat_fl, run_local)
+from .engine import EngineConfig, ResidualConfig, RunResult, fit, run_centralized, run_flat_fl, run_local
 from .model import (
     ModelConfig,
     Partition,

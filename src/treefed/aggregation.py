@@ -79,16 +79,11 @@ def lr_at(step: int, sched: ScheduleConfig) -> float:
 
 
 @dataclass
-class ServerOptState:
-    """Per-server momentum buffer; persists across rounds."""
+class ServerConfig:
+    """Every server's pseudo-gradient optimizer: step size and momentum."""
 
-    momentum: ParamSet
     eta: float = 0.2
     mu: float = 0.9
-
-    @classmethod
-    def init_like(cls, backbone: ParamSet, eta: float = 0.2, mu: float = 0.9):
-        return cls(momentum=backbone.zeros_like(), eta=eta, mu=mu)
 
 
 def key_layers(keys: ParamSet) -> dict[str, np.ndarray]:
@@ -207,13 +202,14 @@ def average_pseudograds(deltas: Sequence[ParamSet]) -> ParamSet:
 
 
 def server_opt(
-    backbone: ParamSet, delta_mean: ParamSet, state: ServerOptState
-) -> tuple[ParamSet, ServerOptState]:
+    backbone: ParamSet, delta_mean: ParamSet, momentum: ParamSet, cfg: ServerConfig
+) -> tuple[ParamSet, ParamSet]:
     """Momentum update: m <- mu*m + delta; backbone <- backbone + eta*m.
+    Returns the new backbone and momentum m, the server's only state, which
+    starts as zeros and persists across rounds.
 
     With mu=0, eta=1 this reduces exactly to FedAvg.
     """
     backbone.require_congruent(delta_mean)
-    m_new = axpy(state.mu, state.momentum, delta_mean)
-    b_new = axpy(state.eta, m_new, backbone)
-    return b_new, ServerOptState(momentum=m_new, eta=state.eta, mu=state.mu)
+    m_new = axpy(cfg.mu, momentum, delta_mean)
+    return axpy(cfg.eta, m_new, backbone), m_new

@@ -1,6 +1,8 @@
 """Batch experiment runner: single runs, method comparisons, and ablations.
 
-Every run writes, under --out/<run-name>/:
+`run`, `compare` and `ablate` run every experiment through `run_plan`, so
+each run writes the same files, under --out/<experiment id>/ (ablation runs
+add __<axis>-on or __<axis>-off):
   metrics.csv    per-(node, round, stage, split) loss/perplexity rows
   manifest.json  resolved config, seed, and content hash of the inputs
   attention.csv  per-layer attention weights by candidate origin
@@ -8,8 +10,10 @@ Every run writes, under --out/<run-name>/:
   dp.csv         pre-clip norms, bounds, and noise levels (DP runs)
   timings.csv    wall-clock sidecar; the only file allowed to differ between
                  identical reruns
+`ablate --axis swap` exchanges the sources of two leaves under different
+parents. An --override path through a non-object value is an error.
 
-All randomness flows from --seed, so metrics/manifest bytes are reproducible.
+All randomness flows from --seed, so every other file is reproducible.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import RunResult, content_hash, fit, run_centralized, run_flat_fl, run_local
+from .engine import MetricRow, RunResult, content_hash, fit, run_centralized, run_flat_fl, run_local
 from .presets import PRESETS, ResolvedExperiment, apply_overrides, load_config, preset_config, resolve
+from .topology import FederationTree
 
 METHODS = ("worldlm", "flat_fl", "local", "centralized")
 
@@ -47,10 +52,22 @@ class ExperimentPlan:
             raise ValueError("rounds must be >= 1")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.10g}"
-    return str(x)
+def _write_csv(path: Path, header, rows) -> None:
+    """Floats are written as %.10g; csv writes None as an empty cell and
+    anything else as str() does."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows([f"{x:.10g}" if isinstance(x, float) else x for x in row] for row in rows)
+
+
+# run-directory CSV -> (RunResult log it is written from, columns)
+_LOG_FILES = {
+    "attention.csv": ("attention_log", ("node", "round", "stage", "layer", "candidate", "weight")),
+    "residuals.csv": ("residual_log", ("round", "router", "origin", "layer", "created_round",
+                                       "action", "landed_at", "similarity")),
+    "dp.csv": ("dp_log", ("round", "node", "pre_clip_norm", "bound", "noise_std")),
+}
 
 
 def plan_config(plan: ExperimentPlan) -> dict:
@@ -82,17 +99,16 @@ def execute(plan: ExperimentPlan, exp: ResolvedExperiment | None = None) -> tupl
     return exp, result
 
 
+def _experiment_id(exp: ResolvedExperiment, plan: ExperimentPlan) -> str:
+    return f"{exp.name}__{plan.method}__seed{plan.seed}"
+
+
 def write_outputs(out_dir: Path, exp: ResolvedExperiment, plan: ExperimentPlan,
                   result: RunResult, elapsed: float, extra_manifest: dict | None = None) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    experiment_id = f"{exp.name}__{plan.method}__seed{plan.seed}"
-    with open(out_dir / "metrics.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["experiment_id", "method", "node", "round", "stage", "split",
-                    "loss", "perplexity"])
-        for row in result.rows:
-            w.writerow([experiment_id, row.method, row.node, row.round, row.stage,
-                        row.split, _fmt(row.loss), _fmt(row.perplexity)])
+    experiment_id = _experiment_id(exp, plan)
+    _write_csv(out_dir / "metrics.csv", ("experiment_id", *MetricRow._fields),
+               ((experiment_id, *row) for row in result.rows))
     manifest = {
         "experiment_id": experiment_id,
         "method": plan.method,
@@ -100,34 +116,30 @@ def write_outputs(out_dir: Path, exp: ResolvedExperiment, plan: ExperimentPlan,
         "config": exp.config,
         "sequential_steps": result.seq_steps,
         "content_hash": content_hash(exp.config, exp.shards),
+        **(extra_manifest or {}),
     }
-    if extra_manifest:
-        manifest.update(extra_manifest)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-    with open(out_dir / "attention.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["node", "round", "stage", "layer", "candidate", "weight"])
-        for r in result.attention_log:
-            w.writerow([r["node"], r["round"], r["stage"], r["layer"], r["candidate"],
-                        _fmt(r["weight"])])
-    with open(out_dir / "residuals.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["round", "router", "origin", "layer", "created_round", "action",
-                    "landed_at", "similarity"])
-        for r in result.residual_log:
-            w.writerow([r["round"], r["router"], r["origin"], r["layer"],
-                        r["created_round"], r["action"], r["landed_at"],
-                        _fmt(r["similarity"]) if r["similarity"] is not None else ""])
-    with open(out_dir / "dp.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["round", "node", "pre_clip_norm", "bound", "noise_std"])
-        for r in result.dp_log:
-            w.writerow([r["round"], r["node"], _fmt(r["pre_clip_norm"]),
-                        _fmt(r["bound"]), _fmt(r["noise_std"])])
-    with open(out_dir / "timings.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["experiment_id", "seconds"])
-        w.writerow([experiment_id, f"{elapsed:.3f}"])
+    for name, (log, columns) in _LOG_FILES.items():
+        _write_csv(out_dir / name, columns,
+                   ([r[c] for c in columns] for r in getattr(result, log)))
+    _write_csv(out_dir / "timings.csv", ("experiment_id", "seconds"),
+               [(experiment_id, f"{elapsed:.3f}")])
+
+
+def run_plan(plan: ExperimentPlan, exp: ResolvedExperiment | None = None, suffix: str = "",
+             extra_manifest: dict | None = None
+             ) -> tuple[ResolvedExperiment, RunResult, float, Path | None]:
+    """Execute `plan`, on `exp` when given, timing the call. With plan.out
+    set, write its run directory, named by its experiment id plus `suffix`.
+    Returns (experiment, result, elapsed seconds, run directory or None)."""
+    start = time.perf_counter()
+    exp, result = execute(plan, exp=exp)
+    elapsed = time.perf_counter() - start
+    run_dir = None
+    if plan.out:
+        run_dir = Path(plan.out) / (_experiment_id(exp, plan) + suffix)
+        write_outputs(run_dir, exp, plan, result, elapsed, extra_manifest)
+    return exp, result, elapsed, run_dir
 
 
 def final_leaf_mean(exp: ResolvedExperiment, result: RunResult, split="test") -> tuple[float, float]:
@@ -137,13 +149,9 @@ def final_leaf_mean(exp: ResolvedExperiment, result: RunResult, split="test") ->
 
 
 def cmd_run(args) -> int:
-    plan = _plan_from_args(args)
-    start = time.perf_counter()
-    exp, result = execute(plan)
-    elapsed = time.perf_counter() - start
-    if plan.out:
-        run_dir = Path(plan.out) / f"{exp.name}__{plan.method}__seed{plan.seed}"
-        write_outputs(run_dir, exp, plan, result, elapsed)
+    plan = _plan_from_args(args, (args.method or ["worldlm"])[0], (args.seed or [0])[0])
+    exp, result, elapsed, run_dir = run_plan(plan)
+    if run_dir:
         print(f"wrote {run_dir}")
     mean, std = final_leaf_mean(exp, result)
     print(f"{plan.method} on {exp.name} (seed {plan.seed}): "
@@ -153,21 +161,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    methods = args.method or ["worldlm", "flat_fl"]
-    seeds = args.seed or [0]
     rows = []
-    for method in methods:
+    for method in args.method or ["worldlm", "flat_fl"]:
         per_seed = []
-        for seed in seeds:
-            plan = _plan_from_args(args, method=method, seed=seed)
-            start = time.perf_counter()
-            exp, result = execute(plan)
-            elapsed = time.perf_counter() - start
-            if plan.out:
-                run_dir = Path(plan.out) / f"{exp.name}__{method}__seed{seed}"
-                write_outputs(run_dir, exp, plan, result, elapsed)
-            mean, _ = final_leaf_mean(exp, result)
-            per_seed.append(mean)
+        for seed in args.seed or [0]:
+            exp, result, _, _ = run_plan(_plan_from_args(args, method, seed))
+            per_seed.append(final_leaf_mean(exp, result)[0])
         rows.append((method, float(np.mean(per_seed)), float(np.std(per_seed))))
     base = next((r for r in rows if r[0] == "worldlm"), rows[0])
     header = ["method", "mean_ppl", "std_ppl", f"ratio_vs_{base[0]}"]
@@ -180,10 +179,7 @@ def cmd_compare(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "compare.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(header)
-            w.writerows(table)
+        _write_csv(out / "compare.csv", header, table)
         print(f"wrote {out / 'compare.csv'}")
     return 0
 
@@ -191,57 +187,50 @@ def cmd_compare(args) -> int:
 _AXES = ("residuals", "attention", "dp", "swap")
 
 
-def _toggle(axis: str, config: dict) -> dict:
+def _toggle(axis: str, config: dict, tree: FederationTree) -> dict:
+    """`config` with `axis` switched off; `tree` is the config's tree."""
     if axis == "residuals":
         return apply_overrides(config, {"residual.nu": 0})
     if axis == "attention":
         return apply_overrides(config, {"attention.uniform": True})
     if axis == "dp":
         return apply_overrides(config, {"dp": None})
-    # swap: exchange the two smallest-budget leaves across sub-federations
-    budgets = config["data"]["leaf_budgets"]
-    small = sorted(budgets, key=lambda k: (budgets[k], int(k)))[:2]
-    if len(small) < 2:
-        raise ValueError("swap axis needs at least two leaves")
-    cfg = apply_overrides(config, {})
-    src = cfg["data"]["leaf_sources"]
-    src[small[0]], src[small[1]] = src[small[1]], src[small[0]]
-    cfg["name"] = config.get("name", "custom") + "-swapped"
-    return cfg
+    # swap: exchange the sources of the smallest-budget leaf and the next
+    # smallest under another parent, so the swap crosses sub-federations
+    data = config["data"]
+    if data["kind"] not in ("clustered", "iid"):
+        raise ValueError(f"swap axis: data kind {data['kind']!r} has no leaf sources to exchange")
+    first, *rest = sorted(tree.leaves(), key=lambda nid: (data["leaf_budgets"][str(nid)], nid))
+    other = next((nid for nid in rest if tree.nodes[nid].parent != tree.nodes[first].parent), None)
+    if other is None:
+        raise ValueError("swap axis needs two leaves under different parents")
+    src = data["leaf_sources"]
+    return apply_overrides(config, {f"data.leaf_sources.{first}": src[str(other)],
+                                    f"data.leaf_sources.{other}": src[str(first)],
+                                    "name": config.get("name", "custom") + "-swapped"})
 
 
 def cmd_ablate(args) -> int:
-    seeds = args.seed or [0]
     method = (args.method or ["worldlm"])[0]
-    base_config = plan_config(_plan_from_args(args, method=method, seed=seeds[0]))
-    toggled_config = _toggle(args.axis, base_config)
-
+    base_config = plan_config(_plan_from_args(args, method, 0))
     deltas = []
-    for seed in seeds:
+    for seed in args.seed or [0]:
+        plan = _plan_from_args(args, method, seed)
+        base = resolve(base_config, seed=seed, rounds=args.rounds)
+        toggled = resolve(_toggle(args.axis, base_config, base.tree), seed=seed, rounds=args.rounds)
         pair = []
-        for tag, config in (("on", base_config), ("off", toggled_config)):
-            exp = resolve(config, seed=seed, rounds=args.rounds)
-            plan = _plan_from_args(args, method=method, seed=seed)
-            start = time.perf_counter()
-            _, result = execute(plan, exp=exp)
-            elapsed = time.perf_counter() - start
-            if args.out:
-                run_dir = Path(args.out) / f"{exp.name}__{method}__seed{seed}__{args.axis}-{tag}"
-                write_outputs(run_dir, exp, plan, result, elapsed,
-                              extra_manifest={"ablation_axis": args.axis, "toggle": tag})
-            mean, _ = final_leaf_mean(exp, result)
-            pair.append(mean)
+        for tag, exp in (("on", base), ("off", toggled)):
+            _, result, _, _ = run_plan(plan, exp, f"__{args.axis}-{tag}",
+                                       {"ablation_axis": args.axis, "toggle": tag})
+            pair.append(final_leaf_mean(exp, result)[0])
         deltas.append((seed, pair[0], pair[1], pair[1] - pair[0]))
     print(f"axis={args.axis} method={method}")
     print("seed  baseline  toggled  delta")
     for seed, on, off, d in deltas:
         print(f"{seed:<5d} {on:<9.4f} {off:<8.4f} {d:+.4f}")
     if args.out:
-        with open(Path(args.out) / f"ablate_{args.axis}.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["seed", "baseline_ppl", "toggled_ppl", "delta"])
-            for row in deltas:
-                w.writerow([row[0], _fmt(row[1]), _fmt(row[2]), _fmt(row[3])])
+        _write_csv(Path(args.out) / f"ablate_{args.axis}.csv",
+                   ("seed", "baseline_ppl", "toggled_ppl", "delta"), deltas)
     return 0
 
 
@@ -256,18 +245,10 @@ def _parse_override(text: str) -> tuple[str, object]:
     return key, value
 
 
-def _plan_from_args(args, method: str | None = None, seed: int | None = None) -> ExperimentPlan:
-    methods = args.method or ["worldlm"]
-    seeds = args.seed or [0]
-    return ExperimentPlan(
-        method=method or methods[0],
-        preset=args.preset,
-        config_path=args.config,
-        rounds=args.rounds,
-        seed=seed if seed is not None else seeds[0],
-        out=args.out,
-        overrides=dict(args.override or []),
-    )
+def _plan_from_args(args, method: str, seed: int) -> ExperimentPlan:
+    return ExperimentPlan(method=method, preset=args.preset, config_path=args.config,
+                          rounds=args.rounds, seed=seed, out=args.out,
+                          overrides=dict(args.override or []))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -280,33 +261,31 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--override", action="append", type=_parse_override, metavar="KEY=VALUE")
 
 
+def cmd_export_preset(args) -> int:
+    print(json.dumps(preset_config(args.name), indent=1, sort_keys=True))
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="treefed")
     sub = ap.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="execute one experiment")
-    _add_common(p_run)
     p_cmp = sub.add_parser("compare", help="run several methods/seeds and summarize")
-    _add_common(p_cmp)
     p_abl = sub.add_parser("ablate", help="paired runs with one axis toggled")
     p_abl.add_argument("--axis", required=True, choices=_AXES)
-    _add_common(p_abl)
+    for p, cmd in ((p_run, cmd_run), (p_cmp, cmd_compare), (p_abl, cmd_ablate)):
+        _add_common(p)
+        p.set_defaults(cmd=cmd)
     p_exp = sub.add_parser("export-preset", help="print a preset config as JSON")
     p_exp.add_argument("name")
+    p_exp.set_defaults(cmd=cmd_export_preset)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        if args.command == "ablate":
-            return cmd_ablate(args)
-        if args.command == "export-preset":
-            print(json.dumps(preset_config(args.name), indent=1, sort_keys=True))
-            return 0
+        return args.cmd(args)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
@@ -317,7 +296,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

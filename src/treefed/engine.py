@@ -30,7 +30,7 @@ import numpy as np
 
 from .aggregation import (
     AttentionConfig,
-    ServerOptState,
+    ServerConfig,
     WeightLog,
     aggregate_child_keys,
     average_pseudograds,
@@ -72,14 +72,6 @@ class MetricRow(NamedTuple):
     split: str
     loss: float
     perplexity: float
-
-
-@dataclass
-class ServerConfig:
-    """Every server's pseudo-gradient optimizer: step size and momentum."""
-
-    eta: float = 0.2
-    mu: float = 0.9
 
 
 @dataclass
@@ -147,7 +139,7 @@ class RunResult:
 @dataclass
 class _NodeState:
     model: ParamSet  # replaced, never written, whenever the node changes
-    opt: ServerOptState | None = None
+    momentum: ParamSet | None = None  # a server's optimizer state
     cache: KeyCache = field(default_factory=KeyCache)
     d_agg: list[ResidualPacket] = field(default_factory=list)
     d_route: list[ResidualPacket] = field(default_factory=list)
@@ -175,8 +167,8 @@ def evaluate_round(
     stage: int,
     splits=("val", "test"),
     memo: dict[int, tuple[ParamSet, dict[str, float]]] | None = None,
-) -> tuple[list[MetricRow], dict[str, tuple[float, float]]]:
-    """Per-node perplexity on each node's own splits plus mean/std summaries.
+) -> list[MetricRow]:
+    """Per-node perplexity rows on each node's own splits.
 
     `memo` maps a node to the params object it last scored and the NLL per
     split. A node whose params are that very object is not scored again. The
@@ -194,12 +186,7 @@ def evaluate_round(
             rows.append(_row(method, nid, round_k, stage, split, nlls[split]))
         if memo is not None:
             memo[nid] = (params, nlls)
-    summary = {}
-    for split in splits:
-        vals = [r.perplexity for r in rows if r.split == split]
-        if vals:
-            summary[split] = (float(np.mean(vals)), float(np.std(vals)))
-    return rows, summary
+    return rows
 
 
 def _train_stacked(entries: list[tuple[int, TrainerConfig, int]],
@@ -220,17 +207,18 @@ def _train_stacked(entries: list[tuple[int, TrainerConfig, int]],
         entries = [e for e in entries if e[0] not in keys]
 
 
-def server_step(server: ParamSet, clients: list[tuple[int, ParamSet]], opt: ServerOptState,
+def server_step(server: ParamSet, clients: list[tuple[int, ParamSet]], momentum: ParamSet,
                 cfg: EngineConfig, round_k: int, cs: ClipState | None,
-                dp_log: list[dict]) -> tuple[ParamSet, ServerOptState]:
+                dp_log: list[dict]) -> tuple[ParamSet, ParamSet]:
     """One server round over its clients' (id, trained parameters), in the
     given order. Each client's pseudo-gradient is its parameters minus the
     server's. A DP client's is clipped to the server's current bound `cs`,
     its pre-clip norm is recorded for the next bound, Gaussian noise from
     the client's (round, noise) stream is added, and one dp.csv row is
     logged. The mean pseudo-gradient then takes a server momentum step, and
-    `cs` moves to the next round's bound. Every operation is looked up in
-    this module's namespace, where the benchmark trace wraps it."""
+    `cs` moves to the next round's bound. Returns the new server parameters
+    and momentum. Every operation is looked up in this module's namespace,
+    where the benchmark trace wraps it."""
     dp, deltas = cfg.dp, []
     for cid, params in clients:
         delta = axpy(-1.0, server, params)
@@ -244,10 +232,10 @@ def server_step(server: ParamSet, clients: list[tuple[int, ParamSet]], opt: Serv
                 "noise_std": dp.sigma if dp.absolute_noise else dp.sigma * cs.bound,
             })
         deltas.append(delta)
-    server, opt = server_opt(server, average_pseudograds(deltas), opt)
+    server, momentum = server_opt(server, average_pseudograds(deltas), momentum, cfg.server)
     if cs is not None:
         update_bound(cs)
-    return server, opt
+    return server, momentum
 
 
 def fit(
@@ -266,8 +254,8 @@ def fit(
     max_age = max(2, 2 * depth)
 
     base = init_model(cfg.model, cfg.seed)
-    server_zero = ServerOptState.init_like(part.split(base)[0], cfg.server.eta, cfg.server.mu)
-    state = {nid: _NodeState(model=base, opt=server_zero if tree.nodes[nid].children else None)
+    zero = part.split(base)[0].zeros_like()
+    state = {nid: _NodeState(model=base, momentum=zero if tree.nodes[nid].children else None)
              for nid in tree.nodes}
 
     dp = cfg.dp
@@ -327,8 +315,8 @@ def fit(
             if losses:
                 seq_counter += 1
             params_now = {nid: state[nid].model for nid in sorted(tree.nodes)}
-            rows, _ = evaluate_round(method, params_now, shards, round_k, stage_idx, memo=scored)
-            result.rows.extend(rows)
+            result.rows.extend(
+                evaluate_round(method, params_now, shards, round_k, stage_idx, memo=scored))
 
         # bottom-up aggregation
         for level in reversed(stages[:-1]):
@@ -340,9 +328,9 @@ def fit(
                 children = sorted(node.children)
                 backbone, keys = part.split(st.model)
                 splits = {cid: part.split(state[cid].model) for cid in children}
-                backbone, st.opt = server_step(
-                    backbone, [(cid, splits[cid][0]) for cid in children], st.opt, cfg, round_k,
-                    clip_states.get(nid), result.dp_log)
+                backbone, st.momentum = server_step(
+                    backbone, [(cid, splits[cid][0]) for cid in children], st.momentum, cfg,
+                    round_k, clip_states.get(nid), result.dp_log)
                 child_keys = [(cid, splits[cid][1]) for cid in children]
                 if len(keys):
                     keys, weight_log = aggregate_child_keys(keys, child_keys, cfg.attention)
@@ -380,7 +368,7 @@ def run_flat_fl(
     if not leaf_ids:
         raise ValueError("flat FL needs at least one leaf")
     server = init_model(cfg.model, cfg.seed)
-    opt = ServerOptState.init_like(server, cfg.server.eta, cfg.server.mu)
+    momentum = server.zeros_like()
     dp = cfg.dp
     cs = ClipState(bound=dp.initial_bound) if dp and dp.enabled_nodes else None
     result = RunResult(method=method, rows=[])
@@ -392,10 +380,10 @@ def run_flat_fl(
                                  rng_for(cfg.seed, nid, round_k, _TRAIN_TAG))))
         for nid in leaf_ids:
             result.rows.append(_row(method, nid, round_k, 0, "train", outs[nid].mean_loss))
-        server, opt = server_step(server, [(nid, outs[nid].params) for nid in leaf_ids], opt,
-                                  cfg, round_k, cs, result.dp_log)
-        rows, _ = evaluate_round(method, {nid: server for nid in leaf_ids}, shards, round_k, 0)
-        result.rows.extend(rows)
+        server, momentum = server_step(server, [(nid, outs[nid].params) for nid in leaf_ids],
+                                       momentum, cfg, round_k, cs, result.dp_log)
+        result.rows.extend(
+            evaluate_round(method, {nid: server for nid in leaf_ids}, shards, round_k, 0))
 
     result.seq_steps = rounds
     result.final_models = {nid: server for nid in leaf_ids}
@@ -421,7 +409,7 @@ def _train_apart(result: RunResult, models: dict[int, tuple[np.ndarray, int, lis
         for key, out in outs:
             params[key] = out.params
             rows[key].append(_row(result.method, key, round_k, 0, "train", out.mean_loss))
-        evaluated, _ = evaluate_round(
+        evaluated = evaluate_round(
             result.method, {eid: params[key] for eid, key in owner.items()}, shards, round_k, 0)
         for row in evaluated:
             rows[owner[row.node]].append(row)

@@ -304,16 +304,22 @@ def load_config(path: str | Path) -> dict:
 
 
 def apply_overrides(config: dict, overrides: dict[str, object]) -> dict:
-    """Dotted-path overrides, e.g. {"trainer.local_steps": 10}."""
+    """Dotted-path overrides, e.g. {"trainer.local_steps": 10}. A missing or
+    null key on the path becomes an object; any other non-object is an error."""
+    if not isinstance(config, dict):
+        raise ValueError(f"config: expected an object, got {config!r}")
     cfg = copy.deepcopy(config)
     for dotted, value in overrides.items():
-        parts = dotted.split(".")
+        *path, last = dotted.split(".")
         cur = cfg
-        for p in parts[:-1]:
-            if p not in cur or not isinstance(cur[p], dict):
-                cur[p] = {}
-            cur = cur[p]
-        cur[parts[-1]] = value
+        for depth, key in enumerate(path, 1):
+            if cur.get(key) is None:
+                cur[key] = {}
+            cur = cur[key]
+            if not isinstance(cur, dict):
+                raise ValueError(f"override {dotted}: {'.'.join(path[:depth])} is "
+                                 f"{_JSON_TYPES.get(type(cur), type(cur).__name__)}, not an object")
+        cur[last] = value
     return cfg
 
 

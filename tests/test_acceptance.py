@@ -17,7 +17,7 @@ import treefed
 from treefed.aggregation import (
     AttentionConfig,
     ScheduleConfig,
-    ServerOptState,
+    ServerConfig,
     attend_layer,
     lr_at,
     server_opt,
@@ -88,7 +88,7 @@ class TestCriterion1UnitInvariants:
 
         b = ParamSet([Tensor("a", np.array([1.0, 2.0], dtype=np.float32))])
         d = ParamSet([Tensor("a", np.array([0.25, -0.5], dtype=np.float32))])
-        out, _ = server_opt(b, d, ServerOptState.init_like(b, eta=1.0, mu=0.0))
+        out, _ = server_opt(b, d, b.zeros_like(), ServerConfig(eta=1.0, mu=0.0))
         assert out["a"].data.tobytes() == np.array([1.25, 1.5], dtype=np.float32).tobytes()
 
         sched = ScheduleConfig(alpha=1e-2, eta_max=8e-4, total_steps=3000)

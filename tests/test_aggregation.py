@@ -6,7 +6,7 @@ import pytest
 from treefed.aggregation import (
     AttentionConfig,
     ScheduleConfig,
-    ServerOptState,
+    ServerConfig,
     aggregate_child_keys,
     attend_layer,
     average_pseudograds,
@@ -192,30 +192,29 @@ class TestServerOpt:
     def test_fedavg_reduction(self):
         b = keyset([("a", [1.0, 2.0])])
         d = keyset([("a", [0.5, -0.5])])
-        state = ServerOptState.init_like(b, eta=1.0, mu=0.0)
-        out, _ = server_opt(b, d, state)
+        out, _ = server_opt(b, d, b.zeros_like(), ServerConfig(eta=1.0, mu=0.0))
         np.testing.assert_array_equal(out["a"].data, [1.5, 1.5])
 
     def test_momentum_hand_recurrence(self):
         # eta=0.2, mu=0.9, delta=[1] twice from m=0: steps +0.2 then +0.38
         b = keyset([("a", [0.0])])
         d = keyset([("a", [1.0])])
-        state = ServerOptState.init_like(b, eta=0.2, mu=0.9)
-        b1, state = server_opt(b, d, state)
+        cfg = ServerConfig(eta=0.2, mu=0.9)
+        b1, m = server_opt(b, d, b.zeros_like(), cfg)
         assert b1["a"].data[0] == pytest.approx(0.2, rel=1e-6)
-        b2, state = server_opt(b1, d, state)
+        b2, m = server_opt(b1, d, m, cfg)
         assert b2["a"].data[0] == pytest.approx(0.58, rel=1e-6)  # +0.38 (m=1.9)
-        assert state.momentum["a"].data[0] == pytest.approx(1.9, rel=1e-6)
+        assert m["a"].data[0] == pytest.approx(1.9, rel=1e-6)
 
     def test_zero_delta_contracts_to_fixed_point(self):
         b = keyset([("a", [0.0])])
         d = keyset([("a", [1.0])])
         zero = keyset([("a", [0.0])])
-        state = ServerOptState.init_like(b, eta=0.2, mu=0.9)
-        b, state = server_opt(b, d, state)  # prime the momentum
+        cfg = ServerConfig(eta=0.2, mu=0.9)
+        b, m = server_opt(b, d, b.zeros_like(), cfg)  # prime the momentum
         prev = None
         for _ in range(200):
-            b, state = server_opt(b, zero, state)
+            b, m = server_opt(b, zero, m, cfg)
             cur = float(b["a"].data[0])
             if prev is not None:
                 assert abs(cur - prev) <= 1.0  # geometric decay, no blowup

@@ -9,7 +9,8 @@ import pytest
 
 from treefed import presets
 from treefed.cli import main
-from treefed.presets import PRESETS, preset_config, resolve
+from treefed.presets import PRESETS, preset_config, resolve, tree_to_json
+from treefed.topology import FederationTree
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -193,6 +194,59 @@ class TestAblate:
         sources = manifest["config"]["data"]["leaf_sources"]
         assert sources["4"] == "c1s1" and sources["6"] == "c0s1"
 
+    def test_swap_axis_crosses_sub_federations(self, tiny_config, tmp_path):
+        # 2 x 3 tree: leaves 3 and 4 are the smallest but siblings, so the
+        # swap takes 3 and the smallest leaf under node 2
+        cfg = json.loads(tiny_config.read_text())
+        cfg["tree"] = tree_to_json(FederationTree.from_children_map(
+            {0: [1, 2], 1: [3, 4, 5], 2: [6, 7, 8]}))
+        sources = {"3": "c0s0", "4": "c0s1", "5": "c0s0", "6": "c1s0", "7": "c1s1", "8": "c1s0"}
+        cfg["data"]["leaf_sources"] = sources
+        cfg["data"]["leaf_budgets"] = {"3": 200, "4": 200, "5": 600, "6": 300, "7": 300, "8": 600}
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["ablate", "--axis", "swap", "--config", str(p), "--rounds", "1",
+                     "--seed", "2", "--out", str(out)]) == 0
+        manifest = json.loads((out / "tiny-swapped__worldlm__seed2__swap-off" / "manifest.json")
+                              .read_text())
+        assert manifest["config"]["data"]["leaf_sources"] == {**sources, "3": "c1s0", "6": "c0s0"}
+
+    def test_swap_axis_needs_two_parents(self, tiny_config, tmp_path, capsys):
+        cfg = json.loads(tiny_config.read_text())
+        cfg["tree"] = tree_to_json(FederationTree.from_children_map({0: [1, 2]}))
+        cfg["data"]["leaf_sources"] = {"1": "c0s0", "2": "c1s0"}
+        cfg["data"]["leaf_budgets"] = {"1": 600, "2": 600}
+        p = tmp_path / "flat.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["ablate", "--axis", "swap", "--config", str(p), "--rounds", "1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: swap axis needs two leaves under different parents"]
+
+
+class TestOneRunPath:
+    def test_compare_and_ablate_write_the_files_run_writes(self, tiny_config, tmp_path):
+        def files(run_dir):
+            return {p.name: p.read_bytes() for p in run_dir.iterdir() if p.name != "timings.csv"}
+
+        common = ["--config", str(tiny_config), "--seed", "3"]
+        for method in ("worldlm", "flat_fl"):
+            assert main(["run", *common, "--method", method, "--out", str(tmp_path / "run")]) == 0
+        assert main(["compare", *common, "--method", "worldlm", "--method", "flat_fl",
+                     "--out", str(tmp_path / "compare")]) == 0
+        assert main(["ablate", "--axis", "residuals", *common,
+                     "--out", str(tmp_path / "ablate")]) == 0
+        for method in ("worldlm", "flat_fl"):
+            name = f"tiny__{method}__seed3"
+            assert files(tmp_path / "compare" / name) == files(tmp_path / "run" / name), method
+        run = files(tmp_path / "run" / "tiny__worldlm__seed3")
+        ablated = files(tmp_path / "ablate" / "tiny__worldlm__seed3__residuals-on")
+        manifest = json.loads(ablated.pop("manifest.json"))
+        assert (manifest.pop("ablation_axis"), manifest.pop("toggle")) == ("residuals", "on")
+        assert manifest == json.loads(run.pop("manifest.json"))
+        assert ablated == run
+        assert sorted(run) == ["attention.csv", "dp.csv", "metrics.csv", "residuals.csv"]
+
 
 class TestTextDataset:
     def test_text_kind_runs(self, tiny_config, tmp_path):
@@ -222,6 +276,16 @@ class TestTextDataset:
         rc = main(["run", "--config", str(p), "--seed", "1"])
         assert rc != 0
 
+    def test_swap_axis_names_the_data_kind(self, tiny_config, tmp_path, capsys):
+        text = tmp_path / "corpus.txt"
+        text.write_bytes(b"abcd" * 200)
+        data = json.dumps({"kind": "text", "path": str(text)})
+        rc = main(["ablate", "--axis", "swap", "--config", str(tiny_config), "--rounds", "1",
+                   "--override", f"data={data}"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: swap axis: data kind 'text' has no leaf sources to exchange"]
+
 
 class TestConfigKeys:
     @pytest.mark.parametrize("override, message", [
@@ -244,6 +308,13 @@ class TestConfigKeys:
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
+    def test_override_of_a_non_object_config_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "list.json"
+        p.write_text("[1, 2]")
+        assert main(["run", "--config", str(p), "--override", "rounds=1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config: expected an object, got [1, 2]"]
+
     @pytest.mark.parametrize("override, message", [
         ("attention.temperature=abc",
          "config attention temperature: expected a number, got 'abc'"),
@@ -257,6 +328,9 @@ class TestConfigKeys:
         ("dp.sigma=null", "config dp sigma: expected a number, got None"),
         ("server.eta=abc", "config server eta: expected a number, got 'abc'"),
         ("model.embed_dim=1.5", "config model embed_dim: expected an integer, got 1.5"),
+        ("tree.nodes.3.residual_ceiling=1",
+         "override tree.nodes.3.residual_ceiling: tree.nodes is a list, not an object"),
+        ("rounds.max=1", "override rounds.max: rounds is an integer, not an object"),
     ])
     def test_wrong_value_exits_1_naming_the_key_before_sampling(self, override, message,
                                                                  capsys, monkeypatch):

@@ -365,16 +365,13 @@ class TestResidualCeiling:
 
 
 class TestEvaluateRound:
-    def test_row_count_and_summary(self):
+    def test_row_count(self):
         tree = depth1_tree(3)
         shards, _ = shards_for(tree)
         params = {nid: init_model(small_model(), 0) for nid in tree.leaves()}
-        rows, summary = evaluate_round("m", params, shards, 0, 0, splits=("test",))
+        rows = evaluate_round("m", params, shards, 0, 0, splits=("test",))
         assert len(rows) == 3
-        vals = [r.perplexity for r in rows]
-        mean, std = summary["test"]
-        assert mean == pytest.approx(float(np.mean(vals)))
-        assert std == pytest.approx(float(np.std(vals)))
+        assert [(r.node, r.split) for r in rows] == [(nid, "test") for nid in sorted(params)]
 
     def test_identical_models_zero_std(self):
         tree = depth1_tree(2)
@@ -388,8 +385,9 @@ class TestEvaluateRound:
                              train_tokens=400, val_tokens=64, test_tokens=64)
         shards = {1: shard, 2: shard}
         params = {1: init_model(small_model(), 0), 2: init_model(small_model(), 0)}
-        rows, summary = evaluate_round("m", params, shards, 0, 0, splits=("test",))
-        assert summary["test"][1] == pytest.approx(0.0, abs=1e-12)
+        rows = evaluate_round("m", params, shards, 0, 0, splits=("test",))
+        assert [r.node for r in rows] == [1, 2]
+        assert rows[0].perplexity == rows[1].perplexity
 
 
 class TestTrailingBest:
@@ -488,9 +486,9 @@ class TestEvaluationMemo:
         shards, _ = shards_for(tree)
         params = init_model(small_model(), 0)
         memo = {}
-        first, _ = evaluate_round("m", {1: params}, shards, 0, 0, memo=memo)
+        first = evaluate_round("m", {1: params}, shards, 0, 0, memo=memo)
         assert memo[1][0] is params
-        again, _ = evaluate_round("m", {1: params}, shards, 0, 1, memo=memo)
-        copy, _ = evaluate_round("m", {1: params.copy()}, shards, 0, 1, memo=memo)
+        again = evaluate_round("m", {1: params}, shards, 0, 1, memo=memo)
+        copy = evaluate_round("m", {1: params.copy()}, shards, 0, 1, memo=memo)
         assert [r.loss for r in again] == [r.loss for r in first] == [r.loss for r in copy]
         assert memo[1][0] is not params
