@@ -39,7 +39,7 @@ from .model import (
     local_train,
 )
 from .privacy import ClipState, DpConfig, add_noise, clip, update_bound
-from .residual import KeyCache, ResidualPacket, partition_residuals, route_residuals
+from .residual import ResidualPacket, partition_residuals, route_residuals
 from .tensors import CongruenceError, ParamSet, ParamStack, Tensor, axpy, l2_norm
 from .topology import FederationTree, NodeSpec, validate
 

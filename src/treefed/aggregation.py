@@ -52,7 +52,6 @@ class ScheduleConfig:
     alpha: float = 0.01
     eta_max: float = 8e-4
     total_steps: int | None = 3000
-    shape: str = "warmup_cosine"
 
     def __post_init__(self):
         if not (0 < self.alpha < 1):
@@ -61,8 +60,6 @@ class ScheduleConfig:
             raise ValueError("eta_max must be positive")
         if self.total_steps is not None and self.total_steps < 1:
             raise ValueError("total_steps must be positive")
-        if self.shape != "warmup_cosine":
-            raise ValueError(f"unknown schedule shape {self.shape!r}")
 
 
 def lr_at(step: int, sched: ScheduleConfig) -> float:

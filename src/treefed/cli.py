@@ -129,9 +129,11 @@ def write_outputs(out_dir: Path, exp: ResolvedExperiment, plan: ExperimentPlan,
 def run_plan(plan: ExperimentPlan, exp: ResolvedExperiment | None = None, suffix: str = "",
              extra_manifest: dict | None = None
              ) -> tuple[ResolvedExperiment, RunResult, float, Path | None]:
-    """Execute `plan`, on `exp` when given, timing the call. With plan.out
-    set, write its run directory, named by its experiment id plus `suffix`.
-    Returns (experiment, result, elapsed seconds, run directory or None)."""
+    """Execute `plan`, on `exp` when given, else on the plan resolved first,
+    timing only the execution. With plan.out set, write its run directory,
+    named by its experiment id plus `suffix`. Returns (experiment, result,
+    elapsed seconds, run directory or None)."""
+    exp = exp or resolve_plan(plan)
     start = time.perf_counter()
     exp, result = execute(plan, exp=exp)
     elapsed = time.perf_counter() - start
@@ -198,7 +200,7 @@ def _toggle(axis: str, config: dict, tree: FederationTree) -> dict:
     # swap: exchange the sources of the smallest-budget leaf and the next
     # smallest under another parent, so the swap crosses sub-federations
     data = config["data"]
-    if data["kind"] not in ("clustered", "iid"):
+    if data["kind"] != "clustered":
         raise ValueError(f"swap axis: data kind {data['kind']!r} has no leaf sources to exchange")
     first, *rest = sorted(tree.leaves(), key=lambda nid: (data["leaf_budgets"][str(nid)], nid))
     other = next((nid for nid in rest if tree.nodes[nid].parent != tree.nodes[first].parent), None)

@@ -2,17 +2,21 @@
 baselines, all sharing the same trainers, seeds, and step accounting.
 
 One round walks the tree level by level (top-down): a node adopts its
-parent's freshly trained backbone, merges keys by attention with the parent
-and any routed-in residual packets, routes its pending residuals toward its
-children, then trains locally. Every level is one *stage*; nodes on a level
-are logically simultaneous. A stage first adopts, merges and routes for each
+parent's freshly trained backbone and merges keys by attention with the
+parent and, at a leaf, the residual packets routed to it; a server routes
+its residual packets to its children, scoring their current keys; then the
+node trains locally. Every level is one *stage*; nodes on a level are
+logically simultaneous. A stage first adopts, merges and routes for each
 node in node-id order, then trains the level's nodes together: nodes that
 share a trainer and a schedule position are stacked into one local_train
 call (up to model.stack_width nodes). After the last stage
 the tree is aggregated bottom-up: pseudo-gradient averaging with server
 momentum for backbones, per-layer attention for keys, and dissimilarity-based
 residual selection, with DP sanitization applied to flagged children's
-backbone deltas on the way.
+backbone deltas on the way. Each selected packet goes straight to the server
+where it turns around (its ceiling, or the selecting server when the ceiling
+lies below it), which routes it in the next round; every hop below happens
+in that round too.
 
 A stage consumes one sequential step when at least one of its nodes trains;
 baselines are budgeted in the same units. Every runner stacks its same-shape
@@ -50,7 +54,7 @@ from .model import (
     stack_width,
 )
 from .privacy import ClipState, DpConfig, add_noise, clip, update_bound
-from .residual import KeyCache, ResidualPacket, partition_residuals, route_residuals, split_by_ceiling
+from .residual import ResidualPacket, partition_residuals, route_residuals
 from .tensors import ParamSet, axpy
 from .topology import FederationTree, validate
 
@@ -140,10 +144,9 @@ class RunResult:
 class _NodeState:
     model: ParamSet  # replaced, never written, whenever the node changes
     momentum: ParamSet | None = None  # a server's optimizer state
-    cache: KeyCache = field(default_factory=KeyCache)
-    d_agg: list[ResidualPacket] = field(default_factory=list)
-    d_route: list[ResidualPacket] = field(default_factory=list)
-    upstream_inbox: list[ResidualPacket] = field(default_factory=list)
+    # residual packets for the node's next stage: a leaf merges them, a
+    # server routes them to its children
+    inbox: list[ResidualPacket] = field(default_factory=list)
 
 
 def _row(method: str, nid: int, round_k: int, stage: int, split: str, nll: float) -> MetricRow:
@@ -250,8 +253,6 @@ def fit(
         raise ValueError("invalid tree: " + "; ".join(bad))
     part = Partition.for_config(cfg.model)
     stages = tree.levels()
-    depth = len(stages) - 1
-    max_age = max(2, 2 * depth)
 
     base = init_model(cfg.model, cfg.seed)
     zero = part.split(base)[0].zeros_like()
@@ -277,30 +278,29 @@ def fit(
             for nid in level:
                 node = tree.nodes[nid]
                 st = state[nid]
-                # adopt parent backbone; merge keys with parent and routed-in packets
+                # adopt parent backbone; merge keys with parent and, at a
+                # leaf, the routed-in packets
                 if node.parent is not None:
                     parent = state[node.parent].model
                     keys = part.keys(st.model)
                     if len(keys):
-                        keys, weight_log = merge_with_parent(keys, part.keys(parent), st.d_agg,
-                                                             cfg.attention)
+                        keys, weight_log = merge_with_parent(
+                            keys, part.keys(parent), [] if node.children else st.inbox,
+                            cfg.attention)
                         _log_attention(result.attention_log, nid, round_k, "merge", weight_log)
                         st.model = part.assemble(parent, keys)
                     else:
                         st.model = parent
-                    st.d_agg = []
-                # route pending residuals toward children
-                if node.children and st.d_route:
+                # route a server's packets to its children, which have not
+                # changed since its last bottom-up step
+                if node.children and st.inbox:
                     routed = route_residuals(
-                        st.d_route, st.cache, node.children, cfg.attention, tree,
-                        round_k, max_age, router=nid,
-                    )
-                    for cid, pkts in routed.for_aggregation.items():
-                        state[cid].d_agg.extend(pkts)
-                    for cid, pkts in routed.to_forward.items():
-                        state[cid].d_route.extend(pkts)
-                    st.d_route = routed.held
+                        st.inbox, [(cid, part.keys(state[cid].model)) for cid in node.children],
+                        cfg.attention, tree, round_k, router=nid)
+                    for cid, pkts in routed.landed.items():
+                        state[cid].inbox.extend(pkts)
                     result.residual_log.extend(routed.events)
+                st.inbox = []
             # local training, stacked across the level
             trainees = [(nid, trainer, seq_counter * trainer.local_steps)
                         for nid, trainer in stage_trainees(tree, level, shards, cfg.trainer)]
@@ -335,20 +335,14 @@ def fit(
                 if len(keys):
                     keys, weight_log = aggregate_child_keys(keys, child_keys, cfg.attention)
                     _log_attention(result.attention_log, nid, round_k, "children", weight_log)
-                    new_packets = partition_residuals(
-                        keys, child_keys, cfg.residual.nu, cfg.attention, round_k, ceilings,
-                        cfg.residual.threshold,
-                    )
-                else:
-                    new_packets = []
+                    # each packet turns around at its ceiling, or here when
+                    # the ceiling lies below
+                    for pkt in partition_residuals(
+                            keys, child_keys, cfg.residual.nu, cfg.attention, round_k, ceilings,
+                            cfg.residual.threshold):
+                        turn = pkt.ceiling if tree.in_subtree(pkt.ceiling, nid) else nid
+                        state[turn].inbox.append(pkt)
                 st.model = part.assemble(backbone, keys)
-                collected = new_packets + st.upstream_inbox
-                st.upstream_inbox = []
-                upstream, local = split_by_ceiling(collected, nid, tree)
-                st.d_route.extend(local)
-                if node.parent is not None:
-                    state[node.parent].upstream_inbox.extend(upstream)
-                st.cache.update(dict(child_keys))
 
     result.seq_steps = seq_counter
     result.final_models = {nid: state[nid].model for nid in sorted(tree.nodes)}

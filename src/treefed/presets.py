@@ -118,7 +118,7 @@ class _Sections:
 
 @dataclass(kw_only=True)
 class ClusteredData:
-    """Clustered Markov sources (kind "clustered" or "iid") for the leaves."""
+    """Clustered Markov sources (kind "clustered") for the leaves."""
 
     kind: str
     vocab_size: int
@@ -142,7 +142,7 @@ class TextData:
     path: str
 
 
-_DATA_KINDS = {"clustered": ClusteredData, "iid": ClusteredData, "text": TextData}
+_DATA_KINDS = {"clustered": ClusteredData, "text": TextData}
 
 
 @dataclass

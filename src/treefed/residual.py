@@ -1,12 +1,14 @@
 """Cross-federation residual sharing.
 
-A parent ships the child key layers that look least like its own
-(post-aggregation) keys up toward the origin's permitted ceiling; servers on
-the way down forward each packet to the child whose cached previous-round key
-is most similar, never back into the packet's own subtree. Packets aggregate
-once they reach a leaf, diffusing into that sub-federation at its next merge.
-Layers are scored as float64 slices of key ranges, as in aggregation. Packets
-and the cache keep views of the key ranges; the cache also keeps layer norms.
+A parent selects the child key layers that look least like its own
+(post-aggregation) keys. Each such packet goes straight to the node where it
+turns around: its origin's ceiling when that is the parent or above it, else
+the parent. In the next round that node, and each server below it, sends
+the packet to the child whose keys are most similar, never back into the
+packet's own subtree; a packet with no such child is dropped. Packets
+aggregate once they reach a leaf, diffusing into that sub-federation at its
+next merge. Layers are scored as float64 slices of key ranges, as in
+aggregation; packets keep read-only views of the origin's key range.
 """
 
 from __future__ import annotations
@@ -27,24 +29,7 @@ class ResidualPacket:
     # the layer's values: a read-only 1-D view of the origin's keys
     values: np.ndarray = field(compare=False, repr=False)
     created_round: int
-    ceiling: int  # highest ancestor id this packet may climb to
-
-
-@dataclass
-class KeyCache:
-    """Children's keys from the previous round, for routing decisions:
-    child id -> layer name -> (a view of the layer in the child's key range,
-    the layer's norm)."""
-
-    keys: dict[int, dict[str, tuple[np.ndarray, float]]] = field(default_factory=dict)
-
-    def is_empty(self) -> bool:
-        return not self.keys
-
-    def update(self, child_keys: dict[int, ParamSet]) -> None:
-        self.keys = {cid: {name: (ks.buf[ks.layout.slices[name]], vector_norm(v))
-                           for name, v in key_layers(ks).items()}
-                     for cid, ks in child_keys.items()}
+    ceiling: int  # highest node that may route this packet: the origin or an ancestor
 
 
 def partition_residuals(
@@ -82,78 +67,46 @@ def partition_residuals(
 
 @dataclass
 class RouteResult:
-    for_aggregation: dict[int, list[ResidualPacket]]  # leaf child -> packets
-    to_forward: dict[int, list[ResidualPacket]]  # internal child -> packets
-    held: list[ResidualPacket]
-    dropped: list[tuple[ResidualPacket, str]]
+    landed: dict[int, list[ResidualPacket]]  # child -> packets it aggregates or routes on
     events: list[dict]  # log rows: hop decisions with similarities
 
 
 def route_residuals(
     incoming: list[ResidualPacket],
-    cache: KeyCache,
-    children: list[int],
+    child_keys: list[tuple[int, ParamSet]],
     cfg: AttentionConfig,
     tree: FederationTree,
     round_k: int,
-    max_age: int,
     router: int | None = None,
 ) -> RouteResult:
-    """Send each packet to the most similar cached child (ties to the lower
-    id), excluding the packet's own origin subtree. Leaf children aggregate;
-    internal children forward. With an empty cache packets are held a round.
-    `router` only labels the emitted log events.
+    """Send each packet to the child, of the (id, keys) pairs, whose layer is
+    most similar to it (ties to the lower id), excluding the packet's own
+    origin subtree. A leaf child aggregates the packet and an internal child
+    forwards it; a packet with no eligible child is dropped. `router` only
+    labels the emitted log events.
     """
-    result = RouteResult({c: [] for c in children}, {c: [] for c in children}, [], [], [])
+    children = {cid: {name: (k, vector_norm(k)) for name, k in key_layers(ks).items()}
+                for cid, ks in sorted(child_keys, key=lambda c: c[0])}
+    result = RouteResult({cid: [] for cid in children}, [])
     for pkt in sorted(incoming, key=lambda p: (p.origin, p.layer, p.created_round)):
-        if round_k - pkt.created_round > max_age:
-            result.dropped.append((pkt, "ttl"))
-            result.events.append(_event(round_k, router, pkt, "drop:ttl", None, None))
-            continue
-        if cache.is_empty():
-            result.held.append(pkt)
-            result.events.append(_event(round_k, router, pkt, "held:empty-cache", None, None))
-            continue
         q = np.asarray(pkt.values, dtype=np.float64)
         q_norm = vector_norm(q)
         best_id, best_sim = None, None
-        for cid in sorted(children):
+        for cid, layers in children.items():
             if tree.in_subtree(cid, pkt.origin):
                 continue
-            cached = cache.keys.get(cid)
-            if cached is None:
-                continue
-            if pkt.layer not in cached:
-                raise KeyError(f"packet layer {pkt.layer!r} unknown to cached child {cid}")
-            k, k_norm = cached[pkt.layer]
-            sim = similarity(q, q_norm, k.astype(np.float64), k_norm, cfg)
+            if pkt.layer not in layers:
+                raise KeyError(f"packet layer {pkt.layer!r} unknown to child {cid}")
+            sim = similarity(q, q_norm, *layers[pkt.layer], cfg)
             if best_sim is None or sim > best_sim:
                 best_id, best_sim = cid, sim
         if best_id is None:
-            result.dropped.append((pkt, "origin-exclusion"))
             result.events.append(_event(round_k, router, pkt, "drop:origin-exclusion", None, None))
             continue
-        if tree.is_leaf(best_id):
-            result.for_aggregation[best_id].append(pkt)
-            result.events.append(_event(round_k, router, pkt, "aggregate", best_id, best_sim))
-        else:
-            result.to_forward[best_id].append(pkt)
-            result.events.append(_event(round_k, router, pkt, "forward", best_id, best_sim))
+        result.landed[best_id].append(pkt)
+        action = "aggregate" if tree.is_leaf(best_id) else "forward"
+        result.events.append(_event(round_k, router, pkt, action, best_id, best_sim))
     return result
-
-
-def split_by_ceiling(
-    packets: list[ResidualPacket], node_id: int, tree: FederationTree
-) -> tuple[list[ResidualPacket], list[ResidualPacket]]:
-    """(upstream, stay-here): a packet climbs while its ceiling is a strict
-    ancestor of the current node; otherwise it turns around here."""
-    upstream, local = [], []
-    for pkt in packets:
-        if pkt.ceiling != node_id and tree.is_ancestor(pkt.ceiling, node_id):
-            upstream.append(pkt)
-        else:
-            local.append(pkt)
-    return upstream, local
 
 
 def _event(round_k, router, pkt, action, landed, sim):

@@ -4,7 +4,7 @@ validation.
 A tree is a map of node ids to NodeSpec records. The root has id 0 and no
 parent. Node ids are dense integers assigned in BFS order by the builders,
 which fixes reduction order everywhere downstream. residual_ceiling names the
-highest ancestor a node's residual packets may climb to (default: the root).
+highest ancestor that may route a node's residual packets (default: the root).
 A tree's JSON form is read and written by presets, which owns the config
 format.
 """

@@ -28,7 +28,7 @@ from treefed.engine import trailing_best
 from treefed.model import ModelConfig, backward, forward_loss, init_model, param_count
 from treefed.presets import apply_overrides, preset_config, resolve
 from treefed.privacy import ClipState, clip, update_bound
-from treefed.residual import KeyCache, ResidualPacket, route_residuals
+from treefed.residual import ResidualPacket, route_residuals
 from treefed.tensors import ParamSet, Tensor, l2_norm
 from treefed.topology import FederationTree
 
@@ -236,14 +236,11 @@ class TestCriterion8RoutingCorrectness:
                 cid: ParamSet([Tensor("a", rng.normal(size=8).astype(np.float32))])
                 for cid in (1, 2, 3)
             }
-            cache = KeyCache()
-            cache.update(cached)
             origin = int(rng.choice([4, 5, 6, 7]))
             pkt = ResidualPacket(origin=origin, layer="a",
                                  values=rng.normal(size=8).astype(np.float32),
                                  created_round=0, ceiling=0)
-            out = route_residuals([pkt], cache, [1, 2, 3], cfg, tree,
-                                  round_k=1, max_age=8)
+            out = route_residuals([pkt], list(cached.items()), cfg, tree, round_k=1)
             q = pkt.values.astype(np.float64)
             best, best_sim = None, -np.inf
             for cid in (1, 2, 3):
@@ -253,8 +250,7 @@ class TestCriterion8RoutingCorrectness:
                 sim = float(q @ k / (np.linalg.norm(q) * np.linalg.norm(k)))
                 if sim > best_sim:
                     best, best_sim = cid, sim
-            landed = [cid for cid in (1, 2, 3)
-                      if out.to_forward[cid] or out.for_aggregation[cid]]
+            landed = [cid for cid in (1, 2, 3) if out.landed[cid]]
             if landed == [best]:
                 hits += 1
         report(8, hits == trials, f"{hits}/{trials} packets landed at the "

@@ -6,12 +6,18 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import treefed.engine
 import treefed.tensors
+from treefed.aggregation import AttentionConfig
+from treefed.cli import ExperimentPlan, execute
 from treefed.model import init_model
 from treefed.presets import preset_config, resolve
+from treefed.residual import ResidualPacket, route_residuals
+from treefed.tensors import ParamSet, Tensor
+from treefed.topology import FederationTree
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -54,3 +60,19 @@ def test_mean_nll_counter_reads_the_parameter_views():
     tracer._after_mean_nll((params, tokens), None)
     assert tracer.counts["model.eval_windows"] == 2 * (len(tokens) - exp.engine.model.context_len)
     assert tracer.counts["engine.eval_repeats"] == 1
+
+
+def test_every_residual_action_feeds_a_packet_counter():
+    # the trace counts packets by residuals.csv action; an action it does
+    # not know would raise KeyError in a traced run
+    _, result = execute(ExperimentPlan(method="worldlm", preset="fig2", rounds=2, seed=1))
+    actions = {e["action"] for e in result.residual_log}
+    assert actions >= {"aggregate", "forward"}
+    tree = FederationTree.from_children_map({0: [1], 1: [2, 3]})
+    pkt = ResidualPacket(origin=2, layer="a", values=np.ones(2, np.float32),
+                         created_round=0, ceiling=0)
+    out = route_residuals([pkt], [(1, ParamSet([Tensor("a", np.ones(2, np.float32))]))],
+                          AttentionConfig(), tree, round_k=1)
+    actions |= {e["action"] for e in out.events}
+    assert "drop:origin-exclusion" in actions
+    assert actions <= set(tracing_module()._PACKET_ACTIONS)

@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from treefed import presets
+from treefed import cli, presets
 from treefed.cli import main
-from treefed.presets import PRESETS, preset_config, resolve, tree_to_json
+from treefed.presets import PRESETS, ResolvedExperiment, preset_config, resolve, tree_to_json
 from treefed.topology import FederationTree
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -247,6 +248,24 @@ class TestOneRunPath:
         assert ablated == run
         assert sorted(run) == ["attention.csv", "dp.csv", "metrics.csv", "residuals.csv"]
 
+    def test_every_command_times_execute_on_a_resolved_experiment(self, tiny_config):
+        # run_plan resolves a plan before it starts the clock, so the seconds
+        # that run prints and timings.csv holds cover execute alone for
+        # run, compare and ablate alike
+        execute, given = cli.execute, []
+
+        def spy(plan, exp=None):
+            given.append(exp)
+            return execute(plan, exp=exp)
+
+        common = ["--config", str(tiny_config), "--seed", "3", "--rounds", "1"]
+        with mock.patch.object(cli, "execute", spy):
+            assert main(["run", *common]) == 0
+            assert main(["compare", *common, "--method", "flat_fl"]) == 0
+            assert main(["ablate", "--axis", "attention", *common]) == 0
+        assert len(given) == 4
+        assert all(isinstance(exp, ResolvedExperiment) for exp in given)
+
 
 class TestTextDataset:
     def test_text_kind_runs(self, tiny_config, tmp_path):
@@ -304,6 +323,16 @@ class TestConfigKeys:
         ("trainer=3", "config trainer: expected an object, got 3"),
     ])
     def test_non_object_section_exits_1_naming_the_key(self, override, message, capsys):
+        rc = main(["run", "--preset", "fig2", "--rounds", "1", "--override", override])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("override, message", [
+        ("data.kind=iid", "config data kind: expected one of ['clustered', 'text'], got 'iid'"),
+        ("schedule.shape=warmup_cosine", "config schedule: unknown key 'shape'; "
+                                         "expected one of ['alpha', 'eta_max', 'total_steps']"),
+    ])
+    def test_removed_data_kind_and_schedule_shape_exit_1(self, override, message, capsys):
         rc = main(["run", "--preset", "fig2", "--rounds", "1", "--override", override])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]

@@ -315,11 +315,11 @@ class TestResidualFlow:
             # never delivered back into the origin's own subtree
             assert not tree.in_subtree(
                 1 if e["landed_at"] in (3, 4) else 2, e["origin"])
-            # climb + descend completes within two rounds of emission
-            assert e["round"] - e["created_round"] <= 2
-        # conservation: every event names a router and resolves each packet
+        # every hop happens in the round after emission; each event names
+        # a router and lands the packet or drops it by origin exclusion
         for e in result.residual_log:
-            assert e["action"].split(":")[0] in ("aggregate", "forward", "held", "drop")
+            assert e["round"] == e["created_round"] + 1
+            assert e["action"] in ("aggregate", "forward", "drop:origin-exclusion")
             assert e["router"] in tree.nodes
 
 
@@ -362,6 +362,28 @@ class TestResidualCeiling:
                   if e["action"] == "aggregate" and e["origin"] in (3, 4)]
         for e in landed:
             assert e["landed_at"] in (3, 4)
+
+    def test_packets_go_straight_to_the_node_where_they_turn(self):
+        # ceilings at the leaf itself, at its mid node and at the root: a
+        # packet is first routed, in the round after it is made, by its
+        # ceiling when that is its selecting server or above, else by the
+        # selecting server (the origin's parent)
+        tree = fig2_tree()
+        for leaf, ceiling in ((3, 3), (4, 1), (5, 0), (6, 2)):
+            tree.nodes[leaf].residual_ceiling = ceiling
+        shards, _ = shards_for(tree, divergence=1.0)
+        cfg = cfg_for(tree, shards, rounds=4)
+        cfg.residual = ResidualConfig(nu=2)
+        result = fit(tree, shards, cfg)
+        first = {}
+        for e in result.residual_log:
+            first.setdefault((e["origin"], e["layer"], e["created_round"]), e)
+        assert {origin for origin, _, _ in first} >= {1, 2, 3, 4, 5, 6}
+        for (origin, _, created), e in first.items():
+            selector = tree.nodes[origin].parent
+            ceiling = tree.nodes[origin].residual_ceiling
+            turn = ceiling if tree.in_subtree(ceiling, selector) else selector
+            assert (e["router"], e["round"]) == (turn, created + 1), e
 
 
 class TestEvaluateRound:

@@ -1,5 +1,5 @@
 """Property tests for the core invariants: attention weights form a
-distribution, routing respects origin subtrees and ceilings, clipping
+distribution, routing respects origin subtrees, clipping
 respects its bound, validate accepts exactly the well-formed trees, and
 resolve rejects a config value of the wrong JSON type before sampling."""
 
@@ -15,7 +15,7 @@ from treefed import presets
 from treefed.aggregation import AttentionConfig, aggregate_child_keys, merge_with_parent
 from treefed.presets import preset_config, resolve
 from treefed.privacy import clip
-from treefed.residual import KeyCache, ResidualPacket, route_residuals, split_by_ceiling
+from treefed.residual import ResidualPacket, route_residuals
 from treefed.tensors import ParamSet, Tensor, l2_norm
 from treefed.topology import FederationTree, NodeSpec, validate
 
@@ -83,41 +83,24 @@ def trees(draw, max_nodes=12):
 def test_routing_never_lands_in_the_origin_subtree(data, tree, similarity):
     router = data.draw(st.sampled_from([n for n in tree.nodes if not tree.is_leaf(n)]))
     children = tree.nodes[router].children
-    cached = data.draw(st.lists(st.sampled_from(children), unique=True))
-    cache = KeyCache()
-    cache.update({cid: ParamSet([Tensor("a", data.draw(vectors(3)))]) for cid in cached})
+    child_keys = [(cid, ParamSet([Tensor("a", data.draw(vectors(3)))])) for cid in children]
     packets = [ResidualPacket(origin=origin, layer="a", values=data.draw(vectors(3)),
                               created_round=data.draw(st.integers(0, 3)), ceiling=0)
                for origin in data.draw(st.lists(st.sampled_from(list(tree.nodes)),
                                                 max_size=6))]
-    out = route_residuals(packets, cache, children, AttentionConfig(similarity=similarity),
-                          tree, round_k=3, max_age=2)
-    landed = 0
-    for cid in children:
-        for pkt in out.for_aggregation[cid] + out.to_forward[cid]:
-            assert cid in cached and not tree.in_subtree(cid, pkt.origin)
-            landed += 1
-        assert not out.for_aggregation[cid] or tree.is_leaf(cid)
-        assert not out.to_forward[cid] or not tree.is_leaf(cid)
-    assert landed + len(out.held) + len(out.dropped) == len(packets)
-
-
-@PROPS
-@given(data=st.data(), tree=trees())
-def test_split_by_ceiling_never_climbs_above_the_ceiling(data, tree):
-    origin = data.draw(st.sampled_from([n for n in tree.nodes if n != 0]))
-    ceiling = data.draw(st.sampled_from(tree.path_to_root(origin)))
-    pkt = ResidualPacket(origin=origin, layer="a", values=np.zeros(1, np.float32),
-                         created_round=0, ceiling=ceiling)
-    node = start = tree.nodes[origin].parent  # where its parent selects it
-    while True:
-        up, stay = split_by_ceiling([pkt], node, tree)
-        assert len(up) + len(stay) == 1
-        if not up:
-            break
-        node = tree.nodes[node].parent
-        assert node is not None and tree.in_subtree(ceiling, node)
-    assert node == (ceiling if tree.in_subtree(ceiling, start) else start)
+    out = route_residuals(packets, child_keys, AttentionConfig(similarity=similarity),
+                          tree, round_k=3)
+    assert sorted(out.landed) == sorted(children)
+    landed = [(cid, pkt) for cid, pkts in out.landed.items() for pkt in pkts]
+    assert not any(tree.in_subtree(cid, pkt.origin) for cid, pkt in landed)
+    # one event per packet: where it landed, or that no child could take it
+    assert len(out.events) == len(packets)
+    for e in out.events:
+        if e["action"] == "drop:origin-exclusion":
+            assert all(tree.in_subtree(cid, e["origin"]) for cid in children)
+        else:
+            assert e["action"] == ("aggregate" if tree.is_leaf(e["landed_at"]) else "forward")
+    assert len(landed) == sum(e["action"] != "drop:origin-exclusion" for e in out.events)
 
 
 @PROPS

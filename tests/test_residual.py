@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from treefed.aggregation import AttentionConfig, similarity, vector_norm
-from treefed.residual import (
-    KeyCache,
-    ResidualPacket,
-    partition_residuals,
-    route_residuals,
-    split_by_ceiling,
-)
+from treefed.residual import ResidualPacket, partition_residuals, route_residuals
 from treefed.tensors import ParamSet, Tensor
 from treefed.topology import FederationTree
 
@@ -25,12 +19,6 @@ def v(values):
 
 def keys(vec, name="a"):
     return ParamSet([t(name, vec)])
-
-
-def cache_of(child_keys):
-    cache = KeyCache()
-    cache.update(child_keys)
-    return cache
 
 
 def tree():
@@ -96,84 +84,59 @@ class TestPartitionResiduals:
         assert chosen == {"a": 4, "b": 3}
 
 
-def cache_for(children_vecs):
-    return cache_of({cid: keys(vec) for cid, vec in children_vecs.items()})
+def pairs(children_vecs):
+    """(child id, keys) pairs, as a router reads its children."""
+    return [(cid, keys(vec)) for cid, vec in children_vecs.items()]
 
 
 class TestRouteResiduals:
     def test_argmax_similarity_routing(self):
-        tr = tree()
-        cache = cache_for({1: [0.2, 1.0], 2: [1.0, 0.05]})
-        pkt = ResidualPacket(origin=3, layer="a", values=v([1.0, 0.0]),
+        # origin 7 lies outside both candidate subtrees
+        tr = FederationTree.from_children_map({0: [1, 2, 7], 1: [3, 4], 2: [5, 6]})
+        pkt = ResidualPacket(origin=7, layer="a", values=v([1.0, 0.0]),
                              created_round=0, ceiling=0)
-        # origin 3 lives under child 1, so only child 2 is eligible anyway;
-        # use an origin outside both subtrees via a third child
-        tr2 = FederationTree.from_children_map({0: [1, 2, 7], 1: [3, 4], 2: [5, 6]})
-        cache2 = cache_of({1: keys([0.2, 1.0]), 2: keys([1.0, 0.05])})
-        pkt2 = ResidualPacket(origin=7, layer="a", values=v([1.0, 0.0]),
-                              created_round=0, ceiling=0)
-        out = route_residuals([pkt2], cache2, [1, 2], AttentionConfig(), tr2,
-                              round_k=1, max_age=4)
-        assert out.to_forward[2] == [pkt2]
-        assert out.for_aggregation[1] == [] and out.to_forward[1] == []
-
-    def test_empty_cache_buffers(self):
-        tr = tree()
-        pkt = ResidualPacket(origin=5, layer="a", values=v([1.0, 0.0]),
-                             created_round=0, ceiling=0)
-        out = route_residuals([pkt], KeyCache(), [1, 2], AttentionConfig(), tr,
-                              round_k=0, max_age=4)
-        assert out.held == [pkt]
-        assert not any(out.for_aggregation.values())
-        assert not any(out.to_forward.values())
+        out = route_residuals([pkt], pairs({1: [0.2, 1.0], 2: [1.0, 0.05]}),
+                              AttentionConfig(), tr, round_k=1)
+        assert out.landed == {1: [], 2: [pkt]}
+        assert [e["action"] for e in out.events] == ["forward"]
 
     def test_origin_subtree_excluded(self):
         tr = tree()
         # packet from node 3 (inside child 1's subtree); child 1 has the best
-        # cached similarity but must be skipped
-        cache = cache_for({1: [1.0, 0.0], 2: [0.3, 1.0]})
+        # similarity but must be skipped
         pkt = ResidualPacket(origin=3, layer="a", values=v([1.0, 0.0]),
                              created_round=0, ceiling=0)
-        out = route_residuals([pkt], cache, [1, 2], AttentionConfig(), tr,
-                              round_k=1, max_age=4)
-        assert out.to_forward[2] == [pkt]
+        out = route_residuals([pkt], pairs({1: [1.0, 0.0], 2: [0.3, 1.0]}),
+                              AttentionConfig(), tr, round_k=1)
+        assert out.landed[2] == [pkt]
 
     def test_leaf_target_lands_in_aggregation(self):
         tr = tree()
         # mid node 2 routes among its leaf children 5, 6
-        cache = cache_of({5: keys([1.0, 0.0]), 6: keys([0.0, 1.0])})
         pkt = ResidualPacket(origin=4, layer="a", values=v([0.9, 0.1]),
                              created_round=0, ceiling=0)
-        out = route_residuals([pkt], cache, [5, 6], AttentionConfig(), tr,
-                              round_k=1, max_age=4)
-        assert out.for_aggregation[5] == [pkt]
+        out = route_residuals([pkt], pairs({5: [1.0, 0.0], 6: [0.0, 1.0]}),
+                              AttentionConfig(), tr, round_k=1, router=2)
+        assert out.landed == {5: [pkt], 6: []}
+        [event] = out.events
+        assert (event["router"], event["action"], event["landed_at"]) == (2, "aggregate", 5)
 
     def test_no_eligible_child_drops(self):
         tr = FederationTree.from_children_map({0: [1], 1: [2, 3]})
-        cache = cache_of({1: keys([1.0, 0.0])})
         pkt = ResidualPacket(origin=2, layer="a", values=v([1.0, 0.0]),
                              created_round=0, ceiling=0)
-        out = route_residuals([pkt], cache, [1], AttentionConfig(), tr,
-                              round_k=1, max_age=4)
-        assert out.dropped == [(pkt, "origin-exclusion")]
-
-    def test_ttl_expiry_drops(self):
-        tr = tree()
-        cache = cache_for({1: [1.0, 0.0], 2: [0.0, 1.0]})
-        pkt = ResidualPacket(origin=5, layer="a", values=v([1.0, 0.0]),
-                             created_round=0, ceiling=0)
-        out = route_residuals([pkt], cache, [1, 2], AttentionConfig(), tr,
-                              round_k=9, max_age=4)
-        assert out.dropped == [(pkt, "ttl")]
+        out = route_residuals([pkt], pairs({1: [1.0, 0.0]}), AttentionConfig(), tr,
+                              round_k=1)
+        assert out.landed == {1: []}
+        assert [e["action"] for e in out.events] == ["drop:origin-exclusion"]
 
     def test_unknown_layer_errors(self):
         tr = tree()
-        cache = cache_for({1: [1.0, 0.0], 2: [0.0, 1.0]})
         pkt = ResidualPacket(origin=5, layer="zz", values=v([1.0, 0.0]),
                              created_round=0, ceiling=0)
         with pytest.raises(KeyError):
-            route_residuals([pkt], cache, [1, 2], AttentionConfig(), tr,
-                            round_k=1, max_age=4)
+            route_residuals([pkt], pairs({1: [1.0, 0.0], 2: [0.0, 1.0]}),
+                            AttentionConfig(), tr, round_k=1)
 
     def test_randomized_against_bruteforce_router(self):
         # packets land at the argmax-similarity non-origin child in all cases
@@ -181,51 +144,32 @@ class TestRouteResiduals:
         tr = FederationTree.from_children_map({0: [1, 2, 3], 1: [4, 5], 2: [6], 3: [7]})
         cfg = AttentionConfig()
         for _ in range(1000):
-            cached = {cid: keys(rng.normal(size=6)) for cid in (1, 2, 3)}
-            cache = cache_of(cached)
+            children = {cid: keys(rng.normal(size=6)) for cid in (1, 2, 3)}
             origin = int(rng.choice([4, 5, 6, 7]))
             pkt = ResidualPacket(origin=origin, layer="a",
                                  values=v(rng.normal(size=6)),
                                  created_round=0, ceiling=0)
-            out = route_residuals([pkt], cache, [1, 2, 3], cfg, tr,
-                                  round_k=1, max_age=8)
+            out = route_residuals([pkt], list(children.items()), cfg, tr, round_k=1)
             # brute force: best cosine among children not containing origin
             best, best_sim = None, -np.inf
             for cid in (1, 2, 3):
                 if tr.in_subtree(cid, origin):
                     continue
                 q = pkt.values.astype(np.float64)
-                k = cached[cid]["a"].data.astype(np.float64)
+                k = children[cid]["a"].data.astype(np.float64)
                 sim = similarity(q, vector_norm(q), k, vector_norm(k), cfg)
                 if sim > best_sim:
                     best, best_sim = cid, sim
-            landed = [cid for cid in (1, 2, 3)
-                      if out.to_forward[cid] or out.for_aggregation[cid]]
-            assert landed == [best]
+            assert [cid for cid in (1, 2, 3) if out.landed[cid]] == [best]
 
-
-class TestSplitByCeiling:
-    def test_climbs_while_ceiling_above(self):
-        tr = tree()
-        pkt = ResidualPacket(origin=3, layer="a", values=v([1.0]),
-                             created_round=0, ceiling=0)
-        up, stay = split_by_ceiling([pkt], 1, tr)  # at node 1, ceiling 0 above
-        assert up == [pkt] and stay == []
-        up, stay = split_by_ceiling([pkt], 0, tr)  # reached the root
-        assert up == [] and stay == [pkt]
-
-    def test_ceiling_at_mid_level(self):
-        tr = tree()
-        pkt = ResidualPacket(origin=3, layer="a", values=v([1.0]),
-                             created_round=0, ceiling=1)
-        up, stay = split_by_ceiling([pkt], 1, tr)
-        assert up == [] and stay == [pkt]
-
-
-class TestKeyCache:
-    def test_update_stamps_round(self):
-        c = KeyCache()
-        assert c.is_empty()
-        c.update({3: keys([1.0])})
-        assert not c.is_empty()
-        assert 3 in c.keys
+    def test_input_order_does_not_change_the_output(self):
+        # a server's packets arrive from several selecting servers; the
+        # router sorts them by (origin, layer, created round), unique per packet
+        tr = FederationTree.from_children_map({0: [1, 2, 7], 1: [3, 4], 2: [5, 6]})
+        pkts = [ResidualPacket(origin=o, layer="a", values=v(vec), created_round=0, ceiling=0)
+                for o, vec in ((7, [1.0, 0.0]), (3, [0.0, 1.0]), (5, [0.5, 0.5]))]
+        children = pairs({1: [0.2, 1.0], 2: [1.0, 0.05], 7: [1.0, 1.0]})
+        out = route_residuals(pkts, children, AttentionConfig(), tr, round_k=1)
+        again = route_residuals(pkts[::-1], children, AttentionConfig(), tr, round_k=1)
+        assert out.landed == again.landed and out.events == again.events
+        assert [e["origin"] for e in out.events] == [3, 5, 7]
