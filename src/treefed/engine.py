@@ -54,7 +54,7 @@ from .model import (
     stack_width,
 )
 from .privacy import ClipState, DpConfig, add_noise, clip, update_bound
-from .residual import ResidualPacket, partition_residuals, route_residuals
+from .residual import ResidualPacket, partition_residuals, route_residuals, turn_node
 from .tensors import ParamSet, axpy
 from .topology import FederationTree, validate
 
@@ -340,8 +340,7 @@ def fit(
                     for pkt in partition_residuals(
                             keys, child_keys, cfg.residual.nu, cfg.attention, round_k, ceilings,
                             cfg.residual.threshold):
-                        turn = pkt.ceiling if tree.in_subtree(pkt.ceiling, nid) else nid
-                        state[turn].inbox.append(pkt)
+                        state[turn_node(pkt, nid, tree)].inbox.append(pkt)
                 st.model = part.assemble(backbone, keys)
 
     result.seq_steps = seq_counter

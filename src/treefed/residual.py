@@ -65,6 +65,13 @@ def partition_residuals(
     return packets
 
 
+def turn_node(pkt: ResidualPacket, selector: int, tree: FederationTree) -> int:
+    """The node where a packet selected at `selector` turns around: its
+    ceiling when that is `selector` or above it, else `selector`. A packet
+    never climbs past its ceiling."""
+    return pkt.ceiling if tree.in_subtree(pkt.ceiling, selector) else selector
+
+
 @dataclass
 class RouteResult:
     landed: dict[int, list[ResidualPacket]]  # child -> packets it aggregates or routes on

@@ -1,5 +1,5 @@
 """Property tests for the core invariants: attention weights form a
-distribution, routing respects origin subtrees, clipping
+distribution, routing respects origin subtrees and ceilings, clipping
 respects its bound, validate accepts exactly the well-formed trees, and
 resolve rejects a config value of the wrong JSON type before sampling."""
 
@@ -15,7 +15,7 @@ from treefed import presets
 from treefed.aggregation import AttentionConfig, aggregate_child_keys, merge_with_parent
 from treefed.presets import preset_config, resolve
 from treefed.privacy import clip
-from treefed.residual import ResidualPacket, route_residuals
+from treefed.residual import ResidualPacket, route_residuals, turn_node
 from treefed.tensors import ParamSet, Tensor, l2_norm
 from treefed.topology import FederationTree, NodeSpec, validate
 
@@ -101,6 +101,21 @@ def test_routing_never_lands_in_the_origin_subtree(data, tree, similarity):
         else:
             assert e["action"] == ("aggregate" if tree.is_leaf(e["landed_at"]) else "forward")
     assert len(landed) == sum(e["action"] != "drop:origin-exclusion" for e in out.events)
+
+
+@PROPS
+@given(data=st.data(), tree=trees())
+def test_split_by_ceiling_never_climbs_above_the_ceiling(data, tree):
+    origin = data.draw(st.sampled_from([n for n in tree.nodes if n != 0]))
+    ceiling = data.draw(st.sampled_from(tree.path_to_root(origin)))
+    pkt = ResidualPacket(origin=origin, layer="a", values=np.zeros(1, np.float32),
+                         created_round=0, ceiling=ceiling)
+    start = tree.nodes[origin].parent  # where its parent selects it
+    turn = turn_node(pkt, start, tree)
+    assert turn in tree.path_to_root(start)
+    assert turn == (ceiling if tree.in_subtree(ceiling, start) else start)
+    # above the selecting server it never passes the ceiling
+    assert turn == start or tree.in_subtree(ceiling, turn)
 
 
 @PROPS

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treefed.aggregation import AttentionConfig, similarity, vector_norm
-from treefed.residual import ResidualPacket, partition_residuals, route_residuals
+from treefed.residual import ResidualPacket, partition_residuals, route_residuals, turn_node
 from treefed.tensors import ParamSet, Tensor
 from treefed.topology import FederationTree
 
@@ -173,3 +173,20 @@ class TestRouteResiduals:
         again = route_residuals(pkts[::-1], children, AttentionConfig(), tr, round_k=1)
         assert out.landed == again.landed and out.events == again.events
         assert [e["origin"] for e in out.events] == [3, 5, 7]
+
+
+class TestSplitByCeiling:
+    """Where a selected packet turns around, given its ceiling."""
+
+    def test_climbs_while_ceiling_above(self):
+        tr = tree()
+        pkt = ResidualPacket(origin=3, layer="a", values=v([1.0]),
+                             created_round=0, ceiling=0)
+        assert turn_node(pkt, 1, tr) == 0  # selected at node 1, ceiling 0 above
+        assert turn_node(pkt, 0, tr) == 0  # selected at the root
+
+    def test_ceiling_at_mid_level(self):
+        tr = tree()
+        pkt = ResidualPacket(origin=3, layer="a", values=v([1.0]),
+                             created_round=0, ceiling=1)
+        assert turn_node(pkt, 1, tr) == 1
