@@ -20,7 +20,6 @@ from .aggregation import (
 )
 from .datagen import (
     MarkovSource,
-    MixtureSpec,
     Shard,
     build_hierarchy_dataset,
     entropy_rate,

@@ -5,6 +5,10 @@ transition matrix (0) and independent per-cluster matrices (1), with mild
 intra-cluster jitter that also scales with divergence. Because the sources
 are Markov chains, the optimal achievable perplexity is computable exactly
 (exp of the entropy rate), which gives every experiment an absolute yardstick.
+
+A node's data is a list of (source id, token budget) pairs, each source
+sampled in proportion to its budget: one pair at a leaf, its descendant
+leaves' pairs at an internal node (build_hierarchy_dataset).
 """
 
 from __future__ import annotations
@@ -147,43 +151,11 @@ def markov_perplexity(src: MarkovSource, tokens: np.ndarray) -> float:
     return float(np.exp(-np.log(probs).mean()))
 
 
-@dataclass(frozen=True)
-class MixtureComponent:
-    source_id: str
-    weight: float
-    token_budget: int
-
-
-@dataclass
-class MixtureSpec:
-    components: list[MixtureComponent]
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("mixture needs at least one component")
-        if any(c.weight < 0 for c in self.components):
-            raise ValueError("weights must be non-negative")
-        if abs(sum(c.weight for c in self.components) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
-
-    @classmethod
-    def from_budgets(cls, budgets: list[tuple[str, int]]) -> "MixtureSpec":
-        total = sum(b for _, b in budgets)
-        if total <= 0:
-            raise ValueError("total budget must be positive")
-        return cls([MixtureComponent(sid, b / total, b) for sid, b in budgets])
-
-    @property
-    def total_budget(self) -> int:
-        return sum(c.token_budget for c in self.components)
-
-
 @dataclass
 class Shard:
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
-    provenance: MixtureSpec
 
     def __post_init__(self):
         for name in ("train", "val", "test"):
@@ -209,26 +181,24 @@ _SPLIT_TAG = {"train": 1, "val": 2, "test": 3}
 
 
 def sample_mixture_stream(
-    spec: MixtureSpec,
+    mixture: list[tuple[str, int]],
     sources: dict[str, MarkovSource],
     size: int,
     seed_key: tuple[int, ...],
 ) -> np.ndarray:
-    """Concatenated per-component Markov segments, sizes proportional to
-    weight, in component order."""
+    """Concatenated Markov segments, one per (source id, token budget) pair
+    in order, each sized in proportion to its budget; the last takes the
+    rounding remainder."""
     rng = np.random.default_rng(np.random.SeedSequence(list(seed_key)))
-    counts = [int(round(c.weight * size)) for c in spec.components]
+    total = sum(b for _, b in mixture)
+    counts = [int(round(b / total * size)) for _, b in mixture]
     counts[-1] = max(1, size - sum(counts[:-1]))
-    segments = []
-    for comp, count in zip(spec.components, counts):
-        if count <= 0:
-            continue
-        segments.append(sample_tokens(sources[comp.source_id], count, rng))
-    return np.concatenate(segments)
+    return np.concatenate([sample_tokens(sources[sid], count, rng)
+                           for (sid, _), count in zip(mixture, counts) if count > 0])
 
 
 def sample_shard(
-    spec: MixtureSpec,
+    mixture: list[tuple[str, int]],
     sources: dict[str, MarkovSource],
     seed: int,
     node_id: int,
@@ -237,52 +207,48 @@ def sample_shard(
     test_tokens: int,
 ) -> Shard:
     sizes = {"train": train_tokens, "val": val_tokens, "test": test_tokens}
-    splits = {
-        name: sample_mixture_stream(spec, sources, size, (seed, node_id, _SPLIT_TAG[name]))
-        for name, size in sizes.items()
-    }
-    return Shard(provenance=spec, **splits)
+    return Shard(**{name: sample_mixture_stream(mixture, sources, size,
+                                                (seed, node_id, _SPLIT_TAG[name]))
+                    for name, size in sizes.items()})
 
 
 def build_hierarchy_dataset(
     tree,
-    assignment: dict[int, MixtureSpec],
+    leaf_budgets: dict[int, tuple[str, int]],
     sources: dict[str, MarkovSource],
     seed: int,
     val_tokens: int = 1024,
     test_tokens: int = 2048,
     internal_budget_scale: float = 1.0,
 ) -> dict[int, Shard]:
-    """Shards for every node of a federation tree.
+    """Shards for every node of a federation tree, from one (source id,
+    token budget) pair per leaf.
 
-    Leaves sample from their assigned specs. Each internal node samples from
-    the budget-weighted mixture of its descendant leaves' specs, with a train
-    budget of internal_budget_scale * mean(descendant leaf budgets).
+    A node samples its descendant leaves' pairs, merged by source and sorted
+    by source id, so each source's share is its summed budget's. A leaf's
+    train split is its budget; an internal node's is internal_budget_scale
+    * mean(descendant leaf budgets).
     """
     from .topology import FederationTree  # cycle guard: topology has no datagen dep
 
     assert isinstance(tree, FederationTree)
-    missing = [nid for nid in tree.leaves() if nid not in assignment]
+    missing = [nid for nid in tree.leaves() if nid not in leaf_budgets]
     if missing:
         raise ValueError(f"unassigned leaves: {missing}")
+    for leaf, (_, budget) in sorted(leaf_budgets.items()):
+        if budget < 1:
+            raise ValueError(f"leaf {leaf}: token budget {budget} is below 1")
 
     shards: dict[int, Shard] = {}
     for nid in sorted(tree.nodes):
-        if tree.is_leaf(nid):
-            spec = assignment[nid]
-            budget = spec.total_budget
-        else:
-            leaf_ids = sorted(tree.descendant_leaves(nid))
-            budgets = []
-            for lid in leaf_ids:
-                budgets.append((lid, assignment[lid].total_budget))
-            merged: dict[str, int] = {}
-            for lid, b in budgets:
-                for comp in assignment[lid].components:
-                    merged[comp.source_id] = merged.get(comp.source_id, 0) + comp.token_budget
-            spec = MixtureSpec.from_budgets(sorted(merged.items()))
-            budget = max(1, int(round(internal_budget_scale * np.mean([b for _, b in budgets]))))
-        shards[nid] = sample_shard(spec, sources, seed, nid, budget, val_tokens, test_tokens)
+        pairs = [leaf_budgets[lid] for lid in tree.descendant_leaves(nid)]
+        merged: dict[str, int] = {}
+        for sid, b in pairs:
+            merged[sid] = merged.get(sid, 0) + b
+        scale = 1.0 if tree.is_leaf(nid) else internal_budget_scale
+        budget = max(1, int(round(scale * np.mean([b for _, b in pairs]))))
+        shards[nid] = sample_shard(sorted(merged.items()), sources, seed, nid, budget,
+                                   val_tokens, test_tokens)
     return shards
 
 
@@ -297,6 +263,5 @@ def split_stream(tokens: np.ndarray, source_id: str) -> Shard:
     if n_train < 1 or n_val < 1 or n - n_train - n_val < 1:
         raise ValueError(f"{source_id} is too small for a 90/5/5 split")
     return Shard(train=tokens[:n_train], val=tokens[n_train : n_train + n_val],
-                 test=tokens[n_train + n_val :],
-                 provenance=MixtureSpec.from_budgets([(source_id, n)]))
+                 test=tokens[n_train + n_val :])
 

@@ -229,10 +229,10 @@ def server_step(server: ParamSet, clients: list[tuple[int, ParamSet]], momentum:
             clipped, pre_norm = clip(delta, cs.bound)
             cs.record(pre_norm)
             delta = add_noise(clipped, dp.sigma, cs.bound,
-                              rng_for(cfg.seed, cid, round_k, _NOISE_TAG), dp.absolute_noise)
+                              rng_for(cfg.seed, cid, round_k, _NOISE_TAG))
             dp_log.append({
                 "round": round_k, "node": cid, "pre_clip_norm": pre_norm, "bound": cs.bound,
-                "noise_std": dp.sigma if dp.absolute_noise else dp.sigma * cs.bound,
+                "noise_std": dp.sigma * cs.bound,
             })
         deltas.append(delta)
     server, momentum = server_opt(server, average_pseudograds(deltas), momentum, cfg.server)
@@ -268,7 +268,6 @@ def fit(
                 raise ValueError("the root cannot be a DP client")
             clip_states.setdefault(parent, ClipState(bound=dp.initial_bound))
 
-    ceilings = {nid: tree.nodes[nid].residual_ceiling for nid in tree.nodes}
     result = RunResult(method=method, rows=[])
     seq_counter = 0
     scored: dict[int, tuple[ParamSet, dict[str, float]]] = {}
@@ -338,7 +337,7 @@ def fit(
                     # each packet turns around at its ceiling, or here when
                     # the ceiling lies below
                     for pkt in partition_residuals(
-                            keys, child_keys, cfg.residual.nu, cfg.attention, round_k, ceilings,
+                            keys, child_keys, cfg.residual.nu, cfg.attention, round_k,
                             cfg.residual.threshold):
                         state[turn_node(pkt, nid, tree)].inbox.append(pkt)
                 st.model = part.assemble(backbone, keys)

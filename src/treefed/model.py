@@ -95,8 +95,6 @@ class Partition:
     contiguous range of it: a model's keys are a view of its buffer and its
     backbone is the rest, in layout order."""
 
-    backbone_names: list[str]
-    key_names: list[str]
     layout: Layout
     backbone_layout: Layout
     key_layout: Layout
@@ -113,7 +111,7 @@ class Partition:
         backbone = [n for n in layout.names if n not in key_names]
         key_layout = layout.sub(key_names)
         start = layout.slices[key_names[0]].start if key_names else layout.size
-        return cls(backbone, key_names, layout, layout.sub(backbone), key_layout,
+        return cls(layout, layout.sub(backbone), key_layout,
                    slice(start, start + key_layout.size))
 
     def keys(self, params: ParamSet) -> ParamSet:

@@ -29,7 +29,6 @@ import numpy as np
 from .aggregation import AttentionConfig, ScheduleConfig
 from .datagen import (
     MarkovSource,
-    MixtureSpec,
     Shard,
     build_byte_vocab,
     build_hierarchy_dataset,
@@ -280,7 +279,7 @@ def _dp(pair: tuple[int, int], name: str) -> dict:
     cfg["schedule"]["eta_max"] = 0.003
     cfg["schedule"]["alpha"] = 0.3
     cfg["dp"] = {"sigma": 0.5, "initial_bound": 1.0,
-                 "enabled_nodes": list(pair), "absolute_noise": False}
+                 "enabled_nodes": list(pair)}
     return cfg
 
 
@@ -370,16 +369,31 @@ def _check_node_references(tree: FederationTree, data, dp: DpConfig | None) -> N
                              f"expected one of {sources}")
 
 
+def _check_data_sizes(data, model: ModelConfig) -> None:
+    """Reject data sizes no context window fits in, and a non-positive
+    internal budget scale, before any data is sampled."""
+    if not isinstance(data, ClusteredData):
+        return
+    window = model.context_len + 1
+    sizes = [*((f"leaf_budgets.{leaf}", b) for leaf, b in data.leaf_budgets.items()),
+             ("val_tokens", data.val_tokens), ("test_tokens", data.test_tokens)]
+    for key, size in sizes:
+        if size < window:
+            raise ValueError(f"config data {key}: {size} tokens is less than one "
+                             f"context window ({window} tokens)")
+    if data.internal_budget_scale <= 0:
+        raise ValueError("config data internal_budget_scale: must be positive, "
+                         f"got {data.internal_budget_scale!r}")
+
+
 def _build_clustered_shards(tree: FederationTree, data: ClusteredData, seed: int):
     sources = make_clustered_sources(data.num_clusters, data.sources_per_cluster,
                                      data.divergence, data.vocab_size, seed,
                                      data.concentration, data.intra_jitter)
     by_id = {s.id: s for s in sources}
-    assignment = {}
-    for leaf_str, source_id in data.leaf_sources.items():
-        budget = data.leaf_budgets[leaf_str]
-        assignment[int(leaf_str)] = MixtureSpec.from_budgets([(source_id, budget)])
-    shards = build_hierarchy_dataset(tree, assignment, by_id, seed, data.val_tokens,
+    leaf_budgets = {int(leaf): (source, data.leaf_budgets[leaf])
+                    for leaf, source in data.leaf_sources.items()}
+    shards = build_hierarchy_dataset(tree, leaf_budgets, by_id, seed, data.val_tokens,
                                      data.test_tokens, data.internal_budget_scale)
     return shards, by_id
 
@@ -403,12 +417,8 @@ def _build_text_shards(tree: FederationTree, data: TextData):
         if tree.is_leaf(nid):
             continue
         subs = [shards[l] for l in tree.descendant_leaves(nid)]
-        shards[nid] = Shard(
-            train=np.concatenate([s.train for s in subs]),
-            val=np.concatenate([s.val for s in subs]),
-            test=np.concatenate([s.test for s in subs]),
-            provenance=subs[0].provenance,
-        )
+        shards[nid] = Shard(**{name: np.concatenate([getattr(s, name) for s in subs])
+                               for name in ("train", "val", "test")})
     return shards, {}, len(vocab)
 
 
@@ -437,6 +447,7 @@ def resolve(config: dict, seed: int, rounds: int | None = None) -> ResolvedExper
     if bad:
         raise ValueError("invalid tree: " + "; ".join(bad))
     _check_node_references(tree, data, dp)
+    _check_data_sizes(data, model)
 
     if isinstance(data, TextData):
         shards, sources, text_vocab = _build_text_shards(tree, data)

@@ -16,7 +16,6 @@ class DpConfig:
     sigma: float
     initial_bound: float
     enabled_nodes: frozenset[int]
-    absolute_noise: bool = False  # std = sigma instead of sigma * bound
 
     def __post_init__(self):
         if self.sigma < 0:
@@ -47,17 +46,15 @@ def clip(delta: ParamSet, bound: float) -> tuple[ParamSet, float]:
     return ParamSet.from_buffer(delta.layout, np.float32(factor) * delta.buf), norm
 
 
-def add_noise(delta: ParamSet, sigma: float, bound: float, rng,
-              absolute: bool = False) -> ParamSet:
-    """i.i.d. Gaussian noise per coordinate, std sigma*bound (or just sigma
-    in absolute mode), drawn in one call over the whole buffer (the same
-    values as one draw per tensor in layout order). sigma=0 is the identity."""
+def add_noise(delta: ParamSet, sigma: float, bound: float, rng) -> ParamSet:
+    """i.i.d. Gaussian noise per coordinate, std sigma*bound, drawn in one
+    call over the whole buffer (the same values as one draw per tensor in
+    layout order). sigma=0 is the identity."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0:
         return delta
-    std = sigma if absolute else sigma * bound
-    noise = rng.normal(0.0, std, size=delta.layout.size)
+    noise = rng.normal(0.0, sigma * bound, size=delta.layout.size)
     return ParamSet.from_buffer(delta.layout, delta.buf + noise.astype(np.float32))
 
 

@@ -2,13 +2,14 @@
 
 A parent selects the child key layers that look least like its own
 (post-aggregation) keys. Each such packet goes straight to the node where it
-turns around: its origin's ceiling when that is the parent or above it, else
-the parent. In the next round that node, and each server below it, sends
-the packet to the child whose keys are most similar, never back into the
-packet's own subtree; a packet with no such child is dropped. Packets
-aggregate once they reach a leaf, diffusing into that sub-federation at its
-next merge. Layers are scored as float64 slices of key ranges, as in
-aggregation; packets keep read-only views of the origin's key range.
+turns around: its origin's residual_ceiling, read from the tree, when that
+is the parent or above it, else the parent. In the next round that node, and
+each server below it, sends the packet to the child whose keys are most
+similar, never back into the packet's own subtree; a packet with no such
+child is dropped. Packets aggregate once they reach a leaf, diffusing into
+that sub-federation at its next merge. Layers are scored as float64 slices
+of key ranges, as in aggregation; packets keep read-only views of the
+origin's key range.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class ResidualPacket:
     # the layer's values: a read-only 1-D view of the origin's keys
     values: np.ndarray = field(compare=False, repr=False)
     created_round: int
-    ceiling: int  # highest node that may route this packet: the origin or an ancestor
 
 
 def partition_residuals(
@@ -38,7 +38,6 @@ def partition_residuals(
     nu: int,
     cfg: AttentionConfig,
     round_k: int,
-    ceilings: dict[int, int],
     threshold: float = 0.999,
 ) -> list[ResidualPacket]:
     """Select, per layer, at most nu child layers with the lowest similarity
@@ -60,16 +59,17 @@ def partition_residuals(
                         for cid, (_, layers) in children.items())
         s = own_post_agg_keys.layout.slices[name]
         packets += [ResidualPacket(origin=cid, layer=name, values=children[cid][0].buf[s],
-                                   created_round=round_k, ceiling=ceilings.get(cid, 0))
+                                   created_round=round_k)
                     for sim, cid in scored[:nu] if sim < threshold]
     return packets
 
 
 def turn_node(pkt: ResidualPacket, selector: int, tree: FederationTree) -> int:
     """The node where a packet selected at `selector` turns around: its
-    ceiling when that is `selector` or above it, else `selector`. A packet
-    never climbs past its ceiling."""
-    return pkt.ceiling if tree.in_subtree(pkt.ceiling, selector) else selector
+    origin's residual_ceiling when that is `selector` or above it, else
+    `selector`. A packet never climbs past its origin's ceiling."""
+    ceiling = tree.nodes[pkt.origin].residual_ceiling
+    return ceiling if tree.in_subtree(ceiling, selector) else selector
 
 
 @dataclass

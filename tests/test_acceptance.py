@@ -239,7 +239,7 @@ class TestCriterion8RoutingCorrectness:
             origin = int(rng.choice([4, 5, 6, 7]))
             pkt = ResidualPacket(origin=origin, layer="a",
                                  values=rng.normal(size=8).astype(np.float32),
-                                 created_round=0, ceiling=0)
+                                 created_round=0)
             out = route_residuals([pkt], list(cached.items()), cfg, tree, round_k=1)
             q = pkt.values.astype(np.float64)
             best, best_sim = None, -np.inf

@@ -151,7 +151,7 @@ class TestMergeWithParent:
         own = keyset([("a", [1.0, 0.0])])
         parent = keyset([("a", [0.0, 1.0])])
         pkt = ResidualPacket(origin=5, layer="a", values=v([1.0, 0.0]),
-                             created_round=0, ceiling=0)
+                             created_round=0)
         _, w = merge_with_parent(own, parent, [pkt], AttentionConfig())
         _, weights = w["a"]
         own_direction = weights[0] + weights[2]  # self + identical packet
@@ -160,7 +160,7 @@ class TestMergeWithParent:
     def test_unknown_layer_packet_errors(self):
         own = keyset([("a", [1.0])])
         pkt = ResidualPacket(origin=5, layer="zz", values=v([1.0]),
-                             created_round=0, ceiling=0)
+                             created_round=0)
         with pytest.raises(KeyError):
             merge_with_parent(own, own.copy(), [pkt], AttentionConfig())
 

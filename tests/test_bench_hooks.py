@@ -62,6 +62,16 @@ def test_mean_nll_counter_reads_the_parameter_views():
     assert tracer.counts["engine.eval_repeats"] == 1
 
 
+def test_tokens_sampled_counter_reads_every_split_of_every_shard():
+    # the trace sums the sizes of the train, val and test splits of every
+    # shard build_hierarchy_dataset returns
+    exp = resolve(preset_config("fig2"), seed=1, rounds=1)
+    tracer = tracing_module().Tracer()
+    tracer._after_build_dataset((), exp.shards)
+    assert tracer.counts["datagen.tokens_sampled"] == sum(
+        len(s.train) + len(s.val) + len(s.test) for s in exp.shards.values())
+
+
 def test_every_residual_action_feeds_a_packet_counter():
     # the trace counts packets by residuals.csv action; an action it does
     # not know would raise KeyError in a traced run
@@ -70,7 +80,7 @@ def test_every_residual_action_feeds_a_packet_counter():
     assert actions >= {"aggregate", "forward"}
     tree = FederationTree.from_children_map({0: [1], 1: [2, 3]})
     pkt = ResidualPacket(origin=2, layer="a", values=np.ones(2, np.float32),
-                         created_round=0, ceiling=0)
+                         created_round=0)
     out = route_residuals([pkt], [(1, ParamSet([Tensor("a", np.ones(2, np.float32))]))],
                           AttentionConfig(), tree, round_k=1)
     actions |= {e["action"] for e in out.events}

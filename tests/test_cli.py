@@ -360,6 +360,18 @@ class TestConfigKeys:
         ("tree.nodes.3.residual_ceiling=1",
          "override tree.nodes.3.residual_ceiling: tree.nodes is a list, not an object"),
         ("rounds.max=1", "override rounds.max: rounds is an integer, not an object"),
+        ("data.leaf_budgets.4=0",
+         "config data leaf_budgets.4: 0 tokens is less than one context window (3 tokens)"),
+        ("data.leaf_budgets.4=-5",
+         "config data leaf_budgets.4: -5 tokens is less than one context window (3 tokens)"),
+        ("data.val_tokens=0",
+         "config data val_tokens: 0 tokens is less than one context window (3 tokens)"),
+        ("data.test_tokens=-3",
+         "config data test_tokens: -3 tokens is less than one context window (3 tokens)"),
+        ("data.internal_budget_scale=-1",
+         "config data internal_budget_scale: must be positive, got -1"),
+        ("data.internal_budget_scale=0",
+         "config data internal_budget_scale: must be positive, got 0"),
     ])
     def test_wrong_value_exits_1_naming_the_key_before_sampling(self, override, message,
                                                                  capsys, monkeypatch):

@@ -3,8 +3,6 @@ import pytest
 
 from treefed.datagen import (
     MarkovSource,
-    MixtureComponent,
-    MixtureSpec,
     Shard,
     build_hierarchy_dataset,
     clustered_source_ids,
@@ -121,54 +119,51 @@ class TestEntropyRate:
             float(np.exp(entropy_rate(src))), rel=0.01)
 
 
-class TestMixtureSpec:
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            MixtureSpec([MixtureComponent("a", 0.5, 100), MixtureComponent("b", 0.6, 100)])
-
-    def test_from_budgets(self):
-        spec = MixtureSpec.from_budgets([("a", 300), ("b", 100)])
-        assert spec.components[0].weight == pytest.approx(0.75)
-        assert spec.total_budget == 400
+def constant_source(sid: str, token: int) -> MarkovSource:
+    """A two-token source that emits only `token`."""
+    row = np.eye(2)[token]
+    return MarkovSource(id=sid, transition=np.stack([row, row]), initial=row)
 
 
 class TestShards:
     def make_sources(self):
         return {s.id: s for s in make_clustered_sources(2, 2, 0.8, 8, seed=11)}
 
+    def test_segments_sized_by_budget_share(self):
+        # 300:100 budgets split a 1000-token stream 750:250, in mixture order
+        sources = {"a": constant_source("a", 0), "b": constant_source("b", 1)}
+        shard = sample_shard([("a", 300), ("b", 100)], sources, seed=5, node_id=0,
+                             train_tokens=1000, val_tokens=8, test_tokens=8)
+        np.testing.assert_array_equal(shard.train, [0] * 750 + [1] * 250)
+
     def test_sampling_determinism(self):
         sources = self.make_sources()
-        spec = MixtureSpec.from_budgets([("c0s0", 800), ("c1s0", 200)])
-        a = sample_shard(spec, sources, seed=5, node_id=3, train_tokens=1000,
+        mixture = [("c0s0", 800), ("c1s0", 200)]
+        a = sample_shard(mixture, sources, seed=5, node_id=3, train_tokens=1000,
                          val_tokens=100, test_tokens=100)
-        b = sample_shard(spec, sources, seed=5, node_id=3, train_tokens=1000,
+        b = sample_shard(mixture, sources, seed=5, node_id=3, train_tokens=1000,
                          val_tokens=100, test_tokens=100)
         np.testing.assert_array_equal(a.train, b.train)
         np.testing.assert_array_equal(a.test, b.test)
 
     def test_splits_use_distinct_streams(self):
         sources = self.make_sources()
-        spec = MixtureSpec.from_budgets([("c0s0", 1000)])
-        s = sample_shard(spec, sources, seed=5, node_id=3, train_tokens=500,
+        s = sample_shard([("c0s0", 1000)], sources, seed=5, node_id=3, train_tokens=500,
                          val_tokens=500, test_tokens=500)
         assert not np.array_equal(s.train, s.val)
         assert not np.array_equal(s.val, s.test)
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
-            Shard(train=np.array([1]), val=np.array([], dtype=np.int64),
-                  test=np.array([1]), provenance=MixtureSpec.from_budgets([("a", 1)]))
+            Shard(train=np.array([1]), val=np.array([], dtype=np.int64), test=np.array([1]))
 
     def test_digest_refuses_ids_a_uint16_cannot_hold(self):
         # astype("<u2") would wrap 65536 to 0 and -1 to 65535 silently
-        spec = MixtureSpec.from_budgets([("a", 1)])
-        edges = Shard(train=np.array([0, 65535]), val=np.array([1]), test=np.array([2]),
-                      provenance=spec)
+        edges = Shard(train=np.array([0, 65535]), val=np.array([1]), test=np.array([2]))
         assert len(edges.digest()) == 64
         refusal = r"test split: token ids must lie in \[0, 65535\]"
         for bad in (65536, -1):
-            shard = Shard(train=np.array([1]), val=np.array([1]), test=np.array([0, bad]),
-                          provenance=spec)
+            shard = Shard(train=np.array([1]), val=np.array([1]), test=np.array([0, bad]))
             with pytest.raises(ValueError, match=refusal):
                 shard.digest()
 
@@ -181,46 +176,51 @@ class TestHierarchyDataset:
         if swapped:
             leaf_sources[4], leaf_sources[6] = leaf_sources[6], leaf_sources[4]
         budgets = {3: 4000, 4: 1000, 5: 4000, 6: 1000}
-        assignment = {
-            leaf: MixtureSpec.from_budgets([(leaf_sources[leaf], budgets[leaf])])
-            for leaf in (3, 4, 5, 6)
-        }
-        return tree, sources, assignment
+        leaf_budgets = {leaf: (leaf_sources[leaf], budgets[leaf]) for leaf in (3, 4, 5, 6)}
+        return tree, sources, leaf_budgets
+
+    def assert_samples(self, shard, mixture, sources, node_id, train_tokens):
+        """`shard` is byte-identical to sample_shard of `mixture`."""
+        expected = sample_shard(mixture, sources, seed=1, node_id=node_id,
+                                train_tokens=train_tokens, val_tokens=64, test_tokens=64)
+        assert shard.digest() == expected.digest()
 
     def test_parent_mixture_proportional_to_budgets(self):
-        tree, sources, assignment = self.build()
-        shards = build_hierarchy_dataset(tree, assignment, sources, seed=1,
+        # an internal node samples its leaves' pairs merged by source, sorted
+        # by source id, with a train budget of their mean budget
+        tree, sources, leaf_budgets = self.build()
+        shards = build_hierarchy_dataset(tree, leaf_budgets, sources, seed=1,
                                          val_tokens=64, test_tokens=64)
-        prov = shards[1].provenance  # parent of leaves 3 (4000) and 4 (1000)
-        weights = {c.source_id: c.weight for c in prov.components}
-        assert weights["c0s0"] == pytest.approx(0.8)
-        assert weights["c0s1"] == pytest.approx(0.2)
-        root_weights = {c.source_id: c.weight for c in shards[0].provenance.components}
-        assert root_weights["c0s0"] == pytest.approx(0.4)
-        assert root_weights["c1s1"] == pytest.approx(0.1)
+        self.assert_samples(shards[1], [("c0s0", 4000), ("c0s1", 1000)], sources, 1, 2500)
+        self.assert_samples(shards[0], [("c0s0", 4000), ("c0s1", 1000), ("c1s0", 4000),
+                                        ("c1s1", 1000)], sources, 0, 2500)
+        self.assert_samples(shards[4], [("c0s1", 1000)], sources, 4, 1000)
 
     def test_single_leaf_tree(self):
         tree = FederationTree.from_children_map({0: [1]})
         sources = {s.id: s for s in make_clustered_sources(1, 1, 0.0, 8, seed=2)}
-        assignment = {1: MixtureSpec.from_budgets([("c0s0", 2000)])}
-        shards = build_hierarchy_dataset(tree, assignment, sources, seed=3,
+        shards = build_hierarchy_dataset(tree, {1: ("c0s0", 2000)}, sources, seed=1,
                                          val_tokens=64, test_tokens=64)
-        assert shards[0].provenance.components[0].source_id == "c0s0"
-        assert len(shards[0].provenance.components) == 1
+        self.assert_samples(shards[0], [("c0s0", 2000)], sources, 0, 2000)
 
     def test_swapped_assignment_changes_parent_mixtures(self):
-        tree, sources, assignment = self.build(swapped=True)
-        shards = build_hierarchy_dataset(tree, assignment, sources, seed=1,
+        tree, sources, leaf_budgets = self.build(swapped=True)
+        shards = build_hierarchy_dataset(tree, leaf_budgets, sources, seed=1,
                                          val_tokens=64, test_tokens=64)
-        weights = {c.source_id: c.weight for c in shards[1].provenance.components}
-        assert "c1s1" in weights  # the small medical-cluster source moved over
-        assert weights["c1s1"] == pytest.approx(0.2)
+        # the small medical-cluster source moved over
+        self.assert_samples(shards[1], [("c0s0", 4000), ("c1s1", 1000)], sources, 1, 2500)
+
+    def test_leaf_budget_below_one_errors(self):
+        tree, sources, leaf_budgets = self.build()
+        leaf_budgets[6] = ("c1s1", 0)
+        with pytest.raises(ValueError, match="leaf 6: token budget 0 is below 1"):
+            build_hierarchy_dataset(tree, leaf_budgets, sources, seed=1)
 
     def test_unassigned_leaf_errors(self):
-        tree, sources, assignment = self.build()
-        del assignment[6]
+        tree, sources, leaf_budgets = self.build()
+        del leaf_budgets[6]
         with pytest.raises(ValueError, match="unassigned"):
-            build_hierarchy_dataset(tree, assignment, sources, seed=1)
+            build_hierarchy_dataset(tree, leaf_budgets, sources, seed=1)
 
     def test_entropy_gap_nondecreasing_in_divergence(self):
         # own-cluster vs other-cluster optimal perplexity gap grows with

@@ -6,7 +6,6 @@ import treefed.model as model_mod
 from treefed.aggregation import AttentionConfig, ScheduleConfig
 from treefed.cli import ExperimentPlan, execute, resolve_plan, write_outputs
 from treefed.datagen import (
-    MixtureSpec,
     build_hierarchy_dataset,
     entropy_rate,
     make_clustered_sources,
@@ -56,11 +55,8 @@ def shards_for(tree, seed=0, budget=1200, divergence=0.8, vocab=8):
     by_id = {s.id: s for s in sources}
     ids = sorted(by_id)
     leaves = tree.leaves()
-    assignment = {
-        leaf: MixtureSpec.from_budgets([(ids[i % len(ids)], budget)])
-        for i, leaf in enumerate(leaves)
-    }
-    return build_hierarchy_dataset(tree, assignment, by_id, seed,
+    leaf_budgets = {leaf: (ids[i % len(ids)], budget) for i, leaf in enumerate(leaves)}
+    return build_hierarchy_dataset(tree, leaf_budgets, by_id, seed,
                                    val_tokens=128, test_tokens=128), by_id
 
 
@@ -195,7 +191,7 @@ class TestFitBasics:
         part = Partition.for_config(cfg.model)
         child_entry = seen[3]
         parent_post = part_backbones[1]
-        for name in part.backbone_names:
+        for name in part.backbone_layout.names:
             assert child_entry[name].tobytes() == parent_post[name].tobytes(), name
 
     def test_rerun_bit_identical(self):
@@ -234,9 +230,8 @@ class TestBaselines:
         tree = depth1_tree(2)
         sources = make_clustered_sources(1, 1, 0.0, 8, seed=3, concentration=0.2)
         by_id = {s.id: s for s in sources}
-        assignment = {leaf: MixtureSpec.from_budgets([("c0s0", 4000)])
-                      for leaf in tree.leaves()}
-        shards = build_hierarchy_dataset(tree, assignment, by_id, seed=3,
+        leaf_budgets = {leaf: ("c0s0", 4000) for leaf in tree.leaves()}
+        shards = build_hierarchy_dataset(tree, leaf_budgets, by_id, seed=3,
                                          val_tokens=256, test_tokens=2048)
         trainer = TrainerConfig(local_steps=100, batch_size=32,
                                 schedule=ScheduleConfig(alpha=0.1, eta_max=0.02,
@@ -254,8 +249,7 @@ class TestBaselines:
         tree = depth1_tree(1)
         sources = make_clustered_sources(1, 1, 0.0, 8, seed=5, concentration=0.2)
         by_id = {s.id: s for s in sources}
-        assignment = {1: MixtureSpec.from_budgets([("c0s0", 160)])}
-        shards = build_hierarchy_dataset(tree, assignment, by_id, seed=5,
+        shards = build_hierarchy_dataset(tree, {1: ("c0s0", 160)}, by_id, seed=5,
                                          val_tokens=512, test_tokens=512)
         trainer = TrainerConfig(local_steps=40, batch_size=16,
                                 schedule=ScheduleConfig(alpha=0.5, eta_max=0.03,
@@ -396,14 +390,11 @@ class TestEvaluateRound:
         assert [(r.node, r.split) for r in rows] == [(nid, "test") for nid in sorted(params)]
 
     def test_identical_models_zero_std(self):
-        tree = depth1_tree(2)
         sources = make_clustered_sources(1, 1, 0.0, 8, seed=7, concentration=0.2)
         by_id = {s.id: s for s in sources}
-        assignment = {leaf: MixtureSpec.from_budgets([("c0s0", 400)])
-                      for leaf in tree.leaves()}
-        # same spec and same rng stream tag: build identical shards per leaf
+        # same mixture and same rng stream tag: build identical shards per leaf
         from treefed.datagen import sample_shard
-        shard = sample_shard(assignment[1], by_id, seed=7, node_id=1,
+        shard = sample_shard([("c0s0", 400)], by_id, seed=7, node_id=1,
                              train_tokens=400, val_tokens=64, test_tokens=64)
         shards = {1: shard, 2: shard}
         params = {1: init_model(small_model(), 0), 2: init_model(small_model(), 0)}

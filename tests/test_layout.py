@@ -84,17 +84,18 @@ def test_named_views_alias_the_buffer(cfg, seed):
 def test_split_then_assemble_is_byte_identical(cfg, seed):
     part = Partition.for_config(cfg)
     params = init_model(cfg, seed)
-    names = part.backbone_names + part.key_names
+    backbone_names, key_names = part.backbone_layout.names, part.key_layout.names
+    names = backbone_names + key_names
     assert sorted(names) == sorted(params.names()) and len(set(names)) == len(names)
     backbone, keys = part.split(params)
-    assert backbone.names() == part.backbone_names and keys.names() == part.key_names
+    assert backbone.layout.names == backbone_names and keys.layout.names == key_names
     # the keys are one contiguous run of the layout, and split views them in place
-    at = [params.layout.names.index(n) for n in part.key_names]
+    at = [params.layout.names.index(n) for n in key_names]
     if at:
         assert at == list(range(at[0], at[0] + len(at)))
         assert np.shares_memory(keys.buf, params.buf)
     # the backbone is every other entry, in layout order
-    rest = [n for n in params.names() if n not in part.key_names]
+    rest = [n for n in params.names() if n not in key_names]
     assert backbone.names() == rest
     assert backbone.buf.tobytes() == b"".join(params[n].data.tobytes() for n in rest)
     for t in backbone:

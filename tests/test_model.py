@@ -61,23 +61,24 @@ class TestPartition:
     def test_completeness_and_disjointness(self):
         part = Partition.for_config(TINY)
         all_names = [n for n, _ in param_shapes(TINY)]
-        assert sorted(part.backbone_names + part.key_names) == sorted(all_names)
-        assert not set(part.backbone_names) & set(part.key_names)
+        backbone, keys = part.backbone_layout.names, part.key_layout.names
+        assert sorted(backbone + keys) == sorted(all_names)
+        assert not set(backbone) & set(keys)
 
     def test_keys_are_final_blocks(self):
         cfg = ModelConfig(vocab_size=8, embed_dim=4, num_blocks=3, key_block_count=2)
         part = Partition.for_config(cfg)
-        assert set(part.key_names) == {
+        assert set(part.key_layout.names) == {
             "block1.fc1.w", "block1.fc1.b", "block1.fc2.w", "block1.fc2.b",
             "block2.fc1.w", "block2.fc1.b", "block2.fc2.w", "block2.fc2.b",
         }
-        assert "head.w" in part.backbone_names
+        assert "head.w" in part.backbone_layout.names
 
     def test_head_in_keys_flag(self):
         cfg = ModelConfig(vocab_size=8, embed_dim=4, num_blocks=2,
                           key_block_count=1, include_head_in_keys=True)
         part = Partition.for_config(cfg)
-        assert "head.w" in part.key_names and "head.b" in part.key_names
+        assert "head.w" in part.key_layout.names and "head.b" in part.key_layout.names
 
     def test_split_assemble_roundtrip(self):
         params = init_model(TINY, 3)
@@ -91,7 +92,7 @@ class TestPartition:
     def test_zero_key_blocks(self):
         cfg = ModelConfig(vocab_size=8, embed_dim=4, num_blocks=2, key_block_count=0)
         part = Partition.for_config(cfg)
-        assert part.key_names == []
+        assert part.key_layout.names == ()
 
 
 class TestForwardLoss:

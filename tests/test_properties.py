@@ -61,7 +61,7 @@ def test_attention_weights_are_a_distribution(data, cfg, sizes, children):
     layers = data.draw(st.lists(st.integers(0, len(sizes) - 1), max_size=4))
     packets = [ResidualPacket(origin=10 + i, layer=f"k{layer}",
                               values=data.draw(vectors(sizes[layer])),
-                              created_round=0, ceiling=0)
+                              created_round=0)
                for i, layer in enumerate(layers)]
     _, log = merge_with_parent(own, parent, packets, cfg)
     assert_distributions(log)
@@ -85,7 +85,7 @@ def test_routing_never_lands_in_the_origin_subtree(data, tree, similarity):
     children = tree.nodes[router].children
     child_keys = [(cid, ParamSet([Tensor("a", data.draw(vectors(3)))])) for cid in children]
     packets = [ResidualPacket(origin=origin, layer="a", values=data.draw(vectors(3)),
-                              created_round=data.draw(st.integers(0, 3)), ceiling=0)
+                              created_round=data.draw(st.integers(0, 3)))
                for origin in data.draw(st.lists(st.sampled_from(list(tree.nodes)),
                                                 max_size=6))]
     out = route_residuals(packets, child_keys, AttentionConfig(similarity=similarity),
@@ -108,8 +108,9 @@ def test_routing_never_lands_in_the_origin_subtree(data, tree, similarity):
 def test_split_by_ceiling_never_climbs_above_the_ceiling(data, tree):
     origin = data.draw(st.sampled_from([n for n in tree.nodes if n != 0]))
     ceiling = data.draw(st.sampled_from(tree.path_to_root(origin)))
+    tree.nodes[origin].residual_ceiling = ceiling
     pkt = ResidualPacket(origin=origin, layer="a", values=np.zeros(1, np.float32),
-                         created_round=0, ceiling=ceiling)
+                         created_round=0)
     start = tree.nodes[origin].parent  # where its parent selects it
     turn = turn_node(pkt, start, tree)
     assert turn in tree.path_to_root(start)

@@ -34,7 +34,7 @@ class TestPartitionResiduals:
             (5, keys([1.0, 0.3])),
         ]
         pkts = partition_residuals(own, children, nu=1, cfg=AttentionConfig(),
-                                   round_k=2, ceilings={3: 0, 4: 0, 5: 0})
+                                   round_k=2)
         assert len(pkts) == 1
         assert pkts[0].origin == 4
         assert pkts[0].layer == "a"
@@ -43,20 +43,20 @@ class TestPartitionResiduals:
     def test_nu_zero_no_packets(self):
         own = keys([1.0, 0.0])
         children = [(3, keys([0.0, 1.0]))]
-        assert partition_residuals(own, children, 0, AttentionConfig(), 0, {}) == []
+        assert partition_residuals(own, children, 0, AttentionConfig(), 0) == []
 
     def test_identical_children_suppressed_by_threshold(self):
         own = keys([1.0, 2.0])
         children = [(3, own.copy()), (4, own.copy())]
         pkts = partition_residuals(own, children, nu=2, cfg=AttentionConfig(),
-                                   round_k=0, ceilings={3: 0, 4: 0})
+                                   round_k=0)
         assert pkts == []
 
     def test_infinite_threshold_emits_unconditionally(self):
         own = keys([1.0, 2.0])
         children = [(3, own.copy()), (4, own.copy())]
         pkts = partition_residuals(own, children, nu=2, cfg=AttentionConfig(),
-                                   round_k=0, ceilings={3: 0, 4: 0},
+                                   round_k=0,
                                    threshold=float("inf"))
         assert len(pkts) == 2
 
@@ -64,8 +64,7 @@ class TestPartitionResiduals:
         own = keys([1.0, 0.0])
         same = keys([0.0, 1.0])
         pkts = partition_residuals(own, [(9, same.copy()), (4, same.copy())], nu=1,
-                                   cfg=AttentionConfig(), round_k=0,
-                                   ceilings={9: 0, 4: 0})
+                                   cfg=AttentionConfig(), round_k=0)
         assert pkts[0].origin == 4
 
     def test_negative_nu_errors(self):
@@ -78,8 +77,7 @@ class TestPartitionResiduals:
         c3 = ParamSet([t("a", [1.0, 0.0]), t("b", [1.0, 0.0])])
         c4 = ParamSet([t("a", [0.0, 1.0]), t("b", [0.0, 1.0])])
         pkts = partition_residuals(own, [(3, c3), (4, c4)], nu=1,
-                                   cfg=AttentionConfig(), round_k=0,
-                                   ceilings={3: 0, 4: 0})
+                                   cfg=AttentionConfig(), round_k=0)
         chosen = {p.layer: p.origin for p in pkts}
         assert chosen == {"a": 4, "b": 3}
 
@@ -94,7 +92,7 @@ class TestRouteResiduals:
         # origin 7 lies outside both candidate subtrees
         tr = FederationTree.from_children_map({0: [1, 2, 7], 1: [3, 4], 2: [5, 6]})
         pkt = ResidualPacket(origin=7, layer="a", values=v([1.0, 0.0]),
-                             created_round=0, ceiling=0)
+                             created_round=0)
         out = route_residuals([pkt], pairs({1: [0.2, 1.0], 2: [1.0, 0.05]}),
                               AttentionConfig(), tr, round_k=1)
         assert out.landed == {1: [], 2: [pkt]}
@@ -105,7 +103,7 @@ class TestRouteResiduals:
         # packet from node 3 (inside child 1's subtree); child 1 has the best
         # similarity but must be skipped
         pkt = ResidualPacket(origin=3, layer="a", values=v([1.0, 0.0]),
-                             created_round=0, ceiling=0)
+                             created_round=0)
         out = route_residuals([pkt], pairs({1: [1.0, 0.0], 2: [0.3, 1.0]}),
                               AttentionConfig(), tr, round_k=1)
         assert out.landed[2] == [pkt]
@@ -114,7 +112,7 @@ class TestRouteResiduals:
         tr = tree()
         # mid node 2 routes among its leaf children 5, 6
         pkt = ResidualPacket(origin=4, layer="a", values=v([0.9, 0.1]),
-                             created_round=0, ceiling=0)
+                             created_round=0)
         out = route_residuals([pkt], pairs({5: [1.0, 0.0], 6: [0.0, 1.0]}),
                               AttentionConfig(), tr, round_k=1, router=2)
         assert out.landed == {5: [pkt], 6: []}
@@ -124,7 +122,7 @@ class TestRouteResiduals:
     def test_no_eligible_child_drops(self):
         tr = FederationTree.from_children_map({0: [1], 1: [2, 3]})
         pkt = ResidualPacket(origin=2, layer="a", values=v([1.0, 0.0]),
-                             created_round=0, ceiling=0)
+                             created_round=0)
         out = route_residuals([pkt], pairs({1: [1.0, 0.0]}), AttentionConfig(), tr,
                               round_k=1)
         assert out.landed == {1: []}
@@ -133,7 +131,7 @@ class TestRouteResiduals:
     def test_unknown_layer_errors(self):
         tr = tree()
         pkt = ResidualPacket(origin=5, layer="zz", values=v([1.0, 0.0]),
-                             created_round=0, ceiling=0)
+                             created_round=0)
         with pytest.raises(KeyError):
             route_residuals([pkt], pairs({1: [1.0, 0.0], 2: [0.0, 1.0]}),
                             AttentionConfig(), tr, round_k=1)
@@ -148,7 +146,7 @@ class TestRouteResiduals:
             origin = int(rng.choice([4, 5, 6, 7]))
             pkt = ResidualPacket(origin=origin, layer="a",
                                  values=v(rng.normal(size=6)),
-                                 created_round=0, ceiling=0)
+                                 created_round=0)
             out = route_residuals([pkt], list(children.items()), cfg, tr, round_k=1)
             # brute force: best cosine among children not containing origin
             best, best_sim = None, -np.inf
@@ -166,7 +164,7 @@ class TestRouteResiduals:
         # a server's packets arrive from several selecting servers; the
         # router sorts them by (origin, layer, created round), unique per packet
         tr = FederationTree.from_children_map({0: [1, 2, 7], 1: [3, 4], 2: [5, 6]})
-        pkts = [ResidualPacket(origin=o, layer="a", values=v(vec), created_round=0, ceiling=0)
+        pkts = [ResidualPacket(origin=o, layer="a", values=v(vec), created_round=0)
                 for o, vec in ((7, [1.0, 0.0]), (3, [0.0, 1.0]), (5, [0.5, 0.5]))]
         children = pairs({1: [0.2, 1.0], 2: [1.0, 0.05], 7: [1.0, 1.0]})
         out = route_residuals(pkts, children, AttentionConfig(), tr, round_k=1)
@@ -176,17 +174,17 @@ class TestRouteResiduals:
 
 
 class TestSplitByCeiling:
-    """Where a selected packet turns around, given its ceiling."""
+    """Where a selected packet turns around, given its origin's ceiling."""
 
     def test_climbs_while_ceiling_above(self):
         tr = tree()
-        pkt = ResidualPacket(origin=3, layer="a", values=v([1.0]),
-                             created_round=0, ceiling=0)
+        tr.nodes[3].residual_ceiling = 0
+        pkt = ResidualPacket(origin=3, layer="a", values=v([1.0]), created_round=0)
         assert turn_node(pkt, 1, tr) == 0  # selected at node 1, ceiling 0 above
         assert turn_node(pkt, 0, tr) == 0  # selected at the root
 
     def test_ceiling_at_mid_level(self):
         tr = tree()
-        pkt = ResidualPacket(origin=3, layer="a", values=v([1.0]),
-                             created_round=0, ceiling=1)
+        tr.nodes[3].residual_ceiling = 1
+        pkt = ResidualPacket(origin=3, layer="a", values=v([1.0]), created_round=0)
         assert turn_node(pkt, 1, tr) == 1
