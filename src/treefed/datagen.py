@@ -14,6 +14,7 @@ leaves' pairs at an internal node (build_hierarchy_dataset).
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,15 +29,20 @@ class MarkovSource:
     def __post_init__(self):
         T = np.asarray(self.transition, dtype=np.float64)
         if T.ndim != 2 or T.shape[0] != T.shape[1]:
-            raise ValueError("transition must be square")
+            raise ValueError(f"source {self.id}: transition must be square")
         if (T < 0).any():
-            raise ValueError("transition entries must be non-negative")
+            raise ValueError(f"source {self.id}: transition entries must be non-negative")
         if np.abs(T.sum(axis=1) - 1.0).max() > 1e-9:
-            raise ValueError("transition rows must sum to 1")
+            raise ValueError(f"source {self.id}: transition rows must sum to 1")
         self.transition = T
         self.initial = np.asarray(self.initial, dtype=np.float64)
+        if self.initial.shape != (len(T),):
+            raise ValueError(f"source {self.id}: initial distribution has shape "
+                             f"{self.initial.shape}, expected ({len(T)},)")
+        if (self.initial < 0).any():
+            raise ValueError(f"source {self.id}: initial entries must be non-negative")
         if abs(self.initial.sum() - 1.0) > 1e-9:
-            raise ValueError("initial distribution must sum to 1")
+            raise ValueError(f"source {self.id}: initial distribution must sum to 1")
 
     @property
     def vocab_size(self) -> int:
@@ -128,18 +134,18 @@ def make_clustered_sources(
 
 
 def sample_tokens(src: MarkovSource, length: int, rng) -> np.ndarray:
+    """`length` tokens of the chain, each drawn by inverse CDF from one
+    uniform of `rng.random(length)`: the first from `initial`, each next
+    from its predecessor's transition row."""
     if length < 1:
         raise ValueError("length must be positive")
-    cum_init = np.cumsum(src.initial)
-    cum = np.cumsum(src.transition, axis=1)
-    u = rng.random(length)
-    out = np.empty(length, dtype=np.int64)
-    cur = int(np.searchsorted(cum_init, u[0], side="right"))
-    out[0] = min(cur, src.vocab_size - 1)
-    for t in range(1, length):
-        cur = int(np.searchsorted(cum[out[t - 1]], u[t], side="right"))
-        out[t] = min(cur, src.vocab_size - 1)
-    return out
+    # bisect_right counts a cumulative row's entries <= u; dropping the last
+    # entry sends a u at or past a row's rounded total to token V - 1.
+    rows = np.cumsum(src.transition, axis=1)[:, :-1].tolist()
+    rows.append(np.cumsum(src.initial)[:-1].tolist())
+    cur = -1  # the initial distribution's row
+    return np.array([cur := bisect_right(rows[cur], x) for x in rng.random(length).tolist()],
+                    dtype=np.int64)
 
 
 def markov_perplexity(src: MarkovSource, tokens: np.ndarray) -> float:
@@ -212,6 +218,12 @@ def sample_shard(
                     for name, size in sizes.items()})
 
 
+def node_train_budget(leaf_budgets: list[int], scale: float) -> int:
+    """A node's train split in tokens: `scale` times the mean budget of its
+    descendant leaves, at least 1."""
+    return max(1, int(round(scale * np.mean(leaf_budgets))))
+
+
 def build_hierarchy_dataset(
     tree,
     leaf_budgets: dict[int, tuple[str, int]],
@@ -246,7 +258,7 @@ def build_hierarchy_dataset(
         for sid, b in pairs:
             merged[sid] = merged.get(sid, 0) + b
         scale = 1.0 if tree.is_leaf(nid) else internal_budget_scale
-        budget = max(1, int(round(scale * np.mean([b for _, b in pairs]))))
+        budget = node_train_budget([b for _, b in pairs], scale)
         shards[nid] = sample_shard(sorted(merged.items()), sources, seed, nid, budget,
                                    val_tokens, test_tokens)
     return shards

@@ -34,6 +34,7 @@ from .datagen import (
     build_hierarchy_dataset,
     clustered_source_ids,
     make_clustered_sources,
+    node_train_budget,
     split_stream,
 )
 from .engine import EngineConfig, ResidualConfig, ServerConfig, stage_trainees
@@ -369,9 +370,10 @@ def _check_node_references(tree: FederationTree, data, dp: DpConfig | None) -> N
                              f"expected one of {sources}")
 
 
-def _check_data_sizes(data, model: ModelConfig) -> None:
-    """Reject data sizes no context window fits in, and a non-positive
-    internal budget scale, before any data is sampled."""
+def _check_data_sizes(tree: FederationTree, data, model: ModelConfig) -> None:
+    """Reject clustered data sizes no context window fits in, an internal
+    node's train budget among them, and a non-positive internal budget
+    scale, before any data is sampled."""
     if not isinstance(data, ClusteredData):
         return
     window = model.context_len + 1
@@ -384,6 +386,16 @@ def _check_data_sizes(data, model: ModelConfig) -> None:
     if data.internal_budget_scale <= 0:
         raise ValueError("config data internal_budget_scale: must be positive, "
                          f"got {data.internal_budget_scale!r}")
+    for nid in sorted(tree.nodes):
+        if tree.is_leaf(nid):
+            continue
+        budget = node_train_budget([data.leaf_budgets[str(leaf)]
+                                    for leaf in tree.descendant_leaves(nid)],
+                                   data.internal_budget_scale)
+        if budget < window:
+            raise ValueError(f"config data internal_budget_scale: node {nid}'s train "
+                             f"budget of {budget} tokens is less than one context window "
+                             f"({window} tokens)")
 
 
 def _build_clustered_shards(tree: FederationTree, data: ClusteredData, seed: int):
@@ -398,7 +410,7 @@ def _build_clustered_shards(tree: FederationTree, data: ClusteredData, seed: int
     return shards, by_id
 
 
-def _build_text_shards(tree: FederationTree, data: TextData):
+def _build_text_shards(tree: FederationTree, data: TextData, window: int):
     path = Path(data.path)
     raw = path.read_bytes()
     if not raw:
@@ -407,11 +419,15 @@ def _build_text_shards(tree: FederationTree, data: TextData):
     tokens = np.array([vocab[b] for b in raw], dtype=np.int64)
     leaves = tree.leaves()
     chunk = len(tokens) // len(leaves)
-    if chunk < 40:
-        raise ValueError("file too small to split across leaves")
     shards = {}
     for i, leaf in enumerate(leaves):
         shards[leaf] = split_stream(tokens[i * chunk : (i + 1) * chunk], f"text:{path.name}#{i}")
+        for name in ("train", "val", "test"):
+            size = len(getattr(shards[leaf], name))
+            if size < window:
+                raise ValueError(f"config data path: {path} gives leaf {leaf} a {name} split "
+                                 f"of {size} tokens, less than one context window "
+                                 f"({window} tokens)")
     # internal nodes evaluate on the concatenation of their leaves' splits
     for nid in sorted(tree.nodes):
         if tree.is_leaf(nid):
@@ -447,10 +463,10 @@ def resolve(config: dict, seed: int, rounds: int | None = None) -> ResolvedExper
     if bad:
         raise ValueError("invalid tree: " + "; ".join(bad))
     _check_node_references(tree, data, dp)
-    _check_data_sizes(data, model)
+    _check_data_sizes(tree, data, model)
 
     if isinstance(data, TextData):
-        shards, sources, text_vocab = _build_text_shards(tree, data)
+        shards, sources, text_vocab = _build_text_shards(tree, data, model.context_len + 1)
         if model.vocab_size < text_vocab:
             raise ValueError(f"model vocab {model.vocab_size} < text vocab {text_vocab}")
     else:

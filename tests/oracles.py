@@ -6,7 +6,9 @@ The exceptions are `reference_local_train` and `reference_mean_nll`. The
 first keeps the per-tensor optimizer loop that the flat-buffer `local_train`
 replaced, the second the per-window scoring loop that the distinct-context
 `mean_nll` replaced. Both run on the model's own forward pass, so each pair
-of loops can be compared byte for byte.
+of loops can be compared byte for byte. `reference_sample_tokens` keeps the
+per-token `searchsorted` loop that the list-bisecting `sample_tokens`
+replaced.
 """
 
 import numpy as np
@@ -100,3 +102,20 @@ def reference_mean_nll(params: ParamSet, tokens: np.ndarray, chunk: int = 8192) 
         loss, _ = forward_loss(params, part)
         total += loss * len(part)
     return total / len(windows)
+
+
+def reference_sample_tokens(src, length: int, rng) -> np.ndarray:
+    """The per-token sample_tokens loop: one searchsorted on the cumulative
+    row of the previous token per token, clamped to the last token."""
+    if length < 1:
+        raise ValueError("length must be positive")
+    cum_init = np.cumsum(src.initial)
+    cum = np.cumsum(src.transition, axis=1)
+    u = rng.random(length)
+    out = np.empty(length, dtype=np.int64)
+    cur = int(np.searchsorted(cum_init, u[0], side="right"))
+    out[0] = min(cur, src.vocab_size - 1)
+    for t in range(1, length):
+        cur = int(np.searchsorted(cum[out[t - 1]], u[t], side="right"))
+        out[t] = min(cur, src.vocab_size - 1)
+    return out

@@ -295,6 +295,22 @@ class TestTextDataset:
         rc = main(["run", "--config", str(p), "--seed", "1"])
         assert rc != 0
 
+    def test_text_too_small_for_a_window_exits_1_before_training(self, tmp_path, capsys):
+        # 170 bytes over fig2's four leaves leave each a 2-token val split
+        text = tmp_path / "short.txt"
+        text.write_bytes((b"the quick brown fox jumps over the lazy dog. " * 4)[:170])
+        data = json.dumps({"kind": "text", "path": str(text)})
+
+        def train(*args, **kwargs):
+            raise AssertionError("training started before the data was checked")
+
+        with mock.patch.object(cli, "fit", train):
+            rc = main(["run", "--preset", "fig2", "--rounds", "1", "--override", f"data={data}"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config data path: {text} gives leaf 3 a val split of 2 tokens, "
+            "less than one context window (3 tokens)"]
+
     def test_swap_axis_names_the_data_kind(self, tiny_config, tmp_path, capsys):
         text = tmp_path / "corpus.txt"
         text.write_bytes(b"abcd" * 200)
@@ -372,6 +388,9 @@ class TestConfigKeys:
          "config data internal_budget_scale: must be positive, got -1"),
         ("data.internal_budget_scale=0",
          "config data internal_budget_scale: must be positive, got 0"),
+        ("data.internal_budget_scale=0.0001",
+         "config data internal_budget_scale: node 0's train budget of 1 tokens is less than "
+         "one context window (3 tokens)"),
     ])
     def test_wrong_value_exits_1_naming_the_key_before_sampling(self, override, message,
                                                                  capsys, monkeypatch):

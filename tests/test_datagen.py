@@ -41,6 +41,16 @@ class TestMarkovSource:
             MarkovSource("x", np.array([[1.5, -0.5], [0.5, 0.5]]), np.array([0.5, 0.5]))
 
 
+    def test_initial_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"source x: initial distribution has shape "
+                                             r"\(5,\), expected \(4,\)"):
+            MarkovSource("x", np.full((4, 4), 0.25), np.full(5, 0.2))
+
+    def test_negative_initial_entries_rejected(self):
+        with pytest.raises(ValueError, match="source x: initial entries must be non-negative"):
+            MarkovSource("x", np.full((4, 4), 0.25), np.array([-0.5, 0.5, 0.5, 0.5]))
+
+
 class TestClusteredSources:
     def test_zero_divergence_identical(self):
         sources = make_clustered_sources(2, 2, 0.0, 8, seed=0)
@@ -166,6 +176,38 @@ class TestShards:
             shard = Shard(train=np.array([1]), val=np.array([1]), test=np.array([0, bad]))
             with pytest.raises(ValueError, match=refusal):
                 shard.digest()
+
+
+# Shard.digest() of every node at seed 1. dp-cc-wk only adds DP to fig2, so
+# its data is fig2's. A change to any of these is a change to the data.
+FIG2_DIGESTS = {
+    0: "60ee6a196c1f49fb1057796acec603a00e6527bd8d04a09d9ef1416d7d88d493",
+    1: "5e085bf4abae0e7564493e85b24cdbdd0a1f89083c2f33e7809304c6c6a4b81f",
+    2: "96efdabff8e8d2c8fdb43034d3300f95c1b85c8da02b0033c680351141628dae",
+    3: "0bc819a480b14efea269a8148eace88000f149c1367614a43df1006bfa2ee931",
+    4: "9d4d10713dcbcc92e57f02bbd963f4c604fdbe454bf270eeba78a84ea91a5d4e",
+    5: "17a378db2db2b6172e77d3a6dad25dda2687071193bfe5b33578652f04e1969c",
+    6: "1a0d43d5762b802452badbb1ea37e2c70c7e781c5158955c496a8c1a28721aa7",
+}
+PINNED_DIGESTS = {
+    "fig2": FIG2_DIGESTS,
+    "dp-cc-wk": FIG2_DIGESTS,
+    "iid": {
+        0: "36e673820ae442a0b214a983d9b23dc2f10856f3b3998055d4889841ce0ae88e",
+        1: "e5ae07b0c11b2c3e7cf09f5748fde9514341c3b50c65e71ca0f01ec2482a89fc",
+        2: "db8fa83860bf4ac63a3e9e4d9e696bdcdce92bd443c0ba6184dcebbb06c4b759",
+        3: "866ee9f23afde4084a3bc4fd1513731c65908b7dcbaff3ce29044cd7b9e8947a",
+        4: "95338a1c84f017a26d3ab6931af1d838b69a602670f78cad7635c7d9571fc9ed",
+        5: "ac92c9e5311f8fc17d1af4474fff325b147c69a5a4db76098fbf5d6880ce46ad",
+        6: "d072748abf4757002e801742cbaa93c0eef023b593d3fa7af2e6c7a1e1347eae",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PINNED_DIGESTS))
+def test_preset_shards_are_pinned(preset):
+    shards = resolve(preset_config(preset), seed=1).shards
+    assert {nid: shard.digest() for nid, shard in shards.items()} == PINNED_DIGESTS[preset]
 
 
 class TestHierarchyDataset:

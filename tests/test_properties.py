@@ -1,7 +1,8 @@
 """Property tests for the core invariants: attention weights form a
 distribution, routing respects origin subtrees and ceilings, clipping
-respects its bound, validate accepts exactly the well-formed trees, and
-resolve rejects a config value of the wrong JSON type before sampling."""
+respects its bound, validate accepts exactly the well-formed trees,
+resolve rejects a config value of the wrong JSON type before sampling, and
+the Markov sampler matches its per-token reference byte for byte."""
 
 import re
 from unittest import mock
@@ -13,11 +14,14 @@ from hypothesis import strategies as st
 
 from treefed import presets
 from treefed.aggregation import AttentionConfig, aggregate_child_keys, merge_with_parent
+from treefed.datagen import MarkovSource, sample_tokens
 from treefed.presets import preset_config, resolve
 from treefed.privacy import clip
 from treefed.residual import ResidualPacket, route_residuals, turn_node
 from treefed.tensors import ParamSet, Tensor, l2_norm
 from treefed.topology import FederationTree, NodeSpec, validate
+
+from oracles import reference_sample_tokens
 
 PROPS = settings(max_examples=60, deadline=None)
 
@@ -221,3 +225,53 @@ def test_wrong_json_type_rejected_naming_section_and_key(case):
             resolve(cfg, seed=1)
     message = str(exc.value)
     assert message.startswith(label) and re.search(rf"\b{key}\b", message), message
+
+
+@st.composite
+def markov_sources(draw):
+    """Row-stochastic sources over 2 to 40 tokens with exact zeros, maybe a
+    zero last column, and maybe rows (and an initial distribution) scaled
+    so their cumulative sums end below 1.0."""
+    V = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.integers(0, 4, size=(V + 1, V)) * (rng.random((V + 1, V)) < draw(
+        st.sampled_from([0.2, 0.6, 1.0])))
+    if draw(st.booleans()):
+        weights[:, -1] = 0
+    weights[weights.sum(axis=1) == 0, 0] = 1
+    rows = weights / weights.sum(axis=1, keepdims=True)
+    if draw(st.booleans()):
+        rows[rng.random(V + 1) < 0.5] *= 1.0 - 1e-12
+    return MarkovSource("prop", rows[:V], rows[V])
+
+
+class EdgeUniforms:
+    """A Generator stand-in for `random(n)`: uniform draws, about a third of
+    them replaced by edge values: a cumulative entry of the source exactly,
+    0.0, or the largest float below 1.0, which lies past a row total that
+    rounding left below 1.0."""
+
+    def __init__(self, src: MarkovSource, seed: int):
+        self.rng = np.random.default_rng(seed)
+        cums = np.concatenate([np.cumsum(src.transition, axis=1).ravel(),
+                               np.cumsum(src.initial), [0.0, 1.0 - 2.0**-53]])
+        self.edges = cums[cums < 1.0]
+
+    def random(self, n):
+        u = self.rng.random(n)
+        hit = self.rng.random(n) < 1 / 3
+        u[hit] = self.rng.choice(self.edges, int(hit.sum()))
+        return u
+
+
+@PROPS
+@given(src=markov_sources(), lengths=st.lists(st.integers(1, 3000), min_size=1, max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_sample_tokens_matches_the_per_token_reference(src, lengths, seed):
+    # consecutive calls share one rng, as a mixture stream's segments do
+    fast, reference = EdgeUniforms(src, seed), EdgeUniforms(src, seed)
+    for length in lengths:
+        got = sample_tokens(src, length, fast)
+        want = reference_sample_tokens(src, length, reference)
+        assert got.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
