@@ -40,7 +40,6 @@ class TestMarkovSource:
         with pytest.raises(ValueError):
             MarkovSource("x", np.array([[1.5, -0.5], [0.5, 0.5]]), np.array([0.5, 0.5]))
 
-
     def test_initial_of_the_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match=r"source x: initial distribution has shape "
                                              r"\(5,\), expected \(4,\)"):
