@@ -4,7 +4,8 @@
 each run writes the same files, under --out/<experiment id>/ (ablation runs
 add __<axis>-on or __<axis>-off):
   metrics.csv    per-(node, round, stage, split) loss/perplexity rows
-  manifest.json  resolved config, seed, and content hash of the inputs
+  manifest.json  resolved config, seed, content hash of the inputs and the
+                 treefed version
   attention.csv  per-layer attention weights by candidate origin
   residuals.csv  residual packet hop decisions
   dp.csv         pre-clip norms, bounds, and noise levels (DP runs)
@@ -28,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .engine import MetricRow, RunResult, content_hash, fit, run_centralized, run_flat_fl, run_local
 from .presets import PRESETS, ResolvedExperiment, apply_overrides, load_config, preset_config, resolve
 from .topology import FederationTree
@@ -116,6 +118,7 @@ def write_outputs(out_dir: Path, exp: ResolvedExperiment, plan: ExperimentPlan,
         "config": exp.config,
         "sequential_steps": result.seq_steps,
         "content_hash": content_hash(exp.config, exp.shards),
+        "treefed_version": __version__,
         **(extra_manifest or {}),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,18 +158,53 @@ def markov_perplexity(src: MarkovSource, tokens: np.ndarray) -> float:
     return float(np.exp(-np.log(probs).mean()))
 
 
-@dataclass
+class ContextIndex(NamedTuple):
+    """A token stream's stride-1 (n+1)-token windows sorted by their n
+    context tokens, so that each distinct context can run through a model
+    once (model.mean_nll). It depends only on the stream and n: a split
+    that is scored many times is indexed once (Shard.context_index)."""
+
+    context_len: int
+    order: np.ndarray  # window positions, sorted by context
+    targets: np.ndarray  # each sorted window's target token
+    rank: np.ndarray  # each sorted window's distinct context
+    distinct: np.ndarray  # the distinct contexts, in sorted order
+    token_range: tuple[int, int]  # the stream's smallest and largest token id
+
+    @classmethod
+    def of(cls, tokens: np.ndarray, n: int) -> "ContextIndex":
+        tokens = np.asarray(tokens)
+        if len(tokens) < n + 1:
+            raise ValueError("empty or too-short evaluation shard")
+        windows = np.lib.stride_tricks.sliding_window_view(tokens, n + 1)
+        # sorted by context, a window opens a run of equal contexts when it
+        # differs from the one before; lexsort compares the token ids as they
+        # are, so no vocab size or context length can overflow it
+        order = np.lexsort(windows[:, :n].T)
+        contexts = windows[order, :n]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (contexts[1:] != contexts[:-1]).any(axis=1)
+        return cls(n, order, windows[order, n], np.cumsum(first) - 1, contexts[first],
+                   (int(tokens.min()), int(tokens.max())))
+
+
+@dataclass(frozen=True)
 class Shard:
+    """A node's train, val and test token streams. The splits are never
+    reassigned or written, so what is derived from one can be kept."""
+
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
+    # (split, context length) -> the split's ContextIndex
+    _indexes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("train", "val", "test"):
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             if arr.size == 0:
                 raise ValueError(f"{name} split is empty")
-            setattr(self, name, arr)
+            object.__setattr__(self, name, arr)
 
     def digest(self) -> str:
         """SHA-256 of the three splits, each token as a little-endian uint16."""
@@ -180,6 +216,12 @@ class Shard:
                                  "to be digested")
             h.update(tokens.astype("<u2").tobytes())
         return h.hexdigest()
+
+    def context_index(self, split: str, n: int) -> ContextIndex:
+        """The ContextIndex of a split's n-token contexts, built on first use."""
+        if (split, n) not in self._indexes:
+            self._indexes[split, n] = ContextIndex.of(getattr(self, split), n)
+        return self._indexes[split, n]
 
 
 # Fixed stream tags so every (seed, node, split) pair draws from its own RNG.
@@ -266,6 +308,10 @@ def build_hierarchy_dataset(
 
 def build_byte_vocab(data: bytes) -> dict[int, int]:
     return {b: i for i, b in enumerate(sorted(set(data)))}
+
+
+# The shortest stream split_stream splits: int(20 * 0.05) is its one val token.
+MIN_SPLIT_TOKENS = 20
 
 
 def split_stream(tokens: np.ndarray, source_id: str) -> Shard:

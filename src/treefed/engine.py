@@ -48,6 +48,7 @@ from .model import (
     TrainerConfig,
     TrainJob,
     TrainResult,
+    context_len,
     init_model,
     local_train,
     mean_nll,
@@ -175,17 +176,19 @@ def evaluate_round(
 
     `memo` maps a node to the params object it last scored and the NLL per
     split. A node whose params are that very object is not scored again. The
-    memo holds a reference to the object, so its id cannot be reused.
+    memo holds a reference to the object, so its id cannot be reused. A
+    split's context index is built once and kept with its shard.
     """
     rows = []
     for nid in sorted(params_by_node):
         if nid not in shards:
             continue
-        params = params_by_node[nid]
+        params, shard = params_by_node[nid], shards[nid]
         nlls = memo[nid][1] if memo and nid in memo and memo[nid][0] is params else {}
         for split in splits:
             if split not in nlls:
-                nlls[split] = mean_nll(params, getattr(shards[nid], split))
+                index = shard.context_index(split, context_len(params.layout))
+                nlls[split] = mean_nll(params, getattr(shard, split), index=index)
             rows.append(_row(method, nid, round_k, stage, split, nlls[split]))
         if memo is not None:
             memo[nid] = (params, nlls)

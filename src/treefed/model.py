@@ -26,6 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .aggregation import ScheduleConfig, lr_at
+from .datagen import ContextIndex
 from .tensors import Layout, ParamSet, ParamStack, check_finite
 
 
@@ -179,6 +180,11 @@ def _dims(layout: Layout) -> tuple[int, int, int]:
     return V, d, n
 
 
+def context_len(layout: Layout) -> int:
+    """How many context tokens a model of this layout reads."""
+    return _dims(layout)[2]
+
+
 def _num_blocks(layout: Layout) -> int:
     return sum(1 for name in layout.names if name.endswith(".fc1.w"))
 
@@ -186,6 +192,41 @@ def _num_blocks(layout: Layout) -> int:
 def _t(a: np.ndarray) -> np.ndarray:
     """Each node's matrix transposed."""
     return a.transpose(0, 2, 1)
+
+
+class StepWorkspace:
+    """What every step of one (layout, N nodes, B windows) shape shares: the
+    context length and block count, the node and batch index vectors, and
+    each node's offset into the flat embedding gradient.
+
+    local_train builds one per call with for_streams, which adds one stride-1
+    window view per node's token stream and the (N, P) gradient stack that
+    every backward pass of the call overwrites. forward_loss builds one
+    without them when it is given none; backward then writes a fresh buffer.
+    """
+
+    def __init__(self, layout: Layout, nodes: int, batch_size: int):
+        V, d, n = _dims(layout)
+        self.layout, self.context_len = layout, n
+        self.num_blocks = _num_blocks(layout)
+        self.node = np.arange(nodes)[:, None]  # (N, 1)
+        self.row = np.arange(batch_size)
+        # entry c of node k's token t is entry k * V * d + t * d + c of the
+        # flat (N * V * d) embedding gradient: this is k * V * d + c
+        self.embed_offset = V * d * self.node[..., None] + np.arange(d)
+        self.windows: list[np.ndarray] = []
+        self.grad: ParamStack | None = None
+
+    @classmethod
+    def for_streams(cls, layout: Layout, streams: Sequence[np.ndarray],
+                    batch_size: int) -> "StepWorkspace":
+        """The workspace of a training call whose node k draws its batches
+        from streams[k]."""
+        ws = cls(layout, len(streams), batch_size)
+        ws.windows = [np.lib.stride_tricks.sliding_window_view(tokens, ws.context_len + 1)
+                      for tokens in streams]
+        ws.grad = ParamStack(layout, np.empty((len(streams), layout.size), dtype=np.float32))
+        return ws
 
 
 class _ForwardCache(NamedTuple):
@@ -198,18 +239,21 @@ class _ForwardCache(NamedTuple):
     probs: np.ndarray
     targets: np.ndarray
     wide: bool
+    ws: StepWorkspace
 
 
-def _trunk(w: dict[str, np.ndarray], layout: Layout, ids: np.ndarray, blocks=None):
+def _trunk(w: dict[str, np.ndarray], ids: np.ndarray, node: np.ndarray, num_blocks: int,
+           blocks=None):
     """The network on each node's (N, B, n) context ids, from the weight
-    views `w`: embedding, in_proj, blocks, head. Returns (x, h, z, ez, denom):
-    the concatenated embeddings, the final hidden states, the float64 logits
+    views `w`: embedding, in_proj, num_blocks blocks, head. `node` is the
+    (N, 1, 1) row index of each node. Returns (x, h, z, ez, denom): the
+    concatenated embeddings, the final hidden states, the float64 logits
     shifted by their row maxima, their exps and each row's sum of exps.
     Appends each block's (input, tanh output) to `blocks` when given."""
     N, B, _ = ids.shape
-    x = w["embed"][np.arange(N)[:, None, None], ids].reshape(N, B, -1)
+    x = w["embed"][node, ids].reshape(N, B, -1)
     h = x @ w["in_proj.w"] + w["in_proj.b"][:, None]
-    for i in range(_num_blocks(layout)):
+    for i in range(num_blocks):
         u = np.tanh(h @ w[f"block{i}.fc1.w"] + w[f"block{i}.fc1.b"][:, None])
         if blocks is not None:
             blocks.append((h, u))
@@ -221,7 +265,8 @@ def _trunk(w: dict[str, np.ndarray], layout: Layout, ids: np.ndarray, blocks=Non
     return x, h, z, ez, ez.sum(axis=2)
 
 
-def forward_loss(params: ParamSet | ParamStack, batch: np.ndarray, wide: bool = False):
+def forward_loss(params: ParamSet | ParamStack, batch: np.ndarray, wide: bool = False,
+                 ws: StepWorkspace | None = None):
     """Mean next-token cross-entropy (nats) of each node's token windows.
 
     A ParamStack of N models takes an (N, B, n+1) batch and gives an (N,)
@@ -229,45 +274,55 @@ def forward_loss(params: ParamSet | ParamStack, batch: np.ndarray, wide: bool = 
     the N = 1 stack. The first n columns are inputs, the last column is the
     target. Every node's windows meet only its own row of weights. Returns
     (loss, cache); the cache feeds backward().
+
+    `ws`, a training call's StepWorkspace of this stack's shape, supplies the
+    step's constants; its batch is drawn from the call's streams, which were
+    checked once, so it is not checked again. Without one the batch is
+    checked and the constants are built for this call.
     """
     stack, batch = _as_stack(params), np.asarray(batch)
     if isinstance(params, ParamSet):
         batch = batch[None]
-    N = stack.buf.shape[0]
-    V, _, n = _dims(stack.layout)
-    if batch.ndim != 3 or batch.shape[0] != N or batch.shape[2] != n + 1:
-        raise ValueError(f"batch must be {N} node(s) x B windows x {n + 1} columns, "
-                         f"got {batch.shape}")
-    if batch.min() < 0 or batch.max() >= V:
-        raise ValueError("token id out of range")
+    if ws is None:
+        N = stack.buf.shape[0]
+        V, _, n = _dims(stack.layout)
+        if batch.ndim != 3 or batch.shape[0] != N or batch.shape[2] != n + 1:
+            raise ValueError(f"batch must be {N} node(s) x B windows x {n + 1} columns, "
+                             f"got {batch.shape}")
+        if batch.min() < 0 or batch.max() >= V:
+            raise ValueError("token id out of range")
+        ws = StepWorkspace(stack.layout, N, batch.shape[1])
     # (N, ...) views of the float32 rows, or of one float64 copy in wide mode
     w = stack.layout.views(stack.buf.astype(np.float64)) if wide else stack.arrays()
+    n = ws.context_len
     ids, targets = batch[..., :n], batch[..., n]
-    B = batch.shape[1]
     blocks = []
-    x, h, z, ez, denom = _trunk(w, stack.layout, ids, blocks)
+    x, h, z, ez, denom = _trunk(w, ids, ws.node[..., None], ws.num_blocks, blocks)
     probs = ez / denom[..., None]
-    nll = np.log(denom) - z[np.arange(N)[:, None], np.arange(B), targets]
+    nll = np.log(denom) - z[ws.node, ws.row, targets]
     loss = nll.mean(axis=1)
     if isinstance(params, ParamSet):
         loss = float(loss[0])
-    return loss, _ForwardCache(params, w, ids, x, blocks, h, probs, targets, wide)
+    return loss, _ForwardCache(params, w, ids, x, blocks, h, probs, targets, wide, ws)
 
 
 def backward(params: ParamSet | ParamStack, cache: _ForwardCache) -> ParamSet | ParamStack:
     """Exact gradients of each node's mean cross-entropy w.r.t. its
-    parameters, written into one float32 buffer laid out like `params`."""
+    parameters, written into one float32 buffer laid out like `params`: the
+    workspace's gradient stack when the forward pass had a training call's
+    workspace (the next step overwrites it), else a fresh buffer."""
     if cache.params is not params:
         raise ValueError("stale cache: params do not match the forward pass")
-    stack, w = _as_stack(params), cache.w
+    stack, w, ws = _as_stack(params), cache.w, cache.ws
     dtype = np.float64 if cache.wide else np.float32
     N, B = cache.ids.shape[:2]
     V, d, n = _dims(stack.layout)
-    buf = np.empty(stack.buf.shape, dtype=np.float32)
-    grads = stack.layout.views(buf)
+    grad = ws.grad if ws.grad is not None else ParamStack(
+        stack.layout, np.empty(stack.buf.shape, dtype=np.float32))
+    grads = grad.arrays()
 
     dlogits = cache.probs.astype(dtype)
-    dlogits[np.arange(N)[:, None], np.arange(B), cache.targets] -= 1
+    dlogits[ws.node, ws.row, cache.targets] -= 1
     dlogits /= B
     grads["head.w"][...] = _t(cache.h_final) @ dlogits
     grads["head.b"][...] = dlogits.sum(axis=1)
@@ -286,18 +341,18 @@ def backward(params: ParamSet | ParamStack, cache: _ForwardCache) -> ParamSet | 
     grads["in_proj.w"][...] = _t(cache.x) @ dh
     grads["in_proj.b"][...] = dh.sum(axis=1)
     dx = dh @ _t(w["in_proj.w"])
-    # one flat table of N * V * d entries: entry c of node k's token t is
-    # k * V * d + t * d + c, so every entry still adds its windows' terms in
-    # batch order; np.add.at is several times faster on 1-D operands
-    rows = cache.ids.reshape(N, B * n) + V * np.arange(N)[:, None]
+    # one flat table of N * V * d entries, so every entry still adds its
+    # windows' terms in batch order; np.add.at is several times faster on
+    # 1-D operands
     de = np.zeros(N * V * d, dtype=dtype)
-    np.add.at(de, (rows[..., None] * d + np.arange(d)).reshape(-1), dx.reshape(-1))
+    np.add.at(de, (cache.ids.reshape(N, B * n, 1) * d + ws.embed_offset).reshape(-1),
+              dx.reshape(-1))
     grads["embed"][...] = de.reshape(N, V, d)
 
     if isinstance(params, ParamSet):
-        return ParamSet.from_buffer(params.layout, buf[0])
-    check_finite(stack.layout, buf)
-    return ParamStack(stack.layout, buf)
+        return ParamSet.from_buffer(params.layout, grad.buf[0])
+    check_finite(stack.layout, grad.buf)
+    return grad
 
 
 @dataclass
@@ -315,11 +370,17 @@ class TrainJob(NamedTuple):
     rng_seed: object  # anything np.random.default_rng accepts
 
 
-def sample_batch(tokens: np.ndarray, n: int, batch_size: int, rng) -> np.ndarray:
-    if len(tokens) < n + 1:
-        raise ValueError("shard too short for one context window")
-    starts = rng.integers(0, len(tokens) - n, size=batch_size)
-    return tokens[starts[:, None] + np.arange(n + 1)]
+def sample_batch(tokens: np.ndarray, n: int, batch_size: int, rng,
+                 windows: np.ndarray | None = None) -> np.ndarray:
+    """batch_size (n+1)-token windows of `tokens` at uniform random starts
+    drawn from `rng`, one window a row. `windows` is the stream's stride-1
+    window view, which a caller that draws from one stream at every step
+    builds (and checks the stream) once."""
+    if windows is None:
+        if len(tokens) < n + 1:
+            raise ValueError("shard too short for one context window")
+        windows = np.lib.stride_tricks.sliding_window_view(tokens, n + 1)
+    return windows[rng.integers(0, len(windows), size=batch_size)]
 
 
 def local_train(
@@ -339,7 +400,9 @@ def local_train(
     synchronized across nodes that share a sequential-step position.
     Optimizer state is fresh per call (one federated round). Parameters,
     gradients and the float64 Adam moments are each one (N, P) array, so an
-    update is a few element-wise array ops. Returns one result per job.
+    update is a few element-wise array ops. Every token stream is checked
+    once, before the first step, and what the steps share is built once, as
+    one StepWorkspace. Returns one result per job.
     """
     jobs = [TrainJob(*job) for job in jobs]
     if not jobs:
@@ -347,19 +410,23 @@ def local_train(
     layout = jobs[0].params.layout
     for job in jobs[1:]:
         jobs[0].params.require_congruent(job.params)
-    _, _, n = _dims(layout)
+    V, _, n = _dims(layout)
     streams = [np.asarray(job.tokens) for job in jobs]
     for tokens in streams:
         if tokens.size == 0:
             raise ValueError("empty shard")
         if len(tokens) < n + 1:
             raise ValueError("shard too short for one context window")
+        if tokens.min() < 0 or tokens.max() >= V:
+            raise ValueError("token id out of range")
     if trainer.local_steps == 0:
         return [TrainResult(job.params, 0, float("nan")) for job in jobs]
     rngs = [np.random.default_rng(job.rng_seed) for job in jobs]
-    # the scratch is allocated before `work`, whose rows outlive this call as
-    # the trained models, so the freed scratch sits below them in the heap
-    # and the next call reuses it instead of faulting in fresh pages
+    # the workspace and the scratch are allocated before `work`, whose rows
+    # outlive this call as the trained models, so the freed scratch sits
+    # below them in the heap and the next call reuses it instead of faulting
+    # in fresh pages
+    ws = StepWorkspace.for_streams(layout, streams, trainer.batch_size)
     shape = (len(jobs), layout.size)
     m, v2 = np.zeros(shape), np.zeros(shape)  # float64 Adam moments
     gd, tmp = np.empty(shape), np.empty(shape)  # float64 scratch
@@ -369,9 +436,9 @@ def local_train(
     current = ParamStack(layout, work)
     for i in range(trainer.local_steps):
         lr = lr_at(global_step + i, trainer.schedule)
-        batch = np.stack([sample_batch(tokens, n, trainer.batch_size, rng)
-                          for tokens, rng in zip(streams, rngs)])
-        losses[:, i], cache = forward_loss(current, batch)
+        batch = np.stack([sample_batch(tokens, n, trainer.batch_size, rng, windows)
+                          for tokens, rng, windows in zip(streams, rngs, ws.windows)])
+        losses[:, i], cache = forward_loss(current, batch, ws=ws)
         grad = backward(current, cache).buf
         if trainer.optimizer == "sgd":
             work -= np.float32(lr) * grad
@@ -393,7 +460,8 @@ def local_train(
             for row, row_losses in zip(work, losses)]
 
 
-def mean_nll(params: ParamSet, tokens: np.ndarray, chunk: int = 8192) -> float:
+def mean_nll(params: ParamSet, tokens: np.ndarray, chunk: int = 8192,
+             index: ContextIndex | None = None) -> float:
     """Mean token NLL (nats) over all stride-1 windows of the token stream.
 
     The model reads only a window's n context tokens, so each distinct
@@ -402,30 +470,31 @@ def mean_nll(params: ParamSet, tokens: np.ndarray, chunk: int = 8192) -> float:
     averaged `chunk` windows at a time and the means weighted by their
     window counts, so the result is byte-identical to scoring the stream
     with forward_loss, `chunk` windows a call.
+
+    `index` is the stream's ContextIndex for this model's context length,
+    which a caller that scores one stream many times builds once; without
+    it the index is built for this call.
     """
     tokens = np.asarray(tokens)
     V, _, n = _dims(params.layout)
-    if len(tokens) < n + 1:
-        raise ValueError("empty or too-short evaluation shard")
-    if tokens.min() < 0 or tokens.max() >= V:
+    if index is None:
+        index = ContextIndex.of(tokens, n)
+    elif index.context_len != n or len(index.order) != len(tokens) - n:
+        raise ValueError(f"context index of {len(index.order)} windows of "
+                         f"{index.context_len} tokens does not fit {len(tokens)} tokens "
+                         f"with {n}-token contexts")
+    if index.token_range[0] < 0 or index.token_range[1] >= V:
         raise ValueError("token id out of range")
-    windows = np.lib.stride_tricks.sliding_window_view(tokens, n + 1)
-    # sorted by context, a window opens a run of equal contexts when it
-    # differs from the one before; lexsort compares the token ids as they
-    # are, so no vocab size or context length can overflow it
-    order = np.lexsort(windows[:, :n].T)
-    contexts, targets = windows[order, :n], windows[order, n]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (contexts[1:] != contexts[:-1]).any(axis=1)
-    rank = np.cumsum(first) - 1  # each sorted window's distinct context
-    distinct, w = contexts[first], _as_stack(params).arrays()
+    order, targets, rank, distinct = index.order, index.targets, index.rank, index.distinct
+    w, num_blocks = _as_stack(params).arrays(), _num_blocks(params.layout)
+    node = np.zeros((1, 1, 1), dtype=np.intp)
     nll = np.empty(len(order))
     for lo in range(0, len(distinct), chunk):
         ids = distinct[lo : lo + chunk]
         # one row would take BLAS's matrix-vector kernel, which rounds
         # differently from the matrix-matrix one a batch of windows takes
-        _, _, z, _, denom = _trunk(w, params.layout, np.concatenate([ids, ids])[None]
-                                   if len(ids) == 1 else ids[None])
+        _, _, z, _, denom = _trunk(w, np.concatenate([ids, ids])[None]
+                                   if len(ids) == 1 else ids[None], node, num_blocks)
         a, b = np.searchsorted(rank, [lo, lo + chunk])
         row = rank[a:b] - lo
         nll[order[a:b]] = np.log(denom[0])[row] - z[0, row, targets[a:b]]

@@ -28,6 +28,7 @@ import numpy as np
 
 from .aggregation import AttentionConfig, ScheduleConfig
 from .datagen import (
+    MIN_SPLIT_TOKENS,
     MarkovSource,
     Shard,
     build_byte_vocab,
@@ -419,6 +420,9 @@ def _build_text_shards(tree: FederationTree, data: TextData, window: int):
     tokens = np.array([vocab[b] for b in raw], dtype=np.int64)
     leaves = tree.leaves()
     chunk = len(tokens) // len(leaves)
+    if chunk < MIN_SPLIT_TOKENS:
+        raise ValueError(f"config data path: {path} gives leaf {leaves[0]} a chunk of {chunk} "
+                         f"tokens, fewer than the {MIN_SPLIT_TOKENS} a 90/5/5 split needs")
     shards = {}
     for i, leaf in enumerate(leaves):
         shards[leaf] = split_stream(tokens[i * chunk : (i + 1) * chunk], f"text:{path.name}#{i}")

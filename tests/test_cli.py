@@ -8,6 +8,7 @@ from unittest import mock
 
 import pytest
 
+import treefed
 from treefed import cli, presets
 from treefed.cli import main
 from treefed.presets import PRESETS, ResolvedExperiment, preset_config, resolve, tree_to_json
@@ -54,6 +55,7 @@ class TestRun:
         assert manifest["seed"] == 1
         assert manifest["method"] == "worldlm"
         assert "content_hash" in manifest
+        assert manifest["treefed_version"] == treefed.__version__
         assert (run_dir / "attention.csv").exists()
         assert (run_dir / "residuals.csv").exists()
 
@@ -310,6 +312,25 @@ class TestTextDataset:
         assert capsys.readouterr().err.splitlines() == [
             f"error: config data path: {text} gives leaf 3 a val split of 2 tokens, "
             "less than one context window (3 tokens)"]
+
+    @pytest.mark.parametrize("size, chunk", [(50, 12), (3, 0)])
+    def test_text_too_small_to_split_exits_1_before_training(self, tmp_path, capsys,
+                                                              size, chunk):
+        # fig2's four leaves share the file: 50 bytes give each 12 tokens,
+        # 3 bytes (fewer than leaves) none
+        text = tmp_path / "tiny.txt"
+        text.write_bytes((b"the quick brown fox jumps over the lazy dog. " * 2)[:size])
+        data = json.dumps({"kind": "text", "path": str(text)})
+
+        def train(*args, **kwargs):
+            raise AssertionError("training started before the data was checked")
+
+        with mock.patch.object(cli, "fit", train):
+            rc = main(["run", "--preset", "fig2", "--rounds", "1", "--override", f"data={data}"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config data path: {text} gives leaf 3 a chunk of {chunk} tokens, "
+            "fewer than the 20 a 90/5/5 split needs"]
 
     def test_swap_axis_names_the_data_kind(self, tiny_config, tmp_path, capsys):
         text = tmp_path / "corpus.txt"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from treefed.datagen import (
+    MIN_SPLIT_TOKENS,
     MarkovSource,
     Shard,
     build_hierarchy_dataset,
@@ -288,3 +289,9 @@ class TestTextShard:
     def test_90_5_5_split(self):
         shard = split_stream(np.arange(100), "text:hundred.txt")
         assert (len(shard.train), len(shard.val), len(shard.test)) == (90, 5, 5)
+
+    def test_min_split_tokens_is_the_shortest_splittable_stream(self):
+        shard = split_stream(np.arange(MIN_SPLIT_TOKENS), "text:short.txt")
+        assert (len(shard.train), len(shard.val), len(shard.test)) == (18, 1, 1)
+        with pytest.raises(ValueError, match="too small for a 90/5/5 split"):
+            split_stream(np.arange(MIN_SPLIT_TOKENS - 1), "text:short.txt")

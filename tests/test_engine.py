@@ -6,6 +6,7 @@ import treefed.model as model_mod
 from treefed.aggregation import AttentionConfig, ScheduleConfig
 from treefed.cli import ExperimentPlan, execute, resolve_plan, write_outputs
 from treefed.datagen import (
+    ContextIndex,
     build_hierarchy_dataset,
     entropy_rate,
     make_clustered_sources,
@@ -489,10 +490,30 @@ class TestEvaluationMemo:
         shards, _ = shards_for(tree)
         calls = []
         orig = engine_mod.mean_nll
-        monkeypatch.setattr(engine_mod, "mean_nll",
-                            lambda params, tokens: calls.append(1) or orig(params, tokens))
+        monkeypatch.setattr(engine_mod, "mean_nll", lambda params, tokens, **kwargs:
+                            calls.append(1) or orig(params, tokens, **kwargs))
         fit(tree, shards, cfg_for(tree, shards, rounds=2))
         assert len(calls) == 2 * (13 + 9)
+
+    def test_each_split_is_indexed_once(self, monkeypatch):
+        # 44 mean_nll calls over 7 nodes x 2 splits build 14 context indexes
+        tree = fig2_tree()
+        shards, _ = shards_for(tree)
+        owner = {id(getattr(shard, split)): (nid, split)
+                 for nid, shard in shards.items() for split in ("val", "test")}
+        built, scored = [], []
+        orig_build, orig_nll = ContextIndex.of, engine_mod.mean_nll
+
+        def build(tokens, n):
+            built.append(owner[id(tokens)])
+            return orig_build(tokens, n)
+
+        monkeypatch.setattr(ContextIndex, "of", build)
+        monkeypatch.setattr(engine_mod, "mean_nll", lambda params, tokens, **kwargs:
+                            scored.append(1) or orig_nll(params, tokens, **kwargs))
+        fit(tree, shards, cfg_for(tree, shards, rounds=2))
+        assert len(scored) == 2 * (13 + 9)
+        assert sorted(built) == sorted(owner.values())
 
     def test_memo_matches_object_not_bytes(self):
         tree = depth1_tree(1)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treefed.model as model_mod
 from treefed.aggregation import ScheduleConfig, lr_at
+from treefed.datagen import ContextIndex
 from treefed.model import (
     ModelConfig,
     Partition,
@@ -234,6 +236,23 @@ class TestLocalTrain:
             local_train([(params, np.array([], dtype=np.int64), 0)], self.trainer(1),
                         global_step=0)
 
+    @pytest.mark.parametrize("bad", [TINY.vocab_size, -1])
+    @pytest.mark.parametrize("where", [0, 100, -1])
+    def test_token_out_of_range_raises_before_the_first_step(self, monkeypatch, bad, where):
+        # a bad token anywhere in a stream fails the call, even one that no
+        # batch would have drawn
+        good = np.arange(200) % TINY.vocab_size
+        tokens = good.copy()
+        tokens[where] = bad
+        drawn = []
+        orig = model_mod.sample_batch
+        monkeypatch.setattr(model_mod, "sample_batch",
+                            lambda *args, **kwargs: drawn.append(1) or orig(*args, **kwargs))
+        with pytest.raises(ValueError, match="token id out of range"):
+            local_train([(init_model(TINY, 0), good, 0), (init_model(TINY, 1), tokens, 1)],
+                        self.trainer(3), global_step=0)
+        assert drawn == []
+
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_byte_identical_to_per_tensor_loop(self, optimizer):
         cfg = ModelConfig(vocab_size=12, embed_dim=6, num_blocks=3, expansion_ratio=2,
@@ -303,6 +322,27 @@ class TestStackedTraining:
             assert (np.float64(got.mean_loss).tobytes() == np.float64(alone.mean_loss).tobytes()
                     == np.float64(want_loss).tobytes())
             assert got.steps_taken == steps
+
+    @settings(max_examples=15, deadline=None)
+    @given(calls=st.lists(st.tuples(st.sampled_from(["adam", "sgd"]), st.integers(1, 4),
+                                    st.integers(2, 9), st.integers(1, 4),
+                                    st.integers(0, 2**16)), min_size=2, max_size=4))
+    def test_back_to_back_calls_share_no_state(self, calls):
+        # every call builds its own step workspace: calls of other widths,
+        # batch sizes and optimizers before it change none of its bytes
+        for optimizer, width, batch_size, steps, seed in calls:
+            trainer = TrainerConfig(optimizer=optimizer, local_steps=steps,
+                                    batch_size=batch_size,
+                                    schedule=ScheduleConfig(alpha=0.2, eta_max=0.05,
+                                                            total_steps=30))
+            rng = np.random.default_rng(seed)
+            group = [(init_model(self.CFG, seed + k),
+                      rng.integers(0, 9, size=int(rng.integers(20, 200))), seed + 100 + k)
+                     for k in range(width)]
+            for (params, tokens, rng_seed), got in zip(group, local_train(group, trainer, 3)):
+                want, want_loss = reference_local_train(params, tokens, trainer, rng_seed, 3)
+                assert got.params.buf.tobytes() == want.buf.tobytes()
+                assert np.float64(got.mean_loss).tobytes() == np.float64(want_loss).tobytes()
 
     def test_stack_forward_equals_each_row(self):
         sets = [init_model(TINY, k) for k in range(3)]
@@ -376,10 +416,19 @@ class TestMeanNll:
         alphabet = data.draw(st.integers(1, vocab), label="alphabet")
         tokens = rng.integers(0, alphabet, size=windows + context)
         got, want = mean_nll(params, tokens, chunk), reference_mean_nll(params, tokens, chunk)
+        indexed = mean_nll(params, tokens, chunk, index=ContextIndex.of(tokens, context))
+        assert np.float64(indexed).tobytes() == np.float64(got).tobytes()
         if windows % chunk == 1:  # the loop scores its last window alone
             assert got == pytest.approx(want, rel=1e-5, abs=1e-4)
         else:
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_index_must_fit_the_model_and_stream(self):
+        params, tokens = init_model(TINY, 0), np.arange(40) % TINY.vocab_size
+        for index in (ContextIndex.of(tokens, TINY.context_len + 1),
+                      ContextIndex.of(tokens[:-1], TINY.context_len)):
+            with pytest.raises(ValueError, match="does not fit"):
+                mean_nll(params, tokens, index=index)
 
     def test_contexts_beyond_int64_codes(self):
         # 70,000 ** 4 exceeds 2 ** 63: contexts are compared column by
