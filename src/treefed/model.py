@@ -370,16 +370,9 @@ class TrainJob(NamedTuple):
     rng_seed: object  # anything np.random.default_rng accepts
 
 
-def sample_batch(tokens: np.ndarray, n: int, batch_size: int, rng,
-                 windows: np.ndarray | None = None) -> np.ndarray:
-    """batch_size (n+1)-token windows of `tokens` at uniform random starts
-    drawn from `rng`, one window a row. `windows` is the stream's stride-1
-    window view, which a caller that draws from one stream at every step
-    builds (and checks the stream) once."""
-    if windows is None:
-        if len(tokens) < n + 1:
-            raise ValueError("shard too short for one context window")
-        windows = np.lib.stride_tricks.sliding_window_view(tokens, n + 1)
+def sample_batch(windows: np.ndarray, batch_size: int, rng) -> np.ndarray:
+    """batch_size rows of `windows`, a stream's stride-1 (n+1)-token window
+    view, at uniform random starts drawn from `rng`."""
     return windows[rng.integers(0, len(windows), size=batch_size)]
 
 
@@ -436,8 +429,8 @@ def local_train(
     current = ParamStack(layout, work)
     for i in range(trainer.local_steps):
         lr = lr_at(global_step + i, trainer.schedule)
-        batch = np.stack([sample_batch(tokens, n, trainer.batch_size, rng, windows)
-                          for tokens, rng, windows in zip(streams, rngs, ws.windows)])
+        batch = np.stack([sample_batch(windows, trainer.batch_size, rng)
+                          for windows, rng in zip(ws.windows, rngs)])
         losses[:, i], cache = forward_loss(current, batch, ws=ws)
         grad = backward(current, cache).buf
         if trainer.optimizer == "sgd":
@@ -479,10 +472,6 @@ def mean_nll(params: ParamSet, tokens: np.ndarray, chunk: int = 8192,
     V, _, n = _dims(params.layout)
     if index is None:
         index = ContextIndex.of(tokens, n)
-    elif index.context_len != n or len(index.order) != len(tokens) - n:
-        raise ValueError(f"context index of {len(index.order)} windows of "
-                         f"{index.context_len} tokens does not fit {len(tokens)} tokens "
-                         f"with {n}-token contexts")
     if index.token_range[0] < 0 or index.token_range[1] >= V:
         raise ValueError("token id out of range")
     order, targets, rank, distinct = index.order, index.targets, index.rank, index.distinct
