@@ -65,6 +65,9 @@ class ScheduleConfig:
 def lr_at(step: int, sched: ScheduleConfig) -> float:
     if step < 0:
         raise ValueError("step must be >= 0")
+    if sched.total_steps is None:
+        raise ValueError("schedule.total_steps is null; presets.resolve sets it "
+                         "for each trainer before training")
     warmup = math.ceil(sched.alpha * sched.total_steps)
     floor = sched.alpha * sched.eta_max
     if step < warmup:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .aggregation import ScheduleConfig, lr_at
 from .datagen import ContextIndex
@@ -196,13 +197,13 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 class StepWorkspace:
     """What every step of one (layout, N nodes, B windows) shape shares: the
-    context length and block count, the node and batch index vectors, and
-    each node's offset into the flat embedding gradient.
+    context length and block count, the node and batch index vectors, each
+    node's offset into the flat embedding gradient, and the (N, P) gradient
+    stack that backward writes.
 
-    local_train builds one per call with for_streams, which adds one stride-1
-    window view per node's token stream and the (N, P) gradient stack that
-    every backward pass of the call overwrites. forward_loss builds one
-    without them when it is given none; backward then writes a fresh buffer.
+    local_train builds one per call, so every backward pass of the call
+    overwrites one gradient buffer. forward_loss builds one for its own call
+    when it is given none, so backward then writes a fresh buffer.
     """
 
     def __init__(self, layout: Layout, nodes: int, batch_size: int):
@@ -214,19 +215,7 @@ class StepWorkspace:
         # entry c of node k's token t is entry k * V * d + t * d + c of the
         # flat (N * V * d) embedding gradient: this is k * V * d + c
         self.embed_offset = V * d * self.node[..., None] + np.arange(d)
-        self.windows: list[np.ndarray] = []
-        self.grad: ParamStack | None = None
-
-    @classmethod
-    def for_streams(cls, layout: Layout, streams: Sequence[np.ndarray],
-                    batch_size: int) -> "StepWorkspace":
-        """The workspace of a training call whose node k draws its batches
-        from streams[k]."""
-        ws = cls(layout, len(streams), batch_size)
-        ws.windows = [np.lib.stride_tricks.sliding_window_view(tokens, ws.context_len + 1)
-                      for tokens in streams]
-        ws.grad = ParamStack(layout, np.empty((len(streams), layout.size), dtype=np.float32))
-        return ws
+        self.grad = ParamStack(layout, np.empty((nodes, layout.size), dtype=np.float32))
 
 
 class _ForwardCache(NamedTuple):
@@ -276,7 +265,7 @@ def forward_loss(params: ParamSet | ParamStack, batch: np.ndarray, wide: bool = 
     (loss, cache); the cache feeds backward().
 
     `ws`, a training call's StepWorkspace of this stack's shape, supplies the
-    step's constants; its batch is drawn from the call's streams, which were
+    step's constants; its batch was drawn from the call's streams, which were
     checked once, so it is not checked again. Without one the batch is
     checked and the constants are built for this call.
     """
@@ -309,17 +298,16 @@ def forward_loss(params: ParamSet | ParamStack, batch: np.ndarray, wide: bool = 
 def backward(params: ParamSet | ParamStack, cache: _ForwardCache) -> ParamSet | ParamStack:
     """Exact gradients of each node's mean cross-entropy w.r.t. its
     parameters, written into one float32 buffer laid out like `params`: the
-    workspace's gradient stack when the forward pass had a training call's
-    workspace (the next step overwrites it), else a fresh buffer."""
+    gradient stack of the forward pass's workspace, which the next step of a
+    training call overwrites. A stack's gradient is not checked for
+    non-finite values: local_train checks the parameters it updates."""
     if cache.params is not params:
         raise ValueError("stale cache: params do not match the forward pass")
     stack, w, ws = _as_stack(params), cache.w, cache.ws
     dtype = np.float64 if cache.wide else np.float32
     N, B = cache.ids.shape[:2]
     V, d, n = _dims(stack.layout)
-    grad = ws.grad if ws.grad is not None else ParamStack(
-        stack.layout, np.empty(stack.buf.shape, dtype=np.float32))
-    grads = grad.arrays()
+    grads = ws.grad.arrays()
 
     dlogits = cache.probs.astype(dtype)
     dlogits[ws.node, ws.row, cache.targets] -= 1
@@ -350,9 +338,8 @@ def backward(params: ParamSet | ParamStack, cache: _ForwardCache) -> ParamSet | 
     grads["embed"][...] = de.reshape(N, V, d)
 
     if isinstance(params, ParamSet):
-        return ParamSet.from_buffer(params.layout, grad.buf[0])
-    check_finite(stack.layout, grad.buf)
-    return grad
+        return ParamSet.from_buffer(params.layout, ws.grad.buf[0])
+    return ws.grad
 
 
 @dataclass
@@ -370,10 +357,12 @@ class TrainJob(NamedTuple):
     rng_seed: object  # anything np.random.default_rng accepts
 
 
-def sample_batch(windows: np.ndarray, batch_size: int, rng) -> np.ndarray:
-    """batch_size rows of `windows`, a stream's stride-1 (n+1)-token window
-    view, at uniform random starts drawn from `rng`."""
-    return windows[rng.integers(0, len(windows), size=batch_size)]
+def sample_batch(windows: np.ndarray, size, rng) -> np.ndarray:
+    """Rows of `windows`, a stream's stride-1 (n+1)-token window view, at
+    uniform random starts drawn from `rng`; `size` is numpy's, so the result
+    has shape size + (n+1,). One (S, B) draw gives the starts of S
+    consecutive B-row draws and leaves `rng` where they would."""
+    return windows[rng.integers(0, len(windows), size=size)]
 
 
 def local_train(
@@ -384,10 +373,12 @@ def local_train(
     """Run local_steps optimizer steps for every job together.
 
     The jobs' parameters share one layout and are stacked as the rows of one
-    (N, P) array. Each step draws every job's batch from its own RNG and
-    token stream, then runs one forward pass, one backward pass and one
-    optimizer update over the whole stack. Rows never mix, so every job ends
-    bit for bit where training it alone ends; one job is the N = 1 stack.
+    (N, P) array. Before the first step each job draws the batches of all
+    its steps from its own RNG and token stream, in one sample_batch call;
+    each step then runs one forward pass, one backward pass and one
+    optimizer update over the whole stack. The batches are those of one
+    draw per step, and rows never mix, so every job ends bit for bit where
+    training it alone ends; one job is the N = 1 stack.
 
     The LR schedule is evaluated at global_step + i so schedules stay
     synchronized across nodes that share a sequential-step position.
@@ -415,11 +406,15 @@ def local_train(
     if trainer.local_steps == 0:
         return [TrainResult(job.params, 0, float("nan")) for job in jobs]
     rngs = [np.random.default_rng(job.rng_seed) for job in jobs]
-    # the workspace and the scratch are allocated before `work`, whose rows
-    # outlive this call as the trained models, so the freed scratch sits
-    # below them in the heap and the next call reuses it instead of faulting
-    # in fresh pages
-    ws = StepWorkspace.for_streams(layout, streams, trainer.batch_size)
+    # the workspace, the batches and the scratch are allocated before
+    # `work`, whose rows outlive this call as the trained models, so the
+    # freed scratch sits below them in the heap and the next call reuses it
+    # instead of faulting in fresh pages
+    ws = StepWorkspace(layout, len(jobs), trainer.batch_size)
+    # every step's batch in one draw per node: (steps, N, B, n+1)
+    size = (trainer.local_steps, trainer.batch_size)
+    batches = np.stack([sample_batch(sliding_window_view(tokens, n + 1), size, rng)
+                        for tokens, rng in zip(streams, rngs)], axis=1)
     shape = (len(jobs), layout.size)
     m, v2 = np.zeros(shape), np.zeros(shape)  # float64 Adam moments
     gd, tmp = np.empty(shape), np.empty(shape)  # float64 scratch
@@ -429,9 +424,7 @@ def local_train(
     current = ParamStack(layout, work)
     for i in range(trainer.local_steps):
         lr = lr_at(global_step + i, trainer.schedule)
-        batch = np.stack([sample_batch(windows, trainer.batch_size, rng)
-                          for windows, rng in zip(ws.windows, rngs)])
-        losses[:, i], cache = forward_loss(current, batch, ws=ws)
+        losses[:, i], cache = forward_loss(current, batches[i], ws=ws)
         grad = backward(current, cache).buf
         if trainer.optimizer == "sgd":
             work -= np.float32(lr) * grad

@@ -254,6 +254,50 @@ class TestLocalTrain:
                         self.trainer(3), global_step=0)
         assert drawn == []
 
+    def test_null_total_steps_raises_before_the_first_step(self, monkeypatch):
+        stepped = []
+        orig = model_mod.forward_loss
+        monkeypatch.setattr(model_mod, "forward_loss",
+                            lambda *args, **kwargs: stepped.append(1) or orig(*args, **kwargs))
+        trainer = TrainerConfig(local_steps=3, batch_size=8,
+                                schedule=ScheduleConfig(total_steps=None))
+        tokens = np.arange(200) % TINY.vocab_size
+        with pytest.raises(ValueError, match=r"schedule\.total_steps.*presets\.resolve"):
+            local_train([(init_model(TINY, 0), tokens, 0)], trainer, global_step=0)
+        assert stepped == []
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_each_job_draws_all_its_batches_in_one_call(self, monkeypatch, steps):
+        # the benchmark trace counts sample_batch calls through the module
+        # namespace: one per job and call, each for every step's batch
+        sizes = []
+        orig = model_mod.sample_batch
+
+        def spy(windows, size, rng):
+            sizes.append(size)
+            return orig(windows, size, rng)
+
+        monkeypatch.setattr(model_mod, "sample_batch", spy)
+        tokens = np.arange(200) % TINY.vocab_size
+        local_train([(init_model(TINY, k), tokens, k) for k in range(3)], self.trainer(steps),
+                    global_step=0)
+        assert sizes == [(steps, 8)] * 3
+
+    @pytest.mark.parametrize("n", [15_998, 2**31 + 1, 2**33 + 7])
+    @pytest.mark.parametrize("batch_size", [1, 7, 32])
+    def test_one_draw_of_every_step_equals_a_draw_per_step(self, n, batch_size):
+        # local_train's batches are byte-identical to drawing one per step
+        # only because numpy's Generator.integers has this property: the
+        # spare half of a 64-bit draw stays in the bit generator, not the call
+        steps = 9
+        once, per_step = np.random.default_rng(17), np.random.default_rng(17)
+        got = once.integers(0, n, size=(steps, batch_size))
+        want = np.stack([per_step.integers(0, n, size=batch_size) for _ in range(steps)])
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(once.integers(0, n, size=batch_size),
+                                      per_step.integers(0, n, size=batch_size))
+
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_byte_identical_to_per_tensor_loop(self, optimizer):
         cfg = ModelConfig(vocab_size=12, embed_dim=6, num_blocks=3, expansion_ratio=2,
