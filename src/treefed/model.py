@@ -357,7 +357,7 @@ class TrainJob(NamedTuple):
     rng_seed: object  # anything np.random.default_rng accepts
 
 
-def sample_batch(windows: np.ndarray, size, rng) -> np.ndarray:
+def sample_batch(windows: np.ndarray, size: int | tuple[int, ...], rng) -> np.ndarray:
     """Rows of `windows`, a stream's stride-1 (n+1)-token window view, at
     uniform random starts drawn from `rng`; `size` is numpy's, so the result
     has shape size + (n+1,). One (S, B) draw gives the starts of S
