@@ -153,8 +153,17 @@ def final_leaf_mean(exp: ResolvedExperiment, result: RunResult, split="test") ->
     return float(np.mean(vals)), float(np.std(vals))
 
 
+def _single(args, flag: str, default):
+    """The value of a flag that only compare may repeat, or `default`."""
+    values = getattr(args, flag) or [default]
+    if len(values) > 1:
+        raise ValueError(f"{args.command} takes one --{flag}, got {len(values)}; "
+                         "use compare to run several")
+    return values[0]
+
+
 def cmd_run(args) -> int:
-    plan = _plan_from_args(args, (args.method or ["worldlm"])[0], (args.seed or [0])[0])
+    plan = _plan_from_args(args, _single(args, "method", "worldlm"), _single(args, "seed", 0))
     exp, result, elapsed, run_dir = run_plan(plan)
     if run_dir:
         print(f"wrote {run_dir}")
@@ -216,7 +225,7 @@ def _toggle(axis: str, config: dict, tree: FederationTree) -> dict:
 
 
 def cmd_ablate(args) -> int:
-    method = (args.method or ["worldlm"])[0]
+    method = _single(args, "method", "worldlm")
     base_config = plan_config(_plan_from_args(args, method, 0))
     deltas = []
     for seed in args.seed or [0]:

@@ -94,26 +94,26 @@ def make_clustered_sources(
     num_clusters: int,
     sources_per_cluster: int,
     divergence: float,
-    vocab_size: int,
+    vocab: int,
     seed: int,
     concentration: float = 0.3,
     intra_jitter: float = 0.25,
 ) -> list[MarkovSource]:
-    """Build num_clusters * sources_per_cluster sources.
+    """Build num_clusters * sources_per_cluster sources over `vocab` tokens.
 
     divergence=0 collapses everything onto one global matrix; divergence=1
     gives independent cluster matrices with intra_jitter-scaled perturbations
     inside each cluster. Rows are renormalized after every interpolation.
     """
-    if vocab_size < 2:
-        raise ValueError("vocab_size must be >= 2")
+    if vocab < 2:
+        raise ValueError("a source needs a vocab of at least 2 tokens")
     if not (0.0 <= divergence <= 1.0):
         raise ValueError("divergence must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    alpha = np.full(vocab_size, concentration)
+    alpha = np.full(vocab, concentration)
 
     def draw():
-        return rng.dirichlet(alpha, size=vocab_size)
+        return rng.dirichlet(alpha, size=vocab)
 
     def renorm(mat):
         return mat / mat.sum(axis=1, keepdims=True)
@@ -164,7 +164,6 @@ class ContextIndex(NamedTuple):
     once (model.mean_nll). It depends only on the stream and n: a split
     that is scored many times is indexed once (Shard.context_index)."""
 
-    context_len: int
     order: np.ndarray  # window positions, sorted by context
     targets: np.ndarray  # each sorted window's target token
     rank: np.ndarray  # each sorted window's distinct context
@@ -184,7 +183,7 @@ class ContextIndex(NamedTuple):
         contexts = windows[order, :n]
         first = np.ones(len(order), dtype=bool)
         first[1:] = (contexts[1:] != contexts[:-1]).any(axis=1)
-        return cls(n, order, windows[order, n], np.cumsum(first) - 1, contexts[first],
+        return cls(order, windows[order, n], np.cumsum(first) - 1, contexts[first],
                    (int(tokens.min()), int(tokens.max())))
 
 
@@ -275,17 +274,14 @@ def build_hierarchy_dataset(
     test_tokens: int = 2048,
     internal_budget_scale: float = 1.0,
 ) -> dict[int, Shard]:
-    """Shards for every node of a federation tree, from one (source id,
-    token budget) pair per leaf.
+    """Shards for every node of a federation tree (a topology.FederationTree),
+    from one (source id, token budget) pair per leaf.
 
     A node samples its descendant leaves' pairs, merged by source and sorted
     by source id, so each source's share is its summed budget's. A leaf's
     train split is its budget; an internal node's is internal_budget_scale
     * mean(descendant leaf budgets).
     """
-    from .topology import FederationTree  # cycle guard: topology has no datagen dep
-
-    assert isinstance(tree, FederationTree)
     missing = [nid for nid in tree.leaves() if nid not in leaf_budgets]
     if missing:
         raise ValueError(f"unassigned leaves: {missing}")
@@ -310,15 +306,16 @@ def build_byte_vocab(data: bytes) -> dict[int, int]:
     return {b: i for i, b in enumerate(sorted(set(data)))}
 
 
-# The shortest stream split_stream splits: int(20 * 0.05) is its one val token.
-MIN_SPLIT_TOKENS = 20
+def split_sizes(n: int) -> tuple[int, int, int]:
+    """The train, val and test lengths of a fixed 90/5/5 split of n tokens."""
+    n_train, n_val = int(n * 0.9), int(n * 0.05)
+    return n_train, n_val, n - n_train - n_val
 
 
 def split_stream(tokens: np.ndarray, source_id: str) -> Shard:
-    """Fixed 90/5/5 positional train/val/test split of one token stream."""
-    n = len(tokens)
-    n_train, n_val = int(n * 0.9), int(n * 0.05)
-    if n_train < 1 or n_val < 1 or n - n_train - n_val < 1:
+    """The positional train/val/test split of one token stream, sized by split_sizes."""
+    n_train, n_val, n_test = split_sizes(len(tokens))
+    if min(n_train, n_val, n_test) < 1:
         raise ValueError(f"{source_id} is too small for a 90/5/5 split")
     return Shard(train=tokens[:n_train], val=tokens[n_train : n_train + n_val],
                  test=tokens[n_train + n_val :])

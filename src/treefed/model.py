@@ -208,8 +208,7 @@ class StepWorkspace:
 
     def __init__(self, layout: Layout, nodes: int, batch_size: int):
         V, d, n = _dims(layout)
-        self.layout, self.context_len = layout, n
-        self.num_blocks = _num_blocks(layout)
+        self.context_len, self.num_blocks = n, _num_blocks(layout)
         self.node = np.arange(nodes)[:, None]  # (N, 1)
         self.row = np.arange(batch_size)
         # entry c of node k's token t is entry k * V * d + t * d + c of the

@@ -28,7 +28,6 @@ import numpy as np
 
 from .aggregation import AttentionConfig, ScheduleConfig
 from .datagen import (
-    MIN_SPLIT_TOKENS,
     MarkovSource,
     Shard,
     build_byte_vocab,
@@ -36,6 +35,7 @@ from .datagen import (
     clustered_source_ids,
     make_clustered_sources,
     node_train_budget,
+    split_sizes,
     split_stream,
 )
 from .engine import EngineConfig, ResidualConfig, ServerConfig, stage_trainees
@@ -119,10 +119,9 @@ class _Sections:
 
 @dataclass(kw_only=True)
 class ClusteredData:
-    """Clustered Markov sources (kind "clustered") for the leaves."""
+    """Clustered Markov sources (kind "clustered") over the model's vocab."""
 
     kind: str
-    vocab_size: int
     num_clusters: int
     sources_per_cluster: int
     divergence: float
@@ -141,9 +140,6 @@ class TextData:
 
     kind: str
     path: str
-
-
-_DATA_KINDS = {"clustered": ClusteredData, "text": TextData}
 
 
 @dataclass
@@ -201,7 +197,6 @@ def _base_config() -> dict:
         "tree": tree_to_json(FederationTree.from_children_map(_FIG2_CHILDREN)),
         "data": {
             "kind": "clustered",
-            "vocab_size": 32,
             "num_clusters": 2,
             "sources_per_cluster": 2,
             "divergence": 0.8,
@@ -343,17 +338,21 @@ class ResolvedExperiment:
         return self.engine.rounds * self.stages_per_round
 
 
-def _check_node_references(tree: FederationTree, data, dp: DpConfig | None) -> None:
-    """Reject DP clients and leaf maps that name nodes or sources the
-    experiment does not have, before any data is sampled."""
+def _check_dp_clients(tree: FederationTree, dp: DpConfig | None) -> None:
+    """Reject DP clients that are not in the tree or are its root."""
     for nid in sorted(dp.enabled_nodes) if dp else ():
         if nid not in tree.nodes:
             raise ValueError(f"config dp enabled_nodes: node {nid} is not in the tree")
         if tree.nodes[nid].parent is None:
             raise ValueError(f"config dp enabled_nodes: node {nid} is the root, "
                              "which has no server to be a client of")
-    if not isinstance(data, ClusteredData):
-        return
+
+
+def _clustered_shards(tree: FederationTree, data: ClusteredData, model: ModelConfig, seed: int):
+    """Every node's shard and the sources, over the model's vocab, once the
+    leaf maps name the tree's leaves and known sources, every size (an
+    internal node's train budget among them) fits a context window and the
+    internal budget scale is positive."""
     leaves = [str(leaf) for leaf in tree.leaves()]
     for name in ("leaf_sources", "leaf_budgets"):
         keys = getattr(data, name)
@@ -364,19 +363,11 @@ def _check_node_references(tree: FederationTree, data, dp: DpConfig | None) -> N
         for leaf in leaves:
             if leaf not in keys:
                 raise ValueError(f"config data {name}: missing leaf {leaf!r}")
-    sources = clustered_source_ids(data.num_clusters, data.sources_per_cluster)
+    source_ids = clustered_source_ids(data.num_clusters, data.sources_per_cluster)
     for leaf, source in data.leaf_sources.items():
-        if source not in sources:
+        if source not in source_ids:
             raise ValueError(f"config data leaf_sources.{leaf}: unknown source {source!r}; "
-                             f"expected one of {sources}")
-
-
-def _check_data_sizes(tree: FederationTree, data, model: ModelConfig) -> None:
-    """Reject clustered data sizes no context window fits in, an internal
-    node's train budget among them, and a non-positive internal budget
-    scale, before any data is sampled."""
-    if not isinstance(data, ClusteredData):
-        return
+                             f"expected one of {source_ids}")
     window = model.context_len + 1
     sizes = [*((f"leaf_budgets.{leaf}", b) for leaf, b in data.leaf_budgets.items()),
              ("val_tokens", data.val_tokens), ("test_tokens", data.test_tokens)]
@@ -387,9 +378,7 @@ def _check_data_sizes(tree: FederationTree, data, model: ModelConfig) -> None:
     if data.internal_budget_scale <= 0:
         raise ValueError("config data internal_budget_scale: must be positive, "
                          f"got {data.internal_budget_scale!r}")
-    for nid in sorted(tree.nodes):
-        if tree.is_leaf(nid):
-            continue
+    for nid in sorted(set(tree.nodes) - set(tree.leaves())):
         budget = node_train_budget([data.leaf_budgets[str(leaf)]
                                     for leaf in tree.descendant_leaves(nid)],
                                    data.internal_budget_scale)
@@ -398,10 +387,8 @@ def _check_data_sizes(tree: FederationTree, data, model: ModelConfig) -> None:
                              f"budget of {budget} tokens is less than one context window "
                              f"({window} tokens)")
 
-
-def _build_clustered_shards(tree: FederationTree, data: ClusteredData, seed: int):
     sources = make_clustered_sources(data.num_clusters, data.sources_per_cluster,
-                                     data.divergence, data.vocab_size, seed,
+                                     data.divergence, model.vocab_size, seed,
                                      data.concentration, data.intra_jitter)
     by_id = {s.id: s for s in sources}
     leaf_budgets = {int(leaf): (source, data.leaf_budgets[leaf])
@@ -411,35 +398,39 @@ def _build_clustered_shards(tree: FederationTree, data: ClusteredData, seed: int
     return shards, by_id
 
 
-def _build_text_shards(tree: FederationTree, data: TextData, window: int):
+def _text_shards(tree: FederationTree, data: TextData, model: ModelConfig, _seed: int):
+    """Every node's shard, and no sources, once the file's bytes fit the
+    model's vocab and its splits a context window: each leaf splits an equal
+    chunk of the file (split_stream), and an internal node joins its leaves'."""
     path = Path(data.path)
     raw = path.read_bytes()
     if not raw:
         raise ValueError(f"empty file: {path}")
     vocab = build_byte_vocab(raw)
-    tokens = np.array([vocab[b] for b in raw], dtype=np.int64)
+    if len(vocab) > model.vocab_size:
+        raise ValueError(f"config data path: {path} holds {len(vocab)} distinct bytes, "
+                         f"more than model vocab_size {model.vocab_size}")
     leaves = tree.leaves()
-    chunk = len(tokens) // len(leaves)
-    if chunk < MIN_SPLIT_TOKENS:
-        raise ValueError(f"config data path: {path} gives leaf {leaves[0]} a chunk of {chunk} "
-                         f"tokens, fewer than the {MIN_SPLIT_TOKENS} a 90/5/5 split needs")
-    shards = {}
-    for i, leaf in enumerate(leaves):
-        shards[leaf] = split_stream(tokens[i * chunk : (i + 1) * chunk], f"text:{path.name}#{i}")
-        for name in ("train", "val", "test"):
-            size = len(getattr(shards[leaf], name))
-            if size < window:
-                raise ValueError(f"config data path: {path} gives leaf {leaf} a {name} split "
-                                 f"of {size} tokens, less than one context window "
-                                 f"({window} tokens)")
-    # internal nodes evaluate on the concatenation of their leaves' splits
-    for nid in sorted(tree.nodes):
-        if tree.is_leaf(nid):
-            continue
-        subs = [shards[l] for l in tree.descendant_leaves(nid)]
+    chunk = len(raw) // len(leaves)
+    window = model.context_len + 1
+    for name, size in zip(("train", "val", "test"), split_sizes(chunk)):
+        if size < window:  # every leaf's chunk has the same size
+            raise ValueError(f"config data path: {path} gives leaf {leaves[0]} a {name} split "
+                             f"of {size} tokens, less than one context window "
+                             f"({window} tokens)")
+
+    tokens = np.array([vocab[b] for b in raw], dtype=np.int64)
+    shards = {leaf: split_stream(tokens[i * chunk : (i + 1) * chunk], f"text:{path.name}#{i}")
+              for i, leaf in enumerate(leaves)}
+    for nid in sorted(set(tree.nodes) - set(leaves)):
+        subs = [shards[leaf] for leaf in tree.descendant_leaves(nid)]
         shards[nid] = Shard(**{name: np.concatenate([getattr(s, name) for s in subs])
                                for name in ("train", "val", "test")})
-    return shards, {}, len(vocab)
+    return shards, {}
+
+
+# data kind -> (its section's dataclass, the function that checks it and builds the shards)
+_DATA_KINDS = {"clustered": (ClusteredData, _clustered_shards), "text": (TextData, _text_shards)}
 
 
 def resolve(config: dict, seed: int, rounds: int | None = None) -> ResolvedExperiment:
@@ -461,20 +452,14 @@ def resolve(config: dict, seed: int, rounds: int | None = None) -> ResolvedExper
     kind = top.data.get("kind")
     if not isinstance(kind, str) or kind not in _DATA_KINDS:
         raise ValueError(f"config data kind: expected one of {list(_DATA_KINDS)}, got {kind!r}")
-    data = from_json(_DATA_KINDS[kind], top.data, "config data")
+    data_cls, build_shards = _DATA_KINDS[kind]
+    data = from_json(data_cls, top.data, "config data")
     tree = tree_from_json(top.tree, trainer)
     bad = validate(tree)
     if bad:
         raise ValueError("invalid tree: " + "; ".join(bad))
-    _check_node_references(tree, data, dp)
-    _check_data_sizes(tree, data, model)
-
-    if isinstance(data, TextData):
-        shards, sources, text_vocab = _build_text_shards(tree, data, model.context_len + 1)
-        if model.vocab_size < text_vocab:
-            raise ValueError(f"model vocab {model.vocab_size} < text vocab {text_vocab}")
-    else:
-        shards, sources = _build_clustered_shards(tree, data, seed)
+    _check_dp_clients(tree, dp)
+    shards, sources = build_shards(tree, data, model, seed)
 
     trainable_stages = sum(1 for level in tree.levels()
                            if stage_trainees(tree, level, shards, trainer))

@@ -21,7 +21,6 @@ class NodeSpec:
     id: int
     parent: int | None
     children: list[int] = field(default_factory=list)
-    dataset: str = ""
     residual_ceiling: int = 0
     trains_locally: bool = True
     trainer: TrainerConfig | None = None  # None: use the experiment default
@@ -38,12 +37,7 @@ class FederationTree:
         nodes = {}
         for nid in sorted(ids):
             parent = next((p for p, cs in children.items() if nid in cs), None)
-            nodes[nid] = NodeSpec(
-                id=nid,
-                parent=parent,
-                children=sorted(children.get(nid, [])),
-                dataset=str(nid),
-            )
+            nodes[nid] = NodeSpec(id=nid, parent=parent, children=sorted(children.get(nid, [])))
         return cls(nodes)
 
     # --- structure queries -------------------------------------------------

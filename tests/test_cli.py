@@ -23,7 +23,6 @@ def tiny_config(tmp_path):
     cfg = preset_config("fig2")
     cfg["name"] = "tiny"
     cfg["data"].update({
-        "vocab_size": 8,
         "leaf_budgets": {k: 600 for k in cfg["data"]["leaf_budgets"]},
         "val_tokens": 96,
         "test_tokens": 96,
@@ -105,6 +104,30 @@ class TestRun:
         err = capsys.readouterr().err
         assert "tree node 3: unknown key 'dp_enabled'" in err
         assert "dp.enabled_nodes" in err
+
+    def test_tree_node_dataset_key_rejected(self, tiny_config, capsys, monkeypatch):
+        cfg = json.loads(tiny_config.read_text())
+        cfg["tree"]["nodes"][3]["dataset"] = "3"
+        tiny_config.write_text(json.dumps(cfg))
+        monkeypatch.setattr(presets, "build_hierarchy_dataset", mock.Mock(
+            side_effect=AssertionError("data sampled before the config was checked")))
+        assert main(["run", "--config", str(tiny_config)]) == 1
+        assert capsys.readouterr().err.startswith("error: tree node 3: unknown key 'dataset'")
+
+    @pytest.mark.parametrize("command, flags, flag", [
+        ("run", ["--seed", "1", "--seed", "2"], "seed"),
+        ("run", ["--seed", "1", "--seed", "2", "--method", "flat_fl", "--method", "local"],
+         "method"),
+        ("ablate", ["--axis", "residuals", "--method", "flat_fl", "--method", "local"], "method"),
+    ])
+    def test_repeated_single_run_flag_exits_1_naming_it(self, tiny_config, tmp_path, capsys,
+                                                         command, flags, flag):
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(tiny_config), *flags, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {command} takes one --{flag}, got 2; use compare to run several"]
+        assert not out.exists()
 
     def test_workers_flag_refused(self):
         with pytest.raises(SystemExit) as exc:
@@ -286,7 +309,7 @@ class TestTextDataset:
         rows = read_metrics(out / "textrun__worldlm__seed1" / "metrics.csv")
         assert any(r["split"] == "test" for r in rows)
 
-    def test_text_vocab_too_large_for_model(self, tiny_config, tmp_path):
+    def test_text_vocab_too_large_for_model(self, tiny_config, tmp_path, capsys):
         text = tmp_path / "corpus.txt"
         text.write_bytes(bytes(range(200)) * 10)
         cfg = json.loads(tiny_config.read_text())
@@ -294,8 +317,16 @@ class TestTextDataset:
         cfg["model"]["vocab_size"] = 8
         p = tmp_path / "text.json"
         p.write_text(json.dumps(cfg))
-        rc = main(["run", "--config", str(p), "--seed", "1"])
-        assert rc != 0
+
+        def train(*args, **kwargs):
+            raise AssertionError("training started before the data was checked")
+
+        with mock.patch.object(cli, "fit", train):
+            rc = main(["run", "--config", str(p), "--seed", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: config data path: {text} holds 200 distinct bytes, "
+            "more than model vocab_size 8"]
 
     def test_text_too_small_for_a_window_exits_1_before_training(self, tmp_path, capsys):
         # 170 bytes over fig2's four leaves leave each a 2-token val split
@@ -313,11 +344,11 @@ class TestTextDataset:
             f"error: config data path: {text} gives leaf 3 a val split of 2 tokens, "
             "less than one context window (3 tokens)"]
 
-    @pytest.mark.parametrize("size, chunk", [(50, 12), (3, 0)])
+    @pytest.mark.parametrize("size, split", [(50, "val"), (3, "train")])
     def test_text_too_small_to_split_exits_1_before_training(self, tmp_path, capsys,
-                                                              size, chunk):
-        # fig2's four leaves share the file: 50 bytes give each 12 tokens,
-        # 3 bytes (fewer than leaves) none
+                                                              size, split):
+        # fig2's four leaves share the file: 50 bytes give each 12 tokens, a
+        # 10/0/2 split, and 3 bytes (fewer than leaves) none
         text = tmp_path / "tiny.txt"
         text.write_bytes((b"the quick brown fox jumps over the lazy dog. " * 2)[:size])
         data = json.dumps({"kind": "text", "path": str(text)})
@@ -329,8 +360,8 @@ class TestTextDataset:
             rc = main(["run", "--preset", "fig2", "--rounds", "1", "--override", f"data={data}"])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: config data path: {text} gives leaf 3 a chunk of {chunk} tokens, "
-            "fewer than the 20 a 90/5/5 split needs"]
+            f"error: config data path: {text} gives leaf 3 a {split} split of 0 tokens, "
+            "less than one context window (3 tokens)"]
 
     def test_swap_axis_names_the_data_kind(self, tiny_config, tmp_path, capsys):
         text = tmp_path / "corpus.txt"
@@ -389,6 +420,10 @@ class TestConfigKeys:
         ("data.val_tokens=abc", "config data val_tokens: expected an integer, got 'abc'"),
         ("data.leaf_budgets.3=abc", "config data leaf_budgets.3: expected an integer, got 'abc'"),
         ("model={}", "config model: missing key 'vocab_size'"),
+        ("data.vocab_size=40", "config data: unknown key 'vocab_size'; expected one of "
+         "['kind', 'num_clusters', 'sources_per_cluster', 'divergence', 'concentration', "
+         "'intra_jitter', 'leaf_sources', 'leaf_budgets', 'val_tokens', 'test_tokens', "
+         "'internal_budget_scale']"),
         ("rounds=abc", "config rounds: expected an integer, got 'abc'"),
         ("dp.enabled_nodes=5", "config dp enabled_nodes: expected a list, got 5"),
         ("dp.sigma=null", "config dp sigma: expected a number, got None"),

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from treefed.datagen import (
-    MIN_SPLIT_TOKENS,
     MarkovSource,
     Shard,
     build_hierarchy_dataset,
@@ -210,6 +209,17 @@ def test_preset_shards_are_pinned(preset):
     assert {nid: shard.digest() for nid, shard in shards.items()} == PINNED_DIGESTS[preset]
 
 
+def test_model_vocab_sizes_the_clustered_sources():
+    cfg = preset_config("fig2")
+    cfg["model"]["vocab_size"] = 40
+    exp = resolve(cfg, seed=1)
+    assert {s.vocab_size for s in exp.sources.values()} == {40}
+    tokens = np.concatenate([getattr(shard, name) for shard in exp.shards.values()
+                             for name in ("train", "val", "test")])
+    assert tokens.min() >= 0 and tokens.max() < 40
+    assert tokens.max() >= 32  # beyond fig2's own vocab of 32
+
+
 class TestHierarchyDataset:
     def build(self, swapped=False):
         tree = FederationTree.from_children_map(FIG2_CHILDREN)
@@ -290,8 +300,9 @@ class TestTextShard:
         shard = split_stream(np.arange(100), "text:hundred.txt")
         assert (len(shard.train), len(shard.val), len(shard.test)) == (90, 5, 5)
 
-    def test_min_split_tokens_is_the_shortest_splittable_stream(self):
-        shard = split_stream(np.arange(MIN_SPLIT_TOKENS), "text:short.txt")
+    def test_20_tokens_is_the_shortest_splittable_stream(self):
+        # int(20 * 0.05) is one val token; int(19 * 0.05) is none
+        shard = split_stream(np.arange(20), "text:short.txt")
         assert (len(shard.train), len(shard.val), len(shard.test)) == (18, 1, 1)
         with pytest.raises(ValueError, match="too small for a 90/5/5 split"):
-            split_stream(np.arange(MIN_SPLIT_TOKENS - 1), "text:short.txt")
+            split_stream(np.arange(19), "text:short.txt")
