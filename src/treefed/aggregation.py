@@ -85,6 +85,12 @@ class ServerConfig:
     eta: float = 0.2
     mu: float = 0.9
 
+    def __post_init__(self):
+        if not self.eta > 0:
+            raise ValueError(f"eta must be positive, got {self.eta!r}")
+        if not 0 <= self.mu < 1:
+            raise ValueError(f"mu must lie in [0, 1), got {self.mu!r}")
+
 
 def key_layers(keys: ParamSet) -> dict[str, np.ndarray]:
     """Each layer of a key set as a contiguous 1-D slice of one float64 copy

@@ -4,8 +4,8 @@
 each run writes the same files, under --out/<experiment id>/ (ablation runs
 add __<axis>-on or __<axis>-off):
   metrics.csv    per-(node, round, stage, split) loss/perplexity rows
-  manifest.json  resolved config, seed, content hash of the inputs and the
-                 treefed version
+  manifest.json  resolved config, seed, content hash of the inputs, the
+                 treefed version and the numpy and BLAS builds it ran on
   attention.csv  per-layer attention weights by candidate origin
   residuals.csv  residual packet hop decisions
   dp.csv         pre-clip norms, bounds, and noise levels (DP runs)
@@ -105,6 +105,14 @@ def _experiment_id(exp: ResolvedExperiment, plan: ExperimentPlan) -> str:
     return f"{exp.name}__{plan.method}__seed{plan.seed}"
 
 
+def numerics() -> dict[str, str]:
+    """The numpy version and BLAS build that a run's bits depend on: BLAS
+    kernels round matrix products differently across builds and CPUs."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": blas.get("openblas configuration") or f"{blas['name']} {blas['version']}"}
+
+
 def write_outputs(out_dir: Path, exp: ResolvedExperiment, plan: ExperimentPlan,
                   result: RunResult, elapsed: float, extra_manifest: dict | None = None) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -119,6 +127,7 @@ def write_outputs(out_dir: Path, exp: ResolvedExperiment, plan: ExperimentPlan,
         "sequential_steps": result.seq_steps,
         "content_hash": content_hash(exp.config, exp.shards),
         "treefed_version": __version__,
+        "numerics": numerics(),
         **(extra_manifest or {}),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")

@@ -154,9 +154,9 @@ class TrainerConfig:
 
 
 # One training step holds about this many bytes per parameter per node:
-# float32 parameters and gradient, float64 Adam moments and two float64
+# float32 parameters and gradient, float32 Adam moments and two float32
 # scratch vectors.
-_STEP_BYTES_PER_PARAM = 40
+_STEP_BYTES_PER_PARAM = 24
 # A stacked step pays only while it is bound by per-call overhead, so a
 # local_train call stacks nodes until their step state reaches this size.
 STACK_BYTES = 2 << 20
@@ -382,7 +382,7 @@ def local_train(
     The LR schedule is evaluated at global_step + i so schedules stay
     synchronized across nodes that share a sequential-step position.
     Optimizer state is fresh per call (one federated round). Parameters,
-    gradients and the float64 Adam moments are each one (N, P) array, so an
+    gradients and the float32 Adam moments are each one (N, P) array, so an
     update is a few element-wise array ops. Every token stream is checked
     once, before the first step, and what the steps share is built once, as
     one StepWorkspace. Returns one result per job.
@@ -415,8 +415,8 @@ def local_train(
     batches = np.stack([sample_batch(sliding_window_view(tokens, n + 1), size, rng)
                         for tokens, rng in zip(streams, rngs)], axis=1)
     shape = (len(jobs), layout.size)
-    m, v2 = np.zeros(shape), np.zeros(shape)  # float64 Adam moments
-    gd, tmp = np.empty(shape), np.empty(shape)  # float64 scratch
+    m, v2 = np.zeros(shape, np.float32), np.zeros(shape, np.float32)  # Adam moments
+    step, tmp = np.empty(shape, np.float32), np.empty(shape, np.float32)  # scratch
     work = np.stack([job.params.buf for job in jobs])
     b1, b2, eps = trainer.beta1, trainer.beta2, 1e-8
     losses = np.empty((len(jobs), trainer.local_steps))
@@ -428,17 +428,17 @@ def local_train(
         if trainer.optimizer == "sgd":
             work -= np.float32(lr) * grad
         else:
-            # work - lr*(m/c1)/(sqrt(v2/c2)+eps), op for op, in the scratch
-            # arrays: full-size float64 temporaries cost more than the math
+            # lr*(m/c1)/(sqrt(v2/c2)+eps) as alpha*m/(sqrt(v2)+eps_hat), with
+            # the bias corrections folded into two scalars, op for op in the
+            # scratch arrays: full-size temporaries cost more than the math
             c1, c2 = 1.0 - b1 ** (i + 1), 1.0 - b2 ** (i + 1)
-            np.copyto(gd, grad)
-            m *= b1
-            m += np.multiply(gd, 1 - b1, out=tmp)
-            v2 *= b2
-            v2 += np.multiply(np.multiply(gd, 1 - b2, out=tmp), gd, out=tmp)
-            den = np.add(np.sqrt(np.divide(v2, c2, out=gd), out=gd), eps, out=gd)
-            step = np.divide(np.multiply(np.divide(m, c1, out=tmp), lr, out=tmp), den, out=tmp)
-            work[...] = np.subtract(work, step, out=tmp)
+            alpha, eps_hat = np.float32(lr * np.sqrt(c2) / c1), np.float32(eps * np.sqrt(c2))
+            m *= np.float32(b1)
+            m += np.multiply(grad, np.float32(1 - b1), out=tmp)
+            v2 *= np.float32(b2)
+            v2 += np.multiply(np.multiply(grad, np.float32(1 - b2), out=tmp), grad, out=tmp)
+            den = np.add(np.sqrt(v2, out=tmp), eps_hat, out=tmp)
+            work -= np.divide(np.multiply(m, alpha, out=step), den, out=step)
         check_finite(layout, work)
     return [TrainResult(ParamSet.from_buffer(layout, row), trainer.local_steps,
                         float(np.mean(row_losses)))

@@ -133,6 +133,16 @@ class ClusteredData:
     test_tokens: int = 2048
     internal_budget_scale: float = 1.0
 
+    def __post_init__(self):
+        if not 0 <= self.divergence <= 1:
+            raise ValueError(f"divergence must lie in [0, 1], got {self.divergence!r}")
+        if not self.concentration > 0:
+            raise ValueError(f"concentration must be positive, got {self.concentration!r}")
+        # a source mixes its cluster's matrix with weight 1 - divergence * intra_jitter
+        if not (self.intra_jitter >= 0 and self.divergence * self.intra_jitter <= 1):
+            raise ValueError(f"intra_jitter must be >= 0 with divergence * intra_jitter <= 1, "
+                             f"got {self.intra_jitter!r}")
+
 
 @dataclass
 class TextData:
@@ -349,10 +359,13 @@ def _check_dp_clients(tree: FederationTree, dp: DpConfig | None) -> None:
 
 
 def _clustered_shards(tree: FederationTree, data: ClusteredData, model: ModelConfig, seed: int):
-    """Every node's shard and the sources, over the model's vocab, once the
-    leaf maps name the tree's leaves and known sources, every size (an
-    internal node's train budget among them) fits a context window and the
-    internal budget scale is positive."""
+    """Every node's shard and the sources, over the model's vocab, once that
+    vocab holds at least 2 tokens, the leaf maps name the tree's leaves and
+    known sources, every size (an internal node's train budget among them)
+    fits a context window and the internal budget scale is positive."""
+    if model.vocab_size < 2:
+        raise ValueError(f"config model vocab_size: clustered sources need at least 2 tokens, "
+                         f"got {model.vocab_size}")
     leaves = [str(leaf) for leaf in tree.leaves()]
     for name in ("leaf_sources", "leaf_budgets"):
         keys = getattr(data, name)

@@ -55,15 +55,17 @@ def fd_gradient(params: ParamSet, batch: np.ndarray, name: str, idx: int,
 def reference_local_train(params: ParamSet, tokens: np.ndarray, trainer,
                           rng_seed, global_step: int) -> tuple[ParamSet, float]:
     """The per-tensor local_train loop: one Tensor per parameter and per
-    gradient at every step, batches stacked window by window. Returns
-    (params, mean_loss)."""
+    gradient at every step, batches stacked window by window, float32 Adam
+    moments per tensor. Returns (params, mean_loss)."""
     _, d = params["embed"].shape
     n = params["in_proj.w"].shape[0] // d
     rng = np.random.default_rng(rng_seed)
     work = {t.name: t.data.astype(np.float32).copy() for t in params}
     names = params.names()
-    m = {k: np.zeros(v.shape, dtype=np.float64) for k, v in work.items()}
-    v2 = {k: np.zeros(v.shape, dtype=np.float64) for k, v in work.items()}
+    m = {k: np.zeros(v.shape, dtype=np.float32) for k, v in work.items()}
+    v2 = {k: np.zeros(v.shape, dtype=np.float32) for k, v in work.items()}
+    b1, b2 = np.float32(trainer.beta1), np.float32(trainer.beta2)
+    one_minus_b1, one_minus_b2 = np.float32(1 - trainer.beta1), np.float32(1 - trainer.beta2)
     losses = []
     current = ParamSet(Tensor(k, work[k]) for k in names)
     for i in range(trainer.local_steps):
@@ -77,15 +79,18 @@ def reference_local_train(params: ParamSet, tokens: np.ndarray, trainer,
             for g in grads:
                 work[g.name] = work[g.name] - np.float32(lr) * g.data
         else:
+            # float32 Adam with the bias corrections in two scalars:
+            # lr*(m/c1)/(sqrt(v2/c2)+eps) = alpha*m/(sqrt(v2)+eps_hat)
             t = i + 1
             c1 = 1.0 - trainer.beta1 ** t
             c2 = 1.0 - trainer.beta2 ** t
+            alpha = np.float32(lr * np.sqrt(c2) / c1)
+            eps_hat = np.float32(1e-8 * np.sqrt(c2))
             for g in grads:
-                gd = g.data.astype(np.float64)
-                m[g.name] = trainer.beta1 * m[g.name] + (1 - trainer.beta1) * gd
-                v2[g.name] = trainer.beta2 * v2[g.name] + (1 - trainer.beta2) * gd * gd
-                step = lr * (m[g.name] / c1) / (np.sqrt(v2[g.name] / c2) + 1e-8)
-                work[g.name] = (work[g.name].astype(np.float64) - step).astype(np.float32)
+                m[g.name] = m[g.name] * b1 + g.data * one_minus_b1
+                v2[g.name] = v2[g.name] * b2 + (g.data * one_minus_b2) * g.data
+                step = (m[g.name] * alpha) / (np.sqrt(v2[g.name]) + eps_hat)
+                work[g.name] = work[g.name] - step
         current = ParamSet(Tensor(k, work[k]) for k in names)
     return current, float(np.mean(losses))
 

@@ -447,6 +447,17 @@ class TestConfigKeys:
         ("data.internal_budget_scale=0.0001",
          "config data internal_budget_scale: node 0's train budget of 1 tokens is less than "
          "one context window (3 tokens)"),
+        ("server.mu=1.5", "config server: mu must lie in [0, 1), got 1.5"),
+        ("server.eta=0", "config server: eta must be positive, got 0"),
+        ("data.divergence=2", "config data: divergence must lie in [0, 1], got 2"),
+        ("data.concentration=0", "config data: concentration must be positive, got 0"),
+        ("data.concentration=-1", "config data: concentration must be positive, got -1"),
+        ("data.intra_jitter=-1", "config data: intra_jitter must be >= 0 with divergence * "
+         "intra_jitter <= 1, got -1"),
+        ("data.intra_jitter=2", "config data: intra_jitter must be >= 0 with divergence * "
+         "intra_jitter <= 1, got 2"),
+        ("model.vocab_size=1",
+         "config model vocab_size: clustered sources need at least 2 tokens, got 1"),
     ])
     def test_wrong_value_exits_1_naming_the_key_before_sampling(self, override, message,
                                                                  capsys, monkeypatch):
@@ -454,6 +465,7 @@ class TestConfigKeys:
             raise AssertionError("data sampled before the config was checked")
 
         monkeypatch.setattr(presets, "build_hierarchy_dataset", sample)
+        monkeypatch.setattr(presets, "make_clustered_sources", sample)
         rc = main(["run", "--preset", "fig2", "--override", override])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]

@@ -1,0 +1,81 @@
+"""Every preset's outputs, pinned byte for byte.
+
+Each preset runs under each method at `--rounds 2 --seed 1`, and the sha256
+of its metrics.csv, attention.csv, residuals.csv and dp.csv, and its
+manifest's content_hash, must equal the pins in output_pins.json. The shipped
+configs/*.json must equal `treefed export-preset` output.
+
+The bits of a run depend on the numpy version and the BLAS kernels it runs
+on, so the pins record both, and a mismatch prints them next to the running
+ones. A deliberate output change rewrites the pins in the same change:
+
+    PYTHONPATH=src python tests/test_pins.py --write
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from treefed.cli import METHODS, main, numerics
+from treefed.presets import PRESETS
+
+HERE = Path(__file__).resolve().parent
+PINS = HERE / "output_pins.json"
+CONFIGS = HERE.parent / "configs"
+FILES = ("metrics.csv", "attention.csv", "residuals.csv", "dp.csv")
+EXPORTED = ("fig2", "fig2-swapped", "dp-cc-wk")
+
+
+def run_all(out: Path) -> dict:
+    """The pins of this code: {numerics, content_hash, outputs}."""
+    pins = {"numerics": numerics(), "content_hash": {}, "outputs": {}}
+    for preset in sorted(PRESETS):
+        pins["outputs"][preset] = {}
+        for method in METHODS:
+            argv = ["run", "--preset", preset, "--method", method, "--rounds", "2",
+                    "--seed", "1", "--out", str(out)]
+            if main(argv) != 0:
+                raise RuntimeError(f"treefed {' '.join(argv)} failed")
+            run_dir = out / f"{preset}__{method}__seed1"
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            pins["content_hash"].setdefault(preset, manifest["content_hash"])
+            if manifest["content_hash"] != pins["content_hash"][preset]:
+                raise RuntimeError(f"{preset}: content_hash differs between methods")
+            pins["outputs"][preset][method] = {
+                name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+                for name in FILES}
+    return pins
+
+
+def test_every_preset_output_is_pinned(tmp_path, capsys):
+    want = json.loads(PINS.read_text())
+    got = run_all(tmp_path)
+    capsys.readouterr()
+    bad = [f"{preset}: content_hash {got['content_hash'][preset]} != pinned {h}"
+           for preset, h in want["content_hash"].items() if got["content_hash"][preset] != h]
+    bad += [f"{preset} {method} {name}: sha256 {got['outputs'][preset][method][name]} "
+            f"!= pinned {digest}"
+            for preset, methods in want["outputs"].items()
+            for method, files in methods.items()
+            for name, digest in files.items()
+            if got["outputs"][preset][method][name] != digest]
+    for name in EXPORTED:
+        assert main(["export-preset", name]) == 0
+        if (CONFIGS / f"{name}.json").read_text() != capsys.readouterr().out:
+            bad.append(f"configs/{name}.json differs from `treefed export-preset {name}`")
+    assert sorted(got["outputs"]) == sorted(want["outputs"])
+    assert not bad, "\n".join(
+        [*bad, f"pinned on numpy {want['numerics']['numpy']}, BLAS {want['numerics']['blas']}",
+         f"running numpy {got['numerics']['numpy']}, BLAS {got['numerics']['blas']}"])
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    with tempfile.TemporaryDirectory() as tmp:
+        pins = run_all(Path(tmp))
+    PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {PINS}")
