@@ -108,9 +108,13 @@ def _experiment_id(exp: ResolvedExperiment, plan: ExperimentPlan) -> str:
 def numerics() -> dict[str, str]:
     """The numpy version and BLAS build that a run's bits depend on: BLAS
     kernels round matrix products differently across builds and CPUs."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.26 only prints its build configuration
+        blas = {}
+    named = " ".join(str(blas[k]) for k in ("name", "version") if k in blas)
     return {"numpy": np.__version__,
-            "blas": blas.get("openblas configuration") or f"{blas['name']} {blas['version']}"}
+            "blas": blas.get("openblas configuration") or named or "unknown"}
 
 
 def write_outputs(out_dir: Path, exp: ResolvedExperiment, plan: ExperimentPlan,

@@ -6,11 +6,12 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import treefed
 from treefed import cli, presets
-from treefed.cli import main
+from treefed.cli import main, numerics
 from treefed.presets import PRESETS, ResolvedExperiment, preset_config, resolve, tree_to_json
 from treefed.topology import FederationTree
 
@@ -55,8 +56,15 @@ class TestRun:
         assert manifest["method"] == "worldlm"
         assert "content_hash" in manifest
         assert manifest["treefed_version"] == treefed.__version__
+        assert manifest["numerics"] == numerics()
+        assert manifest["numerics"]["numpy"] == np.__version__
         assert (run_dir / "attention.csv").exists()
         assert (run_dir / "residuals.csv").exists()
+
+    def test_numerics_without_a_build_config_dict(self, monkeypatch):
+        # numpy before 1.26 has no show_config(mode="dicts")
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        assert numerics() == {"numpy": np.__version__, "blas": "unknown"}
 
     def test_missing_preset_names_it(self, capsys):
         rc = main(["run", "--preset", "nope"])
