@@ -2,8 +2,9 @@
 
 Each preset runs under each method at `--rounds 2 --seed 1`, and the sha256
 of its metrics.csv, attention.csv, residuals.csv and dp.csv, and its
-manifest's content_hash, must equal the pins in output_pins.json. The shipped
-configs/*.json must equal `treefed export-preset` output.
+manifest's content_hash, must equal the pins in output_pins.json. So must
+the four files of each run in VARIANTS, a preset under overrides no preset
+ships. The shipped configs/*.json must equal `treefed export-preset` output.
 
 The bits of a run depend on the numpy version and the BLAS kernels it runs
 on, so the pins record both, and a mismatch prints them next to the running
@@ -25,26 +26,37 @@ PINS = HERE / "output_pins.json"
 CONFIGS = HERE.parent / "configs"
 FILES = ("metrics.csv", "attention.csv", "residuals.csv", "dp.csv")
 EXPORTED = ("fig2", "fig2-swapped", "dp-cc-wk")
+# name: (preset, method, overrides)
+VARIANTS = {"fig2-keyless": ("fig2", "worldlm", ["model.key_block_count=0"])}
+
+
+def run_files(out: Path, preset: str, method: str, overrides=()) -> tuple[dict, str]:
+    """The sha256 of each output file of one run, and its content_hash."""
+    argv = ["run", "--preset", preset, "--method", method, "--rounds", "2", "--seed", "1",
+            "--out", str(out)]
+    for override in overrides:
+        argv += ["--override", override]
+    if main(argv) != 0:
+        raise RuntimeError(f"treefed {' '.join(argv)} failed")
+    run_dir = out / f"{preset}__{method}__seed1"
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    return ({name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in FILES},
+            manifest["content_hash"])
 
 
 def run_all(out: Path) -> dict:
-    """The pins of this code: {numerics, content_hash, outputs}."""
-    pins = {"numerics": numerics(), "content_hash": {}, "outputs": {}}
+    """The pins of this code: {numerics, content_hash, outputs, variants}."""
+    pins = {"numerics": numerics(), "content_hash": {}, "outputs": {}, "variants": {}}
     for preset in sorted(PRESETS):
         pins["outputs"][preset] = {}
         for method in METHODS:
-            argv = ["run", "--preset", preset, "--method", method, "--rounds", "2",
-                    "--seed", "1", "--out", str(out)]
-            if main(argv) != 0:
-                raise RuntimeError(f"treefed {' '.join(argv)} failed")
-            run_dir = out / f"{preset}__{method}__seed1"
-            manifest = json.loads((run_dir / "manifest.json").read_text())
-            pins["content_hash"].setdefault(preset, manifest["content_hash"])
-            if manifest["content_hash"] != pins["content_hash"][preset]:
+            files, content_hash = run_files(out, preset, method)
+            pins["content_hash"].setdefault(preset, content_hash)
+            if content_hash != pins["content_hash"][preset]:
                 raise RuntimeError(f"{preset}: content_hash differs between methods")
-            pins["outputs"][preset][method] = {
-                name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-                for name in FILES}
+            pins["outputs"][preset][method] = files
+    for name, (preset, method, overrides) in VARIANTS.items():
+        pins["variants"][name] = run_files(out / name, preset, method, overrides)[0]
     return pins
 
 
@@ -60,11 +72,17 @@ def test_every_preset_output_is_pinned(tmp_path, capsys):
             for method, files in methods.items()
             for name, digest in files.items()
             if got["outputs"][preset][method][name] != digest]
+    bad += [f"{variant} ({' '.join(VARIANTS[variant][:2])} {VARIANTS[variant][2]}) {name}: "
+            f"sha256 {got['variants'][variant][name]} != pinned {digest}"
+            for variant, files in want["variants"].items()
+            for name, digest in files.items()
+            if got["variants"][variant][name] != digest]
     for name in EXPORTED:
         assert main(["export-preset", name]) == 0
         if (CONFIGS / f"{name}.json").read_text() != capsys.readouterr().out:
             bad.append(f"configs/{name}.json differs from `treefed export-preset {name}`")
     assert sorted(got["outputs"]) == sorted(want["outputs"])
+    assert sorted(got["variants"]) == sorted(want["variants"])
     assert not bad, "\n".join(
         [*bad, f"pinned on numpy {want['numerics']['numpy']}, BLAS {want['numerics']['blas']}",
          f"running numpy {got['numerics']['numpy']}, BLAS {got['numerics']['blas']}"])
