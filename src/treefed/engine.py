@@ -1,22 +1,22 @@
 """Round execution for a federation tree plus the flat/local/centralized
 baselines, all sharing the same trainers, seeds, and step accounting.
 
-One round walks the tree level by level (top-down): a node adopts its
-parent's freshly trained backbone and merges keys by attention with the
-parent and, at a leaf, the residual packets routed to it; a server routes
-its residual packets to its children, scoring their current keys; then the
-node trains locally. Every level is one *stage*; nodes on a level are
-logically simultaneous. A stage first adopts, merges and routes for each
-node in node-id order, then trains the level's nodes together: nodes that
-share a trainer and a schedule position are stacked into one local_train
-call (up to model.stack_width nodes). After the last stage
-the tree is aggregated bottom-up: pseudo-gradient averaging with server
-momentum for backbones, per-layer attention for keys, and dissimilarity-based
-residual selection, with DP sanitization applied to flagged children's
-backbone deltas on the way. Each selected packet goes straight to the server
-where it turns around (its ceiling, or the selecting server when the ceiling
-lies below it), which routes it in the next round; every hop below happens
-in that round too.
+`fit` runs each round as phases over one `_Run` state, after *start* has
+checked the tree and initialized every node. It walks the tree level by
+level (top-down); every level is one *stage*, whose nodes are logically
+simultaneous. A stage's *enter* takes each node in level order: it adopts
+its parent's freshly trained backbone and merges keys by attention with the
+parent and, at a leaf, the residual packets routed to it; a server routes its
+packets to its children, scoring their current keys. *train* then stacks the
+level's nodes that share a trainer and a schedule position into one
+local_train call (up to model.stack_width nodes), and *evaluate* scores every
+node. After the last stage, *aggregate* runs at each server bottom-up:
+pseudo-gradient averaging with server momentum for backbones (with DP
+sanitization of flagged children's deltas), per-layer attention for keys, and
+dissimilarity-based residual selection. Each selected packet goes straight
+to the server where it turns around (its ceiling, or the selecting server
+when the ceiling lies below it), which routes it in the next round; every
+hop below happens in that round too.
 
 A stage consumes one sequential step when at least one of its nodes trains;
 baselines are budgeted in the same units. Every runner stacks its same-shape
@@ -155,14 +155,6 @@ def _row(method: str, nid: int, round_k: int, stage: int, split: str, nll: float
         return MetricRow(method, nid, round_k, stage, split, nll, float(np.exp(nll)))
 
 
-def _log_attention(log: list[dict], nid: int, round_k: int, stage: str,
-                   weight_log: WeightLog) -> None:
-    for layer, (labels, weights) in weight_log.items():
-        for label, weight in zip(labels, weights, strict=True):
-            log.append({"node": nid, "round": round_k, "stage": stage,
-                        "layer": layer, "candidate": label, "weight": float(weight)})
-
-
 def evaluate_round(
     method: str,
     params_by_node: dict[int, ParamSet],
@@ -244,110 +236,123 @@ def server_step(server: ParamSet, clients: list[tuple[int, ParamSet]], momentum:
     return server, momentum
 
 
-def fit(
-    tree: FederationTree,
-    shards: dict[int, Shard],
-    cfg: EngineConfig,
-    method: str = "worldlm",
-) -> RunResult:
-    """Execute `cfg.rounds` rounds of the hierarchical procedure."""
-    bad = validate(tree)
-    if bad:
-        raise ValueError("invalid tree: " + "; ".join(bad))
-    part = Partition.for_config(cfg.model)
-    stages = tree.levels()
+@dataclass
+class _Run:
+    """The state one `fit` shares between its phases, which are its methods."""
 
-    base = init_model(cfg.model, cfg.seed)
-    zero = part.split(base)[0].zeros_like()
-    state = {nid: _NodeState(model=base, momentum=zero if tree.nodes[nid].children else None)
-             for nid in tree.nodes}
+    tree: FederationTree
+    shards: dict[int, Shard]
+    cfg: EngineConfig
+    part: Partition
+    state: dict[int, _NodeState]
+    clip_states: dict[int, ClipState]  # a DP server's adaptive clipping bound
+    result: RunResult
+    scored: dict[int, tuple[ParamSet, dict[str, float]]] = field(default_factory=dict)
 
-    dp = cfg.dp
-    clip_states: dict[int, ClipState] = {}
-    if dp and dp.enabled_nodes:
-        for nid in dp.enabled_nodes:
+    @classmethod
+    def start(cls, tree: FederationTree, shards: dict[int, Shard], cfg: EngineConfig,
+              method: str) -> _Run:
+        """Check the tree and DP clients; start every node from one model."""
+        bad = validate(tree)
+        if bad:
+            raise ValueError("invalid tree: " + "; ".join(bad))
+        part = Partition.for_config(cfg.model)
+        base = init_model(cfg.model, cfg.seed)
+        zero = part.split(base)[0].zeros_like()
+        state = {nid: _NodeState(model=base, momentum=zero if tree.nodes[nid].children else None)
+                 for nid in tree.nodes}
+        clip_states: dict[int, ClipState] = {}
+        for nid in cfg.dp.enabled_nodes if cfg.dp else ():
             parent = tree.nodes[nid].parent
             if parent is None:
                 raise ValueError("the root cannot be a DP client")
-            clip_states.setdefault(parent, ClipState(bound=dp.initial_bound))
+            clip_states.setdefault(parent, ClipState(bound=cfg.dp.initial_bound))
+        return cls(tree, shards, cfg, part, state, clip_states, RunResult(method=method, rows=[]))
 
-    result = RunResult(method=method, rows=[])
-    seq_counter = 0
-    scored: dict[int, tuple[ParamSet, dict[str, float]]] = {}
+    def enter(self, round_k: int, nid: int) -> None:
+        """Adopt the parent's backbone and merge keys with the parent's and,
+        at a leaf, the packets routed in; a server routes its packets to its
+        children, unchanged since its last bottom-up step."""
+        node, st, part = self.tree.nodes[nid], self.state[nid], self.part
+        if node.parent is not None:
+            parent = self.state[node.parent].model
+            keys, weight_log = merge_with_parent(
+                part.keys(st.model), part.keys(parent), [] if node.children else st.inbox,
+                self.cfg.attention)
+            self.log_attention(nid, round_k, "merge", weight_log)
+            st.model = part.assemble(parent, keys)
+        if node.children and st.inbox:
+            routed = route_residuals(
+                st.inbox, [(cid, part.keys(self.state[cid].model)) for cid in node.children],
+                self.cfg.attention, self.tree, round_k, router=nid)
+            for cid, pkts in routed.landed.items():
+                self.state[cid].inbox.extend(pkts)
+            self.result.residual_log.extend(routed.events)
+        st.inbox = []
 
+    def train(self, round_k: int, stage: int, level: list[int]) -> None:
+        """Train a level's trainees stacked and log their mean losses. A
+        stage with any trainee takes one sequential step."""
+        trainees = [(nid, t, self.result.seq_steps * t.local_steps)
+                    for nid, t in stage_trainees(self.tree, level, self.shards, self.cfg.trainer)]
+        outs = _train_stacked(trainees, lambda nid: TrainJob(
+            self.state[nid].model, self.shards[nid].train,
+            rng_for(self.cfg.seed, nid, round_k, _TRAIN_TAG)))
+        losses = {}
+        for nid, out in outs:
+            self.state[nid].model, losses[nid] = out.params, out.mean_loss
+        self.result.rows += [_row(self.result.method, nid, round_k, stage, "train", losses[nid])
+                             for nid in sorted(losses)]
+        self.result.seq_steps += bool(trainees)
+
+    def evaluate(self, round_k: int, stage: int) -> None:
+        """Score every node's current model on its own splits."""
+        params = {nid: self.state[nid].model for nid in sorted(self.tree.nodes)}
+        self.result.rows += evaluate_round(self.result.method, params, self.shards, round_k,
+                                           stage, memo=self.scored)
+
+    def aggregate(self, round_k: int, nid: int) -> None:
+        """A server's bottom-up step over its children. A selected packet
+        turns around at its ceiling, or here when that lies below."""
+        st, part, cfg = self.state[nid], self.part, self.cfg
+        children = sorted(self.tree.nodes[nid].children)
+        backbone, keys = part.split(st.model)
+        splits = {cid: part.split(self.state[cid].model) for cid in children}
+        backbone, st.momentum = server_step(
+            backbone, [(cid, splits[cid][0]) for cid in children], st.momentum, cfg, round_k,
+            self.clip_states.get(nid), self.result.dp_log)
+        child_keys = [(cid, splits[cid][1]) for cid in children]
+        keys, weight_log = aggregate_child_keys(keys, child_keys, cfg.attention)
+        self.log_attention(nid, round_k, "children", weight_log)
+        for pkt in partition_residuals(keys, child_keys, cfg.residual.nu, cfg.attention,
+                                       round_k, cfg.residual.threshold):
+            self.state[turn_node(pkt, nid, self.tree)].inbox.append(pkt)
+        st.model = part.assemble(backbone, keys)
+
+    def log_attention(self, nid: int, round_k: int, stage: str, weight_log: WeightLog) -> None:
+        for layer, (labels, weights) in weight_log.items():
+            self.result.attention_log += [
+                {"node": nid, "round": round_k, "stage": stage, "layer": layer,
+                 "candidate": label, "weight": float(weight)}
+                for label, weight in zip(labels, weights, strict=True)]
+
+
+def fit(tree: FederationTree, shards: dict[int, Shard], cfg: EngineConfig,
+        method: str = "worldlm") -> RunResult:
+    """Execute `cfg.rounds` rounds of the hierarchical procedure."""
+    run = _Run.start(tree, shards, cfg, method)
+    stages = tree.levels()
+    servers = [nid for level in reversed(stages) for nid in level if tree.nodes[nid].children]
     for round_k in range(cfg.rounds):
-        for stage_idx, level in enumerate(stages):
+        for stage, level in enumerate(stages):
             for nid in level:
-                node = tree.nodes[nid]
-                st = state[nid]
-                # adopt parent backbone; merge keys with parent and, at a
-                # leaf, the routed-in packets
-                if node.parent is not None:
-                    parent = state[node.parent].model
-                    keys = part.keys(st.model)
-                    if len(keys):
-                        keys, weight_log = merge_with_parent(
-                            keys, part.keys(parent), [] if node.children else st.inbox,
-                            cfg.attention)
-                        _log_attention(result.attention_log, nid, round_k, "merge", weight_log)
-                        st.model = part.assemble(parent, keys)
-                    else:
-                        st.model = parent
-                # route a server's packets to its children, which have not
-                # changed since its last bottom-up step
-                if node.children and st.inbox:
-                    routed = route_residuals(
-                        st.inbox, [(cid, part.keys(state[cid].model)) for cid in node.children],
-                        cfg.attention, tree, round_k, router=nid)
-                    for cid, pkts in routed.landed.items():
-                        state[cid].inbox.extend(pkts)
-                    result.residual_log.extend(routed.events)
-                st.inbox = []
-            # local training, stacked across the level
-            trainees = [(nid, trainer, seq_counter * trainer.local_steps)
-                        for nid, trainer in stage_trainees(tree, level, shards, cfg.trainer)]
-            outs = _train_stacked(trainees, lambda nid: TrainJob(
-                state[nid].model, shards[nid].train, rng_for(cfg.seed, nid, round_k, _TRAIN_TAG)))
-            losses = {}
-            for nid, out in outs:
-                state[nid].model = out.params
-                losses[nid] = out.mean_loss
-            for nid in sorted(losses):
-                result.rows.append(_row(method, nid, round_k, stage_idx, "train", losses[nid]))
-            if losses:
-                seq_counter += 1
-            params_now = {nid: state[nid].model for nid in sorted(tree.nodes)}
-            result.rows.extend(
-                evaluate_round(method, params_now, shards, round_k, stage_idx, memo=scored))
-
-        # bottom-up aggregation
-        for level in reversed(stages[:-1]):
-            for nid in level:
-                node = tree.nodes[nid]
-                if not node.children:
-                    continue
-                st = state[nid]
-                children = sorted(node.children)
-                backbone, keys = part.split(st.model)
-                splits = {cid: part.split(state[cid].model) for cid in children}
-                backbone, st.momentum = server_step(
-                    backbone, [(cid, splits[cid][0]) for cid in children], st.momentum, cfg,
-                    round_k, clip_states.get(nid), result.dp_log)
-                child_keys = [(cid, splits[cid][1]) for cid in children]
-                if len(keys):
-                    keys, weight_log = aggregate_child_keys(keys, child_keys, cfg.attention)
-                    _log_attention(result.attention_log, nid, round_k, "children", weight_log)
-                    # each packet turns around at its ceiling, or here when
-                    # the ceiling lies below
-                    for pkt in partition_residuals(
-                            keys, child_keys, cfg.residual.nu, cfg.attention, round_k,
-                            cfg.residual.threshold):
-                        state[turn_node(pkt, nid, tree)].inbox.append(pkt)
-                st.model = part.assemble(backbone, keys)
-
-    result.seq_steps = seq_counter
-    result.final_models = {nid: state[nid].model for nid in sorted(tree.nodes)}
-    return result
+                run.enter(round_k, nid)
+            run.train(round_k, stage, level)
+            run.evaluate(round_k, stage)
+        for nid in servers:
+            run.aggregate(round_k, nid)
+    run.result.final_models = {nid: run.state[nid].model for nid in sorted(tree.nodes)}
+    return run.result
 
 
 def run_flat_fl(

@@ -457,6 +457,8 @@ def resolve(config: dict, seed: int, rounds: int | None = None) -> ResolvedExper
         raise ValueError("rounds must be >= 1")
     model = from_json(ModelConfig, top.model, "config model")
     trainer = from_json(TrainerConfig, top.trainer, "config trainer")  # its schedule is set below
+    if trainer.local_steps == 0:  # the baselines train with it
+        raise ValueError("config trainer local_steps: the experiment trainer takes no step")
     schedule = from_json(ScheduleConfig, top.schedule, "config schedule")
     attention = from_json(AttentionConfig, top.attention, "config attention")
     server = from_json(ServerConfig, top.server, "config server")
@@ -472,6 +474,8 @@ def resolve(config: dict, seed: int, rounds: int | None = None) -> ResolvedExper
     if bad:
         raise ValueError("invalid tree: " + "; ".join(bad))
     _check_dp_clients(tree, dp)
+    if not any(n.trains_locally and (n.trainer or trainer).local_steps for n in tree.nodes.values()):
+        raise ValueError("config tree: no node trains locally with at least one local step")
     shards, sources = build_shards(tree, data, model, seed)
 
     trainable_stages = sum(1 for level in tree.levels()

@@ -4,6 +4,7 @@ only the benchmark, so every hook is resolved here."""
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,23 @@ def test_traced_hook_resolves_to_callable(module, path, span):
     for attr in path.split("."):
         target = getattr(target, attr)
     assert callable(target), f"{module}.{path} (span {span}) is not callable"
+
+
+def test_every_engine_hook_is_called_through_the_engine_namespace(monkeypatch):
+    # the trace wraps these names in treefed.engine; code that reached one
+    # another way (say, local_train imported into another module) would run
+    # untraced and silently zero its layer. A DP preset reaches clip and
+    # add_noise too.
+    calls = Counter()
+    names = [path for module, path, _ in traced_hooks() if module == "treefed.engine"]
+    for name in names:
+        def spy(*args, _name=name, _fn=getattr(treefed.engine, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(treefed.engine, name, spy)
+    execute(ExperimentPlan(method="worldlm", preset="dp-cc-wk", rounds=2, seed=1))
+    assert [name for name in names if not calls[name]] == []
 
 
 def test_tensor_count_and_round_clock_hooks_exist():

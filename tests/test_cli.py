@@ -36,6 +36,14 @@ def tiny_config(tmp_path):
     return path
 
 
+def fig2_tree_override(fields: dict, leaves_only: bool = False) -> str:
+    """An override that sets `fields` on every node, or every leaf, of
+    fig2's tree."""
+    nodes = [{**node, **fields} if not (leaves_only and node["children"]) else node
+             for node in preset_config("fig2")["tree"]["nodes"]]
+    return "tree=" + json.dumps({"nodes": nodes})
+
+
 def read_metrics(path):
     with open(path) as f:
         return list(csv.DictReader(f))
@@ -466,6 +474,20 @@ class TestConfigKeys:
          "intra_jitter <= 1, got 2"),
         ("model.vocab_size=1",
          "config model vocab_size: clustered sources need at least 2 tokens, got 1"),
+        # every baseline trains with the experiment trainer, so it must take a
+        # step even when each node trainer does
+        ("trainer.local_steps=0",
+         "config trainer local_steps: the experiment trainer takes no step"),
+        pytest.param([fig2_tree_override({"trainer": {"local_steps": 8}}, leaves_only=True),
+                      "trainer.local_steps=0"],
+                     "config trainer local_steps: the experiment trainer takes no step",
+                     id="leaf-trainers-8-experiment-trainer-0"),
+        pytest.param(fig2_tree_override({"trains_locally": False}),
+                     "config tree: no node trains locally with at least one local step",
+                     id="no-node-trains_locally"),
+        pytest.param(fig2_tree_override({"trainer": {"local_steps": 0}}),
+                     "config tree: no node trains locally with at least one local step",
+                     id="every-node-trainer-0"),
     ])
     def test_wrong_value_exits_1_naming_the_key_before_sampling(self, override, message,
                                                                  capsys, monkeypatch):
@@ -474,7 +496,8 @@ class TestConfigKeys:
 
         monkeypatch.setattr(presets, "build_hierarchy_dataset", sample)
         monkeypatch.setattr(presets, "make_clustered_sources", sample)
-        rc = main(["run", "--preset", "fig2", "--override", override])
+        overrides = [override] if isinstance(override, str) else override
+        rc = main(["run", "--preset", "fig2", *[a for o in overrides for a in ("--override", o)]])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 

@@ -107,6 +107,8 @@ class TestFedAvgOracle:
         final_root = result.final_models[0]
         for t in final_root:
             assert t.data.tobytes() == reference[t.name].tobytes(), t.name
+        # with no key layers there is nothing to attend over or to route
+        assert result.attention_log == [] and result.residual_log == []
 
     def test_flat_fl_matches_fit_on_depth1(self):
         tree = depth1_tree(4, root_trains=False)

@@ -72,8 +72,7 @@ def test_every_preset_output_is_pinned(tmp_path, capsys):
             for method, files in methods.items()
             for name, digest in files.items()
             if got["outputs"][preset][method][name] != digest]
-    bad += [f"{variant} ({' '.join(VARIANTS[variant][:2])} {VARIANTS[variant][2]}) {name}: "
-            f"sha256 {got['variants'][variant][name]} != pinned {digest}"
+    bad += [f"{variant} {name}: sha256 {got['variants'][variant][name]} != pinned {digest}"
             for variant, files in want["variants"].items()
             for name, digest in files.items()
             if got["variants"][variant][name] != digest]

@@ -1,10 +1,12 @@
 """Property tests for the core invariants: attention weights form a
-distribution, routing respects origin subtrees and ceilings, clipping
-respects its bound, validate accepts exactly the well-formed trees,
-resolve rejects a config value of the wrong JSON type before sampling, and
-the Markov sampler matches its per-token reference byte for byte."""
+distribution, routing respects origin subtrees and ceilings, every residual
+packet a run selects ends exactly once in the next round, clipping respects
+its bound, validate accepts exactly the well-formed trees, resolve rejects a
+config value of the wrong JSON type before sampling, and the Markov sampler
+matches its per-token reference byte for byte."""
 
 import re
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -12,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treefed import presets
+from treefed import engine, presets
 from treefed.aggregation import AttentionConfig, aggregate_child_keys, merge_with_parent
 from treefed.datagen import MarkovSource, sample_tokens
-from treefed.presets import preset_config, resolve
+from treefed.presets import preset_config, resolve, tree_to_json
 from treefed.privacy import clip
-from treefed.residual import ResidualPacket, route_residuals, turn_node
+from treefed.residual import ResidualPacket, partition_residuals, route_residuals, turn_node
 from treefed.tensors import ParamSet, Tensor, l2_norm
 from treefed.topology import FederationTree, NodeSpec, validate
 
@@ -121,6 +123,43 @@ def test_split_by_ceiling_never_climbs_above_the_ceiling(data, tree):
     assert turn == (ceiling if tree.in_subtree(ceiling, start) else start)
     # above the selecting server it never passes the ceiling
     assert turn == start or tree.in_subtree(ceiling, turn)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), tree=trees())
+def test_every_selected_packet_ends_once_in_the_next_round(data, tree):
+    # with no similarity gate every server selects packets every round; each
+    # one selected before the last round is routed down in the next round
+    # until a leaf aggregates it or no child outside its origin's subtree is
+    # left, and the log records exactly that one end
+    rounds = 3
+    for nid in tree.nodes:
+        tree.nodes[nid].residual_ceiling = data.draw(st.sampled_from(tree.path_to_root(nid)))
+    leaves = [str(leaf) for leaf in tree.leaves()]
+    cfg = preset_config("fig2")
+    cfg["tree"] = tree_to_json(tree)
+    cfg["data"].update(
+        leaf_sources={leaf: data.draw(st.sampled_from(["c0s0", "c0s1", "c1s0", "c1s1"]))
+                      for leaf in leaves},
+        leaf_budgets=dict.fromkeys(leaves, 64), val_tokens=16, test_tokens=16)
+    cfg["model"].update(vocab_size=8, embed_dim=4)
+    cfg["trainer"].update(local_steps=1, batch_size=2)
+    cfg["residual"]["threshold"] = float("inf")
+    exp = resolve(cfg, seed=1, rounds=rounds)
+    selected = []
+
+    def selecting(*args, **kwargs):
+        packets = partition_residuals(*args, **kwargs)
+        selected.extend(packets)
+        return packets
+
+    with mock.patch.object(engine, "partition_residuals", selecting):
+        log = engine.fit(exp.tree, exp.shards, exp.engine).residual_log
+    assert selected
+    assert all(e["round"] == e["created_round"] + 1 for e in log)
+    assert Counter((e["origin"], e["layer"], e["created_round"]) for e in log
+                   if e["action"] in ("aggregate", "drop:origin-exclusion")) == Counter(
+        (p.origin, p.layer, p.created_round) for p in selected if p.created_round < rounds - 1)
 
 
 @PROPS
