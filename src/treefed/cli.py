@@ -51,7 +51,7 @@ class ExperimentPlan:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.rounds is not None and self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
 
 
 def _write_csv(path: Path, header, rows) -> None:

@@ -12,6 +12,14 @@ axis: N models of one layout, stacked as a ParamStack, train as one (N, B,
 ...) computation whose rows never mix, so each node's bytes are those of
 training it alone. A ParamSet is the N = 1 case.
 
+A training step is bound by per-call overhead at these sizes, so it makes
+few numpy calls and few temporaries: the trunk adds each bias, and each
+block its input, into its product's buffer; backward has BLAS write every
+weight gradient straight into the step's gradient stack and takes each bias
+gradient, the batch sum of a layer's output gradient, as a BLAS product
+with a ones block. Where every layer is at least 2 wide, each result keeps
+the bits of the plain form (see backward).
+
 Parameter order (canonical, shared by every instance of a config):
     embed, in_proj.w, in_proj.b,
     block{h}.fc1.w, block{h}.fc1.b, block{h}.fc2.w, block{h}.fc2.b  (h = 0..H-1),
@@ -42,11 +50,12 @@ class ModelConfig:
     include_head_in_keys: bool = False
 
     def __post_init__(self):
-        if min(self.vocab_size, self.embed_dim, self.num_blocks,
-               self.expansion_ratio, self.context_len) < 1:
-            raise ValueError("model dimensions must be positive")
+        for key in ("vocab_size", "embed_dim", "num_blocks", "expansion_ratio", "context_len"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not (0 <= self.key_block_count <= self.num_blocks):
-            raise ValueError("key_block_count must lie in [0, num_blocks]")
+            raise ValueError(f"key_block_count must lie in [0, num_blocks = {self.num_blocks}], "
+                             f"got {self.key_block_count}")
 
 
 def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -147,10 +156,13 @@ class TrainerConfig:
     def __post_init__(self):
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta1, beta2 must lie in [0, 1)")
-        if self.local_steps < 0 or self.batch_size < 1:
-            raise ValueError("bad local_steps/batch_size")
+        for key in ("beta1", "beta2"):
+            if not 0 <= getattr(self, key) < 1:
+                raise ValueError(f"{key} must lie in [0, 1), got {getattr(self, key)}")
+        if self.local_steps < 0:
+            raise ValueError(f"local_steps must be >= 0, got {self.local_steps}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 # One training step holds about this many bytes per parameter per node:
@@ -197,23 +209,33 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 class StepWorkspace:
     """What every step of one (layout, N nodes, B windows) shape shares: the
-    context length and block count, the node and batch index vectors, each
-    node's offset into the flat embedding gradient, and the (N, P) gradient
-    stack that backward writes.
+    context length and block count, the node index vector, each window's
+    offset into the flat logits, each node's offset into the flat embedding
+    gradient, the (B, 2) ones block whose product with a layer's output
+    gradient sums it over the batch, and the (N, P) gradient stack that
+    backward writes.
 
-    local_train builds one per call, so every backward pass of the call
-    overwrites one gradient buffer. forward_loss builds one for its own call
-    when it is given none, so backward then writes a fresh buffer.
+    backward writes every entry of the gradient stack once per call: BLAS
+    writes each weight gradient straight into its view, each bias gradient
+    is copied from a product with the ones block, and the embedding gradient
+    from a float scatter-add. The stack comes from np.empty, so an entry no
+    layer wrote would hold stale memory. local_train builds one workspace per
+    call, so every backward pass of the call overwrites one gradient buffer.
+    forward_loss builds one for its own call when it is given none, so
+    backward then writes a fresh buffer.
     """
 
     def __init__(self, layout: Layout, nodes: int, batch_size: int):
         V, d, n = _dims(layout)
         self.context_len, self.num_blocks = n, _num_blocks(layout)
         self.node = np.arange(nodes)[:, None]  # (N, 1)
-        self.row = np.arange(batch_size)
+        # node k's window b scores its target t at entry (k * B + b) * V + t
+        # of the flat (N, B, V) logits: this is (k * B + b) * V
+        self.logit_offset = (self.node * batch_size + np.arange(batch_size)) * V
         # entry c of node k's token t is entry k * V * d + t * d + c of the
         # flat (N * V * d) embedding gradient: this is k * V * d + c
         self.embed_offset = V * d * self.node[..., None] + np.arange(d)
+        self.ones = np.ones((1, batch_size, 2), dtype=np.float32)
         self.grad = ParamStack(layout, np.empty((nodes, layout.size), dtype=np.float32))
 
 
@@ -224,9 +246,8 @@ class _ForwardCache(NamedTuple):
     x: np.ndarray
     blocks: list[tuple[np.ndarray, np.ndarray]]  # (block input, tanh output)
     h_final: np.ndarray
-    probs: np.ndarray
-    targets: np.ndarray
-    wide: bool
+    probs: np.ndarray  # in the step dtype; backward overwrites it
+    target_at: np.ndarray  # each window's target entry in the flat probs
     ws: StepWorkspace
 
 
@@ -237,16 +258,24 @@ def _trunk(w: dict[str, np.ndarray], ids: np.ndarray, node: np.ndarray, num_bloc
     (N, 1, 1) row index of each node. Returns (x, h, z, ez, denom): the
     concatenated embeddings, the final hidden states, the float64 logits
     shifted by their row maxima, their exps and each row's sum of exps.
-    Appends each block's (input, tanh output) to `blocks` when given."""
+    Appends each block's (input, tanh output) to `blocks` when given. Each
+    layer adds its bias, and a block its input, into its product's buffer."""
     N, B, _ = ids.shape
     x = w["embed"][node, ids].reshape(N, B, -1)
-    h = x @ w["in_proj.w"] + w["in_proj.b"][:, None]
+    h = x @ w["in_proj.w"]
+    h += w["in_proj.b"][:, None]
     for i in range(num_blocks):
-        u = np.tanh(h @ w[f"block{i}.fc1.w"] + w[f"block{i}.fc1.b"][:, None])
+        u = h @ w[f"block{i}.fc1.w"]
+        u += w[f"block{i}.fc1.b"][:, None]
+        np.tanh(u, out=u)
         if blocks is not None:
             blocks.append((h, u))
-        h = h + (u @ w[f"block{i}.fc2.w"] + w[f"block{i}.fc2.b"][:, None])
-    logits = h @ w["head.w"] + w["head.b"][:, None]
+        out = u @ w[f"block{i}.fc2.w"]
+        out += w[f"block{i}.fc2.b"][:, None]
+        out += h
+        h = out
+    logits = h @ w["head.w"]
+    logits += w["head.b"][:, None]
     z = logits.astype(np.float64)
     z -= z.max(axis=2, keepdims=True)
     ez = np.exp(z)
@@ -283,55 +312,78 @@ def forward_loss(params: ParamSet | ParamStack, batch: np.ndarray, wide: bool = 
     # (N, ...) views of the float32 rows, or of one float64 copy in wide mode
     w = stack.layout.views(stack.buf.astype(np.float64)) if wide else stack.arrays()
     n = ws.context_len
-    ids, targets = batch[..., :n], batch[..., n]
+    ids, target_at = batch[..., :n], ws.logit_offset + batch[..., n]
     blocks = []
     x, h, z, ez, denom = _trunk(w, ids, ws.node[..., None], ws.num_blocks, blocks)
-    probs = ez / denom[..., None]
-    nll = np.log(denom) - z[ws.node, ws.row, targets]
-    loss = nll.mean(axis=1)
+    probs = np.divide(ez, denom[..., None],
+                      out=np.empty(ez.shape, np.float64 if wide else np.float32))
+    nll = np.log(denom) - z.reshape(-1)[target_at]
+    loss = np.add.reduce(nll, axis=1) / nll.shape[1]  # np.mean's own arithmetic
     if isinstance(params, ParamSet):
         loss = float(loss[0])
-    return loss, _ForwardCache(params, w, ids, x, blocks, h, probs, targets, wide, ws)
+    return loss, _ForwardCache(params, w, ids, x, blocks, h, probs, target_at, ws)
+
+
+def _batch_sum(d_out: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """Each node's (B, M) d_out summed over its B rows, in row order: the
+    first column of BLAS's (M, 2) product d_out.T @ ones, in about half of
+    np.sum's time at a few dozen rows. A one-column product takes the
+    matrix-vector kernel, which adds the rows in another order from about
+    50 rows on; so does the (2, M) product ones.T @ d_out on OpenBLAS's
+    AVX-512 kernels from 32 rows on, unless M is a multiple of 16."""
+    return (_t(d_out) @ ones)[..., 0]
 
 
 def backward(params: ParamSet | ParamStack, cache: _ForwardCache) -> ParamSet | ParamStack:
     """Exact gradients of each node's mean cross-entropy w.r.t. its
     parameters, written into one float32 buffer laid out like `params`: the
     gradient stack of the forward pass's workspace, which the next step of a
-    training call overwrites. A stack's gradient is not checked for
-    non-finite values: local_train checks the parameters it updates."""
+    training call overwrites. The logit gradient is built in the cache's
+    probabilities, so a cache feeds one backward pass. A stack's gradient is
+    not checked for non-finite values: local_train checks the parameters it
+    updates.
+
+    Each weight gradient is BLAS's product written straight into its view,
+    each bias gradient the sum of a layer's output gradient over the batch
+    in row order (see _batch_sum) and the embedding gradient a scatter-add
+    in batch order, in float32 or, in wide mode, in float64 and rounded
+    once. Where every layer is at least 2 wide, a bias gradient has the bits
+    of np.sum over the batch. np.sum adds a 1-wide column pairwise, so where
+    vocab_size or embed_dim is 1 a bias gradient can differ from np.sum's in
+    its last bits (in float32 from 4 windows on)."""
     if cache.params is not params:
         raise ValueError("stale cache: params do not match the forward pass")
     stack, w, ws = _as_stack(params), cache.w, cache.ws
-    dtype = np.float64 if cache.wide else np.float32
     N, B = cache.ids.shape[:2]
     V, d, n = _dims(stack.layout)
     grads = ws.grad.arrays()
 
-    dlogits = cache.probs.astype(dtype)
-    dlogits[ws.node, ws.row, cache.targets] -= 1
+    dlogits = cache.probs
+    dlogits.reshape(-1)[cache.target_at] -= 1
     dlogits /= B
-    grads["head.w"][...] = _t(cache.h_final) @ dlogits
-    grads["head.b"][...] = dlogits.sum(axis=1)
+    np.matmul(_t(cache.h_final), dlogits, out=grads["head.w"])
+    grads["head.b"][...] = _batch_sum(dlogits, ws.ones)
     dh = dlogits @ _t(w["head.w"])
 
     for i in reversed(range(len(cache.blocks))):
         h_in, u = cache.blocks[i]
-        grads[f"block{i}.fc2.w"][...] = _t(u) @ dh
-        grads[f"block{i}.fc2.b"][...] = dh.sum(axis=1)
+        np.matmul(_t(u), dh, out=grads[f"block{i}.fc2.w"])
+        grads[f"block{i}.fc2.b"][...] = _batch_sum(dh, ws.ones)
         du = dh @ _t(w[f"block{i}.fc2.w"])
-        da = du * (1.0 - u * u)
-        grads[f"block{i}.fc1.w"][...] = _t(h_in) @ da
-        grads[f"block{i}.fc1.b"][...] = da.sum(axis=1)
-        dh = dh + da @ _t(w[f"block{i}.fc1.w"])
+        da = u * u  # du * (1 - u * u), in one buffer
+        np.subtract(1.0, da, out=da)
+        da *= du
+        np.matmul(_t(h_in), da, out=grads[f"block{i}.fc1.w"])
+        grads[f"block{i}.fc1.b"][...] = _batch_sum(da, ws.ones)
+        dh += da @ _t(w[f"block{i}.fc1.w"])
 
-    grads["in_proj.w"][...] = _t(cache.x) @ dh
-    grads["in_proj.b"][...] = dh.sum(axis=1)
+    np.matmul(_t(cache.x), dh, out=grads["in_proj.w"])
+    grads["in_proj.b"][...] = _batch_sum(dh, ws.ones)
     dx = dh @ _t(w["in_proj.w"])
     # one flat table of N * V * d entries, so every entry still adds its
     # windows' terms in batch order; np.add.at is several times faster on
     # 1-D operands
-    de = np.zeros(N * V * d, dtype=dtype)
+    de = np.zeros(N * V * d, dtype=dlogits.dtype)
     np.add.at(de, (cache.ids.reshape(N, B * n, 1) * d + ws.embed_offset).reshape(-1),
               dx.reshape(-1))
     grads["embed"][...] = de.reshape(N, V, d)

@@ -454,7 +454,7 @@ def resolve(config: dict, seed: int, rounds: int | None = None) -> ResolvedExper
         cfg["rounds"] = rounds
     top = from_json(_Sections, cfg, "config")
     if top.rounds < 1:
-        raise ValueError("rounds must be >= 1")
+        raise ValueError(f"config rounds: must be >= 1, got {top.rounds}")
     model = from_json(ModelConfig, top.model, "config model")
     trainer = from_json(TrainerConfig, top.trainer, "config trainer")  # its schedule is set below
     if trainer.local_steps == 0:  # the baselines train with it

@@ -9,13 +9,19 @@ replaced, the second the per-window scoring loop that the distinct-context
 of loops can be compared byte for byte. `reference_sample_tokens` keeps the
 per-token `searchsorted` loop that the list-bisecting `sample_tokens`
 replaced.
+
+`reference_forward_backward` keeps the forward and backward kernels that
+the in-place trunk and the BLAS-written gradients replaced. Because
+`reference_local_train` trains with the model's own forward and backward,
+comparing the two training loops cannot catch a change in those kernels;
+this copy can.
 """
 
 import numpy as np
 
 from treefed.aggregation import lr_at
 from treefed.model import backward, forward_loss
-from treefed.tensors import ParamSet, Tensor
+from treefed.tensors import ParamSet, ParamStack, Tensor
 
 
 def oracle_loss(params: ParamSet, batch: np.ndarray,
@@ -124,3 +130,63 @@ def reference_sample_tokens(src, length: int, rng) -> np.ndarray:
         cur = int(np.searchsorted(cum[out[t - 1]], u[t], side="right"))
         out[t] = min(cur, src.vocab_size - 1)
     return out
+
+
+def reference_forward_backward(stack: ParamStack, batch: np.ndarray,
+                               wide: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked forward pass and backward pass as written before the
+    trunk worked in place and BLAS wrote the gradients: each bias gradient a
+    `sum` over the batch, each gradient a temporary copied into the stack.
+    Takes N models and an (N, B, n+1) batch; returns ((N,) float64 losses,
+    (N, P) float32 gradient stack)."""
+    layout = stack.layout
+    V, d = layout.shapes["embed"]
+    n = layout.shapes["in_proj.w"][0] // d
+    num_blocks = sum(1 for name in layout.names if name.endswith(".fc1.w"))
+    N, B, _ = batch.shape
+    node, row = np.arange(N)[:, None], np.arange(B)
+    w = layout.views(stack.buf.astype(np.float64)) if wide else stack.arrays()
+    t = lambda a: a.transpose(0, 2, 1)  # noqa: E731
+    ids, targets = batch[..., :n], batch[..., n]
+
+    x = w["embed"][node[..., None], ids].reshape(N, B, -1)
+    h = x @ w["in_proj.w"] + w["in_proj.b"][:, None]
+    blocks = []
+    for i in range(num_blocks):
+        u = np.tanh(h @ w[f"block{i}.fc1.w"] + w[f"block{i}.fc1.b"][:, None])
+        blocks.append((h, u))
+        h = h + (u @ w[f"block{i}.fc2.w"] + w[f"block{i}.fc2.b"][:, None])
+    logits = h @ w["head.w"] + w["head.b"][:, None]
+    z = logits.astype(np.float64)
+    z -= z.max(axis=2, keepdims=True)
+    ez = np.exp(z)
+    denom = ez.sum(axis=2)
+    probs = ez / denom[..., None]
+    loss = (np.log(denom) - z[node, row, targets]).mean(axis=1)
+
+    dtype = np.float64 if wide else np.float32
+    grad = np.empty((N, layout.size), dtype=np.float32)
+    grads = layout.views(grad)
+    dlogits = probs.astype(dtype)
+    dlogits[node, row, targets] -= 1
+    dlogits /= B
+    grads["head.w"][...] = t(h) @ dlogits
+    grads["head.b"][...] = dlogits.sum(axis=1)
+    dh = dlogits @ t(w["head.w"])
+    for i in reversed(range(num_blocks)):
+        h_in, u = blocks[i]
+        grads[f"block{i}.fc2.w"][...] = t(u) @ dh
+        grads[f"block{i}.fc2.b"][...] = dh.sum(axis=1)
+        du = dh @ t(w[f"block{i}.fc2.w"])
+        da = du * (1.0 - u * u)
+        grads[f"block{i}.fc1.w"][...] = t(h_in) @ da
+        grads[f"block{i}.fc1.b"][...] = da.sum(axis=1)
+        dh = dh + da @ t(w[f"block{i}.fc1.w"])
+    grads["in_proj.w"][...] = t(x) @ dh
+    grads["in_proj.b"][...] = dh.sum(axis=1)
+    dx = dh @ t(w["in_proj.w"])
+    de = np.zeros(N * V * d, dtype=dtype)
+    offset = V * d * node[..., None] + np.arange(d)
+    np.add.at(de, (ids.reshape(N, B * n, 1) * d + offset).reshape(-1), dx.reshape(-1))
+    grads["embed"][...] = de.reshape(N, V, d)
+    return loss, grad

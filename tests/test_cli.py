@@ -109,7 +109,8 @@ class TestRun:
 
     def test_bad_rounds_rejected(self, tiny_config, capsys):
         rc = main(["run", "--config", str(tiny_config), "--rounds", "0"])
-        assert rc != 0
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == ["error: rounds must be >= 1, got 0"]
 
     def test_tree_node_dp_flag_rejected(self, tiny_config, capsys):
         cfg = json.loads(tiny_config.read_text())
@@ -474,6 +475,13 @@ class TestConfigKeys:
          "intra_jitter <= 1, got 2"),
         ("model.vocab_size=1",
          "config model vocab_size: clustered sources need at least 2 tokens, got 1"),
+        ("model.embed_dim=0", "config model: embed_dim must be >= 1, got 0"),
+        ("model.key_block_count=4",
+         "config model: key_block_count must lie in [0, num_blocks = 3], got 4"),
+        ("rounds=0", "config rounds: must be >= 1, got 0"),
+        ("trainer.batch_size=0", "config trainer: batch_size must be >= 1, got 0"),
+        ("trainer.local_steps=-1", "config trainer: local_steps must be >= 0, got -1"),
+        ("trainer.beta2=1", "config trainer: beta2 must lie in [0, 1), got 1"),
         # every baseline trains with the experiment trainer, so it must take a
         # step even when each node trainer does
         ("trainer.local_steps=0",

@@ -23,7 +23,13 @@ from treefed.model import (
 )
 from treefed.tensors import CongruenceError, Layout, ParamSet, ParamStack, Tensor
 
-from oracles import fd_gradient, oracle_loss, reference_local_train, reference_mean_nll
+from oracles import (
+    fd_gradient,
+    oracle_loss,
+    reference_forward_backward,
+    reference_local_train,
+    reference_mean_nll,
+)
 
 TINY = ModelConfig(vocab_size=8, embed_dim=4, num_blocks=2, expansion_ratio=2,
                    key_block_count=1, context_len=2)
@@ -171,6 +177,39 @@ class TestBackward:
         other = init_model(TINY, 0)
         with pytest.raises(ValueError, match="stale"):
             backward(other, cache)
+
+    @settings(max_examples=300, deadline=None)
+    @given(nodes=st.integers(1, 4), batch_size=st.integers(1, 128), blocks=st.integers(1, 4),
+           context=st.integers(1, 3), vocab=st.integers(2, 40), embed=st.integers(2, 12),
+           ratio=st.integers(1, 4), wide=st.booleans(), data=st.data())
+    def test_byte_identical_to_the_reference_kernels(self, nodes, batch_size, blocks, context,
+                                                     vocab, embed, ratio, wide, data):
+        # every layer is at least 2 wide: a 1-wide bias gradient adds its
+        # batch in another order than np.sum did (see backward)
+        cfg = ModelConfig(vocab_size=vocab, embed_dim=embed, num_blocks=blocks,
+                          expansion_ratio=ratio, key_block_count=0, context_len=context)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        layout = init_model(cfg, 0).layout
+        scale = data.draw(st.sampled_from([0.1, 1.0, 3.0]), label="scale")
+        stack = ParamStack(layout, (scale * rng.standard_normal((nodes, layout.size)))
+                           .astype(np.float32))
+        batch = rng.integers(0, vocab, size=(nodes, batch_size, context + 1))
+        want_loss, want_grad = reference_forward_backward(stack, batch, wide)
+        loss, cache = forward_loss(stack, batch, wide)
+        assert loss.tobytes() == want_loss.tobytes()
+        assert backward(stack, cache).buf.tobytes() == want_grad.tobytes()
+
+    def test_every_gradient_entry_is_written(self):
+        # the gradient stack comes from np.empty, so an entry no layer writes
+        # would hand the optimizer stale memory
+        layout = init_model(TINY, 0).layout
+        stack = ParamStack(layout, np.stack([init_model(TINY, s).buf for s in (1, 2, 3)]))
+        batch = np.random.default_rng(5).integers(0, TINY.vocab_size,
+                                                  size=(3, 7, TINY.context_len + 1))
+        ws = model_mod.StepWorkspace(layout, 3, 7)
+        ws.grad.buf.fill(np.nan)
+        _, cache = forward_loss(stack, batch, ws=ws)
+        assert np.isfinite(backward(stack, cache).buf).all()
 
 
 def alternating_tokens(length=512):
