@@ -211,18 +211,14 @@ class StepWorkspace:
     """What every step of one (layout, N nodes, B windows) shape shares: the
     context length and block count, the node index vector, each window's
     offset into the flat logits, each node's offset into the flat embedding
-    gradient, the (B, 2) ones block whose product with a layer's output
-    gradient sums it over the batch, and the (N, P) gradient stack that
-    backward writes.
+    gradient, _batch_sum's ones block and the (N, P) gradient stack.
 
-    backward writes every entry of the gradient stack once per call: BLAS
-    writes each weight gradient straight into its view, each bias gradient
-    is copied from a product with the ones block, and the embedding gradient
-    from a float scatter-add. The stack comes from np.empty, so an entry no
-    layer wrote would hold stale memory. local_train builds one workspace per
-    call, so every backward pass of the call overwrites one gradient buffer.
-    forward_loss builds one for its own call when it is given none, so
-    backward then writes a fresh buffer.
+    backward writes every entry of the gradient stack, which comes from
+    np.empty: BLAS writes each weight gradient straight into its view, and
+    each bias gradient and the embedding gradient are copied in. local_train
+    builds one workspace per call, so every backward pass of the call
+    overwrites one gradient buffer. forward_loss builds one for its own call
+    when it is given none, so backward then writes a fresh buffer.
     """
 
     def __init__(self, layout: Layout, nodes: int, batch_size: int):
@@ -258,8 +254,7 @@ def _trunk(w: dict[str, np.ndarray], ids: np.ndarray, node: np.ndarray, num_bloc
     (N, 1, 1) row index of each node. Returns (x, h, z, ez, denom): the
     concatenated embeddings, the final hidden states, the float64 logits
     shifted by their row maxima, their exps and each row's sum of exps.
-    Appends each block's (input, tanh output) to `blocks` when given. Each
-    layer adds its bias, and a block its input, into its product's buffer."""
+    Appends each block's (input, tanh output) to `blocks` when given."""
     N, B, _ = ids.shape
     x = w["embed"][node, ids].reshape(N, B, -1)
     h = x @ w["in_proj.w"]
@@ -343,12 +338,9 @@ def backward(params: ParamSet | ParamStack, cache: _ForwardCache) -> ParamSet | 
     not checked for non-finite values: local_train checks the parameters it
     updates.
 
-    Each weight gradient is BLAS's product written straight into its view,
-    each bias gradient the sum of a layer's output gradient over the batch
-    in row order (see _batch_sum) and the embedding gradient a scatter-add
-    in batch order, in float32 or, in wide mode, in float64 and rounded
-    once. Where every layer is at least 2 wide, a bias gradient has the bits
-    of np.sum over the batch. np.sum adds a 1-wide column pairwise, so where
+    Each bias gradient is its layer's output gradient summed over the batch
+    in row order (_batch_sum), which has np.sum's bits wherever the layer is
+    at least 2 wide. np.sum adds a 1-wide column pairwise, so where
     vocab_size or embed_dim is 1 a bias gradient can differ from np.sum's in
     its last bits (in float32 from 4 windows on)."""
     if cache.params is not params:

@@ -185,7 +185,7 @@ class TestBackward:
     def test_byte_identical_to_the_reference_kernels(self, nodes, batch_size, blocks, context,
                                                      vocab, embed, ratio, wide, data):
         # every layer is at least 2 wide: a 1-wide bias gradient adds its
-        # batch in another order than np.sum did (see backward)
+        # batch in another order than the reference's np.sum (see backward)
         cfg = ModelConfig(vocab_size=vocab, embed_dim=embed, num_blocks=blocks,
                           expansion_ratio=ratio, key_block_count=0, context_len=context)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
