@@ -27,7 +27,10 @@ CONFIGS = HERE.parent / "configs"
 FILES = ("metrics.csv", "attention.csv", "residuals.csv", "dp.csv")
 EXPORTED = ("fig2", "fig2-swapped", "dp-cc-wk")
 # name: (preset, method, overrides)
-VARIANTS = {"fig2-keyless": ("fig2", "worldlm", ["model.key_block_count=0"])}
+VARIANTS = {"fig2-keyless": ("fig2", "worldlm", ["model.key_block_count=0"]),
+            # one window per val split, which mean_nll scores as a doubled
+            # one-row batch when the split runs through the model alone
+            "fig2-one-val-window": ("fig2", "worldlm", ["data.val_tokens=3"])}
 
 
 def run_files(out: Path, preset: str, method: str, overrides=()) -> tuple[dict, str]:
