@@ -160,31 +160,50 @@ def markov_perplexity(src: MarkovSource, tokens: np.ndarray) -> float:
 
 class ContextIndex(NamedTuple):
     """A token stream's stride-1 (n+1)-token windows sorted by their n
-    context tokens, so that each distinct context can run through a model
-    once (model.mean_nll). It depends only on the stream and n: a split
-    that is scored many times is indexed once (Shard.context_index)."""
+    context tokens, each ranked into a sorted array of distinct contexts, so
+    that each distinct context can run through a model once
+    (model.window_nlls). Streams indexed together (of_streams) share one
+    `distinct` array, their union, and one pass over it scores them all.
+    An index depends only on its streams and n: a split that is scored many
+    times is indexed once (Shard.context_index)."""
 
     order: np.ndarray  # window positions, sorted by context
     targets: np.ndarray  # each sorted window's target token
-    rank: np.ndarray  # each sorted window's distinct context
-    distinct: np.ndarray  # the distinct contexts, in sorted order
+    rank: np.ndarray  # each sorted window's row of `distinct`
+    distinct: np.ndarray  # the distinct contexts, sorted by last token first
     token_range: tuple[int, int]  # the stream's smallest and largest token id
 
     @classmethod
     def of(cls, tokens: np.ndarray, n: int) -> "ContextIndex":
-        tokens = np.asarray(tokens)
-        if len(tokens) < n + 1:
+        return cls.of_streams([tokens], n)[0]
+
+    @classmethod
+    def of_streams(cls, streams, n: int) -> list["ContextIndex"]:
+        """One index per stream, all ranking into one shared `distinct`."""
+        streams = [np.asarray(tokens) for tokens in streams]
+        if any(len(tokens) < n + 1 for tokens in streams):
             raise ValueError("empty or too-short evaluation shard")
-        windows = np.lib.stride_tricks.sliding_window_view(tokens, n + 1)
+        windows = np.concatenate([np.lib.stride_tricks.sliding_window_view(tokens, n + 1)
+                                  for tokens in streams])
         # sorted by context, a window opens a run of equal contexts when it
         # differs from the one before; lexsort compares the token ids as they
-        # are, so no vocab size or context length can overflow it
+        # are, so no vocab size or context length can overflow it. It is
+        # stable, so each stream's windows keep their own sorted order.
         order = np.lexsort(windows[:, :n].T)
         contexts = windows[order, :n]
         first = np.ones(len(order), dtype=bool)
         first[1:] = (contexts[1:] != contexts[:-1]).any(axis=1)
-        return cls(order, windows[order, n], np.cumsum(first) - 1, contexts[first],
-                   (int(tokens.min()), int(tokens.max())))
+        rank, distinct = np.cumsum(first) - 1, contexts[first]
+        starts = np.cumsum([0] + [len(tokens) - n for tokens in streams])
+        out = []
+        for tokens, lo, hi in zip(streams, starts, starts[1:]):
+            mine = (order >= lo) & (order < hi)
+            out.append(cls(order[mine] - lo, windows[order[mine], n], rank[mine], distinct,
+                           (int(tokens.min()), int(tokens.max()))))
+        return out
+
+
+EVAL_SPLITS = ("val", "test")  # the splits a node's model is scored on
 
 
 @dataclass(frozen=True)
@@ -217,9 +236,13 @@ class Shard:
         return h.hexdigest()
 
     def context_index(self, split: str, n: int) -> ContextIndex:
-        """The ContextIndex of a split's n-token contexts, built on first use."""
+        """The ContextIndex of a split's n-token contexts, built on first use.
+        The eval splits are indexed together, into one shared context set, so
+        a model scores both in one pass over it (model.window_nlls)."""
         if (split, n) not in self._indexes:
-            self._indexes[split, n] = ContextIndex.of(getattr(self, split), n)
+            group = EVAL_SPLITS if split in EVAL_SPLITS else (split,)
+            indexes = ContextIndex.of_streams([getattr(self, name) for name in group], n)
+            self._indexes.update({(name, n): index for name, index in zip(group, indexes)})
         return self._indexes[split, n]
 
 

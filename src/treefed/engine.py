@@ -41,7 +41,7 @@ from .aggregation import (
     merge_with_parent,
     server_opt,
 )
-from .datagen import Shard
+from .datagen import EVAL_SPLITS, Shard
 from .model import (
     ModelConfig,
     Partition,
@@ -53,6 +53,7 @@ from .model import (
     local_train,
     mean_nll,
     stack_width,
+    window_nlls,
 )
 from .privacy import ClipState, DpConfig, add_noise, clip, update_bound
 from .residual import ResidualPacket, partition_residuals, route_residuals, turn_node
@@ -161,7 +162,7 @@ def evaluate_round(
     shards: dict[int, Shard],
     round_k: int,
     stage: int,
-    splits=("val", "test"),
+    splits=EVAL_SPLITS,
     memo: dict[int, tuple[ParamSet, dict[str, float]]] | None = None,
 ) -> list[MetricRow]:
     """Per-node perplexity rows on each node's own splits.
@@ -169,7 +170,8 @@ def evaluate_round(
     `memo` maps a node to the params object it last scored and the NLL per
     split. A node whose params are that very object is not scored again. The
     memo holds a reference to the object, so its id cannot be reused. A
-    split's context index is built once and kept with its shard.
+    shard's splits are indexed once, into one shared context set kept with
+    the shard, and a node's model runs once over it for all its splits.
     """
     rows = []
     for nid in sorted(params_by_node):
@@ -177,11 +179,13 @@ def evaluate_round(
             continue
         params, shard = params_by_node[nid], shards[nid]
         nlls = memo[nid][1] if memo and nid in memo and memo[nid][0] is params else {}
-        for split in splits:
-            if split not in nlls:
-                index = shard.context_index(split, context_len(params.layout))
-                nlls[split] = mean_nll(params, getattr(shard, split), index=index)
-            rows.append(_row(method, nid, round_k, stage, split, nlls[split]))
+        todo = [split for split in splits if split not in nlls]
+        if todo:
+            n = context_len(params.layout)
+            scored = window_nlls(params, [shard.context_index(split, n) for split in todo])
+            for split, nll in zip(todo, scored):
+                nlls[split] = mean_nll(params, getattr(shard, split), nll=nll)
+        rows += [_row(method, nid, round_k, stage, split, nlls[split]) for split in splits]
         if memo is not None:
             memo[nid] = (params, nlls)
     return rows

@@ -489,40 +489,74 @@ def local_train(
             for row, row_losses in zip(work, losses)]
 
 
-def mean_nll(params: ParamSet, tokens: np.ndarray, chunk: int = 8192,
-             index: ContextIndex | None = None) -> float:
-    """Mean token NLL (nats) over all stride-1 windows of the token stream.
+def window_nlls(params: ParamSet, indexes: Sequence[ContextIndex],
+                chunk: int = 8192) -> list[np.ndarray]:
+    """Each index's window NLLs (nats), in its stream's window order, from
+    one pass of the model over the distinct contexts the indexes share
+    (ContextIndex.of_streams), at most `chunk` contexts at a time. Every
+    window takes its NLL from its context's row.
 
-    The model reads only a window's n context tokens, so each distinct
-    context runs through the network once, at most `chunk` contexts a pass,
-    and every window takes its NLL from its context's row. The NLLs are then
-    averaged `chunk` windows at a time and the means weighted by their
-    window counts, so the result is byte-identical to scoring the stream
-    with forward_loss, `chunk` windows a call.
-
-    `index` is the stream's ContextIndex for this model's context length,
-    which a caller that scores one stream many times builds once; without
-    it the index is built for this call.
+    A row's bits do not depend on the other rows of its pass while every
+    product takes BLAS's matrix-matrix kernel, so a stream's NLLs are the
+    same scored alone or with others. That holds at an embed_dim of 2 or
+    more, since a pass of one context runs it as two identical rows. At an
+    embed_dim of 1 the products are one column wide and take the
+    matrix-vector kernel, whose rounding depends on the batch, so there a
+    stream scored with others can differ from it scored alone in its last
+    bits.
     """
-    tokens = np.asarray(tokens)
-    V, _, n = _dims(params.layout)
-    if index is None:
-        index = ContextIndex.of(tokens, n)
-    if index.token_range[0] < 0 or index.token_range[1] >= V:
-        raise ValueError("token id out of range")
-    order, targets, rank, distinct = index.order, index.targets, index.rank, index.distinct
+    V = _dims(params.layout)[0]
+    distinct = indexes[0].distinct
+    for index in indexes:
+        if index.distinct is not distinct:
+            raise ValueError("indexes scored in one pass must share one distinct-context array")
+        if index.token_range[0] < 0 or index.token_range[1] >= V:
+            raise ValueError("token id out of range")
     w, num_blocks = _as_stack(params).arrays(), _num_blocks(params.layout)
     node = np.zeros((1, 1, 1), dtype=np.intp)
-    nll = np.empty(len(order))
+    nlls = [np.empty(len(index.order)) for index in indexes]
     for lo in range(0, len(distinct), chunk):
         ids = distinct[lo : lo + chunk]
         # one row would take BLAS's matrix-vector kernel, which rounds
         # differently from the matrix-matrix one a batch of windows takes
         _, _, z, _, denom = _trunk(w, np.concatenate([ids, ids])[None]
                                    if len(ids) == 1 else ids[None], node, num_blocks)
-        a, b = np.searchsorted(rank, [lo, lo + chunk])
-        row = rank[a:b] - lo
-        nll[order[a:b]] = np.log(denom[0])[row] - z[0, row, targets[a:b]]
+        log_denom = np.log(denom[0])
+        for index, nll in zip(indexes, nlls):
+            a, b = np.searchsorted(index.rank, [lo, lo + chunk])
+            row = index.rank[a:b] - lo
+            nll[index.order[a:b]] = log_denom[row] - z[0, row, index.targets[a:b]]
+    return nlls
+
+
+def mean_nll(params: ParamSet, tokens: np.ndarray, chunk: int = 8192,
+             index: ContextIndex | None = None, nll: np.ndarray | None = None) -> float:
+    """Mean token NLL (nats) over all stride-1 windows of the token stream.
+
+    The window NLLs come from window_nlls, which runs each distinct context
+    through the network once. They are averaged `chunk` windows at a time
+    and the means weighted by their window counts, so the result is
+    byte-identical to scoring the stream with forward_loss, `chunk` windows
+    a call, wherever both take BLAS's matrix-matrix kernel (see
+    window_nlls).
+
+    `index` is the stream's ContextIndex for this model's context length,
+    which a caller that scores one stream many times builds once; `nll` is
+    the stream's window NLLs, which a caller that scores several streams in
+    one window_nlls pass passes in. Without them they are built for this
+    call. Either must have one entry per window of `tokens`.
+    """
+    tokens, n = np.asarray(tokens), context_len(params.layout)
+    windows = len(tokens) - n
+    for name, given in (("index", None if index is None else index.order), ("nll", nll)):
+        if given is not None and len(given) != windows:
+            raise ValueError(f"{name} has {len(given)} windows, but the {len(tokens)}-token "
+                             f"stream has {windows} windows of {n} context tokens")
+    if nll is None:
+        (nll,) = window_nlls(params, [ContextIndex.of(tokens, n) if index is None else index],
+                             chunk)
+    elif windows < 1:
+        raise ValueError("empty or too-short evaluation shard")
     total = 0.0
     for start in range(0, len(nll), chunk):
         part = nll[start : start + chunk]

@@ -60,6 +60,43 @@ def test_every_engine_hook_is_called_through_the_engine_namespace(monkeypatch):
     assert [name for name in names if not calls[name]] == []
 
 
+def test_mean_nll_gets_each_scored_model_and_its_split_tokens(monkeypatch):
+    # the trace reads args[0] of every treefed.engine.mean_nll call as the
+    # scored ParamSet and hashes args[1] as the scored split's 1-D tokens, so
+    # each (node, split) that evaluate_round scores must be one call that
+    # passes the node's model and that split's own array; a node whose model
+    # is the one it last scored is not scored again
+    made, evaluations = [], []
+    orig_nll, orig_eval = treefed.engine.mean_nll, treefed.engine.evaluate_round
+
+    def nll_spy(*args, **kwargs):
+        made.append(args[:2])
+        return orig_nll(*args, **kwargs)
+
+    def eval_spy(method, params_by_node, shards, *args, **kwargs):
+        start = len(made)
+        rows = orig_eval(method, params_by_node, shards, *args, **kwargs)
+        evaluations.append((params_by_node, shards, made[start:]))
+        return rows
+
+    monkeypatch.setattr(treefed.engine, "mean_nll", nll_spy)
+    monkeypatch.setattr(treefed.engine, "evaluate_round", eval_spy)
+    execute(ExperimentPlan(method="worldlm", preset="dp-cc-wk", rounds=2, seed=1))
+    last = {}
+    for params_by_node, shards, calls in evaluations:
+        scored = []
+        for params, tokens in calls:
+            (nid, split), = [(nid, split) for nid in params_by_node for split in ("val", "test")
+                             if getattr(shards[nid], split) is tokens]
+            assert isinstance(params, ParamSet) and params is params_by_node[nid]
+            assert tokens.ndim == 1
+            scored.append((nid, split))
+        changed = [nid for nid in sorted(params_by_node) if last.get(nid) is not params_by_node[nid]]
+        assert scored == [(nid, split) for nid in changed for split in ("val", "test")]
+        last.update(params_by_node)
+    assert sum(len(calls) for *_, calls in evaluations) == len(made) > 0
+
+
 def test_tensor_count_and_round_clock_hooks_exist():
     # bench/tracing.py counts Tensor constructions; bench/hostclock.py cuts
     # untraced runs into rounds at evaluate_round

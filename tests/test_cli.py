@@ -583,6 +583,13 @@ class TestExportPreset:
         assert rc != 0
         assert "zzz" in capsys.readouterr().err
 
+    def test_runs_as_a_module(self):
+        # `python -m treefed` works from a source checkout, with no installed script
+        env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run([sys.executable, "-m", "treefed", "export-preset", "fig2"],
+                             env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == (CONFIGS / "fig2.json").read_text()
+
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
     def test_shipped_config_is_the_exported_preset(self, path, capsys):
         assert main(["export-preset", path.stem]) == 0

@@ -498,21 +498,22 @@ class TestEvaluationMemo:
         assert len(calls) == 2 * (13 + 9)
 
     def test_each_split_is_indexed_once(self, monkeypatch):
-        # a 2-round fit over 7 nodes x 2 splits builds 14 context indexes
+        # a 2-round fit over 7 nodes x 2 splits builds 14 context indexes,
+        # each shard's val and test together in one joint build
         tree = fig2_tree()
         shards, _ = shards_for(tree)
         owner = {id(getattr(shard, split)): (nid, split)
                  for nid, shard in shards.items() for split in ("val", "test")}
         built = []
-        orig_build = ContextIndex.of
+        orig_build = ContextIndex.of_streams
 
-        def build(tokens, n):
-            built.append(owner[id(tokens)])
-            return orig_build(tokens, n)
+        def build(streams, n):
+            built.append([owner[id(tokens)] for tokens in streams])
+            return orig_build(streams, n)
 
-        monkeypatch.setattr(ContextIndex, "of", build)
+        monkeypatch.setattr(ContextIndex, "of_streams", build)
         fit(tree, shards, cfg_for(tree, shards, rounds=2))
-        assert sorted(built) == sorted(owner.values())
+        assert sorted(built) == sorted([(nid, "val"), (nid, "test")] for nid in shards)
 
     def test_memo_matches_object_not_bytes(self):
         tree = depth1_tree(1)

@@ -20,6 +20,7 @@ from treefed.model import (
     param_shapes,
     sample_batch,
     stack_width,
+    window_nlls,
 )
 from treefed.tensors import CongruenceError, Layout, ParamSet, ParamStack, Tensor
 
@@ -530,12 +531,16 @@ class TestEvaluatePerplexity:
 
 class TestMeanNll:
     """mean_nll scores each distinct context once; reference_mean_nll runs
-    forward_loss on every chunk of windows. Both take BLAS's matrix-matrix
-    kernel, which gives a row the same bits in any batch of two or more
-    rows. A one-row batch, or an embed_dim of 1 (one-column products), takes
-    the matrix-vector kernel instead, which rounds differently and depends
-    on the batch: there the loop's figure is not a function of the windows
-    alone, and the two agree only to rounding."""
+    forward_loss on every chunk of windows, and window_nlls scores several
+    streams in one pass over the union of their contexts. All take BLAS's
+    matrix-matrix kernel, which gives a row the same bits in any batch of
+    two or more rows, so a stream's mean is the same bytes alone or scored
+    with others. A one-row batch, or an embed_dim of 1 (one-column
+    products), takes the matrix-vector kernel instead, which rounds
+    differently and depends on the batch: there the loop's figure is not a
+    function of the windows alone, and the two agree only to rounding.
+    mean_nll and window_nlls run a one-row batch as two copies of the row,
+    so only an embed_dim of 1 lies outside their byte-identity."""
 
     @settings(max_examples=80, deadline=None)
     @given(vocab=st.integers(2, 64), context=st.integers(1, 4), embed=st.integers(2, 8),
@@ -575,3 +580,54 @@ class TestMeanNll:
         for bad in (TINY.vocab_size, -1):
             with pytest.raises(ValueError, match="token id out of range"):
                 mean_nll(init_model(TINY, 0), np.array([0, 1, bad, 2]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(vocab=st.integers(2, 64), context=st.integers(1, 4), embed=st.integers(2, 8),
+           chunk=st.integers(1, 6), data=st.data())
+    def test_joint_scoring_equals_each_stream_alone(self, vocab, context, embed, chunk, data):
+        cfg = ModelConfig(vocab_size=vocab, embed_dim=embed, num_blocks=1, expansion_ratio=2,
+                          key_block_count=0, context_len=context)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        layout = init_model(cfg, 0).layout
+        params = ParamSet.from_buffer(layout, rng.standard_normal(layout.size).astype(np.float32))
+        # an alphabet of one token gives one context; one window per stream
+        # is the shortest stream
+        alphabet = data.draw(st.integers(1, min(vocab, 4)), label="alphabet")
+        sizes = data.draw(st.lists(st.integers(1, 3 * chunk + 2), min_size=1, max_size=3),
+                          label="windows")
+        streams = [rng.integers(0, alphabet, size=w + context) for w in sizes]
+        indexes = ContextIndex.of_streams(streams, context)
+        union = indexes[0].distinct
+        assert all(index.distinct is union for index in indexes)
+        # lexsort's order: by the last context token, then the one before
+        assert all(tuple(a[::-1]) < tuple(b[::-1]) for a, b in zip(union[:-1], union[1:]))
+        windows = [np.lib.stride_tricks.sliding_window_view(t, context + 1) for t in streams]
+        assert {tuple(c) for w in windows for c in w[:, :context]} == {tuple(c) for c in union}
+        for w, index in zip(windows, indexes):
+            assert sorted(index.order) == list(range(len(w)))
+            assert (union[index.rank] == w[index.order, :context]).all()
+            assert (index.targets == w[index.order, context]).all()
+        for tokens, nll in zip(streams, window_nlls(params, indexes, chunk)):
+            joint = mean_nll(params, tokens, chunk, nll=nll)
+            alone = mean_nll(params, tokens, chunk)
+            assert np.float64(joint).tobytes() == np.float64(alone).tobytes()
+
+    def test_index_or_nlls_of_another_stream_rejected(self):
+        params = init_model(TINY, 0)
+        tokens = np.arange(12) % TINY.vocab_size
+        val, test = tokens[:5], tokens[5:]
+        index = ContextIndex.of(val, TINY.context_len)
+        for other in (test, []):
+            with pytest.raises(ValueError, match=rf"index has 3 windows, but the "
+                                                 rf"{len(other)}-token stream has "
+                                                 rf"{len(other) - 2} windows"):
+                mean_nll(params, other, index=index)
+        (nll,) = window_nlls(params, [index])
+        with pytest.raises(ValueError, match="nll has 3 windows, but the 7-token stream has 5"):
+            mean_nll(params, test, nll=nll)
+        assert mean_nll(params, val, nll=nll) == mean_nll(params, val)
+
+    def test_indexes_of_separate_builds_are_not_scored_together(self):
+        a, b = (ContextIndex.of(np.arange(k, k + 6) % 8, TINY.context_len) for k in (0, 1))
+        with pytest.raises(ValueError, match="share one distinct-context array"):
+            window_nlls(init_model(TINY, 0), [a, b])
