@@ -193,12 +193,12 @@ class ContextIndex(NamedTuple):
         contexts = windows[order, :n]
         first = np.ones(len(order), dtype=bool)
         first[1:] = (contexts[1:] != contexts[:-1]).any(axis=1)
-        rank, distinct = np.cumsum(first) - 1, contexts[first]
+        targets, rank, distinct = windows[order, n], np.cumsum(first) - 1, contexts[first]
         starts = np.cumsum([0] + [len(tokens) - n for tokens in streams])
         out = []
         for tokens, lo, hi in zip(streams, starts, starts[1:]):
             mine = (order >= lo) & (order < hi)
-            out.append(cls(order[mine] - lo, windows[order[mine], n], rank[mine], distinct,
+            out.append(cls(order[mine] - lo, targets[mine], rank[mine], distinct,
                            (int(tokens.min()), int(tokens.max()))))
         return out
 
