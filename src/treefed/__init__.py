@@ -32,14 +32,13 @@ from .model import (
     TrainerConfig,
     TrainJob,
     backward,
-    evaluate_perplexity,
     forward_loss,
     init_model,
     local_train,
 )
 from .privacy import ClipState, DpConfig, add_noise, clip, update_bound
 from .residual import ResidualPacket, partition_residuals, route_residuals
-from .tensors import CongruenceError, ParamSet, ParamStack, Tensor, axpy, l2_norm
+from .tensors import CongruenceError, ParamSet, ParamStack, axpy, l2_norm
 from .topology import FederationTree, NodeSpec, validate
 
 __version__ = "0.1.0"

@@ -5,7 +5,8 @@ each run writes the same files, under --out/<experiment id>/ (ablation runs
 add __<axis>-on or __<axis>-off):
   metrics.csv    per-(node, round, stage, split) loss/perplexity rows
   manifest.json  resolved config, seed, content hash of the inputs, the
-                 treefed version and the numpy and BLAS builds it ran on
+                 treefed version, and the numpy version and BLAS kernels it
+                 ran on
   attention.csv  per-layer attention weights by candidate origin
   residuals.csv  residual packet hop decisions
   dp.csv         pre-clip norms, bounds, and noise levels (DP runs)
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import sys
 import time
@@ -91,7 +93,7 @@ def resolve_plan(plan: ExperimentPlan) -> ResolvedExperiment:
 def execute(plan: ExperimentPlan, exp: ResolvedExperiment | None = None) -> tuple[ResolvedExperiment, RunResult]:
     exp = exp or resolve_plan(plan)
     if plan.method == "worldlm":
-        result = fit(exp.tree, exp.shards, exp.engine, method="worldlm")
+        result = fit(exp.tree, exp.shards, exp.engine)
     elif plan.method == "flat_fl":
         result = run_flat_fl(exp.leaf_ids, exp.shards, exp.engine, rounds=exp.total_stages)
     elif plan.method == "local":
@@ -105,16 +107,41 @@ def _experiment_id(exp: ResolvedExperiment, plan: ExperimentPlan) -> str:
     return f"{exp.name}__{plan.method}__seed{plan.seed}"
 
 
+def openblas_runtime() -> tuple[str, str] | None:
+    """(configuration, core name) that the scipy-openblas bundled in numpy's
+    wheel reports, or None without one. OpenBLAS picks its kernel core when
+    it loads (OPENBLAS_CORETYPE forces one), and both strings name it."""
+    root = Path(np.__file__).resolve().parent
+    for path in sorted([*root.parent.glob("numpy.libs/*openblas*"),
+                        *root.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+            query = (lib.scipy_openblas_get_config64_, lib.scipy_openblas_get_corename64_)
+        except (OSError, AttributeError):  # not loadable, or another build
+            continue
+        for fn in query:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+        return query[0]().decode(), query[1]().decode()
+    return None
+
+
 def numerics() -> dict[str, str]:
-    """The numpy version and BLAS build that a run's bits depend on: BLAS
-    kernels round matrix products differently across builds and CPUs."""
+    """The numpy version and BLAS that a run's bits depend on: BLAS kernels
+    round matrix products differently across builds and CPUs. `blas` is the
+    configuration the loaded OpenBLAS reports and `blas_core` the kernel
+    core it runs; without that report, `blas` is numpy's build
+    configuration, else "unknown", and the core is "unknown"."""
+    runtime = openblas_runtime()
+    if runtime:
+        return {"numpy": np.__version__, "blas": runtime[0], "blas_core": runtime[1]}
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy before 1.26 only prints its build configuration
         blas = {}
     named = " ".join(str(blas[k]) for k in ("name", "version") if k in blas)
     return {"numpy": np.__version__,
-            "blas": blas.get("openblas configuration") or named or "unknown"}
+            "blas": blas.get("openblas configuration") or named or "unknown",
+            "blas_core": "unknown"}
 
 
 def write_outputs(out_dir: Path, exp: ResolvedExperiment, plan: ExperimentPlan,

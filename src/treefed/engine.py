@@ -133,14 +133,6 @@ class RunResult:
                 out[row.node] = row.perplexity
         return out
 
-    def node_series(self, node: int, split: str = "test") -> list[float]:
-        """Per-round perplexity trace for one node (last stage of each round)."""
-        per_round: dict[int, float] = {}
-        for row in self.rows:
-            if row.node == node and row.split == split:
-                per_round[row.round] = row.perplexity
-        return [per_round[k] for k in sorted(per_round)]
-
 
 @dataclass
 class _NodeState:
@@ -162,32 +154,29 @@ def evaluate_round(
     shards: dict[int, Shard],
     round_k: int,
     stage: int,
-    splits=EVAL_SPLITS,
     memo: dict[int, tuple[ParamSet, dict[str, float]]] | None = None,
 ) -> list[MetricRow]:
-    """Per-node perplexity rows on each node's own splits.
+    """Per-node perplexity rows on each node's own EVAL_SPLITS.
 
-    `memo` maps a node to the params object it last scored and the NLL per
-    split. A node whose params are that very object is not scored again. The
-    memo holds a reference to the object, so its id cannot be reused. A
-    shard's splits are indexed once, into one shared context set kept with
-    the shard, and a node's model runs once over it for all its splits.
+    `memo` maps a node to the params object it last scored and its NLL on
+    each split. A node whose params are that very object is not scored
+    again. The memo holds a reference to the object, so its id cannot be
+    reused. A shard's splits are indexed once, into one shared context set
+    kept with the shard, and a node's model runs once over it.
     """
+    memo = {} if memo is None else memo
     rows = []
     for nid in sorted(params_by_node):
         if nid not in shards:
             continue
         params, shard = params_by_node[nid], shards[nid]
-        nlls = memo[nid][1] if memo and nid in memo and memo[nid][0] is params else {}
-        todo = [split for split in splits if split not in nlls]
-        if todo:
+        if nid not in memo or memo[nid][0] is not params:
             n = context_len(params.layout)
-            scored = window_nlls(params, [shard.context_index(split, n) for split in todo])
-            for split, nll in zip(todo, scored):
-                nlls[split] = mean_nll(params, getattr(shard, split), nll=nll)
-        rows += [_row(method, nid, round_k, stage, split, nlls[split]) for split in splits]
-        if memo is not None:
-            memo[nid] = (params, nlls)
+            scored = window_nlls(params, [shard.context_index(split, n) for split in EVAL_SPLITS])
+            memo[nid] = (params, {split: mean_nll(params, getattr(shard, split), nll=nll)
+                                  for split, nll in zip(EVAL_SPLITS, scored)})
+        nlls = memo[nid][1]
+        rows += [_row(method, nid, round_k, stage, split, nlls[split]) for split in EVAL_SPLITS]
     return rows
 
 
@@ -254,12 +243,9 @@ class _Run:
     scored: dict[int, tuple[ParamSet, dict[str, float]]] = field(default_factory=dict)
 
     @classmethod
-    def start(cls, tree: FederationTree, shards: dict[int, Shard], cfg: EngineConfig,
-              method: str) -> _Run:
+    def start(cls, tree: FederationTree, shards: dict[int, Shard], cfg: EngineConfig) -> _Run:
         """Check the tree and DP clients; start every node from one model."""
-        bad = validate(tree)
-        if bad:
-            raise ValueError("invalid tree: " + "; ".join(bad))
+        check_tree_and_dp(tree, cfg.dp)
         part = Partition.for_config(cfg.model)
         base = init_model(cfg.model, cfg.seed)
         zero = part.split(base)[0].zeros_like()
@@ -267,11 +253,8 @@ class _Run:
                  for nid in tree.nodes}
         clip_states: dict[int, ClipState] = {}
         for nid in cfg.dp.enabled_nodes if cfg.dp else ():
-            parent = tree.nodes[nid].parent
-            if parent is None:
-                raise ValueError("the root cannot be a DP client")
-            clip_states.setdefault(parent, ClipState(bound=cfg.dp.initial_bound))
-        return cls(tree, shards, cfg, part, state, clip_states, RunResult(method=method, rows=[]))
+            clip_states.setdefault(tree.nodes[nid].parent, ClipState(bound=cfg.dp.initial_bound))
+        return cls(tree, shards, cfg, part, state, clip_states, RunResult(method="worldlm", rows=[]))
 
     def enter(self, round_k: int, nid: int) -> None:
         """Adopt the parent's backbone and merge keys with the parent's and,
@@ -341,10 +324,22 @@ class _Run:
                 for label, weight in zip(labels, weights, strict=True)]
 
 
-def fit(tree: FederationTree, shards: dict[int, Shard], cfg: EngineConfig,
-        method: str = "worldlm") -> RunResult:
+def check_tree_and_dp(tree: FederationTree, dp: DpConfig | None) -> None:
+    """Reject an invalid tree, or a DP client outside it or at its root."""
+    bad = validate(tree)
+    if bad:
+        raise ValueError("invalid tree: " + "; ".join(bad))
+    for nid in sorted(dp.enabled_nodes) if dp else ():
+        if nid not in tree.nodes:
+            raise ValueError(f"config dp enabled_nodes: node {nid} is not in the tree")
+        if tree.nodes[nid].parent is None:
+            raise ValueError(f"config dp enabled_nodes: node {nid} is the root, "
+                             "which has no server to be a client of")
+
+
+def fit(tree: FederationTree, shards: dict[int, Shard], cfg: EngineConfig) -> RunResult:
     """Execute `cfg.rounds` rounds of the hierarchical procedure."""
-    run = _Run.start(tree, shards, cfg, method)
+    run = _Run.start(tree, shards, cfg)
     stages = tree.levels()
     servers = [nid for level in reversed(stages) for nid in level if tree.nodes[nid].children]
     for round_k in range(cfg.rounds):
@@ -364,7 +359,6 @@ def run_flat_fl(
     shards: dict[int, Shard],
     cfg: EngineConfig,
     rounds: int,
-    method: str = "flat_fl",
 ) -> RunResult:
     """One server over all leaves: full-model FedAvg with momentum, no keys,
     no residuals. Each round is one sequential step."""
@@ -375,7 +369,7 @@ def run_flat_fl(
     momentum = server.zeros_like()
     dp = cfg.dp
     cs = ClipState(bound=dp.initial_bound) if dp and dp.enabled_nodes else None
-    result = RunResult(method=method, rows=[])
+    result = RunResult(method="flat_fl", rows=[])
 
     for round_k in range(rounds):
         outs = dict(_train_stacked(
@@ -383,11 +377,11 @@ def run_flat_fl(
             lambda nid: TrainJob(server, shards[nid].train,
                                  rng_for(cfg.seed, nid, round_k, _TRAIN_TAG))))
         for nid in leaf_ids:
-            result.rows.append(_row(method, nid, round_k, 0, "train", outs[nid].mean_loss))
+            result.rows.append(_row(result.method, nid, round_k, 0, "train", outs[nid].mean_loss))
         server, momentum = server_step(server, [(nid, outs[nid].params) for nid in leaf_ids],
                                        momentum, cfg, round_k, cs, result.dp_log)
         result.rows.extend(
-            evaluate_round(method, {nid: server for nid in leaf_ids}, shards, round_k, 0))
+            evaluate_round(result.method, {nid: server for nid in leaf_ids}, shards, round_k, 0))
 
     result.seq_steps = rounds
     result.final_models = {nid: server for nid in leaf_ids}
@@ -427,10 +421,9 @@ def run_local(
     shards: dict[int, Shard],
     cfg: EngineConfig,
     budget_steps: int,
-    method: str = "local",
 ) -> RunResult:
     """Independent per-leaf training at the same sequential-step budget."""
-    result = RunResult(method=method, rows=[], seq_steps=budget_steps)
+    result = RunResult(method="local", rows=[], seq_steps=budget_steps)
     models = {nid: (shards[nid].train, nid, [nid]) for nid in sorted(leaf_ids)}
     result.final_models = _train_apart(result, models, shards, cfg, budget_steps)
     return result
@@ -441,25 +434,15 @@ def run_centralized(
     shards: dict[int, Shard],
     cfg: EngineConfig,
     budget_steps: int,
-    method: str = "centralized",
 ) -> RunResult:
     """One model on the union of all leaf training streams."""
     leaf_ids = sorted(leaf_ids)
     pooled = np.concatenate([shards[nid].train for nid in leaf_ids])
-    result = RunResult(method=method, rows=[], seq_steps=budget_steps)
+    result = RunResult(method="centralized", rows=[], seq_steps=budget_steps)
     models = {0: (pooled, _CENTRAL_NODE, leaf_ids)}
     params = _train_apart(result, models, shards, cfg, budget_steps)[0]
     result.final_models = {nid: params for nid in leaf_ids}
     return result
-
-
-def trailing_best(series: list[float], width: int = 3) -> list[float]:
-    """Min over a trailing window; the convergence diagnostic used by the
-    acceptance checks (non-increasing on convergent runs)."""
-    out = []
-    for i in range(len(series)):
-        out.append(min(series[max(0, i - width + 1) : i + 1]))
-    return out
 
 
 def content_hash(config_obj: dict, shards: dict[int, Shard]) -> str:

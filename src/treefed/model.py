@@ -76,12 +76,6 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
-def param_count(cfg: ModelConfig) -> int:
-    V, d, H = cfg.vocab_size, cfg.embed_dim, cfg.num_blocks
-    e, n = cfg.expansion_ratio, cfg.context_len
-    return V * d + (n * d * d + d) + H * (2 * e * d * d + e * d + d) + (d * V + V)
-
-
 def init_model(cfg: ModelConfig, seed: int) -> ParamSet:
     """Deterministic init: weights uniform in +-1/sqrt(fan_in), biases zero.
 
@@ -388,7 +382,6 @@ def backward(params: ParamSet | ParamStack, cache: _ForwardCache) -> ParamSet | 
 @dataclass
 class TrainResult:
     params: ParamSet
-    steps_taken: int
     mean_loss: float
 
 
@@ -440,14 +433,13 @@ def local_train(
     V, _, n = _dims(layout)
     streams = [np.asarray(job.tokens) for job in jobs]
     for tokens in streams:
-        if tokens.size == 0:
-            raise ValueError("empty shard")
         if len(tokens) < n + 1:
-            raise ValueError("shard too short for one context window")
+            raise ValueError(f"a shard of {len(tokens)} tokens is shorter than one context "
+                             f"window ({n + 1} tokens)")
         if tokens.min() < 0 or tokens.max() >= V:
             raise ValueError("token id out of range")
     if trainer.local_steps == 0:
-        return [TrainResult(job.params, 0, float("nan")) for job in jobs]
+        return [TrainResult(job.params, float("nan")) for job in jobs]
     rngs = [np.random.default_rng(job.rng_seed) for job in jobs]
     # the workspace, the batches and the scratch are allocated before
     # `work`, whose rows outlive this call as the trained models, so the
@@ -484,8 +476,7 @@ def local_train(
             den = np.add(np.sqrt(v2, out=tmp), eps_hat, out=tmp)
             work -= np.divide(np.multiply(m, alpha, out=step), den, out=step)
         check_finite(layout, work)
-    return [TrainResult(ParamSet.from_buffer(layout, row), trainer.local_steps,
-                        float(np.mean(row_losses)))
+    return [TrainResult(ParamSet.from_buffer(layout, row), float(np.mean(row_losses)))
             for row, row_losses in zip(work, losses)]
 
 
@@ -496,14 +487,16 @@ def window_nlls(params: ParamSet, indexes: Sequence[ContextIndex],
     (ContextIndex.of_streams), at most `chunk` contexts at a time. Every
     window takes its NLL from its context's row.
 
-    A row's bits do not depend on the other rows of its pass while every
-    product takes BLAS's matrix-matrix kernel, so a stream's NLLs are the
-    same scored alone or with others. That holds at an embed_dim of 2 or
-    more, since a pass of one context runs it as two identical rows. At an
-    embed_dim of 1 the products are one column wide and take the
-    matrix-vector kernel, whose rounding depends on the batch, so there a
-    stream scored with others can differ from it scored alone in its last
-    bits.
+    On OpenBLAS's SkylakeX kernels, where this was measured, a row's bits
+    do not depend on the other rows of its pass while every product takes
+    BLAS's matrix-matrix kernel, so a stream's NLLs are the same scored
+    alone or with others: from an embed_dim of 2 on, as a pass of one
+    context runs it as two identical rows. At an embed_dim of 1 the
+    products take the batch-dependent matrix-vector kernel instead. On the
+    Haswell kernels (OPENBLAS_CORETYPE=Haswell) the property fails even for
+    matrix-matrix products, at an embed_dim of 8 among others. In both cases
+    a stream scored with others can differ from it scored alone in its last
+    bits; reruns stay byte-identical on every kernel.
     """
     V = _dims(params.layout)[0]
     distinct = indexes[0].distinct
@@ -530,31 +523,28 @@ def window_nlls(params: ParamSet, indexes: Sequence[ContextIndex],
 
 
 def mean_nll(params: ParamSet, tokens: np.ndarray, chunk: int = 8192,
-             index: ContextIndex | None = None, nll: np.ndarray | None = None) -> float:
+             nll: np.ndarray | None = None) -> float:
     """Mean token NLL (nats) over all stride-1 windows of the token stream.
 
     The window NLLs come from window_nlls, which runs each distinct context
     through the network once. They are averaged `chunk` windows at a time
     and the means weighted by their window counts, so the result is
     byte-identical to scoring the stream with forward_loss, `chunk` windows
-    a call, wherever both take BLAS's matrix-matrix kernel (see
-    window_nlls).
+    a call, wherever both take BLAS's matrix-matrix kernel and a row's bits
+    do not depend on its batch: measured on SkylakeX kernels, not on
+    Haswell's (see window_nlls).
 
-    `index` is the stream's ContextIndex for this model's context length,
-    which a caller that scores one stream many times builds once; `nll` is
-    the stream's window NLLs, which a caller that scores several streams in
-    one window_nlls pass passes in. Without them they are built for this
-    call. Either must have one entry per window of `tokens`.
+    `nll` is the stream's window NLLs, which a caller that scores several
+    streams in one window_nlls pass passes in; it must have one entry per
+    window of `tokens`. Without it they are scored for this call.
     """
     tokens, n = np.asarray(tokens), context_len(params.layout)
     windows = len(tokens) - n
-    for name, given in (("index", None if index is None else index.order), ("nll", nll)):
-        if given is not None and len(given) != windows:
-            raise ValueError(f"{name} has {len(given)} windows, but the {len(tokens)}-token "
-                             f"stream has {windows} windows of {n} context tokens")
     if nll is None:
-        (nll,) = window_nlls(params, [ContextIndex.of(tokens, n) if index is None else index],
-                             chunk)
+        (nll,) = window_nlls(params, [ContextIndex.of(tokens, n)], chunk)
+    elif len(nll) != windows:
+        raise ValueError(f"nll has {len(nll)} windows, but the {len(tokens)}-token "
+                         f"stream has {windows} windows of {n} context tokens")
     elif windows < 1:
         raise ValueError("empty or too-short evaluation shard")
     total = 0.0
@@ -562,9 +552,3 @@ def mean_nll(params: ParamSet, tokens: np.ndarray, chunk: int = 8192,
         part = nll[start : start + chunk]
         total += float(part.mean()) * len(part)
     return total / len(nll)
-
-
-def evaluate_perplexity(params: ParamSet, tokens: np.ndarray, chunk: int = 8192) -> float:
-    """exp(mean token NLL); may overflow to inf for diverged models."""
-    with np.errstate(over="ignore"):
-        return float(np.exp(mean_nll(params, tokens, chunk)))

@@ -38,10 +38,10 @@ from .datagen import (
     split_sizes,
     split_stream,
 )
-from .engine import EngineConfig, ResidualConfig, ServerConfig, stage_trainees
+from .engine import EngineConfig, ResidualConfig, ServerConfig, check_tree_and_dp, stage_trainees
 from .model import ModelConfig, TrainerConfig
 from .privacy import DpConfig
-from .topology import FederationTree, NodeSpec, validate
+from .topology import FederationTree, NodeSpec
 
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
                list: "a list", frozenset: "a list", dict: "an object"}
@@ -348,16 +348,6 @@ class ResolvedExperiment:
         return self.engine.rounds * self.stages_per_round
 
 
-def _check_dp_clients(tree: FederationTree, dp: DpConfig | None) -> None:
-    """Reject DP clients that are not in the tree or are its root."""
-    for nid in sorted(dp.enabled_nodes) if dp else ():
-        if nid not in tree.nodes:
-            raise ValueError(f"config dp enabled_nodes: node {nid} is not in the tree")
-        if tree.nodes[nid].parent is None:
-            raise ValueError(f"config dp enabled_nodes: node {nid} is the root, "
-                             "which has no server to be a client of")
-
-
 def _clustered_shards(tree: FederationTree, data: ClusteredData, model: ModelConfig, seed: int):
     """Every node's shard and the sources, over the model's vocab, once that
     vocab holds at least 2 tokens, the leaf maps name the tree's leaves and
@@ -470,10 +460,7 @@ def resolve(config: dict, seed: int, rounds: int | None = None) -> ResolvedExper
     data_cls, build_shards = _DATA_KINDS[kind]
     data = from_json(data_cls, top.data, "config data")
     tree = tree_from_json(top.tree, trainer)
-    bad = validate(tree)
-    if bad:
-        raise ValueError("invalid tree: " + "; ".join(bad))
-    _check_dp_clients(tree, dp)
+    check_tree_and_dp(tree, dp)
     if not any(n.trains_locally and (n.trainer or trainer).local_steps for n in tree.nodes.values()):
         raise ValueError("config tree: no node trains locally with at least one local step")
     shards, sources = build_shards(tree, data, model, seed)

@@ -13,8 +13,8 @@ slice of the buffer holds its values in row-major order.
 A ParamStack holds N sets of one layout as the rows of an (N, size) array,
 the form in which same-shape nodes train together.
 
-Values must stay finite. A ParamSet is checked once per buffer when it is
-built, and the error names the first non-finite entry in layout order. A
+Values must stay finite. `ParamSet.from_buffer` checks a set's buffer once,
+and the error names the first non-finite entry in layout order. A
 ParamStack is not checked when it is built: `check_finite` checks it, with
 the same message, where it is trained.
 
@@ -45,14 +45,10 @@ class CongruenceError(ValueError):
 
 
 class Tensor:
-    """A named float32 array: the view of one ParamSet entry, or an entry
-    to build a ParamSet from (which checks its values)."""
+    """The view of one ParamSet entry: its name and a shaped view of the
+    set's buffer, as `ps[name]` and iteration yield it."""
 
     __slots__ = ("name", "data")
-
-    def __init__(self, name: str, data: np.ndarray | Iterable[float]):
-        self.name = name
-        self.data = np.asarray(data, dtype=np.float32)
 
     @classmethod
     def view(cls, name: str, data: np.ndarray) -> "Tensor":
@@ -130,28 +126,18 @@ class ParamSet:
 
     __slots__ = ("layout", "buf", "_arrays")
 
-    def __init__(self, tensors: Iterable[Tensor] = ()):
-        tensors = list(tensors)
-        layout = Layout.of((t.name, t.shape) for t in tensors)
-        buf = np.empty(layout.size, dtype=np.float32)
-        for t in tensors:
-            buf[layout.slices[t.name]] = t.data.ravel()
-        self._adopt(layout, buf)
-
     @classmethod
     def from_buffer(cls, layout: Layout, buf: np.ndarray) -> "ParamSet":
-        """A set over `buf` itself (no copy), laid out by `layout`."""
-        ps = cls.__new__(cls)
-        ps._adopt(layout, buf)
-        return ps
-
-    def _adopt(self, layout: Layout, buf: np.ndarray) -> None:
+        """A set over `buf` itself (no copy), laid out by `layout`: the one
+        way to build a set."""
         if buf.dtype != np.float32 or buf.shape != (layout.size,):
             raise ValueError(f"buffer {buf.dtype}{buf.shape} does not fit a "
                              f"float32 layout of {layout.size} values")
         check_finite(layout, buf)
         buf.flags.writeable = False
-        self.layout, self.buf, self._arrays = layout, buf, None
+        ps = cls.__new__(cls)
+        ps.layout, ps.buf, ps._arrays = layout, buf, None
+        return ps
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Name -> shaped view of the buffer (built once per set)."""
@@ -159,41 +145,24 @@ class ParamSet:
             self._arrays = self.layout.views(self.buf)
         return self._arrays
 
-    def names(self) -> list[str]:
-        return list(self.layout.names)
-
-    def signature(self) -> list[tuple[str, tuple[int, ...]]]:
-        return list(self.layout.signature)
-
-    def __len__(self) -> int:
-        return len(self.layout.names)
-
     def __iter__(self) -> Iterator[Tensor]:
         return (Tensor.view(name, a) for name, a in self.arrays().items())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.layout.slices
 
     def __getitem__(self, name: str) -> Tensor:
         return Tensor.view(name, self.arrays()[name])
 
-    def congruent(self, other: "ParamSet") -> bool:
-        return self.layout is other.layout
-
     def require_congruent(self, other: "ParamSet") -> None:
-        if not self.congruent(other):
-            raise CongruenceError(
-                f"param sets not congruent: {self.signature()} vs {other.signature()}"
-            )
-
-    def copy(self) -> "ParamSet":
-        return ParamSet.from_buffer(self.layout, self.buf.copy())
+        """Raise unless the sets share one layout: the same names and shapes
+        in the same order."""
+        if self.layout is not other.layout:
+            raise CongruenceError(f"param sets not congruent: {list(self.layout.signature)} "
+                                  f"vs {list(other.layout.signature)}")
 
     def zeros_like(self) -> "ParamSet":
         return ParamSet.from_buffer(self.layout, np.zeros_like(self.buf))
 
     def __repr__(self) -> str:
-        return f"ParamSet(tensors={self.names()})"
+        return f"ParamSet(tensors={list(self.layout.names)})"
 
 
 class ParamStack:

@@ -15,13 +15,53 @@ the in-place trunk and the BLAS-written gradients replaced. Because
 `reference_local_train` trains with the model's own forward and backward,
 comparing the two training loops cannot catch a change in those kernels;
 this copy can.
+
+`param_set` is how tests build a ParamSet from values, `param_count` gives a
+config's parameter count in closed form, and `node_series` and
+`trailing_best` are the per-round diagnostics the acceptance checks read.
 """
 
 import numpy as np
 
 from treefed.aggregation import lr_at
 from treefed.model import backward, forward_loss
-from treefed.tensors import ParamSet, ParamStack, Tensor
+from treefed.tensors import Layout, ParamSet, ParamStack
+
+
+def param_set(entries) -> ParamSet:
+    """A ParamSet of the entries, a name -> values mapping or (name, values)
+    pairs, in order: each cast to float32, laid out by Layout.of and copied
+    into one buffer."""
+    pairs = [(name, np.asarray(values, dtype=np.float32))
+             for name, values in (entries.items() if isinstance(entries, dict) else entries)]
+    layout = Layout.of((name, a.shape) for name, a in pairs)
+    buf = np.concatenate([np.empty(0, np.float32)] + [a.ravel() for _, a in pairs])
+    return ParamSet.from_buffer(layout, buf)
+
+
+def param_count(cfg) -> int:
+    """A model config's parameter count in closed form."""
+    V, d, H = cfg.vocab_size, cfg.embed_dim, cfg.num_blocks
+    e, n = cfg.expansion_ratio, cfg.context_len
+    return V * d + (n * d * d + d) + H * (2 * e * d * d + e * d + d) + (d * V + V)
+
+
+def node_series(result, node: int, split: str = "test") -> list[float]:
+    """A RunResult's per-round perplexity for one node: its last row of
+    each round on `split`."""
+    per_round: dict[int, float] = {}
+    for row in result.rows:
+        if row.node == node and row.split == split:
+            per_round[row.round] = row.perplexity
+    return [per_round[k] for k in sorted(per_round)]
+
+
+def trailing_best(series: list[float], width: int = 3) -> list[float]:
+    """Min over a trailing window: non-increasing on a convergent series."""
+    out = []
+    for i in range(len(series)):
+        out.append(min(series[max(0, i - width + 1) : i + 1]))
+    return out
 
 
 def oracle_loss(params: ParamSet, batch: np.ndarray,
@@ -60,20 +100,19 @@ def fd_gradient(params: ParamSet, batch: np.ndarray, name: str, idx: int,
 
 def reference_local_train(params: ParamSet, tokens: np.ndarray, trainer,
                           rng_seed, global_step: int) -> tuple[ParamSet, float]:
-    """The per-tensor local_train loop: one Tensor per parameter and per
-    gradient at every step, batches stacked window by window, float32 Adam
+    """The per-tensor local_train loop: a set built anew from per-tensor
+    arrays at every step, batches stacked window by window, float32 Adam
     moments per tensor. Returns (params, mean_loss)."""
     _, d = params["embed"].shape
     n = params["in_proj.w"].shape[0] // d
     rng = np.random.default_rng(rng_seed)
     work = {t.name: t.data.astype(np.float32).copy() for t in params}
-    names = params.names()
     m = {k: np.zeros(v.shape, dtype=np.float32) for k, v in work.items()}
     v2 = {k: np.zeros(v.shape, dtype=np.float32) for k, v in work.items()}
     b1, b2 = np.float32(trainer.beta1), np.float32(trainer.beta2)
     one_minus_b1, one_minus_b2 = np.float32(1 - trainer.beta1), np.float32(1 - trainer.beta2)
     losses = []
-    current = ParamSet(Tensor(k, work[k]) for k in names)
+    current = param_set(work)
     for i in range(trainer.local_steps):
         lr = lr_at(global_step + i, trainer.schedule)
         starts = rng.integers(0, len(tokens) - n, size=trainer.batch_size)
@@ -97,7 +136,7 @@ def reference_local_train(params: ParamSet, tokens: np.ndarray, trainer,
                 v2[g.name] = v2[g.name] * b2 + (g.data * one_minus_b2) * g.data
                 step = (m[g.name] * alpha) / (np.sqrt(v2[g.name]) + eps_hat)
                 work[g.name] = work[g.name] - step
-        current = ParamSet(Tensor(k, work[k]) for k in names)
+        current = param_set(work)
     return current, float(np.mean(losses))
 
 

@@ -24,15 +24,14 @@ from treefed.aggregation import (
 )
 from treefed.cli import ExperimentPlan, execute, final_leaf_mean, main
 from treefed.datagen import entropy_rate, make_clustered_sources, markov_perplexity, sample_tokens
-from treefed.engine import trailing_best
-from treefed.model import ModelConfig, backward, forward_loss, init_model, param_count
+from treefed.model import ModelConfig, backward, forward_loss, init_model
 from treefed.presets import apply_overrides, preset_config, resolve
 from treefed.privacy import ClipState, clip, update_bound
 from treefed.residual import ResidualPacket, route_residuals
-from treefed.tensors import ParamSet, Tensor, l2_norm
+from treefed.tensors import l2_norm
 from treefed.topology import FederationTree
 
-from oracles import fd_gradient
+from oracles import fd_gradient, node_series, param_count, param_set, trailing_best
 
 SEEDS = (1, 2, 3)
 _cache: dict = {}
@@ -76,9 +75,7 @@ class TestCriterion1UnitInvariants:
         assert worst <= 1e-9
 
         for _ in range(1000):
-            delta = ParamSet(
-                [Tensor("a", rng.normal(scale=rng.uniform(0.1, 5),
-                                        size=16).astype(np.float32))])
+            delta = param_set({"a": rng.normal(scale=rng.uniform(0.1, 5), size=16)})
             bound = float(rng.uniform(0.05, 2.0))
             out, _ = clip(delta, bound)
             assert l2_norm(out) <= bound * (1 + 1e-6)
@@ -86,8 +83,8 @@ class TestCriterion1UnitInvariants:
         assert update_bound(ClipState(bound=1.0, norms=[0.5, 1.0, 2.0])) == 1.0
         assert update_bound(ClipState(bound=1.0, norms=[1.0, 3.0])) == 2.0
 
-        b = ParamSet([Tensor("a", np.array([1.0, 2.0], dtype=np.float32))])
-        d = ParamSet([Tensor("a", np.array([0.25, -0.5], dtype=np.float32))])
+        b = param_set({"a": [1.0, 2.0]})
+        d = param_set({"a": [0.25, -0.5]})
         out, _ = server_opt(b, d, b.zeros_like(), ServerConfig(eta=1.0, mu=0.0))
         assert out["a"].data.tobytes() == np.array([1.25, 1.5], dtype=np.float32).tobytes()
 
@@ -188,7 +185,7 @@ class TestCriterion6DpRobustness:
             # (b) worldlm trailing-window best finite and non-increasing
             # after round 6; flat FL final >= 2x its non-DP value
             series = np.mean(
-                [wlm_dp_res.node_series(l) for l in wlm_dp_exp.leaf_ids], axis=0)
+                [node_series(wlm_dp_res, l) for l in wlm_dp_exp.leaf_ids], axis=0)
             tb = trailing_best(list(series))
             finite = bool(np.isfinite(series).all())
             monotone = all(tb[i + 1] <= tb[i] + 1e-12 for i in range(6, len(tb) - 1))
@@ -210,8 +207,8 @@ class TestCriterion7SwapResidualAblation:
             swap_exp, res_swap = run_cached("fig2-swapped", "worldlm", seed)
             _, res_noresid = run_cached("fig2-swapped", "worldlm", seed,
                                         {"residual.nu": 0})
-            root_base.append(res_base.node_series(0)[-1])
-            root_swap.append(res_swap.node_series(0)[-1])
+            root_base.append(node_series(res_base, 0)[-1])
+            root_swap.append(node_series(res_swap, 0)[-1])
             on = final_leaf_mean(swap_exp, res_swap)[0]
             off = final_leaf_mean(swap_exp, res_noresid)[0]
             if on <= off:
@@ -233,7 +230,7 @@ class TestCriterion8RoutingCorrectness:
         trials = 1000
         for _ in range(trials):
             cached = {
-                cid: ParamSet([Tensor("a", rng.normal(size=8).astype(np.float32))])
+                cid: param_set({"a": rng.normal(size=8)})
                 for cid in (1, 2, 3)
             }
             origin = int(rng.choice([4, 5, 6, 7]))

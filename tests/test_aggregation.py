@@ -15,11 +15,9 @@ from treefed.aggregation import (
     server_opt,
 )
 from treefed.residual import ResidualPacket
-from treefed.tensors import CongruenceError, ParamSet, Tensor
+from treefed.tensors import CongruenceError
 
-
-def t(name, values):
-    return Tensor(name, np.array(values, dtype=np.float32))
+from oracles import param_set
 
 
 def v(values):
@@ -27,7 +25,7 @@ def v(values):
 
 
 def keyset(name_vals):
-    return ParamSet(t(n, vals) for n, vals in name_vals)
+    return param_set(name_vals)
 
 
 class TestAttendLayer:
@@ -98,7 +96,7 @@ class TestAttendLayer:
 class TestAggregateChildKeys:
     def test_identical_children_idempotent(self):
         own = keyset([("a", [1.0, 2.0]), ("b", [3.0, 4.0])])
-        out, _ = aggregate_child_keys(own, [(1, own.copy()), (2, own.copy())],
+        out, _ = aggregate_child_keys(own, [(1, own), (2, own)],
                                       AttentionConfig())
         for tensor in out:
             np.testing.assert_allclose(tensor.data, own[tensor.name].data, rtol=1e-6)
@@ -136,7 +134,7 @@ class TestAggregateChildKeys:
 class TestMergeWithParent:
     def test_parent_identical_no_packets(self):
         own = keyset([("a", [1.0, 2.0])])
-        out, _ = merge_with_parent(own, own.copy(), [], AttentionConfig())
+        out, _ = merge_with_parent(own, own, [], AttentionConfig())
         np.testing.assert_allclose(out["a"].data, own["a"].data, rtol=1e-6)
 
     def test_parent_orthogonal_two_candidate_softmax(self):
@@ -162,7 +160,7 @@ class TestMergeWithParent:
         pkt = ResidualPacket(origin=5, layer="zz", values=v([1.0]),
                              created_round=0)
         with pytest.raises(KeyError):
-            merge_with_parent(own, own.copy(), [pkt], AttentionConfig())
+            merge_with_parent(own, own, [pkt], AttentionConfig())
 
 
 class TestAveragePseudograds:

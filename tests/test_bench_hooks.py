@@ -4,6 +4,9 @@ only the benchmark, so every hook is resolved here."""
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -17,8 +20,10 @@ from treefed.cli import ExperimentPlan, execute
 from treefed.model import init_model
 from treefed.presets import preset_config, resolve
 from treefed.residual import ResidualPacket, route_residuals
-from treefed.tensors import ParamSet, Tensor
+from treefed.tensors import ParamSet
 from treefed.topology import FederationTree
+
+from oracles import param_set
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -136,8 +141,27 @@ def test_every_residual_action_feeds_a_packet_counter():
     tree = FederationTree.from_children_map({0: [1], 1: [2, 3]})
     pkt = ResidualPacket(origin=2, layer="a", values=np.ones(2, np.float32),
                          created_round=0)
-    out = route_residuals([pkt], [(1, ParamSet([Tensor("a", np.ones(2, np.float32))]))],
+    out = route_residuals([pkt], [(1, param_set({"a": np.ones(2)}))],
                           AttentionConfig(), tree, round_k=1)
     actions |= {e["action"] for e in out.events}
     assert "drop:origin-exclusion" in actions
     assert actions <= set(tracing_module()._PACKET_ACTIONS)
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+@pytest.mark.parametrize("workload", ["fig2-worldlm", "fig2-flat_fl", "wide-dp"])
+def test_the_benchmark_worker_runs_each_workload(workload, trace, tmp_path):
+    # one shrunk repetition through bench/worker.py, so that a change the
+    # benchmark cannot run fails here; a traced run reports every per-layer
+    # metric BENCHMARK.json declares
+    root = TRACING.parent.parent
+    argv = [sys.executable, str(root / "bench" / "worker.py"), "--workload", workload,
+            "--seed", "1", "--seconds", "1", "--rounds", "1", "--trace", str(trace),
+            "--out", str(tmp_path)]
+    out = subprocess.run(argv, capture_output=True, text=True, cwd=root)
+    assert out.returncode == 0, out.stderr
+    record = json.loads(out.stdout.splitlines()[-1])
+    assert record["failed"] == 0 and record["attempted"] >= 2
+    if trace:
+        declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+        assert {m["name"] for m in declared} <= set(record["metrics"])

@@ -70,9 +70,11 @@ class TestRun:
         assert (run_dir / "residuals.csv").exists()
 
     def test_numerics_without_a_build_config_dict(self, monkeypatch):
-        # numpy before 1.26 has no show_config(mode="dicts")
+        # numpy before 1.26 has no show_config(mode="dicts"), and a numpy
+        # that bundles no OpenBLAS has no runtime report
+        monkeypatch.setattr(cli, "openblas_runtime", lambda: None)
         monkeypatch.setattr(np, "show_config", lambda: None)
-        assert numerics() == {"numpy": np.__version__, "blas": "unknown"}
+        assert numerics() == {"numpy": np.__version__, "blas": "unknown", "blas_core": "unknown"}
 
     def test_missing_preset_names_it(self, capsys):
         rc = main(["run", "--preset", "nope"])
@@ -168,6 +170,20 @@ class TestBlasPin:
 
     def test_user_value_wins(self):
         assert self.run_import("2") == "2"
+
+    def test_numerics_names_the_core_openblas_runs(self):
+        # OPENBLAS_CORETYPE forces the core OpenBLAS picks when it loads; the
+        # build configuration would name the same build target either way
+        if cli.openblas_runtime() is None:
+            pytest.skip("numpy bundles no OpenBLAS that reports its core")
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+               "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        code = "import json, treefed.cli; print(json.dumps(treefed.cli.numerics()))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        got = json.loads(out.stdout)
+        assert got["blas_core"] == "Haswell"
+        assert " Haswell " in got["blas"]
 
 
 class TestCompare:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,12 +23,14 @@ from treefed.engine import (
     run_centralized,
     run_flat_fl,
     run_local,
-    trailing_best,
 )
 from treefed.model import ModelConfig, TrainerConfig, init_model, local_train
+from treefed.presets import preset_config, resolve
 from treefed.privacy import DpConfig
-from treefed.tensors import ParamSet, Tensor
+from treefed.tensors import ParamSet
 from treefed.topology import FederationTree
+
+from oracles import param_set, trailing_best
 
 
 def small_model(key_blocks=1):
@@ -83,9 +87,9 @@ def reference_fedavg(leaf_ids, shards, cfg, rounds):
     for k in range(rounds):
         locals_ = []
         for nid in sorted(leaf_ids):
-            ps = ParamSet(Tensor(n, server[n]) for n in names)
-            [out] = local_train([(ps, shards[nid].train, rng_for(cfg.seed, nid, k, 2))],
-                                cfg.trainer, k * cfg.trainer.local_steps)
+            [out] = local_train(
+                [(param_set(server), shards[nid].train, rng_for(cfg.seed, nid, k, 2))],
+                cfg.trainer, k * cfg.trainer.local_steps)
             locals_.append({t.name: t.data for t in out.params})
         for n in names:
             deltas = [np.float32(-1.0) * server[n] + loc[n] for loc in locals_]
@@ -167,6 +171,14 @@ class TestFitBasics:
                               1: NodeSpec(id=1, parent=None, children=[])})
         with pytest.raises(ValueError, match="invalid tree"):
             fit(bad, {}, cfg_for(bad, {}))
+
+    def test_dp_client_outside_the_tree_rejected(self):
+        # fit checks the tree and DP clients as resolve does, so a client
+        # that is not in the tree is named, not a bare KeyError
+        exp = resolve(preset_config("dp-cc-wk"), seed=1, rounds=1)
+        exp.engine.dp = dataclasses.replace(exp.engine.dp, enabled_nodes={9})
+        with pytest.raises(ValueError, match="node 9 is not in the tree"):
+            fit(exp.tree, exp.shards, exp.engine)
 
     def test_backbone_broadcast_invariant(self, monkeypatch):
         # at entry to a child's stage, its backbone must equal the parent's
@@ -388,9 +400,9 @@ class TestEvaluateRound:
         tree = depth1_tree(3)
         shards, _ = shards_for(tree)
         params = {nid: init_model(small_model(), 0) for nid in tree.leaves()}
-        rows = evaluate_round("m", params, shards, 0, 0, splits=("test",))
-        assert len(rows) == 3
-        assert [(r.node, r.split) for r in rows] == [(nid, "test") for nid in sorted(params)]
+        rows = evaluate_round("m", params, shards, 0, 0)
+        assert [(r.node, r.split) for r in rows] == [
+            (nid, split) for nid in sorted(params) for split in ("val", "test")]
 
     def test_identical_models_zero_std(self):
         sources = make_clustered_sources(1, 1, 0.0, 8, seed=7, concentration=0.2)
@@ -401,9 +413,10 @@ class TestEvaluateRound:
                              train_tokens=400, val_tokens=64, test_tokens=64)
         shards = {1: shard, 2: shard}
         params = {1: init_model(small_model(), 0), 2: init_model(small_model(), 0)}
-        rows = evaluate_round("m", params, shards, 0, 0, splits=("test",))
-        assert [r.node for r in rows] == [1, 2]
-        assert rows[0].perplexity == rows[1].perplexity
+        rows = evaluate_round("m", params, shards, 0, 0)
+        assert [(r.node, r.split) for r in rows] == [(1, "val"), (1, "test"),
+                                                     (2, "val"), (2, "test")]
+        assert [r.perplexity for r in rows[:2]] == [r.perplexity for r in rows[2:]]
 
 
 class TestTrailingBest:
@@ -523,6 +536,7 @@ class TestEvaluationMemo:
         first = evaluate_round("m", {1: params}, shards, 0, 0, memo=memo)
         assert memo[1][0] is params
         again = evaluate_round("m", {1: params}, shards, 0, 1, memo=memo)
-        copy = evaluate_round("m", {1: params.copy()}, shards, 0, 1, memo=memo)
+        copy = evaluate_round("m", {1: ParamSet.from_buffer(params.layout, params.buf.copy())},
+                              shards, 0, 1, memo=memo)
         assert [r.loss for r in again] == [r.loss for r in first] == [r.loss for r in copy]
         assert memo[1][0] is not params

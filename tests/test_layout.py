@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treefed.aggregation import average_pseudograds
-from treefed.model import ModelConfig, Partition, init_model, param_count, param_shapes
+from treefed.model import ModelConfig, Partition, init_model, param_shapes
 from treefed.privacy import add_noise, clip
-from treefed.tensors import Layout, ParamSet, Tensor, axpy, l2_norm
+from treefed.tensors import Layout, ParamSet, axpy, l2_norm
+
+from oracles import param_count, param_set
 
 PROPS = settings(max_examples=40, deadline=None)
 
@@ -41,14 +43,9 @@ def congruent_sets(draw, count):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
     return [
-        ParamSet([Tensor(f"t{i}", np.asarray(scale * rng.standard_normal(s), np.float32))
-                  for i, s in enumerate(shapes)])
+        param_set((f"t{i}", scale * rng.standard_normal(s)) for i, s in enumerate(shapes))
         for _ in range(count)
     ]
-
-
-def joined(tensors) -> bytes:
-    return b"".join(np.ascontiguousarray(t.data).tobytes() for t in tensors)
 
 
 @PROPS
@@ -86,7 +83,7 @@ def test_split_then_assemble_is_byte_identical(cfg, seed):
     params = init_model(cfg, seed)
     backbone_names, key_names = part.backbone_layout.names, part.key_layout.names
     names = backbone_names + key_names
-    assert sorted(names) == sorted(params.names()) and len(set(names)) == len(names)
+    assert sorted(names) == sorted(params.layout.names) and len(set(names)) == len(names)
     backbone, keys = part.split(params)
     assert backbone.layout.names == backbone_names and keys.layout.names == key_names
     # the keys are one contiguous run of the layout, and split views them in place
@@ -95,8 +92,8 @@ def test_split_then_assemble_is_byte_identical(cfg, seed):
         assert at == list(range(at[0], at[0] + len(at)))
         assert np.shares_memory(keys.buf, params.buf)
     # the backbone is every other entry, in layout order
-    rest = [n for n in params.names() if n not in key_names]
-    assert backbone.names() == rest
+    rest = [n for n in params.layout.names if n not in key_names]
+    assert list(backbone.layout.names) == rest
     assert backbone.buf.tobytes() == b"".join(params[n].data.tobytes() for n in rest)
     for t in backbone:
         assert t.data.tobytes() == params[t.name].data.tobytes()
@@ -144,8 +141,8 @@ def test_l2_norm_and_clip_equal_per_tensor_loop(sets, bound):
     factor = 1.0 if norm <= bound else bound / norm
     clipped, pre = clip(delta, bound)
     assert pre == norm
-    assert clipped.buf.tobytes() == joined(
-        Tensor(t.name, np.float32(factor) * t.data) for t in delta)
+    assert clipped.buf.tobytes() == b"".join((np.float32(factor) * t.data).tobytes()
+                                             for t in delta)
 
 
 @PROPS

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from treefed.privacy import ClipState, DpConfig, add_noise, clip, update_bound
-from treefed.tensors import ParamSet, Tensor, l2_norm
+from treefed.tensors import l2_norm
+
+from oracles import param_set
 
 
 def ps(values):
-    return ParamSet([Tensor("a", np.array(values, dtype=np.float32))])
+    return param_set({"a": values})
 
 
 class TestClip:
@@ -44,14 +46,14 @@ class TestAddNoise:
 
     def test_noise_std_is_sigma_times_bound(self):
         n = 1_000_000
-        delta = ParamSet([Tensor("a", np.zeros(n, dtype=np.float32))])
+        delta = ps(np.zeros(n))
         out = add_noise(delta, 0.5, 1.0, np.random.default_rng(123))
         std = float(out["a"].data.std())
         assert 0.498 <= std <= 0.502
 
     def test_noise_scales_with_bound(self):
         n = 200_000
-        delta = ParamSet([Tensor("a", np.zeros(n, dtype=np.float32))])
+        delta = ps(np.zeros(n))
         out = add_noise(delta, 0.5, 4.0, np.random.default_rng(7))
         assert out["a"].data.std() == pytest.approx(2.0, rel=0.02)
 

@@ -2,9 +2,11 @@
 distribution, routing respects origin subtrees and ceilings, every residual
 packet a run selects ends exactly once in the next round, clipping respects
 its bound, validate accepts exactly the well-formed trees, resolve rejects a
-config value of the wrong JSON type before sampling, and the Markov sampler
-matches its per-token reference byte for byte."""
+config value of the wrong JSON type before sampling, the Markov sampler
+matches its per-token reference byte for byte, and a run of R rounds logs
+the first R rounds of a longer run."""
 
+import csv
 import re
 from collections import Counter
 from unittest import mock
@@ -15,15 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treefed import engine, presets
+from treefed.cli import main
 from treefed.aggregation import AttentionConfig, aggregate_child_keys, merge_with_parent
 from treefed.datagen import MarkovSource, sample_tokens
 from treefed.presets import preset_config, resolve, tree_to_json
 from treefed.privacy import clip
 from treefed.residual import ResidualPacket, partition_residuals, route_residuals, turn_node
-from treefed.tensors import ParamSet, Tensor, l2_norm
+from treefed.tensors import l2_norm
 from treefed.topology import FederationTree, NodeSpec, validate
 
-from oracles import reference_sample_tokens
+from oracles import param_set, reference_sample_tokens
 
 PROPS = settings(max_examples=60, deadline=None)
 
@@ -39,7 +42,7 @@ def vectors(size):
 @st.composite
 def key_sets(draw, sizes, count):
     """`count` congruent key sets with one layer per entry of `sizes`."""
-    return [ParamSet(Tensor(f"k{i}", draw(vectors(n))) for i, n in enumerate(sizes))
+    return [param_set((f"k{i}", draw(vectors(n))) for i, n in enumerate(sizes))
             for _ in range(count)]
 
 
@@ -89,7 +92,7 @@ def trees(draw, max_nodes=12):
 def test_routing_never_lands_in_the_origin_subtree(data, tree, similarity):
     router = data.draw(st.sampled_from([n for n in tree.nodes if not tree.is_leaf(n)]))
     children = tree.nodes[router].children
-    child_keys = [(cid, ParamSet([Tensor("a", data.draw(vectors(3)))])) for cid in children]
+    child_keys = [(cid, param_set({"a": data.draw(vectors(3))})) for cid in children]
     packets = [ResidualPacket(origin=origin, layer="a", values=data.draw(vectors(3)),
                               created_round=data.draw(st.integers(0, 3)))
                for origin in data.draw(st.lists(st.sampled_from(list(tree.nodes)),
@@ -167,7 +170,7 @@ def test_every_selected_packet_ends_once_in_the_next_round(data, tree):
        seed=st.integers(0, 2**32 - 1))
 def test_clipped_norm_within_bound(scale, bound, size, seed):
     values = 10.0 ** scale * np.random.default_rng(seed).standard_normal(size)
-    out, _ = clip(ParamSet([Tensor("a", values.astype(np.float32))]), 10.0 ** bound)
+    out, _ = clip(param_set({"a": values}), 10.0 ** bound)
     assert l2_norm(out) <= 10.0 ** bound * (1 + 1e-6)
 
 
@@ -314,3 +317,36 @@ def test_sample_tokens_matches_the_per_token_reference(src, lengths, seed):
         want = reference_sample_tokens(src, length, reference)
         assert got.dtype == np.int64
         assert got.tobytes() == want.tobytes()
+
+
+# dp-cc-wk shrunk to a tiny model and short streams, on a fixed schedule
+_TINY_DP = ["model.embed_dim=4", "model.num_blocks=2", "model.expansion_ratio=1",
+            "trainer.local_steps=2", "trainer.batch_size=4", "schedule.total_steps=60",
+            "data.val_tokens=64", "data.test_tokens=64",
+            *(f"data.leaf_budgets.{leaf}=400" for leaf in (3, 4, 5, 6))]
+
+
+def _logged_rows(run_dir) -> dict[str, list[dict]]:
+    return {name: list(csv.DictReader(open(run_dir / name, newline="")))
+            for name in ("metrics.csv", "attention.csv", "residuals.csv", "dp.csv")}
+
+
+@pytest.mark.parametrize("method", ["worldlm", "flat_fl", "local", "centralized"])
+def test_a_shorter_run_is_a_prefix_of_a_longer_one(method, tmp_path, capsys):
+    # no state that carries across rounds (evaluation memo, clip bounds,
+    # inboxes, momentum) may depend on how many rounds follow; a baseline
+    # runs 3 flat rounds per round, one per trainable level of dp-cc-wk
+    logs = {}
+    for rounds in (2, 3):
+        argv = ["run", "--preset", "dp-cc-wk", "--method", method, "--rounds", str(rounds),
+                "--seed", "1", "--out", str(tmp_path / str(rounds))]
+        assert main([*argv, *(a for o in _TINY_DP for a in ("--override", o))]) == 0
+        logs[rounds] = _logged_rows(tmp_path / str(rounds) / f"dp-cc-wk__{method}__seed1")
+    capsys.readouterr()
+    limit = 2 if method == "worldlm" else 2 * 3
+    for name, rows in logs[2].items():
+        longer = logs[3][name]
+        assert rows == [row for row in longer if int(row["round"]) < limit], name
+        assert bool(rows) == (len(longer) > len(rows)), name
+    logged = {"worldlm": list(logs[2]), "flat_fl": ["metrics.csv", "dp.csv"]}
+    assert [name for name, rows in logs[2].items() if rows] == logged.get(method, ["metrics.csv"])

@@ -3,14 +3,11 @@ import pytest
 
 from treefed.aggregation import AttentionConfig, similarity, vector_norm
 from treefed.residual import ResidualPacket, partition_residuals, route_residuals, turn_node
-from treefed.tensors import ParamSet, Tensor
 from treefed.topology import FederationTree
 
+from oracles import param_set
+
 FIG2 = {0: [1, 2], 1: [3, 4], 2: [5, 6]}
-
-
-def t(name, values):
-    return Tensor(name, np.array(values, dtype=np.float32))
 
 
 def v(values):
@@ -18,7 +15,7 @@ def v(values):
 
 
 def keys(vec, name="a"):
-    return ParamSet([t(name, vec)])
+    return param_set({name: vec})
 
 
 def tree():
@@ -47,14 +44,14 @@ class TestPartitionResiduals:
 
     def test_identical_children_suppressed_by_threshold(self):
         own = keys([1.0, 2.0])
-        children = [(3, own.copy()), (4, own.copy())]
+        children = [(3, own), (4, own)]
         pkts = partition_residuals(own, children, nu=2, cfg=AttentionConfig(),
                                    round_k=0)
         assert pkts == []
 
     def test_infinite_threshold_emits_unconditionally(self):
         own = keys([1.0, 2.0])
-        children = [(3, own.copy()), (4, own.copy())]
+        children = [(3, own), (4, own)]
         pkts = partition_residuals(own, children, nu=2, cfg=AttentionConfig(),
                                    round_k=0,
                                    threshold=float("inf"))
@@ -63,7 +60,7 @@ class TestPartitionResiduals:
     def test_tie_broken_by_lower_id(self):
         own = keys([1.0, 0.0])
         same = keys([0.0, 1.0])
-        pkts = partition_residuals(own, [(9, same.copy()), (4, same.copy())], nu=1,
+        pkts = partition_residuals(own, [(9, same), (4, same)], nu=1,
                                    cfg=AttentionConfig(), round_k=0)
         assert pkts[0].origin == 4
 
@@ -73,9 +70,9 @@ class TestPartitionResiduals:
                                 AttentionConfig(), 0, {})
 
     def test_per_layer_selection(self):
-        own = ParamSet([t("a", [1.0, 0.0]), t("b", [0.0, 1.0])])
-        c3 = ParamSet([t("a", [1.0, 0.0]), t("b", [1.0, 0.0])])
-        c4 = ParamSet([t("a", [0.0, 1.0]), t("b", [0.0, 1.0])])
+        own = param_set({"a": [1.0, 0.0], "b": [0.0, 1.0]})
+        c3 = param_set({"a": [1.0, 0.0], "b": [1.0, 0.0]})
+        c4 = param_set({"a": [0.0, 1.0], "b": [0.0, 1.0]})
         pkts = partition_residuals(own, [(3, c3), (4, c4)], nu=1,
                                    cfg=AttentionConfig(), round_k=0)
         chosen = {p.layer: p.origin for p in pkts}

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from treefed.aggregation import AttentionConfig, similarity, vector_norm
-from treefed.tensors import CongruenceError, ParamSet, Tensor, axpy, l2_norm
+from treefed.tensors import CongruenceError, axpy, l2_norm
+
+from oracles import param_set
 
 
 def ps(*pairs):
-    return ParamSet(Tensor(n, np.array(v, dtype=np.float32)) for n, v in pairs)
+    return param_set(pairs)
 
 
 def cosine(a, b):
@@ -27,9 +29,8 @@ class TestTensor:
             ps(("t", [np.inf]))
 
     def test_shape_and_size(self):
-        t = Tensor("t", np.zeros((2, 3), dtype=np.float32))
-        assert t.shape == (2, 3)
-        assert t.size == 6
+        t = ps(("s", [1.0]), ("t", np.zeros((2, 3))))["t"]
+        assert (t.name, t.shape, t.size) == ("t", (2, 3), 6)
 
 
 class TestParamSet:
@@ -41,13 +42,14 @@ class TestParamSet:
         a = ps(("x", [1.0, 2.0]))
         b = ps(("y", [1.0, 2.0]))  # same shape, different name
         c = ps(("x", [1.0, 2.0, 3.0]))
-        assert not a.congruent(b)
-        assert not a.congruent(c)
-        assert a.congruent(ps(("x", [9.0, 9.0])))
+        for other in (b, c):
+            with pytest.raises(CongruenceError, match="not congruent"):
+                a.require_congruent(other)
+        a.require_congruent(ps(("x", [9.0, 9.0])))
 
     def test_insertion_order_preserved(self):
         p = ps(("b", [1.0]), ("a", [2.0]))
-        assert p.names() == ["b", "a"]
+        assert p.layout.names == ("b", "a")
 
 
 class TestAxpy:
@@ -129,4 +131,4 @@ class TestNormsAndSimilarity:
         rng = np.random.default_rng(3)
         p = ps(("a", rng.normal(size=64).astype(np.float32)),
                ("b", rng.normal(size=32).astype(np.float32)))
-        assert l2_norm(p) == l2_norm(p.copy())
+        assert l2_norm(p) == l2_norm(ps(*((t.name, t.data) for t in p)))
