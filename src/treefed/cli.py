@@ -65,7 +65,9 @@ def _write_csv(path: Path, header, rows) -> None:
         w.writerows([f"{x:.10g}" if isinstance(x, float) else x for x in row] for row in rows)
 
 
-# run-directory CSV -> (RunResult log it is written from, columns)
+# run-directory CSV -> (RunResult log it is written from, columns). The
+# attention and dp logs hold NamedTuples with these fields, written by
+# position; residual_log rows are dicts, written by key.
 _LOG_FILES = {
     "attention.csv": ("attention_log", ("node", "round", "stage", "layer", "candidate", "weight")),
     "residuals.csv": ("residual_log", ("round", "router", "origin", "layer", "created_round",
@@ -164,7 +166,8 @@ def write_outputs(out_dir: Path, exp: ResolvedExperiment, plan: ExperimentPlan,
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
     for name, (log, columns) in _LOG_FILES.items():
         _write_csv(out_dir / name, columns,
-                   ([r[c] for c in columns] for r in getattr(result, log)))
+                   (r if isinstance(r, tuple) else [r[c] for c in columns]
+                    for r in getattr(result, log)))
     _write_csv(out_dir / "timings.csv", ("experiment_id", "seconds"),
                [(experiment_id, f"{elapsed:.3f}")])
 

@@ -80,6 +80,27 @@ class MetricRow(NamedTuple):
     perplexity: float
 
 
+class AttentionRow(NamedTuple):
+    """One candidate's weight in one layer's attention at a node."""
+
+    node: int
+    round: int
+    stage: str  # "merge" with the parent, or "children" at aggregation
+    layer: str
+    candidate: str
+    weight: float
+
+
+class DpRow(NamedTuple):
+    """One DP client's sanitized pseudo-gradient in one round."""
+
+    round: int
+    node: int
+    pre_clip_norm: float
+    bound: float
+    noise_std: float
+
+
 @dataclass
 class ResidualConfig:
     """Per key layer, at most nu child layers below threshold similarity."""
@@ -119,9 +140,9 @@ def stage_trainees(tree: FederationTree, level: list[int], shards: dict[int, Sha
 class RunResult:
     method: str
     rows: list[MetricRow]
-    attention_log: list[dict] = field(default_factory=list)
+    attention_log: list[AttentionRow] = field(default_factory=list)
     residual_log: list[dict] = field(default_factory=list)
-    dp_log: list[dict] = field(default_factory=list)
+    dp_log: list[DpRow] = field(default_factory=list)
     final_models: dict[int, ParamSet] = field(default_factory=dict)
     seq_steps: int = 0
 
@@ -136,7 +157,7 @@ class RunResult:
 
 @dataclass
 class _NodeState:
-    model: ParamSet  # replaced, never written, whenever the node changes
+    model: ParamSet  # replaced through _Run.set_model, never written
     momentum: ParamSet | None = None  # a server's optimizer state
     # residual packets for the node's next stage: a leaf merges them, a
     # server routes them to its children
@@ -154,14 +175,14 @@ def evaluate_round(
     shards: dict[int, Shard],
     round_k: int,
     stage: int,
-    memo: dict[int, tuple[ParamSet, dict[str, float]]] | None = None,
+    memo: dict[int, dict[str, float]] | None = None,
 ) -> list[MetricRow]:
     """Per-node perplexity rows on each node's own EVAL_SPLITS.
 
-    `memo` maps a node to the params object it last scored and its NLL on
-    each split. A node whose params are that very object is not scored
-    again. The memo holds a reference to the object, so its id cannot be
-    reused. A shard's splits are indexed once, into one shared context set
+    `memo` maps a node to its NLL on each split, from the last time its
+    model was scored, and a node with an entry is not scored again. It holds
+    no model, so a caller that replaces a node's model must drop the node's
+    entry. A shard's splits are indexed once, into one shared context set
     kept with the shard, and a node's model runs once over it.
     """
     memo = {} if memo is None else memo
@@ -169,13 +190,13 @@ def evaluate_round(
     for nid in sorted(params_by_node):
         if nid not in shards:
             continue
-        params, shard = params_by_node[nid], shards[nid]
-        if nid not in memo or memo[nid][0] is not params:
+        if nid not in memo:
+            params, shard = params_by_node[nid], shards[nid]
             n = context_len(params.layout)
             scored = window_nlls(params, [shard.context_index(split, n) for split in EVAL_SPLITS])
-            memo[nid] = (params, {split: mean_nll(params, getattr(shard, split), nll=nll)
-                                  for split, nll in zip(EVAL_SPLITS, scored)})
-        nlls = memo[nid][1]
+            memo[nid] = {split: mean_nll(params, getattr(shard, split), nll=nll)
+                         for split, nll in zip(EVAL_SPLITS, scored)}
+        nlls = memo[nid]
         rows += [_row(method, nid, round_k, stage, split, nlls[split]) for split in EVAL_SPLITS]
     return rows
 
@@ -200,7 +221,7 @@ def _train_stacked(entries: list[tuple[int, TrainerConfig, int]],
 
 def server_step(server: ParamSet, clients: list[tuple[int, ParamSet]], momentum: ParamSet,
                 cfg: EngineConfig, round_k: int, cs: ClipState | None,
-                dp_log: list[dict]) -> tuple[ParamSet, ParamSet]:
+                dp_log: list[DpRow]) -> tuple[ParamSet, ParamSet]:
     """One server round over its clients' (id, trained parameters), in the
     given order. Each client's pseudo-gradient is its parameters minus the
     server's. A DP client's is clipped to the server's current bound `cs`,
@@ -218,10 +239,7 @@ def server_step(server: ParamSet, clients: list[tuple[int, ParamSet]], momentum:
             cs.record(pre_norm)
             delta = add_noise(clipped, dp.sigma, cs.bound,
                               rng_for(cfg.seed, cid, round_k, _NOISE_TAG))
-            dp_log.append({
-                "round": round_k, "node": cid, "pre_clip_norm": pre_norm, "bound": cs.bound,
-                "noise_std": dp.sigma * cs.bound,
-            })
+            dp_log.append(DpRow(round_k, cid, pre_norm, cs.bound, dp.sigma * cs.bound))
         deltas.append(delta)
     server, momentum = server_opt(server, average_pseudograds(deltas), momentum, cfg.server)
     if cs is not None:
@@ -240,7 +258,8 @@ class _Run:
     state: dict[int, _NodeState]
     clip_states: dict[int, ClipState]  # a DP server's adaptive clipping bound
     result: RunResult
-    scored: dict[int, tuple[ParamSet, dict[str, float]]] = field(default_factory=dict)
+    # evaluate_round's memo: a node's NLL per split, dropped by set_model
+    scored: dict[int, dict[str, float]] = field(default_factory=dict)
 
     @classmethod
     def start(cls, tree: FederationTree, shards: dict[int, Shard], cfg: EngineConfig) -> _Run:
@@ -267,7 +286,7 @@ class _Run:
                 part.keys(st.model), part.keys(parent), [] if node.children else st.inbox,
                 self.cfg.attention)
             self.log_attention(nid, round_k, "merge", weight_log)
-            st.model = part.assemble(parent, keys)
+            self.set_model(nid, part.assemble(parent, keys))
         if node.children and st.inbox:
             routed = route_residuals(
                 st.inbox, [(cid, part.keys(self.state[cid].model)) for cid in node.children],
@@ -287,7 +306,8 @@ class _Run:
             rng_for(self.cfg.seed, nid, round_k, _TRAIN_TAG)))
         losses = {}
         for nid, out in outs:
-            self.state[nid].model, losses[nid] = out.params, out.mean_loss
+            self.set_model(nid, out.params)
+            losses[nid] = out.mean_loss
         self.result.rows += [_row(self.result.method, nid, round_k, stage, "train", losses[nid])
                              for nid in sorted(losses)]
         self.result.seq_steps += bool(trainees)
@@ -314,13 +334,19 @@ class _Run:
         for pkt in partition_residuals(keys, child_keys, cfg.residual.nu, cfg.attention,
                                        round_k, cfg.residual.threshold):
             self.state[turn_node(pkt, nid, self.tree)].inbox.append(pkt)
-        st.model = part.assemble(backbone, keys)
+        self.set_model(nid, part.assemble(backbone, keys))
+
+    def set_model(self, nid: int, model: ParamSet) -> None:
+        """Replace a node's model and drop its scores, so that the old model
+        (and the training stack it may be a row of) is freed and the new one
+        is scored at the next evaluate."""
+        self.state[nid].model = model
+        self.scored.pop(nid, None)
 
     def log_attention(self, nid: int, round_k: int, stage: str, weight_log: WeightLog) -> None:
         for layer, (labels, weights) in weight_log.items():
             self.result.attention_log += [
-                {"node": nid, "round": round_k, "stage": stage, "layer": layer,
-                 "candidate": label, "weight": float(weight)}
+                AttentionRow(nid, round_k, stage, layer, label, float(weight))
                 for label, weight in zip(labels, weights, strict=True)]
 
 

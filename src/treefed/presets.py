@@ -114,7 +114,7 @@ class _Sections:
     residual: dict
     dp: dict | None = None
     rounds: int
-    seed: int | None = None  # a manifest's config also carries its seed
+    seed: int | None = None  # a manifest's config carries its run's seed, which must match
 
 
 @dataclass(kw_only=True)
@@ -443,6 +443,9 @@ def resolve(config: dict, seed: int, rounds: int | None = None) -> ResolvedExper
     if rounds is not None and isinstance(cfg, dict):  # a non-object fails in from_json
         cfg["rounds"] = rounds
     top = from_json(_Sections, cfg, "config")
+    if top.seed is not None and top.seed != seed:
+        raise ValueError(f"config seed: {top.seed} differs from the run's seed {seed}; "
+                         f"pass --seed {top.seed}, or drop the key")
     if top.rounds < 1:
         raise ValueError(f"config rounds: must be >= 1, got {top.rounds}")
     model = from_json(ModelConfig, top.model, "config model")

@@ -12,6 +12,7 @@ import pytest
 import treefed
 from treefed import cli, presets
 from treefed.cli import main, numerics
+from treefed.engine import AttentionRow, DpRow
 from treefed.presets import PRESETS, ResolvedExperiment, preset_config, resolve, tree_to_json
 from treefed.topology import FederationTree
 
@@ -324,6 +325,12 @@ class TestOneRunPath:
         assert len(given) == 4
         assert all(isinstance(exp, ResolvedExperiment) for exp in given)
 
+    def test_tuple_logs_are_written_in_their_csv_columns(self):
+        # write_outputs writes the attention and dp rows by position, so each
+        # row type's fields must be its file's header
+        assert AttentionRow._fields == cli._LOG_FILES["attention.csv"][1]
+        assert DpRow._fields == cli._LOG_FILES["dp.csv"][1]
+
 
 class TestTextDataset:
     def test_text_kind_runs(self, tiny_config, tmp_path):
@@ -557,6 +564,30 @@ class TestConfigKeys:
         manifest = json.loads((out / "tiny__worldlm__seed1" / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 1
         resolve(manifest["config"], seed=1)
+
+    def test_config_seed_other_than_the_run_seed_exits_1_before_sampling(
+            self, tiny_config, tmp_path, capsys, monkeypatch):
+        # a manifest's config records its run's seed; rerunning it under
+        # another --seed, or without one, must not silently run that seed
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tiny_config), "--seed", "1", "--out", str(out)]) == 0
+        again = tmp_path / "again.json"
+        again.write_text(json.dumps(json.loads(
+            (out / "tiny__worldlm__seed1" / "manifest.json").read_text())["config"]))
+        capsys.readouterr()
+
+        def sample(*args, **kwargs):
+            raise AssertionError("data sampled before the config was checked")
+
+        monkeypatch.setattr(presets, "build_hierarchy_dataset", sample)
+        for argv, (config_seed, run_seed) in (
+                (["--config", str(again)], (1, 0)),
+                (["--config", str(again), "--seed", "2"], (1, 2)),
+                (["--preset", "fig2", "--override", "seed=3"], (3, 0))):
+            assert main(["run", *argv, "--rounds", "1"]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: config seed: {config_seed} differs from the run's seed {run_seed}; "
+                f"pass --seed {config_seed}, or drop the key"]
 
     def test_manifest_reproduces_node_trainer_overrides(self, tiny_config, tmp_path):
         # node 3 trains 2 steps a stage against the experiment's 3, so with a

@@ -27,7 +27,6 @@ from treefed.engine import (
 from treefed.model import ModelConfig, TrainerConfig, init_model, local_train
 from treefed.presets import preset_config, resolve
 from treefed.privacy import DpConfig
-from treefed.tensors import ParamSet
 from treefed.topology import FederationTree
 
 from oracles import param_set, trailing_best
@@ -345,8 +344,8 @@ class TestAttentionLog:
                     (e["origin"], e["created_round"]))
         merged = {}
         for r in result.attention_log:
-            if r["stage"] == "merge":
-                merged.setdefault((r["node"], r["round"], r["layer"]), []).append(r["candidate"])
+            if r.stage == "merge":
+                merged.setdefault((r.node, r.round, r.layer), []).append(r.candidate)
         assert len(merged) == 48 and landed
         for group, candidates in merged.items():
             packets = sorted(landed.get(group, []))
@@ -528,15 +527,25 @@ class TestEvaluationMemo:
         fit(tree, shards, cfg_for(tree, shards, rounds=2))
         assert sorted(built) == sorted([(nid, "val"), (nid, "test")] for nid in shards)
 
-    def test_memo_matches_object_not_bytes(self):
-        tree = depth1_tree(1)
+    def test_replacing_a_model_drops_its_entry(self):
+        # the memo holds each scored node's NLL per split and no model, so
+        # it pins no replaced model; every phase that replaces a node's model
+        # (enter, train, aggregate) drops that node's entry and no other
+        tree = fig2_tree()
         shards, _ = shards_for(tree)
-        params = init_model(small_model(), 0)
-        memo = {}
-        first = evaluate_round("m", {1: params}, shards, 0, 0, memo=memo)
-        assert memo[1][0] is params
-        again = evaluate_round("m", {1: params}, shards, 0, 1, memo=memo)
-        copy = evaluate_round("m", {1: ParamSet.from_buffer(params.layout, params.buf.copy())},
-                              shards, 0, 1, memo=memo)
-        assert [r.loss for r in again] == [r.loss for r in first] == [r.loss for r in copy]
-        assert memo[1][0] is not params
+        run = engine_mod._Run.start(tree, shards, cfg_for(tree, shards, rounds=1))
+        everyone = sorted(tree.nodes)
+        run.evaluate(0, 0)
+        assert sorted(run.scored) == everyone
+        assert all(type(nll) is float and split in ("val", "test")
+                   for nlls in run.scored.values() for split, nll in nlls.items())
+        for phase, replaced in ((lambda: run.enter(0, 3), [3]),
+                                (lambda: run.train(0, 2, [3, 4, 5, 6]), [3, 4, 5, 6]),
+                                (lambda: run.aggregate(0, 1), [1])):
+            phase()
+            assert sorted(run.scored) == [nid for nid in everyone if nid not in replaced]
+            rows = evaluate_round("m", {nid: run.state[nid].model for nid in replaced}, shards,
+                                  0, 2)
+            run.evaluate(0, 2)
+            assert rows == evaluate_round("m", {nid: run.state[nid].model for nid in replaced},
+                                          shards, 0, 2, memo=run.scored)
