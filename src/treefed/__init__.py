@@ -36,7 +36,7 @@ from .model import (
     init_model,
     local_train,
 )
-from .privacy import ClipState, DpConfig, add_noise, clip, update_bound
+from .privacy import DpConfig, add_noise, clip, next_bound
 from .residual import ResidualPacket, partition_residuals, route_residuals
 from .tensors import CongruenceError, ParamSet, ParamStack, axpy, l2_norm
 from .topology import FederationTree, NodeSpec, validate

@@ -218,11 +218,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    methods, seeds = args.method or ["worldlm", "flat_fl"], args.seed or [0]
+    # a seed's experiment is the same under every method; resolving them all
+    # first rejects a bad seed before any run writes its directory
+    exps = {seed: resolve_plan(_plan_from_args(args, methods[0], seed)) for seed in seeds}
     rows = []
-    for method in args.method or ["worldlm", "flat_fl"]:
+    for method in methods:
         per_seed = []
-        for seed in args.seed or [0]:
-            exp, result, _, _ = run_plan(_plan_from_args(args, method, seed))
+        for seed in seeds:
+            exp, result, _, _ = run_plan(_plan_from_args(args, method, seed), exps[seed])
             per_seed.append(final_leaf_mean(exp, result)[0])
         rows.append((method, float(np.mean(per_seed)), float(np.std(per_seed))))
     base = next((r for r in rows if r[0] == "worldlm"), rows[0])
@@ -270,13 +274,16 @@ def _toggle(axis: str, config: dict, tree: FederationTree) -> dict:
 def cmd_ablate(args) -> int:
     method = _single(args, "method", "worldlm")
     base_config = plan_config(_plan_from_args(args, method, 0))
-    deltas = []
-    for seed in args.seed or [0]:
-        plan = _plan_from_args(args, method, seed)
+    seeds, exps = args.seed or [0], {}
+    for seed in seeds:  # every pair is resolved before the first run
         base = resolve(base_config, seed=seed, rounds=args.rounds)
-        toggled = resolve(_toggle(args.axis, base_config, base.tree), seed=seed, rounds=args.rounds)
+        exps[seed] = base, resolve(_toggle(args.axis, base_config, base.tree), seed=seed,
+                                   rounds=args.rounds)
+    deltas = []
+    for seed in seeds:
+        plan = _plan_from_args(args, method, seed)
         pair = []
-        for tag, exp in (("on", base), ("off", toggled)):
+        for tag, exp in zip(("on", "off"), exps[seed]):
             _, result, _, _ = run_plan(plan, exp, f"__{args.axis}-{tag}",
                                        {"ablation_axis": args.axis, "toggle": tag})
             pair.append(final_leaf_mean(exp, result)[0])

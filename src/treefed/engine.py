@@ -55,7 +55,7 @@ from .model import (
     stack_width,
     window_nlls,
 )
-from .privacy import ClipState, DpConfig, add_noise, clip, update_bound
+from .privacy import DpConfig, add_noise, clip, next_bound
 from .residual import ResidualPacket, partition_residuals, route_residuals, turn_node
 from .tensors import ParamSet, axpy
 from .topology import FederationTree, validate
@@ -159,6 +159,7 @@ class RunResult:
 class _NodeState:
     model: ParamSet  # replaced through _Run.set_model, never written
     momentum: ParamSet | None = None  # a server's optimizer state
+    bound: float | None = None  # a server's clipping bound, if it has a DP client
     # residual packets for the node's next stage: a leaf merges them, a
     # server routes them to its children
     inbox: list[ResidualPacket] = field(default_factory=list)
@@ -220,31 +221,29 @@ def _train_stacked(entries: list[tuple[int, TrainerConfig, int]],
 
 
 def server_step(server: ParamSet, clients: list[tuple[int, ParamSet]], momentum: ParamSet,
-                cfg: EngineConfig, round_k: int, cs: ClipState | None,
-                dp_log: list[DpRow]) -> tuple[ParamSet, ParamSet]:
+                bound: float | None, cfg: EngineConfig, round_k: int,
+                dp_log: list[DpRow]) -> tuple[ParamSet, ParamSet, float | None]:
     """One server round over its clients' (id, trained parameters), in the
     given order. Each client's pseudo-gradient is its parameters minus the
-    server's. A DP client's is clipped to the server's current bound `cs`,
-    its pre-clip norm is recorded for the next bound, Gaussian noise from
-    the client's (round, noise) stream is added, and one dp.csv row is
-    logged. The mean pseudo-gradient then takes a server momentum step, and
-    `cs` moves to the next round's bound. Returns the new server parameters
-    and momentum. Every operation is looked up in this module's namespace,
-    where the benchmark trace wraps it."""
-    dp, deltas = cfg.dp, []
+    server's. A DP client's is clipped to the server's current `bound`,
+    Gaussian noise from the client's (round, noise) stream is added, and one
+    dp.csv row is logged. The mean pseudo-gradient then takes a server
+    momentum step. Returns the new server parameters and momentum, and the
+    next round's bound from this round's pre-clip norms (`bound` itself
+    without a DP client). Every operation is looked up in this module's
+    namespace, where the benchmark trace wraps it."""
+    dp, deltas, norms = cfg.dp, [], []
     for cid, params in clients:
         delta = axpy(-1.0, server, params)
         if dp and cid in dp.enabled_nodes:
-            clipped, pre_norm = clip(delta, cs.bound)
-            cs.record(pre_norm)
-            delta = add_noise(clipped, dp.sigma, cs.bound,
+            clipped, pre_norm = clip(delta, bound)
+            norms.append(pre_norm)
+            delta = add_noise(clipped, dp.sigma, bound,
                               rng_for(cfg.seed, cid, round_k, _NOISE_TAG))
-            dp_log.append(DpRow(round_k, cid, pre_norm, cs.bound, dp.sigma * cs.bound))
+            dp_log.append(DpRow(round_k, cid, pre_norm, bound, dp.sigma * bound))
         deltas.append(delta)
     server, momentum = server_opt(server, average_pseudograds(deltas), momentum, cfg.server)
-    if cs is not None:
-        update_bound(cs)
-    return server, momentum
+    return server, momentum, next_bound(bound, norms)
 
 
 @dataclass
@@ -256,7 +255,6 @@ class _Run:
     cfg: EngineConfig
     part: Partition
     state: dict[int, _NodeState]
-    clip_states: dict[int, ClipState]  # a DP server's adaptive clipping bound
     result: RunResult
     # evaluate_round's memo: a node's NLL per split, dropped by set_model
     scored: dict[int, dict[str, float]] = field(default_factory=dict)
@@ -270,10 +268,9 @@ class _Run:
         zero = part.split(base)[0].zeros_like()
         state = {nid: _NodeState(model=base, momentum=zero if tree.nodes[nid].children else None)
                  for nid in tree.nodes}
-        clip_states: dict[int, ClipState] = {}
         for nid in cfg.dp.enabled_nodes if cfg.dp else ():
-            clip_states.setdefault(tree.nodes[nid].parent, ClipState(bound=cfg.dp.initial_bound))
-        return cls(tree, shards, cfg, part, state, clip_states, RunResult(method="worldlm", rows=[]))
+            state[tree.nodes[nid].parent].bound = cfg.dp.initial_bound
+        return cls(tree, shards, cfg, part, state, RunResult(method="worldlm", rows=[]))
 
     def enter(self, round_k: int, nid: int) -> None:
         """Adopt the parent's backbone and merge keys with the parent's and,
@@ -325,9 +322,9 @@ class _Run:
         children = sorted(self.tree.nodes[nid].children)
         backbone, keys = part.split(st.model)
         splits = {cid: part.split(self.state[cid].model) for cid in children}
-        backbone, st.momentum = server_step(
-            backbone, [(cid, splits[cid][0]) for cid in children], st.momentum, cfg, round_k,
-            self.clip_states.get(nid), self.result.dp_log)
+        backbone, st.momentum, st.bound = server_step(
+            backbone, [(cid, splits[cid][0]) for cid in children], st.momentum, st.bound, cfg,
+            round_k, self.result.dp_log)
         child_keys = [(cid, splits[cid][1]) for cid in children]
         keys, weight_log = aggregate_child_keys(keys, child_keys, cfg.attention)
         self.log_attention(nid, round_k, "children", weight_log)
@@ -393,8 +390,7 @@ def run_flat_fl(
         raise ValueError("flat FL needs at least one leaf")
     server = init_model(cfg.model, cfg.seed)
     momentum = server.zeros_like()
-    dp = cfg.dp
-    cs = ClipState(bound=dp.initial_bound) if dp and dp.enabled_nodes else None
+    bound = cfg.dp.initial_bound if cfg.dp and cfg.dp.enabled_nodes else None
     result = RunResult(method="flat_fl", rows=[])
 
     for round_k in range(rounds):
@@ -404,8 +400,9 @@ def run_flat_fl(
                                  rng_for(cfg.seed, nid, round_k, _TRAIN_TAG))))
         for nid in leaf_ids:
             result.rows.append(_row(result.method, nid, round_k, 0, "train", outs[nid].mean_loss))
-        server, momentum = server_step(server, [(nid, outs[nid].params) for nid in leaf_ids],
-                                       momentum, cfg, round_k, cs, result.dp_log)
+        server, momentum, bound = server_step(
+            server, [(nid, outs[nid].params) for nid in leaf_ids], momentum, bound, cfg,
+            round_k, result.dp_log)
         result.rows.extend(
             evaluate_round(result.method, {nid: server for nid in leaf_ids}, shards, round_k, 0))
 

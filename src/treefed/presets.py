@@ -20,6 +20,7 @@ import copy
 import dataclasses
 import difflib
 import json
+import math
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,7 +51,8 @@ _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a 
 def _mismatch(value, tp, path: str) -> tuple[str, str, object] | None:
     """(path, expected JSON type, value) of the first part of `value` that
     annotation `tp` does not take, or None. An int counts as a float, a bool
-    as neither, and a list stands for a list or frozenset."""
+    as neither, a float must be finite (JSON readers take NaN and Infinity),
+    and a list stands for a list or frozenset."""
     args = typing.get_args(tp)
     if type(None) in args:  # tp is X | None
         if value is None:
@@ -61,6 +63,8 @@ def _mismatch(value, tp, path: str) -> tuple[str, str, object] | None:
     json_type = {frozenset: list, float: (int, float)}.get(kind, kind)
     if not isinstance(value, json_type) or isinstance(value, bool) and kind is not bool:
         return path, _JSON_TYPES[kind], value
+    if isinstance(value, float) and not math.isfinite(value):
+        return path, "a finite number", value
     items = value.items() if kind is dict else enumerate(value) if json_type is list else ()
     for key, item in items if args else ():
         bad = _mismatch(item, args[-1], f"{path}.{key}")
@@ -442,6 +446,8 @@ def resolve(config: dict, seed: int, rounds: int | None = None) -> ResolvedExper
     cfg = copy.deepcopy(config)
     if rounds is not None and isinstance(cfg, dict):  # a non-object fails in from_json
         cfg["rounds"] = rounds
+    if seed < 0:
+        raise ValueError(f"seed: must be >= 0, got {seed}")
     top = from_json(_Sections, cfg, "config")
     if top.seed is not None and top.seed != seed:
         raise ValueError(f"config seed: {top.seed} differs from the run's seed {seed}; "

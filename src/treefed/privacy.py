@@ -1,10 +1,11 @@
 """Update sanitization for DP-flagged nodes: whole-set L2 clipping to an
-adaptive bound (median of the previous round's pre-clip norms, 1.0 in round
-zero) followed by Gaussian noise with per-coordinate std sigma * bound."""
+adaptive bound (the initial bound in round zero, then the median of the
+previous round's pre-clip norms, see next_bound) followed by Gaussian noise
+with per-coordinate std sigma * bound."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,18 +24,6 @@ class DpConfig:
         if self.initial_bound <= 0:
             raise ValueError("initial bound must be positive")
         self.enabled_nodes = frozenset(self.enabled_nodes)
-
-
-@dataclass
-class ClipState:
-    """Per DP sub-federation: the current bound plus the pre-clip norms
-    recorded during the round in progress."""
-
-    bound: float = 1.0
-    norms: list[float] = field(default_factory=list)
-
-    def record(self, pre_clip_norm: float) -> None:
-        self.norms.append(pre_clip_norm)
 
 
 def clip(delta: ParamSet, bound: float) -> tuple[ParamSet, float]:
@@ -58,10 +47,9 @@ def add_noise(delta: ParamSet, sigma: float, bound: float, rng) -> ParamSet:
     return ParamSet.from_buffer(delta.layout, delta.buf + noise.astype(np.float32))
 
 
-def update_bound(state: ClipState) -> float:
-    """Advance to next round: bound becomes the median of the recorded
-    norms (even count: mean of the middle two); empty keeps the old bound."""
-    if state.norms:
-        state.bound = float(np.median(np.asarray(state.norms, dtype=np.float64)))
-    state.norms = []
-    return state.bound
+def next_bound(bound: float, norms: list[float]) -> float:
+    """The next round's bound: the median of this round's pre-clip norms
+    (even count: mean of the middle two). No norms, or a median of 0 (every
+    update was zero, which clip could not take as a bound), keep `bound`."""
+    median = float(np.median(np.asarray(norms, dtype=np.float64))) if norms else 0.0
+    return median if median > 0 else bound

@@ -26,7 +26,7 @@ from treefed.cli import ExperimentPlan, execute, final_leaf_mean, main
 from treefed.datagen import entropy_rate, make_clustered_sources, markov_perplexity, sample_tokens
 from treefed.model import ModelConfig, backward, forward_loss, init_model
 from treefed.presets import apply_overrides, preset_config, resolve
-from treefed.privacy import ClipState, clip, update_bound
+from treefed.privacy import clip, next_bound
 from treefed.residual import ResidualPacket, route_residuals
 from treefed.tensors import l2_norm
 from treefed.topology import FederationTree
@@ -80,8 +80,8 @@ class TestCriterion1UnitInvariants:
             out, _ = clip(delta, bound)
             assert l2_norm(out) <= bound * (1 + 1e-6)
 
-        assert update_bound(ClipState(bound=1.0, norms=[0.5, 1.0, 2.0])) == 1.0
-        assert update_bound(ClipState(bound=1.0, norms=[1.0, 3.0])) == 2.0
+        assert next_bound(1.0, [0.5, 1.0, 2.0]) == 1.0
+        assert next_bound(1.0, [1.0, 3.0]) == 2.0
 
         b = param_set({"a": [1.0, 2.0]})
         d = param_set({"a": [0.25, -0.5]})

@@ -519,6 +519,15 @@ class TestConfigKeys:
         pytest.param(fig2_tree_override({"trainer": {"local_steps": 0}}),
                      "config tree: no node trains locally with at least one local step",
                      id="every-node-trainer-0"),
+        # JSON readers take NaN and Infinity, so a number must be finite
+        ("server.eta=Infinity", "config server eta: expected a finite number, got inf"),
+        ("server.mu=-Infinity", "config server mu: expected a finite number, got -inf"),
+        ("schedule.eta_max=Infinity",
+         "config schedule eta_max: expected a finite number, got inf"),
+        ("residual.threshold=NaN", "config residual threshold: expected a finite number, got nan"),
+        ("data.internal_budget_scale=Infinity",
+         "config data internal_budget_scale: expected a finite number, got inf"),
+        pytest.param(["--seed=-1"], "seed: must be >= 0, got -1", id="negative-seed"),
     ])
     def test_wrong_value_exits_1_naming_the_key_before_sampling(self, override, message,
                                                                  capsys, monkeypatch):
@@ -528,7 +537,8 @@ class TestConfigKeys:
         monkeypatch.setattr(presets, "build_hierarchy_dataset", sample)
         monkeypatch.setattr(presets, "make_clustered_sources", sample)
         overrides = [override] if isinstance(override, str) else override
-        rc = main(["run", "--preset", "fig2", *[a for o in overrides for a in ("--override", o)]])
+        rc = main(["run", "--preset", "fig2", *[a for o in overrides for a in (
+            (o,) if o.startswith("--") else ("--override", o))]])
         assert rc == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
@@ -542,6 +552,9 @@ class TestConfigKeys:
         ("dp-cc-wk", 'data.leaf_budgets={"3":100}', "config data leaf_budgets: missing leaf '4'"),
         ("dp-cc-wk", 'data.leaf_sources.1="c0s0"', "config data leaf_sources: '1' is not a leaf "
          "of the tree; its leaves are ['3', '4', '5', '6']"),
+        ("dp-cc-wk", "dp.sigma=NaN", "config dp sigma: expected a finite number, got nan"),
+        ("dp-cc-wk", "dp.initial_bound=Infinity",
+         "config dp initial_bound: expected a finite number, got inf"),
     ])
     def test_wrong_reference_exits_1_naming_it_before_sampling(self, preset, override, message,
                                                                 capsys, monkeypatch):
@@ -589,6 +602,32 @@ class TestConfigKeys:
                 f"error: config seed: {config_seed} differs from the run's seed {run_seed}; "
                 f"pass --seed {config_seed}, or drop the key"]
 
+    def test_non_finite_number_in_a_config_file_exits_1(self, tiny_config, tmp_path, capsys):
+        cfg = json.loads(tiny_config.read_text())
+        cfg["attention"]["temperature"] = float("nan")
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps(cfg))  # writes the bare NaN that json.loads reads back
+        assert main(["run", "--config", str(p)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config attention temperature: expected a finite number, got nan"]
+
+    def test_compare_and_ablate_check_every_seed_before_the_first_run(self, tiny_config,
+                                                                       tmp_path, capsys):
+        # a manifest's config records its run's seed: seed 2 must fail
+        # before seed 1 runs and writes its directory
+        cfg = json.loads(tiny_config.read_text())
+        cfg["seed"] = 1
+        p = tmp_path / "seed1.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        for command in (["compare"], ["ablate", "--axis", "residuals"]):
+            assert main([*command, "--config", str(p), "--seed", "1", "--seed", "2",
+                         "--rounds", "1", "--out", str(out)]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                "error: config seed: 1 differs from the run's seed 2; pass --seed 1, "
+                "or drop the key"]
+            assert not out.exists(), command
+
     def test_manifest_reproduces_node_trainer_overrides(self, tiny_config, tmp_path):
         # node 3 trains 2 steps a stage against the experiment's 3, so with a
         # null total_steps its schedule is its own; the manifest's config
@@ -615,6 +654,38 @@ class TestConfigKeys:
         for name in ("metrics.csv", "manifest.json", "attention.csv", "residuals.csv"):
             assert ((tmp_path / "a" / "tiny__worldlm__seed1" / name).read_bytes()
                     == (tmp_path / "b" / "tiny__worldlm__seed1" / name).read_bytes()), name
+
+
+class TestDpBound:
+    # both runs give every DP client a zero update in round 0: flat FL's
+    # only step of that round runs at learning rate 0 (warmup starts at 0),
+    # and leaves that do not train keep their parent's backbone; their
+    # median of 0 must not become the next bound, which clip cannot take
+    def dp_rows(self, run_dir):
+        with open(run_dir / "dp.csv") as f:
+            return [(int(r["round"]), float(r["pre_clip_norm"]), float(r["bound"]))
+                    for r in csv.DictReader(f)]
+
+    def test_zero_updates_keep_the_flat_fl_bound(self, tmp_path):
+        assert main(["run", "--preset", "dp-cc-wk", "--method", "flat_fl", "--rounds", "2",
+                     "--seed", "1", "--override", "trainer.local_steps=1",
+                     "--out", str(tmp_path)]) == 0
+        rows = self.dp_rows(tmp_path / "dp-cc-wk__flat_fl__seed1")
+        assert rows[:2] == [(0, 0.0, 1.0), (0, 0.0, 1.0)]
+        assert [bound for k, _, bound in rows if k == 1] == [1.0, 1.0]
+        assert all(bound > 0 for _, _, bound in rows)
+
+    def test_clients_that_do_not_train_keep_the_bound(self, tmp_path):
+        cfg = preset_config("dp-cc-wk")
+        for node in cfg["tree"]["nodes"]:
+            if node["id"] in (3, 4):
+                node["trains_locally"] = False
+        p = tmp_path / "idle-dp.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(p), "--rounds", "2", "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+        rows = self.dp_rows(tmp_path / "dp-cc-wk__worldlm__seed1")
+        assert rows == [(k, 0.0, 1.0) for k in (0, 1) for _ in (3, 4)]
 
 
 class TestExportPreset:

@@ -26,7 +26,7 @@ from treefed.engine import (
 )
 from treefed.model import ModelConfig, TrainerConfig, init_model, local_train
 from treefed.presets import preset_config, resolve
-from treefed.privacy import DpConfig
+from treefed.privacy import DpConfig, next_bound
 from treefed.topology import FederationTree
 
 from oracles import param_set, trailing_best
@@ -138,6 +138,23 @@ class TestFedAvgOracle:
         assert train_fit == train_flat
         for a, b in zip(via_fit.final_models[0], via_flat.final_models[1]):
             assert a.data.tobytes() == b.data.tobytes(), a.name
+
+
+class TestDpBound:
+    def test_a_dp_servers_bound_sits_beside_its_momentum(self):
+        # start gives each server with a DP client the initial bound; its
+        # aggregate clips those clients at it and keeps the next round's
+        tree = fig2_tree()
+        shards, _ = shards_for(tree)
+        dp = DpConfig(sigma=0.5, initial_bound=0.7, enabled_nodes={3, 4, 5})
+        run = engine_mod._Run.start(tree, shards, cfg_for(tree, shards, rounds=1, dp=dp))
+        assert {nid: st.bound for nid, st in run.state.items() if st.bound} == {1: 0.7, 2: 0.7}
+        run.train(0, 2, [3, 4, 5, 6])
+        run.aggregate(0, 1)
+        rows = run.result.dp_log
+        assert [(r.node, r.bound) for r in rows] == [(3, 0.7), (4, 0.7)]
+        assert run.state[1].bound == next_bound(0.7, [r.pre_clip_norm for r in rows]) != 0.7
+        assert run.state[2].bound == 0.7
 
 
 class TestFitBasics:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treefed.privacy import ClipState, DpConfig, add_noise, clip, update_bound
+from treefed.privacy import DpConfig, add_noise, clip, next_bound
 from treefed.tensors import l2_norm
 
 from oracles import param_set
@@ -64,29 +64,27 @@ class TestAddNoise:
         np.testing.assert_array_equal(a["a"].data, b["a"].data)
 
 
-class TestUpdateBound:
+class TestNextBound:
     def test_odd_median(self):
-        state = ClipState(bound=1.0, norms=[0.5, 1.0, 2.0])
-        assert update_bound(state) == pytest.approx(1.0)
+        assert next_bound(1.0, [0.5, 1.0, 2.0]) == pytest.approx(1.0)
 
     def test_even_median_mean_of_middle_two(self):
-        state = ClipState(bound=1.0, norms=[1.0, 3.0])
-        assert update_bound(state) == pytest.approx(2.0)
+        assert next_bound(1.0, [1.0, 3.0]) == pytest.approx(2.0)
 
     def test_empty_keeps_current(self):
-        state = ClipState(bound=0.7, norms=[])
-        assert update_bound(state) == pytest.approx(0.7)
+        assert next_bound(0.7, []) == pytest.approx(0.7)
 
-    def test_round_zero_bound_is_initial(self):
-        cfg = DpConfig(sigma=0.5, initial_bound=1.0, enabled_nodes=frozenset({3}))
-        state = ClipState(bound=cfg.initial_bound)
-        assert state.bound == 1.0
+    def test_zero_median_keeps_current(self):
+        # every update was zero, as when a round trains at learning rate 0;
+        # a bound of 0 would make the next round's clip raise
+        assert next_bound(0.7, [0.0, 0.0]) == 0.7
+        assert next_bound(0.7, [0.0, 0.0, 5.0]) == 0.7
+        assert next_bound(0.7, [0.0, 4.0]) == pytest.approx(2.0)
 
-    def test_norms_reset_after_update(self):
-        state = ClipState(bound=1.0, norms=[2.0])
-        update_bound(state)
-        assert state.norms == []
-        assert state.bound == pytest.approx(2.0)
+    def test_inputs_are_not_changed(self):
+        norms = [2.0, 1.0]
+        assert next_bound(1.0, norms) == pytest.approx(1.5)
+        assert norms == [2.0, 1.0]
 
 
 class TestDpOffEquivalence:

@@ -3,12 +3,14 @@ distribution, routing respects origin subtrees and ceilings, every residual
 packet a run selects ends exactly once in the next round, clipping respects
 its bound, validate accepts exactly the well-formed trees, resolve rejects a
 config value of the wrong JSON type before sampling, the Markov sampler
-matches its per-token reference byte for byte, and a run of R rounds logs
-the first R rounds of a longer run."""
+matches its per-token reference byte for byte, and a run of R rounds of any
+preset logs the first R rounds of a longer run."""
 
 import csv
 import re
+import tempfile
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,7 +22,7 @@ from treefed import engine, presets
 from treefed.cli import main
 from treefed.aggregation import AttentionConfig, aggregate_child_keys, merge_with_parent
 from treefed.datagen import MarkovSource, sample_tokens
-from treefed.presets import preset_config, resolve, tree_to_json
+from treefed.presets import PRESETS, preset_config, resolve, tree_to_json
 from treefed.privacy import clip
 from treefed.residual import ResidualPacket, partition_residuals, route_residuals, turn_node
 from treefed.tensors import l2_norm
@@ -147,7 +149,7 @@ def test_every_selected_packet_ends_once_in_the_next_round(data, tree):
         leaf_budgets=dict.fromkeys(leaves, 64), val_tokens=16, test_tokens=16)
     cfg["model"].update(vocab_size=8, embed_dim=4)
     cfg["trainer"].update(local_steps=1, batch_size=2)
-    cfg["residual"]["threshold"] = float("inf")
+    cfg["residual"]["threshold"] = 2.0  # above any cosine similarity: no gate
     exp = resolve(cfg, seed=1, rounds=rounds)
     selected = []
 
@@ -214,8 +216,9 @@ def test_validate_accepts_exactly_the_well_formed_trees(parents):
 
 def wrong_values(value):
     """Values of another JSON type than `value`'s: a string for a number, a
-    bool for an int, a non-integral float for an int, null and a list for
-    a scalar. A field that is null may be, so it gets none."""
+    bool for an int, a non-integral float for an int, a non-finite float for
+    a number, null and a list for a scalar. A field that is null may be, so
+    it gets none."""
     if value is None:
         return []
     if isinstance(value, bool):
@@ -223,7 +226,7 @@ def wrong_values(value):
     if isinstance(value, int):
         return ["abc", True, 1.5, None, [value]]
     if isinstance(value, float):
-        return ["abc", True, None, [value]]
+        return ["abc", True, None, [value], float("nan"), float("inf"), float("-inf")]
     if isinstance(value, str):
         return [None, 1, [value]]
     return [None, "abc", 1] + ([[1]] if isinstance(value, dict) else [])
@@ -319,7 +322,7 @@ def test_sample_tokens_matches_the_per_token_reference(src, lengths, seed):
         assert got.tobytes() == want.tobytes()
 
 
-# dp-cc-wk shrunk to a tiny model and short streams, on a fixed schedule
+# a preset shrunk to a tiny model and short streams, on a fixed schedule
 _TINY_DP = ["model.embed_dim=4", "model.num_blocks=2", "model.expansion_ratio=1",
             "trainer.local_steps=2", "trainer.batch_size=4", "schedule.total_steps=60",
             "data.val_tokens=64", "data.test_tokens=64",
@@ -332,21 +335,29 @@ def _logged_rows(run_dir) -> dict[str, list[dict]]:
 
 
 @pytest.mark.parametrize("method", ["worldlm", "flat_fl", "local", "centralized"])
-def test_a_shorter_run_is_a_prefix_of_a_longer_one(method, tmp_path, capsys):
+@settings(max_examples=20, deadline=None)
+@given(preset=st.sampled_from(sorted(PRESETS)), short=st.integers(1, 3), more=st.integers(1, 2))
+def test_a_shorter_run_is_a_prefix_of_a_longer_one(method, preset, short, more):
     # no state that carries across rounds (evaluation memo, clip bounds,
     # inboxes, momentum) may depend on how many rounds follow; a baseline
-    # runs 3 flat rounds per round, one per trainable level of dp-cc-wk
+    # runs 3 flat rounds per round, one per trainable level of every preset
     logs = {}
-    for rounds in (2, 3):
-        argv = ["run", "--preset", "dp-cc-wk", "--method", method, "--rounds", str(rounds),
-                "--seed", "1", "--out", str(tmp_path / str(rounds))]
-        assert main([*argv, *(a for o in _TINY_DP for a in ("--override", o))]) == 0
-        logs[rounds] = _logged_rows(tmp_path / str(rounds) / f"dp-cc-wk__{method}__seed1")
-    capsys.readouterr()
-    limit = 2 if method == "worldlm" else 2 * 3
-    for name, rows in logs[2].items():
-        longer = logs[3][name]
+    with tempfile.TemporaryDirectory() as out:
+        for rounds in (short, short + more):
+            argv = ["run", "--preset", preset, "--method", method, "--rounds", str(rounds),
+                    "--seed", "1", "--out", f"{out}/{rounds}"]
+            assert main([*argv, *(a for o in _TINY_DP for a in ("--override", o))]) == 0
+            logs[rounds] = _logged_rows(Path(out) / str(rounds) / f"{preset}__{method}__seed1")
+    limit = short if method == "worldlm" else 3 * short
+    grows = {"metrics.csv"}
+    if method == "worldlm":
+        grows.add("attention.csv")
+    if preset_config(preset)["dp"] and method in ("worldlm", "flat_fl"):
+        grows.add("dp.csv")
+    for name, rows in logs[short].items():
+        longer = logs[short + more][name]
         assert rows == [row for row in longer if int(row["round"]) < limit], name
-        assert bool(rows) == (len(longer) > len(rows)), name
-    logged = {"worldlm": list(logs[2]), "flat_fl": ["metrics.csv", "dp.csv"]}
-    assert [name for name, rows in logs[2].items() if rows] == logged.get(method, ["metrics.csv"])
+        if name in grows:
+            assert 0 < len(rows) < len(longer), name
+        elif (name, method) != ("residuals.csv", "worldlm"):  # a run may select no packet
+            assert not longer, name
