@@ -13,7 +13,8 @@ add __<axis>-on or __<axis>-off):
   timings.csv    wall-clock sidecar; the only file allowed to differ between
                  identical reruns
 `ablate --axis swap` exchanges the sources of two leaves under different
-parents. An --override path through a non-object value is an error.
+parents (presets.swap_sources). --rounds overrides the config's rounds, and
+an --override path through a non-object value is an error.
 
 All randomness flows from --seed, so every other file is reproducible.
 """
@@ -32,9 +33,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .engine import MetricRow, RunResult, content_hash, fit, run_centralized, run_flat_fl, run_local
-from .presets import PRESETS, ResolvedExperiment, apply_overrides, load_config, preset_config, resolve
-from .topology import FederationTree
+from .engine import (AttentionRow, DpRow, MetricRow, RunResult, content_hash, fit, run_centralized,
+                     run_flat_fl, run_local)
+from .presets import (PRESETS, ResolvedExperiment, apply_overrides, load_config, preset_config,
+                      resolve, swap_sources)
+from .residual import EVENT_FIELDS
 
 METHODS = ("worldlm", "flat_fl", "local", "centralized")
 
@@ -66,30 +69,30 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 # run-directory CSV -> (RunResult log it is written from, columns). The
-# attention and dp logs hold NamedTuples with these fields, written by
-# position; residual_log rows are dicts, written by key.
+# attention and dp logs hold NamedTuples, written by position; residual_log
+# rows are dicts, written by key.
 _LOG_FILES = {
-    "attention.csv": ("attention_log", ("node", "round", "stage", "layer", "candidate", "weight")),
-    "residuals.csv": ("residual_log", ("round", "router", "origin", "layer", "created_round",
-                                       "action", "landed_at", "similarity")),
-    "dp.csv": ("dp_log", ("round", "node", "pre_clip_norm", "bound", "noise_std")),
+    "attention.csv": ("attention_log", AttentionRow._fields),
+    "residuals.csv": ("residual_log", EVENT_FIELDS),
+    "dp.csv": ("dp_log", DpRow._fields),
 }
 
 
 def plan_config(plan: ExperimentPlan) -> dict:
     """The plan's config: its --config file, else its preset, with its
-    overrides applied."""
+    overrides applied, then its rounds as the `rounds` override."""
     if plan.config_path:
         config = load_config(plan.config_path)
     elif plan.preset:
         config = preset_config(plan.preset)
     else:
         raise ValueError("either --preset or --config is required")
-    return apply_overrides(config, plan.overrides) if plan.overrides else config
+    config = apply_overrides(config, plan.overrides)
+    return config if plan.rounds is None else apply_overrides(config, {"rounds": plan.rounds})
 
 
 def resolve_plan(plan: ExperimentPlan) -> ResolvedExperiment:
-    return resolve(plan_config(plan), seed=plan.seed, rounds=plan.rounds)
+    return resolve(plan_config(plan), seed=plan.seed)
 
 
 def execute(plan: ExperimentPlan, exp: ResolvedExperiment | None = None) -> tuple[ResolvedExperiment, RunResult]:
@@ -190,10 +193,16 @@ def run_plan(plan: ExperimentPlan, exp: ResolvedExperiment | None = None, suffix
     return exp, result, elapsed, run_dir
 
 
+def _mean_std(values) -> tuple[float, float]:
+    """Mean and std of perplexities; an inf among them gives inf and nan,
+    with no floating-point warning."""
+    with np.errstate(all="ignore"):
+        return float(np.mean(values)), float(np.std(values))
+
+
 def final_leaf_mean(exp: ResolvedExperiment, result: RunResult, split="test") -> tuple[float, float]:
     finals = result.final_leaf_ppl(set(exp.leaf_ids), split)
-    vals = [finals[nid] for nid in sorted(finals)]
-    return float(np.mean(vals)), float(np.std(vals))
+    return _mean_std([finals[nid] for nid in sorted(finals)])
 
 
 def _single(args, flag: str, default):
@@ -228,7 +237,7 @@ def cmd_compare(args) -> int:
         for seed in seeds:
             exp, result, _, _ = run_plan(_plan_from_args(args, method, seed), exps[seed])
             per_seed.append(final_leaf_mean(exp, result)[0])
-        rows.append((method, float(np.mean(per_seed)), float(np.std(per_seed))))
+        rows.append((method, *_mean_std(per_seed)))
     base = next((r for r in rows if r[0] == "worldlm"), rows[0])
     header = ["method", "mean_ppl", "std_ppl", f"ratio_vs_{base[0]}"]
     table = [[m, f"{mean:.4f}", f"{std:.4f}", f"{mean / base[1]:.4f}"]
@@ -245,40 +254,22 @@ def cmd_compare(args) -> int:
     return 0
 
 
-_AXES = ("residuals", "attention", "dp", "swap")
-
-
-def _toggle(axis: str, config: dict, tree: FederationTree) -> dict:
-    """`config` with `axis` switched off; `tree` is the config's tree."""
-    if axis == "residuals":
-        return apply_overrides(config, {"residual.nu": 0})
-    if axis == "attention":
-        return apply_overrides(config, {"attention.uniform": True})
-    if axis == "dp":
-        return apply_overrides(config, {"dp": None})
-    # swap: exchange the sources of the smallest-budget leaf and the next
-    # smallest under another parent, so the swap crosses sub-federations
-    data = config["data"]
-    if data["kind"] != "clustered":
-        raise ValueError(f"swap axis: data kind {data['kind']!r} has no leaf sources to exchange")
-    first, *rest = sorted(tree.leaves(), key=lambda nid: (data["leaf_budgets"][str(nid)], nid))
-    other = next((nid for nid in rest if tree.nodes[nid].parent != tree.nodes[first].parent), None)
-    if other is None:
-        raise ValueError("swap axis needs two leaves under different parents")
-    src = data["leaf_sources"]
-    return apply_overrides(config, {f"data.leaf_sources.{first}": src[str(other)],
-                                    f"data.leaf_sources.{other}": src[str(first)],
-                                    "name": config.get("name", "custom") + "-swapped"})
+# ablation axis -> the function that switches it off in a config
+_AXES = {
+    "residuals": lambda config: apply_overrides(config, {"residual.nu": 0}),
+    "attention": lambda config: apply_overrides(config, {"attention.uniform": True}),
+    "dp": lambda config: apply_overrides(config, {"dp": None}),
+    "swap": swap_sources,
+}
 
 
 def cmd_ablate(args) -> int:
     method = _single(args, "method", "worldlm")
     base_config = plan_config(_plan_from_args(args, method, 0))
     seeds, exps = args.seed or [0], {}
-    for seed in seeds:  # every pair is resolved before the first run
-        base = resolve(base_config, seed=seed, rounds=args.rounds)
-        exps[seed] = base, resolve(_toggle(args.axis, base_config, base.tree), seed=seed,
-                                   rounds=args.rounds)
+    for seed in seeds:  # every pair is resolved, the base first, before the first run
+        exps[seed] = (resolve(base_config, seed=seed),
+                      resolve(_AXES[args.axis](base_config), seed=seed))
     deltas = []
     for seed in seeds:
         plan = _plan_from_args(args, method, seed)

@@ -3,12 +3,14 @@
 A config is a plain JSON-able dict (schema documented in the README). Each
 of its sections, and its top level, has a dataclass that is its only schema;
 from_json parses a section against it. resolve parses every section before
-it samples any data. Presets are builders for the shipped scenarios:
+it samples any data. PRESETS holds the shipped scenarios, each fig2's config
+with its changes applied through apply_overrides or swap_sources:
 
   fig2         three-level, seven-node tree over two quantity-skewed source
                clusters (one big + one small leaf per cluster)
   fig2-swapped the same tree with the two small leaves exchanged across
-               sub-federations, breaking the cluster relationship
+               sub-federations (the swap ablation axis), breaking the cluster
+               relationship
   iid          the same tree with every node sampling one shared source
   dp-cc-wk     fig2 with DP on the first sibling leaf pair
   dp-pbc-pba   fig2 with DP on the second sibling leaf pair
@@ -179,6 +181,8 @@ def tree_from_json(obj, trainer: TrainerConfig) -> FederationTree:
                                  "every node follows the experiment's")
             node.trainer = from_json(TrainerConfig, entry["trainer"], f"{where} trainer",
                                      base=trainer)
+        if node.id in nodes:
+            raise ValueError(f"{where}: listed twice in tree nodes")
         nodes[node.id] = node
     return FederationTree(nodes)
 
@@ -204,113 +208,50 @@ _FIG2_CHILDREN = {0: [1, 2], 1: [3, 4], 2: [5, 6]}
 _FIG2_BUDGETS = {3: 16000, 4: 4000, 5: 16000, 6: 4000}
 _FIG2_SOURCES = {3: "c0s0", 4: "c0s1", 5: "c1s0", 6: "c1s1"}
 
-
-def _base_config() -> dict:
-    return {
-        "name": "fig2",
-        "tree": tree_to_json(FederationTree.from_children_map(_FIG2_CHILDREN)),
-        "data": {
-            "kind": "clustered",
-            "num_clusters": 2,
-            "sources_per_cluster": 2,
-            "divergence": 0.8,
-            "concentration": 0.1,
-            "intra_jitter": 0.25,
-            "leaf_budgets": {str(k): v for k, v in _FIG2_BUDGETS.items()},
-            "leaf_sources": {str(k): v for k, v in _FIG2_SOURCES.items()},
-            "val_tokens": 1024,
-            "test_tokens": 2048,
-            "internal_budget_scale": 1.0,
-        },
-        "model": {
-            "vocab_size": 32,
-            "embed_dim": 16,
-            "num_blocks": 3,
-            "expansion_ratio": 4,
-            "key_block_count": 1,
-            "context_len": 2,
-            "include_head_in_keys": False,
-        },
-        "trainer": {
-            "optimizer": "adam",
-            "beta1": 0.9,
-            "beta2": 0.95,
-            "local_steps": 96,
-            "batch_size": 32,
-        },
-        "schedule": {"alpha": 0.05, "eta_max": 0.03, "total_steps": None},
-        "attention": {
-            "similarity": "cosine",
-            "temperature": 1.0,
-            "include_self": True,
-            "uniform": False,
-        },
-        "server": {"eta": 0.2, "mu": 0.9},
-        "residual": {"nu": 1, "threshold": 0.999},
-        "dp": None,
-        "rounds": 12,
-    }
-
-
-def _fig2_swapped() -> dict:
-    cfg = _base_config()
-    cfg["name"] = "fig2-swapped"
-    # exchange the two smaller datasets across sub-federations
-    src = cfg["data"]["leaf_sources"]
-    src["4"], src["6"] = src["6"], src["4"]
-    return cfg
-
-
-def _iid() -> dict:
-    cfg = _base_config()
-    cfg["name"] = "iid"
-    cfg["data"].update({
-        "num_clusters": 1,
-        "sources_per_cluster": 1,
-        "divergence": 0.0,
-        "leaf_budgets": {str(k): 10000 for k in _FIG2_BUDGETS},
-        "leaf_sources": {str(k): "c0s0" for k in _FIG2_BUDGETS},
-    })
-    return cfg
-
-
-def _dp(pair: tuple[int, int], name: str) -> dict:
-    # DP presets run a gentler operating point: at this model size the
-    # round-zero noise kick (sigma * S0 per coordinate) dwarfs typical
-    # pseudo-gradient norms, and with mu=0.9 the two nested server momentum
-    # buffers integrate that kick for ~10 rounds before forgetting it, which
-    # blows up every backbone in the tree. Halving the server momentum and
-    # slowing local training keeps the hierarchy stable under noise while
-    # the flat baseline (4x the noise throughput at its single server) still
-    # diverges.
-    cfg = _base_config()
-    cfg["name"] = name
-    cfg["server"]["mu"] = 0.5
-    cfg["trainer"]["local_steps"] = 64
-    cfg["schedule"]["eta_max"] = 0.003
-    cfg["schedule"]["alpha"] = 0.3
-    cfg["dp"] = {"sigma": 0.5, "initial_bound": 1.0,
-                 "enabled_nodes": list(pair)}
-    return cfg
-
-
-PRESETS = {
-    "fig2": _base_config,
-    "fig2-swapped": _fig2_swapped,
-    "iid": _iid,
-    "dp-cc-wk": lambda: _dp((3, 4), "dp-cc-wk"),
-    "dp-pbc-pba": lambda: _dp((5, 6), "dp-pbc-pba"),
+_FIG2 = {
+    "name": "fig2",
+    "tree": tree_to_json(FederationTree.from_children_map(_FIG2_CHILDREN)),
+    "data": {
+        "kind": "clustered",
+        "num_clusters": 2,
+        "sources_per_cluster": 2,
+        "divergence": 0.8,
+        "concentration": 0.1,
+        "intra_jitter": 0.25,
+        "leaf_budgets": {str(k): v for k, v in _FIG2_BUDGETS.items()},
+        "leaf_sources": {str(k): v for k, v in _FIG2_SOURCES.items()},
+        "val_tokens": 1024,
+        "test_tokens": 2048,
+        "internal_budget_scale": 1.0,
+    },
+    "model": {
+        "vocab_size": 32,
+        "embed_dim": 16,
+        "num_blocks": 3,
+        "expansion_ratio": 4,
+        "key_block_count": 1,
+        "context_len": 2,
+        "include_head_in_keys": False,
+    },
+    "trainer": {
+        "optimizer": "adam",
+        "beta1": 0.9,
+        "beta2": 0.95,
+        "local_steps": 96,
+        "batch_size": 32,
+    },
+    "schedule": {"alpha": 0.05, "eta_max": 0.03, "total_steps": None},
+    "attention": {
+        "similarity": "cosine",
+        "temperature": 1.0,
+        "include_self": True,
+        "uniform": False,
+    },
+    "server": {"eta": 0.2, "mu": 0.9},
+    "residual": {"nu": 1, "threshold": 0.999},
+    "dp": None,
+    "rounds": 12,
 }
-
-
-def preset_config(name: str) -> dict:
-    if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    return PRESETS[name]()
-
-
-def load_config(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
 
 
 def apply_overrides(config: dict, overrides: dict[str, object]) -> dict:
@@ -331,6 +272,61 @@ def apply_overrides(config: dict, overrides: dict[str, object]) -> dict:
                                  f"{_JSON_TYPES.get(type(cur), type(cur).__name__)}, not an object")
         cur[last] = value
     return cfg
+
+
+def swap_sources(config: dict) -> dict:
+    """`config` with the sources of its smallest-budget leaf (ties by id)
+    and the next one in that order under another parent exchanged, so the
+    swap crosses sub-federations, and "-swapped" added to its name. Leaves
+    and parents are read from the config's own tree JSON."""
+    data = config["data"]
+    if data["kind"] != "clustered":
+        raise ValueError(f"swap axis: data kind {data['kind']!r} has no leaf sources to exchange")
+    parent = {node["id"]: node["parent"] for node in config["tree"]["nodes"]}
+    leaves = [node["id"] for node in config["tree"]["nodes"] if not node.get("children")]
+    first, *rest = sorted(leaves, key=lambda nid: (data["leaf_budgets"][str(nid)], nid))
+    other = next((nid for nid in rest if parent[nid] != parent[first]), None)
+    if other is None:
+        raise ValueError("swap axis needs two leaves under different parents")
+    src = data["leaf_sources"]
+    return apply_overrides(config, {f"data.leaf_sources.{first}": src[str(other)],
+                                    f"data.leaf_sources.{other}": src[str(first)],
+                                    "name": config.get("name", "custom") + "-swapped"})
+
+
+_IID = {"name": "iid", "data.num_clusters": 1, "data.sources_per_cluster": 1,
+        "data.divergence": 0.0, "data.leaf_budgets": {str(k): 10000 for k in _FIG2_BUDGETS},
+        "data.leaf_sources": {str(k): "c0s0" for k in _FIG2_BUDGETS}}
+
+# DP presets run a gentler operating point: at this model size the
+# round-zero noise kick (sigma * S0 per coordinate) dwarfs typical
+# pseudo-gradient norms, and with mu=0.9 the two nested server momentum
+# buffers integrate that kick for ~10 rounds before forgetting it, which
+# blows up every backbone in the tree. Halving the server momentum and
+# slowing local training keeps the hierarchy stable under noise while
+# the flat baseline (4x the noise throughput at its single server) still
+# diverges.
+_DP = {"server.mu": 0.5, "trainer.local_steps": 64, "schedule.eta_max": 0.003,
+       "schedule.alpha": 0.3, "dp.sigma": 0.5, "dp.initial_bound": 1.0}
+
+# each preset is fig2's config with its changes applied
+PRESETS = {
+    "fig2": _FIG2,
+    "fig2-swapped": swap_sources(_FIG2),
+    "iid": apply_overrides(_FIG2, _IID),
+    "dp-cc-wk": apply_overrides(_FIG2, {**_DP, "name": "dp-cc-wk", "dp.enabled_nodes": [3, 4]}),
+    "dp-pbc-pba": apply_overrides(_FIG2, {**_DP, "name": "dp-pbc-pba", "dp.enabled_nodes": [5, 6]}),
+}
+
+
+def preset_config(name: str) -> dict:
+    if name not in PRESETS:
+        raise KeyError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+    return copy.deepcopy(PRESETS[name])
+
+
+def load_config(path: str | Path) -> dict:
+    return json.loads(Path(path).read_text())
 
 
 @dataclass
@@ -440,12 +436,10 @@ def _text_shards(tree: FederationTree, data: TextData, model: ModelConfig, _seed
 _DATA_KINDS = {"clustered": (ClusteredData, _clustered_shards), "text": (TextData, _text_shards)}
 
 
-def resolve(config: dict, seed: int, rounds: int | None = None) -> ResolvedExperiment:
+def resolve(config: dict, seed: int) -> ResolvedExperiment:
     """Instantiate tree, data, and engine config for one experiment run.
     Every section is parsed before any data is sampled."""
     cfg = copy.deepcopy(config)
-    if rounds is not None and isinstance(cfg, dict):  # a non-object fails in from_json
-        cfg["rounds"] = rounds
     if seed < 0:
         raise ValueError(f"seed: must be >= 0, got {seed}")
     top = from_json(_Sections, cfg, "config")

@@ -116,14 +116,11 @@ def route_residuals(
     return result
 
 
+# the keys of a routing log row, in residuals.csv's column order
+EVENT_FIELDS = ("round", "router", "origin", "layer", "created_round", "action", "landed_at",
+                "similarity")
+
+
 def _event(round_k, router, pkt, action, landed, sim):
-    return {
-        "round": round_k,
-        "router": router,
-        "origin": pkt.origin,
-        "layer": pkt.layer,
-        "created_round": pkt.created_round,
-        "action": action,
-        "landed_at": landed,
-        "similarity": sim,
-    }
+    return dict(zip(EVENT_FIELDS, (round_k, router, pkt.origin, pkt.layer, pkt.created_round,
+                                   action, landed, sim), strict=True))

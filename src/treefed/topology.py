@@ -104,6 +104,11 @@ def validate(tree: FederationTree) -> list[str]:
     for nid, node in tree.nodes.items():
         if node.id != nid:
             violations.append(f"node {nid}: id field says {node.id}")
+        if nid < 0:
+            violations.append(f"node {nid}: id must be >= 0")
+        twice = sorted({c for c in node.children if node.children.count(c) > 1})
+        if twice:
+            violations.append(f"node {nid}: children listed twice: {twice}")
         for c in node.children:
             if c not in tree.nodes:
                 violations.append(f"node {nid}: unknown child {c}")

@@ -19,12 +19,16 @@ this copy can.
 `param_set` is how tests build a ParamSet from values, `param_count` gives a
 config's parameter count in closed form, and `node_series` and
 `trailing_best` are the per-round diagnostics the acceptance checks read.
+`tree_faults` gives fig2's config with one malformed tree each.
 """
+
+import copy
 
 import numpy as np
 
 from treefed.aggregation import lr_at
 from treefed.model import backward, forward_loss
+from treefed.presets import preset_config
 from treefed.tensors import Layout, ParamSet, ParamStack
 
 
@@ -229,3 +233,25 @@ def reference_forward_backward(stack: ParamStack, batch: np.ndarray,
     np.add.at(de, (ids.reshape(N, B * n, 1) * d + offset).reshape(-1), dx.reshape(-1))
     grads["embed"][...] = de.reshape(N, V, d)
     return loss, grad
+
+
+def tree_faults() -> dict[str, tuple[dict, str]]:
+    """fault -> (fig2's config with that tree fault, the message that must
+    reject it before any data is sampled). Each config would run without
+    the check: a second entry for node 3 used to replace the first, a child
+    listed twice trained and merged twice a round, and a negative id failed
+    in shard sampling with a message that named no node."""
+    fig2 = preset_config("fig2")
+    node_twice = copy.deepcopy(fig2)
+    node_twice["tree"]["nodes"].append({**fig2["tree"]["nodes"][3], "trains_locally": False})
+    child_twice = copy.deepcopy(fig2)
+    child_twice["tree"]["nodes"][1]["children"] = [3, 4, 3]
+    negative = copy.deepcopy(fig2)
+    negative["tree"]["nodes"][6]["id"] = -6
+    negative["tree"]["nodes"][2]["children"] = [5, -6]
+    for key in ("leaf_budgets", "leaf_sources"):
+        negative["data"][key]["-6"] = negative["data"][key].pop("6")
+    return {"node listed twice": (node_twice, "tree node 3: listed twice in tree nodes"),
+            "child listed twice": (child_twice,
+                                   "invalid tree: node 1: children listed twice: [3]"),
+            "negative id": (negative, "invalid tree: node -6: id must be >= 0")}

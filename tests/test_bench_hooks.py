@@ -112,7 +112,7 @@ def test_tensor_count_and_round_clock_hooks_exist():
 def test_mean_nll_counter_reads_the_parameter_views():
     # the trace reads ps["embed"].shape, ps["in_proj.w"].shape and iterates
     # the set's views by .name and .data, as every mean_nll call does
-    exp = resolve(preset_config("fig2"), seed=1, rounds=1)
+    exp = resolve({**preset_config("fig2"), "rounds": 1}, seed=1)
     params = init_model(exp.engine.model, 1)
     tokens = exp.shards[exp.leaf_ids[0]].val
     tracer = tracing_module().Tracer()
@@ -125,7 +125,7 @@ def test_mean_nll_counter_reads_the_parameter_views():
 def test_tokens_sampled_counter_reads_every_split_of_every_shard():
     # the trace sums the sizes of the train, val and test splits of every
     # shard build_hierarchy_dataset returns
-    exp = resolve(preset_config("fig2"), seed=1, rounds=1)
+    exp = resolve({**preset_config("fig2"), "rounds": 1}, seed=1)
     tracer = tracing_module().Tracer()
     tracer._after_build_dataset((), exp.shards)
     assert tracer.counts["datagen.tokens_sampled"] == sum(

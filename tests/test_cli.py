@@ -12,9 +12,10 @@ import pytest
 import treefed
 from treefed import cli, presets
 from treefed.cli import main, numerics
-from treefed.engine import AttentionRow, DpRow
 from treefed.presets import PRESETS, ResolvedExperiment, preset_config, resolve, tree_to_json
 from treefed.topology import FederationTree
+
+from oracles import tree_faults
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -133,6 +134,17 @@ class TestRun:
             side_effect=AssertionError("data sampled before the config was checked")))
         assert main(["run", "--config", str(tiny_config)]) == 1
         assert capsys.readouterr().err.startswith("error: tree node 3: unknown key 'dataset'")
+
+    @pytest.mark.parametrize("fault", sorted(tree_faults()))
+    def test_tree_fault_exits_1_naming_the_node(self, tmp_path, capsys, monkeypatch, fault):
+        # --override cannot edit the tree.nodes list, so each fault is a file
+        config, message = tree_faults()[fault]
+        path = tmp_path / "fault.json"
+        path.write_text(json.dumps(config))
+        monkeypatch.setattr(presets, "build_hierarchy_dataset", mock.Mock(
+            side_effect=AssertionError("data sampled before the config was checked")))
+        assert main(["run", "--config", str(path), "--rounds", "1", "--seed", "1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("command, flags, flag", [
         ("run", ["--seed", "1", "--seed", "2"], "seed"),
@@ -325,11 +337,19 @@ class TestOneRunPath:
         assert len(given) == 4
         assert all(isinstance(exp, ResolvedExperiment) for exp in given)
 
-    def test_tuple_logs_are_written_in_their_csv_columns(self):
-        # write_outputs writes the attention and dp rows by position, so each
-        # row type's fields must be its file's header
-        assert AttentionRow._fields == cli._LOG_FILES["attention.csv"][1]
-        assert DpRow._fields == cli._LOG_FILES["dp.csv"][1]
+    def test_log_headers_are_the_row_fields(self, tiny_config, tmp_path):
+        # write_outputs takes each log's columns from its row type: the
+        # fields of AttentionRow and DpRow, and residual.EVENT_FIELDS, the
+        # keys of a routing event
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tiny_config), "--seed", "1", "--rounds", "1",
+                     "--out", str(out)]) == 0
+        headers = {name: (out / "tiny__worldlm__seed1" / name).read_text().splitlines()[0]
+                   for name in ("attention.csv", "residuals.csv", "dp.csv")}
+        assert headers == {
+            "attention.csv": "node,round,stage,layer,candidate,weight",
+            "residuals.csv": "round,router,origin,layer,created_round,action,landed_at,similarity",
+            "dp.csv": "round,node,pre_clip_norm,bound,noise_std"}
 
 
 class TestTextDataset:
@@ -571,7 +591,7 @@ class TestConfigKeys:
         configs += [json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))]
         assert len(configs) == len(PRESETS) + 3
         for cfg in configs:
-            resolve(cfg, seed=1, rounds=1)
+            resolve({**cfg, "rounds": 1}, seed=1)
         out = tmp_path / "out"
         assert main(["run", "--config", str(tiny_config), "--seed", "1", "--out", str(out)]) == 0
         manifest = json.loads((out / "tiny__worldlm__seed1" / "manifest.json").read_text())

@@ -191,7 +191,7 @@ class TestFitBasics:
     def test_dp_client_outside_the_tree_rejected(self):
         # fit checks the tree and DP clients as resolve does, so a client
         # that is not in the tree is named, not a bare KeyError
-        exp = resolve(preset_config("dp-cc-wk"), seed=1, rounds=1)
+        exp = resolve({**preset_config("dp-cc-wk"), "rounds": 1}, seed=1)
         exp.engine.dp = dataclasses.replace(exp.engine.dp, enabled_nodes={9})
         with pytest.raises(ValueError, match="node 9 is not in the tree"):
             fit(exp.tree, exp.shards, exp.engine)

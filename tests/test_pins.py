@@ -7,14 +7,21 @@ the four files of each run in VARIANTS, a preset under overrides no preset
 ships. The shipped configs/*.json must equal `treefed export-preset` output.
 
 The bits of a run depend on the numpy version and the BLAS kernels it runs
-on, so the pins record both, and a mismatch prints them next to the running
-ones. A deliberate output change rewrites the pins in the same change:
+on, so output_pins.json holds one pin set per numpy version and OpenBLAS
+kernel core (`numerics()["blas_core"]`), and a run is only compared with
+the set of the kernel it runs on. A kernel with no set fails, naming the
+command that records one. That command records or replaces the running
+kernel's set and keeps every other; OPENBLAS_CORETYPE picks the kernel:
 
     PYTHONPATH=src python tests/test_pins.py --write
+    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/test_pins.py --write
+
+A deliberate output change rewrites every set in the same change.
 """
 
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -47,6 +54,18 @@ def run_files(out: Path, preset: str, method: str, overrides=()) -> tuple[dict, 
             manifest["content_hash"])
 
 
+def pin_key(running: dict) -> str:
+    """The name of the pin set for a numerics() record."""
+    return f"numpy {running['numpy']}, BLAS core {running['blas_core']}"
+
+
+def write_command() -> str:
+    """The command that records the running kernel's pin set."""
+    core = os.environ.get("OPENBLAS_CORETYPE")
+    return (f"OPENBLAS_CORETYPE={core} " if core else "") + \
+        "PYTHONPATH=src python tests/test_pins.py --write"
+
+
 def run_all(out: Path) -> dict:
     """The pins of this code: {numerics, content_hash, outputs, variants}."""
     pins = {"numerics": numerics(), "content_hash": {}, "outputs": {}, "variants": {}}
@@ -64,7 +83,11 @@ def run_all(out: Path) -> dict:
 
 
 def test_every_preset_output_is_pinned(tmp_path, capsys):
-    want = json.loads(PINS.read_text())
+    sets = json.loads(PINS.read_text())
+    key = pin_key(numerics())
+    assert key in sets, (f"no pins for {key}; pinned: {sorted(sets)}. "
+                         f"Record this kernel's with: {write_command()}")
+    want = sets[key]
     got = run_all(tmp_path)
     capsys.readouterr()
     bad = [f"{preset}: content_hash {got['content_hash'][preset]} != pinned {h}"
@@ -97,5 +120,7 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as tmp:
         pins = run_all(Path(tmp))
-    PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {PINS}")
+    sets = json.loads(PINS.read_text()) if PINS.exists() else {}
+    sets[pin_key(pins["numerics"])] = pins
+    PINS.write_text(json.dumps(sets, indent=1, sort_keys=True) + "\n")
+    print(f"wrote the {pin_key(pins['numerics'])} pins to {PINS}")

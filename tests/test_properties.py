@@ -2,20 +2,24 @@
 distribution, routing respects origin subtrees and ceilings, every residual
 packet a run selects ends exactly once in the next round, clipping respects
 its bound, validate accepts exactly the well-formed trees, resolve rejects a
-config value of the wrong JSON type before sampling, the Markov sampler
-matches its per-token reference byte for byte, and a run of R rounds of any
-preset logs the first R rounds of a longer run."""
+config value of the wrong JSON type before sampling, a boundary value of any
+scalar config key either runs cleanly or exits 1 naming its key, the Markov
+sampler matches its per-token reference byte for byte, and a run of R rounds
+of any preset logs the first R rounds of a longer run."""
 
+import contextlib
 import csv
+import io
 import re
 import tempfile
+import warnings
 from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treefed import engine, presets
@@ -150,7 +154,7 @@ def test_every_selected_packet_ends_once_in_the_next_round(data, tree):
     cfg["model"].update(vocab_size=8, embed_dim=4)
     cfg["trainer"].update(local_steps=1, batch_size=2)
     cfg["residual"]["threshold"] = 2.0  # above any cosine similarity: no gate
-    exp = resolve(cfg, seed=1, rounds=rounds)
+    exp = resolve({**cfg, "rounds": rounds}, seed=1)
     selected = []
 
     def selecting(*args, **kwargs):
@@ -361,3 +365,38 @@ def test_a_shorter_run_is_a_prefix_of_a_longer_one(method, preset, short, more):
             assert 0 < len(rows) < len(longer), name
         elif (name, method) != ("residuals.csv", "worldlm"):  # a run may select no packet
             assert not longer, name
+
+
+# the large boundary value, capped so that no size it sets (embed_dim, vocab,
+# clusters, blocks, budget scale) makes a tiny run allocate more than a few MB
+_LARGE = 128
+
+
+def scalar_keys(preset: str) -> list[str]:
+    """The dotted path of every scalar key of a preset's sections."""
+    return [f"{name}.{key}" for name, section in preset_config(preset).items()
+            if isinstance(section, dict) and name != "tree"
+            for key, value in section.items() if not isinstance(value, (dict, list))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(sorted(PRESETS)).flatmap(
+    lambda preset: st.tuples(st.just(preset), st.sampled_from(scalar_keys(preset)),
+                             st.sampled_from([0, 1, -1, 0.5, _LARGE]))))
+@example(case=("fig2", "trainer.beta2", 0))  # inf perplexity: np.std used to warn
+def test_a_boundary_value_runs_cleanly_or_exits_1_naming_its_key(case):
+    preset, key, value = case
+    argv = ["run", "--preset", preset, "--rounds", "1", "--seed", "1"]
+    argv += [a for o in [*_TINY_DP, f"{key}={value}"] for a in ("--override", o)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    lines = err.getvalue().splitlines()
+    assert not caught, [str(w.message) for w in caught]
+    if rc == 0:
+        assert lines == []
+    else:
+        assert rc == 1 and len(lines) == 1, lines
+        assert re.match(r"error: (config|override) ", lines[0]), lines

@@ -1,13 +1,17 @@
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
 
+from treefed import presets
 from treefed.aggregation import lr_at
 from treefed.engine import fit
 from treefed.model import TrainerConfig
 from treefed.presets import preset_config, resolve, tree_from_json, tree_to_json
 from treefed.topology import FederationTree, NodeSpec, validate
+
+from oracles import tree_faults
 
 FIG2 = {0: [1, 2], 1: [3, 4], 2: [5, 6]}
 
@@ -63,6 +67,15 @@ class TestValidate:
         tree = fig2_tree()
         tree.nodes[3].residual_ceiling = 3  # disables sharing for this node
         assert validate(tree) == []
+
+    @pytest.mark.parametrize("fault", sorted(tree_faults()))
+    def test_tree_fault_rejected_before_sampling(self, fault):
+        config, message = tree_faults()[fault]
+        sample = AssertionError("data sampled before the tree was checked")
+        with mock.patch.object(presets, "build_hierarchy_dataset", side_effect=sample):
+            with pytest.raises(ValueError) as exc:
+                resolve(config, seed=1)
+        assert str(exc.value) == message
 
 
 class TestLevels:
@@ -174,7 +187,7 @@ class TestNodeTrainerOverride:
         # all count those two
         cfg = preset_config("fig2")
         cfg["tree"]["nodes"][0]["trainer"] = {"local_steps": 0}
-        exp = resolve(cfg, seed=1, rounds=2)
+        exp = resolve({**cfg, "rounds": 2}, seed=1)
         result = fit(exp.tree, exp.shards, exp.engine)
         assert result.seq_steps == exp.total_stages == 4
         assert exp.engine.trainer.schedule.total_steps == result.seq_steps * 96
