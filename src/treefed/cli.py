@@ -205,6 +205,16 @@ def final_leaf_mean(exp: ResolvedExperiment, result: RunResult, split="test") ->
     return _mean_std([finals[nid] for nid in sorted(finals)])
 
 
+def _repeated(args, flag: str, default: list) -> list:
+    """The values of a flag that compare may repeat, or `default`; a value
+    given twice would run twice and overwrite its own run directory."""
+    values = getattr(args, flag) or default
+    twice = next((v for i, v in enumerate(values) if v in values[:i]), None)
+    if twice is not None:
+        raise ValueError(f"--{flag} {twice} given twice")
+    return values
+
+
 def _single(args, flag: str, default):
     """The value of a flag that only compare may repeat, or `default`."""
     values = getattr(args, flag) or [default]
@@ -227,7 +237,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    methods, seeds = args.method or ["worldlm", "flat_fl"], args.seed or [0]
+    methods = _repeated(args, "method", ["worldlm", "flat_fl"])
+    seeds = _repeated(args, "seed", [0])
     # a seed's experiment is the same under every method; resolving them all
     # first rejects a bad seed before any run writes its directory
     exps = {seed: resolve_plan(_plan_from_args(args, methods[0], seed)) for seed in seeds}
@@ -266,7 +277,7 @@ _AXES = {
 def cmd_ablate(args) -> int:
     method = _single(args, "method", "worldlm")
     base_config = plan_config(_plan_from_args(args, method, 0))
-    seeds, exps = args.seed or [0], {}
+    seeds, exps = _repeated(args, "seed", [0]), {}
     for seed in seeds:  # every pair is resolved, the base first, before the first run
         exps[seed] = (resolve(base_config, seed=seed),
                       resolve(_AXES[args.axis](base_config), seed=seed))

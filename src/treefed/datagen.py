@@ -174,10 +174,6 @@ class ContextIndex(NamedTuple):
     token_range: tuple[int, int]  # the stream's smallest and largest token id
 
     @classmethod
-    def of(cls, tokens: np.ndarray, n: int) -> "ContextIndex":
-        return cls.of_streams([tokens], n)[0]
-
-    @classmethod
     def of_streams(cls, streams, n: int) -> list["ContextIndex"]:
         """One index per stream, all ranking into one shared `distinct`."""
         streams = [np.asarray(tokens) for tokens in streams]

@@ -10,7 +10,7 @@ checkable against finite differences in the float64 shadow mode.
 The forward pass, the backward pass and local_train carry a leading node
 axis: N models of one layout, stacked as a ParamStack, train as one (N, B,
 ...) computation whose rows never mix, so each node's bytes are those of
-training it alone. A ParamSet is the N = 1 case.
+training it alone.
 
 A training step is bound by per-call overhead at these sizes, so it makes
 few numpy calls and few temporaries: the trunk adds each bias, and each
@@ -173,13 +173,6 @@ def stack_width(layout: Layout) -> int:
     return max(1, STACK_BYTES // (_STEP_BYTES_PER_PARAM * layout.size))
 
 
-def _as_stack(params: ParamSet | ParamStack) -> ParamStack:
-    """A ParamSet as the N = 1 stack; a ParamStack as itself."""
-    if isinstance(params, ParamSet):
-        return ParamStack(params.layout, params.buf[None])
-    return params
-
-
 def _dims(layout: Layout) -> tuple[int, int, int]:
     """(vocab, embed_dim, context_len) recovered from parameter shapes."""
     V, d = layout.shapes["embed"]
@@ -211,8 +204,7 @@ class StepWorkspace:
     np.empty: BLAS writes each weight gradient straight into its view, and
     each bias gradient and the embedding gradient are copied in. local_train
     builds one workspace per call, so every backward pass of the call
-    overwrites one gradient buffer. forward_loss builds one for its own call
-    when it is given none, so backward then writes a fresh buffer.
+    overwrites one gradient buffer.
     """
 
     def __init__(self, layout: Layout, nodes: int, batch_size: int):
@@ -230,7 +222,7 @@ class StepWorkspace:
 
 
 class _ForwardCache(NamedTuple):
-    params: ParamSet | ParamStack
+    params: ParamStack
     w: dict[str, np.ndarray]  # the weight views the forward pass used
     ids: np.ndarray
     x: np.ndarray
@@ -271,33 +263,17 @@ def _trunk(w: dict[str, np.ndarray], ids: np.ndarray, node: np.ndarray, num_bloc
     return x, h, z, ez, ez.sum(axis=2)
 
 
-def forward_loss(params: ParamSet | ParamStack, batch: np.ndarray, wide: bool = False,
-                 ws: StepWorkspace | None = None):
+def forward_loss(stack: ParamStack, batch: np.ndarray, ws: StepWorkspace, wide: bool = False):
     """Mean next-token cross-entropy (nats) of each node's token windows.
 
-    A ParamStack of N models takes an (N, B, n+1) batch and gives an (N,)
-    array of losses; a ParamSet takes a (B, n+1) batch and gives a float, as
-    the N = 1 stack. The first n columns are inputs, the last column is the
-    target. Every node's windows meet only its own row of weights. Returns
-    (loss, cache); the cache feeds backward().
-
-    `ws`, a training call's StepWorkspace of this stack's shape, supplies the
-    step's constants; its batch was drawn from the call's streams, which were
-    checked once, so it is not checked again. Without one the batch is
-    checked and the constants are built for this call.
+    The N models of `stack` take an (N, B, n+1) batch: the first n columns
+    are inputs, the last column is the target. Every node's windows meet
+    only its own row of weights. `ws`, a StepWorkspace of this stack's
+    shape, supplies the step's constants. The batch is not checked:
+    local_train checks its streams once, before the first step. `wide` runs
+    the pass on a float64 copy of the weights. Returns ((N,) losses, cache);
+    the cache feeds backward().
     """
-    stack, batch = _as_stack(params), np.asarray(batch)
-    if isinstance(params, ParamSet):
-        batch = batch[None]
-    if ws is None:
-        N = stack.buf.shape[0]
-        V, _, n = _dims(stack.layout)
-        if batch.ndim != 3 or batch.shape[0] != N or batch.shape[2] != n + 1:
-            raise ValueError(f"batch must be {N} node(s) x B windows x {n + 1} columns, "
-                             f"got {batch.shape}")
-        if batch.min() < 0 or batch.max() >= V:
-            raise ValueError("token id out of range")
-        ws = StepWorkspace(stack.layout, N, batch.shape[1])
     # (N, ...) views of the float32 rows, or of one float64 copy in wide mode
     w = stack.layout.views(stack.buf.astype(np.float64)) if wide else stack.arrays()
     n = ws.context_len
@@ -308,9 +284,7 @@ def forward_loss(params: ParamSet | ParamStack, batch: np.ndarray, wide: bool = 
                       out=np.empty(ez.shape, np.float64 if wide else np.float32))
     nll = np.log(denom) - z.reshape(-1)[target_at]
     loss = np.add.reduce(nll, axis=1) / nll.shape[1]  # np.mean's own arithmetic
-    if isinstance(params, ParamSet):
-        loss = float(loss[0])
-    return loss, _ForwardCache(params, w, ids, x, blocks, h, probs, target_at, ws)
+    return loss, _ForwardCache(stack, w, ids, x, blocks, h, probs, target_at, ws)
 
 
 def _batch_sum(d_out: np.ndarray, ones: np.ndarray) -> np.ndarray:
@@ -323,13 +297,13 @@ def _batch_sum(d_out: np.ndarray, ones: np.ndarray) -> np.ndarray:
     return (_t(d_out) @ ones)[..., 0]
 
 
-def backward(params: ParamSet | ParamStack, cache: _ForwardCache) -> ParamSet | ParamStack:
+def backward(stack: ParamStack, cache: _ForwardCache) -> ParamStack:
     """Exact gradients of each node's mean cross-entropy w.r.t. its
-    parameters, written into one float32 buffer laid out like `params`: the
+    parameters, written into one float32 buffer laid out like `stack`: the
     gradient stack of the forward pass's workspace, which the next step of a
     training call overwrites. The logit gradient is built in the cache's
-    probabilities, so a cache feeds one backward pass. A stack's gradient is
-    not checked for non-finite values: local_train checks the parameters it
+    probabilities, so a cache feeds one backward pass. The gradient is not
+    checked for non-finite values: local_train checks the parameters it
     updates.
 
     Each bias gradient is its layer's output gradient summed over the batch
@@ -337,9 +311,9 @@ def backward(params: ParamSet | ParamStack, cache: _ForwardCache) -> ParamSet | 
     at least 2 wide. np.sum adds a 1-wide column pairwise, so where
     vocab_size or embed_dim is 1 a bias gradient can differ from np.sum's in
     its last bits (in float32 from 4 windows on)."""
-    if cache.params is not params:
+    if cache.params is not stack:
         raise ValueError("stale cache: params do not match the forward pass")
-    stack, w, ws = _as_stack(params), cache.w, cache.ws
+    w, ws = cache.w, cache.ws
     N, B = cache.ids.shape[:2]
     V, d, n = _dims(stack.layout)
     grads = ws.grad.arrays()
@@ -373,9 +347,6 @@ def backward(params: ParamSet | ParamStack, cache: _ForwardCache) -> ParamSet | 
     np.add.at(de, (cache.ids.reshape(N, B * n, 1) * d + ws.embed_offset).reshape(-1),
               dx.reshape(-1))
     grads["embed"][...] = de.reshape(N, V, d)
-
-    if isinstance(params, ParamSet):
-        return ParamSet.from_buffer(params.layout, ws.grad.buf[0])
     return ws.grad
 
 
@@ -459,7 +430,7 @@ def local_train(
     current = ParamStack(layout, work)
     for i in range(trainer.local_steps):
         lr = lr_at(global_step + i, trainer.schedule)
-        losses[:, i], cache = forward_loss(current, batches[i], ws=ws)
+        losses[:, i], cache = forward_loss(current, batches[i], ws)
         grad = backward(current, cache).buf
         if trainer.optimizer == "sgd":
             work -= np.float32(lr) * grad
@@ -505,7 +476,7 @@ def window_nlls(params: ParamSet, indexes: Sequence[ContextIndex],
             raise ValueError("indexes scored in one pass must share one distinct-context array")
         if index.token_range[0] < 0 or index.token_range[1] >= V:
             raise ValueError("token id out of range")
-    w, num_blocks = _as_stack(params).arrays(), _num_blocks(params.layout)
+    w, num_blocks = params.layout.views(params.buf[None]), _num_blocks(params.layout)
     node = np.zeros((1, 1, 1), dtype=np.intp)
     nlls = [np.empty(len(index.order)) for index in indexes]
     for lo in range(0, len(distinct), chunk):
@@ -522,31 +493,24 @@ def window_nlls(params: ParamSet, indexes: Sequence[ContextIndex],
     return nlls
 
 
-def mean_nll(params: ParamSet, tokens: np.ndarray, chunk: int = 8192,
-             nll: np.ndarray | None = None) -> float:
-    """Mean token NLL (nats) over all stride-1 windows of the token stream.
+def mean_nll(params: ParamSet, tokens: np.ndarray, nll: np.ndarray, chunk: int = 8192) -> float:
+    """Mean token NLL (nats) over all stride-1 windows of the token stream,
+    from `nll`, the stream's window NLLs as window_nlls scored them: one
+    entry per window of `tokens`.
 
-    The window NLLs come from window_nlls, which runs each distinct context
-    through the network once. They are averaged `chunk` windows at a time
-    and the means weighted by their window counts, so the result is
-    byte-identical to scoring the stream with forward_loss, `chunk` windows
-    a call, wherever both take BLAS's matrix-matrix kernel and a row's bits
-    do not depend on its batch: measured on SkylakeX kernels, not on
-    Haswell's (see window_nlls).
-
-    `nll` is the stream's window NLLs, which a caller that scores several
-    streams in one window_nlls pass passes in; it must have one entry per
-    window of `tokens`. Without it they are scored for this call.
+    They are averaged `chunk` windows at a time and the means weighted by
+    their window counts, so the result is byte-identical to scoring the
+    stream with forward_loss, `chunk` windows a call, wherever both take
+    BLAS's matrix-matrix kernel and a row's bits do not depend on its batch:
+    measured on SkylakeX kernels, not on Haswell's (see window_nlls).
     """
     tokens, n = np.asarray(tokens), context_len(params.layout)
     windows = len(tokens) - n
-    if nll is None:
-        (nll,) = window_nlls(params, [ContextIndex.of(tokens, n)], chunk)
-    elif len(nll) != windows:
+    if windows < 1:
+        raise ValueError("empty or too-short evaluation shard")
+    if len(nll) != windows:
         raise ValueError(f"nll has {len(nll)} windows, but the {len(tokens)}-token "
                          f"stream has {windows} windows of {n} context tokens")
-    elif windows < 1:
-        raise ValueError("empty or too-short evaluation shard")
     total = 0.0
     for start in range(0, len(nll), chunk):
         part = nll[start : start + chunk]

@@ -2,8 +2,8 @@
 validation.
 
 A tree is a map of node ids to NodeSpec records. The root has id 0 and no
-parent. Node ids are dense integers assigned in BFS order by the builders,
-which fixes reduction order everywhere downstream. residual_ceiling names the
+parent. Node ids are non-negative integers, not necessarily dense: reduction
+order everywhere downstream comes from sorting them. residual_ceiling names the
 highest ancestor that may route a node's residual packets (default: the root).
 A tree's JSON form is read and written by presets, which owns the config
 format.
@@ -132,17 +132,6 @@ def validate(tree: FederationTree) -> list[str]:
             cur = tree.nodes[cur].parent if cur in tree.nodes else None
 
     if not violations:
-        reachable = set()
-        stack = [0]
-        while stack:
-            cur = stack.pop()
-            if cur in reachable:
-                continue
-            reachable.add(cur)
-            stack.extend(tree.nodes[cur].children)
-        unreachable = sorted(set(tree.nodes) - reachable)
-        if unreachable:
-            violations.append(f"unreachable nodes: {unreachable}")
         for nid, node in tree.nodes.items():
             ceiling = node.residual_ceiling
             if ceiling != nid and (ceiling not in tree.nodes or not tree.is_ancestor(ceiling, nid)):

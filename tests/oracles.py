@@ -16,6 +16,9 @@ the in-place trunk and the BLAS-written gradients replaced. Because
 comparing the two training loops cannot catch a change in those kernels;
 this copy can.
 
+`forward_backward` runs the model's own forward and backward pass on one
+model, as the one-row stack that local_train would train it in.
+
 `param_set` is how tests build a ParamSet from values, `param_count` gives a
 config's parameter count in closed form, and `node_series` and
 `trailing_best` are the per-round diagnostics the acceptance checks read.
@@ -27,7 +30,7 @@ import copy
 import numpy as np
 
 from treefed.aggregation import lr_at
-from treefed.model import backward, forward_loss
+from treefed.model import StepWorkspace, backward, forward_loss
 from treefed.presets import preset_config
 from treefed.tensors import Layout, ParamSet, ParamStack
 
@@ -41,6 +44,16 @@ def param_set(entries) -> ParamSet:
     layout = Layout.of((name, a.shape) for name, a in pairs)
     buf = np.concatenate([np.empty(0, np.float32)] + [a.ravel() for _, a in pairs])
     return ParamSet.from_buffer(layout, buf)
+
+
+def forward_backward(params: ParamSet, batch: np.ndarray,
+                     wide: bool = False) -> tuple[float, ParamSet]:
+    """forward_loss and backward on `params` as a one-row stack and its
+    (B, n+1) `batch`: (mean loss, gradient set)."""
+    stack, batch = ParamStack(params.layout, params.buf[None]), np.asarray(batch)[None]
+    ws = StepWorkspace(params.layout, 1, batch.shape[1])
+    loss, cache = forward_loss(stack, batch, ws, wide)
+    return float(loss[0]), ParamSet.from_buffer(params.layout, backward(stack, cache).buf[0])
 
 
 def param_count(cfg) -> int:
@@ -121,9 +134,8 @@ def reference_local_train(params: ParamSet, tokens: np.ndarray, trainer,
         lr = lr_at(global_step + i, trainer.schedule)
         starts = rng.integers(0, len(tokens) - n, size=trainer.batch_size)
         batch = np.stack([tokens[s : s + n + 1] for s in starts])
-        loss, cache = forward_loss(current, batch)
+        loss, grads = forward_backward(current, batch)
         losses.append(loss)
-        grads = backward(current, cache)
         if trainer.optimizer == "sgd":
             for g in grads:
                 work[g.name] = work[g.name] - np.float32(lr) * g.data
@@ -153,7 +165,7 @@ def reference_mean_nll(params: ParamSet, tokens: np.ndarray, chunk: int = 8192) 
     total = 0.0
     for start in range(0, len(windows), chunk):
         part = np.ascontiguousarray(windows[start : start + chunk])
-        loss, _ = forward_loss(params, part)
+        loss, _ = forward_backward(params, part)
         total += loss * len(part)
     return total / len(windows)
 
@@ -237,10 +249,12 @@ def reference_forward_backward(stack: ParamStack, batch: np.ndarray,
 
 def tree_faults() -> dict[str, tuple[dict, str]]:
     """fault -> (fig2's config with that tree fault, the message that must
-    reject it before any data is sampled). Each config would run without
-    the check: a second entry for node 3 used to replace the first, a child
-    listed twice trained and merged twice a round, and a negative id failed
-    in shard sampling with a message that named no node."""
+    reject it before any data is sampled). The first three configs would
+    run without the check: a second entry for node 3 used to replace the
+    first, a child listed twice trained and merged twice a round, and a
+    negative id failed in shard sampling with a message that named no node.
+    The last two are a child id with no node and a node its parent does not
+    list among its children."""
     fig2 = preset_config("fig2")
     node_twice = copy.deepcopy(fig2)
     node_twice["tree"]["nodes"].append({**fig2["tree"]["nodes"][3], "trains_locally": False})
@@ -251,7 +265,14 @@ def tree_faults() -> dict[str, tuple[dict, str]]:
     negative["tree"]["nodes"][2]["children"] = [5, -6]
     for key in ("leaf_budgets", "leaf_sources"):
         negative["data"][key]["-6"] = negative["data"][key].pop("6")
+    unknown_child = copy.deepcopy(fig2)
+    unknown_child["tree"]["nodes"][2]["children"] = [5, 6, 9]
+    missing = copy.deepcopy(fig2)
+    missing["tree"]["nodes"][2]["children"] = [5]
     return {"node listed twice": (node_twice, "tree node 3: listed twice in tree nodes"),
             "child listed twice": (child_twice,
                                    "invalid tree: node 1: children listed twice: [3]"),
-            "negative id": (negative, "invalid tree: node -6: id must be >= 0")}
+            "negative id": (negative, "invalid tree: node -6: id must be >= 0"),
+            "unknown child": (unknown_child, "invalid tree: node 2: unknown child 9"),
+            "missing from parent": (missing,
+                                    "invalid tree: node 6: missing from parent 2 children")}

@@ -24,14 +24,15 @@ from treefed.aggregation import (
 )
 from treefed.cli import ExperimentPlan, execute, final_leaf_mean, main
 from treefed.datagen import entropy_rate, make_clustered_sources, markov_perplexity, sample_tokens
-from treefed.model import ModelConfig, backward, forward_loss, init_model
+from treefed.model import ModelConfig, init_model
 from treefed.presets import apply_overrides, preset_config, resolve
 from treefed.privacy import clip, next_bound
 from treefed.residual import ResidualPacket, route_residuals
 from treefed.tensors import l2_norm
 from treefed.topology import FederationTree
 
-from oracles import fd_gradient, node_series, param_count, param_set, trailing_best
+from oracles import (fd_gradient, forward_backward, node_series, param_count, param_set,
+                     trailing_best)
 
 SEEDS = (1, 2, 3)
 _cache: dict = {}
@@ -115,8 +116,7 @@ class TestCriterion2GradientCorrectness:
                                   expansion_ratio=2, context_len=2)
             params = init_model(cfg, int(rng.integers(0, 1 << 30)))
             batch = rng.integers(0, cfg.vocab_size, size=(4, cfg.context_len + 1))
-            _, cache = forward_loss(params, batch, wide=True)
-            grads = backward(params, cache)
+            _, grads = forward_backward(params, batch, wide=True)
             for t in grads:
                 for idx in range(t.size):
                     fd = fd_gradient(params, batch, t.name, idx)

@@ -200,16 +200,37 @@ class TestBlasPin:
 
 
 class TestCompare:
-    def test_identical_plans_ratio_one(self, tiny_config, tmp_path, capsys):
+    def test_ratio_is_against_the_worldlm_row(self, tiny_config, tmp_path):
         out = tmp_path / "out"
         rc = main(["compare", "--config", str(tiny_config),
-                   "--method", "worldlm", "--method", "worldlm",
+                   "--method", "flat_fl", "--method", "worldlm",
                    "--seed", "3", "--out", str(out)])
         assert rc == 0
         with open(out / "compare.csv") as f:
-            rows = list(csv.DictReader(f))
-        assert len(rows) == 2
-        assert all(float(r["ratio_vs_worldlm"]) == pytest.approx(1.0) for r in rows)
+            rows = {r["method"]: r for r in csv.DictReader(f)}
+        base = float(rows["worldlm"]["mean_ppl"])
+        for r in rows.values():
+            assert float(r["ratio_vs_worldlm"]) == pytest.approx(float(r["mean_ppl"]) / base,
+                                                                 abs=1e-4)
+        assert rows["worldlm"]["ratio_vs_worldlm"] == "1.0000"
+
+    @pytest.mark.parametrize("command,flags,named", [
+        (["compare"], ["--seed", "1", "--seed", "1"], "--seed 1"),
+        (["compare"], ["--method", "worldlm", "--method", "local", "--method", "worldlm"],
+         "--method worldlm"),
+        (["ablate", "--axis", "residuals"], ["--seed", "2", "--seed", "1", "--seed", "2"],
+         "--seed 2"),
+    ])
+    def test_repeated_value_exits_1_before_any_run(self, tiny_config, tmp_path, capsys,
+                                                   monkeypatch, command, flags, named):
+        # a repeated value would run twice into one run directory and count
+        # twice in the mean and std
+        monkeypatch.setattr(cli, "execute", mock.Mock(side_effect=AssertionError("ran")))
+        out = tmp_path / "out"
+        rc = main([*command, "--config", str(tiny_config), *flags, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {named} given twice"]
+        assert not out.exists()
 
     def test_table_parses_back(self, tiny_config, tmp_path):
         out = tmp_path / "out"

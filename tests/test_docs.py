@@ -1,11 +1,15 @@
 """README cannot drift from the code: its Python example runs, and every
 backticked `module.name` whose first part is a treefed module resolves,
 either as an attribute path of that module (`presets._Sections`) or as a
-key path of the fig2 config (`model.vocab_size`)."""
+key path of the fig2 config (`model.vocab_size`). Its claim that numpy is the
+only runtime dependency holds: the package imports nothing else outside the
+standard library."""
 
+import ast
 import importlib
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +55,19 @@ def is_config_key_path(ref: str) -> bool:
 @pytest.mark.parametrize("ref", REFERENCES)
 def test_reference_resolves(ref):
     assert is_attribute_path(ref) or is_config_key_path(ref), ref
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    outside = []
+    for path in sorted(Path(treefed.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in {*sys.stdlib_module_names, "numpy", "treefed"}]
+    assert "The only runtime dependency is numpy." in README
+    assert outside == []

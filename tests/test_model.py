@@ -9,8 +9,10 @@ from treefed.datagen import ContextIndex, make_clustered_sources, sample_tokens
 from treefed.model import (
     ModelConfig,
     Partition,
+    StepWorkspace,
     TrainerConfig,
     backward,
+    context_len,
     forward_loss,
     init_model,
     local_train,
@@ -24,6 +26,7 @@ from treefed.tensors import CongruenceError, Layout, ParamSet, ParamStack
 
 from oracles import (
     fd_gradient,
+    forward_backward,
     oracle_loss,
     param_count,
     param_set,
@@ -34,11 +37,23 @@ from oracles import (
 
 TINY = ModelConfig(vocab_size=8, embed_dim=4, num_blocks=2, expansion_ratio=2,
                    key_block_count=1, context_len=2)
+TINY_LAYOUT = init_model(TINY, 0).layout
 
 
 def zero_head(params: ParamSet) -> ParamSet:
     return param_set((t.name, np.zeros(t.shape) if t.name in ("head.w", "head.b") else t.data)
                      for t in params)
+
+
+def index_of(tokens, n: int) -> ContextIndex:
+    """A stream's ContextIndex, built alone."""
+    return ContextIndex.of_streams([tokens], n)[0]
+
+
+def scored_alone(params: ParamSet, tokens, chunk: int = 8192) -> float:
+    """mean_nll of a stream whose window NLLs window_nlls scored alone."""
+    (nll,) = window_nlls(params, [index_of(tokens, context_len(params.layout))], chunk)
+    return mean_nll(params, tokens, nll, chunk)
 
 
 class TestInit:
@@ -103,31 +118,21 @@ class TestForwardLoss:
     def test_zero_head_gives_log_vocab(self):
         params = zero_head(init_model(TINY, 0))
         batch = np.array([[0, 1, 2], [3, 4, 5]])
-        loss, _ = forward_loss(params, batch)
+        loss, _ = forward_backward(params, batch)
         assert loss == pytest.approx(np.log(TINY.vocab_size), rel=1e-12)
 
     def test_two_token_uniform(self):
         cfg = ModelConfig(vocab_size=2, embed_dim=4, num_blocks=1, context_len=2)
         params = zero_head(init_model(cfg, 0))
-        loss, _ = forward_loss(params, np.array([[0, 1, 0]]))
+        loss, _ = forward_backward(params, np.array([[0, 1, 0]]))
         assert loss == pytest.approx(np.log(2), rel=1e-12)
 
     def test_matches_independent_reimplementation(self):
         rng = np.random.default_rng(11)
         params = init_model(TINY, 5)
         batch = rng.integers(0, TINY.vocab_size, size=(6, TINY.context_len + 1))
-        loss, _ = forward_loss(params, batch, wide=True)
+        loss, _ = forward_backward(params, batch, wide=True)
         assert loss == pytest.approx(oracle_loss(params, batch), rel=1e-6)
-
-    def test_out_of_range_token(self):
-        params = init_model(TINY, 0)
-        with pytest.raises(ValueError):
-            forward_loss(params, np.array([[0, 1, TINY.vocab_size]]))
-
-    def test_wrong_width(self):
-        params = init_model(TINY, 0)
-        with pytest.raises(ValueError):
-            forward_loss(params, np.array([[0, 1, 2, 3]]))
 
 
 class TestBackward:
@@ -135,8 +140,7 @@ class TestBackward:
         rng = np.random.default_rng(21)
         params = init_model(TINY, 9)
         batch = rng.integers(0, TINY.vocab_size, size=(5, TINY.context_len + 1))
-        loss, cache = forward_loss(params, batch, wide=True)
-        grads = backward(params, cache)
+        _, grads = forward_backward(params, batch, wide=True)
         worst = 0.0
         for t in grads:
             for idx in range(t.size):
@@ -149,8 +153,7 @@ class TestBackward:
     def test_zero_head_zeroes_embedding_gradient(self):
         params = zero_head(init_model(TINY, 2))
         batch = np.array([[0, 1, 2], [3, 4, 5]])
-        _, cache = forward_loss(params, batch)
-        grads = backward(params, cache)
+        _, grads = forward_backward(params, batch)
         np.testing.assert_array_equal(grads["embed"].data, 0.0)
         np.testing.assert_array_equal(grads["in_proj.w"].data, 0.0)
         # the head itself still gets gradient
@@ -161,16 +164,14 @@ class TestBackward:
         params = init_model(TINY, 4)
         batch = rng.integers(0, TINY.vocab_size, size=(4, TINY.context_len + 1))
         doubled = np.concatenate([batch, batch])
-        _, c1 = forward_loss(params, batch, wide=True)
-        _, c2 = forward_loss(params, doubled, wide=True)
-        g1, g2 = backward(params, c1), backward(params, c2)
+        _, g1 = forward_backward(params, batch, wide=True)
+        _, g2 = forward_backward(params, doubled, wide=True)
         for a, b in zip(g1, g2):
             np.testing.assert_allclose(a.data, b.data, rtol=1e-5, atol=1e-8)
 
     def test_stale_cache(self):
-        params = init_model(TINY, 0)
-        _, cache = forward_loss(params, np.array([[0, 1, 2]]))
-        other = init_model(TINY, 0)
+        stack, other = (ParamStack(TINY_LAYOUT, init_model(TINY, 0).buf[None]) for _ in range(2))
+        _, cache = forward_loss(stack, np.array([[[0, 1, 2]]]), StepWorkspace(TINY_LAYOUT, 1, 1))
         with pytest.raises(ValueError, match="stale"):
             backward(other, cache)
 
@@ -191,7 +192,7 @@ class TestBackward:
                            .astype(np.float32))
         batch = rng.integers(0, vocab, size=(nodes, batch_size, context + 1))
         want_loss, want_grad = reference_forward_backward(stack, batch, wide)
-        loss, cache = forward_loss(stack, batch, wide)
+        loss, cache = forward_loss(stack, batch, StepWorkspace(layout, nodes, batch_size), wide)
         assert loss.tobytes() == want_loss.tobytes()
         assert backward(stack, cache).buf.tobytes() == want_grad.tobytes()
 
@@ -202,9 +203,9 @@ class TestBackward:
         stack = ParamStack(layout, np.stack([init_model(TINY, s).buf for s in (1, 2, 3)]))
         batch = np.random.default_rng(5).integers(0, TINY.vocab_size,
                                                   size=(3, 7, TINY.context_len + 1))
-        ws = model_mod.StepWorkspace(layout, 3, 7)
+        ws = StepWorkspace(layout, 3, 7)
         ws.grad.buf.fill(np.nan)
-        _, cache = forward_loss(stack, batch, ws=ws)
+        _, cache = forward_loss(stack, batch, ws)
         assert np.isfinite(backward(stack, cache).buf).all()
 
 
@@ -229,7 +230,7 @@ class TestLocalTrain:
         [out] = local_train([(params, alternating_tokens(), 1)], self.trainer(200),
                             global_step=0)
         windows = np.lib.stride_tricks.sliding_window_view(alternating_tokens(), 3)
-        final_loss, _ = forward_loss(out.params, sample_batch(
+        final_loss, _ = forward_backward(out.params, sample_batch(
             windows, 64, np.random.default_rng(2)))
         assert final_loss < 0.05
 
@@ -251,9 +252,7 @@ class TestLocalTrain:
             lr = lr_at(2 + t - 1, trainer.schedule)
             batch = np.stack([tokens[s : s + 3] for s in
                               rng.integers(0, len(tokens) - 2, size=4)])
-            current = param_set(work)
-            _, cache = forward_loss(current, batch)
-            grads = backward(current, cache)
+            _, grads = forward_backward(param_set(work), batch)
             for g in grads:
                 gd = g.data.astype(np.float64)
                 m[g.name] = 0.9 * m[g.name] + 0.1 * gd
@@ -284,9 +283,8 @@ class TestLocalTrain:
                                (96, 32), np.random.default_rng(7))
         work, m, v = params.buf.copy(), np.zeros(params.layout.size), np.zeros(params.layout.size)
         for t in range(1, 97):
-            current = ParamSet.from_buffer(params.layout, work)
-            _, cache = forward_loss(current, batches[t - 1])
-            g = backward(current, cache).buf.astype(np.float64)
+            _, grads = forward_backward(ParamSet.from_buffer(params.layout, work), batches[t - 1])
+            g = grads.buf.astype(np.float64)
             m = 0.9 * m + 0.1 * g
             v = 0.95 * v + 0.05 * g * g
             step = lr_at(t - 1, trainer.schedule) * (m / (1 - 0.9 ** t)) / (
@@ -465,8 +463,7 @@ class TestStackedTraining:
         head["head.w"][...] = 0.0
         head["head.b"][3] = 60.0
         tiny = (ParamSet.from_buffer(layout, buf), np.full(256, 3), 1)
-        _, cache = forward_loss(tiny[0], np.full((8, TINY.context_len + 1), 3))
-        g = backward(tiny[0], cache).buf
+        g = forward_backward(tiny[0], np.full((8, TINY.context_len + 1), 3))[1].buf
         assert np.any(g != 0) and np.all(g * g == 0) and np.abs(g).max() < 1e-23
 
         trainer = TestLocalTrain().trainer(5)
@@ -480,10 +477,11 @@ class TestStackedTraining:
     def test_stack_forward_equals_each_row(self):
         sets = [init_model(TINY, k) for k in range(3)]
         batch = np.random.default_rng(0).integers(0, TINY.vocab_size, size=(3, 5, 3))
-        losses, _ = forward_loss(ParamStack(sets[0].layout, np.stack([p.buf for p in sets])),
-                                 batch)
+        losses, _ = forward_loss(ParamStack(TINY_LAYOUT, np.stack([p.buf for p in sets])), batch,
+                                 StepWorkspace(TINY_LAYOUT, 3, 5))
         for params, rows, loss in zip(sets, batch, losses):
-            assert np.float64(loss).tobytes() == np.float64(forward_loss(params, rows)[0]).tobytes()
+            assert (np.float64(loss).tobytes()
+                    == np.float64(forward_backward(params, rows)[0]).tobytes())
 
     def test_jobs_must_share_a_layout(self):
         other = ModelConfig(vocab_size=8, embed_dim=4, num_blocks=3, context_len=2)
@@ -508,7 +506,7 @@ class TestPerplexity:
         cfg = ModelConfig(vocab_size=50, embed_dim=4, num_blocks=1, context_len=2)
         params = zero_head(init_model(cfg, 0))
         tokens = np.random.default_rng(0).integers(0, 50, size=500)
-        assert np.exp(mean_nll(params, tokens)) == pytest.approx(50.0, rel=1e-9)
+        assert np.exp(scored_alone(params, tokens)) == pytest.approx(50.0, rel=1e-9)
 
     def test_converged_cycle_approaches_one(self):
         cfg = ModelConfig(vocab_size=2, embed_dim=4, num_blocks=1, context_len=2)
@@ -516,11 +514,12 @@ class TestPerplexity:
         trainer = TrainerConfig(local_steps=200, batch_size=8, schedule=sched)
         [out] = local_train([(init_model(cfg, 0), alternating_tokens(), 3)], trainer,
                             global_step=0)
-        assert np.exp(mean_nll(out.params, alternating_tokens(128))) < 1.06
+        assert np.exp(scored_alone(out.params, alternating_tokens(128))) < 1.06
 
-    def test_empty_shard_errors(self):
-        with pytest.raises(ValueError):
-            mean_nll(init_model(TINY, 0), np.array([0, 1]))
+    @pytest.mark.parametrize("tokens", [[], [0], [0, 1]])
+    def test_too_short_shard_errors(self, tokens):
+        with pytest.raises(ValueError, match="^empty or too-short evaluation shard$"):
+            mean_nll(init_model(TINY, 0), np.array(tokens), np.zeros(0))
 
 
 class TestMeanNll:
@@ -555,7 +554,7 @@ class TestMeanNll:
         # a small alphabet repeats contexts, a full one rarely does
         alphabet = data.draw(st.integers(1, vocab), label="alphabet")
         tokens = rng.integers(0, alphabet, size=windows + context)
-        got, want = mean_nll(params, tokens, chunk), reference_mean_nll(params, tokens, chunk)
+        got, want = scored_alone(params, tokens, chunk), reference_mean_nll(params, tokens, chunk)
         if windows % chunk == 1:  # the loop scores its last window alone
             assert got == pytest.approx(want, rel=1e-5, abs=1e-4)
         else:
@@ -567,13 +566,13 @@ class TestMeanNll:
         cfg = ModelConfig(vocab_size=70_000, embed_dim=2, num_blocks=1, context_len=4)
         params = init_model(cfg, 0)
         tokens = np.array([69_999, 1, 69_999, 1, 69_999, 1, 0, 69_999, 1, 69_999, 1, 69_999])
-        assert (np.float64(mean_nll(params, tokens, 4)).tobytes()
+        assert (np.float64(scored_alone(params, tokens, 4)).tobytes()
                 == np.float64(reference_mean_nll(params, tokens, 4)).tobytes())
 
     def test_token_out_of_range_rejected(self):
         for bad in (TINY.vocab_size, -1):
             with pytest.raises(ValueError, match="token id out of range"):
-                mean_nll(init_model(TINY, 0), np.array([0, 1, bad, 2]))
+                scored_alone(init_model(TINY, 0), np.array([0, 1, bad, 2]))
 
     @settings(max_examples=60, deadline=None)
     @given(vocab=st.integers(2, 64), context=st.integers(1, 4), embed=st.integers(2, 8),
@@ -602,23 +601,21 @@ class TestMeanNll:
             assert (union[index.rank] == w[index.order, :context]).all()
             assert (index.targets == w[index.order, context]).all()
         for tokens, nll in zip(streams, window_nlls(params, indexes, chunk)):
-            joint = mean_nll(params, tokens, chunk, nll=nll)
-            alone = mean_nll(params, tokens, chunk)
+            joint = mean_nll(params, tokens, nll, chunk)
+            alone = scored_alone(params, tokens, chunk)
             assert np.float64(joint).tobytes() == np.float64(alone).tobytes()
 
     def test_nlls_of_another_stream_rejected(self):
         params = init_model(TINY, 0)
         tokens = np.arange(12) % TINY.vocab_size
         val, test = tokens[:5], tokens[5:]
-        (nll,) = window_nlls(params, [ContextIndex.of(val, TINY.context_len)])
-        for other in (test, []):
-            with pytest.raises(ValueError, match=rf"nll has 3 windows, but the "
-                                                 rf"{len(other)}-token stream has "
-                                                 rf"{len(other) - 2} windows"):
-                mean_nll(params, other, nll=nll)
-        assert mean_nll(params, val, nll=nll) == mean_nll(params, val)
+        (nll,) = window_nlls(params, [index_of(val, TINY.context_len)])
+        with pytest.raises(ValueError, match="nll has 3 windows, but the 7-token stream "
+                                             "has 5 windows"):
+            mean_nll(params, test, nll)
+        assert mean_nll(params, val, nll) == pytest.approx(reference_mean_nll(params, val))
 
     def test_indexes_of_separate_builds_are_not_scored_together(self):
-        a, b = (ContextIndex.of(np.arange(k, k + 6) % 8, TINY.context_len) for k in (0, 1))
+        a, b = (index_of(np.arange(k, k + 6) % 8, TINY.context_len) for k in (0, 1))
         with pytest.raises(ValueError, match="share one distinct-context array"):
             window_nlls(init_model(TINY, 0), [a, b])
