@@ -1,33 +1,37 @@
-"""Round execution for a federation tree plus the flat/local/centralized
-baselines, all sharing the same trainers, seeds, and step accounting.
+"""One round engine for both federated methods, plus the local and
+centralized baselines, all sharing the same trainers, seeds, and step
+accounting.
 
-`fit` runs each round as phases over one `_Run` state, after *start* has
-checked the tree and initialized every node. It walks the tree level by
-level (top-down); every level is one *stage*, whose nodes are logically
-simultaneous. A stage's *enter* takes each node in level order: it adopts
-its parent's freshly trained backbone and merges keys by attention with the
-parent and, at a leaf, the residual packets routed to it; a server routes its
-packets to its children, scoring their current keys. *train* then stacks the
-level's nodes that share a trainer and a schedule position into one
-local_train call (up to model.stack_width nodes), and *evaluate* scores every
-node. After the last stage, *aggregate* runs at each server bottom-up:
-pseudo-gradient averaging with server momentum for backbones (with DP
-sanitization of flagged children's deltas), per-layer attention for keys, and
-dissimilarity-based residual selection. Each selected packet goes straight
-to the server where it turns around (its ceiling, or the selecting server
-when the ceiling lies below it), which routes it in the next round; every
-hop below happens in that round too.
+`fit` checks the tree and runs each round as phases, the methods of one
+`_Run` state, after *start* has initialized every node. It walks the tree
+level by level (top-down); every level is one *stage*, whose nodes are
+logically simultaneous. A stage's *enter* takes each node in level order: it
+adopts its parent's freshly trained backbone and merges keys by attention
+with the parent and, at a leaf, the residual packets routed to it; a server
+routes its packets to its children, scoring their current keys. *train*
+then stacks the level's nodes that share a trainer and a schedule position
+into one local_train call (up to model.stack_width nodes), and *evaluate*
+scores every node. After the last stage, *aggregate* runs at each server
+bottom-up: pseudo-gradient averaging with server momentum for backbones
+(with DP sanitization of flagged children's deltas), per-layer attention for
+keys, and dissimilarity-based residual selection. Each selected packet goes
+straight to the server where it turns around (its ceiling, or the selecting
+server when the ceiling lies below it), which routes it in the next round;
+every hop below happens in that round too. `run_flat_fl` drives the same
+phases on a keyless star tree: each round every leaf enters, the leaves
+train as one stage and the server aggregates; then each leaf is scored on
+the server's model.
 
 A stage consumes one sequential step when at least one of its nodes trains;
-baselines are budgeted in the same units. Every runner stacks its same-shape
-trainings the same way, so the baselines train their leaves together too.
+the baselines are budgeted in the same units and stack their leaves'
+trainings the same way.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -220,35 +224,10 @@ def _train_stacked(entries: list[tuple[int, TrainerConfig, int]],
         entries = [e for e in entries if e[0] not in keys]
 
 
-def server_step(server: ParamSet, clients: list[tuple[int, ParamSet]], momentum: ParamSet,
-                bound: float | None, cfg: EngineConfig, round_k: int,
-                dp_log: list[DpRow]) -> tuple[ParamSet, ParamSet, float | None]:
-    """One server round over its clients' (id, trained parameters), in the
-    given order. Each client's pseudo-gradient is its parameters minus the
-    server's. A DP client's is clipped to the server's current `bound`,
-    Gaussian noise from the client's (round, noise) stream is added, and one
-    dp.csv row is logged. The mean pseudo-gradient then takes a server
-    momentum step. Returns the new server parameters and momentum, and the
-    next round's bound from this round's pre-clip norms (`bound` itself
-    without a DP client). Every operation is looked up in this module's
-    namespace, where the benchmark trace wraps it."""
-    dp, deltas, norms = cfg.dp, [], []
-    for cid, params in clients:
-        delta = axpy(-1.0, server, params)
-        if dp and cid in dp.enabled_nodes:
-            clipped, pre_norm = clip(delta, bound)
-            norms.append(pre_norm)
-            delta = add_noise(clipped, dp.sigma, bound,
-                              rng_for(cfg.seed, cid, round_k, _NOISE_TAG))
-            dp_log.append(DpRow(round_k, cid, pre_norm, bound, dp.sigma * bound))
-        deltas.append(delta)
-    server, momentum = server_opt(server, average_pseudograds(deltas), momentum, cfg.server)
-    return server, momentum, next_bound(bound, norms)
-
-
 @dataclass
 class _Run:
-    """The state one `fit` shares between its phases, which are its methods."""
+    """The state that one `fit` or `run_flat_fl` shares between its phases,
+    which are its methods."""
 
     tree: FederationTree
     shards: dict[int, Shard]
@@ -260,9 +239,10 @@ class _Run:
     scored: dict[int, dict[str, float]] = field(default_factory=dict)
 
     @classmethod
-    def start(cls, tree: FederationTree, shards: dict[int, Shard], cfg: EngineConfig) -> _Run:
-        """Check the tree and DP clients; start every node from one model."""
-        check_tree_and_dp(tree, cfg.dp)
+    def start(cls, tree: FederationTree, shards: dict[int, Shard], cfg: EngineConfig,
+              method: str = "worldlm") -> _Run:
+        """Start every node from one model, and give each server with a DP
+        client the initial bound."""
         part = Partition.for_config(cfg.model)
         base = init_model(cfg.model, cfg.seed)
         zero = part.split(base)[0].zeros_like()
@@ -270,7 +250,7 @@ class _Run:
                  for nid in tree.nodes}
         for nid in cfg.dp.enabled_nodes if cfg.dp else ():
             state[tree.nodes[nid].parent].bound = cfg.dp.initial_bound
-        return cls(tree, shards, cfg, part, state, RunResult(method="worldlm", rows=[]))
+        return cls(tree, shards, cfg, part, state, RunResult(method=method, rows=[]))
 
     def enter(self, round_k: int, nid: int) -> None:
         """Adopt the parent's backbone and merge keys with the parent's and,
@@ -316,15 +296,33 @@ class _Run:
                                            stage, memo=self.scored)
 
     def aggregate(self, round_k: int, nid: int) -> None:
-        """A server's bottom-up step over its children. A selected packet
-        turns around at its ceiling, or here when that lies below."""
-        st, part, cfg = self.state[nid], self.part, self.cfg
+        """A server's bottom-up step over its children, in id order. Each
+        child's backbone pseudo-gradient is its backbone minus the server's.
+        A DP child's is clipped to the server's bound, Gaussian noise from the
+        child's (round, noise) stream is added, and one dp.csv row is logged.
+        The mean pseudo-gradient takes a server momentum step, and the round's
+        pre-clip norms set the next bound. Keys are merged by attention, and a
+        selected packet turns around at its ceiling, or here when that lies
+        below. Every operation is looked up in this module's namespace, where
+        the benchmark trace wraps it."""
+        st, part, cfg, dp = self.state[nid], self.part, self.cfg, self.cfg.dp
         children = sorted(self.tree.nodes[nid].children)
         backbone, keys = part.split(st.model)
         splits = {cid: part.split(self.state[cid].model) for cid in children}
-        backbone, st.momentum, st.bound = server_step(
-            backbone, [(cid, splits[cid][0]) for cid in children], st.momentum, st.bound, cfg,
-            round_k, self.result.dp_log)
+        deltas, norms = [], []
+        for cid in children:
+            delta = axpy(-1.0, backbone, splits[cid][0])
+            if dp and cid in dp.enabled_nodes:
+                clipped, pre_norm = clip(delta, st.bound)
+                norms.append(pre_norm)
+                delta = add_noise(clipped, dp.sigma, st.bound,
+                                  rng_for(cfg.seed, cid, round_k, _NOISE_TAG))
+                self.result.dp_log.append(
+                    DpRow(round_k, cid, pre_norm, st.bound, dp.sigma * st.bound))
+            deltas.append(delta)
+        backbone, st.momentum = server_opt(backbone, average_pseudograds(deltas), st.momentum,
+                                           cfg.server)
+        st.bound = next_bound(st.bound, norms)
         child_keys = [(cid, splits[cid][1]) for cid in children]
         keys, weight_log = aggregate_child_keys(keys, child_keys, cfg.attention)
         self.log_attention(nid, round_k, "children", weight_log)
@@ -362,6 +360,7 @@ def check_tree_and_dp(tree: FederationTree, dp: DpConfig | None) -> None:
 
 def fit(tree: FederationTree, shards: dict[int, Shard], cfg: EngineConfig) -> RunResult:
     """Execute `cfg.rounds` rounds of the hierarchical procedure."""
+    check_tree_and_dp(tree, cfg.dp)
     run = _Run.start(tree, shards, cfg)
     stages = tree.levels()
     servers = [nid for level in reversed(stages) for nid in level if tree.nodes[nid].children]
@@ -383,32 +382,30 @@ def run_flat_fl(
     cfg: EngineConfig,
     rounds: int,
 ) -> RunResult:
-    """One server over all leaves: full-model FedAvg with momentum, no keys,
-    no residuals. Each round is one sequential step."""
+    """Flat FL, the paper's standard federation: `_Run`'s phases on a star
+    tree of one server over all leaves, with a keyless model and no
+    residuals, so that each round is full-model FedAvg with server momentum
+    and one sequential step. After its round's aggregation, every leaf is
+    scored on the server's model. Node trainers are not read, and a DP flag
+    counts only on a leaf."""
     leaf_ids = sorted(leaf_ids)
     if not leaf_ids:
         raise ValueError("flat FL needs at least one leaf")
-    server = init_model(cfg.model, cfg.seed)
-    momentum = server.zeros_like()
-    bound = cfg.dp.initial_bound if cfg.dp and cfg.dp.enabled_nodes else None
-    result = RunResult(method="flat_fl", rows=[])
-
+    server = leaf_ids[-1] + 1  # not 0: a one-node tree's root is its only leaf
+    tree = FederationTree.from_children_map({server: leaf_ids})
+    dp = replace(cfg.dp, enabled_nodes=cfg.dp.enabled_nodes & set(leaf_ids)) if cfg.dp else None
+    model = replace(cfg.model, key_block_count=0, include_head_in_keys=False)
+    run = _Run.start(tree, shards, replace(cfg, model=model, residual=ResidualConfig(nu=0), dp=dp),
+                     "flat_fl")
     for round_k in range(rounds):
-        outs = dict(_train_stacked(
-            [(nid, cfg.trainer, round_k * cfg.trainer.local_steps) for nid in leaf_ids],
-            lambda nid: TrainJob(server, shards[nid].train,
-                                 rng_for(cfg.seed, nid, round_k, _TRAIN_TAG))))
         for nid in leaf_ids:
-            result.rows.append(_row(result.method, nid, round_k, 0, "train", outs[nid].mean_loss))
-        server, momentum, bound = server_step(
-            server, [(nid, outs[nid].params) for nid in leaf_ids], momentum, bound, cfg,
-            round_k, result.dp_log)
-        result.rows.extend(
-            evaluate_round(result.method, {nid: server for nid in leaf_ids}, shards, round_k, 0))
-
-    result.seq_steps = rounds
-    result.final_models = {nid: server for nid in leaf_ids}
-    return result
+            run.enter(round_k, nid)
+        run.train(round_k, 0, leaf_ids)
+        run.aggregate(round_k, server)
+        scored = dict.fromkeys(leaf_ids, run.state[server].model)
+        run.result.rows += evaluate_round("flat_fl", scored, shards, round_k, 0)
+    run.result.final_models = dict.fromkeys(leaf_ids, run.state[server].model)
+    return run.result
 
 
 def _train_apart(result: RunResult, models: dict[int, tuple[np.ndarray, int, list[int]]],

@@ -48,20 +48,30 @@ def test_traced_hook_resolves_to_callable(module, path, span):
     assert callable(target), f"{module}.{path} (span {span}) is not callable"
 
 
-def test_every_engine_hook_is_called_through_the_engine_namespace(monkeypatch):
+# every hook flat FL's keyless star reaches: it trains, scores and steps its
+# server, with no keys to merge and no residuals to route
+FLAT_FL_HOOKS = ["local_train", "mean_nll", "evaluate_round", "axpy", "average_pseudograds",
+                 "server_opt", "clip", "add_noise"]
+
+
+@pytest.mark.parametrize("method", ["worldlm", "flat_fl"])
+def test_every_engine_hook_is_called_through_the_engine_namespace(monkeypatch, method):
     # the trace wraps these names in treefed.engine; code that reached one
     # another way (say, local_train imported into another module) would run
     # untraced and silently zero its layer. A DP preset reaches clip and
     # add_noise too.
     calls = Counter()
     names = [path for module, path, _ in traced_hooks() if module == "treefed.engine"]
+    if method == "flat_fl":
+        assert set(FLAT_FL_HOOKS) <= set(names)
+        names = FLAT_FL_HOOKS
     for name in names:
         def spy(*args, _name=name, _fn=getattr(treefed.engine, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(treefed.engine, name, spy)
-    execute(ExperimentPlan(method="worldlm", preset="dp-cc-wk", rounds=2, seed=1))
+    execute(ExperimentPlan(method=method, preset="dp-cc-wk", rounds=2, seed=1))
     assert [name for name in names if not calls[name]] == []
 
 

@@ -729,6 +729,39 @@ class TestDpBound:
         assert rows == [(k, 0.0, 1.0) for k in (0, 1) for _ in (3, 4)]
 
 
+class TestFlatFlScope:
+    # flat FL's server is a keyless star over the leaves: a DP flag on an
+    # internal node names no client of it, and a one-node tree's root is its
+    # only leaf, so the server takes an id that no leaf has
+    def flat_fl(self, tmp_path, tag, *overrides):
+        args = [arg for override in overrides for arg in ("--override", override)]
+        assert main(["run", "--preset", "fig2", "--method", "flat_fl", "--rounds", "2",
+                     "--seed", "1", *args, "--out", str(tmp_path / tag)]) == 0
+        return tmp_path / tag / "fig2__flat_fl__seed1"
+
+    @pytest.mark.parametrize("nodes, logged", [([1], set()), ([1, 3], {3})])
+    def test_dp_counts_only_on_a_leaf(self, tmp_path, nodes, logged):
+        run = self.flat_fl(tmp_path, "dp", "dp.sigma=0.5", "dp.initial_bound=1.0",
+                           f"dp.enabled_nodes={json.dumps(nodes)}")
+        rows = read_metrics(run / "dp.csv")
+        assert {int(row["node"]) for row in rows} == logged
+        if not logged:  # dp.csv holds only its header, and nothing is sanitized
+            plain = self.flat_fl(tmp_path, "plain")
+            assert (run / "metrics.csv").read_bytes() == (plain / "metrics.csv").read_bytes()
+
+    @pytest.mark.parametrize("method", ["worldlm", "flat_fl", "local", "centralized"])
+    def test_one_node_tree_runs_under_every_method(self, tmp_path, capsys, method):
+        cfg = preset_config("fig2")
+        cfg["tree"] = {"nodes": [{"id": 0, "parent": None, "children": []}]}
+        cfg["data"].update({"leaf_budgets": {"0": 16000}, "leaf_sources": {"0": "c0s0"}})
+        path = tmp_path / "one-node.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--method", method, "--rounds", "2",
+                     "--seed", "1", "--out", str(tmp_path)]) == 0
+        if method == "flat_fl":  # pinned: FedAvg with momentum over the one leaf
+            assert "final leaf test perplexity 28.4128 " in capsys.readouterr().out
+
+
 class TestExportPreset:
     def test_prints_json(self, capsys):
         rc = main(["export-preset", "fig2"])
