@@ -231,6 +231,12 @@ class Shard:
             h.update(tokens.astype("<u2").tobytes())
         return h.hexdigest()
 
+    @classmethod
+    def union(cls, shards: list[Shard]) -> Shard:
+        """The shard whose every split joins the shards' own, in order."""
+        return cls(*(np.concatenate([getattr(s, name) for s in shards])
+                     for name in ("train", "val", "test")))
+
     def context_index(self, split: str, n: int) -> ContextIndex:
         """The ContextIndex of a split's n-token contexts, built on first use.
         The eval splits are indexed together, into one shared context set, so

@@ -9,9 +9,9 @@ logically simultaneous. A stage's *enter* takes each node in level order: it
 adopts its parent's freshly trained backbone and merges keys by attention
 with the parent and, at a leaf, the residual packets routed to it; a server
 routes its packets to its children, scoring their current keys. *train*
-then stacks the level's nodes that share a trainer and a schedule position
-into one local_train call (up to model.stack_width nodes), and *evaluate*
-scores every node. After the last stage, *aggregate* runs at each server
+then stacks the level's nodes that share a trainer, and so a schedule
+position, into one local_train call (up to model.stack_width nodes), and
+*evaluate* scores every node. After the last stage, *aggregate* runs at each server
 bottom-up: pseudo-gradient averaging with server momentum for backbones
 (with DP sanitization of flagged children's deltas), per-layer attention for
 keys, and dissimilarity-based residual selection. Each selected packet goes
@@ -20,11 +20,11 @@ server when the ceiling lies below it), which routes it in the next round;
 every hop below happens in that round too. `run_flat_fl` drives the same
 phases on a keyless star tree: each round every leaf enters, the leaves
 train as one stage and the server aggregates; then each leaf is scored on
-the server's model.
+the server's model. The local and centralized baselines run *train* alone:
+on that star tree's leaves, and on one node that holds all the leaves' data.
 
 A stage consumes one sequential step when at least one of its nodes trains;
-the baselines are budgeted in the same units and stack their leaves'
-trainings the same way.
+the baselines are budgeted in the same units.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .model import (
     Partition,
     TrainerConfig,
     TrainJob,
-    TrainResult,
     context_len,
     init_model,
     local_train,
@@ -67,7 +66,6 @@ from .topology import FederationTree, validate
 # RNG stream tags: every draw comes from (seed, node, round, tag)
 _TRAIN_TAG = 2
 _NOISE_TAG = 3
-_CENTRAL_NODE = 999_983  # stand-in node id for the pooled baseline stream
 
 
 def rng_for(seed: int, node: int, round_k: int, tag: int):
@@ -206,27 +204,9 @@ def evaluate_round(
     return rows
 
 
-def _train_stacked(entries: list[tuple[int, TrainerConfig, int]],
-                   make_job: Callable[[int], TrainJob]) -> Iterator[tuple[int, TrainResult]]:
-    """Train (key, trainer, global step) entries, stacking entries that share
-    a trainer and a global step into one local_train call of at most
-    stack_width jobs, in the entries' order. A group's jobs are built by
-    make_job(key) just before it trains, and its (key, result) pairs are
-    yielded as soon as it is done, so a caller that consumes them at once
-    holds one group's models at a time."""
-    while entries:
-        _, trainer, step = entries[0]
-        keys = [key for key, t, s in entries if t == trainer and s == step]
-        first = make_job(keys[0])
-        keys = keys[:stack_width(first.params.layout)]
-        jobs = [first] + [make_job(key) for key in keys[1:]]
-        yield from zip(keys, local_train(jobs, trainer, step))
-        entries = [e for e in entries if e[0] not in keys]
-
-
 @dataclass
 class _Run:
-    """The state that one `fit` or `run_flat_fl` shares between its phases,
+    """The state that one run of any method shares between its phases,
     which are its methods."""
 
     tree: FederationTree
@@ -274,20 +254,27 @@ class _Run:
         st.inbox = []
 
     def train(self, round_k: int, stage: int, level: list[int]) -> None:
-        """Train a level's trainees stacked and log their mean losses. A
-        stage with any trainee takes one sequential step."""
-        trainees = [(nid, t, self.result.seq_steps * t.local_steps)
-                    for nid, t in stage_trainees(self.tree, level, self.shards, self.cfg.trainer)]
-        outs = _train_stacked(trainees, lambda nid: TrainJob(
-            self.state[nid].model, self.shards[nid].train,
-            rng_for(self.cfg.seed, nid, round_k, _TRAIN_TAG)))
+        """Train a level's trainees and log their mean losses. Those that
+        share a trainer share a global step and train stacked, at most
+        stack_width per local_train call, whose jobs are built just before it.
+        A stage with any trainee takes one sequential step."""
+        trainees = stage_trainees(self.tree, level, self.shards, self.cfg.trainer)
+        width = stack_width(self.part.layout)
         losses = {}
-        for nid, out in outs:
-            self.set_model(nid, out.params)
-            losses[nid] = out.mean_loss
+        while trainees:
+            trainer = trainees[0][1]
+            group = [nid for nid, t in trainees if t == trainer][:width]
+            outs = local_train([TrainJob(self.state[nid].model, self.shards[nid].train,
+                                         rng_for(self.cfg.seed, nid, round_k, _TRAIN_TAG))
+                                for nid in group],
+                               trainer, self.result.seq_steps * trainer.local_steps)
+            for nid, out in zip(group, outs):
+                self.set_model(nid, out.params)
+                losses[nid] = out.mean_loss
+            trainees = [(nid, t) for nid, t in trainees if nid not in group]
         self.result.rows += [_row(self.result.method, nid, round_k, stage, "train", losses[nid])
                              for nid in sorted(losses)]
-        self.result.seq_steps += bool(trainees)
+        self.result.seq_steps += bool(losses)
 
     def evaluate(self, round_k: int, stage: int) -> None:
         """Score every node's current model on its own splits."""
@@ -376,6 +363,15 @@ def fit(tree: FederationTree, shards: dict[int, Shard], cfg: EngineConfig) -> Ru
     return run.result
 
 
+def _star(leaf_ids: list[int], method: str) -> tuple[list[int], int]:
+    """The sorted leaves, and an id for a server over them that no leaf has
+    (not 0: a one-node tree's root is its only leaf)."""
+    leaves = sorted(leaf_ids)
+    if not leaves:
+        raise ValueError(f"{method} needs at least one leaf")
+    return leaves, leaves[-1] + 1
+
+
 def run_flat_fl(
     leaf_ids: list[int],
     shards: dict[int, Shard],
@@ -388,10 +384,7 @@ def run_flat_fl(
     and one sequential step. After its round's aggregation, every leaf is
     scored on the server's model. Node trainers are not read, and a DP flag
     counts only on a leaf."""
-    leaf_ids = sorted(leaf_ids)
-    if not leaf_ids:
-        raise ValueError("flat FL needs at least one leaf")
-    server = leaf_ids[-1] + 1  # not 0: a one-node tree's root is its only leaf
+    leaf_ids, server = _star(leaf_ids, "flat FL")
     tree = FederationTree.from_children_map({server: leaf_ids})
     dp = replace(cfg.dp, enabled_nodes=cfg.dp.enabled_nodes & set(leaf_ids)) if cfg.dp else None
     model = replace(cfg.model, key_block_count=0, include_head_in_keys=False)
@@ -408,45 +401,24 @@ def run_flat_fl(
     return run.result
 
 
-def _train_apart(result: RunResult, models: dict[int, tuple[np.ndarray, int, list[int]]],
-                 shards: dict[int, Shard], cfg: EngineConfig, budget_steps: int) -> dict[int, ParamSet]:
-    """Train one fresh model per entry of `models`, row node -> (tokens, RNG
-    stream, eval ids), for budget_steps rounds, stacking the models' local
-    training in every round. Each model is evaluated as every node in its eval
-    ids. Rows are buffered per model and written model by model, each in
-    round order."""
-    base = init_model(cfg.model, cfg.seed)
-    params = dict.fromkeys(models, base)
-    owner = {eid: key for key, (_, _, eval_ids) in models.items() for eid in eval_ids}
-    rows: dict[int, list[MetricRow]] = {key: [] for key in models}
-    for round_k in range(budget_steps):
-        outs = _train_stacked(
-            [(key, cfg.trainer, round_k * cfg.trainer.local_steps) for key in models],
-            lambda key: TrainJob(params[key], models[key][0],
-                                 rng_for(cfg.seed, models[key][1], round_k, _TRAIN_TAG)))
-        for key, out in outs:
-            params[key] = out.params
-            rows[key].append(_row(result.method, key, round_k, 0, "train", out.mean_loss))
-        evaluated = evaluate_round(
-            result.method, {eid: params[key] for eid, key in owner.items()}, shards, round_k, 0)
-        for row in evaluated:
-            rows[owner[row.node]].append(row)
-    for key in models:
-        result.rows.extend(rows[key])
-    return params
-
-
 def run_local(
     leaf_ids: list[int],
     shards: dict[int, Shard],
     cfg: EngineConfig,
     budget_steps: int,
 ) -> RunResult:
-    """Independent per-leaf training at the same sequential-step budget."""
-    result = RunResult(method="local", rows=[], seq_steps=budget_steps)
-    models = {nid: (shards[nid].train, nid, [nid]) for nid in sorted(leaf_ids)}
-    result.final_models = _train_apart(result, models, shards, cfg, budget_steps)
-    return result
+    """Independent per-leaf training at the same sequential-step budget:
+    `_Run`'s *train* and *evaluate* phases on flat FL's star tree, with no
+    DP. The rows are written leaf by leaf, each leaf's in round order."""
+    leaf_ids, server = _star(leaf_ids, "the local baseline")
+    tree = FederationTree.from_children_map({server: leaf_ids})
+    run = _Run.start(tree, {nid: shards[nid] for nid in leaf_ids}, replace(cfg, dp=None), "local")
+    for round_k in range(budget_steps):
+        run.train(round_k, 0, leaf_ids)
+        run.evaluate(round_k, 0)
+    run.result.rows.sort(key=lambda row: row.node)  # stable: each leaf's rows keep their order
+    run.result.final_models = {nid: run.state[nid].model for nid in leaf_ids}
+    return run.result
 
 
 def run_centralized(
@@ -455,14 +427,19 @@ def run_centralized(
     cfg: EngineConfig,
     budget_steps: int,
 ) -> RunResult:
-    """One model on the union of all leaf training streams."""
-    leaf_ids = sorted(leaf_ids)
-    pooled = np.concatenate([shards[nid].train for nid in leaf_ids])
-    result = RunResult(method="centralized", rows=[], seq_steps=budget_steps)
-    models = {0: (pooled, _CENTRAL_NODE, leaf_ids)}
-    params = _train_apart(result, models, shards, cfg, budget_steps)[0]
-    result.final_models = {nid: params for nid in leaf_ids}
-    return result
+    """One model on the union of all leaf shards: `_Run`'s *train* phase on
+    the one-node tree of node 0, which holds that union, with no DP. Every
+    round, every leaf is scored on node 0's model."""
+    leaf_ids, _ = _star(leaf_ids, "the centralized baseline")
+    tree = FederationTree.from_children_map({0: []})
+    pooled = {0: Shard.union([shards[nid] for nid in leaf_ids])}
+    run = _Run.start(tree, pooled, replace(cfg, dp=None), "centralized")
+    for round_k in range(budget_steps):
+        run.train(round_k, 0, [0])
+        scored = dict.fromkeys(leaf_ids, run.state[0].model)
+        run.result.rows += evaluate_round("centralized", scored, shards, round_k, 0)
+    run.result.final_models = dict.fromkeys(leaf_ids, run.state[0].model)
+    return run.result
 
 
 def content_hash(config_obj: dict, shards: dict[int, Shard]) -> str:

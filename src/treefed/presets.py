@@ -426,9 +426,7 @@ def _text_shards(tree: FederationTree, data: TextData, model: ModelConfig, _seed
     shards = {leaf: split_stream(tokens[i * chunk : (i + 1) * chunk], f"text:{path.name}#{i}")
               for i, leaf in enumerate(leaves)}
     for nid in sorted(set(tree.nodes) - set(leaves)):
-        subs = [shards[leaf] for leaf in tree.descendant_leaves(nid)]
-        shards[nid] = Shard(**{name: np.concatenate([getattr(s, name) for s in subs])
-                               for name in ("train", "val", "test")})
+        shards[nid] = Shard.union([shards[leaf] for leaf in tree.descendant_leaves(nid)])
     return shards, {}
 
 

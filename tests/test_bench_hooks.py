@@ -54,7 +54,12 @@ FLAT_FL_HOOKS = ["local_train", "mean_nll", "evaluate_round", "axpy", "average_p
                  "server_opt", "clip", "add_noise"]
 
 
-@pytest.mark.parametrize("method", ["worldlm", "flat_fl"])
+# every hook the local and centralized baselines reach: they train and score,
+# and aggregate nothing
+BASELINE_HOOKS = ["local_train", "mean_nll", "evaluate_round"]
+
+
+@pytest.mark.parametrize("method", ["worldlm", "flat_fl", "local", "centralized"])
 def test_every_engine_hook_is_called_through_the_engine_namespace(monkeypatch, method):
     # the trace wraps these names in treefed.engine; code that reached one
     # another way (say, local_train imported into another module) would run
@@ -62,9 +67,11 @@ def test_every_engine_hook_is_called_through_the_engine_namespace(monkeypatch, m
     # add_noise too.
     calls = Counter()
     names = [path for module, path, _ in traced_hooks() if module == "treefed.engine"]
-    if method == "flat_fl":
-        assert set(FLAT_FL_HOOKS) <= set(names)
-        names = FLAT_FL_HOOKS
+    subset = {"flat_fl": FLAT_FL_HOOKS, "local": BASELINE_HOOKS,
+              "centralized": BASELINE_HOOKS}.get(method)
+    if subset:
+        assert set(subset) <= set(names)
+        names = subset
     for name in names:
         def spy(*args, _name=name, _fn=getattr(treefed.engine, name), **kwargs):
             calls[_name] += 1

@@ -749,8 +749,10 @@ class TestFlatFlScope:
             plain = self.flat_fl(tmp_path, "plain")
             assert (run / "metrics.csv").read_bytes() == (plain / "metrics.csv").read_bytes()
 
-    @pytest.mark.parametrize("method", ["worldlm", "flat_fl", "local", "centralized"])
-    def test_one_node_tree_runs_under_every_method(self, tmp_path, capsys, method):
+    @staticmethod
+    def run_one_node(tmp_path, method):
+        """fig2's config on the one-node tree whose root 0 is its only leaf,
+        run for 2 rounds at seed 1; returns the run's directory."""
         cfg = preset_config("fig2")
         cfg["tree"] = {"nodes": [{"id": 0, "parent": None, "children": []}]}
         cfg["data"].update({"leaf_budgets": {"0": 16000}, "leaf_sources": {"0": "c0s0"}})
@@ -758,8 +760,23 @@ class TestFlatFlScope:
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path), "--method", method, "--rounds", "2",
                      "--seed", "1", "--out", str(tmp_path)]) == 0
+        return tmp_path / f"fig2__{method}__seed1"
+
+    @pytest.mark.parametrize("method", ["worldlm", "flat_fl", "local", "centralized"])
+    def test_one_node_tree_runs_under_every_method(self, tmp_path, capsys, method):
+        self.run_one_node(tmp_path, method)
         if method == "flat_fl":  # pinned: FedAvg with momentum over the one leaf
             assert "final leaf test perplexity 28.4128 " in capsys.readouterr().out
+
+    def test_centralized_on_one_leaf_is_local_on_it(self, tmp_path):
+        # the pooled model is node 0, training on the one leaf's shard from
+        # node 0's own batch stream, as local's model of leaf 0 does; only
+        # the method, and the experiment_id that names it, differ
+        def rows(method):
+            return [{k: v for k, v in row.items() if k not in ("experiment_id", "method")}
+                    for row in read_metrics(self.run_one_node(tmp_path, method) / "metrics.csv")]
+
+        assert rows("centralized") == rows("local")
 
 
 class TestExportPreset:

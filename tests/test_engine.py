@@ -247,6 +247,14 @@ class TestBaselines:
         for a, b in zip(res.final_models[1], params):
             assert a.data.tobytes() == b.data.tobytes()
 
+    @pytest.mark.parametrize("runner, name", [(run_flat_fl, "flat FL"), (run_local, "local"),
+                                              (run_centralized, "centralized")])
+    def test_no_leaves_is_rejected_naming_the_method(self, runner, name):
+        tree = depth1_tree(1)
+        shards, _ = shards_for(tree)
+        with pytest.raises(ValueError, match=f"{name}( baseline)? needs at least one leaf"):
+            runner([], shards, cfg_for(tree, shards), 2)
+
     def test_flat_fl_deterministic(self):
         tree = depth1_tree(3)
         shards, _ = shards_for(tree)
