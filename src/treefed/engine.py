@@ -235,15 +235,18 @@ class _Run:
     def enter(self, round_k: int, nid: int) -> None:
         """Adopt the parent's backbone and merge keys with the parent's and,
         at a leaf, the packets routed in; a server routes its packets to its
-        children, unchanged since its last bottom-up step."""
+        children, unchanged since its last bottom-up step. A keyless model
+        has nothing to merge, so the node adopts the parent's model itself."""
         node, st, part = self.tree.nodes[nid], self.state[nid], self.part
         if node.parent is not None:
-            parent = self.state[node.parent].model
-            keys, weight_log = merge_with_parent(
-                part.keys(st.model), part.keys(parent), [] if node.children else st.inbox,
-                self.cfg.attention)
-            self.log_attention(nid, round_k, "merge", weight_log)
-            self.set_model(nid, part.assemble(parent, keys))
+            model = self.state[node.parent].model
+            if part.key_layout.size:
+                keys, weight_log = merge_with_parent(
+                    part.keys(st.model), part.keys(model), [] if node.children else st.inbox,
+                    self.cfg.attention)
+                self.log_attention(nid, round_k, "merge", weight_log)
+                model = part.assemble(model, keys)
+            self.set_model(nid, model)
         if node.children and st.inbox:
             routed = route_residuals(
                 st.inbox, [(cid, part.keys(self.state[cid].model)) for cid in node.children],
@@ -290,8 +293,9 @@ class _Run:
         The mean pseudo-gradient takes a server momentum step, and the round's
         pre-clip norms set the next bound. Keys are merged by attention, and a
         selected packet turns around at its ceiling, or here when that lies
-        below. Every operation is looked up in this module's namespace, where
-        the benchmark trace wraps it."""
+        below; a keyless model skips both key steps. Every operation is
+        looked up in this module's namespace, where the benchmark trace wraps
+        it."""
         st, part, cfg, dp = self.state[nid], self.part, self.cfg, self.cfg.dp
         children = sorted(self.tree.nodes[nid].children)
         backbone, keys = part.split(st.model)
@@ -310,12 +314,13 @@ class _Run:
         backbone, st.momentum = server_opt(backbone, average_pseudograds(deltas), st.momentum,
                                            cfg.server)
         st.bound = next_bound(st.bound, norms)
-        child_keys = [(cid, splits[cid][1]) for cid in children]
-        keys, weight_log = aggregate_child_keys(keys, child_keys, cfg.attention)
-        self.log_attention(nid, round_k, "children", weight_log)
-        for pkt in partition_residuals(keys, child_keys, cfg.residual.nu, cfg.attention,
-                                       round_k, cfg.residual.threshold):
-            self.state[turn_node(pkt, nid, self.tree)].inbox.append(pkt)
+        if part.key_layout.size:
+            child_keys = [(cid, splits[cid][1]) for cid in children]
+            keys, weight_log = aggregate_child_keys(keys, child_keys, cfg.attention)
+            self.log_attention(nid, round_k, "children", weight_log)
+            for pkt in partition_residuals(keys, child_keys, cfg.residual.nu, cfg.attention,
+                                           round_k, cfg.residual.threshold):
+                self.state[turn_node(pkt, nid, self.tree)].inbox.append(pkt)
         self.set_model(nid, part.assemble(backbone, keys))
 
     def set_model(self, nid: int, model: ParamSet) -> None:

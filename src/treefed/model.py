@@ -13,12 +13,15 @@ axis: N models of one layout, stacked as a ParamStack, train as one (N, B,
 training it alone.
 
 A training step is bound by per-call overhead at these sizes, so it makes
-few numpy calls and few temporaries: the trunk adds each bias, and each
-block its input, into its product's buffer; backward has BLAS write every
-weight gradient straight into the step's gradient stack and takes each bias
+few numpy calls and few temporaries. The views a step reads of the
+parameters, transposed weights and broadcast biases among them, are built
+once per local_train call. The trunk adds each bias, and each block its
+input, into its product's buffer. backward has BLAS write every weight
+gradient straight into the step's gradient stack, takes each bias
 gradient, the batch sum of a layer's output gradient, as a BLAS product
-with a ones block. Where every layer is at least 2 wide, each result keeps
-the bits of the plain form (see backward).
+with a ones block, and scatters the embedding gradient into the stack. Adam
+works in one scratch array and the gradient buffer. Where every layer is at
+least 2 wide, each result keeps the bits of the plain form (see backward).
 
 Parameter order (canonical, shared by every instance of a config):
     embed, in_proj.w, in_proj.b,
@@ -28,6 +31,7 @@ Parameter order (canonical, shared by every instance of a config):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -160,9 +164,9 @@ class TrainerConfig:
 
 
 # One training step holds about this many bytes per parameter per node:
-# float32 parameters and gradient, float32 Adam moments and two float32
-# scratch vectors.
-_STEP_BYTES_PER_PARAM = 24
+# float32 parameters and gradient, float32 Adam moments and one float32
+# scratch vector.
+_STEP_BYTES_PER_PARAM = 20
 # A stacked step pays only while it is bound by per-call overhead, so a
 # local_train call stacks nodes until their step state reaches this size.
 STACK_BYTES = 2 << 20
@@ -194,36 +198,63 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 2, 1)
 
 
+def _views(layout: Layout, buf: np.ndarray) -> dict[str, np.ndarray]:
+    """Name -> view of the (N, P) rows of `buf` as the passes read it: each
+    weight (N, K, M), each bias (N, 1, M) to broadcast over a batch, and,
+    under its name + ".T", each weight matrix but the embedding transposed,
+    as backward multiplies by it."""
+    w = layout.views(buf)
+    for name in layout.names:
+        if name.endswith(".b"):
+            w[name] = w[name][:, None]
+        elif name != "embed":
+            w[name + ".T"] = _t(w[name])
+    return w
+
+
 class StepWorkspace:
     """What every step of one (layout, N nodes, B windows) shape shares: the
-    context length and block count, the node index vector, each window's
-    offset into the flat logits, each node's offset into the flat embedding
-    gradient, _batch_sum's ones block and the (N, P) gradient stack.
+    context length and block count, the (N, 1, 1) node index, each window's
+    offset into the flat logits, each node's offset into the flat gradient
+    stack, _batch_sum's ones block, the (N, P) gradient stack and its views,
+    and the views of the stack it last served (views).
 
     backward writes every entry of the gradient stack, which comes from
-    np.empty: BLAS writes each weight gradient straight into its view, and
-    each bias gradient and the embedding gradient are copied in. local_train
-    builds one workspace per call, so every backward pass of the call
-    overwrites one gradient buffer.
+    np.empty: BLAS writes each weight gradient straight into its view, each
+    bias gradient is copied in, and the embedding gradient is scattered into
+    its zeroed view. local_train builds one workspace per call, so every
+    backward pass of the call overwrites one gradient buffer.
     """
 
     def __init__(self, layout: Layout, nodes: int, batch_size: int):
         V, d, n = _dims(layout)
         self.context_len, self.num_blocks = n, _num_blocks(layout)
-        self.node = np.arange(nodes)[:, None]  # (N, 1)
+        self.node = np.arange(nodes)[:, None, None]  # (N, 1, 1)
         # node k's window b scores its target t at entry (k * B + b) * V + t
         # of the flat (N, B, V) logits: this is (k * B + b) * V
-        self.logit_offset = (self.node * batch_size + np.arange(batch_size)) * V
-        # entry c of node k's token t is entry k * V * d + t * d + c of the
-        # flat (N * V * d) embedding gradient: this is k * V * d + c
-        self.embed_offset = V * d * self.node[..., None] + np.arange(d)
+        self.logit_offset = (self.node[..., 0] * batch_size + np.arange(batch_size)) * V
+        # entry c of node k's token t is entry k * P + e + t * d + c of the
+        # flat (N * P) gradient stack, with e the embedding's offset in a
+        # row: this is k * P + e + c
+        self.embed_offset = (layout.size * self.node + layout.slices["embed"].start
+                             + np.arange(d))
         self.ones = np.ones((1, batch_size, 2), dtype=np.float32)
         self.grad = ParamStack(layout, np.empty((nodes, layout.size), dtype=np.float32))
+        self.grads = layout.views(self.grad.buf)
+        self._stack, self._stack_views = None, None
+
+    def views(self, stack: ParamStack) -> dict[str, np.ndarray]:
+        """_views of `stack`, built on its first pass through this
+        workspace. They view its buffer, which local_train updates in place,
+        so they stay current from step to step."""
+        if stack is not self._stack:
+            self._stack, self._stack_views = stack, _views(stack.layout, stack.buf)
+        return self._stack_views
 
 
 class _ForwardCache(NamedTuple):
     params: ParamStack
-    w: dict[str, np.ndarray]  # the weight views the forward pass used
+    w: dict[str, np.ndarray]  # the _views the forward pass used
     ids: np.ndarray
     x: np.ndarray
     blocks: list[tuple[np.ndarray, np.ndarray]]  # (block input, tanh output)
@@ -235,8 +266,8 @@ class _ForwardCache(NamedTuple):
 
 def _trunk(w: dict[str, np.ndarray], ids: np.ndarray, node: np.ndarray, num_blocks: int,
            blocks=None):
-    """The network on each node's (N, B, n) context ids, from the weight
-    views `w`: embedding, in_proj, num_blocks blocks, head. `node` is the
+    """The network on each node's (N, B, n) context ids, from the _views
+    `w`: embedding, in_proj, num_blocks blocks, head. `node` is the
     (N, 1, 1) row index of each node. Returns (x, h, z, ez, denom): the
     concatenated embeddings, the final hidden states, the float64 logits
     shifted by their row maxima, their exps and each row's sum of exps.
@@ -244,19 +275,19 @@ def _trunk(w: dict[str, np.ndarray], ids: np.ndarray, node: np.ndarray, num_bloc
     N, B, _ = ids.shape
     x = w["embed"][node, ids].reshape(N, B, -1)
     h = x @ w["in_proj.w"]
-    h += w["in_proj.b"][:, None]
+    h += w["in_proj.b"]
     for i in range(num_blocks):
         u = h @ w[f"block{i}.fc1.w"]
-        u += w[f"block{i}.fc1.b"][:, None]
+        u += w[f"block{i}.fc1.b"]
         np.tanh(u, out=u)
         if blocks is not None:
             blocks.append((h, u))
         out = u @ w[f"block{i}.fc2.w"]
-        out += w[f"block{i}.fc2.b"][:, None]
+        out += w[f"block{i}.fc2.b"]
         out += h
         h = out
     logits = h @ w["head.w"]
-    logits += w["head.b"][:, None]
+    logits += w["head.b"]
     z = logits.astype(np.float64)
     z -= z.max(axis=2, keepdims=True)
     ez = np.exp(z)
@@ -274,12 +305,12 @@ def forward_loss(stack: ParamStack, batch: np.ndarray, ws: StepWorkspace, wide: 
     the pass on a float64 copy of the weights. Returns ((N,) losses, cache);
     the cache feeds backward().
     """
-    # (N, ...) views of the float32 rows, or of one float64 copy in wide mode
-    w = stack.layout.views(stack.buf.astype(np.float64)) if wide else stack.arrays()
+    # views of the float32 rows, or of one float64 copy in wide mode
+    w = _views(stack.layout, stack.buf.astype(np.float64)) if wide else ws.views(stack)
     n = ws.context_len
     ids, target_at = batch[..., :n], ws.logit_offset + batch[..., n]
     blocks = []
-    x, h, z, ez, denom = _trunk(w, ids, ws.node[..., None], ws.num_blocks, blocks)
+    x, h, z, ez, denom = _trunk(w, ids, ws.node, ws.num_blocks, blocks)
     probs = np.divide(ez, denom[..., None],
                       out=np.empty(ez.shape, np.float64 if wide else np.float32))
     nll = np.log(denom) - z.reshape(-1)[target_at]
@@ -313,40 +344,43 @@ def backward(stack: ParamStack, cache: _ForwardCache) -> ParamStack:
     its last bits (in float32 from 4 windows on)."""
     if cache.params is not stack:
         raise ValueError("stale cache: params do not match the forward pass")
-    w, ws = cache.w, cache.ws
-    N, B = cache.ids.shape[:2]
-    V, d, n = _dims(stack.layout)
-    grads = ws.grad.arrays()
+    w, ws, grads = cache.w, cache.ws, cache.ws.grads
+    N, B, n = cache.ids.shape
 
     dlogits = cache.probs
     dlogits.reshape(-1)[cache.target_at] -= 1
     dlogits /= B
     np.matmul(_t(cache.h_final), dlogits, out=grads["head.w"])
     grads["head.b"][...] = _batch_sum(dlogits, ws.ones)
-    dh = dlogits @ _t(w["head.w"])
+    dh = dlogits @ w["head.w.T"]
 
     for i in reversed(range(len(cache.blocks))):
         h_in, u = cache.blocks[i]
         np.matmul(_t(u), dh, out=grads[f"block{i}.fc2.w"])
         grads[f"block{i}.fc2.b"][...] = _batch_sum(dh, ws.ones)
-        du = dh @ _t(w[f"block{i}.fc2.w"])
+        du = dh @ w[f"block{i}.fc2.w.T"]
         da = u * u  # du * (1 - u * u), in one buffer
         np.subtract(1.0, da, out=da)
         da *= du
         np.matmul(_t(h_in), da, out=grads[f"block{i}.fc1.w"])
         grads[f"block{i}.fc1.b"][...] = _batch_sum(da, ws.ones)
-        dh += da @ _t(w[f"block{i}.fc1.w"])
+        dh += da @ w[f"block{i}.fc1.w.T"]
 
     np.matmul(_t(cache.x), dh, out=grads["in_proj.w"])
     grads["in_proj.b"][...] = _batch_sum(dh, ws.ones)
-    dx = dh @ _t(w["in_proj.w"])
-    # one flat table of N * V * d entries, so every entry still adds its
-    # windows' terms in batch order; np.add.at is several times faster on
-    # 1-D operands
-    de = np.zeros(N * V * d, dtype=dlogits.dtype)
-    np.add.at(de, (cache.ids.reshape(N, B * n, 1) * d + ws.embed_offset).reshape(-1),
-              dx.reshape(-1))
-    grads["embed"][...] = de.reshape(N, V, d)
+    dx = dh @ w["in_proj.w.T"]
+    # every entry adds its windows' terms in batch order, scattered into the
+    # zeroed embedding view through the flat gradient stack (np.add.at is
+    # several times faster on 1-D operands); wide mode adds in a float64
+    # stack and rounds each entry once
+    at = (cache.ids.reshape(N, B * n, 1) * w["embed"].shape[2] + ws.embed_offset).reshape(-1)
+    if dx.dtype == ws.grad.buf.dtype:
+        grads["embed"][...] = 0
+        np.add.at(ws.grad.buf.reshape(-1), at, dx.reshape(-1))
+    else:
+        wide = np.zeros(ws.grad.buf.shape, dx.dtype)
+        np.add.at(wide.reshape(-1), at, dx.reshape(-1))
+        grads["embed"][...] = ws.grad.layout.views(wide)["embed"]
     return ws.grad
 
 
@@ -391,9 +425,11 @@ def local_train(
     synchronized across nodes that share a sequential-step position.
     Optimizer state is fresh per call (one federated round). Parameters,
     gradients and the float32 Adam moments are each one (N, P) array, so an
-    update is a few element-wise array ops. Every token stream is checked
-    once, before the first step, and what the steps share is built once, as
-    one StepWorkspace. Returns one result per job.
+    update is a few element-wise array ops, in one scratch array and the
+    gradient buffer. Every token stream is checked once, before the first
+    step, and what the steps share is built once, as one StepWorkspace: the
+    parameters are updated in place, so the views of them that the first
+    step builds serve every step. Returns one result per job.
     """
     jobs = [TrainJob(*job) for job in jobs]
     if not jobs:
@@ -423,7 +459,7 @@ def local_train(
                         for tokens, rng in zip(streams, rngs)], axis=1)
     shape = (len(jobs), layout.size)
     m, v2 = np.zeros(shape, np.float32), np.zeros(shape, np.float32)  # Adam moments
-    step, tmp = np.empty(shape, np.float32), np.empty(shape, np.float32)  # scratch
+    tmp = np.empty(shape, np.float32)  # scratch
     work = np.stack([job.params.buf for job in jobs])
     b1, b2, eps = trainer.beta1, trainer.beta2, 1e-8
     losses = np.empty((len(jobs), trainer.local_steps))
@@ -437,15 +473,16 @@ def local_train(
         else:
             # lr*(m/c1)/(sqrt(v2/c2)+eps) as alpha*m/(sqrt(v2)+eps_hat), with
             # the bias corrections folded into two scalars, op for op in the
-            # scratch arrays: full-size temporaries cost more than the math
+            # scratch array and, once the moments have read it, the gradient
+            # buffer: full-size temporaries cost more than the math
             c1, c2 = 1.0 - b1 ** (i + 1), 1.0 - b2 ** (i + 1)
-            alpha, eps_hat = np.float32(lr * np.sqrt(c2) / c1), np.float32(eps * np.sqrt(c2))
+            alpha, eps_hat = np.float32(lr * math.sqrt(c2) / c1), np.float32(eps * math.sqrt(c2))
             m *= np.float32(b1)
             m += np.multiply(grad, np.float32(1 - b1), out=tmp)
             v2 *= np.float32(b2)
             v2 += np.multiply(np.multiply(grad, np.float32(1 - b2), out=tmp), grad, out=tmp)
-            den = np.add(np.sqrt(v2, out=tmp), eps_hat, out=tmp)
-            work -= np.divide(np.multiply(m, alpha, out=step), den, out=step)
+            den = np.add(np.sqrt(v2, out=grad), eps_hat, out=grad)
+            work -= np.divide(np.multiply(m, alpha, out=tmp), den, out=tmp)
         check_finite(layout, work)
     return [TrainResult(ParamSet.from_buffer(layout, row), float(np.mean(row_losses)))
             for row, row_losses in zip(work, losses)]
@@ -476,7 +513,7 @@ def window_nlls(params: ParamSet, indexes: Sequence[ContextIndex],
             raise ValueError("indexes scored in one pass must share one distinct-context array")
         if index.token_range[0] < 0 or index.token_range[1] >= V:
             raise ValueError("token id out of range")
-    w, num_blocks = params.layout.views(params.buf[None]), _num_blocks(params.layout)
+    w, num_blocks = _views(params.layout, params.buf[None]), _num_blocks(params.layout)
     node = np.zeros((1, 1, 1), dtype=np.intp)
     nlls = [np.empty(len(index.order)) for index in indexes]
     for lo in range(0, len(distinct), chunk):

@@ -5,6 +5,7 @@ with per-coordinate std sigma * bound."""
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,8 @@ def add_noise(delta: ParamSet, sigma: float, bound: float, rng) -> ParamSet:
 
 def next_bound(bound: float, norms: list[float]) -> float:
     """The next round's bound: the median of this round's pre-clip norms
-    (even count: mean of the middle two). No norms, or a median of 0 (every
+    (even count: mean of the middle two), with np.median's bits but without
+    the numpy.ma import it pulls in. No norms, or a median of 0 (every
     update was zero, which clip could not take as a bound), keep `bound`."""
-    median = float(np.median(np.asarray(norms, dtype=np.float64))) if norms else 0.0
+    median = float(statistics.median(norms)) if norms else 0.0
     return median if median > 0 else bound

@@ -169,16 +169,10 @@ class ParamStack:
     """N sets of one layout stacked as the rows of an (N, size) float32
     array, which model.local_train trains as one. Row k is set k's buffer."""
 
-    __slots__ = ("layout", "buf", "_arrays")
+    __slots__ = ("layout", "buf")
 
     def __init__(self, layout: Layout, buf: np.ndarray):
-        self.layout, self.buf, self._arrays = layout, buf, None
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Name -> (N, ...) view of the rows (built once per stack)."""
-        if self._arrays is None:
-            self._arrays = self.layout.views(self.buf)
-        return self._arrays
+        self.layout, self.buf = layout, buf
 
 
 def axpy(a: float, x: ParamSet, y: ParamSet) -> ParamSet:

@@ -200,7 +200,7 @@ def reference_forward_backward(stack: ParamStack, batch: np.ndarray,
     num_blocks = sum(1 for name in layout.names if name.endswith(".fc1.w"))
     N, B, _ = batch.shape
     node, row = np.arange(N)[:, None], np.arange(B)
-    w = layout.views(stack.buf.astype(np.float64)) if wide else stack.arrays()
+    w = layout.views(stack.buf.astype(np.float64) if wide else stack.buf)
     t = lambda a: a.transpose(0, 2, 1)  # noqa: E731
     ids, targets = batch[..., :n], batch[..., n]
 

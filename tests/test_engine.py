@@ -140,6 +140,26 @@ class TestFedAvgOracle:
             assert a.data.tobytes() == b.data.tobytes(), a.name
 
 
+class TestKeylessModels:
+    def test_a_keyless_leaf_enters_with_its_servers_model_object(self):
+        tree = depth1_tree(2)
+        shards, _ = shards_for(tree)
+        run = engine_mod._Run.start(tree, shards, cfg_for(tree, shards, key_blocks=0))
+        run.set_model(0, init_model(small_model(0), 5))  # every node starts on one object
+        run.enter(0, 1)
+        assert run.state[1].model is run.state[0].model
+        assert run.result.attention_log == []
+
+    def test_flat_fl_runs_no_key_step(self, monkeypatch):
+        # a keyless model has no key layers to merge, attend over or route
+        for name in ("merge_with_parent", "aggregate_child_keys", "partition_residuals"):
+            monkeypatch.setattr(engine_mod, name, lambda *args, name=name: pytest.fail(name))
+        tree = depth1_tree(4)
+        shards, _ = shards_for(tree)
+        result = run_flat_fl(tree.leaves(), shards, cfg_for(tree, shards), rounds=2)
+        assert result.attention_log == [] and result.residual_log == []
+
+
 class TestDpBound:
     def test_a_dp_servers_bound_sits_beside_its_momentum(self):
         # start gives each server with a DP client the initial bound; its

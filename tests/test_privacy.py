@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treefed.privacy import DpConfig, add_noise, clip, next_bound
 from treefed.tensors import l2_norm
@@ -85,6 +92,29 @@ class TestNextBound:
         norms = [2.0, 1.0]
         assert next_bound(1.0, norms) == pytest.approx(1.5)
         assert norms == [2.0, 1.0]
+
+    @settings(max_examples=500, deadline=None)
+    @given(bound=st.floats(1e-6, 1e6),
+           norms=st.lists(st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, 1.0, 2.0])),
+                          min_size=1, max_size=40))
+    def test_median_has_np_median_bits(self, bound, norms):
+        want = float(np.median(np.asarray(norms, dtype=np.float64)))
+        want = want if want > 0 else bound
+        assert next_bound(bound, norms).hex() == want.hex()
+
+    def test_dp_runs_never_import_numpy_ma(self, tmp_path):
+        # np.median imports numpy.ma, which no other part of a run needs
+        code = ("import sys\n"
+                "from treefed.cli import main\n"
+                "for method in ('worldlm', 'flat_fl', 'local', 'centralized'):\n"
+                "    assert main(['run', '--preset', 'dp-cc-wk', '--rounds', '1', '--seed', '1',\n"
+                "                 '--method', method, '--out', sys.argv[1] + '/' + method]) == 0\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "False"
 
 
 class TestDpOffEquivalence:
