@@ -2,13 +2,14 @@
 server optimization with momentum, and the shared warmup-cosine LR schedule.
 
 A node's key layers are one contiguous range of its parameters. Attention
-casts each key set to float64 once per call, and each layer is a contiguous
-1-D slice of that copy (`key_layers`). Attention works on one layer at a
-time: scores are similarities between the query's slice and each
-candidate's (`similarity`), divided by a temperature, then softmax-normalized
-in float64 with max-subtraction. Each candidate serves as its own key and
-value: the merged layer is the weighted sum of the candidates' slices, added
-in candidate order.
+copies each key set to float64 once per call, and scores each candidate's
+layer, a slice of that copy, against the query's (`score_keys`); per layer
+the scores are divided by a temperature and softmax-normalized in float64
+with max-subtraction, and the merged layer is the weighted sum of the
+candidates' layers, added in candidate order. One softmax covers all layers
+with the same candidate count, and a whole key set, scaled layer by layer in
+its copy, is added to every layer at once; a residual packet is added on
+its own layer.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .tensors import CongruenceError, Layout, ParamSet, axpy
+from .tensors import CongruenceError, ParamSet, axpy
 
 if TYPE_CHECKING:
     from .residual import ResidualPacket
@@ -92,24 +93,15 @@ class ServerConfig:
             raise ValueError(f"mu must lie in [0, 1), got {self.mu!r}")
 
 
-def key_layers(keys: ParamSet) -> dict[str, np.ndarray]:
-    """Each layer of a key set as a contiguous 1-D slice of one float64 copy
-    of its buffer, in layout order."""
-    vec = keys.buf.astype(np.float64)
-    return {name: vec[s] for name, s in keys.layout.slices.items()}
-
-
 def vector_norm(v: np.ndarray) -> float:
     """L2 norm of a float64 vector, from one float64 dot."""
-    return float(np.sqrt(np.dot(v, v)))
+    return math.sqrt(float(np.dot(v, v)))
 
 
-def similarity(q: np.ndarray, q_norm: float, k: np.ndarray, k_norm: float,
-               cfg: AttentionConfig) -> float:
-    """Score of float64 vector k against q, given both norms: their dot, or
-    for cosine the dot over the norms' product clamped to [-1, 1], with 0
-    when either norm is 0."""
-    d = float(np.dot(q, k))
+def similarity(d: float, q_norm: float, k_norm: float, cfg: AttentionConfig) -> float:
+    """Score of a vector against a query, given their float64 dot and both
+    norms: the dot, or for cosine the dot over the norms' product clamped to
+    [-1, 1], with 0 when either norm is 0."""
     if cfg.similarity == "dot":
         return d
     if q_norm == 0.0 or k_norm == 0.0:
@@ -117,42 +109,90 @@ def similarity(q: np.ndarray, q_norm: float, k: np.ndarray, k_norm: float,
     return min(1.0, max(-1.0, d / (q_norm * k_norm)))
 
 
+def score_keys(query: np.ndarray, sets: Sequence[np.ndarray], slices: dict[str, slice],
+               cfg: AttentionConfig, include_self: bool = False,
+               packets: dict[str, list[np.ndarray]] | None = None) -> dict[str, list[float]]:
+    """Per layer (name -> slice of the float64 buffer `query`), each
+    candidate's score against the query in candidate order: the query itself
+    with include_self, each float64 set of `sets` (laid out like `query`),
+    then each float64 vector of packets[layer]. The query's one dot with
+    itself gives its norm and self score."""
+    packets = packets or {}
+    out = {}
+    for name, s in slices.items():
+        q = query[s]
+        qq = float(np.dot(q, q))
+        q_norm = math.sqrt(qq)
+        out[name] = ([similarity(qq, q_norm, q_norm, cfg)] if include_self else []) + [
+            similarity(float(np.dot(q, c)), q_norm, vector_norm(c), cfg)
+            for c in [c[s] for c in sets] + packets.get(name, [])]
+    return out
+
+
+def attend_keys(query: np.ndarray, sets: Sequence[np.ndarray], slices: dict[str, slice],
+                cfg: AttentionConfig, include_self: bool = False,
+                packets: dict[str, list[np.ndarray]] | None = None,
+                ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Attention on every layer of the key buffer `query` at once, over
+    score_keys' candidates, each its own key and value: the float64 merged
+    buffer and each layer's weights. Each buffer and vector is copied to
+    float64 once and scored; then each copy is scaled in place by its
+    layers' weights and added whole, the whole sets (the query with
+    include_self, then `sets`) first and each packet on its layer after
+    them, so every layer sums its candidates in candidate order."""
+    query, sets = np.array(query, np.float64), [np.array(c, np.float64) for c in sets]
+    packets = {name: [np.array(c, np.float64) for c in vecs]
+               for name, vecs in (packets or {}).items()}
+    whole = ([query] if include_self else []) + sets
+    counts = {name: len(whole) + len(packets.get(name, [])) for name in slices}
+    if 0 in counts.values():
+        raise ValueError("attention requires at least one candidate")
+    if cfg.uniform:
+        weights = {name: np.full(c, 1.0 / c) for name, c in counts.items()}
+    else:
+        scores, weights = score_keys(query, sets, slices, cfg, include_self, packets), {}
+        for count in set(counts.values()):
+            names = [name for name, c in counts.items() if c == count]
+            s = np.array([scores[name] for name in names]) / cfg.temperature
+            e = np.exp(s - s.max(axis=1, keepdims=True))
+            weights.update(zip(names, e / e.sum(axis=1, keepdims=True)))
+    acc = np.zeros(query.shape)
+    for j, c in enumerate(whole):
+        for name, s in slices.items():
+            c[s] *= weights[name][j]
+        acc += c
+    for name, vecs in packets.items():
+        for j, c in enumerate(vecs, len(whole)):
+            c *= weights[name][j]
+            acc[slices[name]] += c
+    return acc, weights
+
+
 def attend_layer(query: np.ndarray, candidates: Sequence[np.ndarray],
                  cfg: AttentionConfig) -> tuple[np.ndarray, np.ndarray]:
     """Softmax-weighted sum of candidate vectors, each scored against the
     query and serving as its own key and value, in the given (canonical)
-    order. Returns the float64 sum and the weights (for logging)."""
-    if not candidates:
-        raise ValueError("attend_layer requires at least one candidate")
+    order: the one-layer case of key attention. Returns the float64 sum and
+    the weights (for logging)."""
     q = np.asarray(query, dtype=np.float64)
     cands = [np.asarray(c, dtype=np.float64) for c in candidates]
     if any(c.shape != q.shape for c in cands):
         raise CongruenceError(f"candidate shapes {[c.shape for c in cands]} vs query {q.shape}")
-    if cfg.uniform:
-        weights = np.full(len(cands), 1.0 / len(cands))
-    else:
-        q_norm = vector_norm(q)
-        scores = np.array([similarity(q, q_norm, c, vector_norm(c), cfg) / cfg.temperature
-                           for c in cands])
-        e = np.exp(scores - scores.max())
-        weights = e / e.sum()
-    acc = np.zeros(q.shape)
-    for w, c in zip(weights, cands):
-        acc += w * c
-    return acc, weights
+    acc, weights = attend_keys(q, cands, {"": slice(0, q.size)}, cfg)
+    return acc, weights[""]
 
 
-def _attend_layers(layout: Layout, own: dict[str, np.ndarray],
-                   candidates: dict[str, list[tuple[str, np.ndarray]]],
-                   cfg: AttentionConfig) -> tuple[ParamSet, WeightLog]:
-    """attend_layer for each layer of `own` (key_layers of a set laid out by
-    `layout`) as query, over the (label, vector) pairs in candidates[layer]."""
-    buf, weight_log = np.empty(layout.size, dtype=np.float32), {}
-    for name, q in own.items():
-        labels = [label for label, _ in candidates[name]]
-        buf[layout.slices[name]], weights = attend_layer(q, [v for _, v in candidates[name]], cfg)
-        weight_log[name] = (labels, weights)
-    return ParamSet.from_buffer(layout, buf), weight_log
+def _attend_sets(own_keys: ParamSet, sets: Sequence[ParamSet], cfg: AttentionConfig,
+                 include_self: bool, labels: dict[str, list[str]],
+                 packets: dict[str, list[np.ndarray]] | None = None) -> tuple[ParamSet, WeightLog]:
+    """attend_keys over congruent key sets, with the merged keys cast to
+    float32 once, and each layer's weights logged under its candidates'
+    labels, in layout order."""
+    layout = own_keys.layout
+    acc, weights = attend_keys(own_keys.buf, [ks.buf for ks in sets], layout.slices, cfg,
+                               include_self, packets)
+    return (ParamSet.from_buffer(layout, acc.astype(np.float32)),
+            {name: (labels[name], weights[name]) for name in layout.names})
 
 
 def aggregate_child_keys(
@@ -166,12 +206,10 @@ def aggregate_child_keys(
     "self"."""
     for _, ck in child_keys:
         own_keys.require_congruent(ck)
-    own = key_layers(own_keys)
-    sets = ([("self", own)] if cfg.include_self else []) + [
-        (str(cid), key_layers(ck)) for cid, ck in sorted(child_keys, key=lambda c: c[0])]
-    return _attend_layers(
-        own_keys.layout, own, {n: [(label, layers[n]) for label, layers in sets] for n in own},
-        cfg)
+    ordered = sorted(child_keys, key=lambda c: c[0])
+    labels = (["self"] if cfg.include_self else []) + [str(cid) for cid, _ in ordered]
+    return _attend_sets(own_keys, [ck for _, ck in ordered], cfg, cfg.include_self,
+                        {name: list(labels) for name in own_keys.layout.names})
 
 
 def merge_with_parent(
@@ -184,13 +222,19 @@ def merge_with_parent(
     ["self", "parent", that layer's incoming residual packets sorted by
     (origin, created round), each labelled with its origin]."""
     own_keys.require_congruent(parent_keys)
-    own, parent = key_layers(own_keys), key_layers(parent_keys)
-    candidates = {n: [("self", own[n]), ("parent", parent[n])] for n in own}
+    layout = own_keys.layout
+    labels = {name: ["self", "parent"] for name in layout.names}
+    packets: dict[str, list[np.ndarray]] = {}
     for pkt in sorted(residuals_for_agg, key=lambda p: (p.origin, p.created_round)):
-        if pkt.layer not in candidates:
+        if pkt.layer not in labels:
             raise KeyError(f"residual packet targets unknown layer {pkt.layer!r}")
-        candidates[pkt.layer].append((str(pkt.origin), pkt.values))
-    return _attend_layers(own_keys.layout, own, candidates, cfg)
+        size = math.prod(layout.shapes[pkt.layer])
+        if np.shape(pkt.values) != (size,):
+            raise CongruenceError(f"packet from node {pkt.origin} has shape "
+                                  f"{np.shape(pkt.values)}, layer {pkt.layer!r} holds {size}")
+        packets.setdefault(pkt.layer, []).append(pkt.values)
+        labels[pkt.layer].append(str(pkt.origin))
+    return _attend_sets(own_keys, [parent_keys], cfg, True, labels, packets)
 
 
 def average_pseudograds(deltas: Sequence[ParamSet]) -> ParamSet:

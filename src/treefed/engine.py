@@ -168,8 +168,9 @@ class _NodeState:
 
 
 def _row(method: str, nid: int, round_k: int, stage: int, split: str, nll: float) -> MetricRow:
-    with np.errstate(over="ignore"):
-        return MetricRow(method, nid, round_k, stage, split, nll, float(np.exp(nll)))
+    """A metric row, its perplexity exp(nll). The caller holds
+    np.errstate(over="ignore"), so that a huge NLL gives inf quietly."""
+    return MetricRow(method, nid, round_k, stage, split, nll, float(np.exp(nll)))
 
 
 def evaluate_round(
@@ -189,19 +190,17 @@ def evaluate_round(
     kept with the shard, and a node's model runs once over it.
     """
     memo = {} if memo is None else memo
-    rows = []
-    for nid in sorted(params_by_node):
-        if nid not in shards:
-            continue
+    nodes = [nid for nid in sorted(params_by_node) if nid in shards]
+    for nid in nodes:
         if nid not in memo:
             params, shard = params_by_node[nid], shards[nid]
             n = context_len(params.layout)
             scored = window_nlls(params, [shard.context_index(split, n) for split in EVAL_SPLITS])
             memo[nid] = {split: mean_nll(params, getattr(shard, split), nll=nll)
                          for split, nll in zip(EVAL_SPLITS, scored)}
-        nlls = memo[nid]
-        rows += [_row(method, nid, round_k, stage, split, nlls[split]) for split in EVAL_SPLITS]
-    return rows
+    with np.errstate(over="ignore"):
+        return [_row(method, nid, round_k, stage, split, memo[nid][split])
+                for nid in nodes for split in EVAL_SPLITS]
 
 
 @dataclass
@@ -275,8 +274,9 @@ class _Run:
                 self.set_model(nid, out.params)
                 losses[nid] = out.mean_loss
             trainees = [(nid, t) for nid, t in trainees if nid not in group]
-        self.result.rows += [_row(self.result.method, nid, round_k, stage, "train", losses[nid])
-                             for nid in sorted(losses)]
+        with np.errstate(over="ignore"):
+            self.result.rows += [_row(self.result.method, nid, round_k, stage, "train", losses[nid])
+                                 for nid in sorted(losses)]
         self.result.seq_steps += bool(losses)
 
     def evaluate(self, round_k: int, stage: int) -> None:

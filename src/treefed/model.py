@@ -461,26 +461,30 @@ def local_train(
     m, v2 = np.zeros(shape, np.float32), np.zeros(shape, np.float32)  # Adam moments
     tmp = np.empty(shape, np.float32)  # scratch
     work = np.stack([job.params.buf for job in jobs])
-    b1, b2, eps = trainer.beta1, trainer.beta2, 1e-8
     losses = np.empty((len(jobs), trainer.local_steps))
     current = ParamStack(layout, work)
+    # every step's scalars, before the first step: its learning rate and, for
+    # Adam, lr*(m/c1)/(sqrt(v2/c2)+eps) as alpha*m/(sqrt(v2)+eps_hat), with
+    # the bias corrections c1 and c2 folded into the two scalars
+    b1, b2, eps = trainer.beta1, trainer.beta2, 1e-8
+    lrs = [lr_at(global_step + i, trainer.schedule) for i in range(trainer.local_steps)]
+    adam = [(np.float32(lr * math.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)),
+             np.float32(eps * math.sqrt(1.0 - b2 ** t))) for t, lr in enumerate(lrs, 1)]
+    beta1, beta2, one_minus_b1, one_minus_b2 = map(np.float32, (b1, b2, 1 - b1, 1 - b2))
     for i in range(trainer.local_steps):
-        lr = lr_at(global_step + i, trainer.schedule)
         losses[:, i], cache = forward_loss(current, batches[i], ws)
         grad = backward(current, cache).buf
         if trainer.optimizer == "sgd":
-            work -= np.float32(lr) * grad
+            work -= np.float32(lrs[i]) * grad
         else:
-            # lr*(m/c1)/(sqrt(v2/c2)+eps) as alpha*m/(sqrt(v2)+eps_hat), with
-            # the bias corrections folded into two scalars, op for op in the
-            # scratch array and, once the moments have read it, the gradient
-            # buffer: full-size temporaries cost more than the math
-            c1, c2 = 1.0 - b1 ** (i + 1), 1.0 - b2 ** (i + 1)
-            alpha, eps_hat = np.float32(lr * math.sqrt(c2) / c1), np.float32(eps * math.sqrt(c2))
-            m *= np.float32(b1)
-            m += np.multiply(grad, np.float32(1 - b1), out=tmp)
-            v2 *= np.float32(b2)
-            v2 += np.multiply(np.multiply(grad, np.float32(1 - b2), out=tmp), grad, out=tmp)
+            # op for op in the scratch array and, once the moments have read
+            # it, the gradient buffer: full-size temporaries cost more than
+            # the math
+            alpha, eps_hat = adam[i]
+            m *= beta1
+            m += np.multiply(grad, one_minus_b1, out=tmp)
+            v2 *= beta2
+            v2 += np.multiply(np.multiply(grad, one_minus_b2, out=tmp), grad, out=tmp)
             den = np.add(np.sqrt(v2, out=grad), eps_hat, out=grad)
             work -= np.divide(np.multiply(m, alpha, out=tmp), den, out=tmp)
         check_finite(layout, work)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregation import AttentionConfig, key_layers, similarity, vector_norm
+from .aggregation import AttentionConfig, score_keys, similarity, vector_norm
 from .tensors import ParamSet
 from .topology import FederationTree
 
@@ -51,14 +51,13 @@ def partition_residuals(
         return []
     for _, ck in child_keys:
         own_post_agg_keys.require_congruent(ck)
-    children = {cid: (ck, key_layers(ck)) for cid, ck in child_keys}
+    slices, children = own_post_agg_keys.layout.slices, dict(child_keys)
+    scores = score_keys(own_post_agg_keys.buf.astype(np.float64),
+                        [ck.buf.astype(np.float64) for ck in children.values()], slices, cfg)
     packets = []
-    for name, q in key_layers(own_post_agg_keys).items():
-        q_norm = vector_norm(q)
-        scored = sorted((similarity(q, q_norm, layers[name], vector_norm(layers[name]), cfg), cid)
-                        for cid, (_, layers) in children.items())
-        s = own_post_agg_keys.layout.slices[name]
-        packets += [ResidualPacket(origin=cid, layer=name, values=children[cid][0].buf[s],
+    for name, sims in scores.items():
+        scored = sorted(zip(sims, children))
+        packets += [ResidualPacket(origin=cid, layer=name, values=children[cid].buf[slices[name]],
                                    created_round=round_k)
                     for sim, cid in scored[:nu] if sim < threshold]
     return packets
@@ -92,19 +91,24 @@ def route_residuals(
     forwards it; a packet with no eligible child is dropped. `router` only
     labels the emitted log events.
     """
-    children = {cid: {name: (k, vector_norm(k)) for name, k in key_layers(ks).items()}
+    children = {cid: (ks.layout.slices, ks.buf.astype(np.float64))
                 for cid, ks in sorted(child_keys, key=lambda c: c[0])}
+    norms: dict[tuple[int, str], float] = {}  # (child, layer) -> norm, for named layers only
     result = RouteResult({cid: [] for cid in children}, [])
     for pkt in sorted(incoming, key=lambda p: (p.origin, p.layer, p.created_round)):
         q = np.asarray(pkt.values, dtype=np.float64)
         q_norm = vector_norm(q)
+        origin_path = set(tree.path_to_root(pkt.origin))  # a child on it holds the origin
         best_id, best_sim = None, None
-        for cid, layers in children.items():
-            if tree.in_subtree(cid, pkt.origin):
+        for cid, (slices, vec) in children.items():
+            if cid in origin_path:
                 continue
-            if pkt.layer not in layers:
+            if pkt.layer not in slices:
                 raise KeyError(f"packet layer {pkt.layer!r} unknown to child {cid}")
-            sim = similarity(q, q_norm, *layers[pkt.layer], cfg)
+            k = vec[slices[pkt.layer]]
+            if (cid, pkt.layer) not in norms:
+                norms[cid, pkt.layer] = vector_norm(k)
+            sim = similarity(float(np.dot(q, k)), q_norm, norms[cid, pkt.layer], cfg)
             if best_sim is None or sim > best_sim:
                 best_id, best_sim = cid, sim
         if best_id is None:

@@ -19,6 +19,14 @@ this copy can.
 `forward_backward` runs the model's own forward and backward pass on one
 model, as the one-row stack that local_train would train it in.
 
+`reference_attend_keys`, `reference_aggregate_child_keys`,
+`reference_merge_with_parent`, `reference_partition_residuals` and
+`reference_route_residuals` keep the key
+attention and residual selection that scored, softmaxed and summed one layer
+and one candidate at a time, and the router that walked the tree once per
+(packet, child) pair. They take the dots the implementation takes, in the
+same order, so the two are compared byte for byte.
+
 `param_set` is how tests build a ParamSet from values, `param_count` gives a
 config's parameter count in closed form, and `node_series` and
 `trailing_best` are the per-round diagnostics the acceptance checks read.
@@ -32,7 +40,8 @@ import numpy as np
 from treefed.aggregation import lr_at
 from treefed.model import StepWorkspace, backward, forward_loss
 from treefed.presets import preset_config
-from treefed.tensors import Layout, ParamSet, ParamStack
+from treefed.residual import EVENT_FIELDS, ResidualPacket, RouteResult
+from treefed.tensors import CongruenceError, Layout, ParamSet, ParamStack
 
 
 def param_set(entries) -> ParamSet:
@@ -276,3 +285,146 @@ def tree_faults() -> dict[str, tuple[dict, str]]:
             "unknown child": (unknown_child, "invalid tree: node 2: unknown child 9"),
             "missing from parent": (missing,
                                     "invalid tree: node 6: missing from parent 2 children")}
+
+
+def _norm(v: np.ndarray) -> float:
+    return float(np.sqrt(np.dot(v, v)))
+
+
+def _similarity(q: np.ndarray, q_norm: float, k: np.ndarray, k_norm: float, cfg) -> float:
+    d = float(np.dot(q, k))
+    if cfg.similarity == "dot":
+        return d
+    if q_norm == 0.0 or k_norm == 0.0:
+        return 0.0
+    return min(1.0, max(-1.0, d / (q_norm * k_norm)))
+
+
+def reference_attend_layer(query, candidates, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """One layer's attention: each candidate scored in turn, a softmax over
+    the layer's scores, and the weighted candidates summed one by one."""
+    if not candidates:
+        raise ValueError("attend_layer requires at least one candidate")
+    q = np.asarray(query, dtype=np.float64)
+    cands = [np.asarray(c, dtype=np.float64) for c in candidates]
+    if any(c.shape != q.shape for c in cands):
+        raise CongruenceError(f"candidate shapes {[c.shape for c in cands]} vs query {q.shape}")
+    if cfg.uniform:
+        weights = np.full(len(cands), 1.0 / len(cands))
+    else:
+        q_norm = _norm(q)
+        scores = np.array([_similarity(q, q_norm, c, _norm(c), cfg) / cfg.temperature
+                           for c in cands])
+        e = np.exp(scores - scores.max())
+        weights = e / e.sum()
+    acc = np.zeros(q.shape)
+    for w, c in zip(weights, cands):
+        acc += w * c
+    return acc, weights
+
+
+def _key_layers(keys: ParamSet) -> dict[str, np.ndarray]:
+    vec = keys.buf.astype(np.float64)
+    return {name: vec[s] for name, s in keys.layout.slices.items()}
+
+
+def _attend_layers(slices: dict[str, slice], own: dict[str, np.ndarray], candidates, cfg):
+    """reference_attend_layer for each layer of `own` as query, over the
+    (label, vector) pairs in candidates[layer]: (the float64 merged buffer,
+    the weight log)."""
+    size = max((s.stop for s in slices.values()), default=0)
+    buf, weight_log = np.empty(size), {}
+    for name, q in own.items():
+        labels = [label for label, _ in candidates[name]]
+        buf[slices[name]], weights = reference_attend_layer(
+            q, [v for _, v in candidates[name]], cfg)
+        weight_log[name] = (labels, weights)
+    return buf, weight_log
+
+
+def _as_keys(layout: Layout, merged):
+    buf, weight_log = merged
+    return ParamSet.from_buffer(layout, buf.astype(np.float32)), weight_log
+
+
+def reference_attend_keys(query, sets, slices, cfg, include_self=False, packets=None):
+    """attend_keys layer by layer: (the float64 merged buffer, each layer's
+    weights)."""
+    packets = packets or {}
+    whole = ([query] if include_self else []) + list(sets)
+    candidates = {name: [("", c[s]) for c in whole] + [("", v) for v in packets.get(name, [])]
+                  for name, s in slices.items()}
+    buf, weight_log = _attend_layers(slices, {name: query[s] for name, s in slices.items()},
+                                     candidates, cfg)
+    return buf, {name: weights for name, (_, weights) in weight_log.items()}
+
+
+def reference_aggregate_child_keys(own_keys: ParamSet, child_keys, cfg):
+    for _, ck in child_keys:
+        own_keys.require_congruent(ck)
+    own = _key_layers(own_keys)
+    sets = ([("self", own)] if cfg.include_self else []) + [
+        (str(cid), _key_layers(ck)) for cid, ck in sorted(child_keys, key=lambda c: c[0])]
+    return _as_keys(own_keys.layout, _attend_layers(
+        own_keys.layout.slices, own,
+        {n: [(label, layers[n]) for label, layers in sets] for n in own}, cfg))
+
+
+def reference_merge_with_parent(own_keys: ParamSet, parent_keys: ParamSet, packets, cfg):
+    own_keys.require_congruent(parent_keys)
+    own, parent = _key_layers(own_keys), _key_layers(parent_keys)
+    candidates = {n: [("self", own[n]), ("parent", parent[n])] for n in own}
+    for pkt in sorted(packets, key=lambda p: (p.origin, p.created_round)):
+        if pkt.layer not in candidates:
+            raise KeyError(f"residual packet targets unknown layer {pkt.layer!r}")
+        candidates[pkt.layer].append((str(pkt.origin), pkt.values))
+    return _as_keys(own_keys.layout,
+                    _attend_layers(own_keys.layout.slices, own, candidates, cfg))
+
+
+def reference_partition_residuals(own_keys: ParamSet, child_keys, nu: int, cfg, round_k: int,
+                                  threshold: float = 0.999) -> list[ResidualPacket]:
+    if nu == 0 or not child_keys:
+        return []
+    children = {cid: (ck, _key_layers(ck)) for cid, ck in child_keys}
+    packets = []
+    for name, q in _key_layers(own_keys).items():
+        q_norm = _norm(q)
+        scored = sorted((_similarity(q, q_norm, layers[name], _norm(layers[name]), cfg), cid)
+                        for cid, (_, layers) in children.items())
+        s = own_keys.layout.slices[name]
+        packets += [ResidualPacket(origin=cid, layer=name, values=children[cid][0].buf[s],
+                                   created_round=round_k)
+                    for sim, cid in scored[:nu] if sim < threshold]
+    return packets
+
+
+def reference_route_residuals(incoming, child_keys, cfg, tree, round_k: int,
+                              router=None) -> RouteResult:
+    """Every (packet, child) pair checked with tree.in_subtree, and every
+    layer of every child normed up front."""
+    children = {cid: {name: (k, _norm(k)) for name, k in _key_layers(ks).items()}
+                for cid, ks in sorted(child_keys, key=lambda c: c[0])}
+    result = RouteResult({cid: [] for cid in children}, [])
+
+    def event(pkt, action, landed, sim):
+        return dict(zip(EVENT_FIELDS, (round_k, router, pkt.origin, pkt.layer,
+                                       pkt.created_round, action, landed, sim)))
+
+    for pkt in sorted(incoming, key=lambda p: (p.origin, p.layer, p.created_round)):
+        q = np.asarray(pkt.values, dtype=np.float64)
+        q_norm = _norm(q)
+        best_id, best_sim = None, None
+        for cid, layers in children.items():
+            if tree.in_subtree(cid, pkt.origin):
+                continue
+            sim = _similarity(q, q_norm, *layers[pkt.layer], cfg)
+            if best_sim is None or sim > best_sim:
+                best_id, best_sim = cid, sim
+        if best_id is None:
+            result.events.append(event(pkt, "drop:origin-exclusion", None, None))
+            continue
+        result.landed[best_id].append(pkt)
+        action = "aggregate" if tree.is_leaf(best_id) else "forward"
+        result.events.append(event(pkt, action, best_id, best_sim))
+    return result

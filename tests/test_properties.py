@@ -1,11 +1,13 @@
 """Property tests for the core invariants: attention weights form a
-distribution, routing respects origin subtrees and ceilings, every residual
-packet a run selects ends exactly once in the next round, clipping respects
-its bound, validate accepts exactly the well-formed trees, resolve rejects a
-config value of the wrong JSON type before sampling, a boundary value of any
-scalar config key either runs cleanly or exits 1 naming its key, the Markov
-sampler matches its per-token reference byte for byte, and a run of R rounds
-of any preset logs the first R rounds of a longer run."""
+distribution, key attention, residual selection and routing equal their
+per-layer and per-pair references byte for byte, routing respects origin
+subtrees and ceilings, every residual packet a run selects ends exactly once
+in the next round, clipping respects its bound, validate accepts exactly
+the well-formed trees, resolve rejects a config value of the wrong JSON type
+before sampling, a boundary value of any scalar config key either runs
+cleanly or exits 1 naming its key, the Markov sampler matches its per-token
+reference byte for byte, and a run of R rounds of any preset logs the first
+R rounds of a longer run."""
 
 import contextlib
 import csv
@@ -24,15 +26,30 @@ from hypothesis import strategies as st
 
 from treefed import engine, presets
 from treefed.cli import main
-from treefed.aggregation import AttentionConfig, aggregate_child_keys, merge_with_parent
+from treefed.aggregation import (
+    AttentionConfig,
+    aggregate_child_keys,
+    attend_keys,
+    attend_layer,
+    merge_with_parent,
+)
 from treefed.datagen import MarkovSource, sample_tokens
 from treefed.presets import PRESETS, preset_config, resolve, tree_to_json
 from treefed.privacy import clip
 from treefed.residual import ResidualPacket, partition_residuals, route_residuals, turn_node
-from treefed.tensors import l2_norm
+from treefed.tensors import CongruenceError, l2_norm
 from treefed.topology import FederationTree, NodeSpec, validate
 
-from oracles import param_set, reference_sample_tokens
+from oracles import (
+    param_set,
+    reference_aggregate_child_keys,
+    reference_attend_keys,
+    reference_attend_layer,
+    reference_merge_with_parent,
+    reference_partition_residuals,
+    reference_route_residuals,
+    reference_sample_tokens,
+)
 
 PROPS = settings(max_examples=60, deadline=None)
 
@@ -81,6 +98,114 @@ def test_attention_weights_are_a_distribution(data, cfg, sizes, children):
     _, log = merge_with_parent(own, parent, packets, cfg)
     assert_distributions(log)
     assert sum(len(labels) for labels, _ in log.values()) == 2 * len(sizes) + len(packets)
+
+
+any_temperature_configs = st.builds(
+    AttentionConfig, similarity=st.sampled_from(["cosine", "dot"]),
+    temperature=st.one_of(st.sampled_from([1e-3, 1.0, 1e3]), st.floats(1e-3, 1e3)),
+    include_self=st.booleans(), uniform=st.booleans())
+
+
+def assert_same_merge(got, want):
+    """Two (keys, weight log) results agree byte for byte."""
+    (keys, log), (ref_keys, ref_log) = got, want
+    assert keys.layout is ref_keys.layout and keys.buf.tobytes() == ref_keys.buf.tobytes()
+    assert list(log) == list(ref_log)
+    for name, (labels, weights) in log.items():
+        assert labels == ref_log[name][0]
+        assert weights.tobytes() == ref_log[name][1].tobytes()
+
+
+def packet_fields(packets):
+    return [(p.origin, p.layer, p.values.tobytes(), p.created_round) for p in packets]
+
+
+@st.composite
+def packets_on(draw, sizes, count, origins=st.integers(0, 30)):
+    """`count` packets, each on a drawn layer of a key set with `sizes`."""
+    return [ResidualPacket(origin=draw(origins), layer=f"k{layer}",
+                           values=draw(vectors(sizes[layer])),
+                           created_round=draw(st.integers(0, 3)))
+            for layer in draw(st.lists(st.integers(0, len(sizes) - 1),
+                                       min_size=count, max_size=count))]
+
+
+@PROPS
+@given(data=st.data(), cfg=any_temperature_configs,
+       sizes=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+       children=st.integers(1, 5), packets=st.integers(0, 4), nu=st.integers(0, 3),
+       threshold=st.sampled_from([0.999, 0.0, float("inf")]))
+def test_key_attention_and_selection_match_the_per_layer_reference(
+        data, cfg, sizes, children, packets, nu, threshold):
+    own, parent, *kids = data.draw(key_sets(sizes, children + 2))
+    child_keys = list(zip(data.draw(st.permutations(range(1, children + 1))), kids))
+    pkts = data.draw(packets_on(sizes, packets))
+    assert_same_merge(aggregate_child_keys(own, child_keys, cfg),
+                      reference_aggregate_child_keys(own, child_keys, cfg))
+    assert_same_merge(merge_with_parent(own, parent, pkts, cfg),
+                      reference_merge_with_parent(own, parent, pkts, cfg))
+    assert packet_fields(partition_residuals(own, child_keys, nu, cfg, 2, threshold)) == (
+        packet_fields(reference_partition_residuals(own, child_keys, nu, cfg, 2, threshold)))
+    # the float64 sums, before the float32 cast hides most changes of order
+    by_layer = {}
+    for pkt in pkts:
+        by_layer.setdefault(pkt.layer, []).append(pkt.values)
+    args = (own.buf, [kid.buf for kid in kids], own.layout.slices, cfg, cfg.include_self,
+            by_layer)
+    (merged, weights), (ref_merged, ref_weights) = attend_keys(*args), reference_attend_keys(*args)
+    assert merged.tobytes() == ref_merged.tobytes()
+    assert all(weights[name].tobytes() == ref_weights[name].tobytes() for name in ref_weights)
+    query, cands = own["k0"].data, [kid["k0"].data for kid in kids]
+    (out, w), (ref_out, ref_w) = (attend_layer(query, cands, cfg),
+                                  reference_attend_layer(query, cands, cfg))
+    assert out.tobytes() == ref_out.tobytes() and w.tobytes() == ref_w.tobytes()
+
+
+@PROPS
+@given(data=st.data(), cfg=any_temperature_configs,
+       sizes=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+       fault=st.sampled_from(["length", "layer"]))
+def test_a_bad_packet_fails_merge_as_it_fails_the_reference(data, cfg, sizes, fault):
+    own, parent = data.draw(key_sets(sizes, 2))
+    pkts = data.draw(packets_on(sizes, data.draw(st.integers(0, 3))))
+    layer = data.draw(st.integers(0, len(sizes) - 1))
+    size, name = (sizes[layer] + 1, f"k{layer}") if fault == "length" else (sizes[layer], "zz")
+    bad = ResidualPacket(origin=40, layer=name, values=data.draw(vectors(size)), created_round=0)
+    error = CongruenceError if fault == "length" else KeyError
+    with pytest.raises(error):
+        merge_with_parent(own, parent, pkts + [bad], cfg)
+    with pytest.raises(error):
+        reference_merge_with_parent(own, parent, pkts + [bad], cfg)
+
+
+@st.composite
+def shallow_trees(draw, max_depth=3, max_nodes=14):
+    """A well-formed tree of depth at most `max_depth`: node i > 0 hangs
+    below a node with a smaller id that lies above the deepest level."""
+    n = draw(st.integers(2, max_nodes))
+    parents, depth = [None], [0]
+    for i in range(1, n):
+        parent = draw(st.sampled_from([j for j in range(i) if depth[j] < max_depth]))
+        parents.append(parent)
+        depth.append(depth[parent] + 1)
+    return FederationTree.from_children_map(
+        {i: [j for j in range(n) if parents[j] == i] for i in range(n)})
+
+
+@PROPS
+@given(data=st.data(), tree=shallow_trees(), cfg=any_temperature_configs,
+       sizes=st.lists(st.integers(1, 40), min_size=1, max_size=3))
+def test_routing_matches_the_per_pair_reference(data, tree, cfg, sizes):
+    router = data.draw(st.sampled_from([n for n in tree.nodes if not tree.is_leaf(n)]))
+    children = tree.nodes[router].children
+    child_keys = list(zip(children, data.draw(key_sets(sizes, len(children)))))
+    packets = data.draw(packets_on(sizes, data.draw(st.integers(0, 8)),
+                                   st.sampled_from(list(tree.nodes))))
+    out = route_residuals(packets, child_keys, cfg, tree, round_k=3, router=router)
+    ref = reference_route_residuals(packets, child_keys, cfg, tree, round_k=3, router=router)
+    assert out.events == ref.events
+    assert {cid: [id(p) for p in pkts] for cid, pkts in out.landed.items()} == (
+        {cid: [id(p) for p in pkts] for cid, pkts in ref.landed.items()})
 
 
 @st.composite

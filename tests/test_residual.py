@@ -152,7 +152,7 @@ class TestRouteResiduals:
                     continue
                 q = pkt.values.astype(np.float64)
                 k = children[cid]["a"].data.astype(np.float64)
-                sim = similarity(q, vector_norm(q), k, vector_norm(k), cfg)
+                sim = similarity(float(np.dot(q, k)), vector_norm(q), vector_norm(k), cfg)
                 if sim > best_sim:
                     best, best_sim = cid, sim
             assert [cid for cid in (1, 2, 3) if out.landed[cid]] == [best]

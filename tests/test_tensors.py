@@ -13,7 +13,7 @@ def ps(*pairs):
 
 def cosine(a, b):
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return similarity(a, vector_norm(a), b, vector_norm(b), AttentionConfig())
+    return similarity(float(np.dot(a, b)), vector_norm(a), vector_norm(b), AttentionConfig())
 
 
 def entry_slice(p, name):
