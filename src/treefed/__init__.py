@@ -38,7 +38,7 @@ from .model import (
 )
 from .privacy import DpConfig, add_noise, clip, next_bound
 from .residual import ResidualPacket, partition_residuals, route_residuals
-from .tensors import CongruenceError, ParamSet, ParamStack, axpy, l2_norm
+from .tensors import CongruenceError, ParamSet, axpy, l2_norm
 from .topology import FederationTree, NodeSpec, validate
 
 __version__ = "0.1.0"

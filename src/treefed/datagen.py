@@ -258,15 +258,15 @@ def sample_mixture_stream(
     size: int,
     seed_key: tuple[int, ...],
 ) -> np.ndarray:
-    """Concatenated Markov segments, one per (source id, token budget) pair
-    in order, each sized in proportion to its budget; the last takes the
-    rounding remainder."""
+    """`size` tokens: Markov segments, one per (source id, token budget) pair
+    in order, each sized in proportion to its budget and the last taking the
+    rounding remainder (at least 1), joined and cut to `size`."""
     rng = np.random.default_rng(np.random.SeedSequence(list(seed_key)))
     total = sum(b for _, b in mixture)
     counts = [int(round(b / total * size)) for _, b in mixture]
     counts[-1] = max(1, size - sum(counts[:-1]))
     return np.concatenate([sample_tokens(sources[sid], count, rng)
-                           for (sid, _), count in zip(mixture, counts) if count > 0])
+                           for (sid, _), count in zip(mixture, counts) if count > 0])[:size]
 
 
 def sample_shard(

@@ -5,23 +5,24 @@ embeddings are concatenated, projected to the model width, passed through a
 stack of residual tanh MLP blocks, and read out by a linear head. The final
 `key_block_count` blocks form the personalized key layers; everything else is
 backbone. Gradients are derived by hand so training is exact, fast, and
-checkable against finite differences in the float64 shadow mode.
+checkable against finite differences on float64 step views.
 
 The forward pass, the backward pass and local_train carry a leading node
-axis: N models of one layout, stacked as a ParamStack, train as one (N, B,
-...) computation whose rows never mix, so each node's bytes are those of
-training it alone.
+axis: N models of one layout, the rows of one (N, P) array, train as one
+(N, B, ...) computation whose rows never mix, so each node's bytes are those
+of training it alone.
 
 A training step is bound by per-call overhead at these sizes, so it makes
-few numpy calls and few temporaries. The views a step reads of the
-parameters, transposed weights and broadcast biases among them, are built
-once per local_train call. The trunk adds each bias, and each block its
-input, into its product's buffer. backward has BLAS write every weight
-gradient straight into the step's gradient stack, takes each bias
-gradient, the batch sum of a layer's output gradient, as a BLAS product
-with a ones block, and scatters the embedding gradient into the stack. Adam
-works in one scratch array and the gradient buffer. Where every layer is at
-least 2 wide, each result keeps the bits of the plain form (see backward).
+few numpy calls and few temporaries. The views a step reads of the rows,
+transposed weights and broadcast biases among them (step_views), are built
+once per local_train call, and the passes compute in their dtype. The trunk
+adds each bias, and each block its input, into its product's buffer.
+backward has BLAS write every weight gradient straight into the step's
+gradient stack, takes each bias gradient, the batch sum of a layer's output
+gradient, as a BLAS product with a ones block, and scatters the embedding
+gradient into the stack. Adam works in one scratch array and the gradient
+buffer. Where every layer is at least 2 wide, each result keeps the bits of
+the plain form (see backward).
 
 Parameter order (canonical, shared by every instance of a config):
     embed, in_proj.w, in_proj.b,
@@ -40,7 +41,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .aggregation import ScheduleConfig, lr_at
 from .datagen import ContextIndex
-from .tensors import Layout, ParamSet, ParamStack, check_finite
+from .tensors import Layout, ParamSet, check_finite
 
 
 @dataclass
@@ -198,12 +199,13 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 2, 1)
 
 
-def _views(layout: Layout, buf: np.ndarray) -> dict[str, np.ndarray]:
-    """Name -> view of the (N, P) rows of `buf` as the passes read it: each
+def step_views(layout: Layout, rows: np.ndarray) -> dict[str, np.ndarray]:
+    """Name -> view of the (N, P) `rows` as the passes read them: each
     weight (N, K, M), each bias (N, 1, M) to broadcast over a batch, and,
     under its name + ".T", each weight matrix but the embedding transposed,
-    as backward multiplies by it."""
-    w = layout.views(buf)
+    as backward multiplies by it. They view `rows`, so they follow an
+    in-place update of them."""
+    w = layout.views(rows)
     for name in layout.names:
         if name.endswith(".b"):
             w[name] = w[name][:, None]
@@ -214,10 +216,10 @@ def _views(layout: Layout, buf: np.ndarray) -> dict[str, np.ndarray]:
 
 class StepWorkspace:
     """What every step of one (layout, N nodes, B windows) shape shares: the
-    context length and block count, the (N, 1, 1) node index, each window's
-    offset into the flat logits, each node's offset into the flat gradient
-    stack, _batch_sum's ones block, the (N, P) gradient stack and its views,
-    and the views of the stack it last served (views).
+    layout, the context length and block count, the (N, 1, 1) node index,
+    each window's offset into the flat logits, each node's offset into the
+    flat gradient stack, _batch_sum's ones block, and the (N, P) float32
+    gradient stack and its views.
 
     backward writes every entry of the gradient stack, which comes from
     np.empty: BLAS writes each weight gradient straight into its view, each
@@ -228,7 +230,7 @@ class StepWorkspace:
 
     def __init__(self, layout: Layout, nodes: int, batch_size: int):
         V, d, n = _dims(layout)
-        self.context_len, self.num_blocks = n, _num_blocks(layout)
+        self.layout, self.context_len, self.num_blocks = layout, n, _num_blocks(layout)
         self.node = np.arange(nodes)[:, None, None]  # (N, 1, 1)
         # node k's window b scores its target t at entry (k * B + b) * V + t
         # of the flat (N, B, V) logits: this is (k * B + b) * V
@@ -239,22 +241,12 @@ class StepWorkspace:
         self.embed_offset = (layout.size * self.node + layout.slices["embed"].start
                              + np.arange(d))
         self.ones = np.ones((1, batch_size, 2), dtype=np.float32)
-        self.grad = ParamStack(layout, np.empty((nodes, layout.size), dtype=np.float32))
-        self.grads = layout.views(self.grad.buf)
-        self._stack, self._stack_views = None, None
-
-    def views(self, stack: ParamStack) -> dict[str, np.ndarray]:
-        """_views of `stack`, built on its first pass through this
-        workspace. They view its buffer, which local_train updates in place,
-        so they stay current from step to step."""
-        if stack is not self._stack:
-            self._stack, self._stack_views = stack, _views(stack.layout, stack.buf)
-        return self._stack_views
+        self.grad = np.empty((nodes, layout.size), dtype=np.float32)
+        self.grads = layout.views(self.grad)
 
 
 class _ForwardCache(NamedTuple):
-    params: ParamStack
-    w: dict[str, np.ndarray]  # the _views the forward pass used
+    w: dict[str, np.ndarray]  # the step views the forward pass read
     ids: np.ndarray
     x: np.ndarray
     blocks: list[tuple[np.ndarray, np.ndarray]]  # (block input, tanh output)
@@ -266,8 +258,8 @@ class _ForwardCache(NamedTuple):
 
 def _trunk(w: dict[str, np.ndarray], ids: np.ndarray, node: np.ndarray, num_blocks: int,
            blocks=None):
-    """The network on each node's (N, B, n) context ids, from the _views
-    `w`: embedding, in_proj, num_blocks blocks, head. `node` is the
+    """The network on each node's (N, B, n) context ids, from the step
+    views `w`: embedding, in_proj, num_blocks blocks, head. `node` is the
     (N, 1, 1) row index of each node. Returns (x, h, z, ez, denom): the
     concatenated embeddings, the final hidden states, the float64 logits
     shifted by their row maxima, their exps and each row's sum of exps.
@@ -294,28 +286,26 @@ def _trunk(w: dict[str, np.ndarray], ids: np.ndarray, node: np.ndarray, num_bloc
     return x, h, z, ez, ez.sum(axis=2)
 
 
-def forward_loss(stack: ParamStack, batch: np.ndarray, ws: StepWorkspace, wide: bool = False):
+def forward_loss(w: dict[str, np.ndarray], batch: np.ndarray, ws: StepWorkspace):
     """Mean next-token cross-entropy (nats) of each node's token windows.
 
-    The N models of `stack` take an (N, B, n+1) batch: the first n columns
-    are inputs, the last column is the target. Every node's windows meet
-    only its own row of weights. `ws`, a StepWorkspace of this stack's
-    shape, supplies the step's constants. The batch is not checked:
-    local_train checks its streams once, before the first step. `wide` runs
-    the pass on a float64 copy of the weights. Returns ((N,) losses, cache);
-    the cache feeds backward().
+    The N models whose step_views are `w` take an (N, B, n+1) batch: the
+    first n columns are inputs, the last column is the target. Every node's
+    windows meet only its own row of weights. The pass computes in the
+    views' dtype: float32 rows train, float64 ones check the gradients.
+    `ws`, a StepWorkspace of this shape, supplies the step's constants. The
+    batch is not checked: local_train checks its streams once, before the
+    first step. Returns ((N,) losses, cache); the cache feeds backward().
     """
-    # views of the float32 rows, or of one float64 copy in wide mode
-    w = _views(stack.layout, stack.buf.astype(np.float64)) if wide else ws.views(stack)
     n = ws.context_len
     ids, target_at = batch[..., :n], ws.logit_offset + batch[..., n]
     blocks = []
     x, h, z, ez, denom = _trunk(w, ids, ws.node, ws.num_blocks, blocks)
     probs = np.divide(ez, denom[..., None],
-                      out=np.empty(ez.shape, np.float64 if wide else np.float32))
+                      out=np.empty(ez.shape, w["head.w"].dtype))
     nll = np.log(denom) - z.reshape(-1)[target_at]
     loss = np.add.reduce(nll, axis=1) / nll.shape[1]  # np.mean's own arithmetic
-    return loss, _ForwardCache(stack, w, ids, x, blocks, h, probs, target_at, ws)
+    return loss, _ForwardCache(w, ids, x, blocks, h, probs, target_at, ws)
 
 
 def _batch_sum(d_out: np.ndarray, ones: np.ndarray) -> np.ndarray:
@@ -328,22 +318,20 @@ def _batch_sum(d_out: np.ndarray, ones: np.ndarray) -> np.ndarray:
     return (_t(d_out) @ ones)[..., 0]
 
 
-def backward(stack: ParamStack, cache: _ForwardCache) -> ParamStack:
+def backward(cache: _ForwardCache) -> np.ndarray:
     """Exact gradients of each node's mean cross-entropy w.r.t. its
-    parameters, written into one float32 buffer laid out like `stack`: the
-    gradient stack of the forward pass's workspace, which the next step of a
-    training call overwrites. The logit gradient is built in the cache's
-    probabilities, so a cache feeds one backward pass. The gradient is not
-    checked for non-finite values: local_train checks the parameters it
-    updates.
+    parameters, written into one (N, P) float32 array laid out like the
+    rows: the gradient stack of the forward pass's workspace, which the next
+    step of a training call overwrites. The logit gradient is built in the
+    cache's probabilities, so a cache feeds one backward pass. The gradient
+    is not checked for non-finite values: local_train checks the parameters
+    it updates.
 
     Each bias gradient is its layer's output gradient summed over the batch
     in row order (_batch_sum), which has np.sum's bits wherever the layer is
     at least 2 wide. np.sum adds a 1-wide column pairwise, so where
     vocab_size or embed_dim is 1 a bias gradient can differ from np.sum's in
     its last bits (in float32 from 4 windows on)."""
-    if cache.params is not stack:
-        raise ValueError("stale cache: params do not match the forward pass")
     w, ws, grads = cache.w, cache.ws, cache.ws.grads
     N, B, n = cache.ids.shape
 
@@ -371,16 +359,16 @@ def backward(stack: ParamStack, cache: _ForwardCache) -> ParamStack:
     dx = dh @ w["in_proj.w.T"]
     # every entry adds its windows' terms in batch order, scattered into the
     # zeroed embedding view through the flat gradient stack (np.add.at is
-    # several times faster on 1-D operands); wide mode adds in a float64
+    # several times faster on 1-D operands); a float64 pass adds in a float64
     # stack and rounds each entry once
     at = (cache.ids.reshape(N, B * n, 1) * w["embed"].shape[2] + ws.embed_offset).reshape(-1)
-    if dx.dtype == ws.grad.buf.dtype:
+    if dx.dtype == ws.grad.dtype:
         grads["embed"][...] = 0
-        np.add.at(ws.grad.buf.reshape(-1), at, dx.reshape(-1))
+        np.add.at(ws.grad.reshape(-1), at, dx.reshape(-1))
     else:
-        wide = np.zeros(ws.grad.buf.shape, dx.dtype)
+        wide = np.zeros(ws.grad.shape, dx.dtype)
         np.add.at(wide.reshape(-1), at, dx.reshape(-1))
-        grads["embed"][...] = ws.grad.layout.views(wide)["embed"]
+        grads["embed"][...] = ws.layout.views(wide)["embed"]
     return ws.grad
 
 
@@ -427,9 +415,9 @@ def local_train(
     gradients and the float32 Adam moments are each one (N, P) array, so an
     update is a few element-wise array ops, in one scratch array and the
     gradient buffer. Every token stream is checked once, before the first
-    step, and what the steps share is built once, as one StepWorkspace: the
-    parameters are updated in place, so the views of them that the first
-    step builds serve every step. Returns one result per job.
+    step, and what the steps share is built once: one StepWorkspace, and the
+    step_views of the rows, which are updated in place, so the views serve
+    every step. Returns one result per job.
     """
     jobs = [TrainJob(*job) for job in jobs]
     if not jobs:
@@ -448,10 +436,10 @@ def local_train(
     if trainer.local_steps == 0:
         return [TrainResult(job.params, float("nan")) for job in jobs]
     rngs = [np.random.default_rng(job.rng_seed) for job in jobs]
-    # the workspace, the batches and the scratch are allocated before
-    # `work`, whose rows outlive this call as the trained models, so the
-    # freed scratch sits below them in the heap and the next call reuses it
-    # instead of faulting in fresh pages
+    # the workspace, the batches, the moments and the scratch are allocated
+    # before `work`, whose rows outlive this call as the trained models, so
+    # the freed scratch sits below them in the heap and the next call reuses
+    # it instead of faulting in fresh pages
     ws = StepWorkspace(layout, len(jobs), trainer.batch_size)
     # every step's batch in one draw per node: (steps, N, B, n+1)
     size = (trainer.local_steps, trainer.batch_size)
@@ -461,8 +449,8 @@ def local_train(
     m, v2 = np.zeros(shape, np.float32), np.zeros(shape, np.float32)  # Adam moments
     tmp = np.empty(shape, np.float32)  # scratch
     work = np.stack([job.params.buf for job in jobs])
+    w = step_views(layout, work)
     losses = np.empty((len(jobs), trainer.local_steps))
-    current = ParamStack(layout, work)
     # every step's scalars, before the first step: its learning rate and, for
     # Adam, lr*(m/c1)/(sqrt(v2/c2)+eps) as alpha*m/(sqrt(v2)+eps_hat), with
     # the bias corrections c1 and c2 folded into the two scalars
@@ -472,8 +460,8 @@ def local_train(
              np.float32(eps * math.sqrt(1.0 - b2 ** t))) for t, lr in enumerate(lrs, 1)]
     beta1, beta2, one_minus_b1, one_minus_b2 = map(np.float32, (b1, b2, 1 - b1, 1 - b2))
     for i in range(trainer.local_steps):
-        losses[:, i], cache = forward_loss(current, batches[i], ws)
-        grad = backward(current, cache).buf
+        losses[:, i], cache = forward_loss(w, batches[i], ws)
+        grad = backward(cache)
         if trainer.optimizer == "sgd":
             work -= np.float32(lrs[i]) * grad
         else:
@@ -517,7 +505,7 @@ def window_nlls(params: ParamSet, indexes: Sequence[ContextIndex],
             raise ValueError("indexes scored in one pass must share one distinct-context array")
         if index.token_range[0] < 0 or index.token_range[1] >= V:
             raise ValueError("token id out of range")
-    w, num_blocks = _views(params.layout, params.buf[None]), _num_blocks(params.layout)
+    w, num_blocks = step_views(params.layout, params.buf[None]), _num_blocks(params.layout)
     node = np.zeros((1, 1, 1), dtype=np.intp)
     nlls = [np.empty(len(index.order)) for index in indexes]
     for lo in range(0, len(distinct), chunk):

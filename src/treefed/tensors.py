@@ -10,13 +10,13 @@ misconfigured backbone/key partition fails fast. `ps[name]` and iteration
 yield Tensor views: a name plus a shaped view of the set's buffer. An entry's
 slice of the buffer holds its values in row-major order.
 
-A ParamStack holds N sets of one layout as the rows of an (N, size) array,
-the form in which same-shape nodes train together.
+N sets of one layout train together as the rows of one (N, size) array;
+`Layout.views` gives the views of every row at once.
 
 Values must stay finite. `ParamSet.from_buffer` checks a set's buffer once,
-and the error names the first non-finite entry in layout order. A
-ParamStack is not checked when it is built: `check_finite` checks it, with
-the same message, where it is trained.
+and the error names the first non-finite entry in layout order. Stacked rows
+are not checked when they are stacked: `check_finite` checks them, with the
+same message, where they are trained.
 
 No code writes into a ParamSet's buffer once the set is built, so a set's
 values never change: sets may share memory (one set may be a view of another
@@ -124,7 +124,7 @@ class ParamSet:
     order of every aggregate operation downstream.
     """
 
-    __slots__ = ("layout", "buf", "_arrays")
+    __slots__ = ("layout", "buf")
 
     @classmethod
     def from_buffer(cls, layout: Layout, buf: np.ndarray) -> "ParamSet":
@@ -136,20 +136,15 @@ class ParamSet:
         check_finite(layout, buf)
         buf.flags.writeable = False
         ps = cls.__new__(cls)
-        ps.layout, ps.buf, ps._arrays = layout, buf, None
+        ps.layout, ps.buf = layout, buf
         return ps
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Name -> shaped view of the buffer (built once per set)."""
-        if self._arrays is None:
-            self._arrays = self.layout.views(self.buf)
-        return self._arrays
-
     def __iter__(self) -> Iterator[Tensor]:
-        return (Tensor.view(name, a) for name, a in self.arrays().items())
+        return (Tensor.view(name, a) for name, a in self.layout.views(self.buf).items())
 
     def __getitem__(self, name: str) -> Tensor:
-        return Tensor.view(name, self.arrays()[name])
+        layout = self.layout
+        return Tensor.view(name, self.buf[layout.slices[name]].reshape(layout.shapes[name]))
 
     def require_congruent(self, other: "ParamSet") -> None:
         """Raise unless the sets share one layout: the same names and shapes
@@ -163,16 +158,6 @@ class ParamSet:
 
     def __repr__(self) -> str:
         return f"ParamSet(tensors={list(self.layout.names)})"
-
-
-class ParamStack:
-    """N sets of one layout stacked as the rows of an (N, size) float32
-    array, which model.local_train trains as one. Row k is set k's buffer."""
-
-    __slots__ = ("layout", "buf")
-
-    def __init__(self, layout: Layout, buf: np.ndarray):
-        self.layout, self.buf = layout, buf
 
 
 def axpy(a: float, x: ParamSet, y: ParamSet) -> ParamSet:

@@ -17,7 +17,8 @@ comparing the two training loops cannot catch a change in those kernels;
 this copy can.
 
 `forward_backward` runs the model's own forward and backward pass on one
-model, as the one-row stack that local_train would train it in.
+model, as the one-row stack that local_train would train it in, or on
+float64 step views of it.
 
 `reference_attend_keys`, `reference_aggregate_child_keys`,
 `reference_merge_with_parent`, `reference_partition_residuals` and
@@ -38,10 +39,10 @@ import copy
 import numpy as np
 
 from treefed.aggregation import lr_at
-from treefed.model import StepWorkspace, backward, forward_loss
+from treefed.model import StepWorkspace, backward, forward_loss, step_views
 from treefed.presets import preset_config
 from treefed.residual import EVENT_FIELDS, ResidualPacket, RouteResult
-from treefed.tensors import CongruenceError, Layout, ParamSet, ParamStack
+from treefed.tensors import CongruenceError, Layout, ParamSet
 
 
 def param_set(entries) -> ParamSet:
@@ -57,12 +58,12 @@ def param_set(entries) -> ParamSet:
 
 def forward_backward(params: ParamSet, batch: np.ndarray,
                      wide: bool = False) -> tuple[float, ParamSet]:
-    """forward_loss and backward on `params` as a one-row stack and its
-    (B, n+1) `batch`: (mean loss, gradient set)."""
-    stack, batch = ParamStack(params.layout, params.buf[None]), np.asarray(batch)[None]
-    ws = StepWorkspace(params.layout, 1, batch.shape[1])
-    loss, cache = forward_loss(stack, batch, ws, wide)
-    return float(loss[0]), ParamSet.from_buffer(params.layout, backward(stack, cache).buf[0])
+    """forward_loss and backward on `params` as a one-row stack, in float64
+    when `wide`, and its (B, n+1) `batch`: (mean loss, gradient set)."""
+    rows, batch = params.buf[None], np.asarray(batch)[None]
+    w = step_views(params.layout, rows.astype(np.float64) if wide else rows)
+    loss, cache = forward_loss(w, batch, StepWorkspace(params.layout, 1, batch.shape[1]))
+    return float(loss[0]), ParamSet.from_buffer(params.layout, backward(cache)[0])
 
 
 def param_count(cfg) -> int:
@@ -196,20 +197,20 @@ def reference_sample_tokens(src, length: int, rng) -> np.ndarray:
     return out
 
 
-def reference_forward_backward(stack: ParamStack, batch: np.ndarray,
+def reference_forward_backward(layout: Layout, rows: np.ndarray, batch: np.ndarray,
                                wide: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The stacked forward pass and backward pass as written before the
     trunk worked in place and BLAS wrote the gradients: each bias gradient a
     `sum` over the batch, each gradient a temporary copied into the stack.
-    Takes N models and an (N, B, n+1) batch; returns ((N,) float64 losses,
-    (N, P) float32 gradient stack)."""
-    layout = stack.layout
+    Takes N models as the (N, P) float32 `rows` of `layout` and an
+    (N, B, n+1) batch, and computes in float64 when `wide`; returns ((N,)
+    float64 losses, (N, P) float32 gradient stack)."""
     V, d = layout.shapes["embed"]
     n = layout.shapes["in_proj.w"][0] // d
     num_blocks = sum(1 for name in layout.names if name.endswith(".fc1.w"))
     N, B, _ = batch.shape
     node, row = np.arange(N)[:, None], np.arange(B)
-    w = layout.views(stack.buf.astype(np.float64) if wide else stack.buf)
+    w = layout.views(rows.astype(np.float64) if wide else rows)
     t = lambda a: a.transpose(0, 2, 1)  # noqa: E731
     ids, targets = batch[..., :n], batch[..., n]
 

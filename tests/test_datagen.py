@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treefed.datagen import (
     MarkovSource,
@@ -10,6 +12,7 @@ from treefed.datagen import (
     entropy_rate,
     make_clustered_sources,
     markov_perplexity,
+    sample_mixture_stream,
     sample_shard,
     sample_tokens,
     split_stream,
@@ -135,8 +138,7 @@ def constant_source(sid: str, token: int) -> MarkovSource:
 
 
 class TestShards:
-    def make_sources(self):
-        return {s.id: s for s in make_clustered_sources(2, 2, 0.8, 8, seed=11)}
+    SOURCES = {s.id: s for s in make_clustered_sources(2, 2, 0.8, 8, seed=11)}
 
     def test_segments_sized_by_budget_share(self):
         # 300:100 budgets split a 1000-token stream 750:250, in mixture order
@@ -145,8 +147,20 @@ class TestShards:
                              train_tokens=1000, val_tokens=8, test_tokens=8)
         np.testing.assert_array_equal(shard.train, [0] * 750 + [1] * 250)
 
+    @settings(max_examples=200, deadline=None)
+    @given(mixture=st.lists(st.tuples(st.sampled_from(["c0s0", "c0s1", "c1s0", "c1s1"]),
+                                      st.integers(1, 10**4)), min_size=1, max_size=8),
+           size=st.integers(2, 300), seed=st.integers(0, 2**16))
+    # each of 5 equal budgets rounds up to 1 token at size 3 and to 2 at
+    # size 8, and the last segment takes at least 1
+    @example(mixture=[(s, 100) for s in ("c0s0", "c0s1", "c1s0", "c1s1", "c0s0")], size=3, seed=1)
+    @example(mixture=[(s, 100) for s in ("c0s0", "c0s1", "c1s0", "c1s1", "c0s0")], size=8, seed=1)
+    def test_a_mixture_stream_has_the_size_asked(self, mixture, size, seed):
+        stream = sample_mixture_stream(mixture, self.SOURCES, size, (seed, 0, 0))
+        assert len(stream) == size
+
     def test_sampling_determinism(self):
-        sources = self.make_sources()
+        sources = self.SOURCES
         mixture = [("c0s0", 800), ("c1s0", 200)]
         a = sample_shard(mixture, sources, seed=5, node_id=3, train_tokens=1000,
                          val_tokens=100, test_tokens=100)
@@ -156,7 +170,7 @@ class TestShards:
         np.testing.assert_array_equal(a.test, b.test)
 
     def test_splits_use_distinct_streams(self):
-        sources = self.make_sources()
+        sources = self.SOURCES
         s = sample_shard([("c0s0", 1000)], sources, seed=5, node_id=3, train_tokens=500,
                          val_tokens=500, test_tokens=500)
         assert not np.array_equal(s.train, s.val)

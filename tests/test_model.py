@@ -20,9 +20,10 @@ from treefed.model import (
     param_shapes,
     sample_batch,
     stack_width,
+    step_views,
     window_nlls,
 )
-from treefed.tensors import CongruenceError, Layout, ParamSet, ParamStack
+from treefed.tensors import CongruenceError, Layout, ParamSet
 
 from oracles import (
     fd_gradient,
@@ -134,20 +135,20 @@ class TestForwardLoss:
         loss, _ = forward_backward(params, batch, wide=True)
         assert loss == pytest.approx(oracle_loss(params, batch), rel=1e-6)
 
-    def test_a_workspace_follows_its_stack_changed_in_place(self):
-        # a workspace keeps the views of the stack it last served; they view
-        # its buffer, so a pass after an in-place update reads the new values
-        stack = ParamStack(TINY_LAYOUT, np.stack([init_model(TINY, k).buf for k in (1, 2)]))
+    def test_step_views_follow_their_rows_changed_in_place(self):
+        # local_train builds its step views once and updates the rows under
+        # them, so a pass after an in-place update reads the new values
+        rows = np.stack([init_model(TINY, k).buf for k in (1, 2)])
         batch = np.random.default_rng(3).integers(0, TINY.vocab_size,
                                                   size=(2, 6, TINY.context_len + 1))
-        ws = StepWorkspace(TINY_LAYOUT, 2, 6)
-        before, _ = forward_loss(stack, batch, ws)
-        stack.buf *= np.float32(0.5)
-        got, cache = forward_loss(stack, batch, ws)
-        fresh = ParamStack(TINY_LAYOUT, stack.buf.copy())
-        want, fresh_cache = forward_loss(fresh, batch, StepWorkspace(TINY_LAYOUT, 2, 6))
+        w, ws = step_views(TINY_LAYOUT, rows), StepWorkspace(TINY_LAYOUT, 2, 6)
+        before, _ = forward_loss(w, batch, ws)
+        rows *= np.float32(0.5)
+        got, cache = forward_loss(w, batch, ws)
+        want, fresh_cache = forward_loss(step_views(TINY_LAYOUT, rows.copy()), batch,
+                                         StepWorkspace(TINY_LAYOUT, 2, 6))
         assert got.tobytes() == want.tobytes() != before.tobytes()
-        assert backward(stack, cache).buf.tobytes() == backward(fresh, fresh_cache).buf.tobytes()
+        assert backward(cache).tobytes() == backward(fresh_cache).tobytes()
 
 
 class TestBackward:
@@ -184,18 +185,13 @@ class TestBackward:
         for a, b in zip(g1, g2):
             np.testing.assert_allclose(a.data, b.data, rtol=1e-5, atol=1e-8)
 
-    def test_stale_cache(self):
-        stack, other = (ParamStack(TINY_LAYOUT, init_model(TINY, 0).buf[None]) for _ in range(2))
-        _, cache = forward_loss(stack, np.array([[[0, 1, 2]]]), StepWorkspace(TINY_LAYOUT, 1, 1))
-        with pytest.raises(ValueError, match="stale"):
-            backward(other, cache)
-
     @settings(max_examples=300, deadline=None)
     @given(nodes=st.integers(1, 4), batch_size=st.integers(1, 128), blocks=st.integers(1, 4),
            context=st.integers(1, 3), vocab=st.integers(2, 40), embed=st.integers(2, 12),
-           ratio=st.integers(1, 4), wide=st.booleans(), data=st.data())
+           ratio=st.integers(1, 4), dtype=st.sampled_from([np.float32, np.float64]),
+           data=st.data())
     def test_byte_identical_to_the_reference_kernels(self, nodes, batch_size, blocks, context,
-                                                     vocab, embed, ratio, wide, data):
+                                                     vocab, embed, ratio, dtype, data):
         # every layer is at least 2 wide: a 1-wide bias gradient adds its
         # batch in another order than the reference's np.sum (see backward)
         cfg = ModelConfig(vocab_size=vocab, embed_dim=embed, num_blocks=blocks,
@@ -203,25 +199,27 @@ class TestBackward:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         layout = init_model(cfg, 0).layout
         scale = data.draw(st.sampled_from([0.1, 1.0, 3.0]), label="scale")
-        stack = ParamStack(layout, (scale * rng.standard_normal((nodes, layout.size)))
-                           .astype(np.float32))
+        rows = (scale * rng.standard_normal((nodes, layout.size))).astype(np.float32)
         batch = rng.integers(0, vocab, size=(nodes, batch_size, context + 1))
-        want_loss, want_grad = reference_forward_backward(stack, batch, wide)
-        loss, cache = forward_loss(stack, batch, StepWorkspace(layout, nodes, batch_size), wide)
+        want_loss, want_grad = reference_forward_backward(layout, rows, batch,
+                                                          dtype == np.float64)
+        loss, cache = forward_loss(step_views(layout, rows.astype(dtype)), batch,
+                                   StepWorkspace(layout, nodes, batch_size))
         assert loss.tobytes() == want_loss.tobytes()
-        assert backward(stack, cache).buf.tobytes() == want_grad.tobytes()
+        assert backward(cache).tobytes() == want_grad.tobytes()
 
-    def test_every_gradient_entry_is_written(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_gradient_entry_is_written(self, dtype):
         # the gradient stack comes from np.empty, so an entry no layer writes
-        # would hand the optimizer stale memory
-        layout = init_model(TINY, 0).layout
-        stack = ParamStack(layout, np.stack([init_model(TINY, s).buf for s in (1, 2, 3)]))
+        # would hand the optimizer stale memory; a float64 pass scatters the
+        # embedding gradient apart and copies it in
+        rows = np.stack([init_model(TINY, s).buf for s in (1, 2, 3)]).astype(dtype)
         batch = np.random.default_rng(5).integers(0, TINY.vocab_size,
                                                   size=(3, 7, TINY.context_len + 1))
-        ws = StepWorkspace(layout, 3, 7)
-        ws.grad.buf.fill(np.nan)
-        _, cache = forward_loss(stack, batch, ws)
-        assert np.isfinite(backward(stack, cache).buf).all()
+        ws = StepWorkspace(TINY_LAYOUT, 3, 7)
+        ws.grad.fill(np.nan)
+        _, cache = forward_loss(step_views(TINY_LAYOUT, rows), batch, ws)
+        assert np.isfinite(backward(cache)).all()
 
 
 def alternating_tokens(length=512):
@@ -506,7 +504,7 @@ class TestStackedTraining:
     def test_stack_forward_equals_each_row(self):
         sets = [init_model(TINY, k) for k in range(3)]
         batch = np.random.default_rng(0).integers(0, TINY.vocab_size, size=(3, 5, 3))
-        losses, _ = forward_loss(ParamStack(TINY_LAYOUT, np.stack([p.buf for p in sets])), batch,
+        losses, _ = forward_loss(step_views(TINY_LAYOUT, np.stack([p.buf for p in sets])), batch,
                                  StepWorkspace(TINY_LAYOUT, 3, 5))
         for params, rows, loss in zip(sets, batch, losses):
             assert (np.float64(loss).tobytes()
