@@ -10,8 +10,9 @@ adopts its parent's freshly trained backbone and merges keys by attention
 with the parent and, at a leaf, the residual packets routed to it; a server
 routes its packets to its children, scoring their current keys. *train*
 then stacks the level's nodes that share a trainer, and so a schedule
-position, into one local_train call (up to model.stack_width nodes), and
-*evaluate* scores every node. After the last stage, *aggregate* runs at each server
+position, into local_train calls of up to model.stack_width nodes, spread
+over one lane per CPU the process may run on (plan_calls), and *evaluate*
+scores every node. After the last stage, *aggregate* runs at each server
 bottom-up: pseudo-gradient averaging with server momentum for backbones
 (with DP sanitization of flagged children's deltas), per-layer attention for
 keys, and dissimilarity-based residual selection. Each selected packet goes
@@ -25,12 +26,26 @@ on that star tree's leaves, and on one node that holds all the leaves' data.
 
 A stage consumes one sequential step when at least one of its nodes trains;
 the baselines are budgeted in the same units.
+
+Lane 0 of a stage's training is the calling process. Every other lane is a
+helper process that a run forks on first need and keeps until the driver
+ends the run (_Run.close). A helper trains from its fork-time copy of the
+shards and the seed: each call sends it the nodes, trainer, global step and
+round, pickled, and the models as raw float32 bytes, and gets back the mean
+losses and trained rows the same way. Rows never mix, so a node trains to the
+same bytes on any lane and in any stack, and every output is the same at any
+number of lanes. A process with other threads running trains on one lane,
+since a fork copies only the calling thread.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pickle
+import threading
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -51,6 +66,7 @@ from .model import (
     Partition,
     TrainerConfig,
     TrainJob,
+    TrainResult,
     context_len,
     init_model,
     local_train,
@@ -138,6 +154,189 @@ def stage_trainees(tree: FederationTree, level: list[int], shards: dict[int, Sha
             if tree.nodes[nid].trains_locally and nid in shards and t.local_steps > 0]
 
 
+class Call(NamedTuple):
+    """One local_train call of a stage: its lane, trainer and nodes."""
+
+    lane: int
+    trainer: TrainerConfig
+    nodes: list[int]
+
+
+def plan_calls(trainees: list[tuple[int, TrainerConfig]], width: int, lanes: int) -> list[Call]:
+    """A stage's local_train calls, in call order. Each trainer's nodes, the
+    trainers in order of first appearance, are cut in order into groups of
+    min(width, ceil(k / lanes)) for its k nodes; one lane gives groups of up
+    to `width`. Each call goes to the lane with the fewest node-steps (group
+    size x local_steps) so far, the lowest lane on a tie."""
+    trainers = []
+    for _, t in trainees:
+        if t not in trainers:
+            trainers.append(t)
+    calls, load = [], [0] * lanes
+    for trainer in trainers:
+        nodes = [nid for nid, t in trainees if t == trainer]
+        size = min(width, -(-len(nodes) // lanes))
+        for lo in range(0, len(nodes), size):
+            lane = load.index(min(load))
+            calls.append(Call(lane, trainer, nodes[lo : lo + size]))
+            load[lane] += len(calls[-1].nodes) * trainer.local_steps
+    return calls
+
+
+# A stage splits over lanes only when it trains at least this many
+# parameter-steps (node-steps times the model's parameters). A smaller stage
+# trains in less time than a helper costs: the fork of a large process takes
+# up to about 20 ms, and each stage a pipe round trip. So a run of tiny models
+# never forks, while every fig2 stage (764,928 or more) may split.
+SPLIT_WORK = 1 << 18
+
+
+def lane_count() -> int:
+    """How many lanes a stage trains on: the CPUs this process may run on,
+    or 1 where it cannot fork, or cannot fork safely because other threads
+    are running."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return 1 if threading.active_count() > 1 else len(os.sched_getaffinity(0))
+
+
+def _train(shards: dict[int, Shard], seed: int, models: list[ParamSet], nodes: list[int],
+           trainer: TrainerConfig, global_step: int, round_k: int) -> list[TrainResult]:
+    """One call of a stage on any lane: the nodes' models stacked in one
+    local_train call, each on its (seed, node, round) training stream."""
+    return local_train([TrainJob(model, shards[nid].train, rng_for(seed, nid, round_k, _TRAIN_TAG))
+                        for nid, model in zip(nodes, models)], trainer, global_step)
+
+
+def _write(fd: int, data) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_into(fd: int, out):
+    """Fill `out` (an array or bytearray) from `fd`; EOFError if it closes first."""
+    view = memoryview(out).cast("B")
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            raise EOFError
+        view = view[got:]
+    return out
+
+
+def _send(fd: int, message, *arrays: np.ndarray) -> None:
+    """A pickled message, its length first, then each array's raw bytes."""
+    data = pickle.dumps(message)
+    _write(fd, len(data).to_bytes(8, "little") + data)
+    for a in arrays:
+        _write(fd, a)
+
+
+def _receive(fd: int):
+    """The next message _send wrote to the other end of `fd`'s pipe."""
+    size = int.from_bytes(_read_into(fd, bytearray(8)), "little")
+    return pickle.loads(_read_into(fd, bytearray(size)))
+
+
+def _serve(inbox: int, outbox: int, shards: dict[int, Shard], seed: int, layout) -> None:
+    """A helper's loop, until the parent closes its end: read a stage's
+    calls and all their models, train every call, then send back each
+    call's exception, or None, its (n,) mean losses and its (n, P) trained
+    rows. Nothing is sent before the last call has trained: the parent reads
+    only once its own calls are done, and a result larger than the pipe
+    holds would stall the helper until then."""
+    while True:
+        try:
+            calls = _receive(inbox)
+        except EOFError:
+            return
+        models = [_read_into(inbox, np.empty((len(nodes), layout.size), np.float32))
+                  for nodes, *_ in calls]
+        outs = []
+        for (nodes, *call), rows in zip(calls, models):
+            try:
+                outs.append(_train(shards, seed, [ParamSet.from_buffer(layout, row)
+                                                  for row in rows], nodes, *call))
+            except Exception as exc:  # the parent raises it
+                outs.append(exc)
+        for out in outs:
+            if isinstance(out, Exception):
+                _send(outbox, out)
+            else:
+                _send(outbox, None, np.array([o.mean_loss for o in out]),
+                      *(o.params.buf for o in out))
+
+
+class _Helper:
+    """A forked process that trains one lane's calls of a run's stages. It
+    ends only through os._exit, so it never runs its caller's code: at EOF
+    on its pipe (the parent closed it, or died), or quietly at an interrupt
+    or any error outside a call."""
+
+    def __init__(self, shards: dict[int, Shard], seed: int, layout):
+        (inbox, self.to), (self.back, outbox) = os.pipe(), os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                # keep only the standard streams and its own two pipe ends,
+                # so that every other helper sees EOF once its parent closes
+                # (or loses) its end
+                lo, hi = sorted((inbox, outbox))
+                for start, stop in ((3, lo), (lo + 1, hi), (hi + 1, os.sysconf("SC_OPEN_MAX"))):
+                    os.closerange(start, stop)
+                _serve(inbox, outbox, shards, seed, layout)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(inbox)
+        os.close(outbox)
+        self.layout = layout
+
+    def send(self, calls: list[tuple], models: list[ParamSet]) -> None:
+        try:
+            _send(self.to, calls, *(model.buf for model in models))
+        except BrokenPipeError:
+            raise self.died() from None
+
+    def receive(self, n: int) -> list[TrainResult] | Exception:
+        """The results of one call of n nodes, or the exception it raised."""
+        try:
+            exc = _receive(self.back)
+            if exc is not None:
+                return exc
+            losses = _read_into(self.back, np.empty(n))
+            rows = _read_into(self.back, np.empty((n, self.layout.size), np.float32))
+        except EOFError:
+            raise self.died() from None
+        return [TrainResult(ParamSet.from_buffer(self.layout, row), float(loss))
+                for row, loss in zip(rows, losses)]
+
+    def died(self) -> RuntimeError:
+        return RuntimeError(f"training helper {self.pid} exited with status "
+                            f"{os.waitstatus_to_exitcode(self.close())}")
+
+    def close(self) -> int | None:
+        """Close both pipes, so that the helper ends, and reap it; its wait
+        status, or None if it was closed before."""
+        if self.pid is None:
+            return None
+        os.close(self.to)
+        os.close(self.back)
+        # a closed helper's numbers may name another file by now
+        pid, self.pid, self.to, self.back = self.pid, None, -1, -1
+        return os.waitpid(pid, 0)[1]
+
+
+def _reap(helpers: list[_Helper], owner: int) -> None:
+    """Close a run's helpers, in the process that forked them."""
+    if os.getpid() == owner:
+        for helper in helpers:
+            helper.close()
+        helpers.clear()
+
+
 @dataclass
 class RunResult:
     method: str
@@ -216,6 +415,22 @@ class _Run:
     result: RunResult
     # evaluate_round's memo: a node's NLL per split, dropped by set_model
     scored: dict[int, dict[str, float]] = field(default_factory=dict)
+    helpers: list[_Helper] = field(default_factory=list)  # lanes 1, 2, ... as forked
+
+    def __post_init__(self):
+        # a run driven by hand, never closed, reaps its helpers when it is
+        # collected or the interpreter exits
+        weakref.finalize(self, _reap, self.helpers, os.getpid())
+
+    def __enter__(self) -> _Run:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """End the run's helpers; a later stage forks them again."""
+        _reap(self.helpers, os.getpid())
 
     @classmethod
     def start(cls, tree: FederationTree, shards: dict[int, Shard], cfg: EngineConfig,
@@ -257,27 +472,55 @@ class _Run:
 
     def train(self, round_k: int, stage: int, level: list[int]) -> None:
         """Train a level's trainees and log their mean losses. Those that
-        share a trainer share a global step and train stacked, at most
-        stack_width per local_train call, whose jobs are built just before it.
-        A stage with any trainee takes one sequential step."""
+        share a trainer share a global step and train stacked in calls of at
+        most stack_width nodes, dealt over lane_count() lanes (plan_calls),
+        or over one when the stage holds less than SPLIT_WORK.
+        Each helper lane gets its calls first and trains them while this
+        process trains lane 0's; then the results are taken in call order.
+        If calls raised, the first of them in call order raises here, once
+        every lane is done. A stage with any trainee takes one sequential
+        step."""
         trainees = stage_trainees(self.tree, level, self.shards, self.cfg.trainer)
-        width = stack_width(self.part.layout)
+        work = self.part.layout.size * sum(t.local_steps for _, t in trainees)
+        calls = plan_calls(trainees, stack_width(self.part.layout),
+                           lane_count() if work >= SPLIT_WORK else 1)
+        jobs = [(call.nodes, call.trainer, self.result.seq_steps * call.trainer.local_steps,
+                 round_k) for call in calls]
+        by_lane: dict[int, list[int]] = {}
+        for i, call in enumerate(calls):
+            by_lane.setdefault(call.lane, []).append(i)
+        helped = [(self.helper(lane), mine) for lane, mine in by_lane.items() if lane]
+        for helper, mine in helped:
+            helper.send([jobs[i] for i in mine],
+                        [self.state[nid].model for i in mine for nid in calls[i].nodes])
+        outs: list = [None] * len(calls)  # each call's results, or its exception
+        for i in by_lane.get(0, ()):
+            try:
+                outs[i] = _train(self.shards, self.cfg.seed,
+                                 [self.state[nid].model for nid in calls[i].nodes], *jobs[i])
+            except Exception as exc:  # raised below, once every lane is done
+                outs[i] = exc
+        for helper, mine in helped:
+            for i in mine:
+                outs[i] = helper.receive(len(calls[i].nodes))
+        failed = next((out for out in outs if isinstance(out, Exception)), None)
+        if failed is not None:
+            raise failed
         losses = {}
-        while trainees:
-            trainer = trainees[0][1]
-            group = [nid for nid, t in trainees if t == trainer][:width]
-            outs = local_train([TrainJob(self.state[nid].model, self.shards[nid].train,
-                                         rng_for(self.cfg.seed, nid, round_k, _TRAIN_TAG))
-                                for nid in group],
-                               trainer, self.result.seq_steps * trainer.local_steps)
-            for nid, out in zip(group, outs):
+        for call, results in zip(calls, outs):
+            for nid, out in zip(call.nodes, results):
                 self.set_model(nid, out.params)
                 losses[nid] = out.mean_loss
-            trainees = [(nid, t) for nid, t in trainees if nid not in group]
         with np.errstate(over="ignore"):
             self.result.rows += [_row(self.result.method, nid, round_k, stage, "train", losses[nid])
                                  for nid in sorted(losses)]
         self.result.seq_steps += bool(losses)
+
+    def helper(self, lane: int) -> _Helper:
+        """Lane `lane`'s helper, forked (with any below it) on first need."""
+        while len(self.helpers) < lane:
+            self.helpers.append(_Helper(self.shards, self.cfg.seed, self.part.layout))
+        return self.helpers[lane - 1]
 
     def evaluate(self, round_k: int, stage: int) -> None:
         """Score every node's current model on its own splits."""
@@ -353,17 +596,17 @@ def check_tree_and_dp(tree: FederationTree, dp: DpConfig | None) -> None:
 def fit(tree: FederationTree, shards: dict[int, Shard], cfg: EngineConfig) -> RunResult:
     """Execute `cfg.rounds` rounds of the hierarchical procedure."""
     check_tree_and_dp(tree, cfg.dp)
-    run = _Run.start(tree, shards, cfg)
     stages = tree.levels()
     servers = [nid for level in reversed(stages) for nid in level if tree.nodes[nid].children]
-    for round_k in range(cfg.rounds):
-        for stage, level in enumerate(stages):
-            for nid in level:
-                run.enter(round_k, nid)
-            run.train(round_k, stage, level)
-            run.evaluate(round_k, stage)
-        for nid in servers:
-            run.aggregate(round_k, nid)
+    with _Run.start(tree, shards, cfg) as run:
+        for round_k in range(cfg.rounds):
+            for stage, level in enumerate(stages):
+                for nid in level:
+                    run.enter(round_k, nid)
+                run.train(round_k, stage, level)
+                run.evaluate(round_k, stage)
+            for nid in servers:
+                run.aggregate(round_k, nid)
     run.result.final_models = {nid: run.state[nid].model for nid in sorted(tree.nodes)}
     return run.result
 
@@ -393,15 +636,15 @@ def run_flat_fl(
     tree = FederationTree.from_children_map({server: leaf_ids})
     dp = replace(cfg.dp, enabled_nodes=cfg.dp.enabled_nodes & set(leaf_ids)) if cfg.dp else None
     model = replace(cfg.model, key_block_count=0, include_head_in_keys=False)
-    run = _Run.start(tree, shards, replace(cfg, model=model, residual=ResidualConfig(nu=0), dp=dp),
-                     "flat_fl")
-    for round_k in range(rounds):
-        for nid in leaf_ids:
-            run.enter(round_k, nid)
-        run.train(round_k, 0, leaf_ids)
-        run.aggregate(round_k, server)
-        scored = dict.fromkeys(leaf_ids, run.state[server].model)
-        run.result.rows += evaluate_round("flat_fl", scored, shards, round_k, 0)
+    with _Run.start(tree, shards, replace(cfg, model=model, residual=ResidualConfig(nu=0), dp=dp),
+                    "flat_fl") as run:
+        for round_k in range(rounds):
+            for nid in leaf_ids:
+                run.enter(round_k, nid)
+            run.train(round_k, 0, leaf_ids)
+            run.aggregate(round_k, server)
+            scored = dict.fromkeys(leaf_ids, run.state[server].model)
+            run.result.rows += evaluate_round("flat_fl", scored, shards, round_k, 0)
     run.result.final_models = dict.fromkeys(leaf_ids, run.state[server].model)
     return run.result
 
@@ -417,10 +660,11 @@ def run_local(
     DP. The rows are written leaf by leaf, each leaf's in round order."""
     leaf_ids, server = _star(leaf_ids, "the local baseline")
     tree = FederationTree.from_children_map({server: leaf_ids})
-    run = _Run.start(tree, {nid: shards[nid] for nid in leaf_ids}, replace(cfg, dp=None), "local")
-    for round_k in range(budget_steps):
-        run.train(round_k, 0, leaf_ids)
-        run.evaluate(round_k, 0)
+    with _Run.start(tree, {nid: shards[nid] for nid in leaf_ids}, replace(cfg, dp=None),
+                    "local") as run:
+        for round_k in range(budget_steps):
+            run.train(round_k, 0, leaf_ids)
+            run.evaluate(round_k, 0)
     run.result.rows.sort(key=lambda row: row.node)  # stable: each leaf's rows keep their order
     run.result.final_models = {nid: run.state[nid].model for nid in leaf_ids}
     return run.result
@@ -438,11 +682,11 @@ def run_centralized(
     leaf_ids, _ = _star(leaf_ids, "the centralized baseline")
     tree = FederationTree.from_children_map({0: []})
     pooled = {0: Shard.union([shards[nid] for nid in leaf_ids])}
-    run = _Run.start(tree, pooled, replace(cfg, dp=None), "centralized")
-    for round_k in range(budget_steps):
-        run.train(round_k, 0, [0])
-        scored = dict.fromkeys(leaf_ids, run.state[0].model)
-        run.result.rows += evaluate_round("centralized", scored, shards, round_k, 0)
+    with _Run.start(tree, pooled, replace(cfg, dp=None), "centralized") as run:
+        for round_k in range(budget_steps):
+            run.train(round_k, 0, [0])
+            scored = dict.fromkeys(leaf_ids, run.state[0].model)
+            run.result.rows += evaluate_round("centralized", scored, shards, round_k, 0)
     run.result.final_models = dict.fromkeys(leaf_ids, run.state[0].model)
     return run.result
 

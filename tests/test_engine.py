@@ -1,7 +1,16 @@
 import dataclasses
+import gc
+import os
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treefed.engine as engine_mod
 import treefed.model as model_mod
@@ -14,11 +23,13 @@ from treefed.datagen import (
     make_clustered_sources,
 )
 from treefed.engine import (
+    Call,
     EngineConfig,
     ResidualConfig,
     ServerConfig,
     evaluate_round,
     fit,
+    plan_calls,
     rng_for,
     run_centralized,
     run_flat_fl,
@@ -234,6 +245,7 @@ class TestFitBasics:
             return outs
 
         monkeypatch.setattr(engine_mod, "local_train", spy)
+        monkeypatch.setattr(engine_mod, "lane_count", lambda: 1)  # every call in this process
         fit(tree, shards, cfg)
         # job order per round: node 0, then 1, 2, then 3..6; child 3's entry
         # params (seen[3]) must carry node 1's post-train backbone (seen[1]'s
@@ -474,7 +486,11 @@ class TestTrailingBest:
 
 
 class TestStacking:
+    # these pin one lane's groups (a process pinned to one CPU), and their
+    # spy sees only the calls made in this process; TestPlanCalls covers the
+    # groups and lanes of more lanes
     def spy_sizes(self, monkeypatch):
+        monkeypatch.setattr(engine_mod, "lane_count", lambda: 1)
         calls = []
         orig = engine_mod.local_train
 
@@ -529,6 +545,223 @@ class TestStacking:
         calls.clear()
         assert outputs("alone") == stacked
         assert {size for size, _, _ in calls} == {1}
+
+
+def reference_groups(trainees, width):
+    """One lane's grouping as a plain loop: each trainer's nodes, at most
+    width a call."""
+    groups = []
+    while trainees:
+        trainer = trainees[0][1]
+        group = [nid for nid, t in trainees if t == trainer][:width]
+        groups.append((trainer, group))
+        trainees = [(nid, t) for nid, t in trainees if nid not in group]
+    return groups
+
+
+class TestPlanCalls:
+    T = small_trainer(steps=4)
+
+    def plan(self, nodes, width, lanes):
+        return [(c.lane, c.nodes) for c in plan_calls([(nid, self.T) for nid in nodes],
+                                                      width, lanes)]
+
+    def test_fig2_stages(self):
+        # fig2's model stacks 13 nodes; two lanes split each stage of more
+        # than one node in half
+        stages = [[0], [1, 2], [3, 4, 5, 6]]
+        assert [self.plan(level, 13, 1) for level in stages] == [
+            [(0, [0])], [(0, [1, 2])], [(0, [3, 4, 5, 6])]]
+        assert [self.plan(level, 13, 2) for level in stages] == [
+            [(0, [0])], [(0, [1]), (1, [2])], [(0, [3, 4]), (1, [5, 6])]]
+
+    def test_flat_fl_leaves(self):
+        assert self.plan([3, 4, 5, 6], 13, 1) == [(0, [3, 4, 5, 6])]
+        assert self.plan([3, 4, 5, 6], 13, 2) == [(0, [3, 4]), (1, [5, 6])]
+
+    def test_wide_dp_leaves(self):
+        # wide-dp's model stacks 2 nodes, so its 16 leaves take 8 calls:
+        # all on one lane, or 4 on each of two
+        leaves = list(range(5, 21))
+        pairs = [leaves[i : i + 2] for i in range(0, 16, 2)]
+        assert self.plan(leaves, 2, 1) == [(0, pair) for pair in pairs]
+        assert self.plan(leaves, 2, 2) == [(i % 2, pair) for i, pair in enumerate(pairs)]
+
+    def test_a_node_trainer_weighs_by_its_own_steps(self):
+        # node 1's 2 steps load lane 0 with 2 node-steps; node 2 and 3 then
+        # go to lane 1 (8 node-steps), and node 4 back to lane 0
+        own = small_trainer(steps=2)
+        trainees = [(1, own), (2, self.T), (3, self.T), (4, self.T)]
+        assert plan_calls(trainees, 13, 1) == [Call(0, own, [1]), Call(0, self.T, [2, 3, 4])]
+        assert plan_calls(trainees, 13, 2) == [Call(0, own, [1]), Call(1, self.T, [2, 3]),
+                                               Call(0, self.T, [4])]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 6), lanes=st.integers(1, 5))
+    def test_every_trainee_in_one_call_of_one_trainer(self, data, width, lanes):
+        # trainer 0 and trainer 3 are equal but distinct objects, so they
+        # share calls
+        pool = [small_trainer(steps=s) for s in (4, 1, 3)] + [small_trainer(steps=4)]
+        nodes = data.draw(st.lists(st.integers(0, 99), unique=True, max_size=20))
+        trainees = [(nid, data.draw(st.sampled_from(pool))) for nid in nodes]
+        calls = plan_calls(trainees, width, lanes)
+        assert calls == plan_calls(trainees, width, lanes)
+        assert sorted(nid for c in calls for nid in c.nodes) == sorted(nodes)
+        trainer_of = dict(trainees)
+        for c in calls:
+            assert 0 <= c.lane < lanes and 1 <= len(c.nodes) <= width
+            assert all(trainer_of[nid] == c.trainer for nid in c.nodes)
+        one_lane = plan_calls(trainees, width, 1)
+        assert sorted((c.nodes, c.lane) for c in one_lane) == sorted(
+            (group, 0) for _, group in reference_groups(trainees, width))
+
+
+def record_helpers(monkeypatch, lanes):
+    """Train every stage, however small, on `lanes` lanes; returns the list
+    of every helper's pid."""
+    monkeypatch.setattr(engine_mod, "lane_count", lambda: lanes)
+    monkeypatch.setattr(engine_mod, "SPLIT_WORK", 0)
+    pids = []
+
+    class Recorded(engine_mod._Helper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pids.append(self.pid)
+
+    monkeypatch.setattr(engine_mod, "_Helper", Recorded)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestLanes:
+    RUNNERS = {"worldlm": lambda tree, shards, cfg: fit(tree, shards, cfg),
+               "flat_fl": lambda tree, shards, cfg: run_flat_fl(tree.leaves(), shards, cfg, 3),
+               "local": lambda tree, shards, cfg: run_local(tree.leaves(), shards, cfg, 3),
+               "centralized": lambda tree, shards, cfg: run_centralized(tree.leaves(), shards,
+                                                                         cfg, 3)}
+
+    @pytest.mark.parametrize("method", list(RUNNERS))
+    def test_every_output_is_the_same_on_any_number_of_lanes(self, monkeypatch, method):
+        # 2 lanes give a helper calls of two leaves, and 4 lanes give fig2's
+        # leaves a call each, 3 of them in helpers; each helper is reaped
+        # when its run returns
+        tree = fig2_tree()
+        shards, _ = shards_for(tree)
+        cfg = cfg_for(tree, shards, rounds=2, dp=DpConfig(sigma=0.5, initial_bound=0.7,
+                                                          enabled_nodes={3, 5}))
+        results = {}
+        for lanes in (1, 2, 4):
+            pids = record_helpers(monkeypatch, lanes)
+            results[lanes] = self.RUNNERS[method](tree, shards, cfg)
+            assert len(pids) == (0 if method == "centralized" else lanes - 1)
+            assert_reaped(pids)
+        for r in results.values():
+            assert (r.rows, r.attention_log, r.residual_log, r.dp_log, r.seq_steps) == (
+                results[1].rows, results[1].attention_log, results[1].residual_log,
+                results[1].dp_log, results[1].seq_steps)
+            assert {nid: m.buf.tobytes() for nid, m in r.final_models.items()} == {
+                nid: m.buf.tobytes() for nid, m in results[1].final_models.items()}
+
+    def test_a_helpers_error_is_raised_in_call_order(self, monkeypatch):
+        # leaf 1 trains on lane 0 and leaf 2 in the helper; the earliest
+        # failing call in call order raises, after both lanes are done, and
+        # the helper is reaped when fit raises
+        tree = depth1_tree(2)
+        good, _ = shards_for(tree)
+        out_of_range = dataclasses.replace(good[2], train=np.full(50, 99))
+        too_short = dataclasses.replace(good[1], train=np.zeros(2, np.int64))
+        cfg = cfg_for(tree, good)
+        for lanes in (1, 2):
+            pids = record_helpers(monkeypatch, lanes)
+            with pytest.raises(ValueError, match="^token id out of range$"):
+                fit(tree, {**good, 2: out_of_range}, cfg)
+            with pytest.raises(ValueError, match="shorter than one context window"):
+                fit(tree, {**good, 1: too_short, 2: out_of_range}, cfg)
+            assert len(pids) == 2 * (lanes - 1)
+            assert_reaped(pids)
+
+    def test_a_dead_helper_is_named_with_its_exit_status(self, monkeypatch, capfd):
+        # an interrupted helper exits 1 and prints nothing
+        pids = record_helpers(monkeypatch, 2)
+        tree = depth1_tree(2)
+        shards, _ = shards_for(tree)
+        with engine_mod._Run.start(tree, shards, cfg_for(tree, shards)) as run:
+            run.train(0, 1, [1, 2])
+            os.kill(pids[0], signal.SIGINT)
+            os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)  # exited, not yet reaped
+            with pytest.raises(RuntimeError, match=f"helper {pids[0]} exited with status 1$"):
+                run.train(1, 1, [1, 2])
+        assert_reaped(pids)
+        assert capfd.readouterr().err == ""
+
+    def test_a_stage_smaller_than_split_work_trains_on_one_lane(self, monkeypatch):
+        # two leaves of 4 steps on an 832-parameter model: 6,656 parameter-steps
+        pids = record_helpers(monkeypatch, 2)
+        tree = depth1_tree(2)
+        shards, _ = shards_for(tree)
+        for split_work, helpers in ((6657, 0), (6656, 1)):
+            monkeypatch.setattr(engine_mod, "SPLIT_WORK", split_work)
+            with engine_mod._Run.start(tree, shards, cfg_for(tree, shards)) as run:
+                run.train(0, 1, [1, 2])
+                assert len(run.helpers) == helpers
+        assert_reaped(pids)
+
+    def test_a_run_left_open_is_reaped_when_collected(self, monkeypatch):
+        pids = record_helpers(monkeypatch, 2)
+        tree = depth1_tree(2)
+        shards, _ = shards_for(tree)
+        run = engine_mod._Run.start(tree, shards, cfg_for(tree, shards))
+        run.train(0, 1, [1, 2])
+        assert len(pids) == 1
+        del run
+        gc.collect()
+        assert_reaped(pids)
+
+    def test_one_lane_while_another_thread_runs(self):
+        assert engine_mod.lane_count() == len(os.sched_getaffinity(0))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert engine_mod.lane_count() == 1
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs to compare")
+    def test_the_cli_writes_the_same_bytes_pinned_to_one_cpu(self, tmp_path):
+        # one process pinned to one CPU trains on one lane; an unpinned one
+        # on every CPU, and every deterministic output of every method on
+        # both presets keeps its bytes
+        src = str(Path(engine_mod.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cpu = min(os.sched_getaffinity(0))
+        pinned = dict(preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+        lanes = subprocess.run([sys.executable, "-c", "from treefed.engine import lane_count; "
+                                "print(lane_count())"], env=env, capture_output=True, text=True,
+                               check=True, **pinned)
+        assert lanes.stdout == "1\n"
+        for preset in ("fig2", "dp-cc-wk"):
+            files = {}
+            for tag, kwargs in (("pinned", pinned), ("free", {})):
+                out = tmp_path / preset / tag
+                argv = [sys.executable, "-m", "treefed.cli", "compare", "--preset", preset,
+                        "--rounds", "2", "--seed", "1", "--out", str(out)]
+                for method in ("worldlm", "flat_fl", "local", "centralized"):
+                    argv += ["--method", method]
+                subprocess.run(argv, env=env, capture_output=True, text=True, check=True,
+                               **kwargs)
+                files[tag] = {str(f.relative_to(out)): f.read_bytes()
+                              for f in sorted(out.rglob("*.csv")) if f.name != "timings.csv"}
+            assert len(files["free"]) == 4 * 4 + 1
+            assert files["pinned"] == files["free"], preset
 
 
 class TestEvaluationMemo:
