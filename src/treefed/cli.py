@@ -10,8 +10,9 @@ add __<axis>-on or __<axis>-off):
   attention.csv  per-layer attention weights by candidate origin
   residuals.csv  residual packet hop decisions
   dp.csv         pre-clip norms, bounds, and noise levels (DP runs)
-  timings.csv    wall-clock sidecar; the only file allowed to differ between
-                 identical reruns
+  timings.csv    wall-clock sidecar, with the lanes the run trained on and
+                 its helpers' CPU seconds; the only file allowed to differ
+                 between identical reruns
 `ablate --axis swap` exchanges the sources of two leaves under different
 parents (presets.swap_sources). --rounds overrides the config's rounds, and
 an --override path through a non-object value is an error.
@@ -171,8 +172,8 @@ def write_outputs(out_dir: Path, exp: ResolvedExperiment, plan: ExperimentPlan,
         _write_csv(out_dir / name, columns,
                    (r if isinstance(r, tuple) else [r[c] for c in columns]
                     for r in getattr(result, log)))
-    _write_csv(out_dir / "timings.csv", ("experiment_id", "seconds"),
-               [(experiment_id, f"{elapsed:.3f}")])
+    _write_csv(out_dir / "timings.csv", ("experiment_id", "seconds", "lanes", "helper_cpu_s"),
+               [(experiment_id, f"{elapsed:.3f}", result.lanes, f"{result.helper_cpu_s:.3f}")])
 
 
 def run_plan(plan: ExperimentPlan, exp: ResolvedExperiment | None = None, suffix: str = "",

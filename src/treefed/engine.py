@@ -12,17 +12,19 @@ routes its packets to its children, scoring their current keys. *train*
 then stacks the level's nodes that share a trainer, and so a schedule
 position, into local_train calls of up to model.stack_width nodes, spread
 over one lane per CPU the process may run on (plan_calls), and *evaluate*
-scores every node. After the last stage, *aggregate* runs at each server
-bottom-up: pseudo-gradient averaging with server momentum for backbones
-(with DP sanitization of flagged children's deltas), per-layer attention for
-keys, and dissimilarity-based residual selection. Each selected packet goes
+scores every node whose model changed, over the same lanes. After the last
+stage, *aggregate* runs at each server bottom-up: pseudo-gradient averaging
+with server momentum for backbones (with DP sanitization of flagged
+children's deltas), per-layer attention for keys, and dissimilarity-based
+residual selection. Each selected packet goes
 straight to the server where it turns around (its ceiling, or the selecting
 server when the ceiling lies below it), which routes it in the next round;
 every hop below happens in that round too. `run_flat_fl` drives the same
 phases on a keyless star tree: each round every leaf enters, the leaves
 train as one stage and the server aggregates; then each leaf is scored on
-the server's model. The local and centralized baselines run *train* alone:
-on that star tree's leaves, and on one node that holds all the leaves' data.
+the server's model. The local and centralized baselines run *train* and
+*evaluate* alone: on that star tree's leaves, and on one node that trains on
+all the leaves' data, whose model every leaf is scored on.
 
 A stage consumes one sequential step when at least one of its nodes trains;
 the baselines are budgeted in the same units.
@@ -36,6 +38,15 @@ losses and trained rows the same way. Rows never mix, so a node trains to the
 same bytes on any lane and in any stack, and every output is the same at any
 number of lanes. A process with other threads running trains on one lane,
 since a fork copies only the calling thread.
+
+Scoring runs on the lanes a run has forked, and never forks one: a helper
+scores the nodes it has just trained from the rows it still holds, and every
+other node to score is dealt over the lanes, each scored alone by the same
+code (_score), so a score keeps its bits on any lane. A run without helpers
+scores in this process. The benchmark trace sees only this process, so its
+mean_nll and scored-window counts, like its training spans, cover lane 0
+alone (compare them under `taskset -c 0`), and when a run has helpers its
+evaluate_round time holds no scoring, only the rows built from the scores.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ import hashlib
 import json
 import os
 import pickle
+from contextlib import suppress
 import threading
 import weakref
 from dataclasses import dataclass, field, replace
@@ -208,15 +220,21 @@ def _train(shards: dict[int, Shard], seed: int, models: list[ParamSet], nodes: l
                         for nid, model in zip(nodes, models)], trainer, global_step)
 
 
+def _bytes(data) -> memoryview:
+    """`data`'s bytes; an empty array's view cannot be cast, so it gives none."""
+    view = memoryview(data)
+    return view.cast("B") if view.nbytes else memoryview(b"")
+
+
 def _write(fd: int, data) -> None:
-    view = memoryview(data).cast("B")
+    view = _bytes(data)
     while view:
         view = view[os.write(fd, view):]
 
 
 def _read_into(fd: int, out):
     """Fill `out` (an array or bytearray) from `fd`; EOFError if it closes first."""
-    view = memoryview(out).cast("B")
+    view = _bytes(out)
     while view:
         got = os.readv(fd, [view])
         if not got:
@@ -239,18 +257,62 @@ def _receive(fd: int):
     return pickle.loads(_read_into(fd, bytearray(size)))
 
 
+def _score(shards: dict[int, Shard], models: list[ParamSet], nodes: list[int]) -> np.ndarray:
+    """Each node's mean NLL on each of its EVAL_SPLITS, an (n, 2) array. A
+    node's model runs once over its splits' shared contexts (window_nlls),
+    and mean_nll averages each split's window NLLs."""
+    out = np.empty((len(nodes), len(EVAL_SPLITS)))
+    for row, nid, params in zip(out, nodes, models):
+        shard, n = shards[nid], context_len(params.layout)
+        scored = window_nlls(params, [shard.context_index(split, n) for split in EVAL_SPLITS])
+        row[:] = [mean_nll(params, getattr(shard, split), nll=nll)
+                  for split, nll in zip(EVAL_SPLITS, scored)]
+    return out
+
+
+def _score_share(shards: dict[int, Shard], models: list[ParamSet],
+                 nodes: list[int]) -> np.ndarray | tuple[int, Exception]:
+    """One lane's share of an evaluation: the nodes' scores (_score), or the
+    first node that raised and its exception."""
+    out = np.empty((len(nodes), len(EVAL_SPLITS)))
+    for i, nid in enumerate(nodes):
+        try:
+            out[i] = _score(shards, models[i : i + 1], [nid])[0]
+        except Exception as exc:  # the parent raises it
+            return nid, exc
+    return out
+
+
 def _serve(inbox: int, outbox: int, shards: dict[int, Shard], seed: int, layout) -> None:
-    """A helper's loop, until the parent closes its end: read a stage's
-    calls and all their models, train every call, then send back each
-    call's exception, or None, its (n,) mean losses and its (n, P) trained
-    rows. Nothing is sent before the last call has trained: the parent reads
-    only once its own calls are done, and a result larger than the pipe
-    holds would stall the helper until then."""
+    """A helper's loop, until the parent closes its end. A train message is
+    a stage's calls, followed by all their models: the helper trains every
+    call, then sends back each call's exception, or None, its (n,) mean
+    losses and its (n, P) trained rows, and holds the trained models by node
+    until the next train message. Nothing is sent before the last call has
+    trained: the parent reads only once its own calls are done, and a result
+    larger than the pipe holds would stall the helper until then. A score
+    message ("score", nodes, fresh) is followed by the rows of its `fresh`
+    nodes; every other node is scored on the model the helper holds. The
+    answer is the first failing node and its exception, or None and the
+    nodes' (n, 2) scores."""
+    held: dict[int, ParamSet] = {}
     while True:
         try:
-            calls = _receive(inbox)
+            message = _receive(inbox)
         except EOFError:
             return
+        if message[0] == "score":
+            _, nodes, fresh = message
+            rows = _read_into(inbox, np.empty((len(fresh), layout.size), np.float32))
+            models = held | {nid: ParamSet.from_buffer(layout, row)
+                             for nid, row in zip(fresh, rows)}
+            out = _score_share(shards, [models[nid] for nid in nodes], nodes)
+            if isinstance(out, tuple):
+                _send(outbox, out)
+            else:
+                _send(outbox, None, out)
+            continue
+        calls = message
         models = [_read_into(inbox, np.empty((len(nodes), layout.size), np.float32))
                   for nodes, *_ in calls]
         outs = []
@@ -260,6 +322,8 @@ def _serve(inbox: int, outbox: int, shards: dict[int, Shard], seed: int, layout)
                                                   for row in rows], nodes, *call))
             except Exception as exc:  # the parent raises it
                 outs.append(exc)
+        held = {nid: result.params for (nodes, *_), out in zip(calls, outs)
+                if not isinstance(out, Exception) for nid, result in zip(nodes, out)}
         for out in outs:
             if isinstance(out, Exception):
                 _send(outbox, out)
@@ -268,14 +332,29 @@ def _serve(inbox: int, outbox: int, shards: dict[int, Shard], seed: int, layout)
                       *(o.params.buf for o in out))
 
 
+try:
+    from fcntl import F_SETPIPE_SZ, fcntl
+except ImportError:  # no fcntl, or pipes of a fixed size
+    F_SETPIPE_SZ = None
+
+# What each of a helper's pipes holds, where pipes can be resized: a wide-dp
+# stage sends a few hundred KB of rows, which a default 64 KiB pipe takes in
+# many writes, each waiting for the helper to read.
+PIPE_SIZE = 1 << 20
+
+
 class _Helper:
-    """A forked process that trains one lane's calls of a run's stages. It
-    ends only through os._exit, so it never runs its caller's code: at EOF
-    on its pipe (the parent closed it, or died), or quietly at an interrupt
-    or any error outside a call."""
+    """A forked process that trains and scores one lane's share of a run's
+    stages. It ends only through os._exit, so it never runs its caller's
+    code: at EOF on its pipe (the parent closed it, or died), or quietly at
+    an interrupt or any error outside a call."""
 
     def __init__(self, shards: dict[int, Shard], seed: int, layout):
         (inbox, self.to), (self.back, outbox) = os.pipe(), os.pipe()
+        for fd in (self.to, self.back) if F_SETPIPE_SZ else ():
+            with suppress(OSError):  # past the system's limit, keep the default
+                fcntl(fd, F_SETPIPE_SZ, PIPE_SIZE)
+        self.cpu_s = 0.0  # its user and system CPU seconds, once reaped
         self.pid = os.fork()
         if self.pid == 0:
             status = 1
@@ -294,9 +373,10 @@ class _Helper:
         os.close(outbox)
         self.layout = layout
 
-    def send(self, calls: list[tuple], models: list[ParamSet]) -> None:
+    def send(self, message, models: list[ParamSet]) -> None:
+        """A train or score message, then its models' rows."""
         try:
-            _send(self.to, calls, *(model.buf for model in models))
+            _send(self.to, message, *(model.buf for model in models))
         except BrokenPipeError:
             raise self.died() from None
 
@@ -313,28 +393,43 @@ class _Helper:
         return [TrainResult(ParamSet.from_buffer(self.layout, row), float(loss))
                 for row, loss in zip(rows, losses)]
 
+    def receive_scores(self, n: int) -> np.ndarray | tuple[int, Exception]:
+        """The (n, 2) scores of a score message's n nodes, or its first
+        failing node and that node's exception."""
+        try:
+            failed = _receive(self.back)
+            return failed or _read_into(self.back, np.empty((n, len(EVAL_SPLITS))))
+        except EOFError:
+            raise self.died() from None
+
     def died(self) -> RuntimeError:
         return RuntimeError(f"training helper {self.pid} exited with status "
                             f"{os.waitstatus_to_exitcode(self.close())}")
 
     def close(self) -> int | None:
-        """Close both pipes, so that the helper ends, and reap it; its wait
-        status, or None if it was closed before."""
+        """Close both pipes, so that the helper ends, and reap it, taking its
+        CPU time; its wait status, or None if it was closed before."""
         if self.pid is None:
             return None
         os.close(self.to)
         os.close(self.back)
         # a closed helper's numbers may name another file by now
         pid, self.pid, self.to, self.back = self.pid, None, -1, -1
-        return os.waitpid(pid, 0)[1]
+        _, status, usage = os.wait4(pid, 0)
+        self.cpu_s = usage.ru_utime + usage.ru_stime
+        return status
 
 
-def _reap(helpers: list[_Helper], owner: int) -> None:
-    """Close a run's helpers, in the process that forked them."""
-    if os.getpid() == owner:
-        for helper in helpers:
-            helper.close()
-        helpers.clear()
+def _reap(helpers: list[_Helper], owner: int) -> float:
+    """Close a run's helpers, in the process that forked them; the CPU
+    seconds they used."""
+    if os.getpid() != owner:
+        return 0.0
+    for helper in helpers:
+        helper.close()
+    cpu_s = sum(helper.cpu_s for helper in helpers)
+    helpers.clear()
+    return cpu_s
 
 
 @dataclass
@@ -346,6 +441,8 @@ class RunResult:
     dp_log: list[DpRow] = field(default_factory=list)
     final_models: dict[int, ParamSet] = field(default_factory=dict)
     seq_steps: int = 0
+    lanes: int = 1  # the most lanes a stage ran on: this process and its helpers
+    helper_cpu_s: float = 0.0  # the user and system CPU seconds of the helpers
 
     def final_leaf_ppl(self, leaf_ids, split="test") -> dict[int, float]:
         """Last logged perplexity per leaf on its own split."""
@@ -385,18 +482,13 @@ def evaluate_round(
     `memo` maps a node to its NLL on each split, from the last time its
     model was scored, and a node with an entry is not scored again. It holds
     no model, so a caller that replaces a node's model must drop the node's
-    entry. A shard's splits are indexed once, into one shared context set
-    kept with the shard, and a node's model runs once over it.
+    entry. Each node without one is scored here (_score).
     """
     memo = {} if memo is None else memo
     nodes = [nid for nid in sorted(params_by_node) if nid in shards]
-    for nid in nodes:
-        if nid not in memo:
-            params, shard = params_by_node[nid], shards[nid]
-            n = context_len(params.layout)
-            scored = window_nlls(params, [shard.context_index(split, n) for split in EVAL_SPLITS])
-            memo[nid] = {split: mean_nll(params, getattr(shard, split), nll=nll)
-                         for split, nll in zip(EVAL_SPLITS, scored)}
+    missing = [nid for nid in nodes if nid not in memo]
+    scores = _score(shards, [params_by_node[nid] for nid in missing], missing)
+    memo.update(zip(missing, (dict(zip(EVAL_SPLITS, row)) for row in scores.tolist())))
     with np.errstate(over="ignore"):
         return [_row(method, nid, round_k, stage, split, memo[nid][split])
                 for nid in nodes for split in EVAL_SPLITS]
@@ -416,6 +508,9 @@ class _Run:
     # evaluate_round's memo: a node's NLL per split, dropped by set_model
     scored: dict[int, dict[str, float]] = field(default_factory=dict)
     helpers: list[_Helper] = field(default_factory=list)  # lanes 1, 2, ... as forked
+    # the lane that trained each node in the last stage, which holds its
+    # model until it trains again; reset by train, dropped by set_model
+    trained_on: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
         # a run driven by hand, never closed, reaps its helpers when it is
@@ -429,8 +524,9 @@ class _Run:
         self.close()
 
     def close(self) -> None:
-        """End the run's helpers; a later stage forks them again."""
-        _reap(self.helpers, os.getpid())
+        """End the run's helpers, adding their CPU time to the result; a later
+        stage forks them again."""
+        self.result.helper_cpu_s += _reap(self.helpers, os.getpid())
 
     @classmethod
     def start(cls, tree: FederationTree, shards: dict[int, Shard], cfg: EngineConfig,
@@ -480,6 +576,7 @@ class _Run:
         If calls raised, the first of them in call order raises here, once
         every lane is done. A stage with any trainee takes one sequential
         step."""
+        self.trained_on = {}
         trainees = stage_trainees(self.tree, level, self.shards, self.cfg.trainer)
         work = self.part.layout.size * sum(t.local_steps for _, t in trainees)
         calls = plan_calls(trainees, stack_width(self.part.layout),
@@ -510,6 +607,7 @@ class _Run:
         for call, results in zip(calls, outs):
             for nid, out in zip(call.nodes, results):
                 self.set_model(nid, out.params)
+                self.trained_on[nid] = call.lane
                 losses[nid] = out.mean_loss
         with np.errstate(over="ignore"):
             self.result.rows += [_row(self.result.method, nid, round_k, stage, "train", losses[nid])
@@ -520,13 +618,59 @@ class _Run:
         """Lane `lane`'s helper, forked (with any below it) on first need."""
         while len(self.helpers) < lane:
             self.helpers.append(_Helper(self.shards, self.cfg.seed, self.part.layout))
+        self.result.lanes = max(self.result.lanes, len(self.helpers) + 1)
         return self.helpers[lane - 1]
 
-    def evaluate(self, round_k: int, stage: int) -> None:
-        """Score every node's current model on its own splits."""
-        params = {nid: self.state[nid].model for nid in sorted(self.tree.nodes)}
-        self.result.rows += evaluate_round(self.result.method, params, self.shards, round_k,
-                                           stage, memo=self.scored)
+    def evaluate(self, round_k: int, stage: int, models: dict[int, ParamSet] | None = None) -> None:
+        """Log each node's scores on its own splits: of its current model, a
+        node that was scored on it before from the memo (scored); or of
+        `models`, by node, all afresh. When the run has helpers and two or
+        more nodes are to be scored, they are scored over the lanes
+        (score_on_lanes), so a trace of this process counts lane 0's
+        scorings alone. Then evaluate_round, looked up in this module's
+        namespace, builds the rows, scoring here whatever is left: all of
+        it in a run without helpers."""
+        if models is None:
+            memo, trained = self.scored, self.trained_on
+            models = {nid: self.state[nid].model for nid in sorted(self.tree.nodes)}
+        else:
+            memo, trained = {}, {}
+        pending = [nid for nid in sorted(models) if nid in self.shards and nid not in memo]
+        if self.helpers and len(pending) > 1:
+            self.score_on_lanes(models, pending, trained, memo)
+        self.result.rows += evaluate_round(self.result.method, models, self.shards, round_k,
+                                           stage, memo=memo)
+
+    def score_on_lanes(self, models: dict[int, ParamSet], pending: list[int],
+                       trained: dict[int, int], memo: dict[int, dict[str, float]]) -> None:
+        """Score the pending nodes into `memo`, over this process and its
+        helpers. A node in `trained` is scored on the lane that trained it,
+        which holds its model; every other, in id order, on the lane with the
+        fewest scorings so far, the lowest lane on a tie, and a helper gets
+        its rows. Each helper gets its share first and scores it while this
+        process scores lane 0's. Once every lane has answered, the first
+        failing node in id order raises its exception here."""
+        shares: list[list[int]] = [[] for _ in range(len(self.helpers) + 1)]
+        for nid in pending:
+            if nid in trained:
+                shares[trained[nid]].append(nid)
+        for nid in pending:
+            if nid not in trained:
+                min(shares, key=len).append(nid)
+        shares = [sorted(nodes) for nodes in shares]
+        helped = [(lane, self.helpers[lane - 1], nodes)
+                  for lane, nodes in enumerate(shares) if lane and nodes]
+        for lane, helper, nodes in helped:
+            fresh = [nid for nid in nodes if trained.get(nid) != lane]
+            helper.send(("score", nodes, fresh), [models[nid] for nid in fresh])
+        outs = [(shares[0], _score_share(self.shards, [models[nid] for nid in shares[0]],
+                                         shares[0]))]
+        outs += [(nodes, helper.receive_scores(len(nodes))) for _, helper, nodes in helped]
+        failed = [out for _, out in outs if isinstance(out, tuple)]
+        if failed:
+            raise min(failed, key=lambda f: f[0])[1]
+        for nodes, scores in outs:
+            memo.update(zip(nodes, (dict(zip(EVAL_SPLITS, row)) for row in scores.tolist())))
 
     def aggregate(self, round_k: int, nid: int) -> None:
         """A server's bottom-up step over its children, in id order. Each
@@ -567,11 +711,12 @@ class _Run:
         self.set_model(nid, part.assemble(backbone, keys))
 
     def set_model(self, nid: int, model: ParamSet) -> None:
-        """Replace a node's model and drop its scores, so that the old model
-        (and the training stack it may be a row of) is freed and the new one
-        is scored at the next evaluate."""
+        """Replace a node's model and drop its scores and the lane that
+        trained it, so that the old model (and the training stack it may be a
+        row of) is freed and the new one is scored at the next evaluate."""
         self.state[nid].model = model
         self.scored.pop(nid, None)
+        self.trained_on.pop(nid, None)
 
     def log_attention(self, nid: int, round_k: int, stage: str, weight_log: WeightLog) -> None:
         for layer, (labels, weights) in weight_log.items():
@@ -643,8 +788,7 @@ def run_flat_fl(
                 run.enter(round_k, nid)
             run.train(round_k, 0, leaf_ids)
             run.aggregate(round_k, server)
-            scored = dict.fromkeys(leaf_ids, run.state[server].model)
-            run.result.rows += evaluate_round("flat_fl", scored, shards, round_k, 0)
+            run.evaluate(round_k, 0, dict.fromkeys(leaf_ids, run.state[server].model))
     run.result.final_models = dict.fromkeys(leaf_ids, run.state[server].model)
     return run.result
 
@@ -677,16 +821,19 @@ def run_centralized(
     budget_steps: int,
 ) -> RunResult:
     """One model on the union of all leaf shards: `_Run`'s *train* phase on
-    the one-node tree of node 0, which holds that union, with no DP. Every
-    round, every leaf is scored on node 0's model."""
+    the one-node tree of node 0, which trains on the union of the leaves'
+    training splits, with no DP. Every round, every leaf is scored on node
+    0's model (evaluate), on its own splits."""
     leaf_ids, _ = _star(leaf_ids, "the centralized baseline")
     tree = FederationTree.from_children_map({0: []})
-    pooled = {0: Shard.union([shards[nid] for nid in leaf_ids])}
-    with _Run.start(tree, pooled, replace(cfg, dp=None), "centralized") as run:
+    own = {nid: shards[nid] for nid in leaf_ids}
+    pooled = Shard.union(list(own.values()))
+    # node 0's splits but the training one are read only if it is a leaf
+    own[0] = replace(own.get(0, pooled), train=pooled.train)
+    with _Run.start(tree, own, replace(cfg, dp=None), "centralized") as run:
         for round_k in range(budget_steps):
             run.train(round_k, 0, [0])
-            scored = dict.fromkeys(leaf_ids, run.state[0].model)
-            run.result.rows += evaluate_round("centralized", scored, shards, round_k, 0)
+            run.evaluate(round_k, 0, dict.fromkeys(leaf_ids, run.state[0].model))
     run.result.final_models = dict.fromkeys(leaf_ids, run.state[0].model)
     return run.result
 

@@ -199,17 +199,24 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 2, 1)
 
 
-def step_views(layout: Layout, rows: np.ndarray) -> dict[str, np.ndarray]:
-    """Name -> view of the (N, P) `rows` as the passes read them: each
-    weight (N, K, M), each bias (N, 1, M) to broadcast over a batch, and,
-    under its name + ".T", each weight matrix but the embedding transposed,
-    as backward multiplies by it. They view `rows`, so they follow an
-    in-place update of them."""
+def trunk_views(layout: Layout, rows: np.ndarray) -> dict[str, np.ndarray]:
+    """Name -> view of the (N, P) `rows` as _trunk reads them: each weight
+    (N, K, M) and each bias (N, 1, M), to broadcast over a batch. They view
+    `rows`, so they follow an in-place update of them."""
     w = layout.views(rows)
     for name in layout.names:
         if name.endswith(".b"):
             w[name] = w[name][:, None]
-        elif name != "embed":
+    return w
+
+
+def step_views(layout: Layout, rows: np.ndarray) -> dict[str, np.ndarray]:
+    """The views a training step reads of the (N, P) `rows`: trunk_views and,
+    under its name + ".T", each weight matrix but the embedding transposed,
+    as backward multiplies by it."""
+    w = trunk_views(layout, rows)
+    for name in layout.names:
+        if name != "embed" and not name.endswith(".b"):
             w[name + ".T"] = _t(w[name])
     return w
 
@@ -505,7 +512,7 @@ def window_nlls(params: ParamSet, indexes: Sequence[ContextIndex],
             raise ValueError("indexes scored in one pass must share one distinct-context array")
         if index.token_range[0] < 0 or index.token_range[1] >= V:
             raise ValueError("token id out of range")
-    w, num_blocks = step_views(params.layout, params.buf[None]), _num_blocks(params.layout)
+    w, num_blocks = trunk_views(params.layout, params.buf[None]), _num_blocks(params.layout)
     node = np.zeros((1, 1, 1), dtype=np.intp)
     nlls = [np.empty(len(index.order)) for index in indexes]
     for lo in range(0, len(distinct), chunk):

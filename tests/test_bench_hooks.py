@@ -87,7 +87,9 @@ def test_mean_nll_gets_each_scored_model_and_its_split_tokens(monkeypatch):
     # scored ParamSet and hashes args[1] as the scored split's 1-D tokens, so
     # each (node, split) that evaluate_round scores must be one call that
     # passes the node's model and that split's own array; a node whose model
-    # is the one it last scored is not scored again
+    # is the one it last scored is not scored again. It runs on one lane:
+    # a helper scores in its own process, out of this namespace's reach
+    monkeypatch.setattr(treefed.engine, "lane_count", lambda: 1)
     made, evaluations = [], []
     orig_nll, orig_eval = treefed.engine.mean_nll, treefed.engine.evaluate_round
 

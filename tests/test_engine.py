@@ -1,4 +1,5 @@
 import dataclasses
+import fcntl
 import gc
 import os
 import signal
@@ -632,6 +633,30 @@ def record_helpers(monkeypatch, lanes):
     return pids
 
 
+def record_score_messages(monkeypatch):
+    """Every score message this process sends a helper, as (nodes, fresh,
+    how many rows follow it)."""
+    sent = []
+    orig = engine_mod._send
+
+    def spy(fd, message, *arrays):
+        if isinstance(message, tuple) and message[0] == "score":
+            sent.append((message[1], message[2], len(arrays)))
+        return orig(fd, message, *arrays)
+
+    monkeypatch.setattr(engine_mod, "_send", spy)
+    return sent
+
+
+def count_mean_nll(monkeypatch):
+    """The list that gets one entry per mean_nll call in this process."""
+    calls = []
+    orig = engine_mod.mean_nll
+    monkeypatch.setattr(engine_mod, "mean_nll", lambda params, tokens, **kwargs:
+                        calls.append(1) or orig(params, tokens, **kwargs))
+    return calls
+
+
 def assert_reaped(pids):
     for pid in pids:
         with pytest.raises(ChildProcessError):
@@ -649,17 +674,24 @@ class TestLanes:
     def test_every_output_is_the_same_on_any_number_of_lanes(self, monkeypatch, method):
         # 2 lanes give a helper calls of two leaves, and 4 lanes give fig2's
         # leaves a call each, 3 of them in helpers; each helper is reaped
-        # when its run returns
+        # when its run returns. A run with helpers scores on them too, so
+        # this process scores less than at one lane
         tree = fig2_tree()
         shards, _ = shards_for(tree)
         cfg = cfg_for(tree, shards, rounds=2, dp=DpConfig(sigma=0.5, initial_bound=0.7,
                                                           enabled_nodes={3, 5}))
-        results = {}
+        results, scored_here = {}, {}
         for lanes in (1, 2, 4):
             pids = record_helpers(monkeypatch, lanes)
+            scored = count_mean_nll(monkeypatch)
             results[lanes] = self.RUNNERS[method](tree, shards, cfg)
+            scored_here[lanes] = len(scored)
             assert len(pids) == (0 if method == "centralized" else lanes - 1)
             assert_reaped(pids)
+        if method == "centralized":
+            assert scored_here[2] == scored_here[4] == scored_here[1]
+        else:
+            assert scored_here[4] < scored_here[2] < scored_here[1]
         for r in results.values():
             assert (r.rows, r.attention_log, r.residual_log, r.dp_log, r.seq_steps) == (
                 results[1].rows, results[1].attention_log, results[1].residual_log,
@@ -684,6 +716,95 @@ class TestLanes:
                 fit(tree, {**good, 1: too_short, 2: out_of_range}, cfg)
             assert len(pids) == 2 * (lanes - 1)
             assert_reaped(pids)
+
+    def test_a_node_trained_on_a_helper_is_scored_there(self, monkeypatch):
+        # fig2's leaf stage trains [3, 4] here and [5, 6] on the helper,
+        # which scores 5 and 6 on the rows it holds: their score message
+        # carries no model. A node the helper did not train this stage comes
+        # with its rows
+        tree = fig2_tree()
+        shards, _ = shards_for(tree)
+        pids = record_helpers(monkeypatch, 2)
+        sent = record_score_messages(monkeypatch)
+        fit(tree, shards, cfg_for(tree, shards, rounds=2))
+        assert len(pids) == 1
+        assert_reaped(pids)
+        assert ([5, 6], [], 0) in sent
+        assert all(len(fresh) == rows for _, fresh, rows in sent)
+        assert any(fresh for _, fresh, _ in sent)
+
+    def test_a_scoring_error_on_a_helper_is_raised_as_at_one_lane(self, monkeypatch):
+        # leaf 1 trains and is scored on lane 0, leaf 2 on the helper; an
+        # evaluation split that fails raises the error of one lane, and of
+        # the first failing node when both fail, and the helper is reaped
+        tree = depth1_tree(2)
+        good, _ = shards_for(tree)
+        cfg = cfg_for(tree, good)
+        out_of_range = {nid: dataclasses.replace(good[nid], val=np.full(50, 99)) for nid in good}
+        too_short = {nid: dataclasses.replace(good[nid], test=np.zeros(2, np.int64))
+                     for nid in good}
+        for lanes in (1, 2):
+            pids = record_helpers(monkeypatch, lanes)
+            sent = record_score_messages(monkeypatch)
+            with pytest.raises(ValueError, match="^token id out of range$"):
+                run_local(tree.leaves(), {**good, 2: out_of_range[2]}, cfg, 2)
+            assert sent == ([([2], [], 0)] if lanes == 2 else [])
+            with pytest.raises(ValueError, match="^empty or too-short evaluation shard$"):
+                run_local(tree.leaves(), {1: too_short[1], 2: out_of_range[2]}, cfg, 2)
+            with pytest.raises(ValueError, match="^token id out of range$"):
+                run_local(tree.leaves(), {1: out_of_range[1], 2: too_short[2]}, cfg, 2)
+            assert len(pids) == 3 * (lanes - 1)
+            assert_reaped(pids)
+
+    def test_a_run_of_stages_under_split_work_scores_in_this_process(self, monkeypatch):
+        split_work = engine_mod.SPLIT_WORK
+        pids = record_helpers(monkeypatch, 2)
+        monkeypatch.setattr(engine_mod, "SPLIT_WORK", split_work)
+        sent, scored = record_score_messages(monkeypatch), count_mean_nll(monkeypatch)
+        tree = fig2_tree()
+        shards, _ = shards_for(tree)
+        result = fit(tree, shards, cfg_for(tree, shards, rounds=2))
+        assert pids == sent == []
+        assert (result.lanes, result.helper_cpu_s) == (1, 0.0)
+        assert len(scored) == 2 * (13 + 9)  # TestEvaluationMemo's count
+
+    def test_a_run_reports_its_lanes_and_its_helpers_cpu(self, monkeypatch, tmp_path):
+        tree = fig2_tree()
+        shards, _ = shards_for(tree)
+        for lanes in (1, 2, 4):
+            record_helpers(monkeypatch, lanes)
+            result = fit(tree, shards, cfg_for(tree, shards, rounds=2))
+            assert result.lanes == lanes
+            assert (result.helper_cpu_s > 0) == (lanes > 1)
+        plan = ExperimentPlan(method="worldlm", preset="fig2", rounds=1, seed=1)
+        write_outputs(tmp_path, resolve_plan(plan), plan, result, elapsed=1.5)
+        header, row = (tmp_path / "timings.csv").read_text().splitlines()
+        assert header == "experiment_id,seconds,lanes,helper_cpu_s"
+        assert row.split(",")[1:] == ["1.500", "4", f"{result.helper_cpu_s:.3f}"]
+
+    @pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ"), reason="pipes of a fixed size")
+    def test_a_helpers_pipes_hold_a_mib(self, monkeypatch):
+        pids = record_helpers(monkeypatch, 2)
+        tree = depth1_tree(2)
+        shards, _ = shards_for(tree)
+        with engine_mod._Run.start(tree, shards, cfg_for(tree, shards)) as run:
+            run.train(0, 1, [1, 2])
+            [helper] = run.helpers
+            assert [fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) for fd in (helper.to, helper.back)] == [
+                engine_mod.PIPE_SIZE] * 2
+        assert_reaped(pids)
+
+    def test_an_empty_array_crosses_a_pipe(self):
+        inbox, outbox = os.pipe()
+        try:
+            engine_mod._send(outbox, ("score", [1], []), np.empty((0, 5), np.float32),
+                             np.arange(3.0))
+            assert engine_mod._receive(inbox) == ("score", [1], [])
+            assert engine_mod._read_into(inbox, np.empty((0, 5), np.float32)).shape == (0, 5)
+            assert engine_mod._read_into(inbox, np.empty(3)).tolist() == [0.0, 1.0, 2.0]
+        finally:
+            os.close(inbox)
+            os.close(outbox)
 
     def test_a_dead_helper_is_named_with_its_exit_status(self, monkeypatch, capfd):
         # an interrupted helper exits 1 and prints nothing
