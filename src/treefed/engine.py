@@ -29,24 +29,21 @@ all the leaves' data, whose model every leaf is scored on.
 A stage consumes one sequential step when at least one of its nodes trains;
 the baselines are budgeted in the same units.
 
-Lane 0 of a stage's training is the calling process. Every other lane is a
-helper process that a run forks on first need and keeps until the driver
-ends the run (_Run.close). A helper trains from its fork-time copy of the
-shards and the seed: each call sends it the nodes, trainer, global step and
-round, pickled, and the models as raw float32 bytes, and gets back the mean
-losses and trained rows the same way. Rows never mix, so a node trains to the
-same bytes on any lane and in any stack, and every output is the same at any
-number of lanes. A process with other threads running trains on one lane,
-since a fork copies only the calling thread.
-
-Scoring runs on the lanes a run has forked, and never forks one: a helper
-scores the nodes it has just trained from the rows it still holds, and every
-other node to score is dealt over the lanes, each scored alone by the same
-code (_score), so a score keeps its bits on any lane. A run without helpers
-scores in this process. The benchmark trace sees only this process, so its
-mean_nll and scored-window counts, like its training spans, cover lane 0
-alone (compare them under `taskset -c 0`), and when a run has helpers its
-evaluate_round time holds no scoring, only the rows built from the scores.
+Lane 0 of a stage's work is the calling process. Every other lane is a
+helper process that a run forks when a stage's training first needs it
+(scoring never forks one) and keeps until the driver ends the run
+(_Run.close). A stage's local_train calls and its scorings are one kind of
+task (Task), which the same code runs on any lane (_run_task). A helper runs
+its tasks from its fork-time copy of the shards and the seed; it gets them
+pickled, with the float32 bytes of each model it does not hold (it holds
+those it trained in its last training message), and answers with each
+task's arrays. Rows never mix and a node is scored alone, so every output is
+the same at any number of lanes. A process with other threads running
+trains on one lane, since a fork copies only the calling thread. The
+benchmark trace sees only this process: its training spans, mean_nll and
+scored-window counts cover lane 0 alone (compare them under `taskset -c
+0`), and when a run has helpers its evaluate_round time holds no scoring,
+only the rows built from the scores.
 """
 
 from __future__ import annotations
@@ -78,7 +75,6 @@ from .model import (
     Partition,
     TrainerConfig,
     TrainJob,
-    TrainResult,
     context_len,
     init_model,
     local_train,
@@ -195,6 +191,22 @@ def plan_calls(trainees: list[tuple[int, TrainerConfig]], width: int, lanes: int
     return calls
 
 
+def plan_scorings(nodes: list[int], trained: dict[int, int], lanes: int) -> list[int]:
+    """The lane of each node's scoring, for nodes in id order. A node in
+    `trained` goes to the lane that trained it, which holds its model; every
+    other node, in order, to the lane with the fewest scorings so far, the
+    lowest lane on a tie."""
+    load = [sum(trained.get(nid) == lane for nid in nodes) for lane in range(lanes)]
+    out = []
+    for nid in nodes:
+        lane = trained.get(nid)
+        if lane is None:
+            lane = load.index(min(load))
+            load[lane] += 1
+        out.append(lane)
+    return out
+
+
 # A stage splits over lanes only when it trains at least this many
 # parameter-steps (node-steps times the model's parameters). A smaller stage
 # trains in less time than a helper costs: the fork of a large process takes
@@ -212,12 +224,28 @@ def lane_count() -> int:
     return 1 if threading.active_count() > 1 else len(os.sched_getaffinity(0))
 
 
-def _train(shards: dict[int, Shard], seed: int, models: list[ParamSet], nodes: list[int],
-           trainer: TrainerConfig, global_step: int, round_k: int) -> list[TrainResult]:
-    """One call of a stage on any lane: the nodes' models stacked in one
-    local_train call, each on its (seed, node, round) training stream."""
-    return local_train([TrainJob(model, shards[nid].train, rng_for(seed, nid, round_k, _TRAIN_TAG))
-                        for nid, model in zip(nodes, models)], trainer, global_step)
+class Task(NamedTuple):
+    """A piece of a stage's lane work: a local_train call of `nodes` when
+    `job` is its (trainer, global step, round), or the scoring of one node
+    when `job` is None."""
+
+    nodes: list[int]
+    job: tuple[TrainerConfig, int, int] | None = None
+
+
+def _run_task(shards: dict[int, Shard], seed: int, task: Task,
+              models: list[ParamSet]) -> list[np.ndarray]:
+    """A task's arrays, on any lane. A call stacks the nodes' models in one
+    local_train call, each on its (seed, node, round) training stream, and
+    gives their (n,) mean losses, then each trained row; a scoring gives the
+    node's scores (_score)."""
+    if task.job is None:
+        return [_score(shards, models[0], task.nodes[0])]
+    trainer, global_step, round_k = task.job
+    results = local_train([TrainJob(model, shards[nid].train,
+                                    rng_for(seed, nid, round_k, _TRAIN_TAG))
+                           for nid, model in zip(task.nodes, models)], trainer, global_step)
+    return [np.array([r.mean_loss for r in results]), *(r.params.buf for r in results)]
 
 
 def _bytes(data) -> memoryview:
@@ -257,79 +285,49 @@ def _receive(fd: int):
     return pickle.loads(_read_into(fd, bytearray(size)))
 
 
-def _score(shards: dict[int, Shard], models: list[ParamSet], nodes: list[int]) -> np.ndarray:
-    """Each node's mean NLL on each of its EVAL_SPLITS, an (n, 2) array. A
-    node's model runs once over its splits' shared contexts (window_nlls),
-    and mean_nll averages each split's window NLLs."""
-    out = np.empty((len(nodes), len(EVAL_SPLITS)))
-    for row, nid, params in zip(out, nodes, models):
-        shard, n = shards[nid], context_len(params.layout)
-        scored = window_nlls(params, [shard.context_index(split, n) for split in EVAL_SPLITS])
-        row[:] = [mean_nll(params, getattr(shard, split), nll=nll)
-                  for split, nll in zip(EVAL_SPLITS, scored)]
-    return out
-
-
-def _score_share(shards: dict[int, Shard], models: list[ParamSet],
-                 nodes: list[int]) -> np.ndarray | tuple[int, Exception]:
-    """One lane's share of an evaluation: the nodes' scores (_score), or the
-    first node that raised and its exception."""
-    out = np.empty((len(nodes), len(EVAL_SPLITS)))
-    for i, nid in enumerate(nodes):
-        try:
-            out[i] = _score(shards, models[i : i + 1], [nid])[0]
-        except Exception as exc:  # the parent raises it
-            return nid, exc
-    return out
+def _score(shards: dict[int, Shard], params: ParamSet, nid: int) -> np.ndarray:
+    """A node's mean NLL on each of its EVAL_SPLITS, a (2,) array. Its model
+    runs once over its splits' shared contexts (window_nlls), and mean_nll
+    averages each split's window NLLs."""
+    shard, n = shards[nid], context_len(params.layout)
+    scored = window_nlls(params, [shard.context_index(split, n) for split in EVAL_SPLITS])
+    return np.array([mean_nll(params, getattr(shard, split), nll=nll)
+                     for split, nll in zip(EVAL_SPLITS, scored)])
 
 
 def _serve(inbox: int, outbox: int, shards: dict[int, Shard], seed: int, layout) -> None:
-    """A helper's loop, until the parent closes its end. A train message is
-    a stage's calls, followed by all their models: the helper trains every
-    call, then sends back each call's exception, or None, its (n,) mean
-    losses and its (n, P) trained rows, and holds the trained models by node
-    until the next train message. Nothing is sent before the last call has
-    trained: the parent reads only once its own calls are done, and a result
-    larger than the pipe holds would stall the helper until then. A score
-    message ("score", nodes, fresh) is followed by the rows of its `fresh`
-    nodes; every other node is scored on the model the helper holds. The
-    answer is the first failing node and its exception, or None and the
-    nodes' (n, 2) scores."""
-    held: dict[int, ParamSet] = {}
+    """A helper's loop, until the parent closes its end. A message is a list
+    of (task, fresh nodes), followed by the rows of every fresh node; each
+    other node of a task is the model the helper holds. The helper reads all
+    the rows, runs every task, and only then answers, in one message: each
+    task's exception, or its arrays' (shape, dtype), followed by their bytes.
+    Nothing is sent before the last task has run: the parent reads only once
+    its own tasks are done, and an answer larger than the pipe holds would
+    stall the helper until then. A message with calls replaces the held
+    models with those its calls trained."""
+    held: dict[int, np.ndarray] = {}
     while True:
         try:
             message = _receive(inbox)
         except EOFError:
             return
-        if message[0] == "score":
-            _, nodes, fresh = message
-            rows = _read_into(inbox, np.empty((len(fresh), layout.size), np.float32))
-            models = held | {nid: ParamSet.from_buffer(layout, row)
-                             for nid, row in zip(fresh, rows)}
-            out = _score_share(shards, [models[nid] for nid in nodes], nodes)
-            if isinstance(out, tuple):
-                _send(outbox, out)
-            else:
-                _send(outbox, None, out)
-            continue
-        calls = message
-        models = [_read_into(inbox, np.empty((len(nodes), layout.size), np.float32))
-                  for nodes, *_ in calls]
+        fresh = [nid for _, nodes in message for nid in nodes]
+        rows = held | dict(zip(fresh, _read_into(inbox, np.empty((len(fresh), layout.size),
+                                                                  np.float32))))
         outs = []
-        for (nodes, *call), rows in zip(calls, models):
+        for task, _ in message:
             try:
-                outs.append(_train(shards, seed, [ParamSet.from_buffer(layout, row)
-                                                  for row in rows], nodes, *call))
+                outs.append(_run_task(shards, seed, task, [ParamSet.from_buffer(layout, rows[nid])
+                                                           for nid in task.nodes]))
             except Exception as exc:  # the parent raises it
                 outs.append(exc)
-        held = {nid: result.params for (nodes, *_), out in zip(calls, outs)
-                if not isinstance(out, Exception) for nid, result in zip(nodes, out)}
-        for out in outs:
-            if isinstance(out, Exception):
-                _send(outbox, out)
-            else:
-                _send(outbox, None, np.array([o.mean_loss for o in out]),
-                      *(o.params.buf for o in out))
+        if any(task.job for task, _ in message):
+            held = {nid: row for (task, _), out in zip(message, outs)
+                    if task.job and not isinstance(out, Exception)
+                    for nid, row in zip(task.nodes, out[1:])}
+        _send(outbox, [out if isinstance(out, Exception) else [(a.shape, a.dtype.str) for a in out]
+                       for out in outs],
+              *(a for out in outs if not isinstance(out, Exception) for a in out))
 
 
 try:
@@ -344,10 +342,10 @@ PIPE_SIZE = 1 << 20
 
 
 class _Helper:
-    """A forked process that trains and scores one lane's share of a run's
-    stages. It ends only through os._exit, so it never runs its caller's
-    code: at EOF on its pipe (the parent closed it, or died), or quietly at
-    an interrupt or any error outside a call."""
+    """A forked process that runs one lane's tasks of a run's stages. It
+    ends only through os._exit, so it never runs its caller's code: at EOF on
+    its pipe (the parent closed it, or died), or quietly at an interrupt or
+    any error outside a task."""
 
     def __init__(self, shards: dict[int, Shard], seed: int, layout):
         (inbox, self.to), (self.back, outbox) = os.pipe(), os.pipe()
@@ -355,7 +353,12 @@ class _Helper:
             with suppress(OSError):  # past the system's limit, keep the default
                 fcntl(fd, F_SETPIPE_SZ, PIPE_SIZE)
         self.cpu_s = 0.0  # its user and system CPU seconds, once reaped
-        self.pid = os.fork()
+        try:
+            self.pid = os.fork()
+        except OSError:  # such as EAGAIN at a process limit
+            for fd in (inbox, self.to, self.back, outbox):
+                os.close(fd)
+            raise
         if self.pid == 0:
             status = 1
             try:
@@ -371,39 +374,25 @@ class _Helper:
                 os._exit(status)
         os.close(inbox)
         os.close(outbox)
-        self.layout = layout
 
     def send(self, message, models: list[ParamSet]) -> None:
-        """A train or score message, then its models' rows."""
+        """A message of tasks, then its fresh models' rows."""
         try:
             _send(self.to, message, *(model.buf for model in models))
         except BrokenPipeError:
             raise self.died() from None
 
-    def receive(self, n: int) -> list[TrainResult] | Exception:
-        """The results of one call of n nodes, or the exception it raised."""
+    def receive(self) -> list[list[np.ndarray] | Exception]:
+        """Each task's arrays, or the exception it raised, in message order."""
         try:
-            exc = _receive(self.back)
-            if exc is not None:
-                return exc
-            losses = _read_into(self.back, np.empty(n))
-            rows = _read_into(self.back, np.empty((n, self.layout.size), np.float32))
-        except EOFError:
-            raise self.died() from None
-        return [TrainResult(ParamSet.from_buffer(self.layout, row), float(loss))
-                for row, loss in zip(rows, losses)]
-
-    def receive_scores(self, n: int) -> np.ndarray | tuple[int, Exception]:
-        """The (n, 2) scores of a score message's n nodes, or its first
-        failing node and that node's exception."""
-        try:
-            failed = _receive(self.back)
-            return failed or _read_into(self.back, np.empty((n, len(EVAL_SPLITS))))
+            return [head if isinstance(head, Exception) else
+                    [_read_into(self.back, np.empty(shape, dtype)) for shape, dtype in head]
+                    for head in _receive(self.back)]
         except EOFError:
             raise self.died() from None
 
     def died(self) -> RuntimeError:
-        return RuntimeError(f"training helper {self.pid} exited with status "
+        return RuntimeError(f"helper {self.pid} exited with status "
                             f"{os.waitstatus_to_exitcode(self.close())}")
 
     def close(self) -> int | None:
@@ -486,9 +475,8 @@ def evaluate_round(
     """
     memo = {} if memo is None else memo
     nodes = [nid for nid in sorted(params_by_node) if nid in shards]
-    missing = [nid for nid in nodes if nid not in memo]
-    scores = _score(shards, [params_by_node[nid] for nid in missing], missing)
-    memo.update(zip(missing, (dict(zip(EVAL_SPLITS, row)) for row in scores.tolist())))
+    memo.update((nid, dict(zip(EVAL_SPLITS, _score(shards, params_by_node[nid], nid).tolist())))
+                for nid in nodes if nid not in memo)
     with np.errstate(over="ignore"):
         return [_row(method, nid, round_k, stage, split, memo[nid][split])
                 for nid in nodes for split in EVAL_SPLITS]
@@ -508,8 +496,8 @@ class _Run:
     # evaluate_round's memo: a node's NLL per split, dropped by set_model
     scored: dict[int, dict[str, float]] = field(default_factory=dict)
     helpers: list[_Helper] = field(default_factory=list)  # lanes 1, 2, ... as forked
-    # the lane that trained each node in the last stage, which holds its
-    # model until it trains again; reset by train, dropped by set_model
+    # the lane that trained each node in the last stage and holds its model:
+    # reset by train and close, dropped by set_model
     trained_on: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -527,6 +515,7 @@ class _Run:
         """End the run's helpers, adding their CPU time to the result; a later
         stage forks them again."""
         self.result.helper_cpu_s += _reap(self.helpers, os.getpid())
+        self.trained_on = {}
 
     @classmethod
     def start(cls, tree: FederationTree, shards: dict[int, Shard], cfg: EngineConfig,
@@ -570,45 +559,24 @@ class _Run:
         """Train a level's trainees and log their mean losses. Those that
         share a trainer share a global step and train stacked in calls of at
         most stack_width nodes, dealt over lane_count() lanes (plan_calls),
-        or over one when the stage holds less than SPLIT_WORK.
-        Each helper lane gets its calls first and trains them while this
-        process trains lane 0's; then the results are taken in call order.
-        If calls raised, the first of them in call order raises here, once
-        every lane is done. A stage with any trainee takes one sequential
+        or over one when the stage holds less than SPLIT_WORK, and run as
+        tasks (run_tasks). A stage with any trainee takes one sequential
         step."""
-        self.trained_on = {}
+        trained, self.trained_on = self.trained_on, {}
         trainees = stage_trainees(self.tree, level, self.shards, self.cfg.trainer)
         work = self.part.layout.size * sum(t.local_steps for _, t in trainees)
         calls = plan_calls(trainees, stack_width(self.part.layout),
                            lane_count() if work >= SPLIT_WORK else 1)
-        jobs = [(call.nodes, call.trainer, self.result.seq_steps * call.trainer.local_steps,
-                 round_k) for call in calls]
-        by_lane: dict[int, list[int]] = {}
-        for i, call in enumerate(calls):
-            by_lane.setdefault(call.lane, []).append(i)
-        helped = [(self.helper(lane), mine) for lane, mine in by_lane.items() if lane]
-        for helper, mine in helped:
-            helper.send([jobs[i] for i in mine],
-                        [self.state[nid].model for i in mine for nid in calls[i].nodes])
-        outs: list = [None] * len(calls)  # each call's results, or its exception
-        for i in by_lane.get(0, ()):
-            try:
-                outs[i] = _train(self.shards, self.cfg.seed,
-                                 [self.state[nid].model for nid in calls[i].nodes], *jobs[i])
-            except Exception as exc:  # raised below, once every lane is done
-                outs[i] = exc
-        for helper, mine in helped:
-            for i in mine:
-                outs[i] = helper.receive(len(calls[i].nodes))
-        failed = next((out for out in outs if isinstance(out, Exception)), None)
-        if failed is not None:
-            raise failed
+        outs = self.run_tasks([call.lane for call in calls], [
+            Task(call.nodes, (call.trainer, self.result.seq_steps * call.trainer.local_steps,
+                              round_k)) for call in calls],
+            {nid: self.state[nid].model for call in calls for nid in call.nodes}, trained)
         losses = {}
-        for call, results in zip(calls, outs):
-            for nid, out in zip(call.nodes, results):
-                self.set_model(nid, out.params)
+        for call, (mean_losses, *rows) in zip(calls, outs):
+            for nid, loss, row in zip(call.nodes, mean_losses.tolist(), rows):
+                self.set_model(nid, ParamSet.from_buffer(self.part.layout, row))
                 self.trained_on[nid] = call.lane
-                losses[nid] = out.mean_loss
+                losses[nid] = loss
         with np.errstate(over="ignore"):
             self.result.rows += [_row(self.result.method, nid, round_k, stage, "train", losses[nid])
                                  for nid in sorted(losses)]
@@ -621,15 +589,44 @@ class _Run:
         self.result.lanes = max(self.result.lanes, len(self.helpers) + 1)
         return self.helpers[lane - 1]
 
+    def run_tasks(self, lanes: list[int], tasks: list[Task], models: dict[int, ParamSet],
+                  trained: dict[int, int]) -> list[list[np.ndarray]]:
+        """Each task's arrays (_run_task), each run on its lane. Each helper
+        gets its tasks first, with the rows of every node whose model in
+        `models` it does not hold (`trained` maps a node to the lane that
+        holds it), and runs them while this process runs lane 0's. Once every
+        lane is done, the first failing task in task order raises here."""
+        helped = [(lane, [i for i, on in enumerate(lanes) if on == lane])
+                  for lane in sorted(set(lanes) - {0})]
+        for lane, mine in helped:
+            message = [(tasks[i], [nid for nid in tasks[i].nodes if trained.get(nid) != lane])
+                       for i in mine]
+            self.helper(lane).send(message, [models[nid] for _, fresh in message for nid in fresh])
+        outs: list = [None] * len(tasks)  # each task's arrays, or its exception
+        for i in [i for i, lane in enumerate(lanes) if not lane]:
+            try:
+                outs[i] = _run_task(self.shards, self.cfg.seed, tasks[i],
+                                    [models[nid] for nid in tasks[i].nodes])
+            except Exception as exc:  # raised below, once every lane is done
+                outs[i] = exc
+        for lane, mine in helped:
+            for i, out in zip(mine, self.helpers[lane - 1].receive()):
+                outs[i] = out
+        failed = next((out for out in outs if isinstance(out, Exception)), None)
+        if failed is not None:
+            raise failed
+        return outs
+
     def evaluate(self, round_k: int, stage: int, models: dict[int, ParamSet] | None = None) -> None:
         """Log each node's scores on its own splits: of its current model, a
         node that was scored on it before from the memo (scored); or of
         `models`, by node, all afresh. When the run has helpers and two or
-        more nodes are to be scored, they are scored over the lanes
-        (score_on_lanes), so a trace of this process counts lane 0's
-        scorings alone. Then evaluate_round, looked up in this module's
-        namespace, builds the rows, scoring here whatever is left: all of
-        it in a run without helpers."""
+        more nodes are to be scored, each node's scoring is a task, dealt
+        over the lanes (plan_scorings) and run into the memo (run_tasks), so
+        a trace of this process counts lane 0's scorings alone. Then
+        evaluate_round, looked up in this module's namespace, builds the
+        rows, scoring here whatever is left: all of it in a run without
+        helpers."""
         if models is None:
             memo, trained = self.scored, self.trained_on
             models = {nid: self.state[nid].model for nid in sorted(self.tree.nodes)}
@@ -637,40 +634,12 @@ class _Run:
             memo, trained = {}, {}
         pending = [nid for nid in sorted(models) if nid in self.shards and nid not in memo]
         if self.helpers and len(pending) > 1:
-            self.score_on_lanes(models, pending, trained, memo)
+            outs = self.run_tasks(plan_scorings(pending, trained, len(self.helpers) + 1),
+                                  [Task([nid]) for nid in pending], models, trained)
+            memo.update((nid, dict(zip(EVAL_SPLITS, scores.tolist())))
+                        for nid, (scores,) in zip(pending, outs))
         self.result.rows += evaluate_round(self.result.method, models, self.shards, round_k,
                                            stage, memo=memo)
-
-    def score_on_lanes(self, models: dict[int, ParamSet], pending: list[int],
-                       trained: dict[int, int], memo: dict[int, dict[str, float]]) -> None:
-        """Score the pending nodes into `memo`, over this process and its
-        helpers. A node in `trained` is scored on the lane that trained it,
-        which holds its model; every other, in id order, on the lane with the
-        fewest scorings so far, the lowest lane on a tie, and a helper gets
-        its rows. Each helper gets its share first and scores it while this
-        process scores lane 0's. Once every lane has answered, the first
-        failing node in id order raises its exception here."""
-        shares: list[list[int]] = [[] for _ in range(len(self.helpers) + 1)]
-        for nid in pending:
-            if nid in trained:
-                shares[trained[nid]].append(nid)
-        for nid in pending:
-            if nid not in trained:
-                min(shares, key=len).append(nid)
-        shares = [sorted(nodes) for nodes in shares]
-        helped = [(lane, self.helpers[lane - 1], nodes)
-                  for lane, nodes in enumerate(shares) if lane and nodes]
-        for lane, helper, nodes in helped:
-            fresh = [nid for nid in nodes if trained.get(nid) != lane]
-            helper.send(("score", nodes, fresh), [models[nid] for nid in fresh])
-        outs = [(shares[0], _score_share(self.shards, [models[nid] for nid in shares[0]],
-                                         shares[0]))]
-        outs += [(nodes, helper.receive_scores(len(nodes))) for _, helper, nodes in helped]
-        failed = [out for _, out in outs if isinstance(out, tuple)]
-        if failed:
-            raise min(failed, key=lambda f: f[0])[1]
-        for nodes, scores in outs:
-            memo.update(zip(nodes, (dict(zip(EVAL_SPLITS, row)) for row in scores.tolist())))
 
     def aggregate(self, round_k: int, nid: int) -> None:
         """A server's bottom-up step over its children, in id order. Each

@@ -28,9 +28,11 @@ from treefed.engine import (
     EngineConfig,
     ResidualConfig,
     ServerConfig,
+    Task,
     evaluate_round,
     fit,
     plan_calls,
+    plan_scorings,
     rng_for,
     run_centralized,
     run_flat_fl,
@@ -617,6 +619,36 @@ class TestPlanCalls:
             (group, 0) for _, group in reference_groups(trainees, width))
 
 
+def reference_scoring_lanes(nodes, trained, lanes):
+    """The scoring deal as a plain loop: every trained node to its lane
+    first, then each other node, in id order, to the shortest share."""
+    shares = [[nid for nid in nodes if trained.get(nid) == lane] for lane in range(lanes)]
+    for nid in nodes:
+        if nid not in trained:
+            min(shares, key=len).append(nid)
+    return [next(lane for lane, share in enumerate(shares) if nid in share) for nid in nodes]
+
+
+class TestPlanScorings:
+    def test_fig2_leaf_stage(self):
+        # the helper trained 5 and 6 and holds them; the parent 3 and 4, so
+        # the untrained root and mids go to the lanes in turn
+        trained = {3: 0, 4: 0, 5: 1, 6: 1}
+        assert plan_scorings(list(range(7)), trained, 2) == [0, 1, 0, 0, 0, 1, 1]
+        assert plan_scorings(list(range(7)), {}, 3) == [0, 1, 2, 0, 1, 2, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), lanes=st.integers(1, 5))
+    def test_matches_the_plain_loop(self, data, lanes):
+        nodes = sorted(data.draw(st.sets(st.integers(0, 40), max_size=20)))
+        trained = {nid: data.draw(st.integers(0, lanes - 1))
+                   for nid in data.draw(st.sets(st.sampled_from(nodes), max_size=len(nodes)))
+                   } if nodes else {}
+        got = plan_scorings(nodes, trained, lanes)
+        assert got == reference_scoring_lanes(nodes, trained, lanes)
+        assert all(got[i] == trained[nid] for i, nid in enumerate(nodes) if nid in trained)
+
+
 def record_helpers(monkeypatch, lanes):
     """Train every stage, however small, on `lanes` lanes; returns the list
     of every helper's pid."""
@@ -634,14 +666,16 @@ def record_helpers(monkeypatch, lanes):
 
 
 def record_score_messages(monkeypatch):
-    """Every score message this process sends a helper, as (nodes, fresh,
-    how many rows follow it)."""
-    sent = []
+    """Every message of scorings this process sends a helper, as (nodes,
+    fresh nodes, how many rows follow it)."""
+    sent, parent = [], os.getpid()
     orig = engine_mod._send
 
     def spy(fd, message, *arrays):
-        if isinstance(message, tuple) and message[0] == "score":
-            sent.append((message[1], message[2], len(arrays)))
+        # a helper's answers go through its own copy of the spy
+        if os.getpid() == parent and all(task.job is None for task, _ in message):
+            sent.append(([nid for task, _ in message for nid in task.nodes],
+                         [nid for _, fresh in message for nid in fresh], len(arrays)))
         return orig(fd, message, *arrays)
 
     monkeypatch.setattr(engine_mod, "_send", spy)
@@ -797,9 +831,10 @@ class TestLanes:
     def test_an_empty_array_crosses_a_pipe(self):
         inbox, outbox = os.pipe()
         try:
-            engine_mod._send(outbox, ("score", [1], []), np.empty((0, 5), np.float32),
+            # a message whose every node is held carries no rows
+            engine_mod._send(outbox, [(Task([1]), [])], np.empty((0, 5), np.float32),
                              np.arange(3.0))
-            assert engine_mod._receive(inbox) == ("score", [1], [])
+            assert engine_mod._receive(inbox) == [(Task([1]), [])]
             assert engine_mod._read_into(inbox, np.empty((0, 5), np.float32)).shape == (0, 5)
             assert engine_mod._read_into(inbox, np.empty(3)).tolist() == [0.0, 1.0, 2.0]
         finally:
@@ -819,6 +854,31 @@ class TestLanes:
                 run.train(1, 1, [1, 2])
         assert_reaped(pids)
         assert capfd.readouterr().err == ""
+
+    def test_a_failed_fork_closes_its_pipes(self, monkeypatch):
+        # a fork refused at a process limit (EAGAIN) raises as it was raised,
+        # and leaves none of the helper's four pipe ends open
+        piped, orig = [], os.pipe
+        error = BlockingIOError(11, "Resource temporarily unavailable")
+
+        def pipe():
+            piped.extend(orig())
+            return piped[-2], piped[-1]
+
+        def fork():
+            raise error
+
+        monkeypatch.setattr(engine_mod.os, "pipe", pipe)
+        monkeypatch.setattr(engine_mod.os, "fork", fork)
+        tree = depth1_tree(2)
+        shards, _ = shards_for(tree)
+        with pytest.raises(BlockingIOError) as raised:
+            engine_mod._Helper(shards, 0, init_model(small_model(), 0).layout)
+        assert raised.value is error
+        assert len(piped) == 4
+        for fd in piped:
+            with pytest.raises(OSError):
+                os.fstat(fd)
 
     def test_a_stage_smaller_than_split_work_trains_on_one_lane(self, monkeypatch):
         # two leaves of 4 steps on an 832-parameter model: 6,656 parameter-steps
