@@ -34,16 +34,16 @@ helper process that a run forks when a stage's training first needs it
 (scoring never forks one) and keeps until the driver ends the run
 (_Run.close). A stage's local_train calls and its scorings are one kind of
 task (Task), which the same code runs on any lane (_run_task). A helper runs
-its tasks from its fork-time copy of the shards and the seed; it gets them
-pickled, with the float32 bytes of each model it does not hold (it holds
-those it trained in its last training message), and answers with each
-task's arrays. Rows never mix and a node is scored alone, so every output is
-the same at any number of lanes. A process with other threads running
-trains on one lane, since a fork copies only the calling thread. The
-benchmark trace sees only this process: its training spans, mean_nll and
-scored-window counts cover lane 0 alone (compare them under `taskset -c
-0`), and when a run has helpers its evaluate_round time holds no scoring,
-only the rows built from the scores.
+its tasks from its fork-time copy of the shards and the seed. Its messages
+are the engine's own objects, pickled with out-of-band arrays (_send): tasks
+with each model it does not hold (it holds those it trained in its last
+training message), and each task's results. Rows never mix and a node is
+scored alone, so every output is the same at any number of lanes. A process
+with other threads running trains on one lane, since a fork copies only the
+calling thread. The benchmark trace sees only this process: its training
+spans, mean_nll and scored-window counts cover lane 0 alone (compare them
+under `taskset -c 0`), and when a run has helpers its evaluate_round time
+holds no scoring, only the rows built from the scores.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ import hashlib
 import json
 import os
 import pickle
-from contextlib import suppress
 import threading
 import weakref
 from dataclasses import dataclass, field, replace
@@ -75,6 +74,7 @@ from .model import (
     Partition,
     TrainerConfig,
     TrainJob,
+    TrainResult,
     context_len,
     init_model,
     local_train,
@@ -233,36 +233,27 @@ class Task(NamedTuple):
     job: tuple[TrainerConfig, int, int] | None = None
 
 
-def _run_task(shards: dict[int, Shard], seed: int, task: Task,
-              models: list[ParamSet]) -> list[np.ndarray]:
-    """A task's arrays, on any lane. A call stacks the nodes' models in one
-    local_train call, each on its (seed, node, round) training stream, and
-    gives their (n,) mean losses, then each trained row; a scoring gives the
-    node's scores (_score)."""
-    if task.job is None:
-        return [_score(shards, models[0], task.nodes[0])]
-    trainer, global_step, round_k = task.job
-    results = local_train([TrainJob(model, shards[nid].train,
-                                    rng_for(seed, nid, round_k, _TRAIN_TAG))
-                           for nid, model in zip(task.nodes, models)], trainer, global_step)
-    return [np.array([r.mean_loss for r in results]), *(r.params.buf for r in results)]
+def _run_task(shards: dict[int, Shard], seed: int, task: Task, models: dict[int, ParamSet]
+              ) -> list[TrainResult] | np.ndarray | Exception:
+    """A task's results on any lane, or the exception it raised, which the
+    parent raises once every lane is done. A call trains its nodes' models
+    stacked in one local_train call, each on its (seed, node, round) training
+    stream; a scoring gives the node's scores (_score)."""
+    try:
+        if task.job is None:
+            return _score(shards, models[task.nodes[0]], task.nodes[0])
+        trainer, global_step, round_k = task.job
+        return local_train([TrainJob(models[nid], shards[nid].train,
+                                     rng_for(seed, nid, round_k, _TRAIN_TAG))
+                            for nid in task.nodes], trainer, global_step)
+    except Exception as exc:
+        return exc
 
 
-def _bytes(data) -> memoryview:
-    """`data`'s bytes; an empty array's view cannot be cast, so it gives none."""
-    view = memoryview(data)
-    return view.cast("B") if view.nbytes else memoryview(b"")
-
-
-def _write(fd: int, data) -> None:
-    view = _bytes(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_into(fd: int, out):
-    """Fill `out` (an array or bytearray) from `fd`; EOFError if it closes first."""
-    view = _bytes(out)
+def _read(fd: int, size: int) -> np.ndarray:
+    """`size` bytes from `fd` in a fresh uint8 array; EOFError if it closes first."""
+    out = np.empty(size, np.uint8)
+    view = memoryview(out)
     while view:
         got = os.readv(fd, [view])
         if not got:
@@ -271,18 +262,25 @@ def _read_into(fd: int, out):
     return out
 
 
-def _send(fd: int, message, *arrays: np.ndarray) -> None:
-    """A pickled message, its length first, then each array's raw bytes."""
-    data = pickle.dumps(message)
-    _write(fd, len(data).to_bytes(8, "little") + data)
-    for a in arrays:
-        _write(fd, a)
+def _send(fd: int, obj) -> None:
+    """`obj` pickled at protocol 5 with its arrays' bytes out of band (PEP
+    574), so that none is copied: the number of byte counts, the counts of
+    the pickle and of each buffer, the pickle, then each buffer's bytes."""
+    buffers = []
+    data = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
+    raws = [buffer.raw() for buffer in buffers]
+    head = np.array([1 + len(raws), len(data), *(raw.nbytes for raw in raws)], "<u8")
+    for piece in [head.tobytes() + data, *raws]:
+        view = memoryview(piece)
+        while view:
+            view = view[os.write(fd, view):]
 
 
 def _receive(fd: int):
-    """The next message _send wrote to the other end of `fd`'s pipe."""
-    size = int.from_bytes(_read_into(fd, bytearray(8)), "little")
-    return pickle.loads(_read_into(fd, bytearray(size)))
+    """The next object _send wrote to the other end of `fd`'s pipe."""
+    count = int(_read(fd, 8).view("<u8")[0])
+    size, *sizes = _read(fd, 8 * count).view("<u8").tolist()
+    return pickle.loads(_read(fd, size), buffers=[_read(fd, n) for n in sizes])
 
 
 def _score(shards: dict[int, Shard], params: ParamSet, nid: int) -> np.ndarray:
@@ -295,50 +293,28 @@ def _score(shards: dict[int, Shard], params: ParamSet, nid: int) -> np.ndarray:
                      for split, nll in zip(EVAL_SPLITS, scored)])
 
 
-def _serve(inbox: int, outbox: int, shards: dict[int, Shard], seed: int, layout) -> None:
+def _serve(inbox: int, outbox: int, shards: dict[int, Shard], seed: int) -> None:
     """A helper's loop, until the parent closes its end. A message is a list
-    of (task, fresh nodes), followed by the rows of every fresh node; each
-    other node of a task is the model the helper holds. The helper reads all
-    the rows, runs every task, and only then answers, in one message: each
-    task's exception, or its arrays' (shape, dtype), followed by their bytes.
-    Nothing is sent before the last task has run: the parent reads only once
-    its own tasks are done, and an answer larger than the pipe holds would
-    stall the helper until then. A message with calls replaces the held
-    models with those its calls trained."""
-    held: dict[int, np.ndarray] = {}
+    of (task, {node: model}) holding the models of the task's nodes that the
+    helper does not hold. The helper reads the whole message, runs every
+    task, and only then answers, in one message: each task's results
+    (_run_task), or its exception. Nothing is sent before the last task has
+    run: the parent reads only once its own tasks are done, and an answer
+    larger than the pipe holds would stall the helper until then. A message
+    with calls replaces the held models with those its calls trained."""
+    held: dict[int, ParamSet] = {}
     while True:
         try:
             message = _receive(inbox)
         except EOFError:
             return
-        fresh = [nid for _, nodes in message for nid in nodes]
-        rows = held | dict(zip(fresh, _read_into(inbox, np.empty((len(fresh), layout.size),
-                                                                  np.float32))))
-        outs = []
-        for task, _ in message:
-            try:
-                outs.append(_run_task(shards, seed, task, [ParamSet.from_buffer(layout, rows[nid])
-                                                           for nid in task.nodes]))
-            except Exception as exc:  # the parent raises it
-                outs.append(exc)
+        models = held | {nid: model for _, fresh in message for nid, model in fresh.items()}
+        outs = [_run_task(shards, seed, task, models) for task, _ in message]
         if any(task.job for task, _ in message):
-            held = {nid: row for (task, _), out in zip(message, outs)
+            held = {nid: result.params for (task, _), out in zip(message, outs)
                     if task.job and not isinstance(out, Exception)
-                    for nid, row in zip(task.nodes, out[1:])}
-        _send(outbox, [out if isinstance(out, Exception) else [(a.shape, a.dtype.str) for a in out]
-                       for out in outs],
-              *(a for out in outs if not isinstance(out, Exception) for a in out))
-
-
-try:
-    from fcntl import F_SETPIPE_SZ, fcntl
-except ImportError:  # no fcntl, or pipes of a fixed size
-    F_SETPIPE_SZ = None
-
-# What each of a helper's pipes holds, where pipes can be resized: a wide-dp
-# stage sends a few hundred KB of rows, which a default 64 KiB pipe takes in
-# many writes, each waiting for the helper to read.
-PIPE_SIZE = 1 << 20
+                    for nid, result in zip(task.nodes, out)}
+        _send(outbox, outs)
 
 
 class _Helper:
@@ -347,18 +323,18 @@ class _Helper:
     its pipe (the parent closed it, or died), or quietly at an interrupt or
     any error outside a task."""
 
-    def __init__(self, shards: dict[int, Shard], seed: int, layout):
-        (inbox, self.to), (self.back, outbox) = os.pipe(), os.pipe()
-        for fd in (self.to, self.back) if F_SETPIPE_SZ else ():
-            with suppress(OSError):  # past the system's limit, keep the default
-                fcntl(fd, F_SETPIPE_SZ, PIPE_SIZE)
+    def __init__(self, shards: dict[int, Shard], seed: int):
         self.cpu_s = 0.0  # its user and system CPU seconds, once reaped
+        fds: list[int] = []
         try:
+            for _ in range(2):
+                fds += os.pipe()
             self.pid = os.fork()
-        except OSError:  # such as EAGAIN at a process limit
-            for fd in (inbox, self.to, self.back, outbox):
+        except OSError:  # such as EMFILE at a file limit, or EAGAIN at a process limit
+            for fd in fds:
                 os.close(fd)
             raise
+        inbox, self.to, self.back, outbox = fds
         if self.pid == 0:
             status = 1
             try:
@@ -368,26 +344,23 @@ class _Helper:
                 lo, hi = sorted((inbox, outbox))
                 for start, stop in ((3, lo), (lo + 1, hi), (hi + 1, os.sysconf("SC_OPEN_MAX"))):
                     os.closerange(start, stop)
-                _serve(inbox, outbox, shards, seed, layout)
+                _serve(inbox, outbox, shards, seed)
                 status = 0
             finally:
                 os._exit(status)
         os.close(inbox)
         os.close(outbox)
 
-    def send(self, message, models: list[ParamSet]) -> None:
-        """A message of tasks, then its fresh models' rows."""
+    def send(self, message: list[tuple[Task, dict[int, ParamSet]]]) -> None:
         try:
-            _send(self.to, message, *(model.buf for model in models))
+            _send(self.to, message)
         except BrokenPipeError:
             raise self.died() from None
 
-    def receive(self) -> list[list[np.ndarray] | Exception]:
-        """Each task's arrays, or the exception it raised, in message order."""
+    def receive(self) -> list:
+        """Each task's results, or the exception it raised, in message order."""
         try:
-            return [head if isinstance(head, Exception) else
-                    [_read_into(self.back, np.empty(shape, dtype)) for shape, dtype in head]
-                    for head in _receive(self.back)]
+            return _receive(self.back)
         except EOFError:
             raise self.died() from None
 
@@ -464,22 +437,22 @@ def evaluate_round(
     shards: dict[int, Shard],
     round_k: int,
     stage: int,
-    memo: dict[int, dict[str, float]] | None = None,
+    memo: dict[int, np.ndarray] | None = None,
 ) -> list[MetricRow]:
     """Per-node perplexity rows on each node's own EVAL_SPLITS.
 
-    `memo` maps a node to its NLL on each split, from the last time its
-    model was scored, and a node with an entry is not scored again. It holds
-    no model, so a caller that replaces a node's model must drop the node's
-    entry. Each node without one is scored here (_score).
+    `memo` maps a node to its scores (_score's (2,) NLLs, one per split),
+    from the last time its model was scored, and a node with an entry is not
+    scored again. It holds no model, so a caller that replaces a node's
+    model must drop the node's entry. Each node without one is scored here.
     """
     memo = {} if memo is None else memo
     nodes = [nid for nid in sorted(params_by_node) if nid in shards]
-    memo.update((nid, dict(zip(EVAL_SPLITS, _score(shards, params_by_node[nid], nid).tolist())))
+    memo.update((nid, _score(shards, params_by_node[nid], nid))
                 for nid in nodes if nid not in memo)
     with np.errstate(over="ignore"):
-        return [_row(method, nid, round_k, stage, split, memo[nid][split])
-                for nid in nodes for split in EVAL_SPLITS]
+        return [_row(method, nid, round_k, stage, split, nll)
+                for nid in nodes for split, nll in zip(EVAL_SPLITS, memo[nid].tolist())]
 
 
 @dataclass
@@ -493,8 +466,8 @@ class _Run:
     part: Partition
     state: dict[int, _NodeState]
     result: RunResult
-    # evaluate_round's memo: a node's NLL per split, dropped by set_model
-    scored: dict[int, dict[str, float]] = field(default_factory=dict)
+    # evaluate_round's memo: a node's scores, dropped by set_model
+    scored: dict[int, np.ndarray] = field(default_factory=dict)
     helpers: list[_Helper] = field(default_factory=list)  # lanes 1, 2, ... as forked
     # the lane that trained each node in the last stage and holds its model:
     # reset by train and close, dropped by set_model
@@ -572,11 +545,11 @@ class _Run:
                               round_k)) for call in calls],
             {nid: self.state[nid].model for call in calls for nid in call.nodes}, trained)
         losses = {}
-        for call, (mean_losses, *rows) in zip(calls, outs):
-            for nid, loss, row in zip(call.nodes, mean_losses.tolist(), rows):
-                self.set_model(nid, ParamSet.from_buffer(self.part.layout, row))
+        for call, results in zip(calls, outs):
+            for nid, result in zip(call.nodes, results):
+                self.set_model(nid, result.params)
                 self.trained_on[nid] = call.lane
-                losses[nid] = loss
+                losses[nid] = result.mean_loss
         with np.errstate(over="ignore"):
             self.result.rows += [_row(self.result.method, nid, round_k, stage, "train", losses[nid])
                                  for nid in sorted(losses)]
@@ -585,30 +558,24 @@ class _Run:
     def helper(self, lane: int) -> _Helper:
         """Lane `lane`'s helper, forked (with any below it) on first need."""
         while len(self.helpers) < lane:
-            self.helpers.append(_Helper(self.shards, self.cfg.seed, self.part.layout))
+            self.helpers.append(_Helper(self.shards, self.cfg.seed))
         self.result.lanes = max(self.result.lanes, len(self.helpers) + 1)
         return self.helpers[lane - 1]
 
     def run_tasks(self, lanes: list[int], tasks: list[Task], models: dict[int, ParamSet],
-                  trained: dict[int, int]) -> list[list[np.ndarray]]:
-        """Each task's arrays (_run_task), each run on its lane. Each helper
-        gets its tasks first, with the rows of every node whose model in
-        `models` it does not hold (`trained` maps a node to the lane that
-        holds it), and runs them while this process runs lane 0's. Once every
-        lane is done, the first failing task in task order raises here."""
+                  trained: dict[int, int]) -> list:
+        """Each task's results (_run_task), each run on its lane. Each helper
+        gets its tasks first, with the model in `models` of every node it
+        does not hold (`trained` maps a node to the lane that holds it), and
+        runs them while this process runs lane 0's. Once every lane is done,
+        the first failing task in task order raises here."""
         helped = [(lane, [i for i, on in enumerate(lanes) if on == lane])
                   for lane in sorted(set(lanes) - {0})]
         for lane, mine in helped:
-            message = [(tasks[i], [nid for nid in tasks[i].nodes if trained.get(nid) != lane])
-                       for i in mine]
-            self.helper(lane).send(message, [models[nid] for _, fresh in message for nid in fresh])
-        outs: list = [None] * len(tasks)  # each task's arrays, or its exception
-        for i in [i for i, lane in enumerate(lanes) if not lane]:
-            try:
-                outs[i] = _run_task(self.shards, self.cfg.seed, tasks[i],
-                                    [models[nid] for nid in tasks[i].nodes])
-            except Exception as exc:  # raised below, once every lane is done
-                outs[i] = exc
+            self.helper(lane).send([(tasks[i], {nid: models[nid] for nid in tasks[i].nodes
+                                                if trained.get(nid) != lane}) for i in mine])
+        outs = [None if lane else _run_task(self.shards, self.cfg.seed, task, models)
+                for task, lane in zip(tasks, lanes)]
         for lane, mine in helped:
             for i, out in zip(mine, self.helpers[lane - 1].receive()):
                 outs[i] = out
@@ -636,8 +603,7 @@ class _Run:
         if self.helpers and len(pending) > 1:
             outs = self.run_tasks(plan_scorings(pending, trained, len(self.helpers) + 1),
                                   [Task([nid]) for nid in pending], models, trained)
-            memo.update((nid, dict(zip(EVAL_SPLITS, scores.tolist())))
-                        for nid, (scores,) in zip(pending, outs))
+            memo.update(zip(pending, outs))
         self.result.rows += evaluate_round(self.result.method, models, self.shards, round_k,
                                            stage, memo=memo)
 

@@ -16,7 +16,9 @@ N sets of one layout train together as the rows of one (N, size) array;
 Values must stay finite. `ParamSet.from_buffer` checks a set's buffer once,
 and the error names the first non-finite entry in layout order. Stacked rows
 are not checked when they are stacked: `check_finite` checks them, with the
-same message, where they are trained.
+same message, where they are trained. Unpickling or copying a set goes
+through `from_buffer` and `Layout.of`, so a set from another process is
+checked, read-only and of the interned layout.
 
 No code writes into a ParamSet's buffer once the set is built, so a set's
 values never change: sets may share memory (one set may be a view of another
@@ -84,6 +86,9 @@ class Layout:
             cls._interned[sig] = cls(sig)
         return cls._interned[sig]
 
+    def __reduce__(self):
+        return Layout.of, (self.signature,)
+
     def __init__(self, signature: tuple[tuple[str, tuple[int, ...]], ...]):
         self.slices: dict[str, slice] = {}
         offset = 0
@@ -138,6 +143,9 @@ class ParamSet:
         ps = cls.__new__(cls)
         ps.layout, ps.buf = layout, buf
         return ps
+
+    def __reduce__(self):
+        return ParamSet.from_buffer, (self.layout, self.buf)
 
     def __iter__(self) -> Iterator[Tensor]:
         return (Tensor.view(name, a) for name, a in self.layout.views(self.buf).items())

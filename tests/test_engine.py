@@ -1,5 +1,4 @@
 import dataclasses
-import fcntl
 import gc
 import os
 import signal
@@ -667,16 +666,16 @@ def record_helpers(monkeypatch, lanes):
 
 def record_score_messages(monkeypatch):
     """Every message of scorings this process sends a helper, as (nodes,
-    fresh nodes, how many rows follow it)."""
+    the nodes whose models it carries)."""
     sent, parent = [], os.getpid()
     orig = engine_mod._send
 
-    def spy(fd, message, *arrays):
+    def spy(fd, message):
         # a helper's answers go through its own copy of the spy
         if os.getpid() == parent and all(task.job is None for task, _ in message):
             sent.append(([nid for task, _ in message for nid in task.nodes],
-                         [nid for _, fresh in message for nid in fresh], len(arrays)))
-        return orig(fd, message, *arrays)
+                         [nid for _, fresh in message for nid in fresh]))
+        return orig(fd, message)
 
     monkeypatch.setattr(engine_mod, "_send", spy)
     return sent
@@ -689,6 +688,54 @@ def count_mean_nll(monkeypatch):
     monkeypatch.setattr(engine_mod, "mean_nll", lambda params, tokens, **kwargs:
                         calls.append(1) or orig(params, tokens, **kwargs))
     return calls
+
+
+@st.composite
+def wire_arrays(draw):
+    """A float32, float64 or int64 array, perhaps empty, transposed or
+    read-only; a one-dimensional one holds 64 to 256 KiB, as much as a pipe
+    or more."""
+    shape = draw(st.one_of(st.lists(st.integers(0, 6), max_size=3),
+                           st.tuples(st.integers(16_384, 32_768))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([np.float32, np.float64, np.int64]))
+    a = np.array(rng.standard_normal(shape) * 1e3, dtype)
+    a = a.T if draw(st.booleans()) else a
+    a.flags.writeable = draw(st.booleans())
+    return a
+
+
+WIRE_OBJECTS = st.recursive(
+    st.one_of(wire_arrays(),
+              st.builds(ValueError, st.text(max_size=8)),
+              st.builds(Task, st.lists(st.integers(0, 20), max_size=4),
+                        st.none() | st.just((small_trainer(), 8, 2)))),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(st.integers(0, 20), inner, max_size=3)),
+    max_leaves=8)
+
+
+def assert_same_object(got, sent):
+    """`got` is `sent` rebuilt: the same nest, with every array equal in
+    values, dtype, shape and read-only flag, every exception of the same type
+    and arguments, and every other leaf equal."""
+    assert type(got) is type(sent)
+    if isinstance(sent, np.ndarray):
+        assert (got.dtype, got.shape, got.flags.writeable) == (
+            sent.dtype, sent.shape, sent.flags.writeable)
+        assert np.array_equal(got, sent)
+    elif isinstance(sent, Exception):
+        assert got.args == sent.args
+    elif isinstance(sent, (list, tuple)) and not isinstance(sent, Task):
+        assert len(got) == len(sent)
+        for g, s in zip(got, sent):
+            assert_same_object(g, s)
+    elif isinstance(sent, dict):
+        assert list(got) == list(sent)
+        for key in sent:
+            assert_same_object(got[key], sent[key])
+    else:
+        assert got == sent
 
 
 def assert_reaped(pids):
@@ -763,9 +810,8 @@ class TestLanes:
         fit(tree, shards, cfg_for(tree, shards, rounds=2))
         assert len(pids) == 1
         assert_reaped(pids)
-        assert ([5, 6], [], 0) in sent
-        assert all(len(fresh) == rows for _, fresh, rows in sent)
-        assert any(fresh for _, fresh, _ in sent)
+        assert ([5, 6], []) in sent
+        assert any(fresh for _, fresh in sent)
 
     def test_a_scoring_error_on_a_helper_is_raised_as_at_one_lane(self, monkeypatch):
         # leaf 1 trains and is scored on lane 0, leaf 2 on the helper; an
@@ -782,7 +828,7 @@ class TestLanes:
             sent = record_score_messages(monkeypatch)
             with pytest.raises(ValueError, match="^token id out of range$"):
                 run_local(tree.leaves(), {**good, 2: out_of_range[2]}, cfg, 2)
-            assert sent == ([([2], [], 0)] if lanes == 2 else [])
+            assert sent == ([([2], [])] if lanes == 2 else [])
             with pytest.raises(ValueError, match="^empty or too-short evaluation shard$"):
                 run_local(tree.leaves(), {1: too_short[1], 2: out_of_range[2]}, cfg, 2)
             with pytest.raises(ValueError, match="^token id out of range$"):
@@ -816,30 +862,23 @@ class TestLanes:
         assert header == "experiment_id,seconds,lanes,helper_cpu_s"
         assert row.split(",")[1:] == ["1.500", "4", f"{result.helper_cpu_s:.3f}"]
 
-    @pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ"), reason="pipes of a fixed size")
-    def test_a_helpers_pipes_hold_a_mib(self, monkeypatch):
-        pids = record_helpers(monkeypatch, 2)
-        tree = depth1_tree(2)
-        shards, _ = shards_for(tree)
-        with engine_mod._Run.start(tree, shards, cfg_for(tree, shards)) as run:
-            run.train(0, 1, [1, 2])
-            [helper] = run.helpers
-            assert [fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) for fd in (helper.to, helper.back)] == [
-                engine_mod.PIPE_SIZE] * 2
-        assert_reaped(pids)
-
-    def test_an_empty_array_crosses_a_pipe(self):
+    @settings(max_examples=40, deadline=None)
+    @given(WIRE_OBJECTS)
+    def test_the_wire_round_trips_any_object(self, obj):
+        # a writer thread sends what may outgrow the pipe while this one
+        # reads it back: every array with its values, dtype, shape and
+        # read-only flag, every exception and every task
         inbox, outbox = os.pipe()
+        writer = threading.Thread(target=engine_mod._send, args=(outbox, obj))
+        writer.start()
         try:
-            # a message whose every node is held carries no rows
-            engine_mod._send(outbox, [(Task([1]), [])], np.empty((0, 5), np.float32),
-                             np.arange(3.0))
-            assert engine_mod._receive(inbox) == [(Task([1]), [])]
-            assert engine_mod._read_into(inbox, np.empty((0, 5), np.float32)).shape == (0, 5)
-            assert engine_mod._read_into(inbox, np.empty(3)).tolist() == [0.0, 1.0, 2.0]
+            got = engine_mod._receive(inbox)
         finally:
             os.close(inbox)
+            writer.join(timeout=10)
             os.close(outbox)
+        assert not writer.is_alive()
+        assert_same_object(got, obj)
 
     def test_a_dead_helper_is_named_with_its_exit_status(self, monkeypatch, capfd):
         # an interrupted helper exits 1 and prints nothing
@@ -873,9 +912,32 @@ class TestLanes:
         tree = depth1_tree(2)
         shards, _ = shards_for(tree)
         with pytest.raises(BlockingIOError) as raised:
-            engine_mod._Helper(shards, 0, init_model(small_model(), 0).layout)
+            engine_mod._Helper(shards, 0)
         assert raised.value is error
         assert len(piped) == 4
+        for fd in piped:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    def test_a_failed_pipe_closes_the_pipe_before_it(self, monkeypatch):
+        # a second pipe refused at the file limit (EMFILE) raises as it was
+        # raised, and leaves neither end of the first pipe open
+        piped, orig = [], os.pipe
+        error = OSError(24, "Too many open files")
+
+        def pipe():
+            if piped:
+                raise error
+            piped.extend(orig())
+            return piped[0], piped[1]
+
+        monkeypatch.setattr(engine_mod.os, "pipe", pipe)
+        tree = depth1_tree(2)
+        shards, _ = shards_for(tree)
+        with pytest.raises(OSError) as raised:
+            engine_mod._Helper(shards, 0)
+        assert raised.value is error
+        assert len(piped) == 2
         for fd in piped:
             with pytest.raises(OSError):
                 os.fstat(fd)
@@ -987,17 +1049,18 @@ class TestEvaluationMemo:
         assert sorted(built) == sorted([(nid, "val"), (nid, "test")] for nid in shards)
 
     def test_replacing_a_model_drops_its_entry(self):
-        # the memo holds each scored node's NLL per split and no model, so
-        # it pins no replaced model; every phase that replaces a node's model
-        # (enter, train, aggregate) drops that node's entry and no other
+        # the memo holds each scored node's (2,) NLLs, one per split, and
+        # no model, so it pins no replaced model; every phase that replaces
+        # a node's model (enter, train, aggregate) drops that node's entry
+        # and no other
         tree = fig2_tree()
         shards, _ = shards_for(tree)
         run = engine_mod._Run.start(tree, shards, cfg_for(tree, shards, rounds=1))
         everyone = sorted(tree.nodes)
         run.evaluate(0, 0)
         assert sorted(run.scored) == everyone
-        assert all(type(nll) is float and split in ("val", "test")
-                   for nlls in run.scored.values() for split, nll in nlls.items())
+        assert all(type(nlls) is np.ndarray and (nlls.shape, nlls.dtype) == ((2,), np.float64)
+                   for nlls in run.scored.values())
         for phase, replaced in ((lambda: run.enter(0, 3), [3]),
                                 (lambda: run.train(0, 2, [3, 4, 5, 6]), [3, 4, 5, 6]),
                                 (lambda: run.aggregate(0, 1), [1])):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,25 @@ class TestParamSet:
     def test_insertion_order_preserved(self):
         p = ps(("b", [1.0]), ("a", [2.0]))
         assert p.layout.names == ("b", "a")
+
+    def test_pickling_goes_through_the_one_constructor(self):
+        # a set unpickled (in band, or with its buffer out of band) or
+        # copied has the interned layout and a read-only buffer of the same
+        # bytes, and a buffer that holds a non-finite value is refused
+        p = ps(("embed", np.arange(6.0).reshape(2, 3)), ("head", [0.5]))
+        buffers = []
+        out_of_band = pickle.dumps(p, protocol=5, buffer_callback=buffers.append)
+        assert len(buffers) == 1
+        copies = [pickle.loads(pickle.dumps(p, protocol=4)), copy.deepcopy(p),
+                  pickle.loads(out_of_band, buffers=[bytearray(buffers[0].raw())])]
+        for q in copies:
+            assert q.layout is p.layout
+            assert not q.buf.flags.writeable
+            assert q.buf.tobytes() == p.buf.tobytes()
+        bad = bytearray(buffers[0].raw())
+        bad[:4] = np.float32(np.nan).tobytes()
+        with pytest.raises(ValueError, match="^tensor 'embed' contains non-finite values$"):
+            pickle.loads(out_of_band, buffers=[bad])
 
 
 class TestAxpy:
