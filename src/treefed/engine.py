@@ -11,8 +11,9 @@ with the parent and, at a leaf, the residual packets routed to it; a server
 routes its packets to its children, scoring their current keys. *train*
 then stacks the level's nodes that share a trainer, and so a schedule
 position, into local_train calls of up to model.stack_width nodes, spread
-over one lane per CPU the process may run on (plan_calls), and *evaluate*
-scores every node whose model changed, over the same lanes. After the last
+over one lane per CPU the process may run on (plan_calls), and scores each
+model it trained where it trained it; *evaluate* scores every other node
+whose model changed, over the same lanes. After the last
 stage, *aggregate* runs at each server bottom-up: pseudo-gradient averaging
 with server momentum for backbones (with DP sanitization of flagged
 children's deltas), per-layer attention for keys, and dissimilarity-based
@@ -33,17 +34,19 @@ Lane 0 of a stage's work is the calling process. Every other lane is a
 helper process that a run forks when a stage's training first needs it
 (scoring never forks one) and keeps until the driver ends the run
 (_Run.close). A stage's local_train calls and its scorings are one kind of
-task (Task), which the same code runs on any lane (_run_task). A helper runs
-its tasks from its fork-time copy of the shards and the seed. Its messages
-are the engine's own objects, pickled with out-of-band arrays (_send): tasks
-with each model it does not hold (it holds those it trained in its last
-training message), and each task's results. Rows never mix and a node is
+task (Task), which the same code runs on any lane (_run_task): a task
+carries its nodes' models, trains them if it is a call, and scores the
+models it ends with. A helper holds nothing between messages: it runs each
+message's tasks from its fork-time copy of the shards and the seed. Its
+messages are the engine's own objects, pickled with out-of-band arrays
+(_send): tasks, and each task's results. Rows never mix and a node is
 scored alone, so every output is the same at any number of lanes. A process
 with other threads running trains on one lane, since a fork copies only the
 calling thread. The benchmark trace sees only this process: its training
 spans, mean_nll and scored-window counts cover lane 0 alone (compare them
-under `taskset -c 0`), and when a run has helpers its evaluate_round time
-holds no scoring, only the rows built from the scores.
+under `taskset -c 0`). A trained node is scored inside *train* at every
+lane count, so evaluate_round's time holds only the scorings of nodes that
+did not train, and when a run has helpers, of at most one node.
 """
 
 from __future__ import annotations
@@ -191,22 +194,6 @@ def plan_calls(trainees: list[tuple[int, TrainerConfig]], width: int, lanes: int
     return calls
 
 
-def plan_scorings(nodes: list[int], trained: dict[int, int], lanes: int) -> list[int]:
-    """The lane of each node's scoring, for nodes in id order. A node in
-    `trained` goes to the lane that trained it, which holds its model; every
-    other node, in order, to the lane with the fewest scorings so far, the
-    lowest lane on a tie."""
-    load = [sum(trained.get(nid) == lane for nid in nodes) for lane in range(lanes)]
-    out = []
-    for nid in nodes:
-        lane = trained.get(nid)
-        if lane is None:
-            lane = load.index(min(load))
-            load[lane] += 1
-        out.append(lane)
-    return out
-
-
 # A stage splits over lanes only when it trains at least this many
 # parameter-steps (node-steps times the model's parameters). A smaller stage
 # trains in less time than a helper costs: the fork of a large process takes
@@ -225,27 +212,32 @@ def lane_count() -> int:
 
 
 class Task(NamedTuple):
-    """A piece of a stage's lane work: a local_train call of `nodes` when
-    `job` is its (trainer, global step, round), or the scoring of one node
-    when `job` is None."""
+    """A piece of a stage's lane work on `models`, by node: a local_train
+    call of them when `job` is its (trainer, global step, round), then, when
+    `score` is set, the scoring of each model it ends with."""
 
-    nodes: list[int]
+    models: dict[int, ParamSet]
     job: tuple[TrainerConfig, int, int] | None = None
+    score: bool = True
 
 
-def _run_task(shards: dict[int, Shard], seed: int, task: Task, models: dict[int, ParamSet]
-              ) -> list[TrainResult] | np.ndarray | Exception:
-    """A task's results on any lane, or the exception it raised, which the
-    parent raises once every lane is done. A call trains its nodes' models
-    stacked in one local_train call, each on its (seed, node, round) training
-    stream; a scoring gives the node's scores (_score)."""
+def _run_task(shards: dict[int, Shard], seed: int, task: Task
+              ) -> tuple[list[TrainResult] | None, dict[int, np.ndarray] | None] | Exception:
+    """A task's (training results, scores by node) on any lane, each None
+    if it has none, or the exception it raised, which the parent raises once
+    every lane is done. A call trains its models stacked in one local_train
+    call, each on its (seed, node, round) training stream; each scored model
+    gets its node's scores (_score)."""
     try:
-        if task.job is None:
-            return _score(shards, models[task.nodes[0]], task.nodes[0])
-        trainer, global_step, round_k = task.job
-        return local_train([TrainJob(models[nid], shards[nid].train,
-                                     rng_for(seed, nid, round_k, _TRAIN_TAG))
-                            for nid in task.nodes], trainer, global_step)
+        results, models = None, task.models
+        if task.job is not None:
+            trainer, global_step, round_k = task.job
+            results = local_train([TrainJob(model, shards[nid].train,
+                                            rng_for(seed, nid, round_k, _TRAIN_TAG))
+                                   for nid, model in models.items()], trainer, global_step)
+            models = {nid: result.params for nid, result in zip(models, results)}
+        return results, ({nid: _score(shards, model, nid) for nid, model in models.items()}
+                         if task.score else None)
     except Exception as exc:
         return exc
 
@@ -295,26 +287,17 @@ def _score(shards: dict[int, Shard], params: ParamSet, nid: int) -> np.ndarray:
 
 def _serve(inbox: int, outbox: int, shards: dict[int, Shard], seed: int) -> None:
     """A helper's loop, until the parent closes its end. A message is a list
-    of (task, {node: model}) holding the models of the task's nodes that the
-    helper does not hold. The helper reads the whole message, runs every
-    task, and only then answers, in one message: each task's results
-    (_run_task), or its exception. Nothing is sent before the last task has
-    run: the parent reads only once its own tasks are done, and an answer
-    larger than the pipe holds would stall the helper until then. A message
-    with calls replaces the held models with those its calls trained."""
-    held: dict[int, ParamSet] = {}
+    of tasks. The helper reads the whole message, runs every task, and only
+    then answers, in one message: each task's results (_run_task), or its
+    exception. Nothing is sent before the last task has run: the parent
+    reads only once its own tasks are done, and an answer larger than the
+    pipe holds would stall the helper until then."""
     while True:
         try:
             message = _receive(inbox)
         except EOFError:
             return
-        models = held | {nid: model for _, fresh in message for nid, model in fresh.items()}
-        outs = [_run_task(shards, seed, task, models) for task, _ in message]
-        if any(task.job for task, _ in message):
-            held = {nid: result.params for (task, _), out in zip(message, outs)
-                    if task.job and not isinstance(out, Exception)
-                    for nid, result in zip(task.nodes, out)}
-        _send(outbox, outs)
+        _send(outbox, [_run_task(shards, seed, task) for task in message])
 
 
 class _Helper:
@@ -351,7 +334,7 @@ class _Helper:
         os.close(inbox)
         os.close(outbox)
 
-    def send(self, message: list[tuple[Task, dict[int, ParamSet]]]) -> None:
+    def send(self, message: list[Task]) -> None:
         try:
             _send(self.to, message)
         except BrokenPipeError:
@@ -469,9 +452,6 @@ class _Run:
     # evaluate_round's memo: a node's scores, dropped by set_model
     scored: dict[int, np.ndarray] = field(default_factory=dict)
     helpers: list[_Helper] = field(default_factory=list)  # lanes 1, 2, ... as forked
-    # the lane that trained each node in the last stage and holds its model:
-    # reset by train and close, dropped by set_model
-    trained_on: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
         # a run driven by hand, never closed, reaps its helpers when it is
@@ -488,7 +468,6 @@ class _Run:
         """End the run's helpers, adding their CPU time to the result; a later
         stage forks them again."""
         self.result.helper_cpu_s += _reap(self.helpers, os.getpid())
-        self.trained_on = {}
 
     @classmethod
     def start(cls, tree: FederationTree, shards: dict[int, Shard], cfg: EngineConfig,
@@ -528,28 +507,28 @@ class _Run:
             self.result.residual_log.extend(routed.events)
         st.inbox = []
 
-    def train(self, round_k: int, stage: int, level: list[int]) -> None:
+    def train(self, round_k: int, stage: int, level: list[int], score: bool = True) -> None:
         """Train a level's trainees and log their mean losses. Those that
         share a trainer share a global step and train stacked in calls of at
         most stack_width nodes, dealt over lane_count() lanes (plan_calls),
         or over one when the stage holds less than SPLIT_WORK, and run as
-        tasks (run_tasks). A stage with any trainee takes one sequential
-        step."""
-        trained, self.trained_on = self.trained_on, {}
+        tasks (run_tasks). When `score` is set, each call's task also scores
+        the models it trained, into the memo (scored). A stage with any
+        trainee takes one sequential step."""
         trainees = stage_trainees(self.tree, level, self.shards, self.cfg.trainer)
         work = self.part.layout.size * sum(t.local_steps for _, t in trainees)
         calls = plan_calls(trainees, stack_width(self.part.layout),
                            lane_count() if work >= SPLIT_WORK else 1)
         outs = self.run_tasks([call.lane for call in calls], [
-            Task(call.nodes, (call.trainer, self.result.seq_steps * call.trainer.local_steps,
-                              round_k)) for call in calls],
-            {nid: self.state[nid].model for call in calls for nid in call.nodes}, trained)
+            Task({nid: self.state[nid].model for nid in call.nodes},
+                 (call.trainer, self.result.seq_steps * call.trainer.local_steps, round_k), score)
+            for call in calls])
         losses = {}
-        for call, results in zip(calls, outs):
+        for call, (results, scores) in zip(calls, outs):
             for nid, result in zip(call.nodes, results):
                 self.set_model(nid, result.params)
-                self.trained_on[nid] = call.lane
                 losses[nid] = result.mean_loss
+            self.scored.update(scores or {})
         with np.errstate(over="ignore"):
             self.result.rows += [_row(self.result.method, nid, round_k, stage, "train", losses[nid])
                                  for nid in sorted(losses)]
@@ -562,19 +541,16 @@ class _Run:
         self.result.lanes = max(self.result.lanes, len(self.helpers) + 1)
         return self.helpers[lane - 1]
 
-    def run_tasks(self, lanes: list[int], tasks: list[Task], models: dict[int, ParamSet],
-                  trained: dict[int, int]) -> list:
+    def run_tasks(self, lanes: list[int], tasks: list[Task]) -> list:
         """Each task's results (_run_task), each run on its lane. Each helper
-        gets its tasks first, with the model in `models` of every node it
-        does not hold (`trained` maps a node to the lane that holds it), and
-        runs them while this process runs lane 0's. Once every lane is done,
-        the first failing task in task order raises here."""
+        gets its tasks first and runs them while this process runs lane 0's.
+        Once every lane is done, the first failing task in task order raises
+        here."""
         helped = [(lane, [i for i, on in enumerate(lanes) if on == lane])
                   for lane in sorted(set(lanes) - {0})]
         for lane, mine in helped:
-            self.helper(lane).send([(tasks[i], {nid: models[nid] for nid in tasks[i].nodes
-                                                if trained.get(nid) != lane}) for i in mine])
-        outs = [None if lane else _run_task(self.shards, self.cfg.seed, task, models)
+            self.helper(lane).send([tasks[i] for i in mine])
+        outs = [None if lane else _run_task(self.shards, self.cfg.seed, task)
                 for task, lane in zip(tasks, lanes)]
         for lane, mine in helped:
             for i, out in zip(mine, self.helpers[lane - 1].receive()):
@@ -589,21 +565,21 @@ class _Run:
         node that was scored on it before from the memo (scored); or of
         `models`, by node, all afresh. When the run has helpers and two or
         more nodes are to be scored, each node's scoring is a task, dealt
-        over the lanes (plan_scorings) and run into the memo (run_tasks), so
-        a trace of this process counts lane 0's scorings alone. Then
-        evaluate_round, looked up in this module's namespace, builds the
-        rows, scoring here whatever is left: all of it in a run without
-        helpers."""
+        over the lanes in turn and run into the memo (run_tasks), so a trace
+        of this process counts lane 0's scorings alone. Then evaluate_round,
+        looked up in this module's namespace, builds the rows, scoring here
+        whatever is left: all of it in a run without helpers."""
         if models is None:
-            memo, trained = self.scored, self.trained_on
+            memo = self.scored
             models = {nid: self.state[nid].model for nid in sorted(self.tree.nodes)}
         else:
-            memo, trained = {}, {}
+            memo = {}
         pending = [nid for nid in sorted(models) if nid in self.shards and nid not in memo]
         if self.helpers and len(pending) > 1:
-            outs = self.run_tasks(plan_scorings(pending, trained, len(self.helpers) + 1),
-                                  [Task([nid]) for nid in pending], models, trained)
-            memo.update(zip(pending, outs))
+            lanes = len(self.helpers) + 1
+            for _, scores in self.run_tasks([i % lanes for i in range(len(pending))],
+                                            [Task({nid: models[nid]}) for nid in pending]):
+                memo.update(scores)
         self.result.rows += evaluate_round(self.result.method, models, self.shards, round_k,
                                            stage, memo=memo)
 
@@ -646,12 +622,11 @@ class _Run:
         self.set_model(nid, part.assemble(backbone, keys))
 
     def set_model(self, nid: int, model: ParamSet) -> None:
-        """Replace a node's model and drop its scores and the lane that
-        trained it, so that the old model (and the training stack it may be a
-        row of) is freed and the new one is scored at the next evaluate."""
+        """Replace a node's model and drop its scores, so that the old model
+        (and the training stack it may be a row of) is freed and the new one
+        is scored, by train or at the next evaluate."""
         self.state[nid].model = model
         self.scored.pop(nid, None)
-        self.trained_on.pop(nid, None)
 
     def log_attention(self, nid: int, round_k: int, stage: str, weight_log: WeightLog) -> None:
         for layer, (labels, weights) in weight_log.items():
@@ -721,7 +696,7 @@ def run_flat_fl(
         for round_k in range(rounds):
             for nid in leaf_ids:
                 run.enter(round_k, nid)
-            run.train(round_k, 0, leaf_ids)
+            run.train(round_k, 0, leaf_ids, score=False)
             run.aggregate(round_k, server)
             run.evaluate(round_k, 0, dict.fromkeys(leaf_ids, run.state[server].model))
     run.result.final_models = dict.fromkeys(leaf_ids, run.state[server].model)
@@ -767,7 +742,7 @@ def run_centralized(
     own[0] = replace(own.get(0, pooled), train=pooled.train)
     with _Run.start(tree, own, replace(cfg, dp=None), "centralized") as run:
         for round_k in range(budget_steps):
-            run.train(round_k, 0, [0])
+            run.train(round_k, 0, [0], score=False)
             run.evaluate(round_k, 0, dict.fromkeys(leaf_ids, run.state[0].model))
     run.result.final_models = dict.fromkeys(leaf_ids, run.state[0].model)
     return run.result

@@ -85,29 +85,40 @@ def test_every_engine_hook_is_called_through_the_engine_namespace(monkeypatch, m
 def test_mean_nll_gets_each_scored_model_and_its_split_tokens(monkeypatch):
     # the trace reads args[0] of every treefed.engine.mean_nll call as the
     # scored ParamSet and hashes args[1] as the scored split's 1-D tokens, so
-    # each (node, split) that evaluate_round scores must be one call that
-    # passes the node's model and that split's own array; a node whose model
-    # is the one it last scored is not scored again. It runs on one lane:
-    # a helper scores in its own process, out of this namespace's reach
+    # each (node, split) that lane 0 scores, in a task (a trained model) or
+    # in evaluate_round (any other), must be one call that passes the node's
+    # model and that split's own array; a node whose model is the one it last
+    # scored is not scored again. It runs on one lane: a helper scores in its
+    # own process, out of this namespace's reach
     monkeypatch.setattr(treefed.engine, "lane_count", lambda: 1)
-    made, evaluations = [], []
-    orig_nll, orig_eval = treefed.engine.mean_nll, treefed.engine.evaluate_round
+    made, scorings = [], []
+    orig_nll, orig_task = treefed.engine.mean_nll, treefed.engine._run_task
+    orig_eval = treefed.engine.evaluate_round
 
     def nll_spy(*args, **kwargs):
         made.append(args[:2])
         return orig_nll(*args, **kwargs)
 
+    def task_spy(shards, seed, task):
+        start = len(made)
+        results, scores = out = orig_task(shards, seed, task)
+        models = task.models if results is None else {
+            nid: result.params for nid, result in zip(task.models, results)}
+        scorings.append(("task", models if scores else {}, shards, made[start:]))
+        return out
+
     def eval_spy(method, params_by_node, shards, *args, **kwargs):
         start = len(made)
         rows = orig_eval(method, params_by_node, shards, *args, **kwargs)
-        evaluations.append((params_by_node, shards, made[start:]))
+        scorings.append(("evaluate_round", params_by_node, shards, made[start:]))
         return rows
 
     monkeypatch.setattr(treefed.engine, "mean_nll", nll_spy)
+    monkeypatch.setattr(treefed.engine, "_run_task", task_spy)
     monkeypatch.setattr(treefed.engine, "evaluate_round", eval_spy)
     execute(ExperimentPlan(method="worldlm", preset="dp-cc-wk", rounds=2, seed=1))
     last = {}
-    for params_by_node, shards, calls in evaluations:
+    for _, params_by_node, shards, calls in scorings:
         scored = []
         for params, tokens in calls:
             (nid, split), = [(nid, split) for nid in params_by_node for split in ("val", "test")
@@ -115,10 +126,11 @@ def test_mean_nll_gets_each_scored_model_and_its_split_tokens(monkeypatch):
             assert isinstance(params, ParamSet) and params is params_by_node[nid]
             assert tokens.ndim == 1
             scored.append((nid, split))
-        changed = [nid for nid in sorted(params_by_node) if last.get(nid) is not params_by_node[nid]]
+        changed = [nid for nid in params_by_node if last.get(nid) is not params_by_node[nid]]
         assert scored == [(nid, split) for nid in changed for split in ("val", "test")]
         last.update(params_by_node)
-    assert sum(len(calls) for *_, calls in evaluations) == len(made) > 0
+    assert sum(len(calls) for *_, calls in scorings) == len(made)
+    assert {where for where, *_, calls in scorings if calls} == {"task", "evaluate_round"}
 
 
 def test_tensor_count_and_round_clock_hooks_exist():

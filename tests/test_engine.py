@@ -31,7 +31,6 @@ from treefed.engine import (
     evaluate_round,
     fit,
     plan_calls,
-    plan_scorings,
     rng_for,
     run_centralized,
     run_flat_fl,
@@ -40,6 +39,7 @@ from treefed.engine import (
 from treefed.model import ModelConfig, TrainerConfig, init_model, local_train
 from treefed.presets import preset_config, resolve
 from treefed.privacy import DpConfig, next_bound
+from treefed.tensors import ParamSet
 from treefed.topology import FederationTree
 
 from oracles import param_set, trailing_best
@@ -618,36 +618,6 @@ class TestPlanCalls:
             (group, 0) for _, group in reference_groups(trainees, width))
 
 
-def reference_scoring_lanes(nodes, trained, lanes):
-    """The scoring deal as a plain loop: every trained node to its lane
-    first, then each other node, in id order, to the shortest share."""
-    shares = [[nid for nid in nodes if trained.get(nid) == lane] for lane in range(lanes)]
-    for nid in nodes:
-        if nid not in trained:
-            min(shares, key=len).append(nid)
-    return [next(lane for lane, share in enumerate(shares) if nid in share) for nid in nodes]
-
-
-class TestPlanScorings:
-    def test_fig2_leaf_stage(self):
-        # the helper trained 5 and 6 and holds them; the parent 3 and 4, so
-        # the untrained root and mids go to the lanes in turn
-        trained = {3: 0, 4: 0, 5: 1, 6: 1}
-        assert plan_scorings(list(range(7)), trained, 2) == [0, 1, 0, 0, 0, 1, 1]
-        assert plan_scorings(list(range(7)), {}, 3) == [0, 1, 2, 0, 1, 2, 0]
-
-    @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), lanes=st.integers(1, 5))
-    def test_matches_the_plain_loop(self, data, lanes):
-        nodes = sorted(data.draw(st.sets(st.integers(0, 40), max_size=20)))
-        trained = {nid: data.draw(st.integers(0, lanes - 1))
-                   for nid in data.draw(st.sets(st.sampled_from(nodes), max_size=len(nodes)))
-                   } if nodes else {}
-        got = plan_scorings(nodes, trained, lanes)
-        assert got == reference_scoring_lanes(nodes, trained, lanes)
-        assert all(got[i] == trained[nid] for i, nid in enumerate(nodes) if nid in trained)
-
-
 def record_helpers(monkeypatch, lanes):
     """Train every stage, however small, on `lanes` lanes; returns the list
     of every helper's pid."""
@@ -664,21 +634,41 @@ def record_helpers(monkeypatch, lanes):
     return pids
 
 
-def record_score_messages(monkeypatch):
-    """Every message of scorings this process sends a helper, as (nodes,
-    the nodes whose models it carries)."""
+def record_messages(monkeypatch):
+    """Every message this process sends a helper, as (each task's kind,
+    "train" or "score", the nodes of its tasks): a task carries the models
+    of its nodes and no other."""
     sent, parent = [], os.getpid()
     orig = engine_mod._send
 
     def spy(fd, message):
         # a helper's answers go through its own copy of the spy
-        if os.getpid() == parent and all(task.job is None for task, _ in message):
-            sent.append(([nid for task, _ in message for nid in task.nodes],
-                         [nid for _, fresh in message for nid in fresh]))
+        if os.getpid() == parent:
+            sent.append((tuple("train" if task.job else "score" for task in message),
+                         [nid for task in message for nid in task.models]))
         return orig(fd, message)
 
     monkeypatch.setattr(engine_mod, "_send", spy)
     return sent
+
+
+def messages_by_stage(monkeypatch):
+    """Every message this process sends a helper, by the (round, stage) of
+    the train call that starts the stage it is sent in."""
+    sent, stages = record_messages(monkeypatch), {}
+    orig = engine_mod._Run.train
+
+    def train(run, round_k, stage, *args, **kwargs):
+        stages[round_k, stage] = len(sent)
+        return orig(run, round_k, stage, *args, **kwargs)
+
+    monkeypatch.setattr(engine_mod._Run, "train", train)
+
+    def by_stage():
+        starts = [*stages.values(), len(sent)]
+        return {key: sent[lo:hi] for key, lo, hi in zip(stages, starts, starts[1:])}
+
+    return by_stage
 
 
 def count_mean_nll(monkeypatch):
@@ -705,11 +695,20 @@ def wire_arrays(draw):
     return a
 
 
+@st.composite
+def wire_param_sets(draw):
+    """A ParamSet of one to three float32 entries, perhaps empty, whose
+    layout may be one that another drawn set has too."""
+    shapes = draw(st.lists(st.lists(st.integers(0, 4), max_size=2), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return param_set({f"w{i}": rng.standard_normal(shape) for i, shape in enumerate(shapes)})
+
+
 WIRE_OBJECTS = st.recursive(
     st.one_of(wire_arrays(),
               st.builds(ValueError, st.text(max_size=8)),
-              st.builds(Task, st.lists(st.integers(0, 20), max_size=4),
-                        st.none() | st.just((small_trainer(), 8, 2)))),
+              st.builds(Task, st.dictionaries(st.integers(0, 20), wire_param_sets(), max_size=3),
+                        st.none() | st.just((small_trainer(), 8, 2)), st.booleans())),
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
                             st.dictionaries(st.integers(0, 20), inner, max_size=3)),
     max_leaves=8)
@@ -717,16 +716,21 @@ WIRE_OBJECTS = st.recursive(
 
 def assert_same_object(got, sent):
     """`got` is `sent` rebuilt: the same nest, with every array equal in
-    values, dtype, shape and read-only flag, every exception of the same type
-    and arguments, and every other leaf equal."""
+    values, dtype, shape and read-only flag, every ParamSet of the interned
+    layout with a read-only buffer of the same bytes, every exception of the
+    same type and arguments, and every other leaf equal."""
     assert type(got) is type(sent)
     if isinstance(sent, np.ndarray):
         assert (got.dtype, got.shape, got.flags.writeable) == (
             sent.dtype, sent.shape, sent.flags.writeable)
         assert np.array_equal(got, sent)
+    elif isinstance(sent, ParamSet):
+        assert got.layout is sent.layout
+        assert not got.buf.flags.writeable
+        assert got.buf.tobytes() == sent.buf.tobytes()
     elif isinstance(sent, Exception):
         assert got.args == sent.args
-    elif isinstance(sent, (list, tuple)) and not isinstance(sent, Task):
+    elif isinstance(sent, (list, tuple)):
         assert len(got) == len(sent)
         for g, s in zip(got, sent):
             assert_same_object(g, s)
@@ -799,24 +803,27 @@ class TestLanes:
             assert_reaped(pids)
 
     def test_a_node_trained_on_a_helper_is_scored_there(self, monkeypatch):
-        # fig2's leaf stage trains [3, 4] here and [5, 6] on the helper,
-        # which scores 5 and 6 on the rows it holds: their score message
-        # carries no model. A node the helper did not train this stage comes
-        # with its rows
+        # fig2's mid stage trains [1] here and [2] on the helper, and its
+        # leaf stage [3, 4] here and [5, 6] there. The call's task scores
+        # the models it trained, so such a stage sends the helper one
+        # message, the call with its nodes' models, and no trained model
+        # crosses back for scoring
         tree = fig2_tree()
         shards, _ = shards_for(tree)
         pids = record_helpers(monkeypatch, 2)
-        sent = record_score_messages(monkeypatch)
+        by_stage = messages_by_stage(monkeypatch)
         fit(tree, shards, cfg_for(tree, shards, rounds=2))
         assert len(pids) == 1
         assert_reaped(pids)
-        assert ([5, 6], []) in sent
-        assert any(fresh for _, fresh in sent)
+        for round_k in range(2):
+            for stage, nodes in ((1, [2]), (2, [5, 6])):
+                assert by_stage()[round_k, stage] == [(("train",), nodes)]
 
     def test_a_scoring_error_on_a_helper_is_raised_as_at_one_lane(self, monkeypatch):
-        # leaf 1 trains and is scored on lane 0, leaf 2 on the helper; an
-        # evaluation split that fails raises the error of one lane, and of
-        # the first failing node when both fail, and the helper is reaped
+        # leaf 1 trains and is scored on lane 0, leaf 2 on the helper in
+        # the same task; an evaluation split that fails raises the error of
+        # one lane, and of the first failing node when both fail, and the
+        # helper is reaped
         tree = depth1_tree(2)
         good, _ = shards_for(tree)
         cfg = cfg_for(tree, good)
@@ -825,10 +832,10 @@ class TestLanes:
                      for nid in good}
         for lanes in (1, 2):
             pids = record_helpers(monkeypatch, lanes)
-            sent = record_score_messages(monkeypatch)
+            sent = record_messages(monkeypatch)
             with pytest.raises(ValueError, match="^token id out of range$"):
                 run_local(tree.leaves(), {**good, 2: out_of_range[2]}, cfg, 2)
-            assert sent == ([([2], [])] if lanes == 2 else [])
+            assert sent == ([(("train",), [2])] if lanes == 2 else [])
             with pytest.raises(ValueError, match="^empty or too-short evaluation shard$"):
                 run_local(tree.leaves(), {1: too_short[1], 2: out_of_range[2]}, cfg, 2)
             with pytest.raises(ValueError, match="^token id out of range$"):
@@ -836,11 +843,42 @@ class TestLanes:
             assert len(pids) == 3 * (lanes - 1)
             assert_reaped(pids)
 
+    def test_an_earlier_calls_scoring_error_raises_before_a_later_calls_training(
+            self, monkeypatch):
+        # leaf 2's own trainer gives it a call of its own, after leaf 1's;
+        # leaf 1 trains and fails to score, leaf 2 fails to train. A call's
+        # scoring is part of its task, so the first failing task raises its
+        # scoring error, on one lane or two
+        tree = depth1_tree(2)
+        tree.nodes[2].trainer = small_trainer(steps=2)
+        good, _ = shards_for(tree)
+        shards = {1: dataclasses.replace(good[1], test=np.zeros(2, np.int64)),
+                  2: dataclasses.replace(good[2], train=np.zeros(2, np.int64))}
+        for lanes in (1, 2):
+            pids = record_helpers(monkeypatch, lanes)
+            with engine_mod._Run.start(tree, shards, cfg_for(tree, good)) as run:
+                with pytest.raises(ValueError, match="^empty or too-short evaluation shard$"):
+                    run.train(0, 1, [1, 2])
+            assert len(pids) == lanes - 1
+            assert_reaped(pids)
+
+    def test_a_stage_trained_on_two_lanes_is_one_round_trip(self, monkeypatch):
+        # after round 0, a fig2 round sends the helper the scoring of mid 2
+        # (the root trains and is scored here), then the mid and the leaf
+        # stages' calls, which score what they trained: 3 messages a round
+        tree = fig2_tree()
+        shards, _ = shards_for(tree)
+        record_helpers(monkeypatch, 2)
+        by_stage = messages_by_stage(monkeypatch)
+        fit(tree, shards, cfg_for(tree, shards, rounds=2))
+        assert [message for stage in range(3) for message in by_stage()[1, stage]] == [
+            (("score",), [2]), (("train",), [2]), (("train",), [5, 6])]
+
     def test_a_run_of_stages_under_split_work_scores_in_this_process(self, monkeypatch):
         split_work = engine_mod.SPLIT_WORK
         pids = record_helpers(monkeypatch, 2)
         monkeypatch.setattr(engine_mod, "SPLIT_WORK", split_work)
-        sent, scored = record_score_messages(monkeypatch), count_mean_nll(monkeypatch)
+        sent, scored = record_messages(monkeypatch), count_mean_nll(monkeypatch)
         tree = fig2_tree()
         shards, _ = shards_for(tree)
         result = fit(tree, shards, cfg_for(tree, shards, rounds=2))
@@ -867,7 +905,8 @@ class TestLanes:
     def test_the_wire_round_trips_any_object(self, obj):
         # a writer thread sends what may outgrow the pipe while this one
         # reads it back: every array with its values, dtype, shape and
-        # read-only flag, every exception and every task
+        # read-only flag, every model with its layout, every exception and
+        # every task
         inbox, outbox = os.pipe()
         writer = threading.Thread(target=engine_mod._send, args=(outbox, obj))
         writer.start()
@@ -1052,7 +1091,8 @@ class TestEvaluationMemo:
         # the memo holds each scored node's (2,) NLLs, one per split, and
         # no model, so it pins no replaced model; every phase that replaces
         # a node's model (enter, train, aggregate) drops that node's entry
-        # and no other
+        # and no other, and train puts back the scores of the models it
+        # trained unless told not to score
         tree = fig2_tree()
         shards, _ = shards_for(tree)
         run = engine_mod._Run.start(tree, shards, cfg_for(tree, shards, rounds=1))
@@ -1061,13 +1101,24 @@ class TestEvaluationMemo:
         assert sorted(run.scored) == everyone
         assert all(type(nlls) is np.ndarray and (nlls.shape, nlls.dtype) == ((2,), np.float64)
                    for nlls in run.scored.values())
-        for phase, replaced in ((lambda: run.enter(0, 3), [3]),
-                                (lambda: run.train(0, 2, [3, 4, 5, 6]), [3, 4, 5, 6]),
-                                (lambda: run.aggregate(0, 1), [1])):
+        for phase, dropped in ((lambda: run.enter(0, 3), [3]),
+                               (lambda: run.train(0, 2, [3, 4, 5, 6], score=False), [3, 4, 5, 6]),
+                               (lambda: run.train(1, 2, [3, 4, 5, 6]), []),
+                               (lambda: run.aggregate(0, 1), [1])):
             phase()
-            assert sorted(run.scored) == [nid for nid in everyone if nid not in replaced]
-            rows = evaluate_round("m", {nid: run.state[nid].model for nid in replaced}, shards,
-                                  0, 2)
+            assert sorted(run.scored) == [nid for nid in everyone if nid not in dropped]
+            models = {nid: run.state[nid].model for nid in everyone}
+            assert evaluate_round("m", models, shards, 0, 2, memo=dict(run.scored)) == (
+                evaluate_round("m", models, shards, 0, 2))
             run.evaluate(0, 2)
-            assert rows == evaluate_round("m", {nid: run.state[nid].model for nid in replaced},
-                                          shards, 0, 2, memo=run.scored)
+
+    @pytest.mark.parametrize("runner", [run_flat_fl, run_centralized])
+    def test_a_model_scored_on_the_server_is_not_scored_when_trained(self, monkeypatch, runner):
+        # flat FL and centralized score each leaf on the server's model, so
+        # their training scores nothing: 2 splits x 4 leaves x 3 rounds
+        monkeypatch.setattr(engine_mod, "lane_count", lambda: 1)
+        tree = fig2_tree()
+        shards, _ = shards_for(tree)
+        scored = count_mean_nll(monkeypatch)
+        runner(tree.leaves(), shards, cfg_for(tree, shards), 3)
+        assert len(scored) == 2 * 4 * 3
